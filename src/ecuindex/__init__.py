@@ -8,11 +8,8 @@ consumption-weighted indexes.
 
 from .ecu import (
     EcuSeries,
-    FirmDay,
     FirmDayPanel,
     SrpiSeries,
-    ZeroWeightError,
-    ecu_at,
     ecu_grouped,
     srpi,
 )
@@ -52,7 +49,6 @@ __all__ = [
     "EcuSeries",
     "FilterDegeneracyError",
     "FilterOutput",
-    "FirmDay",
     "FirmDayPanel",
     "FitReport",
     "PROSPEROUS",
@@ -63,11 +59,9 @@ __all__ = [
     "RegimeParams",
     "SrpiSeries",
     "SyntheticPanel",
-    "ZeroWeightError",
     "align",
     "detect_outliers",
     "deviation",
-    "ecu_at",
     "ecu_grouped",
     "em_fit",
     "forward_filter",

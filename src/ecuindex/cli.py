@@ -1,39 +1,33 @@
 """Command-line pipeline: simulate -> fit -> index -> report.
 
 Stages hand off through CSV files in the output directory, so each one can
-be rerun or inspected on its own.  Identical inputs and root seed give
-byte-identical outputs regardless of worker count.
+be rerun or inspected on its own: simulate writes ``panel.csv``, fit writes
+``models.csv`` and ``firmdays.csv``, and index and report read those two
+back through ``pipeline.read_fit_outputs``.  Identical inputs and root seed
+give byte-identical outputs regardless of worker count.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .config import build_panel_config, build_run_config, load_config
-from .ecu import FirmDayPanel, ecu_grouped, srpi
+from .ecu import ecu_grouped, srpi
 from .panelio import (
     FirmRecord,
-    ModelRow,
-    read_deviations,
-    read_models,
     read_panel,
-    read_probs,
-    read_weights,
     seed_comment,
-    write_deviations,
     write_ecu,
+    write_firmdays,
     write_models,
     write_panel,
-    write_probs,
     write_srpi,
-    write_weights,
 )
-from .pipeline import build_firmday_panel, fit_panel, weight_rows
+from .pipeline import firmday_table, fit_panel, model_rows, read_fit_outputs
 from .sectors import load_code_map
 from .simgen import generate
 
@@ -98,19 +92,8 @@ def cmd_fit(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     comments = [seed_comment(cfg.seed)]
-    write_deviations(out / "deviations.csv", [r.deviation for r in results], comments)
-    write_models(
-        out / "models.csv",
-        [ModelRow(r.firm_id, r.report.model, float(r.report.loglik_trace[-1]),
-                  r.report.converged, r.report.degenerate) for r in results],
-        comments,
-    )
-    write_probs(
-        out / "probs.csv",
-        {r.firm_id: (r.deviation.offsets, r.filtered.mu_p, r.filtered.mu_r) for r in results},
-        comments,
-    )
-    write_weights(out / "weights.csv", weight_rows(results), comments)
+    write_models(out / "models.csv", model_rows(results).values(), comments)
+    write_firmdays(out / "firmdays.csv", firmday_table(results), comments)
 
     converged = sum(r.report.converged for r in results)
     degenerate = sum(r.report.degenerate for r in results)
@@ -119,56 +102,18 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _results_from_files(out: Path):
-    """Reassemble the index-stage inputs written by the fit command."""
-    models = read_models(out / "models.csv")
-    probs = read_probs(out / "probs.csv")
-    weights = read_weights(out / "weights.csv")
-
-    mu_lookup: dict[str, dict[int, float]] = {}
-    for firm_id, (offsets, _, mu_r) in probs.items():
-        if models.get(firm_id) and models[firm_id].degenerate:
-            mu_lookup[firm_id] = {int(o): 0.0 for o in offsets}
-        else:
-            mu_lookup[firm_id] = {int(o): float(m) for o, m in zip(offsets, mu_r)}
-
-    cols: dict[str, list] = {k: [] for k in
-                             ("firm_id", "offset", "ele", "mu_r", "sector", "district")}
-    ref_sums: dict[int, list[float]] = {}
-    for firm_id, off, ele_t, ele_r, sector, district in weights:
-        firm_mu = mu_lookup.get(firm_id)
-        if firm_mu is None or off not in firm_mu:
-            raise ValueError(f"probs.csv has no row for firm {firm_id} offset {off}")
-        cols["firm_id"].append(firm_id)
-        cols["offset"].append(off)
-        cols["ele"].append(ele_t)
-        cols["mu_r"].append(firm_mu[off])
-        cols["sector"].append(sector)
-        cols["district"].append(district)
-        ref_sums.setdefault(off, []).append(ele_r)
-
-    panel = FirmDayPanel(cols["firm_id"], cols["offset"], cols["ele"],
-                         cols["mu_r"], cols["sector"], cols["district"])
-    ref_totals = {off: math.fsum(vals) for off, vals in ref_sums.items()}
-    return panel, ref_totals
-
-
 def cmd_index(args) -> int:
     raw = _load_raw(args)
     cfg = build_run_config(raw)
     out = _out_dir(raw)
-    for name in ("models.csv", "probs.csv", "weights.csv"):
-        if not (out / name).exists():
-            raise FileNotFoundError(f"missing fit output {out / name}; run the fit command first")
-
-    panel, ref_totals = _results_from_files(out)
+    fit = read_fit_outputs(out)
     known_sectors = set(load_code_map(cfg.code_map)) if cfg.code_map else None
 
-    series = ecu_grouped(panel, "none")
+    series = ecu_grouped(fit.panel, "none")
     for group_by in cfg.group_by:
         known = known_sectors if group_by == "sector" else None
-        series.extend(ecu_grouped(panel, group_by, known_codes=known))
-    resumption = srpi(panel, ref_totals, window_days=cfg.smooth_window)
+        series.extend(ecu_grouped(fit.panel, group_by, known_codes=known))
+    resumption = srpi(fit.panel, fit.reference_totals, window_days=cfg.smooth_window)
 
     comments = [seed_comment(cfg.seed)]
     write_ecu(out / "ecu.csv", series, cfg.test_base, comments)
@@ -183,30 +128,27 @@ def cmd_report(args) -> int:
     out = _out_dir(raw)
     firm = args.firm
 
-    deviations = {d.firm_id: d for d in read_deviations(out / "deviations.csv")}
-    probs = read_probs(out / "probs.csv")
-    models = read_models(out / "models.csv")
-    if firm not in probs or firm not in deviations:
+    fit = read_fit_outputs(out)
+    t = fit.firmdays
+    rows = t.firm_id == firm
+    if not rows.any():
         raise KeyError(f"unknown firm id {firm!r}")
-
-    dev = deviations[firm]
-    offsets, mu_p, mu_r = probs[firm]
+    offsets, mu_r = t.offset[rows], t.mu_r[rows]
     base = np.datetime64(cfg.test_base)
     path = out / f"report_{firm}.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {seed_comment(cfg.seed)}\n")
         fh.write("offset,date,y,mu_p,mu_r\n")
-        for off, y, p, r in zip(offsets, dev.y, mu_p, mu_r):
+        for off, y, p, r in zip(offsets, t.y[rows], t.mu_p[rows], mu_r):
             fh.write(f"{int(off)},{base + int(off) * DAY},{float(y)!r},{float(p)!r},{float(r)!r}\n")
 
     peak = int(np.argmax(mu_r))
     print(f"firm {firm}")
-    if firm in models:
-        row = models[firm]
-        p, r = row.model.prosperous, row.model.recessionary
-        print(f"  prosperous:   alpha={p.alpha:+.4f} beta={p.beta:+.2f} sigma={p.sigma:.2f}")
-        print(f"  recessionary: alpha={r.alpha:+.4f} beta={r.beta:+.2f} sigma={r.sigma:.2f}")
-        print(f"  converged={str(row.converged).lower()} degenerate={str(row.degenerate).lower()}")
+    row = fit.models[firm]
+    p, r = row.model.prosperous, row.model.recessionary
+    print(f"  prosperous:   alpha={p.alpha:+.4f} beta={p.beta:+.2f} sigma={p.sigma:.2f}")
+    print(f"  recessionary: alpha={r.alpha:+.4f} beta={r.beta:+.2f} sigma={r.sigma:.2f}")
+    print(f"  converged={str(row.converged).lower()} degenerate={str(row.degenerate).lower()}")
     print(f"  mean mu_r={float(np.mean(mu_r)):.3f}, "
           f"peak mu_r={float(mu_r[peak]):.3f} at offset {int(offsets[peak])}")
     print(f"wrote {path}")

@@ -5,15 +5,17 @@ Aggregates per-firm filtered recessionary probabilities into an ECU series
 weight, plus the simplified resumption power index (total consumption and
 its smoothed gap to the reference year).
 
-Sums use ``math.fsum`` so aggregation is exact to the last bit and therefore
-independent of record order and safe to partition across groups.
+Every sum goes through ``fsum_by_key``: rows are sorted by cell (group x
+offset) once and each cell's contiguous slice is summed with ``math.fsum``.
+``fsum`` is exact to the last bit, so results are independent of row order
+and safe to partition across groups.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -24,28 +26,6 @@ GROUP_AGGREGATE = "aggregate"
 GROUP_SECTOR = "sector"
 GROUP_DISTRICT = "district"
 AGGREGATE_KEY = "all"
-
-
-class ZeroWeightError(ValueError):
-    """Every supplied record has zero consumption, so the weighted mean is undefined."""
-
-
-@dataclass(frozen=True)
-class FirmDay:
-    """One firm-day: consumption weight and filtered recessionary probability."""
-
-    firm_id: str
-    offset: int
-    ele: float
-    mu_r: float
-    sector_code: str
-    district_code: str
-
-    def __post_init__(self):
-        if not (math.isfinite(self.ele) and self.ele >= 0.0):
-            raise ValueError(f"ele must be finite and >= 0, got {self.ele}")
-        if not (0.0 <= self.mu_r <= 1.0):
-            raise ValueError(f"mu_r must lie in [0, 1], got {self.mu_r}")
 
 
 @dataclass(frozen=True)
@@ -78,24 +58,6 @@ class FirmDayPanel:
 
     def __len__(self) -> int:
         return len(self.firm_id)
-
-    @classmethod
-    def from_records(cls, records: Iterable[FirmDay]) -> "FirmDayPanel":
-        rows = list(records)
-        return cls(
-            firm_id=np.array([r.firm_id for r in rows], dtype=object),
-            offset=np.array([r.offset for r in rows], dtype=int),
-            ele=np.array([r.ele for r in rows], dtype=float),
-            mu_r=np.array([r.mu_r for r in rows], dtype=float),
-            sector_code=np.array([r.sector_code for r in rows], dtype=object),
-            district_code=np.array([r.district_code for r in rows], dtype=object),
-        )
-
-
-def _as_panel(panel) -> FirmDayPanel:
-    if isinstance(panel, FirmDayPanel):
-        return panel
-    return FirmDayPanel.from_records(panel)
 
 
 @dataclass(frozen=True)
@@ -142,22 +104,23 @@ class SrpiSeries:
             raise ValueError("series columns must have equal length")
 
 
-def ecu_at(records: Iterable[FirmDay]) -> float:
-    """Consumption-weighted mean recessionary probability for one offset's records."""
-    rows = list(records)
-    if not rows:
-        raise ValueError("no records supplied")
-    offsets = {r.offset for r in rows}
-    if len(offsets) > 1:
-        raise ValueError(f"records span multiple offsets: {sorted(offsets)}")
-    den = math.fsum(r.ele for r in rows)
-    if den <= 0.0:
-        raise ZeroWeightError(f"no consuming firms at offset {rows[0].offset}")
-    num = math.fsum(r.ele * r.mu_r for r in rows)
-    return num / den
+def fsum_by_key(keys: np.ndarray, *columns: np.ndarray):
+    """Exact per-key sums: ``(distinct keys ascending, row counts, [sums per column])``.
+
+    Rows are sorted by their integer key once; each key's rows then form one
+    contiguous slice that ``math.fsum`` adds up.
+    """
+    order = np.argsort(keys, kind="stable")
+    distinct, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
+    bounds = list(zip(starts.tolist(), (starts + counts).tolist()))
+    sums = []
+    for col in columns:
+        vals = col[order].tolist()
+        sums.append(np.array([math.fsum(vals[a:b]) for a, b in bounds], dtype=float))
+    return distinct, counts, sums
 
 
-def ecu_grouped(panel, group_by: str = "none", known_codes=None) -> list[EcuSeries]:
+def ecu_grouped(panel: FirmDayPanel, group_by: str = "none", known_codes=None) -> list[EcuSeries]:
     """ECU series per group over the panel's full offset span.
 
     ``group_by`` is "none" (one aggregate series), "sector" or "district".
@@ -167,15 +130,14 @@ def ecu_grouped(panel, group_by: str = "none", known_codes=None) -> list[EcuSeri
     the consuming (positive-weight) records, so zero-weight firms leave
     every column untouched.
     """
-    p = _as_panel(panel)
-    if len(p) == 0:
+    if len(panel) == 0:
         raise ValueError("panel is empty")
 
     if group_by == "none":
-        keys = None
+        group_keys, group = [AGGREGATE_KEY], np.zeros(len(panel), dtype=int)
         group_type = GROUP_AGGREGATE
     elif group_by in (GROUP_SECTOR, GROUP_DISTRICT):
-        keys = p.sector_code if group_by == GROUP_SECTOR else p.district_code
+        keys = panel.sector_code if group_by == GROUP_SECTOR else panel.district_code
         group_type = group_by
         known = known_codes
         if known is None:
@@ -183,45 +145,30 @@ def ecu_grouped(panel, group_by: str = "none", known_codes=None) -> list[EcuSeri
         unknown = sorted(set(keys) - set(known))
         if unknown:
             raise ValueError(f"unknown {group_by} code {unknown[0]!r}")
+        group_keys, group = np.unique(keys, return_inverse=True)
     else:
         raise ValueError(f"group_by must be 'none', 'sector' or 'district', got {group_by!r}")
 
-    lo, hi = int(p.offset.min()), int(p.offset.max())
+    lo, hi = int(panel.offset.min()), int(panel.offset.max())
     span = np.arange(lo, hi + 1)
 
-    weights: dict[tuple, list] = {}
-    products: dict[tuple, list] = {}
-    counts: dict[tuple, int] = {}
-    for i in range(len(p)):
-        key = AGGREGATE_KEY if keys is None else keys[i]
-        ele = float(p.ele[i])
-        if ele <= 0.0:
-            continue
-        bucket = (key, int(p.offset[i]))
-        weights.setdefault(bucket, []).append(ele)
-        products.setdefault(bucket, []).append(ele * float(p.mu_r[i]))
-        counts[bucket] = counts.get(bucket, 0) + 1
-
-    group_keys = [AGGREGATE_KEY] if keys is None else sorted(set(keys))
-    out = []
-    for key in group_keys:
-        ecu = np.full(len(span), np.nan)
-        tot = np.zeros(len(span))
-        cnt = np.zeros(len(span), dtype=int)
-        for j, off in enumerate(span):
-            bucket = (key, int(off))
-            if bucket not in weights:
-                continue
-            den = math.fsum(weights[bucket])
-            tot[j] = den
-            cnt[j] = counts[bucket]
-            if den > 0.0:
-                ecu[j] = math.fsum(products[bucket]) / den
-        out.append(EcuSeries(group_type, key, span.copy(), ecu, tot, cnt))
-    return out
+    consuming = panel.ele > 0.0
+    ele = panel.ele[consuming]
+    cells = group[consuming] * len(span) + (panel.offset[consuming] - lo)
+    cell, count, (den, num) = fsum_by_key(cells, ele, ele * panel.mu_r[consuming])
+    shape = (len(group_keys), len(span))
+    ecu = np.full(shape, np.nan)
+    tot = np.zeros(shape)
+    cnt = np.zeros(shape, dtype=int)
+    ecu.flat[cell] = num / den
+    tot.flat[cell] = den
+    cnt.flat[cell] = count
+    return [EcuSeries(group_type, key, span.copy(), ecu[g], tot[g], cnt[g])
+            for g, key in enumerate(group_keys)]
 
 
-def srpi(panel, reference_totals: Mapping[int, float], window_days: int = 7) -> SrpiSeries:
+def srpi(panel: FirmDayPanel, reference_totals: Mapping[int, float],
+         window_days: int = 7) -> SrpiSeries:
     """Total test-window consumption per offset and the smoothed year-over-year gap.
 
     ``reference_totals`` maps each offset of the panel's span to the same
@@ -229,16 +176,14 @@ def srpi(panel, reference_totals: Mapping[int, float], window_days: int = 7) -> 
     offset is an alignment error.  The gap is smoothed with the same
     trailing mean the preprocessing uses.
     """
-    p = _as_panel(panel)
-    if len(p) == 0:
+    if len(panel) == 0:
         raise ValueError("panel is empty")
-    lo, hi = int(p.offset.min()), int(p.offset.max())
+    lo, hi = int(panel.offset.min()), int(panel.offset.max())
     span = np.arange(lo, hi + 1)
 
-    sums: dict[int, list] = {}
-    for i in range(len(p)):
-        sums.setdefault(int(p.offset[i]), []).append(float(p.ele[i]))
-    totals = np.array([math.fsum(sums.get(int(off), [])) for off in span])
+    offsets, _, (sums,) = fsum_by_key(panel.offset, panel.ele)
+    totals = np.zeros(len(span))
+    totals[offsets - lo] = sums
 
     missing = [int(off) for off in span if int(off) not in reference_totals]
     if missing:

@@ -5,6 +5,11 @@ with ``#`` before the header carry run metadata (the root seed) and are
 skipped on read.  Floats are written with ``repr`` so values round-trip
 exactly and reruns are byte-identical; empty fields mean missing (a NaN
 gap or an unmetered day).
+
+The fit stage hands off two files: ``models.csv`` with one row per firm
+(its fitted model, flags and group codes) and ``firmdays.csv`` with one
+row per firm-day (deviation, filtered probabilities and the cleaned
+consumption of both windows).
 """
 
 from __future__ import annotations
@@ -12,19 +17,19 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .ecu import EcuSeries, SrpiSeries
 from .hmm import RegimeModel, RegimeParams
-from .preprocess import DeviationSeries, RawSeries
+from .preprocess import RawSeries
 
 PANEL_HEADER = ["firm_id", "date", "kwh", "sector_code", "district_code"]
-DEVIATIONS_HEADER = ["firm_id", "offset", "y"]
-MODELS_HEADER = ["firm_id", "alpha_p", "beta_p", "sigma_p", "alpha_r", "beta_r", "sigma_r",
+MODELS_HEADER = ["firm_id", "sector_code", "district_code",
+                 "alpha_p", "beta_p", "sigma_p", "alpha_r", "beta_r", "sigma_r",
                  "q_pp", "q_rr", "pi0_p", "loglik", "converged", "degenerate"]
-PROBS_HEADER = ["firm_id", "offset", "mu_p", "mu_r"]
-WEIGHTS_HEADER = ["firm_id", "offset", "ele_test", "ele_ref", "sector_code", "district_code"]
+FIRMDAYS_HEADER = ["firm_id", "offset", "y", "mu_p", "mu_r", "ele_test", "ele_ref"]
 ECU_HEADER = ["group_type", "group_key", "offset", "date", "ecu", "total_weight", "firm_count"]
 SRPI_HEADER = ["offset", "date", "srpi", "delta_srpi"]
 
@@ -46,10 +51,30 @@ class ModelRow:
     """One fitted firm as stored in the models file."""
 
     firm_id: str
+    sector_code: str
+    district_code: str
     model: RegimeModel
     loglik: float
     converged: bool
     degenerate: bool
+
+
+@dataclass(frozen=True)
+class FirmDayTable:
+    """Columns of the firm-day file, one row per fitted firm and offset.
+
+    ``y`` is the deviation series, ``mu_p``/``mu_r`` the filtered regime
+    probabilities as fitted (a degenerate firm's are not zeroed here), and
+    ``ele_test``/``ele_ref`` the cleaned kWh of the test and reference windows.
+    """
+
+    firm_id: np.ndarray
+    offset: np.ndarray
+    y: np.ndarray
+    mu_p: np.ndarray
+    mu_r: np.ndarray
+    ele_test: np.ndarray
+    ele_ref: np.ndarray
 
 
 def _fmt(x) -> str:
@@ -88,6 +113,10 @@ def _read_rows(path, expected_header):
         raise ValueError(f"{path} is empty")
     if rows[0] != expected_header:
         raise ValueError(f"{path} header {rows[0]} does not match {expected_header}")
+    for n, row in enumerate(rows[1:], 1):
+        if len(row) != len(expected_header):
+            raise ValueError(f"{path} data row {n} has {len(row)} fields, "
+                             f"expected {len(expected_header)}")
     return rows[1:]
 
 
@@ -143,44 +172,17 @@ def read_panel(path) -> list[FirmRecord]:
 
 
 # ---------------------------------------------------------------------------
-# deviations
-# ---------------------------------------------------------------------------
-
-
-def write_deviations(path, deviations: list[DeviationSeries], comments=()) -> None:
-    fh, w = _open_writer(path, comments)
-    with fh:
-        w.writerow(DEVIATIONS_HEADER)
-        for dev in sorted(deviations, key=lambda d: d.firm_id):
-            for off, y in zip(dev.offsets, dev.y):
-                w.writerow([dev.firm_id, int(off), _fmt(y)])
-
-
-def read_deviations(path) -> list[DeviationSeries]:
-    grouped: dict[str, list] = {}
-    for firm_id, off, y in _read_rows(path, DEVIATIONS_HEADER):
-        grouped.setdefault(firm_id, []).append((int(off), float(y)))
-    out = []
-    for firm_id in sorted(grouped):
-        rows = sorted(grouped[firm_id])
-        out.append(DeviationSeries(firm_id,
-                                   np.array([o for o, _ in rows], dtype=int),
-                                   np.array([v for _, v in rows], dtype=float)))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # models
 # ---------------------------------------------------------------------------
 
 
-def write_models(path, rows: list[ModelRow], comments=()) -> None:
+def write_models(path, rows: Iterable[ModelRow], comments=()) -> None:
     fh, w = _open_writer(path, comments)
     with fh:
         w.writerow(MODELS_HEADER)
         for row in sorted(rows, key=lambda r: r.firm_id):
             p, r = row.model.prosperous, row.model.recessionary
-            w.writerow([row.firm_id,
+            w.writerow([row.firm_id, row.sector_code, row.district_code,
                         _fmt(p.alpha), _fmt(p.beta), _fmt(p.sigma),
                         _fmt(r.alpha), _fmt(r.beta), _fmt(r.sigma),
                         _fmt(row.model.q[0, 0]), _fmt(row.model.q[1, 1]),
@@ -191,67 +193,41 @@ def write_models(path, rows: list[ModelRow], comments=()) -> None:
 def read_models(path) -> dict[str, ModelRow]:
     out = {}
     for fields in _read_rows(path, MODELS_HEADER):
-        firm_id = fields[0]
-        a_p, b_p, s_p, a_r, b_r, s_r, q_pp, q_rr, pi0_p, loglik = map(float, fields[1:11])
+        firm_id, sector, district = fields[:3]
+        a_p, b_p, s_p, a_r, b_r, s_r, q_pp, q_rr, pi0_p, loglik = map(float, fields[3:13])
         model = RegimeModel(
             np.array([[q_pp, 1.0 - q_pp], [1.0 - q_rr, q_rr]]),
             (RegimeParams(a_p, b_p, s_p), RegimeParams(a_r, b_r, s_r)),
             np.array([pi0_p, 1.0 - pi0_p]),
         )
-        out[firm_id] = ModelRow(firm_id, model, loglik,
-                                _parse_bool(fields[11]), _parse_bool(fields[12]))
+        out[firm_id] = ModelRow(firm_id, sector, district, model, loglik,
+                                _parse_bool(fields[13]), _parse_bool(fields[14]))
     return out
 
 
 # ---------------------------------------------------------------------------
-# filtered probabilities
+# firm-days
 # ---------------------------------------------------------------------------
 
 
-def write_probs(path, probs: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
-                comments=()) -> None:
-    """``probs`` maps firm_id to (offsets, mu_p, mu_r)."""
+def write_firmdays(path, table: FirmDayTable, comments=()) -> None:
+    """Rows in table order; the pipeline builds the table sorted by (firm_id, offset)."""
     fh, w = _open_writer(path, comments)
     with fh:
-        w.writerow(PROBS_HEADER)
-        for firm_id in sorted(probs):
-            offsets, mu_p, mu_r = probs[firm_id]
-            for off, p, r in zip(offsets, mu_p, mu_r):
-                w.writerow([firm_id, int(off), _fmt(p), _fmt(r)])
+        w.writerow(FIRMDAYS_HEADER)
+        floats = (getattr(table, name).tolist() for name in FIRMDAYS_HEADER[2:])
+        for firm_id, off, *values in zip(table.firm_id, table.offset.tolist(), *floats):
+            w.writerow([firm_id, off, *map(_fmt, values)])
 
 
-def read_probs(path) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    grouped: dict[str, list] = {}
-    for firm_id, off, mu_p, mu_r in _read_rows(path, PROBS_HEADER):
-        grouped.setdefault(firm_id, []).append((int(off), float(mu_p), float(mu_r)))
-    out = {}
-    for firm_id, rows in grouped.items():
-        rows.sort()
-        out[firm_id] = (np.array([o for o, _, _ in rows], dtype=int),
-                        np.array([p for _, p, _ in rows], dtype=float),
-                        np.array([r for _, _, r in rows], dtype=float))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# weights (cleaned consumption used by the index stage)
-# ---------------------------------------------------------------------------
-
-
-def write_weights(path, rows: list[tuple], comments=()) -> None:
-    """``rows``: (firm_id, offset, ele_test, ele_ref, sector_code, district_code)."""
-    fh, w = _open_writer(path, comments)
-    with fh:
-        w.writerow(WEIGHTS_HEADER)
-        for firm_id, off, ele_t, ele_r, sector, district in sorted(rows, key=lambda r: (r[0], r[1])):
-            w.writerow([firm_id, int(off), _fmt(ele_t), _fmt(ele_r), sector, district])
-
-
-def read_weights(path) -> list[tuple]:
-    out = []
-    for firm_id, off, ele_t, ele_r, sector, district in _read_rows(path, WEIGHTS_HEADER):
-        out.append((firm_id, int(off), float(ele_t), float(ele_r), sector, district))
-    return out
+def read_firmdays(path) -> FirmDayTable:
+    rows = _read_rows(path, FIRMDAYS_HEADER)
+    cols = list(zip(*rows)) if rows else [()] * len(FIRMDAYS_HEADER)
+    return FirmDayTable(
+        np.array(cols[0], dtype=object),
+        np.array([int(v) for v in cols[1]], dtype=int),
+        *(np.array([float(v) for v in col]) for col in cols[2:]),
+    )
 
 
 # ---------------------------------------------------------------------------

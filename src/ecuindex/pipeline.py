@@ -10,16 +10,17 @@ worker count cannot change any result.
 from __future__ import annotations
 
 import hashlib
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .config import RunConfig
-from .ecu import FirmDayPanel
+from .ecu import FirmDayPanel, fsum_by_key
 from .hmm import FilterOutput, FitReport, em_fit, forward_filter, init_params, random_init
-from .panelio import FirmRecord
+from .panelio import FirmDayTable, FirmRecord, ModelRow, read_firmdays, read_models
 from .preprocess import (
     AlignedPair,
     DeviationSeries,
@@ -148,47 +149,87 @@ def fit_panel(records: list[FirmRecord], cfg: RunConfig,
     return results, skipped
 
 
-def build_firmday_panel(results: list[FirmFitResult]) -> FirmDayPanel:
-    """Stack fit results into the columnar panel the index stage aggregates.
+def model_rows(results: Iterable[FirmFitResult]) -> dict[str, ModelRow]:
+    """Per-firm rows of the models file, keyed by firm id."""
+    return {r.firm_id: ModelRow(r.firm_id, r.sector_code, r.district_code, r.report.model,
+                                float(r.report.loglik_trace[-1]), r.report.converged,
+                                r.report.degenerate)
+            for r in results}
+
+
+def firmday_table(results: Iterable[FirmFitResult]) -> FirmDayTable:
+    """Stack fit results into the firm-day table, sorted by firm id then offset."""
+    rs = sorted(results, key=lambda r: r.firm_id)
+
+    def stack(column):
+        return np.concatenate([column(r) for r in rs]) if rs else np.empty(0)
+
+    return FirmDayTable(
+        firm_id=np.repeat(np.array([r.firm_id for r in rs], dtype=object),
+                          [len(r.deviation.offsets) for r in rs]),
+        offset=stack(lambda r: r.deviation.offsets),
+        y=stack(lambda r: r.deviation.y),
+        mu_p=stack(lambda r: r.filtered.mu_p),
+        mu_r=stack(lambda r: r.filtered.mu_r),
+        ele_test=stack(lambda r: r.ele_test),
+        ele_ref=stack(lambda r: r.ele_ref),
+    )
+
+
+def _firmday_panel(table: FirmDayTable, models: Mapping[str, ModelRow]) -> FirmDayPanel:
+    """The columnar panel the index stage aggregates.
 
     A degenerate fit cannot distinguish its regimes, so its recessionary
     probability is zeroed here (the audit flag stays in the model export).
     """
-    n = sum(len(r.deviation.offsets) for r in results)
-    firm_id = np.empty(n, dtype=object)
-    offset = np.empty(n, dtype=int)
-    ele = np.empty(n)
-    mu_r = np.empty(n)
-    sector = np.empty(n, dtype=object)
-    district = np.empty(n, dtype=object)
-    pos = 0
-    for r in sorted(results, key=lambda r: r.firm_id):
-        m = len(r.deviation.offsets)
-        sl = slice(pos, pos + m)
-        firm_id[sl] = r.firm_id
-        offset[sl] = r.deviation.offsets
-        ele[sl] = r.ele_test
-        mu_r[sl] = 0.0 if r.report.degenerate else r.filtered.mu_r
-        sector[sl] = r.sector_code
-        district[sl] = r.district_code
-        pos += m
-    return FirmDayPanel(firm_id, offset, ele, mu_r, sector, district)
+    rows = [models[firm_id] for firm_id in table.firm_id.tolist()]
+    degenerate = np.array([m.degenerate for m in rows], dtype=bool)
+    return FirmDayPanel(table.firm_id, table.offset, table.ele_test,
+                        np.where(degenerate, 0.0, table.mu_r),
+                        np.array([m.sector_code for m in rows], dtype=object),
+                        np.array([m.district_code for m in rows], dtype=object))
+
+
+def _reference_totals(table: FirmDayTable) -> dict[int, float]:
+    offsets, _, (totals,) = fsum_by_key(table.offset, table.ele_ref)
+    return dict(zip(offsets.tolist(), totals.tolist()))
+
+
+def build_firmday_panel(results: list[FirmFitResult]) -> FirmDayPanel:
+    """Stack fit results into the columnar panel the index stage aggregates."""
+    return _firmday_panel(firmday_table(results), model_rows(results))
 
 
 def reference_totals(results: list[FirmFitResult]) -> dict[int, float]:
     """Summed reference-window consumption per offset (the sRPI baseline)."""
-    by_offset: dict[int, list[float]] = {}
-    for r in results:
-        for off, v in zip(r.deviation.offsets, r.ele_ref):
-            by_offset.setdefault(int(off), []).append(float(v))
-    return {off: math.fsum(vals) for off, vals in sorted(by_offset.items())}
+    return _reference_totals(firmday_table(results))
 
 
-def weight_rows(results: list[FirmFitResult]) -> list[tuple]:
-    """Rows for the weights file: per firm-offset cleaned consumption and codes."""
-    rows = []
-    for r in results:
-        for off, et, er in zip(r.deviation.offsets, r.ele_test, r.ele_ref):
-            rows.append((r.firm_id, int(off), float(et), float(er),
-                         r.sector_code, r.district_code))
-    return rows
+@dataclass(frozen=True)
+class FitOutputs:
+    """The fit stage's files read back, with the index inputs built from them."""
+
+    models: dict[str, ModelRow]
+    firmdays: FirmDayTable
+    panel: FirmDayPanel
+    reference_totals: dict[int, float]
+
+
+def read_fit_outputs(directory) -> FitOutputs:
+    """Load ``models.csv`` and ``firmdays.csv`` as written by the fit command.
+
+    The panel and reference totals equal ``build_firmday_panel`` and
+    ``reference_totals`` of the results the files were written from.
+    """
+    directory = Path(directory)
+    for name in ("models.csv", "firmdays.csv"):
+        if not (directory / name).exists():
+            raise FileNotFoundError(f"missing fit output {directory / name}; "
+                                    "run the fit command first")
+    models = read_models(directory / "models.csv")
+    table = read_firmdays(directory / "firmdays.csv")
+    missing = sorted(set(table.firm_id.tolist()) - models.keys())
+    if missing:
+        raise ValueError(f"firmdays.csv has rows for firm {missing[0]} "
+                         "but models.csv has no row for it")
+    return FitOutputs(models, table, _firmday_panel(table, models), _reference_totals(table))

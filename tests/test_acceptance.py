@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ecuindex.config import build_run_config
-from ecuindex.ecu import FirmDay, FirmDayPanel, ecu_grouped
+from ecuindex.ecu import FirmDayPanel, ecu_grouped
 from ecuindex.hmm import (
     RegimeModel,
     RegimeParams,
@@ -161,17 +161,18 @@ def test_criterion_4_normalization_and_ecu_bounds(recovery_fits):
     rng = np.random.default_rng(41)
     offsets = np.arange(-95, 96)
     worst_sum = 0.0
-    records = []
+    cols = {name: [] for name in ("firm_id", "offset", "ele", "mu_r", "sector", "district")}
     for k, (y, fit) in enumerate(zip(recovery_fits.series, recovery_fits.fits)):
         out = forward_filter(y, fit.model)
         worst_sum = max(worst_sum, float(np.abs(out.filtered.sum(axis=1) - 1.0).max()))
         ele = rng.uniform(5.0, 500.0, size=len(offsets))
-        sector = SECTOR_CODES[k % len(SECTOR_CODES)]
-        district = DISTRICT_CODES[k % len(DISTRICT_CODES)]
-        for off, w, mu in zip(offsets, ele, out.mu_r):
-            records.append(FirmDay(f"R{k:03d}", int(off), float(w), float(mu),
-                                   sector, district))
-    panel = FirmDayPanel.from_records(records)
+        cols["firm_id"] += [f"R{k:03d}"] * len(offsets)
+        cols["offset"] += offsets.tolist()
+        cols["ele"] += ele.tolist()
+        cols["mu_r"] += out.mu_r.tolist()
+        cols["sector"] += [SECTOR_CODES[k % len(SECTOR_CODES)]] * len(offsets)
+        cols["district"] += [DISTRICT_CODES[k % len(DISTRICT_CODES)]] * len(offsets)
+    panel = FirmDayPanel(*cols.values())
     lo, hi = np.inf, -np.inf
     for group_by in ("none", "sector", "district"):
         for s in ecu_grouped(panel, group_by):
@@ -284,22 +285,25 @@ def test_criterion_6_aggregate_shape_after_shock(shape_run):
 def random_firmday_panel(rng):
     n_firms = int(rng.integers(2, 9))
     n_off = int(rng.integers(3, 9))
-    records = []
+    cols = {name: [] for name in ("firm_id", "offset", "ele", "mu_r", "sector", "district")}
     for k in range(n_firms):
         sector = SECTOR_CODES[int(rng.integers(len(SECTOR_CODES)))]
         district = DISTRICT_CODES[int(rng.integers(len(DISTRICT_CODES)))]
         for off in range(n_off):
-            records.append(FirmDay(f"F{k}", off, float(rng.uniform(0.1, 50.0)),
-                                   float(rng.uniform(0.0, 1.0)), sector, district))
-    return records
+            cols["firm_id"].append(f"F{k}")
+            cols["offset"].append(off)
+            cols["ele"].append(float(rng.uniform(0.1, 50.0)))
+            cols["mu_r"].append(float(rng.uniform(0.0, 1.0)))
+            cols["sector"].append(sector)
+            cols["district"].append(district)
+    return FirmDayPanel(*cols.values())
 
 
 def test_criterion_7_aggregation_identities():
     rng = np.random.default_rng(700)
     worst_part = worst_scale = 0.0
     for _ in range(1000):
-        records = random_firmday_panel(rng)
-        panel = FirmDayPanel.from_records(records)
+        panel = random_firmday_panel(rng)
         agg = ecu_grouped(panel, "none")[0]
 
         # partition consistency: sector pieces recombine to the aggregate
@@ -315,9 +319,8 @@ def test_criterion_7_aggregation_identities():
 
         # scale invariance: common weight factor cancels
         lam = float(rng.uniform(0.25, 8.0))
-        scaled = FirmDayPanel.from_records(
-            [FirmDay(r.firm_id, r.offset, r.ele * lam, r.mu_r,
-                     r.sector_code, r.district_code) for r in records])
+        scaled = FirmDayPanel(panel.firm_id, panel.offset, panel.ele * lam, panel.mu_r,
+                              panel.sector_code, panel.district_code)
         scaled_agg = ecu_grouped(scaled, "none")[0]
         worst_scale = max(worst_scale, float(np.abs(scaled_agg.ecu - agg.ecu).max()))
     ok = worst_part <= 1e-12 and worst_scale <= 1e-12

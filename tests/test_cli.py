@@ -5,6 +5,7 @@ are exercised the same way a shell user would see them.
 """
 
 import filecmp
+import shutil
 
 import pytest
 
@@ -85,12 +86,16 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
 
 def test_fit_outputs(fitted_dir, capsys):
     out, _ = fitted_dir
+    later = {"panel.csv", "ecu.csv", "srpi.csv"}  # other stages' files in the shared dir
+    fit_files = sorted(p.name for p in out.iterdir()
+                       if p.name not in later and not p.name.startswith("report_"))
+    assert fit_files == ["firmdays.csv", "models.csv"]
     models = read_rows(out / "models.csv")
+    assert models[0].startswith("firm_id,sector_code,district_code,alpha_p,")
     assert len(models) == 1 + 10
-    probs = read_rows(out / "probs.csv")
-    assert len(probs) == 1 + 10 * 191
-    assert (out / "deviations.csv").exists()
-    assert (out / "weights.csv").exists()
+    firmdays = read_rows(out / "firmdays.csv")
+    assert firmdays[0] == "firm_id,offset,y,mu_p,mu_r,ele_test,ele_ref"
+    assert len(firmdays) == 1 + 10 * 191
 
 
 def test_fit_missing_panel_fails_cleanly(tmp_path, capsys):
@@ -123,6 +128,18 @@ def test_index_requires_fit_outputs(tmp_path, capsys):
     capsys.readouterr()
     assert main(["index", "--config", cfg, "--out", str(out)]) == 1
     assert "models.csv" in capsys.readouterr().err
+
+
+def test_firm_without_model_row_is_named(fitted_dir, tmp_path, capsys):
+    out, cfg = fitted_dir
+    broken = tmp_path / "out"
+    shutil.copytree(out, broken)
+    lines = (broken / "models.csv").read_text().splitlines(keepends=True)
+    (broken / "models.csv").write_text("".join(ln for ln in lines if not ln.startswith("F00004,")))
+    for command in (["index"], ["report", "--firm", "F00003"]):
+        assert main([*command, "--config", cfg, "--out", str(broken)]) != 0
+        err = capsys.readouterr().err
+        assert "F00004" in err and "models.csv" in err
 
 
 def test_index_outputs(fitted_dir, capsys):
@@ -176,8 +193,7 @@ def test_full_chain_is_deterministic(tmp_path):
         main(["fit", "--config", cfg, "--out", str(out)])
         main(["index", "--config", cfg, "--out", str(out)])
         outs.append(out)
-    for fname in ("panel.csv", "deviations.csv", "models.csv", "probs.csv",
-                  "weights.csv", "ecu.csv", "srpi.csv"):
+    for fname in ("panel.csv", "models.csv", "firmdays.csv", "ecu.csv", "srpi.csv"):
         assert filecmp.cmp(outs[0] / fname, outs[1] / fname, shallow=False), fname
 
 
@@ -187,5 +203,5 @@ def test_workers_flag_does_not_change_results(tmp_path):
     for out, workers in ((a, "1"), (b, "2")):
         main(["simulate", "--config", cfg, "--out", str(out)])
         main(["fit", "--config", cfg, "--out", str(out), "--workers", workers])
-    for fname in ("models.csv", "probs.csv"):
+    for fname in ("models.csv", "firmdays.csv"):
         assert filecmp.cmp(a / fname, b / fname, shallow=False), fname

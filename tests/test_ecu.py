@@ -8,18 +8,36 @@ import pytest
 from ecuindex.ecu import (
     AGGREGATE_KEY,
     EcuSeries,
-    FirmDay,
     FirmDayPanel,
     SrpiSeries,
-    ZeroWeightError,
-    ecu_at,
     ecu_grouped,
     srpi,
 )
+from ecuindex.preprocess import trailing_mean
+from ecuindex.sectors import DEFAULT_DISTRICTS, DEFAULT_SECTORS
 
 
 def fd(firm, off, ele, mu, sector="301", district="D01"):
-    return FirmDay(firm, off, ele, mu, sector, district)
+    """One firm-day row: (firm_id, offset, ele, mu_r, sector_code, district_code)."""
+    return (firm, off, ele, mu, sector, district)
+
+
+def panel_of(rows):
+    """Columnar panel from firm-day rows, in row order."""
+    columns = list(zip(*rows)) if rows else [[]] * 6
+    return FirmDayPanel(*columns)
+
+
+def rows_of(panel):
+    return list(zip(panel.firm_id, panel.offset.tolist(), panel.ele.tolist(),
+                    panel.mu_r.tolist(), panel.sector_code, panel.district_code))
+
+
+def ecu_one_offset(*rows):
+    """ECU of a single-offset panel: the one value of its aggregate series."""
+    (series,) = ecu_grouped(panel_of(rows), "none")
+    assert len(series.ecu) == 1
+    return series.ecu[0]
 
 
 def random_panel(rng, n_firms=12, offsets=range(-2, 3), zero_weight_rate=0.0):
@@ -32,56 +50,54 @@ def random_panel(rng, n_firms=12, offsets=range(-2, 3), zero_weight_rate=0.0):
         for off in offsets:
             ele = 0.0 if rng.random() < zero_weight_rate else float(rng.uniform(0.1, 500.0))
             rows.append(fd(f"F{k:03d}", off, ele, float(rng.random()), sec, dis))
-    return FirmDayPanel.from_records(rows)
+    return panel_of(rows)
 
 
 # ---------------------------------------------------------------------------
-# ecu_at
+# one offset
 # ---------------------------------------------------------------------------
 
 
 def test_all_zero_probabilities_give_zero():
-    assert ecu_at([fd("a", 0, 10.0, 0.0), fd("b", 0, 99.0, 0.0)]) == 0.0
+    assert ecu_one_offset(fd("a", 0, 10.0, 0.0), fd("b", 0, 99.0, 0.0)) == 0.0
 
 
 def test_all_one_probabilities_give_one():
-    assert ecu_at([fd("a", 0, 10.0, 1.0), fd("b", 0, 99.0, 1.0)]) == 1.0
+    assert ecu_one_offset(fd("a", 0, 10.0, 1.0), fd("b", 0, 99.0, 1.0)) == 1.0
 
 
 def test_weighted_mean_worked_example():
     # (100*0.2 + 300*0.6) / 400 = 0.5
-    got = ecu_at([fd("a", 0, 100.0, 0.2), fd("b", 0, 300.0, 0.6)])
+    got = ecu_one_offset(fd("a", 0, 100.0, 0.2), fd("b", 0, 300.0, 0.6))
     assert got == pytest.approx(0.5, abs=1e-12)
 
 
-def test_zero_total_weight_is_an_error():
-    with pytest.raises(ZeroWeightError, match="no consuming firms at offset 3"):
-        ecu_at([fd("a", 3, 0.0, 0.9), fd("b", 3, 0.0, 0.4)])
-
-
-def test_mixed_offsets_rejected():
-    with pytest.raises(ValueError, match="multiple offsets"):
-        ecu_at([fd("a", 0, 1.0, 0.5), fd("b", 1, 1.0, 0.5)])
+def test_zero_total_weight_is_a_gap():
+    (series,) = ecu_grouped(panel_of([fd("a", 3, 0.0, 0.9), fd("b", 3, 0.0, 0.4)]), "none")
+    np.testing.assert_array_equal(series.offsets, [3])
+    assert np.isnan(series.ecu[0])
+    assert series.total_weight[0] == 0.0
+    assert series.firm_count[0] == 0
 
 
 def test_empty_records_rejected():
-    with pytest.raises(ValueError, match="no records"):
-        ecu_at([])
+    with pytest.raises(ValueError, match="empty"):
+        srpi(panel_of([]), {})
 
 
 # ---------------------------------------------------------------------------
-# record and series validation
+# panel and series validation
 # ---------------------------------------------------------------------------
 
 
 def test_firmday_rejects_bad_probability():
     with pytest.raises(ValueError, match="mu_r"):
-        fd("a", 0, 1.0, 1.5)
+        panel_of([fd("a", 0, 1.0, 1.5)])
 
 
 def test_firmday_rejects_negative_weight():
     with pytest.raises(ValueError, match="ele"):
-        fd("a", 0, -1.0, 0.5)
+        panel_of([fd("a", 0, -1.0, 0.5)])
 
 
 def test_series_rejects_out_of_range_values():
@@ -101,8 +117,8 @@ def test_series_rejects_offset_gaps():
 
 def test_single_sector_grouping_matches_aggregate():
     rng = np.random.default_rng(0)
-    rows = [fd(f"F{k}", off, float(rng.uniform(1, 100)), float(rng.random()))
-            for k in range(5) for off in range(-3, 4)]
+    rows = panel_of([fd(f"F{k}", off, float(rng.uniform(1, 100)), float(rng.random()))
+                     for k in range(5) for off in range(-3, 4)])
     agg = ecu_grouped(rows, "none")[0]
     by_sector = ecu_grouped(rows, "sector")
     assert len(by_sector) == 1
@@ -117,6 +133,7 @@ def test_aggregate_lies_between_two_sectors():
         sec = "101" if k < 10 else "301"
         for off in range(5):
             rows.append(fd(f"F{k}", off, float(rng.uniform(1, 50)), float(rng.random()), sec))
+    rows = panel_of(rows)
     agg = ecu_grouped(rows, "none")[0]
     a, b = ecu_grouped(rows, "sector")
     lo = np.minimum(a.ecu, b.ecu)
@@ -126,7 +143,7 @@ def test_aggregate_lies_between_two_sectors():
 
 
 def test_two_sector_worked_example():
-    rows = [fd("a", 0, 100.0, 0.9, "101"), fd("b", 0, 900.0, 0.1, "301")]
+    rows = panel_of([fd("a", 0, 100.0, 0.9, "101"), fd("b", 0, 900.0, 0.1, "301")])
     agg = ecu_grouped(rows, "none")[0]
     assert agg.ecu[0] == pytest.approx(0.18, abs=1e-12)
     bysec = {s.group_key: s for s in ecu_grouped(rows, "sector")}
@@ -135,7 +152,7 @@ def test_two_sector_worked_example():
 
 
 def test_group_metadata_and_key_order():
-    rows = [fd("a", 0, 1.0, 0.5, "301", "D02"), fd("b", 0, 2.0, 0.5, "101", "D01")]
+    rows = panel_of([fd("a", 0, 1.0, 0.5, "301", "D02"), fd("b", 0, 2.0, 0.5, "101", "D01")])
     agg = ecu_grouped(rows, "none")[0]
     assert (agg.group_type, agg.group_key) == ("aggregate", AGGREGATE_KEY)
     assert [s.group_key for s in ecu_grouped(rows, "sector")] == ["101", "301"]
@@ -143,11 +160,11 @@ def test_group_metadata_and_key_order():
 
 
 def test_zero_weight_offset_is_a_gap_not_a_zero():
-    rows = [
+    rows = panel_of([
         fd("a", 0, 10.0, 0.3),
         fd("a", 1, 0.0, 0.3),  # consuming nothing this day
         fd("a", 2, 10.0, 0.7),
-    ]
+    ])
     series = ecu_grouped(rows, "none")[0]
     np.testing.assert_array_equal(series.offsets, [0, 1, 2])
     assert np.isnan(series.ecu[1])
@@ -156,11 +173,11 @@ def test_zero_weight_offset_is_a_gap_not_a_zero():
 
 
 def test_group_missing_from_an_offset_gets_gap():
-    rows = [
+    rows = panel_of([
         fd("a", 0, 5.0, 0.2, "101"),
         fd("a", 1, 5.0, 0.2, "101"),
         fd("b", 1, 5.0, 0.8, "301"),
-    ]
+    ])
     bysec = {s.group_key: s for s in ecu_grouped(rows, "sector")}
     assert np.isnan(bysec["301"].ecu[0])
     assert not np.isnan(bysec["301"].ecu[1])
@@ -168,25 +185,25 @@ def test_group_missing_from_an_offset_gets_gap():
 
 
 def test_unknown_sector_code_named_in_error():
-    rows = [fd("a", 0, 1.0, 0.5, "999")]
+    rows = panel_of([fd("a", 0, 1.0, 0.5, "999")])
     with pytest.raises(ValueError, match="unknown sector code '999'"):
         ecu_grouped(rows, "sector")
 
 
 def test_known_codes_override():
-    rows = [fd("a", 0, 1.0, 0.5, "999")]
+    rows = panel_of([fd("a", 0, 1.0, 0.5, "999")])
     series = ecu_grouped(rows, "sector", known_codes={"999"})
     assert series[0].group_key == "999"
 
 
 def test_unknown_group_by_rejected():
     with pytest.raises(ValueError, match="group_by"):
-        ecu_grouped([fd("a", 0, 1.0, 0.5)], "city")
+        ecu_grouped(panel_of([fd("a", 0, 1.0, 0.5)]), "city")
 
 
 def test_empty_panel_rejected():
     with pytest.raises(ValueError, match="empty"):
-        ecu_grouped([], "none")
+        ecu_grouped(panel_of([]), "none")
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +262,10 @@ def test_raising_one_probability_never_lowers_any_index():
 def test_zero_weight_firm_changes_nothing():
     rng = np.random.default_rng(10)
     panel = random_panel(rng, n_firms=6, offsets=range(3))
-    rows = [fd(str(panel.firm_id[i]), int(panel.offset[i]), float(panel.ele[i]),
-               float(panel.mu_r[i]), str(panel.sector_code[i]), str(panel.district_code[i]))
-            for i in range(len(panel))]
-    with_ghost = rows + [fd("GHOST", off, 0.0, 1.0, "101", "D01") for off in range(3)]
+    rows = rows_of(panel)
+    with_ghost = panel_of(rows + [fd("GHOST", off, 0.0, 1.0, "101", "D01") for off in range(3)])
     for group_by in ("none", "district"):
-        for a, b in zip(ecu_grouped(rows, group_by), ecu_grouped(with_ghost, group_by)):
+        for a, b in zip(ecu_grouped(panel, group_by), ecu_grouped(with_ghost, group_by)):
             np.testing.assert_array_equal(a.ecu, b.ecu)
             np.testing.assert_array_equal(a.total_weight, b.total_weight)
             np.testing.assert_array_equal(a.firm_count, b.firm_count)
@@ -272,7 +287,7 @@ def test_values_always_in_unit_interval():
 
 
 def test_srpi_zero_gap_when_totals_match():
-    rows = [fd("a", off, 100.0, 0.0) for off in range(5)]
+    rows = panel_of([fd("a", off, 100.0, 0.0) for off in range(5)])
     ref = {off: 100.0 for off in range(5)}
     out = srpi(rows, ref)
     np.testing.assert_array_equal(out.srpi, np.full(5, 100.0))
@@ -280,31 +295,31 @@ def test_srpi_zero_gap_when_totals_match():
 
 
 def test_srpi_constant_shift():
-    rows = [fd("a", off, 100.0, 0.0) for off in range(10)]
+    rows = panel_of([fd("a", off, 100.0, 0.0) for off in range(10)])
     out = srpi(rows, {off: 150.0 for off in range(10)})
     np.testing.assert_allclose(out.delta_srpi, np.full(10, -50.0), atol=1e-12)
 
 
 def test_srpi_totals_match_independent_sum():
-    rows = [
+    rows = panel_of([
         fd("a", 0, 4.0, 0.1), fd("b", 0, 6.0, 0.9),
         fd("a", 1, 15.0, 0.1), fd("b", 1, 5.0, 0.9),
         fd("a", 2, 30.0, 0.1),
-    ]
+    ])
     out = srpi(rows, {0: 0.0, 1: 0.0, 2: 0.0})
     np.testing.assert_array_equal(out.srpi, [10.0, 20.0, 30.0])
 
 
 def test_srpi_smooths_the_gap_with_trailing_window():
     # gap ramps 0..9; trailing-7 mean of a ramp lags by 3 once the window fills
-    rows = [fd("a", off, 100.0 + off, 0.0) for off in range(10)]
+    rows = panel_of([fd("a", off, 100.0 + off, 0.0) for off in range(10)])
     out = srpi(rows, {off: 100.0 for off in range(10)})
     assert out.delta_srpi[9] == pytest.approx(6.0, abs=1e-12)
     assert out.delta_srpi[0] == 0.0
 
 
 def test_srpi_requires_aligned_reference():
-    rows = [fd("a", off, 1.0, 0.0) for off in range(3)]
+    rows = panel_of([fd("a", off, 1.0, 0.0) for off in range(3)])
     with pytest.raises(ValueError, match="missing offset 2"):
         srpi(rows, {0: 1.0, 1: 1.0})
 
@@ -312,3 +327,119 @@ def test_srpi_requires_aligned_reference():
 def test_srpi_series_validates_lengths():
     with pytest.raises(ValueError, match="equal length"):
         SrpiSeries([0, 1], [1.0], [0.0])
+
+
+# ---------------------------------------------------------------------------
+# sort-once aggregation against the per-row dict-loop oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_ecu_grouped(p, group_by="none", known_codes=None):
+    """Per-row dict-loop aggregation: the reference ``ecu_grouped`` must match bit for bit."""
+    if group_by == "none":
+        keys = None
+        group_type = "aggregate"
+    else:
+        keys = p.sector_code if group_by == "sector" else p.district_code
+        group_type = group_by
+        known = known_codes
+        if known is None:
+            known = DEFAULT_SECTORS.keys() if group_by == "sector" else DEFAULT_DISTRICTS
+        unknown = sorted(set(keys) - set(known))
+        if unknown:
+            raise ValueError(f"unknown {group_by} code {unknown[0]!r}")
+
+    lo, hi = int(p.offset.min()), int(p.offset.max())
+    span = np.arange(lo, hi + 1)
+
+    weights, products, counts = {}, {}, {}
+    for i in range(len(p)):
+        key = AGGREGATE_KEY if keys is None else keys[i]
+        ele = float(p.ele[i])
+        if ele <= 0.0:
+            continue
+        bucket = (key, int(p.offset[i]))
+        weights.setdefault(bucket, []).append(ele)
+        products.setdefault(bucket, []).append(ele * float(p.mu_r[i]))
+        counts[bucket] = counts.get(bucket, 0) + 1
+
+    group_keys = [AGGREGATE_KEY] if keys is None else sorted(set(keys))
+    out = []
+    for key in group_keys:
+        ecu = np.full(len(span), np.nan)
+        tot = np.zeros(len(span))
+        cnt = np.zeros(len(span), dtype=int)
+        for j, off in enumerate(span):
+            bucket = (key, int(off))
+            if bucket not in weights:
+                continue
+            den = math.fsum(weights[bucket])
+            tot[j] = den
+            cnt[j] = counts[bucket]
+            if den > 0.0:
+                ecu[j] = math.fsum(products[bucket]) / den
+        out.append(EcuSeries(group_type, key, span.copy(), ecu, tot, cnt))
+    return out
+
+
+def oracle_srpi(p, reference_totals, window_days=7):
+    """Per-row dict-loop sRPI: the reference ``srpi`` must match bit for bit."""
+    lo, hi = int(p.offset.min()), int(p.offset.max())
+    span = np.arange(lo, hi + 1)
+    sums = {}
+    for i in range(len(p)):
+        sums.setdefault(int(p.offset[i]), []).append(float(p.ele[i]))
+    totals = np.array([math.fsum(sums.get(int(off), [])) for off in span])
+    ref = np.array([float(reference_totals[int(off)]) for off in span])
+    return SrpiSeries(span, totals, trailing_mean(totals - ref, window_days))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def oracle_panel(rng):
+    """Shuffled panel with zero-weight rows, offsets no firm consumes on or
+    has a row for, and a sector and a district whose rows all weigh zero."""
+    lo = int(rng.integers(-6, 1))
+    offsets = np.arange(lo, lo + int(rng.integers(1, 10)))
+    dead = int(rng.choice(offsets))  # nobody consumes on this offset
+    rows = []
+    for k in range(int(rng.integers(1, 16))):
+        ghost = k == 0
+        sec = "999" if ghost else str(rng.choice(["101", "202", "301", "306"]))
+        dis = "D99" if ghost else str(rng.choice(["D01", "D02", "D03"]))
+        for off in offsets[rng.random(len(offsets)) < 0.8]:
+            zero = ghost or off == dead or rng.random() < 0.25
+            mu = float(rng.choice([0.0, 1.0, rng.random()], p=[0.1, 0.1, 0.8]))
+            rows.append(fd(f"F{k:02d}", int(off), 0.0 if zero else float(rng.uniform(0.01, 900.0)),
+                           mu, sec, dis))
+    order = rng.permutation(len(rows))
+    return panel_of([rows[i] for i in order])
+
+
+def test_sort_once_aggregation_matches_dict_loop_oracle():
+    rng = np.random.default_rng(2024)
+    known = {"101", "202", "301", "306", "999", "D01", "D02", "D03", "D99"}
+    ghosts_seen = 0
+    for _ in range(200):
+        panel = oracle_panel(rng)
+        for group_by in ("none", "sector", "district"):
+            got = ecu_grouped(panel, group_by, known_codes=known)
+            want = oracle_ecu_grouped(panel, group_by, known_codes=known)
+            assert [(s.group_type, s.group_key) for s in got] == \
+                [(s.group_type, s.group_key) for s in want]
+            for a, b in zip(got, want):
+                for col in ("offsets", "ecu", "total_weight", "firm_count"):
+                    assert same_bits(getattr(a, col), getattr(b, col)), (group_by, col)
+                if a.group_key in ("999", "D99"):
+                    ghosts_seen += 1
+                    assert np.isnan(a.ecu).all()
+                    assert not a.total_weight.any() and not a.firm_count.any()
+        span = range(int(panel.offset.min()), int(panel.offset.max()) + 1)
+        ref = {off: float(rng.uniform(0.0, 5000.0)) for off in span}
+        got, want = srpi(panel, ref), oracle_srpi(panel, ref)
+        for col in ("offsets", "srpi", "delta_srpi"):
+            assert same_bits(getattr(got, col), getattr(want, col)), col
+    assert ghosts_seen > 0

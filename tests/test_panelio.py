@@ -6,24 +6,22 @@ import pytest
 from ecuindex.ecu import EcuSeries, SrpiSeries
 from ecuindex.hmm import RegimeModel, RegimeParams
 from ecuindex.panelio import (
+    FIRMDAYS_HEADER,
+    FirmDayTable,
     FirmRecord,
     ModelRow,
-    read_deviations,
+    read_firmdays,
     read_models,
     read_panel,
-    read_probs,
     read_seed_comment,
-    read_weights,
     seed_comment,
-    write_deviations,
     write_ecu,
+    write_firmdays,
     write_models,
     write_panel,
-    write_probs,
     write_srpi,
-    write_weights,
 )
-from ecuindex.preprocess import DeviationSeries, RawSeries
+from ecuindex.preprocess import RawSeries
 
 
 def sample_records():
@@ -86,30 +84,17 @@ def test_inconsistent_codes_rejected(tmp_path):
         read_panel(path)
 
 
-def test_deviations_roundtrip(tmp_path):
-    devs = [
-        DeviationSeries("A", np.arange(-2, 3), np.array([0.5, -1.0, 0.0, 2.25, -3.5])),
-        DeviationSeries("B", np.arange(-2, 3), np.linspace(-1, 1, 5)),
-    ]
-    path = tmp_path / "dev.csv"
-    write_deviations(path, devs)
-    back = read_deviations(path)
-    assert [d.firm_id for d in back] == ["A", "B"]
-    for orig, got in zip(devs, back):
-        np.testing.assert_array_equal(got.offsets, orig.offsets)
-        np.testing.assert_array_equal(got.y, orig.y)
-
-
 def test_models_roundtrip(tmp_path):
     model = RegimeModel(
         np.array([[0.97, 0.03], [0.05, 0.95]]),
         (RegimeParams(0.012, 3.7, 1.25), RegimeParams(-0.3, -41.0, 8.5)),
         np.array([0.6, 0.4]),
     )
-    rows = [ModelRow("A", model, -123.456789, True, False)]
+    rows = [ModelRow("A", "306", "D02", model, -123.456789, True, False)]
     path = tmp_path / "models.csv"
     write_models(path, rows)
     back = read_models(path)["A"]
+    assert (back.sector_code, back.district_code) == ("306", "D02")
     assert back.model.prosperous == model.prosperous
     assert back.model.recessionary == model.recessionary
     np.testing.assert_allclose(back.model.q, model.q, atol=1e-15)
@@ -118,23 +103,57 @@ def test_models_roundtrip(tmp_path):
     assert back.degenerate is False
 
 
+def sample_firmdays():
+    return FirmDayTable(
+        firm_id=np.array(["A", "A", "A", "B", "B", "B"], dtype=object),
+        offset=np.array([-1, 0, 1, -1, 0, 1]),
+        y=np.array([0.5, -1.0, 0.1 + 0.2, 2.25, -3.5, 0.0]),
+        mu_p=np.array([0.9, 0.5, 0.1, 1.0, 0.0, 0.25]),
+        mu_r=np.array([0.1, 0.5, 0.9, 0.0, 1.0, 0.75]),
+        ele_test=np.array([1.5, 2.5, 3.5, 0.0, 10.0, 1e6]),
+        ele_ref=np.array([2.0, 4.0, 8.0, 0.5, 0.0, 1e-3]),
+    )
+
+
+def firmdays_roundtrip(tmp_path, names):
+    table = sample_firmdays()
+    path = tmp_path / "firmdays.csv"
+    write_firmdays(path, table, comments=[seed_comment(5)])
+    assert path.read_text().splitlines()[1] == ",".join(FIRMDAYS_HEADER)
+    back = read_firmdays(path)
+    for name in ["firm_id", "offset", *names]:
+        got, want = getattr(back, name), getattr(table, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want)  # bit-exact, not approx
+
+
+def test_deviations_roundtrip(tmp_path):
+    firmdays_roundtrip(tmp_path, ["y"])
+
+
 def test_probs_roundtrip(tmp_path):
-    offsets = np.arange(-1, 2)
-    probs = {"A": (offsets, np.array([0.9, 0.5, 0.1]), np.array([0.1, 0.5, 0.9]))}
-    path = tmp_path / "probs.csv"
-    write_probs(path, probs)
-    got = read_probs(path)["A"]
-    np.testing.assert_array_equal(got[0], offsets)
-    np.testing.assert_array_equal(got[1], probs["A"][1])
-    np.testing.assert_array_equal(got[2], probs["A"][2])
+    firmdays_roundtrip(tmp_path, ["mu_p", "mu_r"])
 
 
 def test_weights_roundtrip_sorted(tmp_path):
-    rows = [("B", 1, 5.0, 4.0, "301", "D01"), ("A", 0, 1.5, 2.5, "101", "D02")]
-    path = tmp_path / "weights.csv"
-    write_weights(path, rows)
-    assert read_weights(path) == [("A", 0, 1.5, 2.5, "101", "D02"),
-                                  ("B", 1, 5.0, 4.0, "301", "D01")]
+    firmdays_roundtrip(tmp_path, ["ele_test", "ele_ref"])
+    model = RegimeModel(np.eye(2), (RegimeParams(0.0, 1.0, 1.0), RegimeParams(0.0, -1.0, 1.0)),
+                        np.array([0.5, 0.5]))
+    rows = [ModelRow("B", "301", "D01", model, 0.0, True, False),
+            ModelRow("A", "101", "D02", model, 0.0, True, False)]
+    path = tmp_path / "models.csv"
+    write_models(path, rows)
+    back = read_models(path)
+    assert list(back) == ["A", "B"]  # sorted on write
+    assert [(r.sector_code, r.district_code) for r in back.values()] == [("101", "D02"),
+                                                                           ("301", "D01")]
+
+
+def test_firmdays_short_row_rejected(tmp_path):
+    path = tmp_path / "firmdays.csv"
+    path.write_text(",".join(FIRMDAYS_HEADER) + "\nA,0,0.5,0.5,0.5,1.0\n")
+    with pytest.raises(ValueError, match="row 1 has 6 fields"):
+        read_firmdays(path)
 
 
 def test_ecu_file_dates_and_gaps(tmp_path):

@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from ecuindex.cli import main
 from ecuindex.config import RunConfig, build_run_config
-from ecuindex.panelio import FirmRecord
+from ecuindex.panelio import FirmRecord, write_panel
 from ecuindex.pipeline import (
     build_firmday_panel,
     fit_deviation,
     fit_firm,
     fit_panel,
     preprocess_firm,
+    read_fit_outputs,
     reference_totals,
-    weight_rows,
 )
 from ecuindex.preprocess import RawSeries
 from ecuindex.sectors import DEFAULT_SECTOR_MIX
@@ -139,11 +140,24 @@ def test_reference_totals_are_exact_sums(records, run_cfg):
     assert totals[-95] == want
 
 
-def test_weight_rows_cover_every_firm_offset(records, run_cfg):
-    results, _ = fit_panel(records, run_cfg)
-    rows = weight_rows(results)
-    assert len(rows) == len(records) * 191
-    assert all(len(row) == 6 for row in rows)
+def test_fit_files_load_to_the_library_panel(tmp_path):
+    """``ecuindex fit`` then ``read_fit_outputs`` gives exactly the in-memory index inputs."""
+    records = panel_records(n_firms=3) + [constant_record()]
+    write_panel(tmp_path / "panel.csv", records)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"panel = {tmp_path / 'panel.csv'}\n")
+    assert main(["fit", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+
+    results, skipped = fit_panel(records, build_run_config({}))
+    assert skipped == [] and any(r.report.degenerate for r in results)
+    want = build_firmday_panel(results)
+    fit = read_fit_outputs(tmp_path)
+    for col in ("firm_id", "offset", "ele", "mu_r", "sector_code", "district_code"):
+        got, exp = getattr(fit.panel, col), getattr(want, col)
+        assert got.dtype == exp.dtype, col
+        np.testing.assert_array_equal(got, exp, err_msg=col)
+    assert fit.reference_totals == reference_totals(results)
+    assert list(fit.reference_totals) == list(reference_totals(results))
 
 
 def test_multi_start_is_deterministic_and_no_worse(records, run_cfg):
