@@ -18,6 +18,7 @@ import numpy as np
 from .config import build_panel_config, build_run_config, load_config
 from .ecu import ecu_grouped, srpi
 from .panelio import (
+    DataError,
     FirmRecord,
     read_panel,
     seed_comment,
@@ -184,7 +185,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)
-        return EXIT_CONFIG if isinstance(exc, ValueError) else EXIT_RUNTIME
+        return EXIT_RUNTIME if isinstance(exc, (DataError, KeyError)) else EXIT_CONFIG
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -12,6 +12,7 @@ which is what the uncertainty index aggregates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,20 +140,42 @@ def emission_logdensity(y_t, t, params: RegimeParams):
     return -np.log(params.sigma) - _HALF_LOG_2PI - 0.5 * resid * resid
 
 
-def _emission_logmatrix(y: np.ndarray, model: RegimeModel) -> np.ndarray:
-    t = np.arange(1, len(y) + 1, dtype=float)
-    return np.column_stack([emission_logdensity(y, t, p) for p in model.params])
-
-
 def propagate(prob_pair, q) -> np.ndarray:
-    """One-step state-probability propagation through the transition matrix."""
-    return np.asarray(prob_pair, dtype=float) @ np.asarray(q, dtype=float)
+    """One-step propagation of probability pair(s) through q, rounded as ``_forward`` does."""
+    p, q = np.asarray(prob_pair, dtype=float), np.asarray(q, dtype=float)
+    return p[..., :1] * q[0] + p[..., 1:] * q[1]
 
 
-def _shifted_emissions(logb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # per-step max shift keeps the dominant regime's density at 1.0
+def _forward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0: np.ndarray, offsets=None):
+    """Scaled forward recursion (Rabiner 1989, §V.A) on Python floats, 2x2 products written out.
+
+    Returns (b, filtered, c, loglik): emission densities scaled per step so
+    the larger is 1, filtered pairs, per-step normalizers, log-likelihood.
+    A normalizer that is not positive and finite raises FilterDegeneracyError
+    naming ``offsets[t]`` (else the 1-based step).
+    """
+    logb = np.column_stack([emission_logdensity(yv, t, p) for p in params])
     shift = logb.max(axis=1)
-    return np.exp(logb - shift[:, None]), shift
+    b = np.exp(logb - shift[:, None])
+    (q00, q01), (q10, q11) = q.tolist()
+    p0, p1 = pi0.tolist()
+    f0s, f1s, norms = [], [], []
+    for e0, e1 in b.tolist():
+        a0 = p0 * e0
+        a1 = p1 * e1
+        c = a0 + a1
+        if not (c > 0.0 and c < math.inf):
+            where = offsets[len(norms)] if offsets is not None else len(norms) + 1
+            raise FilterDegeneracyError(f"filter degeneracy at offset {where}")
+        f0 = a0 / c
+        f1 = a1 / c
+        f0s.append(f0)
+        f1s.append(f1)
+        norms.append(c)
+        p0 = f0 * q00 + f1 * q10
+        p1 = f0 * q01 + f1 * q11
+    c = np.array(norms)
+    return b, np.array([f0s, f1s]).T, c, float(np.sum(np.log(c)) + np.sum(shift))
 
 
 def forward_filter(y, model: RegimeModel) -> FilterOutput:
@@ -164,65 +187,41 @@ def forward_filter(y, model: RegimeModel) -> FilterOutput:
     """
     offsets = getattr(y, "offsets", None)
     yv = _as_observations(y)
-    T = len(yv)
-    b, shift = _shifted_emissions(_emission_logmatrix(yv, model))
-
-    filtered = np.empty((T, 2))
-    predicted = np.empty((T, 2))
-    pred = model.pi0.astype(float)
-    loglik = 0.0
-    for t in range(T):
-        predicted[t] = pred
-        joint = pred * b[t]
-        c = joint.sum()
-        if not (np.isfinite(c) and c > 0.0):
-            where = offsets[t] if offsets is not None else t + 1
-            raise FilterDegeneracyError(f"filter degeneracy at offset {where}")
-        filtered[t] = joint / c
-        loglik += np.log(c) + shift[t]
-        pred = filtered[t] @ model.q
-    return FilterOutput(filtered, predicted, float(loglik))
+    t = np.arange(1, len(yv) + 1, dtype=float)
+    _, filtered, _, loglik = _forward(yv, t, model.q, model.params, model.pi0, offsets)
+    predicted = np.vstack([model.pi0, propagate(filtered[:-1], model.q)])
+    return FilterOutput(filtered, predicted, loglik)
 
 
-def _forward_backward(yv: np.ndarray, model: RegimeModel):
+def _backward(b: np.ndarray, c: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Scaled backward variables for the forward pass's normalizers, on Python floats."""
+    (q00, q01), (q10, q11) = q.tolist()
+    r0 = r1 = 1.0
+    r0s, r1s = [r0], [r1]
+    for (e0, e1), ct in zip(b[:0:-1].tolist(), c[:0:-1].tolist()):
+        u0 = e0 * r0
+        u1 = e1 * r1
+        r0 = (q00 * u0 + q01 * u1) / ct
+        r1 = (q10 * u0 + q11 * u1) / ct
+        r0s.append(r0)
+        r1s.append(r1)
+    return np.array([r0s, r1s]).T[::-1]
+
+
+def _forward_backward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0: np.ndarray):
     """Scaled forward-backward pass.
 
     Returns (loglik, gamma, xi_sum): smoothed per-step posteriors and the
     summed pairwise transition posteriors.
     """
-    T = len(yv)
-    b, shift = _shifted_emissions(_emission_logmatrix(yv, model))
-    q = model.q
-
-    alpha_hat = np.empty((T, 2))
-    c = np.empty(T)
-    a = model.pi0 * b[0]
-    c[0] = a.sum()
-    if not (np.isfinite(c[0]) and c[0] > 0.0):
-        raise FilterDegeneracyError("filter degeneracy at offset 1")
-    alpha_hat[0] = a / c[0]
-    for t in range(1, T):
-        a = (alpha_hat[t - 1] @ q) * b[t]
-        c[t] = a.sum()
-        if not (np.isfinite(c[t]) and c[t] > 0.0):
-            raise FilterDegeneracyError(f"filter degeneracy at offset {t + 1}")
-        alpha_hat[t] = a / c[t]
-    loglik = float(np.sum(np.log(c)) + np.sum(shift))
-
-    beta_hat = np.empty((T, 2))
-    beta_hat[T - 1] = 1.0
-    for t in range(T - 2, -1, -1):
-        beta_hat[t] = (q @ (b[t + 1] * beta_hat[t + 1])) / c[t + 1]
+    b, alpha_hat, c, loglik = _forward(yv, t, q, params, pi0)
+    beta_hat = _backward(b, c, q)
 
     gamma = alpha_hat * beta_hat
     gamma /= gamma.sum(axis=1, keepdims=True)
 
-    if T > 1:
-        inner = (b[1:] * beta_hat[1:]) / c[1:, None]
-        xi_sum = np.einsum("ti,ij,tj->ij", alpha_hat[:-1], q, inner)
-    else:
-        xi_sum = np.zeros((2, 2))
-    return loglik, gamma, xi_sum
+    inner = (b[1:] * beta_hat[1:]) / c[1:, None]
+    return loglik, gamma, np.einsum("ti,ij,tj->ij", alpha_hat[:-1], q, inner)
 
 
 def _weighted_line(t: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -246,28 +245,28 @@ def sigma_floor(y) -> float:
     return 1e-4 * (sd if sd > 0.0 else 1.0)
 
 
-def _m_step(yv, t, gamma, xi_sum, model: RegimeModel, floor: float) -> RegimeModel:
-    params = []
+def _m_step(yv, t, gamma, xi_sum, q: np.ndarray, params, floor: float):
+    """Closed-form M-step: the next (q, params, pi0); a state without weight keeps its values."""
+    new_params = []
     for i in range(2):
         w = gamma[:, i]
         if w.sum() <= 0.0:
-            params.append(model.params[i])
+            new_params.append(params[i])
             continue
         alpha, beta = _weighted_line(t, yv, w)
         resid = yv - (alpha * t + beta)
         var = float(w @ (resid * resid)) / float(w.sum())
         sigma = max(np.sqrt(max(var, 0.0)), floor)
-        params.append(RegimeParams(alpha, beta, sigma))
+        new_params.append(RegimeParams(alpha, beta, sigma))
 
-    q = model.q.copy()
+    q = q.copy()
     den = xi_sum.sum(axis=1)
     for i in range(2):
         if den[i] > 0.0:
             row = xi_sum[i] / den[i]
             q[i] = row / row.sum()
 
-    pi0 = gamma[0] / gamma[0].sum()
-    return RegimeModel(q, tuple(params), pi0)
+    return q, tuple(new_params), gamma[0] / gamma[0].sum()
 
 
 def label_regimes(model: RegimeModel) -> tuple[RegimeModel, bool]:
@@ -304,34 +303,29 @@ def em_fit(y, init: RegimeModel, tol: float = 1e-6, max_iter: int = 500) -> FitR
     The returned model is labeled; the trace ends with the log-likelihood
     of the returned model, and ``iterations`` counts M-step updates.
     Sigma collapse is floored (see ``sigma_floor``) and, like regime
-    indistinguishability, reported through the degenerate flag.
+    indistinguishability, reported through the degenerate flag.  M-steps
+    validate each new sigma; q and pi0 are validated once, at the end.
     """
     yv = _as_observations(y)
     t = np.arange(1, len(yv) + 1, dtype=float)
     floor = sigma_floor(yv)
 
-    model = init
+    q, params, pi0 = init.q, init.params, init.pi0
     trace: list[float] = []
-    converged = False
     updates = 0
-    for _ in range(max_iter):
-        loglik, gamma, xi_sum = _forward_backward(yv, model)
-        if not np.isfinite(loglik):
+    while True:
+        loglik, gamma, xi_sum = _forward_backward(yv, t, q, params, pi0)
+        if not math.isfinite(loglik):
             raise RuntimeError("non-finite log-likelihood during EM")
         trace.append(loglik)
-        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
-            converged = True
+        # after max_iter updates this E-step only ends the trace at the returned model
+        converged = updates < max_iter and len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol
+        if converged or updates >= max_iter:
             break
-        model = _m_step(yv, t, gamma, xi_sum, model, floor)
+        q, params, pi0 = _m_step(yv, t, gamma, xi_sum, q, params, floor)
         updates += 1
-    if not converged:
-        # trace must end with the likelihood of the model being returned
-        final_ll, _, _ = _forward_backward(yv, model)
-        if not np.isfinite(final_ll):
-            raise RuntimeError("non-finite log-likelihood during EM")
-        trace.append(final_ll)
 
-    labeled, indistinct = label_regimes(model)
+    labeled, indistinct = label_regimes(RegimeModel(q, params, pi0))
     floored = any(p.sigma <= floor * (1.0 + 1e-12) for p in labeled.params)
     return FitReport(
         model=labeled,

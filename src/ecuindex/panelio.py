@@ -15,6 +15,7 @@ consumption of both windows).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -77,9 +78,13 @@ class FirmDayTable:
     ele_ref: np.ndarray
 
 
+class DataError(ValueError):
+    """An input file whose content is malformed or inconsistent."""
+
+
 def _fmt(x) -> str:
     x = float(x)
-    return "" if np.isnan(x) else repr(x)
+    return "" if math.isnan(x) else repr(x)
 
 
 def _parse_float(field: str) -> float:
@@ -92,7 +97,7 @@ def _fmt_bool(b) -> str:
 
 def _parse_bool(field: str) -> bool:
     if field not in ("true", "false"):
-        raise ValueError(f"expected 'true' or 'false', got {field!r}")
+        raise DataError(f"expected 'true' or 'false', got {field!r}")
     return field == "true"
 
 
@@ -110,13 +115,13 @@ def _read_rows(path, expected_header):
     with open(path, encoding="utf-8", newline="") as fh:
         rows = [r for r in csv.reader(line for line in fh if not line.startswith("#"))]
     if not rows:
-        raise ValueError(f"{path} is empty")
+        raise DataError(f"{path} is empty")
     if rows[0] != expected_header:
-        raise ValueError(f"{path} header {rows[0]} does not match {expected_header}")
+        raise DataError(f"{path} header {rows[0]} does not match {expected_header}")
     for n, row in enumerate(rows[1:], 1):
         if len(row) != len(expected_header):
-            raise ValueError(f"{path} data row {n} has {len(row)} fields, "
-                             f"expected {len(expected_header)}")
+            raise DataError(f"{path} data row {n} has {len(row)} fields, "
+                            f"expected {len(expected_header)}")
     return rows[1:]
 
 
@@ -160,7 +165,7 @@ def read_panel(path) -> list[FirmRecord]:
         grouped.setdefault(firm_id, []).append((np.datetime64(date), _parse_float(kwh)))
         prev = meta.setdefault(firm_id, (sector, district))
         if prev != (sector, district):
-            raise ValueError(f"firm {firm_id} has inconsistent sector/district codes")
+            raise DataError(f"firm {firm_id} has inconsistent sector/district codes")
     out = []
     for firm_id in sorted(grouped):
         rows = sorted(grouped[firm_id])

@@ -20,7 +20,7 @@ import numpy as np
 from .config import RunConfig
 from .ecu import FirmDayPanel, fsum_by_key
 from .hmm import FilterOutput, FitReport, em_fit, forward_filter, init_params, random_init
-from .panelio import FirmDayTable, FirmRecord, ModelRow, read_firmdays, read_models
+from .panelio import DataError, FirmDayTable, FirmRecord, ModelRow, read_firmdays, read_models
 from .preprocess import (
     AlignedPair,
     DeviationSeries,
@@ -121,7 +121,7 @@ def _fit_one(args) -> tuple[str, FirmFitResult | None, str | None]:
     record, cfg = args
     try:
         return record.firm_id, fit_firm(record, cfg), None
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:  # RuntimeError: FilterDegeneracyError, EM failure
         return record.firm_id, None, str(exc)
 
 
@@ -129,8 +129,8 @@ def fit_panel(records: list[FirmRecord], cfg: RunConfig,
               workers: int = 1) -> tuple[list[FirmFitResult], list[tuple[str, str]]]:
     """Fit every firm; returns (results sorted by firm id, skipped (id, reason)).
 
-    A firm whose series cannot cover the windows is skipped with a
-    diagnostic instead of failing the whole run.
+    A firm whose series cannot cover the windows or whose fit fails
+    numerically is skipped with a diagnostic instead of failing the run.
     """
     jobs = [(rec, cfg) for rec in records]
     if workers <= 1:
@@ -230,6 +230,6 @@ def read_fit_outputs(directory) -> FitOutputs:
     table = read_firmdays(directory / "firmdays.csv")
     missing = sorted(set(table.firm_id.tolist()) - models.keys())
     if missing:
-        raise ValueError(f"firmdays.csv has rows for firm {missing[0]} "
-                         "but models.csv has no row for it")
+        raise DataError(f"firmdays.csv has rows for firm {missing[0]} "
+                        "but models.csv has no row for it")
     return FitOutputs(models, table, _firmday_panel(table, models), _reference_totals(table))

@@ -137,9 +137,20 @@ def test_firm_without_model_row_is_named(fitted_dir, tmp_path, capsys):
     lines = (broken / "models.csv").read_text().splitlines(keepends=True)
     (broken / "models.csv").write_text("".join(ln for ln in lines if not ln.startswith("F00004,")))
     for command in (["index"], ["report", "--firm", "F00003"]):
-        assert main([*command, "--config", cfg, "--out", str(broken)]) != 0
+        assert main([*command, "--config", cfg, "--out", str(broken)]) == 1
         err = capsys.readouterr().err
         assert "F00004" in err and "models.csv" in err
+
+
+def test_short_firmdays_row_is_a_data_error(fitted_dir, tmp_path, capsys):
+    out, cfg = fitted_dir
+    broken = tmp_path / "out"
+    shutil.copytree(out, broken)
+    lines = (broken / "firmdays.csv").read_text().splitlines(keepends=True)
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + "\n"
+    (broken / "firmdays.csv").write_text("".join(lines))
+    assert main(["index", "--config", cfg, "--out", str(broken)]) == 1
+    assert "fields" in capsys.readouterr().err
 
 
 def test_index_outputs(fitted_dir, capsys):

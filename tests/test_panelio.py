@@ -10,6 +10,7 @@ from ecuindex.panelio import (
     FirmDayTable,
     FirmRecord,
     ModelRow,
+    _fmt,
     read_firmdays,
     read_models,
     read_panel,
@@ -52,6 +53,17 @@ def test_floats_roundtrip_bit_exact(tmp_path):
     write_panel(path, sample_records())
     back = {r.firm_id: r for r in read_panel(path)}
     assert back["A1"].series.values[4] == 0.1 + 0.2  # repr round-trip, not approx
+
+
+def test_fmt_strings():
+    assert _fmt(0.1 + 0.2) == "0.30000000000000004"
+    assert _fmt(np.float64(-1e-300)) == "-1e-300"
+    assert _fmt(-0.0) == "-0.0"
+    assert _fmt(np.float64(-0.0)) == "-0.0"
+    assert _fmt(7) == "7.0"
+    assert _fmt(float("nan")) == ""
+    assert _fmt(np.float64("nan")) == ""
+    assert _fmt(np.inf) == "inf"
 
 
 def test_seed_comment_read_back(tmp_path):

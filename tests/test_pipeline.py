@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from ecuindex import pipeline
 from ecuindex.cli import main
 from ecuindex.config import RunConfig, build_run_config
+from ecuindex.hmm import FilterDegeneracyError
 from ecuindex.panelio import FirmRecord, write_panel
 from ecuindex.pipeline import (
     build_firmday_panel,
@@ -111,6 +113,24 @@ def test_fit_panel_skips_all_missing_firm(records, run_cfg):
     assert len(results) == len(records)
     assert skipped[0][0] == "ZNAN"
     assert "nothing to interpolate" in skipped[0][1]
+
+
+@pytest.mark.parametrize("error", [FilterDegeneracyError("filter degeneracy at offset 7"),
+                                   RuntimeError("non-finite log-likelihood during EM")])
+def test_fit_panel_skips_firm_whose_em_fails(records, run_cfg, monkeypatch, error):
+    three = records[:3]
+    bad = three[1].firm_id
+    em_fit = pipeline.em_fit
+
+    def failing_em_fit(dev, *args, **kwargs):
+        if dev.firm_id == bad:
+            raise error
+        return em_fit(dev, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "em_fit", failing_em_fit)
+    results, skipped = fit_panel(three, run_cfg)
+    assert [r.firm_id for r in results] == [three[0].firm_id, three[2].firm_id]
+    assert skipped == [(bad, str(error))]
 
 
 def test_degenerate_firm_contributes_zero(run_cfg):
