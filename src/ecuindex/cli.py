@@ -15,10 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import build_panel_config, build_run_config, load_config
+from .config import ConfigError, build_panel_config, build_run_config, load_config
 from .ecu import ecu_grouped, srpi
 from .panelio import (
-    DataError,
     FirmRecord,
     read_panel,
     seed_comment,
@@ -35,18 +34,15 @@ from .simgen import generate
 DAY = np.timedelta64(1, "D")
 
 EXIT_OK = 0
-EXIT_RUNTIME = 1
-EXIT_CONFIG = 2
+EXIT_RUNTIME = 1  # data and runtime failures
+EXIT_CONFIG = 2  # a ConfigError: the config file or a flag
 
 
 def _load_raw(args) -> dict[str, str]:
     raw = load_config(args.config) if args.config else {}
-    if getattr(args, "seed", None) is not None:
-        raw["seed"] = str(args.seed)
-    if getattr(args, "out", None) is not None:
-        raw["out"] = args.out
-    if getattr(args, "workers", None) is not None:
-        raw["workers"] = str(args.workers)
+    for key in ("seed", "out", "workers"):  # flags override the file
+        if getattr(args, key, None) is not None:
+            raw[key] = str(getattr(args, key))
     return raw
 
 
@@ -63,7 +59,6 @@ def _panel_path(raw: dict[str, str]) -> Path:
 def cmd_simulate(args) -> int:
     raw = _load_raw(args)
     cfg = build_panel_config(raw)
-    cfg.validate()  # fail before any output path is touched
     out = _out_dir(raw)
 
     panel = generate(cfg)
@@ -182,13 +177,10 @@ def main(argv=None) -> int:
                "index": cmd_index, "report": cmd_report}[args.command]
     try:
         return handler(args)
-    except (ValueError, KeyError) as exc:
-        msg = exc.args[0] if exc.args else str(exc)
+    except (ValueError, KeyError, FileNotFoundError) as exc:
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
-        return EXIT_RUNTIME if isinstance(exc, (DataError, KeyError)) else EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

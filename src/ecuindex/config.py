@@ -5,34 +5,94 @@ Lines are ``key = value``; blank lines and ``#`` comments are ignored.
 Mappings (sector mix, shock depths) use ``code:value,code:value``.
 Shock depths also accept the level names ``primary``/``secondary``/
 ``tertiary``, expanded over all sector codes of that level.
+
+The fields of ``RunConfig`` and ``PanelConfig`` declare the keys, their
+types and their defaults; a value is converted to the type of its field's
+default.  Every error in a config file or its values is a ``ConfigError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .sectors import LEVEL_NAMES, sector_level
-from .simgen import PanelConfig
+from .simgen import PanelConfig, check_date
+
+
+class ConfigError(ValueError):
+    """A malformed, unknown, duplicate or out-of-range configuration setting."""
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Settings for the fit, index and report stages."""
+
+    code_map: str | None = None
+    # the comparison windows and the root seed are shared with simulate
+    ref_base: str = PanelConfig.ref_base
+    test_base: str = PanelConfig.test_base
+    span: int = PanelConfig.span
+    smooth_window: int = 7
+    outlier_window: int = 15
+    outlier_k: float = 2.0
+    interp_window: int = 14
+    em_tol: float = 1e-6
+    em_max_iter: int = 500
+    multi_start: int = 0
+    seed: int = PanelConfig.seed
+    workers: int = 1
+    group_by: tuple[str, ...] = ("sector", "district")
+
+    def validate(self) -> None:
+        check_date(self.ref_base, "ref_base")
+        check_date(self.test_base, "test_base")
+        for name, low in (("span", 1), ("em_max_iter", 1), ("multi_start", 0), ("workers", 1),
+                          ("smooth_window", 1), ("interp_window", 1)):
+            if not getattr(self, name) >= low:  # NaN fails too
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("em_tol", "outlier_k"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.outlier_window < 3 or self.outlier_window % 2 == 0:
+            raise ValueError(f"outlier_window must be odd and >= 3, got {self.outlier_window}")
+        for g in self.group_by:
+            if g not in ("sector", "district"):
+                raise ValueError(f"group_by entries must be sector or district, got {g!r}")
+
+
+# PanelConfig fields built from two flat keys each
+_PAIR_KEYS = {
+    "base_range": ("base_lo", "base_hi"),
+    "holiday_ref": ("holiday_ref", "holiday_ref_days"),
+    "holiday_test": ("holiday_test", "holiday_test_days"),
+}
+# PanelConfig fields written as code:value lists
+_MAPPING_KEYS = ("sector_mix", "district_mix", "shock_depth")
 
 # every key any stage understands; unknown keys are configuration mistakes
-KNOWN_KEYS = frozenset({
-    # shared
-    "seed", "out", "ref_base", "test_base", "span",
-    # simulate
-    "n_firms", "sector_mix", "district_mix", "base_lo", "base_hi",
-    "weekly_amplitude", "annual_amplitude",
-    "holiday_ref", "holiday_ref_days", "holiday_test", "holiday_test_days",
-    "holiday_depth", "shock_start", "shock_duration", "shock_depth",
-    "shock_half_life", "shock_onset_jitter", "shock_depth_jitter",
-    "noise_frac", "missing_rate", "outlier_rate",
-    # fit / index / report
-    "panel", "code_map", "smooth_window", "outlier_window", "outlier_k",
-    "interp_window", "em_tol", "em_max_iter", "multi_start", "workers",
-    "group_by", "firm",
-})
+KNOWN_KEYS = frozenset(
+    {f.name for cls in (RunConfig, PanelConfig) for f in fields(cls) if f.name not in _PAIR_KEYS}
+    | {key for pair in _PAIR_KEYS.values() for key in pair}
+    | {"out", "panel"}  # read by the command line itself: output directory, input panel
+)
+
+_KINDS = {int: "an integer", float: "a number"}
 
 
+def _config_errors(fn):
+    """Raise every ValueError of ``fn`` as a ConfigError."""
+    @functools.wraps(fn)
+    def wrapper(*args):
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    return wrapper
+
+
+@_config_errors
 def parse_kv(text: str) -> dict[str, str]:
     """Parse key=value lines; rejects malformed lines, duplicates and unknown keys."""
     out: dict[str, str] = {}
@@ -51,29 +111,28 @@ def parse_kv(text: str) -> dict[str, str]:
     return out
 
 
+@_config_errors
 def load_config(path) -> dict[str, str]:
     return parse_kv(Path(path).read_text(encoding="utf-8"))
 
 
-def _get(raw, key, default, convert, kind):
-    if key not in raw:
-        return default
+def _convert(key: str, text: str, default):
+    """``text`` as the type of ``default``: a number, a comma list, or the string itself."""
+    kind = type(default)
+    if kind is tuple:
+        return tuple(part.strip() for part in text.split(",") if part.strip())
+    if kind not in _KINDS:
+        return text
     try:
-        return convert(raw[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"config field {key} must be {kind}, got {raw[key]!r}") from None
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"config field {key} must be {_KINDS[kind]}, got {text!r}") from None
 
 
-def get_int(raw, key, default):
-    return _get(raw, key, default, int, "an integer")
-
-
-def get_float(raw, key, default):
-    return _get(raw, key, default, float, "a number")
-
-
-def get_str(raw, key, default):
-    return raw.get(key, default)
+def _plain_fields(cls, raw: dict[str, str], skip=()) -> dict:
+    """Converted values of the keys in ``raw`` that name a field of ``cls``."""
+    return {f.name: _convert(f.name, raw[f.name], f.default)
+            for f in fields(cls) if f.name in raw and f.name not in skip}
 
 
 def parse_mapping(value: str, field: str) -> dict[str, float]:
@@ -96,121 +155,36 @@ def parse_mapping(value: str, field: str) -> dict[str, float]:
 
 def _expand_depths(depths: dict[str, float], sector_codes) -> dict[str, float]:
     """Resolve a depth mapping that may mix sector codes and level names."""
-    by_level = {name: v for name, v in depths.items() if name in LEVEL_NAMES.values()}
-    by_code = {code: v for code, v in depths.items() if code not in by_level}
-    out = {}
-    for code in sector_codes:
-        if code in by_code:
-            out[code] = by_code[code]
-        else:
-            out[code] = by_level.get(LEVEL_NAMES[sector_level(code)], 0.0)
-    unknown = set(by_code) - set(sector_codes)
+    unknown = set(depths) - set(sector_codes) - set(LEVEL_NAMES.values())
     if unknown:
         raise ValueError(f"shock_depth names unknown sector code {sorted(unknown)[0]!r}")
-    return out
+    return {code: depths[code] if code in depths
+            else depths.get(LEVEL_NAMES[sector_level(code)], 0.0)
+            for code in sector_codes}
 
 
+@_config_errors
 def build_panel_config(raw: dict[str, str]) -> PanelConfig:
-    """PanelConfig from raw config strings; validation happens in generate()."""
-    kwargs = dict(
-        n_firms=get_int(raw, "n_firms", 100),
-        seed=get_int(raw, "seed", 0),
-        base_range=(get_float(raw, "base_lo", 50.0), get_float(raw, "base_hi", 5000.0)),
-        weekly_amplitude=get_float(raw, "weekly_amplitude", 0.15),
-        annual_amplitude=get_float(raw, "annual_amplitude", 0.10),
-        ref_base=get_str(raw, "ref_base", "2019-02-04"),
-        test_base=get_str(raw, "test_base", "2020-01-24"),
-        span=get_int(raw, "span", 95),
-        holiday_ref=(get_str(raw, "holiday_ref", "2019-02-04"),
-                     get_int(raw, "holiday_ref_days", 10)),
-        holiday_test=(get_str(raw, "holiday_test", "2020-01-24"),
-                      get_int(raw, "holiday_test_days", 10)),
-        holiday_depth=get_float(raw, "holiday_depth", 0.35),
-        shock_start=get_int(raw, "shock_start", 10),
-        shock_duration=get_int(raw, "shock_duration", 0),
-        shock_half_life=get_float(raw, "shock_half_life", 12.0),
-        shock_onset_jitter=get_int(raw, "shock_onset_jitter", 0),
-        shock_depth_jitter=get_float(raw, "shock_depth_jitter", 0.0),
-        noise_frac=get_float(raw, "noise_frac", 0.05),
-        missing_rate=get_float(raw, "missing_rate", 0.0),
-        outlier_rate=get_float(raw, "outlier_rate", 0.0),
-    )
-    if "sector_mix" in raw:
-        kwargs["sector_mix"] = parse_mapping(raw["sector_mix"], "sector_mix")
-    if "district_mix" in raw:
-        kwargs["district_mix"] = parse_mapping(raw["district_mix"], "district_mix")
+    """Validated PanelConfig from raw config strings; other stages' keys are ignored."""
+    defaults = PanelConfig()
+    kwargs = _plain_fields(PanelConfig, raw, skip=(*_PAIR_KEYS, *_MAPPING_KEYS))
+    for name, keys in _PAIR_KEYS.items():
+        kwargs[name] = tuple(_convert(key, raw[key], d) if key in raw else d
+                             for key, d in zip(keys, getattr(defaults, name)))
+    for name in _MAPPING_KEYS:
+        if name in raw:
+            kwargs[name] = parse_mapping(raw[name], name)
+    if "shock_depth" in kwargs:
+        sectors = kwargs.get("sector_mix", defaults.sector_mix)
+        kwargs["shock_depth"] = _expand_depths(kwargs["shock_depth"], sectors)
     cfg = PanelConfig(**kwargs)
-    if "shock_depth" in raw:
-        depths = parse_mapping(raw["shock_depth"], "shock_depth")
-        cfg = PanelConfig(**{**kwargs, "shock_depth": _expand_depths(depths, cfg.sector_mix)})
+    cfg.validate()
     return cfg
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings for the fit, index and report stages."""
-
-    panel: str = "panel.csv"
-    code_map: str | None = None
-    out: str = "out"
-    ref_base: str = "2019-02-04"
-    test_base: str = "2020-01-24"
-    span: int = 95
-    smooth_window: int = 7
-    outlier_window: int = 15
-    outlier_k: float = 2.0
-    interp_window: int = 14
-    em_tol: float = 1e-6
-    em_max_iter: int = 500
-    multi_start: int = 0
-    seed: int = 0
-    workers: int = 1
-    group_by: tuple[str, ...] = ("sector", "district")
-
-    def validate(self) -> None:
-        if self.span < 1:
-            raise ValueError(f"span must be >= 1, got {self.span}")
-        if self.em_tol <= 0:
-            raise ValueError(f"em_tol must be > 0, got {self.em_tol}")
-        if self.em_max_iter < 1:
-            raise ValueError(f"em_max_iter must be >= 1, got {self.em_max_iter}")
-        if self.multi_start < 0:
-            raise ValueError(f"multi_start must be >= 0, got {self.multi_start}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.smooth_window < 1:
-            raise ValueError(f"smooth_window must be >= 1, got {self.smooth_window}")
-        if self.outlier_window < 3 or self.outlier_window % 2 == 0:
-            raise ValueError(f"outlier_window must be odd and >= 3, got {self.outlier_window}")
-        if self.outlier_k <= 0:
-            raise ValueError(f"outlier_k must be > 0, got {self.outlier_k}")
-        if self.interp_window < 1:
-            raise ValueError(f"interp_window must be >= 1, got {self.interp_window}")
-        for g in self.group_by:
-            if g not in ("sector", "district"):
-                raise ValueError(f"group_by entries must be sector or district, got {g!r}")
-
-
+@_config_errors
 def build_run_config(raw: dict[str, str]) -> RunConfig:
-    group_raw = get_str(raw, "group_by", "sector,district")
-    groups = tuple(g.strip() for g in group_raw.split(",") if g.strip())
-    cfg = RunConfig(
-        panel=get_str(raw, "panel", "panel.csv"),
-        code_map=get_str(raw, "code_map", None),
-        out=get_str(raw, "out", "out"),
-        ref_base=get_str(raw, "ref_base", "2019-02-04"),
-        test_base=get_str(raw, "test_base", "2020-01-24"),
-        span=get_int(raw, "span", 95),
-        smooth_window=get_int(raw, "smooth_window", 7),
-        outlier_window=get_int(raw, "outlier_window", 15),
-        outlier_k=get_float(raw, "outlier_k", 2.0),
-        interp_window=get_int(raw, "interp_window", 14),
-        em_tol=get_float(raw, "em_tol", 1e-6),
-        em_max_iter=get_int(raw, "em_max_iter", 500),
-        multi_start=get_int(raw, "multi_start", 0),
-        seed=get_int(raw, "seed", 0),
-        workers=get_int(raw, "workers", 1),
-        group_by=groups,
-    )
+    """Validated RunConfig from raw config strings; other stages' keys are ignored."""
+    cfg = RunConfig(**_plain_fields(RunConfig, raw))
     cfg.validate()
     return cfg

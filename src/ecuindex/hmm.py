@@ -25,7 +25,7 @@ _SIMPLEX_TOL = 1e-12
 
 
 class FilterDegeneracyError(RuntimeError):
-    """All regime densities vanished numerically at some step."""
+    """All probability mass vanished numerically at some step (filter or posteriors)."""
 
 
 @dataclass(frozen=True)
@@ -212,13 +212,18 @@ def _forward_backward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0:
     """Scaled forward-backward pass.
 
     Returns (loglik, gamma, xi_sum): smoothed per-step posteriors and the
-    summed pairwise transition posteriors.
+    summed pairwise transition posteriors.  A posterior row whose sum is not
+    positive and finite raises FilterDegeneracyError naming its 1-based step.
     """
     b, alpha_hat, c, loglik = _forward(yv, t, q, params, pi0)
     beta_hat = _backward(b, c, q)
 
     gamma = alpha_hat * beta_hat
-    gamma /= gamma.sum(axis=1, keepdims=True)
+    total = gamma.sum(axis=1, keepdims=True)
+    bad = np.flatnonzero(~((total > 0.0) & (total < np.inf)))
+    if len(bad):
+        raise FilterDegeneracyError(f"filter degeneracy at offset {bad[0] + 1}")
+    gamma /= total
 
     inner = (b[1:] * beta_hat[1:]) / c[1:, None]
     return loglik, gamma, np.einsum("ti,ij,tj->ij", alpha_hat[:-1], q, inner)

@@ -78,10 +78,6 @@ class FirmDayTable:
     ele_ref: np.ndarray
 
 
-class DataError(ValueError):
-    """An input file whose content is malformed or inconsistent."""
-
-
 def _fmt(x) -> str:
     x = float(x)
     return "" if math.isnan(x) else repr(x)
@@ -97,8 +93,28 @@ def _fmt_bool(b) -> str:
 
 def _parse_bool(field: str) -> bool:
     if field not in ("true", "false"):
-        raise DataError(f"expected 'true' or 'false', got {field!r}")
+        raise ValueError(f"expected 'true' or 'false', got {field!r}")
     return field == "true"
+
+
+def _unreadable(path, rows, header, converters) -> ValueError:
+    """The error naming the first field in ``rows`` that its column's converter rejects."""
+    for n, row in enumerate(rows, 1):
+        for column, convert in converters.items():
+            text = row[header.index(column)]
+            try:
+                convert(text)
+            except ValueError:
+                return ValueError(f"{path} data row {n}, column {column}: cannot read {text!r}")
+    return ValueError(f"{path} has a field that cannot be read")
+
+
+def _parse_column(path, rows, header, column, convert) -> list:
+    i = header.index(column)
+    try:
+        return [convert(row[i]) for row in rows]
+    except ValueError:
+        raise _unreadable(path, rows, header, {column: convert}) from None
 
 
 def _open_writer(path, comments):
@@ -115,13 +131,13 @@ def _read_rows(path, expected_header):
     with open(path, encoding="utf-8", newline="") as fh:
         rows = [r for r in csv.reader(line for line in fh if not line.startswith("#"))]
     if not rows:
-        raise DataError(f"{path} is empty")
+        raise ValueError(f"{path} is empty")
     if rows[0] != expected_header:
-        raise DataError(f"{path} header {rows[0]} does not match {expected_header}")
+        raise ValueError(f"{path} header {rows[0]} does not match {expected_header}")
     for n, row in enumerate(rows[1:], 1):
         if len(row) != len(expected_header):
-            raise DataError(f"{path} data row {n} has {len(row)} fields, "
-                            f"expected {len(expected_header)}")
+            raise ValueError(f"{path} data row {n} has {len(row)} fields, "
+                             f"expected {len(expected_header)}")
     return rows[1:]
 
 
@@ -159,20 +175,30 @@ def write_panel(path, records: list[FirmRecord], comments=()) -> None:
 
 def read_panel(path) -> list[FirmRecord]:
     """Read a panel file back into per-firm records, sorted by firm id."""
+    rows = _read_rows(path, PANEL_HEADER)
     grouped: dict[str, list] = {}
     meta: dict[str, tuple[str, str]] = {}
-    for firm_id, date, kwh, sector, district in _read_rows(path, PANEL_HEADER):
-        grouped.setdefault(firm_id, []).append((np.datetime64(date), _parse_float(kwh)))
+    for firm_id, date, kwh, sector, district in rows:
+        try:
+            reading = np.datetime64(date), _parse_float(kwh)
+        except ValueError:
+            converters = {"date": np.datetime64, "kwh": _parse_float}
+            raise _unreadable(path, rows, PANEL_HEADER, converters) from None
+        grouped.setdefault(firm_id, []).append(reading)
         prev = meta.setdefault(firm_id, (sector, district))
         if prev != (sector, district):
-            raise DataError(f"firm {firm_id} has inconsistent sector/district codes")
+            raise ValueError(f"{path}: firm {firm_id} has inconsistent sector/district codes")
+    del rows  # free the text before the arrays are built: it sets the reader's peak memory
     out = []
     for firm_id in sorted(grouped):
-        rows = sorted(grouped[firm_id])
-        dates = np.array([d for d, _ in rows], dtype="datetime64[D]")
-        values = np.array([v for _, v in rows], dtype=float)
-        sector, district = meta[firm_id]
-        out.append(FirmRecord(firm_id, sector, district, RawSeries(firm_id, dates, values)))
+        readings = sorted(grouped[firm_id])
+        dates = np.array([d for d, _ in readings], dtype="datetime64[D]")
+        values = np.array([v for _, v in readings], dtype=float)
+        try:
+            series = RawSeries(firm_id, dates, values)
+        except ValueError as exc:
+            raise ValueError(f"{path}: firm {firm_id}: {exc}") from None
+        out.append(FirmRecord(firm_id, *meta[firm_id], series))
     return out
 
 
@@ -196,17 +222,20 @@ def write_models(path, rows: Iterable[ModelRow], comments=()) -> None:
 
 
 def read_models(path) -> dict[str, ModelRow]:
+    rows = _read_rows(path, MODELS_HEADER)
+    numbers = zip(*(_parse_column(path, rows, MODELS_HEADER, c, float)
+                    for c in MODELS_HEADER[3:13]))
+    flags = zip(*(_parse_column(path, rows, MODELS_HEADER, c, _parse_bool)
+                  for c in MODELS_HEADER[13:]))
     out = {}
-    for fields in _read_rows(path, MODELS_HEADER):
-        firm_id, sector, district = fields[:3]
-        a_p, b_p, s_p, a_r, b_r, s_r, q_pp, q_rr, pi0_p, loglik = map(float, fields[3:13])
+    for (firm_id, sector, district, *_), nums, (converged, degenerate) in zip(rows, numbers, flags):
+        a_p, b_p, s_p, a_r, b_r, s_r, q_pp, q_rr, pi0_p, loglik = nums
         model = RegimeModel(
             np.array([[q_pp, 1.0 - q_pp], [1.0 - q_rr, q_rr]]),
             (RegimeParams(a_p, b_p, s_p), RegimeParams(a_r, b_r, s_r)),
             np.array([pi0_p, 1.0 - pi0_p]),
         )
-        out[firm_id] = ModelRow(firm_id, sector, district, model, loglik,
-                                _parse_bool(fields[13]), _parse_bool(fields[14]))
+        out[firm_id] = ModelRow(firm_id, sector, district, model, loglik, converged, degenerate)
     return out
 
 
@@ -227,11 +256,11 @@ def write_firmdays(path, table: FirmDayTable, comments=()) -> None:
 
 def read_firmdays(path) -> FirmDayTable:
     rows = _read_rows(path, FIRMDAYS_HEADER)
-    cols = list(zip(*rows)) if rows else [()] * len(FIRMDAYS_HEADER)
     return FirmDayTable(
-        np.array(cols[0], dtype=object),
-        np.array([int(v) for v in cols[1]], dtype=int),
-        *(np.array([float(v) for v in col]) for col in cols[2:]),
+        np.array([row[0] for row in rows], dtype=object),
+        np.array(_parse_column(path, rows, FIRMDAYS_HEADER, "offset", int), dtype=int),
+        *(np.array(_parse_column(path, rows, FIRMDAYS_HEADER, c, float))
+          for c in FIRMDAYS_HEADER[2:]),
     )
 
 

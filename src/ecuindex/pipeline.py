@@ -20,7 +20,7 @@ import numpy as np
 from .config import RunConfig
 from .ecu import FirmDayPanel, fsum_by_key
 from .hmm import FilterOutput, FitReport, em_fit, forward_filter, init_params, random_init
-from .panelio import DataError, FirmDayTable, FirmRecord, ModelRow, read_firmdays, read_models
+from .panelio import FirmDayTable, FirmRecord, ModelRow, read_firmdays, read_models
 from .preprocess import (
     AlignedPair,
     DeviationSeries,
@@ -230,6 +230,6 @@ def read_fit_outputs(directory) -> FitOutputs:
     table = read_firmdays(directory / "firmdays.csv")
     missing = sorted(set(table.firm_id.tolist()) - models.keys())
     if missing:
-        raise DataError(f"firmdays.csv has rows for firm {missing[0]} "
-                        "but models.csv has no row for it")
+        raise ValueError(f"firmdays.csv has rows for firm {missing[0]} "
+                         "but models.csv has no row for it")
     return FitOutputs(models, table, _firmday_panel(table, models), _reference_totals(table))

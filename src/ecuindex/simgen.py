@@ -53,9 +53,14 @@ def _check_mix(mix: Mapping[str, float], what: str) -> None:
         raise ValueError(f"{what} proportions must sum to 1 within 1e-9, got {vals.sum()!r}")
 
 
-def _check_rate(value: float, name: str) -> None:
-    if not (0.0 <= value < 1.0):
-        raise ValueError(f"{name} must lie in [0, 1), got {value}")
+def check_date(value: str, name: str) -> None:
+    """Reject a setting that is not a calendar day written as YYYY-MM-DD."""
+    try:
+        ok = str(np.datetime64(value, "D")) == value
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a date written YYYY-MM-DD, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -86,38 +91,32 @@ class PanelConfig:
     outlier_rate: float = 0.0
 
     def validate(self) -> None:
-        if self.n_firms < 0:
-            raise ValueError(f"n_firms must be >= 0, got {self.n_firms}")
+        for name, low in (("n_firms", 0), ("span", 1), ("shock_duration", 0),
+                          ("shock_onset_jitter", 0), ("noise_frac", 0)):
+            if not getattr(self, name) >= low:  # NaN fails too
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         _check_mix(self.sector_mix, "sector_mix")
         _check_mix(self.district_mix, "district_mix")
         lo, hi = self.base_range
         if not (0.0 < lo <= hi):
             raise ValueError(f"base_range must satisfy 0 < lo <= hi, got {self.base_range}")
         for name in ("weekly_amplitude", "annual_amplitude", "holiday_depth",
-                     "shock_depth_jitter"):
+                     "shock_depth_jitter", "missing_rate", "outlier_rate"):
             v = getattr(self, name)
             if not (0.0 <= v < 1.0):
                 raise ValueError(f"{name} must lie in [0, 1), got {v}")
-        for name in ("missing_rate", "outlier_rate"):
-            _check_rate(getattr(self, name), name)
-        if self.noise_frac < 0.0:
-            raise ValueError(f"noise_frac must be >= 0, got {self.noise_frac}")
-        if self.span < 1:
-            raise ValueError(f"span must be >= 1, got {self.span}")
-        if self.shock_half_life <= 0.0:
+        if not self.shock_half_life > 0.0:
             raise ValueError(f"shock_half_life must be > 0, got {self.shock_half_life}")
-        if self.shock_duration < 0:
-            raise ValueError(f"shock_duration must be >= 0, got {self.shock_duration}")
-        if self.shock_onset_jitter < 0:
-            raise ValueError(f"shock_onset_jitter must be >= 0, got {self.shock_onset_jitter}")
-        for h in (self.holiday_ref, self.holiday_test):
-            if int(h[1]) < 0:
-                raise ValueError(f"holiday length must be >= 0, got {h[1]}")
+        for name in ("ref_base", "test_base"):
+            check_date(getattr(self, name), name)
+        for name in ("holiday_ref", "holiday_test"):
+            start, days = getattr(self, name)
+            check_date(start, name)
+            if int(days) < 0:
+                raise ValueError(f"holiday length must be >= 0, got {days}")
         for code, depth in self.depths().items():
             if not (0.0 <= depth <= 1.0):
                 raise ValueError(f"shock depth for {code} must lie in [0, 1], got {depth}")
-        np.datetime64(self.ref_base)
-        np.datetime64(self.test_base)
 
     def depths(self) -> dict[str, float]:
         if self.shock_depth is None:

@@ -84,6 +84,71 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
     assert "n_frms" in capsys.readouterr().err
 
 
+def test_firm_key_is_a_config_error(fitted_dir, tmp_path, capsys):
+    out, _ = fitted_dir
+    cfg = write_config(tmp_path / "firm.cfg", BASE_CONFIG + "firm = F00003\n")
+    assert main(["report", "--config", cfg, "--out", str(out), "--firm", "F00003"]) == 2
+    assert "unknown config key 'firm'" in capsys.readouterr().err
+
+
+@pytest.fixture
+def three_firms(tmp_path):
+    """A simulated 3-firm panel in ``tmp_path/out`` and its config."""
+    cfg = write_config(tmp_path / "run.cfg", "n_firms = 3\nseed = 5\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    return out, cfg
+
+
+def test_bad_date_fails_fit_before_reading_the_panel(three_firms, tmp_path, capsys):
+    out, _ = three_firms
+    cfg = write_config(tmp_path / "bad.cfg", "n_firms = 3\nseed = 5\ntest_base = 2020-13-45\n")
+    capsys.readouterr()
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 2
+    assert "test_base must be a date" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["panel.csv"]
+    # with no panel at all the config error still comes first
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "empty")]) == 2
+
+
+def edit_first_kwh(out, value):
+    """Replace the kWh of the panel's first data row (data row 1, firm F00000)."""
+    lines = (out / "panel.csv").read_text().splitlines(keepends=True)
+    first = next(i for i, ln in enumerate(lines) if ln.startswith("F00000,"))
+    fields = lines[first].split(",")
+    fields[2] = value
+    lines[first] = ",".join(fields)
+    (out / "panel.csv").write_text("".join(lines))
+
+
+def test_negative_kwh_is_a_data_error(three_firms, capsys):
+    out, cfg = three_firms
+    edit_first_kwh(out, "-5.0")
+    capsys.readouterr()
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "panel.csv" in err and "F00000" in err and "non-negative" in err
+
+
+def test_non_numeric_kwh_names_file_and_row(three_firms, capsys):
+    out, cfg = three_firms
+    edit_first_kwh(out, "abc")
+    capsys.readouterr()
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "panel.csv data row 1, column kwh: cannot read 'abc'" in err
+
+
+def test_malformed_code_map_is_a_data_error(fitted_dir, tmp_path, capsys):
+    out, _ = fitted_dir
+    codes = tmp_path / "codes.csv"
+    codes.write_text("sector,label\n101,Farming\n")
+    cfg = write_config(tmp_path / "run.cfg", BASE_CONFIG + f"code_map = {codes}\n")
+    shutil.copytree(out, tmp_path / "o")
+    assert main(["index", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "expected header 'code,name'" in capsys.readouterr().err
+
+
 def test_fit_outputs(fitted_dir, capsys):
     out, _ = fitted_dir
     later = {"panel.csv", "ecu.csv", "srpi.csv"}  # other stages' files in the shared dir

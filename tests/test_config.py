@@ -2,13 +2,43 @@
 
 import pytest
 
+from ecuindex.cli import _out_dir, _panel_path
 from ecuindex.config import (
+    KNOWN_KEYS,
+    ConfigError,
+    RunConfig,
     build_panel_config,
     build_run_config,
+    load_config,
     parse_kv,
     parse_mapping,
 )
 from ecuindex.sectors import DEFAULT_SECTOR_MIX
+from ecuindex.simgen import PanelConfig
+
+# a valid value different from the default, for every accepted key
+NON_DEFAULT = {
+    # shared, and the command line's paths
+    "seed": "7", "out": "elsewhere", "panel": "p.csv",
+    "ref_base": "2019-02-05", "test_base": "2020-01-25", "span": "90",
+    # simulate
+    "n_firms": "7", "sector_mix": "101:1.0", "district_mix": "D01:1.0",
+    "base_lo": "10", "base_hi": "6000", "weekly_amplitude": "0.2", "annual_amplitude": "0.2",
+    "holiday_ref": "2019-02-01", "holiday_ref_days": "5",
+    "holiday_test": "2020-01-20", "holiday_test_days": "5", "holiday_depth": "0.5",
+    "shock_start": "3", "shock_duration": "4", "shock_depth": "tertiary:0.5",
+    "shock_half_life": "6", "shock_onset_jitter": "2", "shock_depth_jitter": "0.1",
+    "noise_frac": "0.1", "missing_rate": "0.01", "outlier_rate": "0.01",
+    # fit / index / report
+    "code_map": "codes.csv", "smooth_window": "5", "outlier_window": "11", "outlier_k": "3",
+    "interp_window": "7", "em_tol": "1e-5", "em_max_iter": "50", "multi_start": "2",
+    "workers": "2", "group_by": "sector",
+}
+
+
+def built(raw):
+    """Everything a raw config decides: both stage configs and the command line's paths."""
+    return build_run_config(raw), build_panel_config(raw), _out_dir(raw), _panel_path(raw)
 
 
 def test_parse_ignores_comments_and_blanks():
@@ -29,6 +59,45 @@ def test_duplicate_key_rejected():
 def test_unknown_key_rejected():
     with pytest.raises(ValueError, match="unknown config key 'n_frms'"):
         parse_kv("n_frms=10\n")
+
+
+def test_firm_is_not_a_key():
+    with pytest.raises(ConfigError, match="unknown config key 'firm'"):
+        parse_kv("firm = X\n")
+
+
+def test_undecodable_config_file_is_a_config_error(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"seed = \xff\n")
+    with pytest.raises(ConfigError, match="can't decode byte 0xff"):
+        load_config(path)
+
+
+def test_empty_config_builds_the_defaults():
+    assert build_run_config({}) == RunConfig()
+    assert build_panel_config({}) == PanelConfig()
+
+
+def test_every_key_changes_what_is_built():
+    assert set(NON_DEFAULT) == KNOWN_KEYS
+    defaults = built({})
+    for key, value in NON_DEFAULT.items():
+        assert built({key: value}) != defaults, key
+
+
+def test_stages_ignore_each_others_keys():
+    assert build_run_config({"n_firms": "7", "shock_depth": "tertiary:0.5"}) == RunConfig()
+    assert build_panel_config({"em_tol": "1e-5", "group_by": "sector"}) == PanelConfig()
+
+
+@pytest.mark.parametrize("key", ["ref_base", "test_base", "holiday_ref", "holiday_test"])
+@pytest.mark.parametrize("value", ["2020-13-45", "", "2020", "today", "2020-01-24T05"])
+def test_dates_must_parse(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be a date"):
+        build_panel_config({key: value})
+    if key in ("ref_base", "test_base"):
+        with pytest.raises(ConfigError, match=f"{key} must be a date"):
+            build_run_config({key: value})
 
 
 def test_type_error_names_field():
@@ -99,6 +168,20 @@ def test_run_defaults_and_groups():
     assert cfg2.group_by == ("sector",)
     cfg3 = build_run_config({"group_by": ""})
     assert cfg3.group_by == ()
+
+
+def test_validation_errors_are_config_errors():
+    for build, raw in ((build_run_config, {"workers": "0"}),
+                       (build_run_config, {"em_tol": "tiny"}),
+                       (build_run_config, {"em_tol": "nan"}),
+                       (build_panel_config, {"noise_frac": "nan"}),
+                       (build_panel_config, {"shock_half_life": "nan"}),
+                       (build_panel_config, {"n_firms": "-3"}),
+                       (build_panel_config, {"sector_mix": "999:1.0"}),
+                       (build_panel_config, {"sector_mix": "999:1.0", "shock_depth": "tertiary:0.5"}),
+                       (build_panel_config, {"shock_depth": "999:0.5"})):
+        with pytest.raises(ConfigError):
+            build(raw)
 
 
 def test_run_validation():

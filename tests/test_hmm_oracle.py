@@ -3,7 +3,9 @@
 ``hmm_oracle`` holds the package's earlier numpy implementation.  The
 recursions now write the 2x2 products out by hand, so they may round the
 propagation step differently from ``vec @ q``; everything else is the same
-arithmetic.  Tolerances, fixed before comparing: log-likelihood and
+arithmetic.  Where the oracle's smoothed posteriors hold a 0/0 NaN, the
+package raises ``FilterDegeneracyError`` at that step instead.
+Tolerances, fixed before comparing: log-likelihood and
 posteriors within 1e-12 relative, summed transition posteriors within
 1e-12 absolute, and after a full EM fit, parameters and the final
 log-likelihood within 1e-9 relative with identical iteration counts and
@@ -107,6 +109,11 @@ def test_recursions_match_numpy_oracle(case):
     t = np.arange(1, T + 1, dtype=float)
     em, em_err = outcome(_forward_backward, y, t, model.q, model.params, model.pi0)
     want_em, want_em_err = outcome(oracle._forward_backward, y, model)
+    if want_em_err is None:
+        # a 0/0 posterior in the oracle is a degeneracy at its 1-based step
+        nan_rows = np.flatnonzero(np.isnan(want_em[1]).any(axis=1))
+        if len(nan_rows):
+            want_em_err = f"filter degeneracy at offset {nan_rows[0] + 1}"
     assert em_err == want_em_err
     if want_filt_err is not None:
         return
@@ -118,6 +125,8 @@ def test_recursions_match_numpy_oracle(case):
     for pairs in (filt.filtered, filt.predicted):
         assert np.abs(pairs.sum(axis=1) - 1.0).max() <= 1e-12
 
+    if em_err is not None:
+        return
     loglik, gamma, xi_sum = em
     want_loglik, want_gamma, want_xi = want_em
     assert loglik == filt.loglik
@@ -139,6 +148,27 @@ def test_degeneracy_offset_matches_oracle():
         _forward_backward(dev.y, t, model.q, model.params, model.pi0)
     with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 3$"):
         oracle._forward_backward(dev.y, model)
+
+
+def test_posterior_degeneracy_is_raised_where_oracle_has_nan():
+    """A chain locked in regime 1 whose emissions favour regime 0 a thousandfold.
+
+    The forward pass is fine (every normalizer is about 1e-3), but the
+    unreachable regime's scaled backward variable grows 1000x per step and
+    overflows, so the oracle's first posterior row is 0 * inf = NaN.
+    """
+    model = RegimeModel(np.eye(2), (RegimeParams(0.0, 0.0, 1.0), RegimeParams(0.0, 0.0, 1e3)),
+                        np.array([0.0, 1.0]))
+    y = np.zeros(191)
+    t = np.arange(1.0, 192.0)
+    forward_filter(y, model)
+    with np.errstate(all="ignore"):
+        _, want_gamma, _ = oracle._forward_backward(y, model)
+        assert np.isnan(want_gamma[0]).any()
+        with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 1$"):
+            _forward_backward(y, t, model.q, model.params, model.pi0)
+        with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 1$"):
+            em_fit(y, model)
 
 
 def test_em_matches_oracle_on_recovery_fixtures():

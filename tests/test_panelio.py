@@ -189,3 +189,30 @@ def test_srpi_file_layout(tmp_path):
     assert lines[1] == "offset,date,srpi,delta_srpi"
     assert lines[2] == "0,2020-01-24,100.0,-5.0"
     assert lines[3] == "1,2020-01-25,110.0,-2.5"
+
+
+def test_unreadable_fields_named_by_row_and_column(tmp_path):
+    path = tmp_path / "firmdays.csv"
+    path.write_text(",".join(FIRMDAYS_HEADER) + "\nA,0,0.5,0.5,0.5,1.0,1.0\nA,1,0.5,x,0.5,1.0,1.0\n")
+    with pytest.raises(ValueError, match=r"firmdays.csv data row 2, column mu_p: cannot read 'x'"):
+        read_firmdays(path)
+    path = tmp_path / "models.csv"
+    model = RegimeModel(np.eye(2), (RegimeParams(0.0, 1.0, 1.0), RegimeParams(0.0, -1.0, 1.0)),
+                        np.array([0.5, 0.5]))
+    write_models(path, [ModelRow("A", "101", "D01", model, 0.0, True, False)])
+    path.write_text(path.read_text().replace(",true,", ",yes,"))
+    with pytest.raises(ValueError, match="models.csv data row 1, column converged: cannot read 'yes'"):
+        read_models(path)
+    path = tmp_path / "panel.csv"
+    path.write_text("firm_id,date,kwh,sector_code,district_code\n"
+                    "A,2019-01-01,5.0,101,D01\nA,2019-01-32,6.0,101,D01\n")
+    with pytest.raises(ValueError, match="panel.csv data row 2, column date"):
+        read_panel(path)
+
+
+def test_bad_series_names_the_firm(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text("firm_id,date,kwh,sector_code,district_code\n"
+                    "A,2019-01-01,5.0,101,D01\nA,2019-01-02,-6.0,101,D01\n")
+    with pytest.raises(ValueError, match="firm A: kWh values must be non-negative"):
+        read_panel(path)
