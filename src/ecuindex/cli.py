@@ -85,6 +85,9 @@ def cmd_fit(args) -> int:
     results, skipped = fit_panel(records, cfg, workers=cfg.workers)
     for firm_id, reason in skipped:
         print(f"skipped {firm_id}: {reason}")
+    if not results:
+        first = f"; first: {skipped[0][0]}: {skipped[0][1]}" if skipped else ""
+        raise ValueError(f"no firm could be fitted ({len(skipped)} skipped){first}")
 
     out.mkdir(parents=True, exist_ok=True)
     comments = [seed_comment(cfg.seed)]

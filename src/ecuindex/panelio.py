@@ -4,7 +4,8 @@ All files are UTF-8 with a header row and ISO-8601 dates.  Lines starting
 with ``#`` before the header carry run metadata (the root seed) and are
 skipped on read.  Floats are written with ``repr`` so values round-trip
 exactly and reruns are byte-identical; empty fields mean missing (a NaN
-gap or an unmetered day).
+gap or an unmetered day).  Readers and writers handle a whole column at a
+time.
 
 The fit stage hands off two files: ``models.csv`` with one row per firm
 (its fitted model, flags and group codes) and ``firmdays.csv`` with one
@@ -15,6 +16,8 @@ consumption of both windows).
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +28,7 @@ import numpy as np
 from .ecu import EcuSeries, SrpiSeries
 from .hmm import RegimeModel, RegimeParams
 from .preprocess import RawSeries
+from .simgen import check_date
 
 PANEL_HEADER = ["firm_id", "date", "kwh", "sector_code", "district_code"]
 MODELS_HEADER = ["firm_id", "sector_code", "district_code",
@@ -78,13 +82,14 @@ class FirmDayTable:
     ele_ref: np.ndarray
 
 
-def _fmt(x) -> str:
-    x = float(x)
-    return "" if math.isnan(x) else repr(x)
+def _fmt_column(values) -> list[str]:
+    """Each value as a float written with ``repr``, and ``""`` at NaN."""
+    return [repr(x) if x == x else "" for x in np.asarray(values, dtype=float).tolist()]
 
 
-def _parse_float(field: str) -> float:
-    return np.nan if field == "" else float(field)
+def _check_kwh(field: str) -> None:
+    if field and not math.isfinite(float(field)):
+        raise ValueError(f"kWh must be a finite number or blank, got {field!r}")
 
 
 def _fmt_bool(b) -> str:
@@ -97,11 +102,10 @@ def _parse_bool(field: str) -> bool:
     return field == "true"
 
 
-def _unreadable(path, rows, header, converters) -> ValueError:
-    """The error naming the first field in ``rows`` that its column's converter rejects."""
-    for n, row in enumerate(rows, 1):
-        for column, convert in converters.items():
-            text = row[header.index(column)]
+def _unreadable(path, columns, converters) -> ValueError:
+    """The error naming the first field, in row order, that its column's converter rejects."""
+    for n, fields in enumerate(zip(*(columns[c] for c in converters)), 1):
+        for (column, convert), text in zip(converters.items(), fields):
             try:
                 convert(text)
             except ValueError:
@@ -109,36 +113,36 @@ def _unreadable(path, rows, header, converters) -> ValueError:
     return ValueError(f"{path} has a field that cannot be read")
 
 
-def _parse_column(path, rows, header, column, convert) -> list:
-    i = header.index(column)
+def _parse_column(path, columns, column, convert) -> list:
     try:
-        return [convert(row[i]) for row in rows]
+        return [convert(text) for text in columns[column]]
     except ValueError:
-        raise _unreadable(path, rows, header, {column: convert}) from None
+        raise _unreadable(path, columns, {column: convert}) from None
 
 
-def _open_writer(path, comments):
-    fh = open(path, "w", encoding="utf-8", newline="")
-    for line in comments:
-        fh.write(f"# {line}\n")
-    return fh, csv.writer(fh)
+def _write_csv(path, header, rows, comments) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"# {line}\n" for line in comments)
+        csv.writer(fh).writerows(itertools.chain([header], rows))
 
 
-def _read_rows(path, expected_header):
+def _read_columns(path, expected_header) -> dict[str, list[str]]:
+    """The file's data fields by column name, once its header and field counts check out."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"missing file {path}")
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(line for line in fh if not line.startswith("#"))]
+        rows = list(csv.reader(itertools.dropwhile(lambda line: line.startswith("#"), fh)))
     if not rows:
         raise ValueError(f"{path} is empty")
     if rows[0] != expected_header:
         raise ValueError(f"{path} header {rows[0]} does not match {expected_header}")
-    for n, row in enumerate(rows[1:], 1):
-        if len(row) != len(expected_header):
-            raise ValueError(f"{path} data row {n} has {len(row)} fields, "
-                             f"expected {len(expected_header)}")
-    return rows[1:]
+    del rows[0]
+    width = len(expected_header)
+    if set(map(len, rows)) - {width}:
+        n, row = next((n, row) for n, row in enumerate(rows, 1) if len(row) != width)
+        raise ValueError(f"{path} data row {n} has {len(row)} fields, expected {width}")
+    return {name: [row[i] for row in rows] for i, name in enumerate(expected_header)}
 
 
 def seed_comment(seed) -> str:
@@ -163,42 +167,46 @@ def read_seed_comment(path) -> int | None:
 
 
 def write_panel(path, records: list[FirmRecord], comments=()) -> None:
-    fh, w = _open_writer(path, comments)
-    with fh:
-        w.writerow(PANEL_HEADER)
-        for rec in sorted(records, key=lambda r: r.firm_id):
-            s = rec.series
-            for date, kwh in zip(s.dates, s.values):
-                w.writerow([rec.firm_id, str(date), _fmt(kwh),
-                            rec.sector_code, rec.district_code])
+    _write_csv(path, PANEL_HEADER, itertools.chain.from_iterable(
+        zip(itertools.repeat(rec.firm_id), rec.series.dates.astype(str).tolist(),
+            _fmt_column(rec.series.values), itertools.repeat(rec.sector_code),
+            itertools.repeat(rec.district_code))
+        for rec in sorted(records, key=lambda r: r.firm_id)), comments)
 
 
 def read_panel(path) -> list[FirmRecord]:
     """Read a panel file back into per-firm records, sorted by firm id."""
-    rows = _read_rows(path, PANEL_HEADER)
-    grouped: dict[str, list] = {}
-    meta: dict[str, tuple[str, str]] = {}
-    for firm_id, date, kwh, sector, district in rows:
-        try:
-            reading = np.datetime64(date), _parse_float(kwh)
-        except ValueError:
-            converters = {"date": np.datetime64, "kwh": _parse_float}
-            raise _unreadable(path, rows, PANEL_HEADER, converters) from None
-        grouped.setdefault(firm_id, []).append(reading)
-        prev = meta.setdefault(firm_id, (sector, district))
-        if prev != (sector, district):
+    columns = _read_columns(path, PANEL_HEADER)
+    try:
+        for text in set(columns["date"]):  # a few hundred distinct days
+            check_date(text, "date")
+        dates = np.array(columns["date"], dtype="datetime64[D]")
+        kwh = columns["kwh"]
+        values = np.array([float(text) if text else np.nan for text in kwh])
+        if np.count_nonzero(np.isfinite(values)) != len(kwh) - kwh.count(""):
+            raise ValueError("non-finite kWh text")
+    except ValueError:
+        converters = {"date": functools.partial(check_date, name="date"), "kwh": _check_kwh}
+        raise _unreadable(path, columns, converters) from None
+    codes: dict[str, tuple[str, str]] = {}
+    for firm_id, sector, district in zip(columns["firm_id"], columns["sector_code"],
+                                         columns["district_code"]):
+        if codes.setdefault(firm_id, (sector, district)) != (sector, district):
             raise ValueError(f"{path}: firm {firm_id} has inconsistent sector/district codes")
-    del rows  # free the text before the arrays are built: it sets the reader's peak memory
+    firm_ids = sorted(codes)
+    index = {firm_id: k for k, firm_id in enumerate(firm_ids)}
+    firm_of_row = np.array([index[firm_id] for firm_id in columns["firm_id"]], dtype=np.intp)
+    del columns, kwh  # free the text before the arrays are built: it sets the reader's peak memory
+    order = np.lexsort((dates, firm_of_row))
+    dates, values = dates[order], values[order]
+    bounds = np.searchsorted(firm_of_row[order], np.arange(len(firm_ids) + 1)).tolist()
     out = []
-    for firm_id in sorted(grouped):
-        readings = sorted(grouped[firm_id])
-        dates = np.array([d for d, _ in readings], dtype="datetime64[D]")
-        values = np.array([v for _, v in readings], dtype=float)
+    for firm_id, lo, hi in zip(firm_ids, bounds, bounds[1:]):
         try:
-            series = RawSeries(firm_id, dates, values)
+            series = RawSeries(firm_id, dates[lo:hi], values[lo:hi])
         except ValueError as exc:
             raise ValueError(f"{path}: firm {firm_id}: {exc}") from None
-        out.append(FirmRecord(firm_id, *meta[firm_id], series))
+        out.append(FirmRecord(firm_id, *codes[firm_id], series))
     return out
 
 
@@ -208,27 +216,23 @@ def read_panel(path) -> list[FirmRecord]:
 
 
 def write_models(path, rows: Iterable[ModelRow], comments=()) -> None:
-    fh, w = _open_writer(path, comments)
-    with fh:
-        w.writerow(MODELS_HEADER)
-        for row in sorted(rows, key=lambda r: r.firm_id):
-            p, r = row.model.prosperous, row.model.recessionary
-            w.writerow([row.firm_id, row.sector_code, row.district_code,
-                        _fmt(p.alpha), _fmt(p.beta), _fmt(p.sigma),
-                        _fmt(r.alpha), _fmt(r.beta), _fmt(r.sigma),
-                        _fmt(row.model.q[0, 0]), _fmt(row.model.q[1, 1]),
-                        _fmt(row.model.pi0[0]), _fmt(row.loglik),
-                        _fmt_bool(row.converged), _fmt_bool(row.degenerate)])
+    rows = sorted(rows, key=lambda r: r.firm_id)
+    numbers = np.array([[x for p in r.model.params for x in (p.alpha, p.beta, p.sigma)]
+                        + [r.model.q[0, 0], r.model.q[1, 1], r.model.pi0[0], r.loglik]
+                        for r in rows], dtype=float).reshape(-1, 10)
+    _write_csv(path, MODELS_HEADER, zip(
+        [r.firm_id for r in rows], [r.sector_code for r in rows], [r.district_code for r in rows],
+        *map(_fmt_column, numbers.T), [_fmt_bool(r.converged) for r in rows],
+        [_fmt_bool(r.degenerate) for r in rows]), comments)
 
 
 def read_models(path) -> dict[str, ModelRow]:
-    rows = _read_rows(path, MODELS_HEADER)
-    numbers = zip(*(_parse_column(path, rows, MODELS_HEADER, c, float)
-                    for c in MODELS_HEADER[3:13]))
-    flags = zip(*(_parse_column(path, rows, MODELS_HEADER, c, _parse_bool)
-                  for c in MODELS_HEADER[13:]))
+    columns = _read_columns(path, MODELS_HEADER)
+    numbers = zip(*(_parse_column(path, columns, c, float) for c in MODELS_HEADER[3:13]))
+    flags = zip(*(_parse_column(path, columns, c, _parse_bool) for c in MODELS_HEADER[13:]))
     out = {}
-    for (firm_id, sector, district, *_), nums, (converged, degenerate) in zip(rows, numbers, flags):
+    for firm_id, sector, district, nums, (converged, degenerate) in zip(
+            columns["firm_id"], columns["sector_code"], columns["district_code"], numbers, flags):
         a_p, b_p, s_p, a_r, b_r, s_r, q_pp, q_rr, pi0_p, loglik = nums
         model = RegimeModel(
             np.array([[q_pp, 1.0 - q_pp], [1.0 - q_rr, q_rr]]),
@@ -246,21 +250,17 @@ def read_models(path) -> dict[str, ModelRow]:
 
 def write_firmdays(path, table: FirmDayTable, comments=()) -> None:
     """Rows in table order; the pipeline builds the table sorted by (firm_id, offset)."""
-    fh, w = _open_writer(path, comments)
-    with fh:
-        w.writerow(FIRMDAYS_HEADER)
-        floats = (getattr(table, name).tolist() for name in FIRMDAYS_HEADER[2:])
-        for firm_id, off, *values in zip(table.firm_id, table.offset.tolist(), *floats):
-            w.writerow([firm_id, off, *map(_fmt, values)])
+    _write_csv(path, FIRMDAYS_HEADER, zip(
+        table.firm_id.tolist(), table.offset.tolist(),
+        *(_fmt_column(getattr(table, name)) for name in FIRMDAYS_HEADER[2:])), comments)
 
 
 def read_firmdays(path) -> FirmDayTable:
-    rows = _read_rows(path, FIRMDAYS_HEADER)
+    columns = _read_columns(path, FIRMDAYS_HEADER)
     return FirmDayTable(
-        np.array([row[0] for row in rows], dtype=object),
-        np.array(_parse_column(path, rows, FIRMDAYS_HEADER, "offset", int), dtype=int),
-        *(np.array(_parse_column(path, rows, FIRMDAYS_HEADER, c, float))
-          for c in FIRMDAYS_HEADER[2:]),
+        np.array(columns["firm_id"], dtype=object),
+        np.array(_parse_column(path, columns, "offset", int), dtype=int),
+        *(np.array(_parse_column(path, columns, c, float)) for c in FIRMDAYS_HEADER[2:]),
     )
 
 
@@ -272,19 +272,14 @@ def read_firmdays(path) -> FirmDayTable:
 def write_ecu(path, series_list: list[EcuSeries], base_date, comments=()) -> None:
     """``base_date``: calendar day at offset 0 in the test window."""
     base = np.datetime64(base_date)
-    fh, w = _open_writer(path, comments)
-    with fh:
-        w.writerow(ECU_HEADER)
-        for s in sorted(series_list, key=lambda s: (s.group_type, s.group_key)):
-            for off, val, tw, fc in zip(s.offsets, s.ecu, s.total_weight, s.firm_count):
-                w.writerow([s.group_type, s.group_key, int(off), str(base + int(off) * DAY),
-                            _fmt(val), _fmt(tw), int(fc)])
+    _write_csv(path, ECU_HEADER, itertools.chain.from_iterable(
+        zip(itertools.repeat(s.group_type), itertools.repeat(s.group_key), s.offsets.tolist(),
+            (base + s.offsets * DAY).astype(str).tolist(), _fmt_column(s.ecu),
+            _fmt_column(s.total_weight), s.firm_count.tolist())
+        for s in sorted(series_list, key=lambda s: (s.group_type, s.group_key))), comments)
 
 
 def write_srpi(path, series: SrpiSeries, base_date, comments=()) -> None:
-    base = np.datetime64(base_date)
-    fh, w = _open_writer(path, comments)
-    with fh:
-        w.writerow(SRPI_HEADER)
-        for off, total, delta in zip(series.offsets, series.srpi, series.delta_srpi):
-            w.writerow([int(off), str(base + int(off) * DAY), _fmt(total), _fmt(delta)])
+    dates = (np.datetime64(base_date) + series.offsets * DAY).astype(str).tolist()
+    _write_csv(path, SRPI_HEADER, zip(series.offsets.tolist(), dates, _fmt_column(series.srpi),
+                                      _fmt_column(series.delta_srpi)), comments)

@@ -56,7 +56,7 @@ def _check_mix(mix: Mapping[str, float], what: str) -> None:
 def check_date(value: str, name: str) -> None:
     """Reject a setting that is not a calendar day written as YYYY-MM-DD."""
     try:
-        ok = str(np.datetime64(value, "D")) == value
+        ok = str(np.datetime64(value, "D")) == value != "NaT"
     except ValueError:
         ok = False
     if not ok:

@@ -111,19 +111,19 @@ def test_bad_date_fails_fit_before_reading_the_panel(three_firms, tmp_path, caps
     assert main(["fit", "--config", cfg, "--out", str(tmp_path / "empty")]) == 2
 
 
-def edit_first_kwh(out, value):
-    """Replace the kWh of the panel's first data row (data row 1, firm F00000)."""
+def edit_first_row(out, field, value):
+    """Replace one field of the panel's first data row (data row 1, firm F00000)."""
     lines = (out / "panel.csv").read_text().splitlines(keepends=True)
     first = next(i for i, ln in enumerate(lines) if ln.startswith("F00000,"))
     fields = lines[first].split(",")
-    fields[2] = value
+    fields[field] = value
     lines[first] = ",".join(fields)
     (out / "panel.csv").write_text("".join(lines))
 
 
 def test_negative_kwh_is_a_data_error(three_firms, capsys):
     out, cfg = three_firms
-    edit_first_kwh(out, "-5.0")
+    edit_first_row(out, 2, "-5.0")
     capsys.readouterr()
     assert main(["fit", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -132,11 +132,36 @@ def test_negative_kwh_is_a_data_error(three_firms, capsys):
 
 def test_non_numeric_kwh_names_file_and_row(three_firms, capsys):
     out, cfg = three_firms
-    edit_first_kwh(out, "abc")
+    edit_first_row(out, 2, "abc")
     capsys.readouterr()
     assert main(["fit", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "panel.csv data row 1, column kwh: cannot read 'abc'" in err
+
+
+@pytest.mark.parametrize("field,value", [
+    *((1, day) for day in ["2020-13-45", "", "2020", "today", "2020-01-24T05", "NaT"]),
+    *((2, kwh) for kwh in ["nan", "inf", "-Infinity", " NaN"]),
+])
+def test_panel_takes_iso_days_and_finite_kwh(three_firms, capsys, field, value):
+    out, cfg = three_firms
+    edit_first_row(out, field, value)
+    capsys.readouterr()
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 1
+    column = "date" if field == 1 else "kwh"
+    assert f"panel.csv data row 1, column {column}: cannot read {value!r}" in capsys.readouterr().err
+
+
+def test_fit_fails_when_every_firm_is_skipped(three_firms, capsys):
+    out, cfg = three_firms
+    lines = (out / "panel.csv").read_text().splitlines(keepends=True)
+    (out / "panel.csv").write_text("".join(ln for ln in lines if ",2018-" not in ln))
+    capsys.readouterr()
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.count("skipped F0000") == 3
+    assert "no firm could be fitted (3 skipped); first: F00000: " in captured.err
+    assert sorted(p.name for p in out.iterdir()) == ["panel.csv"]
 
 
 def test_malformed_code_map_is_a_data_error(fitted_dir, tmp_path, capsys):

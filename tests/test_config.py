@@ -91,7 +91,7 @@ def test_stages_ignore_each_others_keys():
 
 
 @pytest.mark.parametrize("key", ["ref_base", "test_base", "holiday_ref", "holiday_test"])
-@pytest.mark.parametrize("value", ["2020-13-45", "", "2020", "today", "2020-01-24T05"])
+@pytest.mark.parametrize("value", ["2020-13-45", "", "2020", "today", "2020-01-24T05", "NaT"])
 def test_dates_must_parse(key, value):
     with pytest.raises(ConfigError, match=f"{key} must be a date"):
         build_panel_config({key: value})

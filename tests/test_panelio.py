@@ -10,7 +10,7 @@ from ecuindex.panelio import (
     FirmDayTable,
     FirmRecord,
     ModelRow,
-    _fmt,
+    _fmt_column,
     read_firmdays,
     read_models,
     read_panel,
@@ -56,14 +56,10 @@ def test_floats_roundtrip_bit_exact(tmp_path):
 
 
 def test_fmt_strings():
-    assert _fmt(0.1 + 0.2) == "0.30000000000000004"
-    assert _fmt(np.float64(-1e-300)) == "-1e-300"
-    assert _fmt(-0.0) == "-0.0"
-    assert _fmt(np.float64(-0.0)) == "-0.0"
-    assert _fmt(7) == "7.0"
-    assert _fmt(float("nan")) == ""
-    assert _fmt(np.float64("nan")) == ""
-    assert _fmt(np.inf) == "inf"
+    values = [0.1 + 0.2, np.float64(-1e-300), -0.0, np.float64(-0.0), 7,
+              float("nan"), np.float64("nan"), np.inf]
+    assert _fmt_column(values) == ["0.30000000000000004", "-1e-300", "-0.0", "-0.0", "7.0",
+                                   "", "", "inf"]
 
 
 def test_seed_comment_read_back(tmp_path):
@@ -71,6 +67,21 @@ def test_seed_comment_read_back(tmp_path):
     write_panel(path, sample_records(), comments=[seed_comment(123)])
     assert read_seed_comment(path) == 123
     assert read_panel(path)  # comment lines are transparent to readers
+
+
+def test_comment_lines_only_before_the_header(tmp_path):
+    path = tmp_path / "panel.csv"
+    dates = np.arange("2019-01-01", "2019-01-04", dtype="datetime64[D]")
+    records = [FirmRecord("#7", "101", "D01", RawSeries("#7", dates, [1.0, np.nan, 3.0])),
+               FirmRecord("7", "101", "D01", RawSeries("7", dates, [4.0, 5.0, 6.0]))]
+    write_panel(path, records, comments=[seed_comment(1)])
+    back = read_panel(path)
+    assert [r.firm_id for r in back] == ["#7", "7"]
+    assert np.array_equal(back[0].series.values, [1.0, np.nan, 3.0], equal_nan=True)
+    np.testing.assert_array_equal(back[0].series.dates, dates)
+    path.write_text(path.read_text() + "# a note after the header\n")
+    with pytest.raises(ValueError, match="data row 7 has 1 fields, expected 5"):
+        read_panel(path)
 
 
 def test_missing_file_named(tmp_path):

@@ -1,0 +1,256 @@
+"""The column-wise CSV readers and writers against the row-at-a-time oracle.
+
+``panelio_oracle`` holds the package's earlier readers and writers.  On
+every input both accept, the package must write byte-identical files and
+read back bit-identical arrays with the same firm order and codes; on the
+faults both reject (a short or long row, a field that does not parse,
+inconsistent codes, a negative reading, a duplicated or missing day) it
+must raise the same message.  The inputs the package now rejects and the
+oracle accepted (dates not written YYYY-MM-DD, non-finite kWh text, lines
+after the header that start with ``#``) are tested in ``test_panelio.py``
+and ``test_cli.py``, not here.
+"""
+
+import csv
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import panelio_oracle as oracle
+from ecuindex import panelio
+from ecuindex.ecu import EcuSeries, SrpiSeries
+from ecuindex.panelio import PANEL_HEADER, FirmDayTable, FirmRecord
+from ecuindex.preprocess import RawSeries
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+COMMENTS = ["root_seed=7", "a, \"quoted\" note"]
+
+# ids and codes with commas, quotes, spaces, line breaks and non-ASCII text;
+# no "#", which the oracle drops wherever a line starts with it
+NAME = st.text(alphabet=list("AZaz09 ,;\"'-_\n\réü中😀"), max_size=6)
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 0.1 + 0.2,
+           1e308, -1e308, 1.7976931348623157e308, np.nan, np.inf, -np.inf]
+ANY_FLOAT = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+# a valid reading: non-negative and finite, or NaN for a missing day
+READING = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2,
+                                     1e308, 1.7976931348623157e308, np.nan]),
+                    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+
+
+def bits(a):
+    """An array's raw bits, so -0.0 and NaN compare exactly."""
+    a = np.asarray(a)
+    return a.dtype, a.tobytes()
+
+
+@st.composite
+def records(draw):
+    """Firms with distinct ids, each a contiguous daily series with gaps."""
+    ids = draw(st.lists(NAME, min_size=1, max_size=5, unique=True))
+    out = []
+    for firm_id in ids:
+        start = np.datetime64("1970-01-01") + draw(st.integers(-30000, 40000))
+        n = draw(st.integers(1, 12))
+        values = draw(st.lists(READING, min_size=n, max_size=n))
+        out.append(FirmRecord(firm_id, draw(NAME), draw(NAME),
+                              RawSeries(firm_id, np.arange(start, start + n), values)))
+    return out
+
+
+def kwh_text(value, style):
+    """A reading as ``repr`` writes it, or in another form ``float`` reads the same."""
+    if np.isnan(value):
+        return ""
+    return {"repr": repr(value), "g": f"{value:.17g}", "e": f"{value:.16e}",
+            "plus": f"{value:+.17g}", "space": f" {value!r} "}[style]
+
+
+@st.composite
+def panel_rows(draw):
+    """Data rows of a valid panel, in a drawn order, with varied kWh text."""
+    rows = []
+    for rec in draw(records()):
+        for day, value in zip(rec.series.dates, rec.series.values):
+            style = draw(st.sampled_from(["repr", "repr", "g", "e", "plus", "space"]))
+            rows.append([rec.firm_id, str(day), kwh_text(float(value), style),
+                         rec.sector_code, rec.district_code])
+    return draw(st.permutations(rows))
+
+
+def write_rows(path, rows, comments=COMMENTS):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"# {line}\n" for line in comments)
+        w = csv.writer(fh)
+        w.writerow(PANEL_HEADER)
+        w.writerows(rows)
+
+
+def outcome(read, path):
+    """What a reader returns, or the type and message of what it raises."""
+    try:
+        return "ok", read(path)
+    except (ValueError, FileNotFoundError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same_records(got, want):
+    assert [r.firm_id for r in got] == [r.firm_id for r in want]
+    for g, w in zip(got, want):
+        assert type(g.firm_id) is str
+        assert (g.sector_code, g.district_code) == (w.sector_code, w.district_code)
+        assert bits(g.series.dates) == bits(w.series.dates)
+        assert bits(g.series.values) == bits(w.series.values)
+
+
+@SETTINGS
+@given(recs=records())
+def test_write_panel_matches_oracle(recs):
+    with tempfile.TemporaryDirectory() as d:
+        got, want = Path(d, "got.csv"), Path(d, "want.csv")
+        panelio.write_panel(got, recs, COMMENTS)
+        oracle.write_panel(want, recs, COMMENTS)
+        assert got.read_bytes() == want.read_bytes()
+        assert_same_records(panelio.read_panel(got), oracle.read_panel(want))
+
+
+@SETTINGS
+@given(rows=panel_rows())
+def test_read_panel_matches_oracle(rows):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d, "panel.csv")
+        write_rows(path, rows)
+        assert_same_records(panelio.read_panel(path), oracle.read_panel(path))
+
+
+FAULTS = ["short", "long", "kwh", "date", "codes", "negative", "duplicate", "missing"]
+
+
+def inject(fault, rows, data):
+    """Put one fault into valid, firm-sorted panel rows; None where it cannot go."""
+    k = data.draw(st.integers(0, len(rows) - 1))
+    row = list(rows[k])
+    if fault == "short":
+        del row[data.draw(st.integers(0, 4))]
+    elif fault == "long":
+        row.insert(data.draw(st.integers(0, 5)), data.draw(NAME))
+    elif fault == "kwh":
+        row[2] = data.draw(st.sampled_from(["abc", "1.2.3", "--1", "1e", "0x10", " "]))
+    elif fault == "date":
+        row[1] = data.draw(st.sampled_from(["2019-02-30", "2019-13-01", "yesterday", "1-1-1"]))
+    elif fault == "codes":
+        row[3] = row[3] + "x"
+    elif fault == "negative":
+        row[2] = repr(-data.draw(st.floats(min_value=5e-324, allow_infinity=False)))
+    elif fault == "duplicate":
+        return rows[:k + 1] + [row] + rows[k + 1:]
+    elif fault == "missing":
+        firm = [i for i, r in enumerate(rows) if r[0] == row[0]]
+        if len(firm) < 3:
+            return None
+        return [r for i, r in enumerate(rows) if i != firm[1]]
+    if fault == "codes" and sum(r[0] == row[0] for r in rows) < 2:
+        return None
+    return rows[:k] + [row] + rows[k + 1:]
+
+
+@SETTINGS
+@given(recs=records(), fault=st.sampled_from(FAULTS), data=st.data())
+def test_rejections_match_oracle(recs, fault, data):
+    rows = [[rec.firm_id, str(day), kwh_text(float(v), "repr"), rec.sector_code,
+             rec.district_code]
+            for rec in sorted(recs, key=lambda r: r.firm_id)
+            for day, v in zip(rec.series.dates, rec.series.values)]
+    rows = inject(fault, rows, data)
+    if rows is None:
+        return
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d, "panel.csv")
+        write_rows(path, rows)
+        got, want = outcome(panelio.read_panel, path), outcome(oracle.read_panel, path)
+        assert got == want
+        assert got[0] == "ValueError", fault
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n", "firm,day\n"])
+def test_empty_and_foreign_files_match_oracle(tmp_path, text):
+    path = tmp_path / "panel.csv"
+    path.write_text(text, encoding="utf-8")
+    assert outcome(panelio.read_panel, path) == outcome(oracle.read_panel, path)
+    assert outcome(panelio.read_panel, tmp_path / "nope.csv") == \
+        outcome(oracle.read_panel, tmp_path / "nope.csv")
+
+
+@st.composite
+def firmday_tables(draw):
+    n = draw(st.integers(0, 25))
+    # a blank (NaN) field fails both readers, so most tables have none
+    value = ANY_FLOAT if draw(st.integers(0, 3)) == 0 else ANY_FLOAT.filter(lambda x: x == x)
+    column = st.lists(value, min_size=n, max_size=n)
+    return FirmDayTable(
+        firm_id=np.array(draw(st.lists(NAME, min_size=n, max_size=n)), dtype=object),
+        offset=np.array(draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n)),
+                        dtype=int),
+        **{name: np.array(draw(column), dtype=float)
+           for name in ("y", "mu_p", "mu_r", "ele_test", "ele_ref")},
+    )
+
+
+@SETTINGS
+@given(table=firmday_tables())
+def test_firmdays_match_oracle(table):
+    with tempfile.TemporaryDirectory() as d:
+        got, want = Path(d, "got.csv"), Path(d, "want.csv")
+        panelio.write_firmdays(got, table, COMMENTS)
+        oracle.write_firmdays(want, table, COMMENTS)
+        assert got.read_bytes() == want.read_bytes()
+        back, ref = outcome(panelio.read_firmdays, got), outcome(oracle.read_firmdays, got)
+        if back[0] != "ok":  # a NaN, written blank, is no valid firm-day value
+            assert back == ref
+            return
+        back, ref = back[1], ref[1]
+        assert back.firm_id.tolist() == ref.firm_id.tolist() == table.firm_id.tolist()
+        for name in ("offset", "y", "mu_p", "mu_r", "ele_test", "ele_ref"):
+            assert bits(getattr(back, name)) == bits(getattr(ref, name)), name
+        assert back.firm_id.dtype == ref.firm_id.dtype
+
+
+@st.composite
+def ecu_series(draw):
+    n = draw(st.integers(1, 8))
+    unit = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0, np.nan]),
+                     st.floats(0.0, 1.0))
+    return EcuSeries(draw(NAME), draw(NAME), np.arange(n) + draw(st.integers(-400, 400)),
+                     draw(st.lists(unit, min_size=n, max_size=n)),
+                     draw(st.lists(ANY_FLOAT, min_size=n, max_size=n)),
+                     draw(st.lists(st.integers(0, 10**9), min_size=n, max_size=n)))
+
+
+BASES = st.sampled_from(["2020-01-24", "1970-01-01", "2000-02-29", "1899-12-31"])
+
+
+@SETTINGS
+@given(series=st.lists(ecu_series(), max_size=4), base=BASES)
+def test_write_ecu_matches_oracle(series, base):
+    with tempfile.TemporaryDirectory() as d:
+        got, want = Path(d, "got.csv"), Path(d, "want.csv")
+        panelio.write_ecu(got, series, base, COMMENTS)
+        oracle.write_ecu(want, series, base, COMMENTS)
+        assert got.read_bytes() == want.read_bytes()
+
+
+@SETTINGS
+@given(data=st.data(), base=BASES)
+def test_write_srpi_matches_oracle(data, base):
+    n = data.draw(st.integers(0, 12))
+    column = st.lists(ANY_FLOAT, min_size=n, max_size=n)
+    series = SrpiSeries(np.arange(n) - data.draw(st.integers(0, 200)),
+                        data.draw(column), data.draw(column))
+    with tempfile.TemporaryDirectory() as d:
+        got, want = Path(d, "got.csv"), Path(d, "want.csv")
+        panelio.write_srpi(got, series, base, COMMENTS)
+        oracle.write_srpi(want, series, base, COMMENTS)
+        assert got.read_bytes() == want.read_bytes()
