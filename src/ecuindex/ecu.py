@@ -53,7 +53,7 @@ class FirmDayPanel:
         if n:
             if not np.isfinite(self.ele).all() or self.ele.min() < 0.0:
                 raise ValueError("ele must be finite and >= 0")
-            if self.mu_r.min() < 0.0 or self.mu_r.max() > 1.0:
+            if not (self.mu_r.min() >= 0.0 and self.mu_r.max() <= 1.0):  # NaN fails too
                 raise ValueError("mu_r must lie in [0, 1]")
 
     def __len__(self) -> int:

@@ -46,9 +46,9 @@ class RegimeParams:
 
 
 def _check_simplex(vec: np.ndarray, what: str) -> None:
-    if np.any(vec < 0.0) or np.any(vec > 1.0):
+    if not (np.all(vec >= 0.0) and np.all(vec <= 1.0)):  # so that a NaN fails
         raise ValueError(f"{what} entries must lie in [0, 1], got {vec}")
-    if abs(float(vec.sum()) - 1.0) > _SIMPLEX_TOL:
+    if not abs(float(vec.sum()) - 1.0) <= _SIMPLEX_TOL:
         raise ValueError(f"{what} must sum to 1 within {_SIMPLEX_TOL}, got {vec}")
 
 
@@ -89,20 +89,17 @@ class RegimeModel:
 
 @dataclass(frozen=True)
 class FilterOutput:
-    """Forward-filter result: per-step filtered and predicted pairs plus the log-likelihood."""
+    """Forward-filter result: per-step filtered pairs plus the log-likelihood."""
 
     filtered: np.ndarray
-    predicted: np.ndarray
     loglik: float
 
     def __post_init__(self):
         object.__setattr__(self, "filtered", np.asarray(self.filtered, dtype=float))
-        object.__setattr__(self, "predicted", np.asarray(self.predicted, dtype=float))
         if not np.isfinite(self.loglik):
             raise ValueError("log-likelihood must be finite")
-        for name, arr in (("filtered", self.filtered), ("predicted", self.predicted)):
-            if np.abs(arr.sum(axis=1) - 1.0).max() > _SIMPLEX_TOL:
-                raise ValueError(f"{name} probability pairs must sum to 1 within {_SIMPLEX_TOL}")
+        if not np.abs(self.filtered.sum(axis=1) - 1.0).max() <= _SIMPLEX_TOL:  # NaN fails
+            raise ValueError(f"filtered probability pairs must sum to 1 within {_SIMPLEX_TOL}")
 
     @property
     def mu_p(self) -> np.ndarray:
@@ -115,16 +112,14 @@ class FilterOutput:
 
 @dataclass(frozen=True)
 class FitReport:
-    """EM fit outcome: labeled model, iteration trace and quality flags."""
+    """EM fit outcome: labeled model, its forward filter, iteration trace and quality flags."""
 
     model: RegimeModel
+    filter: FilterOutput
     iterations: int
     loglik_trace: np.ndarray
     converged: bool
     degenerate: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "loglik_trace", np.asarray(self.loglik_trace, dtype=float))
 
 
 def _as_observations(y) -> np.ndarray:
@@ -138,12 +133,6 @@ def emission_logdensity(y_t, t, params: RegimeParams):
     """Log Gaussian density of ``y_t`` around the regime trend at position ``t`` (1-based)."""
     resid = (np.asarray(y_t, dtype=float) - params.mean(t)) / params.sigma
     return -np.log(params.sigma) - _HALF_LOG_2PI - 0.5 * resid * resid
-
-
-def propagate(prob_pair, q) -> np.ndarray:
-    """One-step propagation of probability pair(s) through q, rounded as ``_forward`` does."""
-    p, q = np.asarray(prob_pair, dtype=float), np.asarray(q, dtype=float)
-    return p[..., :1] * q[0] + p[..., 1:] * q[1]
 
 
 def _forward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0: np.ndarray, offsets=None):
@@ -181,16 +170,14 @@ def _forward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0: np.ndarr
 def forward_filter(y, model: RegimeModel) -> FilterOutput:
     """Causal forward recursion: filtered regime probabilities and the log-likelihood.
 
-    ``filtered[t]`` conditions on observations up to and including step t;
-    ``predicted[t]`` is the prior pair before seeing step t (``predicted[0]``
-    is pi0).  The log-likelihood accumulates the per-step normalizers.
+    ``filtered[t]`` conditions on observations up to and including step t.
+    The log-likelihood accumulates the per-step normalizers.
     """
-    offsets = getattr(y, "offsets", None)
     yv = _as_observations(y)
     t = np.arange(1, len(yv) + 1, dtype=float)
-    _, filtered, _, loglik = _forward(yv, t, model.q, model.params, model.pi0, offsets)
-    predicted = np.vstack([model.pi0, propagate(filtered[:-1], model.q)])
-    return FilterOutput(filtered, predicted, loglik)
+    _, filtered, _, loglik = _forward(yv, t, model.q, model.params, model.pi0,
+                                      getattr(y, "offsets", None))
+    return FilterOutput(filtered, loglik)
 
 
 def _backward(b: np.ndarray, c: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -208,25 +195,27 @@ def _backward(b: np.ndarray, c: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.array([r0s, r1s]).T[::-1]
 
 
-def _forward_backward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0: np.ndarray):
+def _forward_backward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0: np.ndarray,
+                      offsets=None):
     """Scaled forward-backward pass.
 
-    Returns (loglik, gamma, xi_sum): smoothed per-step posteriors and the
-    summed pairwise transition posteriors.  A posterior row whose sum is not
-    positive and finite raises FilterDegeneracyError naming its 1-based step.
+    Returns (loglik, filtered, gamma, xi_sum): filtered pairs, smoothed
+    posteriors and summed pairwise transition posteriors.  A posterior row
+    that cannot be normalized raises FilterDegeneracyError named as in ``_forward``.
     """
-    b, alpha_hat, c, loglik = _forward(yv, t, q, params, pi0)
+    b, alpha_hat, c, loglik = _forward(yv, t, q, params, pi0, offsets)
     beta_hat = _backward(b, c, q)
 
     gamma = alpha_hat * beta_hat
     total = gamma.sum(axis=1, keepdims=True)
     bad = np.flatnonzero(~((total > 0.0) & (total < np.inf)))
     if len(bad):
-        raise FilterDegeneracyError(f"filter degeneracy at offset {bad[0] + 1}")
+        where = offsets[bad[0]] if offsets is not None else bad[0] + 1
+        raise FilterDegeneracyError(f"filter degeneracy at offset {where}")
     gamma /= total
 
     inner = (b[1:] * beta_hat[1:]) / c[1:, None]
-    return loglik, gamma, np.einsum("ti,ij,tj->ij", alpha_hat[:-1], q, inner)
+    return loglik, alpha_hat, gamma, np.einsum("ti,ij,tj->ij", alpha_hat[:-1], q, inner)
 
 
 def _weighted_line(t: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -281,6 +270,12 @@ def label_regimes(model: RegimeModel) -> tuple[RegimeModel, bool]:
     ties break toward the larger sigma.  If both tie the regimes are
     indistinguishable: the order is kept and the degenerate flag raised.
     """
+    relabeled, _, degenerate = _label(model)
+    return relabeled, degenerate
+
+
+def _label(model: RegimeModel) -> tuple[RegimeModel, np.ndarray, bool]:
+    """``label_regimes`` plus the order it applied: new state k is old state ``order[k]``."""
     b = [p.beta for p in model.params]
     s = [p.sigma for p in model.params]
     degenerate = False
@@ -291,14 +286,10 @@ def label_regimes(model: RegimeModel) -> tuple[RegimeModel, bool]:
     else:
         rec = RECESSIONARY
         degenerate = True
-    pros = 1 - rec
-    order = np.array([pros, rec])
-    relabeled = RegimeModel(
-        model.q[np.ix_(order, order)],
-        (model.params[pros], model.params[rec]),
-        model.pi0[order],
-    )
-    return relabeled, degenerate
+    order = np.array([1 - rec, rec])
+    relabeled = RegimeModel(model.q[np.ix_(order, order)], tuple(model.params[i] for i in order),
+                            model.pi0[order])
+    return relabeled, order, degenerate
 
 
 def em_fit(y, init: RegimeModel, tol: float = 1e-6, max_iter: int = 500) -> FitReport:
@@ -307,10 +298,12 @@ def em_fit(y, init: RegimeModel, tol: float = 1e-6, max_iter: int = 500) -> FitR
     Stops when the absolute log-likelihood change drops below ``tol``.
     The returned model is labeled; the trace ends with the log-likelihood
     of the returned model, and ``iterations`` counts M-step updates.
+    ``filter`` is the last E-step's forward pass in label order: ``forward_filter(y, model)``.
     Sigma collapse is floored (see ``sigma_floor``) and, like regime
     indistinguishability, reported through the degenerate flag.  M-steps
     validate each new sigma; q and pi0 are validated once, at the end.
     """
+    offsets = getattr(y, "offsets", None)
     yv = _as_observations(y)
     t = np.arange(1, len(yv) + 1, dtype=float)
     floor = sigma_floor(yv)
@@ -319,7 +312,7 @@ def em_fit(y, init: RegimeModel, tol: float = 1e-6, max_iter: int = 500) -> FitR
     trace: list[float] = []
     updates = 0
     while True:
-        loglik, gamma, xi_sum = _forward_backward(yv, t, q, params, pi0)
+        loglik, filtered, gamma, xi_sum = _forward_backward(yv, t, q, params, pi0, offsets)
         if not math.isfinite(loglik):
             raise RuntimeError("non-finite log-likelihood during EM")
         trace.append(loglik)
@@ -330,10 +323,11 @@ def em_fit(y, init: RegimeModel, tol: float = 1e-6, max_iter: int = 500) -> FitR
         q, params, pi0 = _m_step(yv, t, gamma, xi_sum, q, params, floor)
         updates += 1
 
-    labeled, indistinct = label_regimes(RegimeModel(q, params, pi0))
+    labeled, order, indistinct = _label(RegimeModel(q, params, pi0))
     floored = any(p.sigma <= floor * (1.0 + 1e-12) for p in labeled.params)
     return FitReport(
         model=labeled,
+        filter=FilterOutput(filtered[:, order], loglik),
         iterations=updates,
         loglik_trace=np.asarray(trace),
         converged=converged,

@@ -249,10 +249,16 @@ def read_models(path) -> dict[str, ModelRow]:
 
 
 def write_firmdays(path, table: FirmDayTable, comments=()) -> None:
-    """Rows in table order; the pipeline builds the table sorted by (firm_id, offset)."""
+    """Rows in table order; the pipeline builds the table sorted by (firm_id, offset).
+
+    A NaN, written blank, would not read back: it raises ``read_firmdays``'s error instead.
+    """
+    values = {name: _fmt_column(getattr(table, name)) for name in FIRMDAYS_HEADER[2:]}
+    for name, column in values.items():
+        if "" in column:
+            raise _unreadable(path, values, {name: float})
     _write_csv(path, FIRMDAYS_HEADER, zip(
-        table.firm_id.tolist(), table.offset.tolist(),
-        *(_fmt_column(getattr(table, name)) for name in FIRMDAYS_HEADER[2:])), comments)
+        table.firm_id.tolist(), table.offset.tolist(), *values.values()), comments)
 
 
 def read_firmdays(path) -> FirmDayTable:

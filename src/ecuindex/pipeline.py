@@ -1,10 +1,10 @@
 """Per-firm orchestration: raw series in, fitted model and index inputs out.
 
-Chains the preprocessing, fits the regime model, runs the causal filter,
-and carries along the cleaned consumption that the index stage needs for
-weighting.  The panel-level driver fans firms out across processes; every
-firm's computation depends only on its own record and the run settings, so
-worker count cannot change any result.
+Chains the preprocessing and the EM fit, whose last forward pass is the
+firm's causal filter, and carries along the cleaned consumption that the
+index stage needs for weighting.  The panel-level driver fans firms out
+across processes; every firm's computation depends only on its own record
+and the run settings, so worker count cannot change any result.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import RunConfig
 from .ecu import FirmDayPanel, fsum_by_key
-from .hmm import FilterOutput, FitReport, em_fit, forward_filter, init_params, random_init
+from .hmm import FilterOutput, FitReport, em_fit, init_params, random_init
 from .panelio import FirmDayTable, FirmRecord, ModelRow, read_firmdays, read_models
 from .preprocess import (
     AlignedPair,
@@ -41,7 +41,7 @@ class FirmFitResult:
     district_code: str
     deviation: DeviationSeries
     report: FitReport
-    filtered: FilterOutput
+    filtered: FilterOutput  # report.filter: the causal filter under the fitted model
     ele_test: np.ndarray  # cleaned kWh over the test window, the ECU weights
     ele_ref: np.ndarray   # cleaned kWh over the reference window, for the sRPI baseline
 
@@ -104,14 +104,13 @@ def fit_firm(record: FirmRecord, cfg: RunConfig) -> FirmFitResult:
     report = fit_deviation(dev, cfg)
     if not report.degenerate and _economically_flat(dev, raw_pair):
         report = replace(report, degenerate=True)
-    filtered = forward_filter(dev, report.model)
     return FirmFitResult(
         firm_id=record.firm_id,
         sector_code=record.sector_code,
         district_code=record.district_code,
         deviation=dev,
         report=report,
-        filtered=filtered,
+        filtered=report.filter,
         ele_test=raw_pair.test,
         ele_ref=raw_pair.reference,
     )

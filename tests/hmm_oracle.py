@@ -2,8 +2,11 @@
 
 ``forward_filter``, ``_forward_backward``, ``_m_step`` and ``em_fit`` are
 the package's implementation from before the recursions moved to Python
-floats, copied without change: every step goes through small numpy
-calls and each EM iteration builds a validated ``RegimeModel``.  Tests
+floats: every step goes through small numpy calls and each EM iteration
+builds a validated ``RegimeModel``.  Two changes follow the package's
+API: ``forward_filter`` no longer keeps the predicted pairs, and
+``em_fit`` fills ``FitReport.filter`` with a second pass, ``forward_filter``
+on the labeled model, as the pipeline once did for every firm.  Tests
 compare the package against them within stated tolerances.
 """
 
@@ -37,9 +40,8 @@ def _shifted_emissions(logb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def forward_filter(y, model: RegimeModel) -> FilterOutput:
     """Causal forward recursion: filtered regime probabilities and the log-likelihood.
 
-    ``filtered[t]`` conditions on observations up to and including step t;
-    ``predicted[t]`` is the prior pair before seeing step t (``predicted[0]``
-    is pi0).  The log-likelihood accumulates the per-step normalizers.
+    ``filtered[t]`` conditions on observations up to and including step t.
+    The log-likelihood accumulates the per-step normalizers.
     """
     offsets = getattr(y, "offsets", None)
     yv = _as_observations(y)
@@ -47,11 +49,9 @@ def forward_filter(y, model: RegimeModel) -> FilterOutput:
     b, shift = _shifted_emissions(_emission_logmatrix(yv, model))
 
     filtered = np.empty((T, 2))
-    predicted = np.empty((T, 2))
     pred = model.pi0.astype(float)
     loglik = 0.0
     for t in range(T):
-        predicted[t] = pred
         joint = pred * b[t]
         c = joint.sum()
         if not (np.isfinite(c) and c > 0.0):
@@ -60,7 +60,7 @@ def forward_filter(y, model: RegimeModel) -> FilterOutput:
         filtered[t] = joint / c
         loglik += np.log(c) + shift[t]
         pred = filtered[t] @ model.q
-    return FilterOutput(filtered, predicted, float(loglik))
+    return FilterOutput(filtered, float(loglik))
 
 
 def _forward_backward(yv: np.ndarray, model: RegimeModel):
@@ -166,6 +166,7 @@ def em_fit(y, init: RegimeModel, tol: float = 1e-6, max_iter: int = 500) -> FitR
     floored = any(p.sigma <= floor * (1.0 + 1e-12) for p in labeled.params)
     return FitReport(
         model=labeled,
+        filter=forward_filter(y, labeled),
         iterations=updates,
         loglik_trace=np.asarray(trace),
         converged=converged,

@@ -95,6 +95,11 @@ def test_firmday_rejects_bad_probability():
         panel_of([fd("a", 0, 1.0, 1.5)])
 
 
+def test_firmday_rejects_nan_probability():
+    with pytest.raises(ValueError, match="mu_r"):
+        panel_of([fd("a", 0, 1.0, math.nan), fd("a", 1, 1.0, 0.5)])
+
+
 def test_firmday_rejects_negative_weight():
     with pytest.raises(ValueError, match="ele"):
         panel_of([fd("a", 0, -1.0, 0.5)])

@@ -17,7 +17,6 @@ from ecuindex.hmm import (
     forward_filter,
     init_params,
     label_regimes,
-    propagate,
     random_init,
     sample_path,
 )
@@ -70,7 +69,7 @@ def random_model(rng):
 
 
 # ---------------------------------------------------------------------------
-# emission density and propagation
+# emission density
 # ---------------------------------------------------------------------------
 
 
@@ -97,21 +96,6 @@ def test_logdensity_vectorizes():
     got = emission_logdensity(y, t, params)
     want = [emission_logdensity(float(yi), float(ti), params) for yi, ti in zip(y, t)]
     np.testing.assert_allclose(got, want, rtol=0, atol=0)
-
-
-def test_propagate_worked_example():
-    q = np.array([[0.9, 0.1], [0.3, 0.7]])
-    np.testing.assert_array_equal(propagate((1.0, 0.0), q), [0.9, 0.1])
-
-
-def test_propagate_keeps_simplex():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        m = random_model(rng)
-        p = rng.dirichlet([1.0, 1.0])
-        out = propagate(p, m.q)
-        assert out.min() >= 0.0
-        assert abs(out.sum() - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +125,20 @@ def test_pi0_entries_must_be_probabilities():
 
 def test_filter_output_checks_pair_sums():
     with pytest.raises(ValueError, match="sum to 1"):
-        FilterOutput(np.array([[0.6, 0.6]]), np.array([[0.5, 0.5]]), -1.0)
+        FilterOutput(np.array([[0.6, 0.6]]), -1.0)
+
+
+def test_filter_output_rejects_nan_pairs():
+    with pytest.raises(ValueError, match="sum to 1"):
+        FilterOutput(np.array([[0.5, 0.5], [np.nan, np.nan]]), -1.0)
+
+
+def test_model_rejects_nan_probabilities():
+    params = (RegimeParams(0, 1, 1), RegimeParams(0, -1, 1))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        RegimeModel(np.array([[np.nan, np.nan], [0.3, 0.7]]), params, np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        RegimeModel(np.array([[0.9, 0.1], [0.3, 0.7]]), params, np.array([np.nan, 0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +157,6 @@ def test_filter_single_observation_closed_form():
     d_r = 0.6 * gauss_pdf(0.5, -1.0, 2.0)
     out = forward_filter(y, m)
     np.testing.assert_allclose(out.filtered[0], [d_p / (d_p + d_r), d_r / (d_p + d_r)], atol=1e-15)
-    np.testing.assert_array_equal(out.predicted[0], m.pi0)
     assert out.loglik == pytest.approx(np.log(d_p + d_r), abs=1e-12)
 
 
@@ -175,16 +171,6 @@ def test_filter_matches_path_enumeration():
         w, _ = enum_path_weights(y, m)
         assert out.loglik == pytest.approx(np.log(w.sum()), abs=1e-9)
         np.testing.assert_allclose(out.filtered, enum_filtered(y, m), atol=1e-9)
-
-
-def test_filter_predicted_chains_through_q():
-    rng = np.random.default_rng(33)
-    m = random_model(rng)
-    y = rng.normal(0.0, 2.0, size=40)
-    out = forward_filter(y, m)
-    np.testing.assert_array_equal(out.predicted[0], m.pi0)
-    for t in range(len(y) - 1):
-        np.testing.assert_allclose(out.predicted[t + 1], out.filtered[t] @ m.q, atol=1e-12)
 
 
 def test_filter_shift_invariance():

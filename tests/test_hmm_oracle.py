@@ -7,9 +7,10 @@ arithmetic.  Where the oracle's smoothed posteriors hold a 0/0 NaN, the
 package raises ``FilterDegeneracyError`` at that step instead.
 Tolerances, fixed before comparing: log-likelihood and
 posteriors within 1e-12 relative, summed transition posteriors within
-1e-12 absolute, and after a full EM fit, parameters and the final
-log-likelihood within 1e-9 relative with identical iteration counts and
-flags.
+1e-12 absolute, and after a full EM fit, parameters, filtered pairs and
+the final log-likelihood within 1e-9 relative with identical iteration
+counts and flags.  EM's filter, taken from its last E-step, must be
+bit-identical to ``forward_filter`` run again on the returned model.
 """
 
 import numpy as np
@@ -121,18 +122,30 @@ def test_recursions_match_numpy_oracle(case):
     # a log-likelihood near zero is a difference of large terms: 1e-12 of 1 there
     assert abs(filt.loglik - want_filt.loglik) <= 1e-12 * max(1.0, abs(want_filt.loglik))
     assert_rel(filt.filtered, want_filt.filtered, 1e-12)
-    assert_rel(filt.predicted, want_filt.predicted, 1e-12)
-    for pairs in (filt.filtered, filt.predicted):
-        assert np.abs(pairs.sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.abs(filt.filtered.sum(axis=1) - 1.0).max() <= 1e-12
 
     if em_err is not None:
         return
-    loglik, gamma, xi_sum = em
+    loglik, filtered, gamma, xi_sum = em
     want_loglik, want_gamma, want_xi = want_em
     assert loglik == filt.loglik
+    np.testing.assert_array_equal(filtered, filt.filtered)
     assert abs(loglik - want_loglik) <= 1e-12 * max(1.0, abs(want_loglik))
     assert_rel(gamma, want_gamma, 1e-12)
     np.testing.assert_allclose(xi_sum, want_xi, rtol=0, atol=1e-12)
+
+    # the cap keeps hard cases short; capped fits take the same final E-step path
+    try:
+        report = em_fit(y, model, max_iter=50)
+    except (ValueError, RuntimeError):  # a failed fit is skipped, as the pipeline does
+        return
+    again = forward_filter(y, report.model)
+    np.testing.assert_array_equal(report.filter.filtered, again.filtered)
+    assert report.filter.loglik == again.loglik == report.loglik_trace[-1]
+    # the oracle's second pass on the returned model, as the pipeline once ran it
+    two_pass = oracle.forward_filter(y, report.model)
+    assert_rel(report.filter.filtered, two_pass.filtered, 1e-12)
+    assert abs(report.filter.loglik - two_pass.loglik) <= 1e-12 * max(1.0, abs(two_pass.loglik))
 
 
 def test_degeneracy_offset_matches_oracle():
@@ -143,9 +156,14 @@ def test_degeneracy_offset_matches_oracle():
     for fn in (forward_filter, oracle.forward_filter):
         with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 1$"):
             fn(dev, model)
+    with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 1$"):
+        em_fit(dev, model)
+    # plain arrays carry no offsets: errors name the 1-based step
     t = np.arange(1.0, 5.0)
     with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 3$"):
         _forward_backward(dev.y, t, model.q, model.params, model.pi0)
+    with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 3$"):
+        em_fit(dev.y, model)
     with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 3$"):
         oracle._forward_backward(dev.y, model)
 
@@ -169,6 +187,8 @@ def test_posterior_degeneracy_is_raised_where_oracle_has_nan():
             _forward_backward(y, t, model.q, model.params, model.pi0)
         with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 1$"):
             em_fit(y, model)
+        with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset -95$"):
+            em_fit(DeviationSeries("F", np.arange(-95, 96), y), model)
 
 
 def test_em_matches_oracle_on_recovery_fixtures():
@@ -183,6 +203,8 @@ def test_em_matches_oracle_on_recovery_fixtures():
         assert_rel(got.model.q, want.model.q, 1e-9)
         assert_rel(got.model.pi0, want.model.pi0, 1e-9)
         assert_rel(got.loglik_trace[-1], want.loglik_trace[-1], 1e-9)
+        assert_rel(got.filter.filtered, want.filter.filtered, 1e-9)
+        assert_rel(got.filter.loglik, want.filter.loglik, 1e-9)
 
 
 @pytest.mark.parametrize("max_iter", [0, 1, 8, 9])
@@ -195,3 +217,4 @@ def test_em_iteration_cap_matches_oracle(max_iter):
         assert (got.iterations, got.converged, len(got.loglik_trace)) == \
             (want.iterations, want.converged, len(want.loglik_trace))
         assert_rel(got.loglik_trace, want.loglik_trace, 1e-9)
+        assert_rel(got.filter.filtered, want.filter.filtered, 1e-9)

@@ -172,6 +172,18 @@ def test_weights_roundtrip_sorted(tmp_path):
                                                                            ("301", "D01")]
 
 
+def test_firmdays_writer_refuses_nan(tmp_path):
+    """A NaN would be written blank; the writer raises the error the reader would raise on it."""
+    table = sample_firmdays()
+    table.mu_r[1] = np.nan
+    table.mu_r[4] = np.nan
+    table.ele_ref[0] = np.nan
+    path = tmp_path / "firmdays.csv"
+    with pytest.raises(ValueError, match=r"firmdays.csv data row 2, column mu_r: cannot read ''"):
+        write_firmdays(path, table)
+    assert not path.exists()
+
+
 def test_firmdays_short_row_rejected(tmp_path):
     path = tmp_path / "firmdays.csv"
     path.write_text(",".join(FIRMDAYS_HEADER) + "\nA,0,0.5,0.5,0.5,1.0\n")

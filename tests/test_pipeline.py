@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ecuindex import pipeline
+from ecuindex import hmm, pipeline
 from ecuindex.cli import main
 from ecuindex.config import RunConfig, build_run_config
 from ecuindex.hmm import FilterDegeneracyError
@@ -76,6 +76,21 @@ def test_fit_firm_outputs(records, run_cfg):
     sums = res.filtered.filtered.sum(axis=1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-12)
     assert len(res.ele_test) == len(res.deviation.offsets)
+
+
+def test_fit_panel_runs_one_forward_pass_per_e_step(records, run_cfg, monkeypatch):
+    """The filtered pairs come from EM's last E-step: no extra forward pass per firm."""
+    calls = []
+    forward = hmm._forward
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(hmm, "_forward", counted)
+    results, skipped = fit_panel(records, run_cfg)
+    assert skipped == []
+    assert len(calls) == sum(len(r.report.loglik_trace) for r in results)
 
 
 def test_fit_panel_sorted_and_complete(records, run_cfg):
