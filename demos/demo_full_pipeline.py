@@ -12,7 +12,6 @@ import numpy as np
 
 from ecuindex import PanelConfig, ecu_grouped, generate, srpi
 from ecuindex.config import build_run_config
-from ecuindex.panelio import FirmRecord
 from ecuindex.pipeline import (
     build_firmday_panel,
     fit_panel,
@@ -32,15 +31,10 @@ cfg = PanelConfig(
         list(DEFAULT_SECTOR_MIX), {1: 0.25, 2: 0.40, 3: 0.65}),
 )
 panel = generate(cfg)
-records = [
-    FirmRecord(fid, panel.truth[fid].sector_code, panel.truth[fid].district_code,
-               panel.series[fid])
-    for fid in panel.firm_ids
-]
 
 run_cfg = build_run_config({})
 t0 = time.perf_counter()
-results, skipped = fit_panel(records, run_cfg)
+results, skipped = fit_panel(panel.records, run_cfg)
 print(f"fitted {len(results)} firms in {time.perf_counter() - t0:.1f}s, "
       f"skipped {len(skipped)}")
 n_deg = sum(r.report.degenerate for r in results)

@@ -28,8 +28,8 @@ cfg = PanelConfig(
     shock_start=10,
 )
 panel = generate(cfg)
-firm_id = panel.firm_ids[0]
-raw = panel.series[firm_id]
+firm_id = panel.records[0].firm_id
+raw = panel.records[0].series
 
 n_missing = int(np.isnan(raw.values).sum())
 print(f"firm {firm_id}: {len(raw)} days of readings, {n_missing} missing")
@@ -52,8 +52,7 @@ print(f"  smoothing shrinks the first-month spread "
 
 # step 4: cut the two 191-day windows, each centered on its New Year's Eve
 # base point, and subtract reference from test
-pair = align(smoothed, smoothed,
-             np.datetime64(cfg.ref_base), np.datetime64(cfg.test_base),
+pair = align(smoothed, np.datetime64(cfg.ref_base), np.datetime64(cfg.test_base),
              span=cfg.span)
 dev = deviation(pair)
 print(f"  deviation series: offsets {dev.offsets[0]}..{dev.offsets[-1]}")

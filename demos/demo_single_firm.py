@@ -16,22 +16,20 @@ from ecuindex import (
     init_params,
 )
 from ecuindex.config import build_run_config
-from ecuindex.panelio import FirmRecord
 from ecuindex.pipeline import preprocess_firm
 
 cfg = PanelConfig(n_firms=1, seed=3, noise_frac=0.05,
                   shock_start=10, shock_half_life=12.0)
 panel = generate(cfg)
-firm_id = panel.firm_ids[0]
+record = panel.records[0]
+firm_id = record.firm_id
 truth = panel.truth[firm_id]
-record = FirmRecord(firm_id, truth.sector_code, truth.district_code,
-                    panel.series[firm_id])
 
 dev, _ = preprocess_firm(record, build_run_config({}))
 
 report = em_fit(dev, init_params(dev))
 model = report.model
-print(f"firm {firm_id} (sector {truth.sector_code}), "
+print(f"firm {firm_id} (sector {record.sector_code}), "
       f"shock depth {truth.shock_depth:.2f} at offset {truth.shock_start}")
 print(f"EM converged after {report.iterations} iterations, "
       f"loglik {report.loglik_trace[-1]:.1f}")

@@ -31,6 +31,7 @@ from .preprocess import (
     AlignedPair,
     CleanSeries,
     DeviationSeries,
+    FirmRecord,
     RawSeries,
     align,
     detect_outliers,
@@ -50,6 +51,7 @@ __all__ = [
     "FilterDegeneracyError",
     "FilterOutput",
     "FirmDayPanel",
+    "FirmRecord",
     "FitReport",
     "PROSPEROUS",
     "PanelConfig",

@@ -18,7 +18,6 @@ import numpy as np
 from .config import ConfigError, build_panel_config, build_run_config, load_config
 from .ecu import ecu_grouped, srpi
 from .panelio import (
-    FirmRecord,
     read_panel,
     seed_comment,
     write_ecu,
@@ -62,14 +61,9 @@ def cmd_simulate(args) -> int:
     out = _out_dir(raw)
 
     panel = generate(cfg)
-    records = [
-        FirmRecord(fid, panel.truth[fid].sector_code, panel.truth[fid].district_code,
-                   panel.series[fid])
-        for fid in panel.firm_ids
-    ]
     out.mkdir(parents=True, exist_ok=True)
     path = out / "panel.csv"
-    write_panel(path, records, comments=[seed_comment(cfg.seed)])
+    write_panel(path, panel.records, comments=[seed_comment(cfg.seed)])
     first, last = cfg.date_range()
     days = int((last - first) / DAY) + 1
     print(f"wrote {path}: {cfg.n_firms} firms x {days} days")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .ecu import EcuSeries, SrpiSeries
 from .hmm import RegimeModel, RegimeParams
-from .preprocess import RawSeries
+from .preprocess import FirmRecord, RawSeries
 from .simgen import check_date
 
 PANEL_HEADER = ["firm_id", "date", "kwh", "sector_code", "district_code"]
@@ -39,16 +39,6 @@ ECU_HEADER = ["group_type", "group_key", "offset", "date", "ecu", "total_weight"
 SRPI_HEADER = ["offset", "date", "srpi", "delta_srpi"]
 
 DAY = np.timedelta64(1, "D")
-
-
-@dataclass(frozen=True)
-class FirmRecord:
-    """One firm's raw series plus its sector and district assignment."""
-
-    firm_id: str
-    sector_code: str
-    district_code: str
-    series: RawSeries
 
 
 @dataclass(frozen=True)
@@ -149,18 +139,6 @@ def seed_comment(seed) -> str:
     return f"root_seed={seed}"
 
 
-def read_seed_comment(path) -> int | None:
-    """Root seed recorded in a file's comment header, if any."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                return None
-            text = line[1:].strip()
-            if text.startswith("root_seed="):
-                return int(text.split("=", 1)[1])
-    return None
-
-
 # ---------------------------------------------------------------------------
 # panel
 # ---------------------------------------------------------------------------
@@ -203,7 +181,7 @@ def read_panel(path) -> list[FirmRecord]:
     out = []
     for firm_id, lo, hi in zip(firm_ids, bounds, bounds[1:]):
         try:
-            series = RawSeries(firm_id, dates[lo:hi], values[lo:hi])
+            series = RawSeries(dates[lo:hi], values[lo:hi])
         except ValueError as exc:
             raise ValueError(f"{path}: firm {firm_id}: {exc}") from None
         out.append(FirmRecord(firm_id, *codes[firm_id], series))
@@ -231,8 +209,11 @@ def read_models(path) -> dict[str, ModelRow]:
     numbers = zip(*(_parse_column(path, columns, c, float) for c in MODELS_HEADER[3:13]))
     flags = zip(*(_parse_column(path, columns, c, _parse_bool) for c in MODELS_HEADER[13:]))
     out = {}
-    for firm_id, sector, district, nums, (converged, degenerate) in zip(
-            columns["firm_id"], columns["sector_code"], columns["district_code"], numbers, flags):
+    for n, (firm_id, sector, district, nums, (converged, degenerate)) in enumerate(zip(
+            columns["firm_id"], columns["sector_code"], columns["district_code"], numbers,
+            flags), 1):
+        if firm_id in out:
+            raise ValueError(f"{path} data row {n}: firm {firm_id} already has a row")
         a_p, b_p, s_p, a_r, b_r, s_r, q_pp, q_rr, pi0_p, loglik = nums
         model = RegimeModel(
             np.array([[q_pp, 1.0 - q_pp], [1.0 - q_rr, q_rr]]),

@@ -9,7 +9,6 @@ and the run settings, so worker count cannot change any result.
 
 from __future__ import annotations
 
-import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -20,13 +19,15 @@ import numpy as np
 from .config import RunConfig
 from .ecu import FirmDayPanel, fsum_by_key
 from .hmm import FilterOutput, FitReport, em_fit, init_params, random_init
-from .panelio import FirmDayTable, FirmRecord, ModelRow, read_firmdays, read_models
+from .panelio import FirmDayTable, ModelRow, read_firmdays, read_models
 from .preprocess import (
     AlignedPair,
     DeviationSeries,
+    FirmRecord,
     align,
     detect_outliers,
     deviation,
+    firm_rng,
     interpolate,
     smooth,
 )
@@ -41,9 +42,13 @@ class FirmFitResult:
     district_code: str
     deviation: DeviationSeries
     report: FitReport
-    filtered: FilterOutput  # report.filter: the causal filter under the fitted model
     ele_test: np.ndarray  # cleaned kWh over the test window, the ECU weights
     ele_ref: np.ndarray   # cleaned kWh over the reference window, for the sRPI baseline
+
+    @property
+    def filtered(self) -> FilterOutput:
+        """The causal filter under the fitted model: EM's last forward pass."""
+        return self.report.filter
 
 
 def preprocess_firm(record: FirmRecord, cfg: RunConfig) -> tuple[DeviationSeries, AlignedPair]:
@@ -57,28 +62,22 @@ def preprocess_firm(record: FirmRecord, cfg: RunConfig) -> tuple[DeviationSeries
     smoothed = smooth(clean, cfg.smooth_window)
     ref_base = np.datetime64(cfg.ref_base)
     test_base = np.datetime64(cfg.test_base)
-    pair = align(smoothed, smoothed, ref_base, test_base, cfg.span)
-    raw_pair = align(clean, clean, ref_base, test_base, cfg.span)
+    pair = align(smoothed, ref_base, test_base, cfg.span)
+    raw_pair = align(clean, ref_base, test_base, cfg.span)
     return deviation(pair), raw_pair
 
 
-def _fit_rng(seed: int, firm_id: str) -> np.random.Generator:
-    digest = hashlib.sha256(firm_id.encode()).digest()
-    return np.random.default_rng(
-        np.random.SeedSequence([seed, 3, int.from_bytes(digest[:8], "big")])
-    )
-
-
-def fit_deviation(dev: DeviationSeries, cfg: RunConfig) -> FitReport:
+def fit_deviation(dev: DeviationSeries, cfg: RunConfig, firm_id: str) -> FitReport:
     """EM fit from the deterministic init, optionally racing extra random starts.
 
-    With ``multi_start`` > 0 that many seeded random inits are fitted too and
-    the highest final log-likelihood wins; the deterministic init wins ties,
-    so multi_start=0 output is reproduced whenever it is already the best.
+    With ``multi_start`` > 0 that many random inits, drawn from the firm's
+    stream 3, are fitted too and the highest final log-likelihood wins; the
+    deterministic init wins ties, so multi_start=0 output is reproduced
+    whenever it is already the best.
     """
     best = em_fit(dev, init_params(dev), tol=cfg.em_tol, max_iter=cfg.em_max_iter)
     if cfg.multi_start > 0:
-        rng = _fit_rng(cfg.seed, dev.firm_id)
+        rng = firm_rng(cfg.seed, firm_id, 3)
         for _ in range(cfg.multi_start):
             cand = em_fit(dev, random_init(dev, rng), tol=cfg.em_tol, max_iter=cfg.em_max_iter)
             if cand.loglik_trace[-1] > best.loglik_trace[-1]:
@@ -101,7 +100,7 @@ def _economically_flat(dev: DeviationSeries, raw_pair: AlignedPair) -> bool:
 
 def fit_firm(record: FirmRecord, cfg: RunConfig) -> FirmFitResult:
     dev, raw_pair = preprocess_firm(record, cfg)
-    report = fit_deviation(dev, cfg)
+    report = fit_deviation(dev, cfg, record.firm_id)
     if not report.degenerate and _economically_flat(dev, raw_pair):
         report = replace(report, degenerate=True)
     return FirmFitResult(
@@ -110,7 +109,6 @@ def fit_firm(record: FirmRecord, cfg: RunConfig) -> FirmFitResult:
         district_code=record.district_code,
         deviation=dev,
         report=report,
-        filtered=report.filter,
         ele_test=raw_pair.test,
         ele_ref=raw_pair.reference,
     )
@@ -218,7 +216,9 @@ def read_fit_outputs(directory) -> FitOutputs:
     """Load ``models.csv`` and ``firmdays.csv`` as written by the fit command.
 
     The panel and reference totals equal ``build_firmday_panel`` and
-    ``reference_totals`` of the results the files were written from.
+    ``reference_totals`` of the results the files were written from.  A firm
+    repeated in ``models.csv`` or without a row there, and a repeated
+    firm-day, would miscount the indexes and are refused.
     """
     directory = Path(directory)
     for name in ("models.csv", "firmdays.csv"):
@@ -226,9 +226,19 @@ def read_fit_outputs(directory) -> FitOutputs:
             raise FileNotFoundError(f"missing fit output {directory / name}; "
                                     "run the fit command first")
     models = read_models(directory / "models.csv")
-    table = read_firmdays(directory / "firmdays.csv")
-    missing = sorted(set(table.firm_id.tolist()) - models.keys())
+    path = directory / "firmdays.csv"
+    table = read_firmdays(path)
+    codes: dict[str, int] = {}
+    firm = np.array([codes.setdefault(f, len(codes)) for f in table.firm_id.tolist()],
+                    dtype=np.intp)
+    missing = sorted(codes.keys() - models.keys())
     if missing:
         raise ValueError(f"firmdays.csv has rows for firm {missing[0]} "
                          "but models.csv has no row for it")
+    order = np.lexsort((table.offset, firm))  # stable: a repeat sorts after its first row
+    repeats = order[1:][(np.diff(firm[order]) == 0) & (np.diff(table.offset[order]) == 0)]
+    if repeats.size:
+        n = int(repeats.min())
+        raise ValueError(f"{path} data row {n + 1}: firm {table.firm_id[n]} already has "
+                         f"a row for offset {table.offset[n]}")
     return FitOutputs(models, table, _firmday_panel(table, models), _reference_totals(table))

@@ -3,11 +3,13 @@
 Turns a raw kWh series (with missing days and meter glitches) into the
 deviation series consumed by the regime model: outlier rejection,
 gap interpolation, trailing smoothing, base-point alignment of the
-reference and test windows, and reference subtraction.
+reference and test windows, and reference subtraction.  A firm's id and
+group codes live on ``FirmRecord`` alone; the series types carry only data.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +30,6 @@ def _check_daily(dates: np.ndarray) -> None:
 class RawSeries:
     """One firm's daily kWh series; NaN marks a missing day."""
 
-    firm_id: str
     dates: np.ndarray
     values: np.ndarray
 
@@ -47,10 +48,27 @@ class RawSeries:
 
 
 @dataclass(frozen=True)
+class FirmRecord:
+    """One firm's raw series plus its sector and district assignment."""
+
+    firm_id: str
+    sector_code: str
+    district_code: str
+    series: RawSeries
+
+
+def firm_rng(seed: int, firm_id: str, *stream: int) -> np.random.Generator:
+    """One firm's random stream, keyed by the root seed, the stream tags and a hash
+    of the id, so neither firm order nor worker count can change a draw."""
+    digest = hashlib.sha256(firm_id.encode()).digest()
+    return np.random.default_rng(
+        np.random.SeedSequence([seed, *stream, int.from_bytes(digest[:8], "big")]))
+
+
+@dataclass(frozen=True)
 class CleanSeries:
     """A fully populated daily kWh series (post-interpolation)."""
 
-    firm_id: str
     dates: np.ndarray
     values: np.ndarray
 
@@ -73,7 +91,6 @@ class CleanSeries:
 class AlignedPair:
     """Reference and test windows reindexed to offsets around their base points."""
 
-    firm_id: str
     offsets: np.ndarray
     reference: np.ndarray
     test: np.ndarray
@@ -100,7 +117,6 @@ class AlignedPair:
 class DeviationSeries:
     """Smoothed test minus smoothed reference, indexed by offset from the base point."""
 
-    firm_id: str
     offsets: np.ndarray
     y: np.ndarray
 
@@ -197,7 +213,7 @@ def interpolate(series, outlier_mask: np.ndarray | None = None, window: int = 14
         prior = valid_idx[max(0, pos - window):pos]
         source = prior if prior.size else valid_idx[pos:pos + window]
         out[t] = v[source].mean()
-    return CleanSeries(series.firm_id, series.dates, out)
+    return CleanSeries(series.dates, out)
 
 
 def trailing_mean(values, window: int) -> np.ndarray:
@@ -215,7 +231,7 @@ def smooth(series: CleanSeries, window_days: int = 7) -> CleanSeries:
         raise ValueError("cannot smooth an empty series")
     if len(series) < window_days:
         raise ValueError(f"series length {len(series)} is shorter than the {window_days}-day window")
-    return CleanSeries(series.firm_id, series.dates, trailing_mean(series.values, window_days))
+    return CleanSeries(series.dates, trailing_mean(series.values, window_days))
 
 
 def _window_slice(series: CleanSeries, base: np.datetime64, span: int, label: str) -> np.ndarray:
@@ -233,27 +249,21 @@ def _window_slice(series: CleanSeries, base: np.datetime64, span: int, label: st
     return series.values[i - span:i + span + 1]
 
 
-def align(
-    reference: CleanSeries,
-    test: CleanSeries,
-    ref_base: np.datetime64,
-    test_base: np.datetime64,
-    span: int = 95,
-) -> AlignedPair:
-    """Reindex both smoothed series to offsets -span..+span around their base dates.
+def align(series: CleanSeries, ref_base: np.datetime64, test_base: np.datetime64,
+          span: int = 95) -> AlignedPair:
+    """Cut the reference and test windows, offsets -span..+span around their base dates.
 
     Offset 0 is the base point in each calendar, so a movable holiday sits at
-    the same offsets in both windows.  Raises if either series does not cover
-    its full window, naming the missing date range.
+    the same offsets in both windows.  Raises if the series does not cover
+    either window, naming the missing date range.
     """
     if span < 0:
         raise ValueError("span must be >= 0")
-    ref_win = _window_slice(reference, ref_base, span, "reference")
-    test_win = _window_slice(test, test_base, span, "test")
-    offsets = np.arange(-span, span + 1)
-    return AlignedPair(test.firm_id, offsets, ref_win, test_win)
+    ref_win = _window_slice(series, ref_base, span, "reference")
+    test_win = _window_slice(series, test_base, span, "test")
+    return AlignedPair(np.arange(-span, span + 1), ref_win, test_win)
 
 
 def deviation(pair: AlignedPair) -> DeviationSeries:
     """Per-offset difference: test minus reference."""
-    return DeviationSeries(pair.firm_id, pair.offsets, pair.test - pair.reference)
+    return DeviationSeries(pair.offsets, pair.test - pair.reference)

@@ -12,14 +12,12 @@ id, so generation order (or parallel fan-out) cannot change the output.
 
 from __future__ import annotations
 
-import hashlib
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .preprocess import RawSeries
+from .preprocess import FirmRecord, RawSeries, firm_rng
 from .sectors import (
     DEFAULT_DISTRICT_MIX,
     DEFAULT_SECTOR_MIX,
@@ -134,9 +132,6 @@ class PanelConfig:
 class FirmTruth:
     """Ground-truth generation parameters for one firm."""
 
-    firm_id: str
-    sector_code: str
-    district_code: str
     base: float
     shocked: bool
     shock_start: int
@@ -145,15 +140,11 @@ class FirmTruth:
 
 @dataclass(frozen=True)
 class SyntheticPanel:
-    """Generated series plus the ground truth needed for oracle checks."""
+    """Generated records, sorted by firm id, plus the ground truth keyed by firm id."""
 
     config: PanelConfig
-    series: dict[str, RawSeries]
+    records: list[FirmRecord]
     truth: dict[str, FirmTruth]
-
-    @property
-    def firm_ids(self) -> list[str]:
-        return sorted(self.series)
 
 
 def quota_counts(n: int, mix: Mapping[str, float]) -> dict[str, int]:
@@ -175,11 +166,6 @@ def _quota_assign(n: int, mix: Mapping[str, float]) -> list[str]:
     return out
 
 
-def _firm_rng(seed: int, firm_id: str) -> np.random.Generator:
-    digest = hashlib.sha256(firm_id.encode()).digest()
-    return np.random.default_rng(np.random.SeedSequence([seed, int.from_bytes(digest[:8], "big")]))
-
-
 def shock_multiplier(offsets, start: int, duration: int, depth: float,
                      half_life: float) -> np.ndarray:
     """Consumption multiplier: 1 before start, 1-depth through the plateau,
@@ -191,14 +177,6 @@ def shock_multiplier(offsets, start: int, duration: int, depth: float,
     rec = offsets >= start + duration
     mult[rec] = 1.0 - depth * np.exp2(-(offsets[rec] - start - duration) / half_life)
     return mult
-
-
-def recovery_days(depth: float, half_life: float, duration: int = 0,
-                  eps: float = 0.05) -> int:
-    """First day offset from shock start on which the multiplier is back above 1-eps."""
-    if depth <= eps:
-        return 0
-    return duration + math.ceil(half_life * math.log2(depth / eps))
 
 
 def _holiday_mask(days: np.ndarray, holiday: tuple[str, int]) -> np.ndarray:
@@ -233,10 +211,10 @@ def generate(config: PanelConfig) -> SyntheticPanel:
     test_offsets = ((days - np.datetime64(config.test_base)) / DAY).astype(int)
 
     depths = config.depths()
-    series: dict[str, RawSeries] = {}
+    records: list[FirmRecord] = []
     truth: dict[str, FirmTruth] = {}
     for firm_id, sector, district in zip(firm_ids, sectors, districts):
-        rng = _firm_rng(config.seed, firm_id)
+        rng = firm_rng(config.seed, firm_id)
         base = float(rng.uniform(*config.base_range))
         onset = config.shock_start + int(rng.integers(0, config.shock_onset_jitter + 1))
         depth = depths.get(sector, 0.0)
@@ -262,10 +240,10 @@ def generate(config: PanelConfig) -> SyntheticPanel:
 
         values = np.where(rng.random(n_days) < config.missing_rate, np.nan, values)
 
-        series[firm_id] = RawSeries(firm_id, days, values)
-        truth[firm_id] = FirmTruth(firm_id, sector, district, base, shocked, onset, depth)
+        records.append(FirmRecord(firm_id, sector, district, RawSeries(days, values)))
+        truth[firm_id] = FirmTruth(base, shocked, onset, depth)
 
-    return SyntheticPanel(config, series, truth)
+    return SyntheticPanel(config, records, truth)
 
 
 def truth_labels(panel: SyntheticPanel, eps: float = 0.05) -> dict[str, np.ndarray]:

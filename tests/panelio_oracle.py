@@ -24,9 +24,8 @@ from ecuindex.panelio import (
     PANEL_HEADER,
     SRPI_HEADER,
     FirmDayTable,
-    FirmRecord,
 )
-from ecuindex.preprocess import RawSeries
+from ecuindex.preprocess import FirmRecord, RawSeries
 
 
 def _fmt(x) -> str:
@@ -115,7 +114,7 @@ def read_panel(path) -> list[FirmRecord]:
         dates = np.array([d for d, _ in readings], dtype="datetime64[D]")
         values = np.array([v for _, v in readings], dtype=float)
         try:
-            series = RawSeries(firm_id, dates, values)
+            series = RawSeries(dates, values)
         except ValueError as exc:
             raise ValueError(f"{path}: firm {firm_id}: {exc}") from None
         out.append(FirmRecord(firm_id, *meta[firm_id], series))

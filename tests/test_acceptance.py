@@ -27,7 +27,6 @@ from ecuindex.hmm import (
     random_init,
     sample_path,
 )
-from ecuindex.panelio import FirmRecord
 from ecuindex.pipeline import build_firmday_panel, fit_panel
 from ecuindex.sectors import DEFAULT_DISTRICT_MIX, DEFAULT_SECTOR_MIX, sector_level
 from ecuindex.simgen import (
@@ -192,10 +191,7 @@ def test_criterion_5_null_pipeline_is_silent():
         shock_depth={code: 0.0 for code in SECTOR_CODES},
     )
     panel = generate(cfg)
-    records = [FirmRecord(fid, panel.truth[fid].sector_code,
-                          panel.truth[fid].district_code, panel.series[fid])
-               for fid in panel.firm_ids]
-    results, skipped = fit_panel(records, build_run_config({}))
+    results, skipped = fit_panel(panel.records, build_run_config({}))
     worst_dev = max(float(np.abs(r.deviation.y).max()) for r in results)
     all_degenerate = all(r.report.degenerate for r in results)
     fd_panel = build_firmday_panel(results)
@@ -227,10 +223,7 @@ def shape_run():
         shock_depth=default_shock_depths(SECTOR_CODES, {1: 0.25, 2: 0.40, 3: 0.65}),
     )
     panel = generate(cfg)
-    records = [FirmRecord(fid, panel.truth[fid].sector_code,
-                          panel.truth[fid].district_code, panel.series[fid])
-               for fid in panel.firm_ids]
-    results, skipped = fit_panel(records, build_run_config({}),
+    results, skipped = fit_panel(panel.records, build_run_config({}),
                                  workers=min(4, os.cpu_count() or 1))
     agg = ecu_grouped(build_firmday_panel(results), "none")[0]
     return SimpleNamespace(cfg=cfg, panel=panel, results=results, agg=agg,

@@ -232,6 +232,24 @@ def test_firm_without_model_row_is_named(fitted_dir, tmp_path, capsys):
         assert "F00004" in err and "models.csv" in err
 
 
+@pytest.mark.parametrize("name,prefix,message", [
+    ("models.csv", "F00003,", "models.csv data row 11: firm F00003 already has a row"),
+    ("firmdays.csv", "F00003,0,",
+     "firmdays.csv data row 1911: firm F00003 already has a row for offset 0"),
+], ids=["models", "firmdays"])
+def test_repeated_fit_row_is_a_data_error(fitted_dir, tmp_path, capsys, name, prefix, message):
+    """A repeated row would count its firm-day twice in the indexes."""
+    out, cfg = fitted_dir
+    broken = tmp_path / "out"
+    shutil.copytree(out, broken)
+    text = (broken / name).read_text()
+    row = next(ln for ln in text.splitlines(keepends=True) if ln.startswith(prefix))
+    (broken / name).write_text(text + row)
+    for command in (["index"], ["report", "--firm", "F00003"]):
+        assert main([*command, "--config", cfg, "--out", str(broken)]) == 1
+        assert message in capsys.readouterr().err
+
+
 def test_short_firmdays_row_is_a_data_error(fitted_dir, tmp_path, capsys):
     out, cfg = fitted_dir
     broken = tmp_path / "out"

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion, so an API change that breaks one fails here.
+"""Each demo script and the README's library example run to completion, so an
+API change that breaks one fails here.
 
 The demos write their plots (when matplotlib is importable) into the
 working directory, which is a temporary one.
@@ -20,12 +21,26 @@ def test_every_demo_is_collected():
                                        "demo_single_firm.py"]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo, tmp_path):
+def run_script(script, tmp_path):
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src,
            "MPLBACKEND": "Agg"}
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    run_script(demo, tmp_path)
+
+
+def test_readme_library_example_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    script = tmp_path / "library_use.py"
+    script.write_text(code, encoding="utf-8")
+    assert "peak P(recessionary)" in run_script(script, tmp_path)

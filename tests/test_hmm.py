@@ -209,7 +209,7 @@ def test_filter_accepts_deviation_series():
     rng = np.random.default_rng(9)
     m = random_model(rng)
     y = rng.normal(0.0, 2.0, size=5)
-    dev = DeviationSeries("F1", np.arange(-2, 3), y)
+    dev = DeviationSeries(np.arange(-2, 3), y)
     np.testing.assert_array_equal(forward_filter(dev, m).filtered, forward_filter(y, m).filtered)
 
 
@@ -230,7 +230,7 @@ def test_filter_degeneracy_names_series_offset():
         (RegimeParams(0.0, 0.0, 1e-12), RegimeParams(0.0, 100.0, 1e-12)),
         np.array([1.0, 0.0]),
     )
-    dev = DeviationSeries("F1", np.array([-1, 0, 1]), np.array([0.0, 0.0, 100.0]))
+    dev = DeviationSeries(np.array([-1, 0, 1]), np.array([0.0, 0.0, 100.0]))
     with pytest.raises(FilterDegeneracyError, match="at offset 1"):
         forward_filter(dev, m)
 

@@ -102,7 +102,7 @@ def assert_rel(got, want, rtol):
 def test_recursions_match_numpy_oracle(case):
     y, model = case
     T = len(y)
-    dev = DeviationSeries("F", np.arange(-(T // 2), T - T // 2), y)
+    dev = DeviationSeries(np.arange(-(T // 2), T - T // 2), y)
 
     filt, filt_err = outcome(forward_filter, dev, model)
     want_filt, want_filt_err = outcome(oracle.forward_filter, dev, model)
@@ -152,7 +152,7 @@ def test_degeneracy_offset_matches_oracle():
     """Only regime 1 can emit the third value, but the chain is locked in regime 0."""
     model = RegimeModel(np.eye(2), (RegimeParams(0.0, 0.0, 1e-12), RegimeParams(0.0, 100.0, 1e-12)),
                         np.array([1.0, 0.0]))
-    dev = DeviationSeries("F", np.array([-1, 0, 1, 2]), np.array([0.0, 0.0, 100.0, 0.0]))
+    dev = DeviationSeries(np.array([-1, 0, 1, 2]), np.array([0.0, 0.0, 100.0, 0.0]))
     for fn in (forward_filter, oracle.forward_filter):
         with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 1$"):
             fn(dev, model)
@@ -188,7 +188,7 @@ def test_posterior_degeneracy_is_raised_where_oracle_has_nan():
         with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 1$"):
             em_fit(y, model)
         with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset -95$"):
-            em_fit(DeviationSeries("F", np.arange(-95, 96), y), model)
+            em_fit(DeviationSeries(np.arange(-95, 96), y), model)
 
 
 def test_em_matches_oracle_on_recovery_fixtures():

@@ -8,13 +8,11 @@ from ecuindex.hmm import RegimeModel, RegimeParams
 from ecuindex.panelio import (
     FIRMDAYS_HEADER,
     FirmDayTable,
-    FirmRecord,
     ModelRow,
     _fmt_column,
     read_firmdays,
     read_models,
     read_panel,
-    read_seed_comment,
     seed_comment,
     write_ecu,
     write_firmdays,
@@ -22,13 +20,13 @@ from ecuindex.panelio import (
     write_panel,
     write_srpi,
 )
-from ecuindex.preprocess import RawSeries
+from ecuindex.preprocess import FirmRecord, RawSeries
 
 
 def sample_records():
     dates = np.arange("2019-01-01", "2019-01-11", dtype="datetime64[D]")
-    a = RawSeries("A1", dates, [1.5, 2.0, np.nan, 4.0, 0.1 + 0.2, 6.0, 7.0, 8.0, 9.0, 10.0])
-    b = RawSeries("B2", dates, np.arange(10, dtype=float))
+    a = RawSeries(dates, [1.5, 2.0, np.nan, 4.0, 0.1 + 0.2, 6.0, 7.0, 8.0, 9.0, 10.0])
+    b = RawSeries(dates, np.arange(10, dtype=float))
     return [
         FirmRecord("B2", "301", "D02", b),  # out of order on purpose
         FirmRecord("A1", "101", "D01", a),
@@ -65,15 +63,15 @@ def test_fmt_strings():
 def test_seed_comment_read_back(tmp_path):
     path = tmp_path / "panel.csv"
     write_panel(path, sample_records(), comments=[seed_comment(123)])
-    assert read_seed_comment(path) == 123
+    assert path.read_text(encoding="utf-8").splitlines()[0] == "# root_seed=123"
     assert read_panel(path)  # comment lines are transparent to readers
 
 
 def test_comment_lines_only_before_the_header(tmp_path):
     path = tmp_path / "panel.csv"
     dates = np.arange("2019-01-01", "2019-01-04", dtype="datetime64[D]")
-    records = [FirmRecord("#7", "101", "D01", RawSeries("#7", dates, [1.0, np.nan, 3.0])),
-               FirmRecord("7", "101", "D01", RawSeries("7", dates, [4.0, 5.0, 6.0]))]
+    records = [FirmRecord("#7", "101", "D01", RawSeries(dates, [1.0, np.nan, 3.0])),
+               FirmRecord("7", "101", "D01", RawSeries(dates, [4.0, 5.0, 6.0]))]
     write_panel(path, records, comments=[seed_comment(1)])
     back = read_panel(path)
     assert [r.firm_id for r in back] == ["#7", "7"]

@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 import panelio_oracle as oracle
 from ecuindex import panelio
 from ecuindex.ecu import EcuSeries, SrpiSeries
-from ecuindex.panelio import PANEL_HEADER, FirmDayTable, FirmRecord
-from ecuindex.preprocess import RawSeries
+from ecuindex.panelio import PANEL_HEADER, FirmDayTable
+from ecuindex.preprocess import FirmRecord, RawSeries
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 COMMENTS = ["root_seed=7", "a, \"quoted\" note"]
@@ -57,7 +57,7 @@ def records(draw):
         n = draw(st.integers(1, 12))
         values = draw(st.lists(READING, min_size=n, max_size=n))
         out.append(FirmRecord(firm_id, draw(NAME), draw(NAME),
-                              RawSeries(firm_id, np.arange(start, start + n), values)))
+                              RawSeries(np.arange(start, start + n), values)))
     return out
 
 

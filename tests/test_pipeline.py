@@ -1,6 +1,7 @@
 """Tests for per-firm orchestration and the panel-level fit driver."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from ecuindex import hmm, pipeline
 from ecuindex.cli import main
 from ecuindex.config import RunConfig, build_run_config
 from ecuindex.hmm import FilterDegeneracyError
-from ecuindex.panelio import FirmRecord, write_panel
+from ecuindex.panelio import write_panel
 from ecuindex.pipeline import (
     build_firmday_panel,
     fit_deviation,
@@ -19,7 +20,7 @@ from ecuindex.pipeline import (
     read_fit_outputs,
     reference_totals,
 )
-from ecuindex.preprocess import RawSeries
+from ecuindex.preprocess import FirmRecord, RawSeries
 from ecuindex.sectors import DEFAULT_SECTOR_MIX
 from ecuindex.simgen import PanelConfig, generate
 
@@ -29,12 +30,7 @@ def panel_records(n_firms=6, seed=11, **overrides):
                       noise_frac=overrides.pop("noise_frac", 0.06),
                       shock_depth=overrides.pop("shock_depth", None),
                       **overrides)
-    panel = generate(cfg)
-    return [
-        FirmRecord(fid, panel.truth[fid].sector_code, panel.truth[fid].district_code,
-                   panel.series[fid])
-        for fid in panel.firm_ids
-    ]
+    return generate(cfg).records
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +46,7 @@ def run_cfg():
 def constant_record(firm_id="FLAT1", level=300.0):
     dates = np.arange("2018-11-01", "2020-04-29", dtype="datetime64[D]")
     return FirmRecord(firm_id, "301", "D01",
-                      RawSeries(firm_id, dates, np.full(len(dates), level)))
+                      RawSeries(dates, np.full(len(dates), level)))
 
 
 def test_preprocess_firm_shapes(records, run_cfg):
@@ -64,7 +60,7 @@ def test_preprocess_firm_shapes(records, run_cfg):
 def test_preprocess_firm_insufficient_coverage_raises(run_cfg):
     dates = np.arange("2019-10-01", "2020-04-29", dtype="datetime64[D]")
     rec = FirmRecord("SHORT", "301", "D01",
-                     RawSeries("SHORT", dates, np.full(len(dates), 10.0)))
+                     RawSeries(dates, np.full(len(dates), 10.0)))
     with pytest.raises(ValueError, match="does not cover"):
         preprocess_firm(rec, run_cfg)
 
@@ -99,9 +95,12 @@ def test_fit_panel_sorted_and_complete(records, run_cfg):
     assert [r.firm_id for r in results] == sorted(r.firm_id for r in records)
 
 
-def test_fit_panel_worker_count_is_invisible(records, run_cfg):
-    serial, _ = fit_panel(records, run_cfg, workers=1)
-    parallel, _ = fit_panel(records, run_cfg, workers=2)
+@pytest.mark.parametrize("multi_start", [0, 2])
+def test_fit_panel_worker_count_is_invisible(records, run_cfg, multi_start):
+    cfg = replace(run_cfg, multi_start=multi_start)
+    serial, _ = fit_panel(records, cfg, workers=1)
+    parallel, _ = fit_panel(records, cfg, workers=2)
+    assert len(serial) == len(parallel) == len(records)
     for a, b in zip(serial, parallel):
         assert a.firm_id == b.firm_id
         assert a.report.model.params == b.report.model.params
@@ -112,7 +111,7 @@ def test_fit_panel_worker_count_is_invisible(records, run_cfg):
 def test_fit_panel_skips_uncovered_firm(records, run_cfg):
     dates = np.arange("2019-12-01", "2020-02-01", dtype="datetime64[D]")
     bad = FirmRecord("ZSHORT", "301", "D01",
-                     RawSeries("ZSHORT", dates, np.full(len(dates), 5.0)))
+                     RawSeries(dates, np.full(len(dates), 5.0)))
     results, skipped = fit_panel(records + [bad], run_cfg)
     assert len(results) == len(records)
     assert len(skipped) == 1
@@ -123,7 +122,7 @@ def test_fit_panel_skips_uncovered_firm(records, run_cfg):
 def test_fit_panel_skips_all_missing_firm(records, run_cfg):
     dates = np.arange("2018-11-01", "2020-04-29", dtype="datetime64[D]")
     bad = FirmRecord("ZNAN", "301", "D01",
-                     RawSeries("ZNAN", dates, np.full(len(dates), np.nan)))
+                     RawSeries(dates, np.full(len(dates), np.nan)))
     results, skipped = fit_panel(records + [bad], run_cfg)
     assert len(results) == len(records)
     assert skipped[0][0] == "ZNAN"
@@ -135,10 +134,11 @@ def test_fit_panel_skips_all_missing_firm(records, run_cfg):
 def test_fit_panel_skips_firm_whose_em_fails(records, run_cfg, monkeypatch, error):
     three = records[:3]
     bad = three[1].firm_id
+    bad_y = preprocess_firm(three[1], run_cfg)[0].y
     em_fit = pipeline.em_fit
 
     def failing_em_fit(dev, *args, **kwargs):
-        if dev.firm_id == bad:
+        if np.array_equal(dev.y, bad_y):
             raise error
         return em_fit(dev, *args, **kwargs)
 
@@ -197,10 +197,10 @@ def test_fit_files_load_to_the_library_panel(tmp_path):
 
 def test_multi_start_is_deterministic_and_no_worse(records, run_cfg):
     dev, _ = preprocess_firm(records[0], run_cfg)
-    single = fit_deviation(dev, run_cfg)
+    single = fit_deviation(dev, run_cfg, records[0].firm_id)
     cfg_ms = RunConfig(multi_start=3, seed=run_cfg.seed)
-    a = fit_deviation(dev, cfg_ms)
-    b = fit_deviation(dev, cfg_ms)
+    a = fit_deviation(dev, cfg_ms, records[0].firm_id)
+    b = fit_deviation(dev, cfg_ms, records[0].firm_id)
     assert a.model.params == b.model.params
     assert a.loglik_trace[-1] >= single.loglik_trace[-1] - 1e-9
 
@@ -209,7 +209,7 @@ def test_fit_deviation_prefers_deterministic_init_on_ties(records, run_cfg):
     # a clean series converges to the same optimum from every start, so the
     # deterministic init must win and multi_start output must match single
     dev, _ = preprocess_firm(records[0], run_cfg)
-    single = fit_deviation(dev, run_cfg)
-    multi = fit_deviation(dev, RunConfig(multi_start=2, seed=0))
+    single = fit_deviation(dev, run_cfg, records[0].firm_id)
+    multi = fit_deviation(dev, RunConfig(multi_start=2, seed=0), records[0].firm_id)
     if multi.loglik_trace[-1] <= single.loglik_trace[-1] + 1e-9:
         assert multi.model.params == single.model.params

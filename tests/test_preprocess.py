@@ -19,14 +19,14 @@ def daily(start, n):
     return d0 + np.arange(n)
 
 
-def raw(values, start="2019-01-01", firm="F1"):
+def raw(values, start="2019-01-01"):
     values = np.asarray(values, dtype=float)
-    return RawSeries(firm, daily(start, len(values)), values)
+    return RawSeries(daily(start, len(values)), values)
 
 
-def clean(values, start="2019-01-01", firm="F1"):
+def clean(values, start="2019-01-01"):
     values = np.asarray(values, dtype=float)
-    return CleanSeries(firm, daily(start, len(values)), values)
+    return CleanSeries(daily(start, len(values)), values)
 
 
 def brute_outlier_mask(values, window_days=15, k=2.0):
@@ -51,7 +51,7 @@ class TestRawSeries:
     def test_rejects_gapped_dates(self):
         dates = np.array(["2019-01-01", "2019-01-02", "2019-01-04"], dtype="datetime64[D]")
         with pytest.raises(ValueError, match="one-day step"):
-            RawSeries("F1", dates, [1.0, 2.0, 3.0])
+            RawSeries(dates, [1.0, 2.0, 3.0])
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -195,7 +195,7 @@ class TestAlignAndDeviation:
     def test_full_coverage_191_entries(self):
         # reference window 2018-11-01..2019-05-10, test 2019-10-21..2020-04-28
         s = clean(np.arange(545.0) + 1.0, start="2018-11-01")
-        pair = align(s, s, np.datetime64("2019-02-04"), np.datetime64("2020-01-24"))
+        pair = align(s, np.datetime64("2019-02-04"), np.datetime64("2020-01-24"))
         assert len(pair.offsets) == 191
         assert pair.offsets[0] == -95 and pair.offsets[-1] == 95
         assert pair.span == 95
@@ -203,11 +203,11 @@ class TestAlignAndDeviation:
     def test_missing_head_coverage_errors(self):
         s = clean(np.ones(400), start="2018-11-02")  # one day late
         with pytest.raises(ValueError, match="2018-11-01"):
-            align(s, s, np.datetime64("2019-02-04"), np.datetime64("2019-02-04"))
+            align(s, np.datetime64("2019-02-04"), np.datetime64("2019-02-04"))
 
     def test_span_zero_degenerate(self):
         s = clean(np.arange(10.0), start="2019-01-01")
-        pair = align(s, s, np.datetime64("2019-01-05"), np.datetime64("2019-01-06"), span=0)
+        pair = align(s, np.datetime64("2019-01-05"), np.datetime64("2019-01-06"), span=0)
         assert np.array_equal(pair.offsets, [0])
         assert pair.reference[0] == 4.0 and pair.test[0] == 5.0
 
@@ -215,32 +215,32 @@ class TestAlignAndDeviation:
         rng = np.random.default_rng(5)
         s = clean(rng.uniform(10, 20, size=61), start="2019-01-01")
         base = np.datetime64("2019-01-31")
-        dev = deviation(align(s, s, base, base, span=30))
+        dev = deviation(align(s, base, base, span=30))
         assert np.array_equal(dev.y, np.zeros(61))
 
     def test_constant_shift_deviation(self):
-        s = clean(np.ones(21) * 100.0)
-        t = clean(np.ones(21) * 110.0)
-        base = np.datetime64("2019-01-11")
-        dev = deviation(align(s, t, base, base, span=10))
+        # reference window 2019-01-01..01-21 at 100, test window 2019-01-22..02-11 at 110
+        s = clean(np.concatenate([np.ones(21) * 100.0, np.ones(21) * 110.0]))
+        dev = deviation(align(s, np.datetime64("2019-01-11"), np.datetime64("2019-02-01"),
+                              span=10))
         assert np.allclose(dev.y, 10.0)
 
     def test_pointwise_difference(self):
-        ref = clean([90.0, 100.0, 105.0])
-        tst = clean([80.0, 60.0, 100.0])
-        base = np.datetime64("2019-01-02")
-        dev = deviation(align(ref, tst, base, base, span=1))
-        assert np.array_equal(dev.y, [-10.0, -40.0, -5.0])
+        # reference window 2019-01-01..01-03, test window 2019-01-04..01-06
+        s = clean([90.0, 100.0, 105.0, 80.0, 60.0, 100.0])
+        dev = deviation(align(s, np.datetime64("2019-01-02"), np.datetime64("2019-01-05"),
+                              span=1))
+        assert np.array_equal(dev.y, [-10.0, -40.0, -5.0])  # test minus reference
 
     def test_deviation_length_matches_span(self):
         s = clean(np.arange(41.0))
         for span in (0, 3, 20):
-            pair = align(s, s, np.datetime64("2019-01-21"), np.datetime64("2019-01-21"), span=span)
+            pair = align(s, np.datetime64("2019-01-21"), np.datetime64("2019-01-21"), span=span)
             assert len(deviation(pair)) == 2 * span + 1
 
     def test_aligned_pair_rejects_asymmetric_offsets(self):
         with pytest.raises(ValueError, match="symmetric"):
-            AlignedPair("F1", np.arange(-2, 1), np.zeros(3), np.zeros(3))
+            AlignedPair(np.arange(-2, 1), np.zeros(3), np.zeros(3))
 
 
 def test_trailing_mean_plain_array():

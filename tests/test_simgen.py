@@ -10,7 +10,6 @@ from ecuindex.simgen import (
     default_shock_depths,
     generate,
     quota_counts,
-    recovery_days,
     shock_multiplier,
     truth_labels,
 )
@@ -50,13 +49,8 @@ def test_multiplier_at_shock_start_equals_one_minus_depth():
 
 def test_recovery_crossing_day():
     # 14 * log2(0.5 / 0.05) = 46.507 -> first day back above 0.95 is day 47
-    assert recovery_days(0.5, 14.0) == 47
     m = shock_multiplier([46, 47], start=0, duration=0, depth=0.5, half_life=14.0)
     assert m[0] < 0.95 <= m[1]
-
-
-def test_recovery_zero_when_depth_below_threshold():
-    assert recovery_days(0.04, 14.0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +115,8 @@ def test_quota_counts_always_sum_to_n():
 def test_realized_mix_tracks_configured_mix():
     panel = generate(PanelConfig(n_firms=2000, seed=3))
     counts = {}
-    for t in panel.truth.values():
-        counts[t.sector_code] = counts.get(t.sector_code, 0) + 1
+    for rec in panel.records:
+        counts[rec.sector_code] = counts.get(rec.sector_code, 0) + 1
     for code, prop in DEFAULT_SECTOR_MIX.items():
         assert abs(counts.get(code, 0) / 2000 - prop) <= 0.02
 
@@ -135,24 +129,25 @@ def test_realized_mix_tracks_configured_mix():
 def test_same_config_same_panel():
     a = generate(small_config(missing_rate=0.05, outlier_rate=0.02, noise_frac=0.1))
     b = generate(small_config(missing_rate=0.05, outlier_rate=0.02, noise_frac=0.1))
-    assert a.firm_ids == b.firm_ids
-    for fid in a.firm_ids:
-        np.testing.assert_array_equal(a.series[fid].dates, b.series[fid].dates)
-        assert np.array_equal(a.series[fid].values, b.series[fid].values, equal_nan=True)
+    assert [r.firm_id for r in a.records] == [r.firm_id for r in b.records]
+    for ra, rb in zip(a.records, b.records):
+        assert (ra.sector_code, ra.district_code) == (rb.sector_code, rb.district_code)
+        np.testing.assert_array_equal(ra.series.dates, rb.series.dates)
+        assert np.array_equal(ra.series.values, rb.series.values, equal_nan=True)
 
 
 def test_different_seed_different_panel():
     a = generate(small_config(seed=1))
     b = generate(small_config(seed=2))
-    assert not np.array_equal(a.series[a.firm_ids[0]].values, b.series[b.firm_ids[0]].values)
+    assert not np.array_equal(a.records[0].series.values, b.records[0].series.values)
 
 
 def test_every_firm_covers_both_windows():
     cfg = small_config()
     panel = generate(cfg)
     first, last = cfg.date_range()
-    for fid in panel.firm_ids:
-        s = panel.series[fid]
+    for rec in panel.records:
+        s = rec.series
         assert s.dates[0] == first
         assert s.dates[-1] == last
         assert len(s) == int((last - first) / np.timedelta64(1, "D")) + 1
@@ -162,8 +157,8 @@ def test_zero_depth_shock_is_inert():
     # identical output no matter where a zero-depth shock starts
     a = generate(small_config(shock_depth=flat_depths(0.0), shock_start=10))
     b = generate(small_config(shock_depth=flat_depths(0.0), shock_start=50))
-    for fid in a.firm_ids:
-        np.testing.assert_array_equal(a.series[fid].values, b.series[fid].values)
+    for ra, rb in zip(a.records, b.records):
+        np.testing.assert_array_equal(ra.series.values, rb.series.values)
     assert not any(t.shocked for t in a.truth.values())
 
 
@@ -174,8 +169,8 @@ def test_shock_halves_consumption_at_onset():
     cfg = small_config()
     onset_day = np.datetime64(cfg.test_base) + np.timedelta64(10, "D")
     before_day = onset_day - np.timedelta64(1, "D")
-    for fid in shocked.firm_ids:
-        s, c = shocked.series[fid], counter.series[fid]
+    for rs, rc in zip(shocked.records, counter.records):
+        s, c = rs.series, rc.series
         i = int(np.searchsorted(s.dates, onset_day))
         assert s.values[i] / c.values[i] == pytest.approx(0.5, rel=1e-12)
         j = int(np.searchsorted(s.dates, before_day))
@@ -186,20 +181,20 @@ def test_constant_level_when_all_modulation_off():
     cfg = small_config(weekly_amplitude=0.0, annual_amplitude=0.0, holiday_depth=0.0,
                        noise_frac=0.0, shock_depth=flat_depths(0.0))
     panel = generate(cfg)
-    for fid in panel.firm_ids:
-        vals = panel.series[fid].values
+    for rec in panel.records:
+        vals = rec.series.values
         assert np.all(vals == vals[0])
         assert cfg.base_range[0] <= vals[0] <= cfg.base_range[1]
-        assert vals[0] == panel.truth[fid].base
+        assert vals[0] == panel.truth[rec.firm_id].base
 
 
 def test_weekend_consumption_dips():
     cfg = small_config(weekly_amplitude=0.2, annual_amplitude=0.0, holiday_depth=0.0,
                        noise_frac=0.0, shock_depth=flat_depths(0.0))
     panel = generate(cfg)
-    s = panel.series[panel.firm_ids[0]]
+    s = panel.records[0].series
     dow = (s.dates.astype("int64") + 3) % 7
-    base = panel.truth[panel.firm_ids[0]].base
+    base = panel.truth[panel.records[0].firm_id].base
     np.testing.assert_allclose(s.values[dow == 5], base * (1 - 0.2 * 0.95), rtol=1e-12)
     np.testing.assert_allclose(s.values[dow == 0], base * (1 + 0.2 * 0.35), rtol=1e-12)
 
@@ -208,8 +203,8 @@ def test_holiday_trough_applied_in_both_years():
     cfg = small_config(weekly_amplitude=0.0, annual_amplitude=0.0, holiday_depth=0.4,
                        noise_frac=0.0, shock_depth=flat_depths(0.0))
     panel = generate(cfg)
-    s = panel.series[panel.firm_ids[0]]
-    base = panel.truth[panel.firm_ids[0]].base
+    s = panel.records[0].series
+    base = panel.truth[panel.records[0].firm_id].base
     for start in (np.datetime64("2019-02-04"), np.datetime64("2020-01-24")):
         i = int(np.searchsorted(s.dates, start))
         np.testing.assert_allclose(s.values[i:i + 10], base * 0.6, rtol=1e-12)
@@ -219,13 +214,14 @@ def test_holiday_trough_applied_in_both_years():
 
 def test_missing_days_marked_nan():
     panel = generate(small_config(n_firms=20, missing_rate=0.1))
-    frac = np.mean([np.isnan(panel.series[f].values).mean() for f in panel.firm_ids])
+    frac = np.mean([np.isnan(rec.series.values).mean() for rec in panel.records])
     assert 0.05 < frac < 0.15
 
 
 def test_firm_ids_stable_and_padded():
     panel = generate(small_config(n_firms=3))
-    assert panel.firm_ids == ["F00000", "F00001", "F00002"]
+    assert [rec.firm_id for rec in panel.records] == ["F00000", "F00001", "F00002"]
+    assert list(panel.truth) == ["F00000", "F00001", "F00002"]
 
 
 def test_onset_jitter_staggers_firms():
@@ -286,10 +282,10 @@ def test_null_panel_produces_zero_deviation_series():
         holiday_ref=("2019-02-04", 10), holiday_test=("2020-01-24", 10),
     )
     panel = generate(cfg)
-    for fid in panel.firm_ids:
-        raw = panel.series[fid]
+    for rec in panel.records:
+        raw = rec.series
         clean = interpolate(raw, detect_outliers(raw))
         sm = smooth(clean)
-        pair = align(sm, sm, np.datetime64(cfg.ref_base), np.datetime64(cfg.test_base), cfg.span)
+        pair = align(sm, np.datetime64(cfg.ref_base), np.datetime64(cfg.test_base), cfg.span)
         dev = deviation(pair)
         np.testing.assert_allclose(dev.y, 0.0, atol=1e-8)
