@@ -4,8 +4,8 @@ All files are UTF-8 with a header row and ISO-8601 dates.  Lines starting
 with ``#`` before the header carry run metadata (the root seed) and are
 skipped on read.  Floats are written with ``repr`` so values round-trip
 exactly and reruns are byte-identical; empty fields mean missing (a NaN
-gap or an unmetered day).  Readers and writers handle a whole column at a
-time.
+gap or an unmetered day).  Readers and writers work a block of rows at a
+time, so their memory is bounded by a block of text plus the typed arrays.
 
 The fit stage hands off two files: ``models.csv`` with one row per firm
 (its fitted model, flags and group codes) and ``firmdays.csv`` with one
@@ -39,6 +39,7 @@ ECU_HEADER = ["group_type", "group_key", "offset", "date", "ecu", "total_weight"
 SRPI_HEADER = ["offset", "date", "srpi", "delta_srpi"]
 
 DAY = np.timedelta64(1, "D")
+BLOCK_ROWS = 8192  # data rows a reader or writer holds as text at a time
 
 
 @dataclass(frozen=True)
@@ -92,9 +93,9 @@ def _parse_bool(field: str) -> bool:
     return field == "true"
 
 
-def _unreadable(path, columns, converters) -> ValueError:
+def _unreadable(path, first, columns, converters) -> ValueError:
     """The error naming the first field, in row order, that its column's converter rejects."""
-    for n, fields in enumerate(zip(*(columns[c] for c in converters)), 1):
+    for n, fields in enumerate(zip(*(columns[c] for c in converters)), first):
         for (column, convert), text in zip(converters.items(), fields):
             try:
                 convert(text)
@@ -103,11 +104,11 @@ def _unreadable(path, columns, converters) -> ValueError:
     return ValueError(f"{path} has a field that cannot be read")
 
 
-def _parse_column(path, columns, column, convert) -> list:
+def _parse_column(path, first, columns, column, convert) -> list:
     try:
         return [convert(text) for text in columns[column]]
     except ValueError:
-        raise _unreadable(path, columns, {column: convert}) from None
+        raise _unreadable(path, first, columns, {column: convert}) from None
 
 
 def _write_csv(path, header, rows, comments) -> None:
@@ -116,23 +117,30 @@ def _write_csv(path, header, rows, comments) -> None:
         csv.writer(fh).writerows(itertools.chain([header], rows))
 
 
-def _read_columns(path, expected_header) -> dict[str, list[str]]:
-    """The file's data fields by column name, once its header and field counts check out."""
+def _blocks(path, header):
+    """Each block of ``BLOCK_ROWS`` data rows as ``(first_data_row, {column: fields})``.
+
+    The header and the block's field counts are checked before it is yielded.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"missing file {path}")
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(itertools.dropwhile(lambda line: line.startswith("#"), fh)))
-    if not rows:
-        raise ValueError(f"{path} is empty")
-    if rows[0] != expected_header:
-        raise ValueError(f"{path} header {rows[0]} does not match {expected_header}")
-    del rows[0]
-    width = len(expected_header)
-    if set(map(len, rows)) - {width}:
-        n, row = next((n, row) for n, row in enumerate(rows, 1) if len(row) != width)
-        raise ValueError(f"{path} data row {n} has {len(row)} fields, expected {width}")
-    return {name: [row[i] for row in rows] for i, name in enumerate(expected_header)}
+        rows = csv.reader(itertools.dropwhile(lambda line: line.startswith("#"), fh))
+        found = next(rows, None)
+        if found is None:
+            raise ValueError(f"{path} is empty")
+        if found != header:
+            raise ValueError(f"{path} header {found} does not match {header}")
+        width, first = len(header), 1
+        while block := list(itertools.islice(rows, BLOCK_ROWS)):
+            if set(map(len, block)) - {width}:
+                n, row = next((n, row) for n, row in enumerate(block, first) if len(row) != width)
+                raise ValueError(f"{path} data row {n} has {len(row)} fields, expected {width}")
+            columns = dict(zip(header, zip(*block)))
+            del block  # a block's text is held once, as columns
+            yield first, columns
+            first += len(columns[header[0]])
 
 
 def seed_comment(seed) -> str:
@@ -154,27 +162,38 @@ def write_panel(path, records: list[FirmRecord], comments=()) -> None:
 
 def read_panel(path) -> list[FirmRecord]:
     """Read a panel file back into per-firm records, sorted by firm id."""
-    columns = _read_columns(path, PANEL_HEADER)
-    try:
-        for text in set(columns["date"]):  # a few hundred distinct days
-            check_date(text, "date")
-        dates = np.array(columns["date"], dtype="datetime64[D]")
-        kwh = columns["kwh"]
-        values = np.array([float(text) if text else np.nan for text in kwh])
-        if np.count_nonzero(np.isfinite(values)) != len(kwh) - kwh.count(""):
-            raise ValueError("non-finite kWh text")
-    except ValueError:
-        converters = {"date": functools.partial(check_date, name="date"), "kwh": _check_kwh}
-        raise _unreadable(path, columns, converters) from None
+    index: dict[str, int] = {}  # firm id -> position in first-seen order
     codes: dict[str, tuple[str, str]] = {}
-    for firm_id, sector, district in zip(columns["firm_id"], columns["sector_code"],
-                                         columns["district_code"]):
-        if codes.setdefault(firm_id, (sector, district)) != (sector, district):
-            raise ValueError(f"{path}: firm {firm_id} has inconsistent sector/district codes")
-    firm_ids = sorted(codes)
-    index = {firm_id: k for k, firm_id in enumerate(firm_ids)}
-    firm_of_row = np.array([index[firm_id] for firm_id in columns["firm_id"]], dtype=np.intp)
-    del columns, kwh  # free the text before the arrays are built: it sets the reader's peak memory
+    days: set[str] = set()  # day strings already checked: a few hundred
+    firm_parts = [np.empty(0, dtype=np.intp)]
+    date_parts = [np.empty(0, dtype="datetime64[D]")]
+    value_parts = [np.empty(0)]
+    for first, columns in _blocks(path, PANEL_HEADER):
+        try:
+            for text in set(columns["date"]) - days:
+                check_date(text, "date")
+                days.add(text)
+            dates = np.array(columns["date"], dtype="datetime64[D]")
+            kwh = columns["kwh"]
+            values = np.array([float(text) if text else np.nan for text in kwh])
+            if np.count_nonzero(np.isfinite(values)) != len(kwh) - kwh.count(""):
+                raise ValueError("non-finite kWh text")
+        except ValueError:
+            converters = {"date": functools.partial(check_date, name="date"), "kwh": _check_kwh}
+            raise _unreadable(path, first, columns, converters) from None
+        for firm_id, sector, district in zip(columns["firm_id"], columns["sector_code"],
+                                             columns["district_code"]):
+            if codes.setdefault(firm_id, (sector, district)) != (sector, district):
+                raise ValueError(f"{path}: firm {firm_id} has inconsistent sector/district codes")
+        firm_parts.append(np.array([index.setdefault(firm_id, len(index))
+                                    for firm_id in columns["firm_id"]], dtype=np.intp))
+        date_parts.append(dates)
+        value_parts.append(values)
+    firm_ids = sorted(index)
+    rank = np.argsort([index[firm_id] for firm_id in firm_ids])  # first-seen -> sorted position
+    firm_of_row = rank[np.concatenate(firm_parts)]
+    dates, values = np.concatenate(date_parts), np.concatenate(value_parts)
+    del firm_parts, date_parts, value_parts  # the sort below would otherwise hold them too
     order = np.lexsort((dates, firm_of_row))
     dates, values = dates[order], values[order]
     bounds = np.searchsorted(firm_of_row[order], np.arange(len(firm_ids) + 1)).tolist()
@@ -205,22 +224,24 @@ def write_models(path, rows: Iterable[ModelRow], comments=()) -> None:
 
 
 def read_models(path) -> dict[str, ModelRow]:
-    columns = _read_columns(path, MODELS_HEADER)
-    numbers = zip(*(_parse_column(path, columns, c, float) for c in MODELS_HEADER[3:13]))
-    flags = zip(*(_parse_column(path, columns, c, _parse_bool) for c in MODELS_HEADER[13:]))
     out = {}
-    for n, (firm_id, sector, district, nums, (converged, degenerate)) in enumerate(zip(
-            columns["firm_id"], columns["sector_code"], columns["district_code"], numbers,
-            flags), 1):
-        if firm_id in out:
-            raise ValueError(f"{path} data row {n}: firm {firm_id} already has a row")
-        a_p, b_p, s_p, a_r, b_r, s_r, q_pp, q_rr, pi0_p, loglik = nums
-        model = RegimeModel(
-            np.array([[q_pp, 1.0 - q_pp], [1.0 - q_rr, q_rr]]),
-            (RegimeParams(a_p, b_p, s_p), RegimeParams(a_r, b_r, s_r)),
-            np.array([pi0_p, 1.0 - pi0_p]),
-        )
-        out[firm_id] = ModelRow(firm_id, sector, district, model, loglik, converged, degenerate)
+    for first, columns in _blocks(path, MODELS_HEADER):
+        numbers = zip(*(_parse_column(path, first, columns, c, float) for c in MODELS_HEADER[3:13]))
+        flags = zip(*(_parse_column(path, first, columns, c, _parse_bool)
+                      for c in MODELS_HEADER[13:]))
+        for n, (firm_id, sector, district, nums, (converged, degenerate)) in enumerate(zip(
+                columns["firm_id"], columns["sector_code"], columns["district_code"], numbers,
+                flags), first):
+            if firm_id in out:
+                raise ValueError(f"{path} data row {n}: firm {firm_id} already has a row")
+            a_p, b_p, s_p, a_r, b_r, s_r, q_pp, q_rr, pi0_p, loglik = nums
+            model = RegimeModel(
+                np.array([[q_pp, 1.0 - q_pp], [1.0 - q_rr, q_rr]]),
+                (RegimeParams(a_p, b_p, s_p), RegimeParams(a_r, b_r, s_r)),
+                np.array([pi0_p, 1.0 - pi0_p]),
+            )
+            out[firm_id] = ModelRow(firm_id, sector, district, model, loglik, converged,
+                                    degenerate)
     return out
 
 
@@ -234,21 +255,28 @@ def write_firmdays(path, table: FirmDayTable, comments=()) -> None:
 
     A NaN, written blank, would not read back: it raises ``read_firmdays``'s error instead.
     """
-    values = {name: _fmt_column(getattr(table, name)) for name in FIRMDAYS_HEADER[2:]}
-    for name, column in values.items():
-        if "" in column:
-            raise _unreadable(path, values, {name: float})
-    _write_csv(path, FIRMDAYS_HEADER, zip(
-        table.firm_id.tolist(), table.offset.tolist(), *values.values()), comments)
+    floats = FIRMDAYS_HEADER[2:]
+    for name in floats:
+        nan = np.flatnonzero(np.isnan(getattr(table, name)))
+        if nan.size:
+            raise ValueError(f"{path} data row {nan[0] + 1}, column {name}: cannot read ''")
+    blocks = (slice(lo, lo + BLOCK_ROWS) for lo in range(0, len(table.offset), BLOCK_ROWS))
+    _write_csv(path, FIRMDAYS_HEADER, itertools.chain.from_iterable(
+        zip(table.firm_id[b].tolist(), table.offset[b].tolist(),
+            *(_fmt_column(getattr(table, name)[b]) for name in floats))
+        for b in blocks), comments)
 
 
 def read_firmdays(path) -> FirmDayTable:
-    columns = _read_columns(path, FIRMDAYS_HEADER)
-    return FirmDayTable(
-        np.array(columns["firm_id"], dtype=object),
-        np.array(_parse_column(path, columns, "offset", int), dtype=int),
-        *(np.array(_parse_column(path, columns, c, float)) for c in FIRMDAYS_HEADER[2:]),
-    )
+    ids: dict[str, str] = {}  # one str object per firm, however many rows it has
+    parts = [[np.empty(0, dtype=object)], [np.empty(0, dtype=int)],
+             *([np.empty(0)] for _ in FIRMDAYS_HEADER[2:])]
+    for first, columns in _blocks(path, FIRMDAYS_HEADER):
+        parts[0].append(np.array([ids.setdefault(f, f) for f in columns["firm_id"]], dtype=object))
+        parts[1].append(np.array(_parse_column(path, first, columns, "offset", int), dtype=int))
+        for column, part in zip(FIRMDAYS_HEADER[2:], parts[2:]):
+            part.append(np.array(_parse_column(path, first, columns, column, float)))
+    return FirmDayTable(*map(np.concatenate, parts))
 
 
 # ---------------------------------------------------------------------------

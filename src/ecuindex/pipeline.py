@@ -217,8 +217,9 @@ def read_fit_outputs(directory) -> FitOutputs:
 
     The panel and reference totals equal ``build_firmday_panel`` and
     ``reference_totals`` of the results the files were written from.  A firm
-    repeated in ``models.csv`` or without a row there, and a repeated
-    firm-day, would miscount the indexes and are refused.
+    repeated in ``models.csv`` or without a row there, a repeated firm-day,
+    and a firm of ``models.csv`` without a row for every offset of
+    ``firmdays.csv`` would miscount the indexes and are refused.
     """
     directory = Path(directory)
     for name in ("models.csv", "firmdays.csv"):
@@ -241,4 +242,11 @@ def read_fit_outputs(directory) -> FitOutputs:
         n = int(repeats.min())
         raise ValueError(f"{path} data row {n + 1}: firm {table.firm_id[n]} already has "
                          f"a row for offset {table.offset[n]}")
+    # no repeats, so a firm with as many rows as the file has offsets has them all
+    span = np.arange(table.offset.min(), table.offset.max() + 1) if firm.size else np.empty(0, int)
+    counts = dict(zip(codes, np.bincount(firm, minlength=len(codes)).tolist()))
+    short = next((f for f in sorted(models) if counts.get(f, 0) != span.size), None)
+    if short is not None:
+        missing = np.setdiff1d(span, table.offset[firm == codes.get(short, -1)])
+        raise ValueError(f"{path}: firm {short} has no row for offset {missing[0]}")
     return FitOutputs(models, table, _firmday_panel(table, models), _reference_totals(table))

@@ -250,6 +250,22 @@ def test_repeated_fit_row_is_a_data_error(fitted_dir, tmp_path, capsys, name, pr
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("prefix,message", [
+    ("F00004,5,", "firmdays.csv: firm F00004 has no row for offset 5"),
+    ("F00004,", "firmdays.csv: firm F00004 has no row for offset -95"),
+], ids=["one_row", "every_row"])
+def test_missing_firmday_is_a_data_error(fitted_dir, tmp_path, capsys, prefix, message):
+    """A missing firm-day would drop its firm out of that offset's indexes."""
+    out, cfg = fitted_dir
+    broken = tmp_path / "out"
+    shutil.copytree(out, broken)
+    lines = (broken / "firmdays.csv").read_text().splitlines(keepends=True)
+    (broken / "firmdays.csv").write_text("".join(ln for ln in lines if not ln.startswith(prefix)))
+    for command in (["index"], ["report", "--firm", "F00003"]):
+        assert main([*command, "--config", cfg, "--out", str(broken)]) == 1
+        assert message in capsys.readouterr().err
+
+
 def test_short_firmdays_row_is_a_data_error(fitted_dir, tmp_path, capsys):
     out, cfg = fitted_dir
     broken = tmp_path / "out"

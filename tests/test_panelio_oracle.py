@@ -8,12 +8,15 @@ inconsistent codes, a negative reading, a duplicated or missing day) it
 must raise the same message.  The inputs the package now rejects and the
 oracle accepted (dates not written YYYY-MM-DD, non-finite kWh text, lines
 after the header that start with ``#``) are tested in ``test_panelio.py``
-and ``test_cli.py``, not here.
+and ``test_cli.py``, not here.  The properties that read files run a second
+time with ``panelio.BLOCK_ROWS`` forced to 2, so every example spans blocks
+and an injected fault can land in a later one.
 """
 
 import csv
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +42,14 @@ ANY_FLOAT = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_
 READING = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2,
                                      1e308, 1.7976931348623157e308, np.nan]),
                     st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+
+
+def in_blocks_of_2(test):
+    """``test`` again with ``panelio.BLOCK_ROWS`` forced to 2."""
+    def run():
+        with mock.patch.object(panelio, "BLOCK_ROWS", 2):
+            test()
+    return run
 
 
 def bits(a):
@@ -126,6 +137,10 @@ def test_read_panel_matches_oracle(rows):
         assert_same_records(panelio.read_panel(path), oracle.read_panel(path))
 
 
+test_write_panel_in_blocks_of_2 = in_blocks_of_2(test_write_panel_matches_oracle)
+test_read_panel_in_blocks_of_2 = in_blocks_of_2(test_read_panel_matches_oracle)
+
+
 FAULTS = ["short", "long", "kwh", "date", "codes", "negative", "duplicate", "missing"]
 
 
@@ -173,6 +188,9 @@ def test_rejections_match_oracle(recs, fault, data):
         got, want = outcome(panelio.read_panel, path), outcome(oracle.read_panel, path)
         assert got == want
         assert got[0] == "ValueError", fault
+
+
+test_rejections_in_blocks_of_2 = in_blocks_of_2(test_rejections_match_oracle)
 
 
 @pytest.mark.parametrize("text", ["", "# only a comment\n", "firm,day\n"])
@@ -223,6 +241,9 @@ def test_firmdays_match_oracle(table):
         for name in ("offset", *FLOAT_COLUMNS):
             assert bits(getattr(back, name)) == bits(getattr(ref, name)), name
         assert back.firm_id.dtype == ref.firm_id.dtype
+
+
+test_firmdays_in_blocks_of_2 = in_blocks_of_2(test_firmdays_match_oracle)
 
 
 @st.composite
