@@ -138,18 +138,23 @@ def emission_logdensity(y_t, t, params: RegimeParams):
 def _forward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0: np.ndarray, offsets=None):
     """Scaled forward recursion (Rabiner 1989, §V.A) on Python floats, 2x2 products written out.
 
-    Returns (b, filtered, c, loglik): emission densities scaled per step so
-    the larger is 1, filtered pairs, per-step normalizers, log-likelihood.
+    Returns (b, e0s, e1s, filtered, norms, c, loglik): emission densities
+    scaled per step so the larger is 1, as a (T, 2) array and as one list
+    per regime, filtered pairs, the per-step normalizers as a list and as
+    an array, log-likelihood.
     A normalizer that is not positive and finite raises FilterDegeneracyError
     naming ``offsets[t]`` (else the 1-based step).
     """
-    logb = np.column_stack([emission_logdensity(yv, t, p) for p in params])
-    shift = logb.max(axis=1)
-    b = np.exp(logb - shift[:, None])
+    logb0, logb1 = (emission_logdensity(yv, t, p) for p in params)
+    shift = np.maximum(logb0, logb1)
+    b = np.empty((len(yv), 2))
+    np.exp(logb0 - shift, out=b[:, 0])
+    np.exp(logb1 - shift, out=b[:, 1])
+    e0s, e1s = b.T.tolist()
     (q00, q01), (q10, q11) = q.tolist()
     p0, p1 = pi0.tolist()
     f0s, f1s, norms = [], [], []
-    for e0, e1 in b.tolist():
+    for e0, e1 in zip(e0s, e1s):
         a0 = p0 * e0
         a1 = p1 * e1
         c = a0 + a1
@@ -164,7 +169,7 @@ def _forward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0: np.ndarr
         p0 = f0 * q00 + f1 * q10
         p1 = f0 * q01 + f1 * q11
     c = np.array(norms)
-    return b, np.array([f0s, f1s]).T, c, float(np.sum(np.log(c)) + np.sum(shift))
+    return b, e0s, e1s, np.array([f0s, f1s]).T, norms, c, float(np.log(c).sum() + shift.sum())
 
 
 def forward_filter(y, model: RegimeModel) -> FilterOutput:
@@ -175,17 +180,17 @@ def forward_filter(y, model: RegimeModel) -> FilterOutput:
     """
     yv = _as_observations(y)
     t = np.arange(1, len(yv) + 1, dtype=float)
-    _, filtered, _, loglik = _forward(yv, t, model.q, model.params, model.pi0,
-                                      getattr(y, "offsets", None))
+    *_, filtered, _, _, loglik = _forward(yv, t, model.q, model.params, model.pi0,
+                                          getattr(y, "offsets", None))
     return FilterOutput(filtered, loglik)
 
 
-def _backward(b: np.ndarray, c: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Scaled backward variables for the forward pass's normalizers, on Python floats."""
+def _backward(e0s: list, e1s: list, norms: list, q: np.ndarray) -> np.ndarray:
+    """Scaled backward variables from the forward pass's density and normalizer lists."""
     (q00, q01), (q10, q11) = q.tolist()
     r0 = r1 = 1.0
     r0s, r1s = [r0], [r1]
-    for (e0, e1), ct in zip(b[:0:-1].tolist(), c[:0:-1].tolist()):
+    for e0, e1, ct in zip(e0s[:0:-1], e1s[:0:-1], norms[:0:-1]):
         u0 = e0 * r0
         u1 = e1 * r1
         r0 = (q00 * u0 + q01 * u1) / ct
@@ -203,24 +208,24 @@ def _forward_backward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0:
     posteriors and summed pairwise transition posteriors.  A posterior row
     that cannot be normalized raises FilterDegeneracyError named as in ``_forward``.
     """
-    b, alpha_hat, c, loglik = _forward(yv, t, q, params, pi0, offsets)
-    beta_hat = _backward(b, c, q)
+    b, e0s, e1s, alpha_hat, norms, c, loglik = _forward(yv, t, q, params, pi0, offsets)
+    beta_hat = _backward(e0s, e1s, norms, q)
 
     gamma = alpha_hat * beta_hat
-    total = gamma.sum(axis=1, keepdims=True)
+    total = gamma[:, 0] + gamma[:, 1]
     bad = np.flatnonzero(~((total > 0.0) & (total < np.inf)))
     if len(bad):
         where = offsets[bad[0]] if offsets is not None else bad[0] + 1
         raise FilterDegeneracyError(f"filter degeneracy at offset {where}")
-    gamma /= total
+    gamma /= total[:, None]
 
     inner = (b[1:] * beta_hat[1:]) / c[1:, None]
     return loglik, alpha_hat, gamma, np.einsum("ti,ij,tj->ij", alpha_hat[:-1], q, inner)
 
 
-def _weighted_line(t: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """Weighted least-squares line y ~ alpha*t + beta (centered for stability)."""
-    sw = w.sum()
+def _weighted_line(t: np.ndarray, y: np.ndarray, w: np.ndarray, sw=None) -> tuple[float, float]:
+    """Weighted least-squares line y ~ alpha*t + beta (centered); ``sw`` is ``w.sum()`` if given."""
+    sw = w.sum() if sw is None else sw
     if sw <= 0.0:
         return 0.0, 0.0
     t_bar = float(w @ t) / sw
@@ -240,27 +245,33 @@ def sigma_floor(y) -> float:
 
 
 def _m_step(yv, t, gamma, xi_sum, q: np.ndarray, params, floor: float):
-    """Closed-form M-step: the next (q, params, pi0); a state without weight keeps its values."""
+    """Closed-form M-step: the next (q, params, pi0); a state without weight keeps its values.
+
+    Each regime's weight sum is taken once; the q rows and pi0 are
+    normalized on the Python floats of ``xi_sum`` and ``gamma[0]``.
+    """
     new_params = []
     for i in range(2):
         w = gamma[:, i]
-        if w.sum() <= 0.0:
+        sw = w.sum()
+        if sw <= 0.0:
             new_params.append(params[i])
             continue
-        alpha, beta = _weighted_line(t, yv, w)
+        alpha, beta = _weighted_line(t, yv, w, sw)
         resid = yv - (alpha * t + beta)
-        var = float(w @ (resid * resid)) / float(w.sum())
-        sigma = max(np.sqrt(max(var, 0.0)), floor)
+        var = float(w @ (resid * resid)) / float(sw)
+        sigma = max(math.sqrt(max(var, 0.0)), floor)
         new_params.append(RegimeParams(alpha, beta, sigma))
 
-    q = q.copy()
-    den = xi_sum.sum(axis=1)
-    for i in range(2):
-        if den[i] > 0.0:
-            row = xi_sum[i] / den[i]
-            q[i] = row / row.sum()
+    rows = q.tolist()
+    for i, (x0, x1) in enumerate(xi_sum.tolist()):
+        den = x0 + x1
+        if den > 0.0:
+            r0, r1 = x0 / den, x1 / den
+            rows[i] = [r0 / (r0 + r1), r1 / (r0 + r1)]
 
-    return q, tuple(new_params), gamma[0] / gamma[0].sum()
+    g0, g1 = gamma[0].tolist()
+    return np.array(rows), tuple(new_params), np.array([g0 / (g0 + g1), g1 / (g0 + g1)])
 
 
 def label_regimes(model: RegimeModel) -> tuple[RegimeModel, bool]:

@@ -9,7 +9,6 @@ and the run settings, so worker count cannot change any result.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -133,6 +132,7 @@ def fit_panel(records: list[FirmRecord], cfg: RunConfig,
     if workers <= 1:
         outcomes = map(_fit_one, jobs)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for the import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_fit_one, jobs, chunksize=max(1, len(jobs) // (workers * 4))))
     results, skipped = [], []
@@ -218,8 +218,9 @@ def read_fit_outputs(directory) -> FitOutputs:
     The panel and reference totals equal ``build_firmday_panel`` and
     ``reference_totals`` of the results the files were written from.  A firm
     repeated in ``models.csv`` or without a row there, a repeated firm-day,
-    and a firm of ``models.csv`` without a row for every offset of
-    ``firmdays.csv`` would miscount the indexes and are refused.
+    a firm of ``models.csv`` without a row for every offset of
+    ``firmdays.csv``, and a ``firmdays.csv`` without rows next to a
+    non-empty ``models.csv`` would miscount the indexes and are refused.
     """
     directory = Path(directory)
     for name in ("models.csv", "firmdays.csv"):
@@ -242,6 +243,8 @@ def read_fit_outputs(directory) -> FitOutputs:
         n = int(repeats.min())
         raise ValueError(f"{path} data row {n + 1}: firm {table.firm_id[n]} already has "
                          f"a row for offset {table.offset[n]}")
+    if models and not firm.size:  # with no offsets the coverage rule below holds vacuously
+        raise ValueError(f"{path}: firm {min(models)} has no rows")
     # no repeats, so a firm with as many rows as the file has offsets has them all
     span = np.arange(table.offset.min(), table.offset.max() + 1) if firm.size else np.empty(0, int)
     counts = dict(zip(codes, np.bincount(firm, minlength=len(codes)).tolist()))

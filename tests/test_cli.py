@@ -5,10 +5,15 @@ are exercised the same way a shell user would see them.
 """
 
 import filecmp
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ecuindex
 from ecuindex.cli import main
 
 
@@ -34,6 +39,18 @@ def fitted_dir(tmp_path_factory):
     assert main(["simulate", "--config", cfg, "--out", out]) == 0
     assert main(["fit", "--config", cfg, "--out", out]) == 0
     return root / "out", cfg
+
+
+def test_importing_the_cli_leaves_the_process_pool_out():
+    """Only a fit on more than one worker imports ``multiprocessing``."""
+    src = str(Path(ecuindex.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
+    code = "import sys, ecuindex.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def read_rows(path):
@@ -253,7 +270,8 @@ def test_repeated_fit_row_is_a_data_error(fitted_dir, tmp_path, capsys, name, pr
 @pytest.mark.parametrize("prefix,message", [
     ("F00004,5,", "firmdays.csv: firm F00004 has no row for offset 5"),
     ("F00004,", "firmdays.csv: firm F00004 has no row for offset -95"),
-], ids=["one_row", "every_row"])
+    ("F", "firmdays.csv: firm F00000 has no rows"),
+], ids=["one_row", "every_row", "all_rows"])
 def test_missing_firmday_is_a_data_error(fitted_dir, tmp_path, capsys, prefix, message):
     """A missing firm-day would drop its firm out of that offset's indexes."""
     out, cfg = fitted_dir

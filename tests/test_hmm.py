@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ecuindex.hmm import (
     PROSPEROUS,
@@ -21,6 +22,7 @@ from ecuindex.hmm import (
     sample_path,
 )
 from ecuindex.preprocess import DeviationSeries
+from test_hmm_oracle import series_and_model
 
 # ---------------------------------------------------------------------------
 # brute-force oracle: total likelihood by summing over every state path
@@ -306,6 +308,50 @@ def test_em_label_invariant_to_init_order():
         assert pa.beta == pytest.approx(pb.beta, rel=1e-5, abs=1e-7)
         assert pa.sigma == pytest.approx(pb.sigma, rel=1e-5, abs=1e-7)
     np.testing.assert_allclose(a.q, b.q, atol=1e-6)
+
+
+def swap_regimes(model):
+    return RegimeModel(model.q[::-1, ::-1], model.params[::-1], model.pi0[::-1])
+
+
+def unless_classified_failure(fn, *args, **kwargs):
+    """``fn``'s result, or None where it fails as the pipeline expects a fit to fail."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, RuntimeError):  # RuntimeError: FilterDegeneracyError, EM failure
+        return None
+
+
+def fit_bits(report) -> list:
+    """Iterations and flags, then the bytes of the trace, filter, model arrays and floats."""
+    params = [[p.alpha, p.beta, p.sigma] for p in report.model.params]
+    return [(report.iterations, report.converged, report.degenerate)] + [
+        np.asarray(x, dtype=float).tobytes() for x in (
+            report.loglik_trace, report.filter.filtered, report.filter.loglik, report.model.q,
+            report.model.pi0, params)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(series_and_model())
+def test_kernel_fails_only_as_classified_and_filters_probabilities(case):
+    y, model = case
+    for out in (unless_classified_failure(forward_filter, y, model),
+                unless_classified_failure(em_fit, y, model, max_iter=50)):
+        if out is not None:
+            filtered = getattr(out, "filter", out).filtered
+            assert ((filtered >= 0.0) & (filtered <= 1.0)).all()
+            assert np.abs(filtered.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(series_and_model())
+def test_swapped_init_gives_the_same_fit_bit_for_bit(case):
+    """The regimes' order in the init changes no rounding, so a labelled fit cannot tell."""
+    y, model = case
+    report = unless_classified_failure(em_fit, y, model, max_iter=50)
+    if report is None or report.degenerate:  # tied regimes would keep their init order
+        return
+    assert fit_bits(em_fit(y, swap_regimes(model), max_iter=50)) == fit_bits(report)
 
 
 def test_em_zero_series_flagged_degenerate():
