@@ -168,8 +168,9 @@ def _forward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0: np.ndarr
         norms.append(c)
         p0 = f0 * q00 + f1 * q10
         p1 = f0 * q01 + f1 * q11
-    c = np.array(norms)
-    return b, e0s, e1s, np.array([f0s, f1s]).T, norms, c, float(np.log(c).sum() + shift.sum())
+    c = np.fromiter(norms, float, len(norms))
+    filtered = np.fromiter(f0s + f1s, float, 2 * len(norms)).reshape(2, -1).T  # F order, as gamma's
+    return b, e0s, e1s, filtered, norms, c, float(np.log(c).sum() + shift.sum())
 
 
 def forward_filter(y, model: RegimeModel) -> FilterOutput:
@@ -197,7 +198,7 @@ def _backward(e0s: list, e1s: list, norms: list, q: np.ndarray) -> np.ndarray:
         r1 = (q10 * u0 + q11 * u1) / ct
         r0s.append(r0)
         r1s.append(r1)
-    return np.array([r0s, r1s]).T[::-1]
+    return np.fromiter(r0s + r1s, float, 2 * len(r0s)).reshape(2, -1).T[::-1]
 
 
 def _forward_backward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0: np.ndarray,

@@ -5,7 +5,12 @@ with ``#`` before the header carry run metadata (the root seed) and are
 skipped on read.  Floats are written with ``repr`` so values round-trip
 exactly and reruns are byte-identical; empty fields mean missing (a NaN
 gap or an unmetered day).  Readers and writers work a block of rows at a
-time, so their memory is bounded by a block of text plus the typed arrays.
+time, held as one string, so their memory is bounded by a block of text
+plus the typed arrays.  A block without ``"`` is split at its commas in one
+call; from the first block with one on, ``csv.reader`` parses the rest of
+the file, so quoted fields may span lines and blocks.  Writers quote a text
+field as ``csv.writer`` does: one holding a comma, a quote or a line break
+goes in quotes, its quotes doubled.  Rows end with CRLF.
 
 The fit stage hands off two files: ``models.csv`` with one row per firm
 (its fitted model, flags and group codes) and ``firmdays.csv`` with one
@@ -39,7 +44,8 @@ ECU_HEADER = ["group_type", "group_key", "offset", "date", "ecu", "total_weight"
 SRPI_HEADER = ["offset", "date", "srpi", "delta_srpi"]
 
 DAY = np.timedelta64(1, "D")
-BLOCK_ROWS = 8192  # data rows a reader or writer holds as text at a time
+BLOCK_ROWS = 2048  # data rows a reader or writer holds as text at a time
+_NEEDS_QUOTES = frozenset(',"\r\n')  # csv.writer quotes a field holding one, doubling its quotes
 
 
 @dataclass(frozen=True)
@@ -78,13 +84,16 @@ def _fmt_column(values) -> list[str]:
     return [repr(x) if x == x else "" for x in np.asarray(values, dtype=float).tolist()]
 
 
+def _quoted(fields) -> list[str]:
+    """Text fields as ``csv.writer`` writes them, each distinct value quoted once."""
+    forms = {f: f if _NEEDS_QUOTES.isdisjoint(f) else '"' + f.replace('"', '""') + '"'
+             for f in set(fields)}
+    return list(map(forms.__getitem__, fields))
+
+
 def _check_kwh(field: str) -> None:
     if field and not math.isfinite(float(field)):
         raise ValueError(f"kWh must be a finite number or blank, got {field!r}")
-
-
-def _fmt_bool(b) -> str:
-    return "true" if b else "false"
 
 
 def _parse_bool(field: str) -> bool:
@@ -111,34 +120,52 @@ def _parse_column(path, first, columns, column, convert) -> list:
         raise _unreadable(path, first, columns, {column: convert}) from None
 
 
-def _write_csv(path, header, rows, comments) -> None:
+def _write_csv(path, header, blocks, comments) -> None:
+    """Comments, header and blocks of text columns as CRLF rows; a ``str`` column is one field."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(f"# {line}\n" for line in comments)
-        csv.writer(fh).writerows(itertools.chain([header], rows))
+        fh.write(",".join(header) + "\r\n")
+        for columns in blocks:
+            rows = list(map(",".join, zip(*(itertools.repeat(*_quoted([c])) if isinstance(c, str)
+                                            else c for c in columns))))
+            rows.append("")
+            fh.write("\r\n".join(rows))
 
 
 def _blocks(path, header):
     """Each block of ``BLOCK_ROWS`` data rows as ``(first_data_row, {column: fields})``.
 
-    The header and the block's field counts are checked before it is yielded.
+    The header and the block's field counts are checked before it is yielded; a
+    block whose lines have a ``"`` or another comma count goes to ``csv.reader``.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"missing file {path}")
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = csv.reader(itertools.dropwhile(lambda line: line.startswith("#"), fh))
-        found = next(rows, None)
+        lines = itertools.dropwhile(lambda line: line.startswith("#"), fh)
+        found = next(csv.reader(lines), None)
         if found is None:
             raise ValueError(f"{path} is empty")
         if found != header:
             raise ValueError(f"{path} header {found} does not match {header}")
         width, first = len(header), 1
+        while block := list(itertools.islice(lines, BLOCK_ROWS)):
+            text = ",".join(map(str.rstrip, block, itertools.repeat("\r\n")))
+            if '"' in text or set(map(str.count, block, itertools.repeat(","))) != {width - 1}:
+                break
+            fields = text.split(",")
+            columns = {name: fields[j::width] for j, name in enumerate(header)}
+            del block, text, fields  # a block's text is held once, as columns
+            yield first, columns
+            first += len(columns[header[0]])
+        # a quoted field may hold commas and line breaks, and span blocks
+        rows = csv.reader(itertools.chain(block, lines))
         while block := list(itertools.islice(rows, BLOCK_ROWS)):
             if set(map(len, block)) - {width}:
                 n, row = next((n, row) for n, row in enumerate(block, first) if len(row) != width)
                 raise ValueError(f"{path} data row {n} has {len(row)} fields, expected {width}")
             columns = dict(zip(header, zip(*block)))
-            del block  # a block's text is held once, as columns
+            del block
             yield first, columns
             first += len(columns[header[0]])
 
@@ -153,11 +180,18 @@ def seed_comment(seed) -> str:
 
 
 def write_panel(path, records: list[FirmRecord], comments=()) -> None:
-    _write_csv(path, PANEL_HEADER, itertools.chain.from_iterable(
-        zip(itertools.repeat(rec.firm_id), rec.series.dates.astype(str).tolist(),
-            _fmt_column(rec.series.values), itertools.repeat(rec.sector_code),
-            itertools.repeat(rec.district_code))
-        for rec in sorted(records, key=lambda r: r.firm_id)), comments)
+    """One block per firm; each distinct range of days (series are daily) is formatted once."""
+    days: dict[tuple[bytes, int], list[str]] = {}
+
+    def block(rec):
+        dates = rec.series.dates
+        key = (dates[:1].tobytes(), len(dates))
+        if key not in days:
+            days[key] = dates.astype(str).tolist()
+        return (rec.firm_id, days[key], _fmt_column(rec.series.values), rec.sector_code,
+                rec.district_code)
+
+    _write_csv(path, PANEL_HEADER, map(block, sorted(records, key=lambda r: r.firm_id)), comments)
 
 
 def read_panel(path) -> list[FirmRecord]:
@@ -175,18 +209,18 @@ def read_panel(path) -> list[FirmRecord]:
                 days.add(text)
             dates = np.array(columns["date"], dtype="datetime64[D]")
             kwh = columns["kwh"]
-            values = np.array([float(text) if text else np.nan for text in kwh])
+            values = np.array([text or "nan" for text in kwh], dtype=float)
             if np.count_nonzero(np.isfinite(values)) != len(kwh) - kwh.count(""):
                 raise ValueError("non-finite kWh text")
         except ValueError:
             converters = {"date": functools.partial(check_date, name="date"), "kwh": _check_kwh}
             raise _unreadable(path, first, columns, converters) from None
-        for firm_id, sector, district in zip(columns["firm_id"], columns["sector_code"],
-                                             columns["district_code"]):
+        triples = zip(columns["firm_id"], columns["sector_code"], columns["district_code"])
+        for firm_id, sector, district in dict.fromkeys(triples):  # distinct, first-seen order
             if codes.setdefault(firm_id, (sector, district)) != (sector, district):
                 raise ValueError(f"{path}: firm {firm_id} has inconsistent sector/district codes")
-        firm_parts.append(np.array([index.setdefault(firm_id, len(index))
-                                    for firm_id in columns["firm_id"]], dtype=np.intp))
+            index.setdefault(firm_id, len(index))
+        firm_parts.append(np.fromiter(map(index.__getitem__, columns["firm_id"]), np.intp))
         date_parts.append(dates)
         value_parts.append(values)
     firm_ids = sorted(index)
@@ -217,10 +251,11 @@ def write_models(path, rows: Iterable[ModelRow], comments=()) -> None:
     numbers = np.array([[x for p in r.model.params for x in (p.alpha, p.beta, p.sigma)]
                         + [r.model.q[0, 0], r.model.q[1, 1], r.model.pi0[0], r.loglik]
                         for r in rows], dtype=float).reshape(-1, 10)
-    _write_csv(path, MODELS_HEADER, zip(
-        [r.firm_id for r in rows], [r.sector_code for r in rows], [r.district_code for r in rows],
-        *map(_fmt_column, numbers.T), [_fmt_bool(r.converged) for r in rows],
-        [_fmt_bool(r.degenerate) for r in rows]), comments)
+    _write_csv(path, MODELS_HEADER, [[
+        *(_quoted([getattr(r, name) for r in rows]) for name in MODELS_HEADER[:3]),
+        *map(_fmt_column, numbers.T),
+        *(["true" if getattr(r, name) else "false" for r in rows] for name in MODELS_HEADER[13:])]],
+               comments)
 
 
 def read_models(path) -> dict[str, ModelRow]:
@@ -261,9 +296,9 @@ def write_firmdays(path, table: FirmDayTable, comments=()) -> None:
         if nan.size:
             raise ValueError(f"{path} data row {nan[0] + 1}, column {name}: cannot read ''")
     blocks = (slice(lo, lo + BLOCK_ROWS) for lo in range(0, len(table.offset), BLOCK_ROWS))
-    _write_csv(path, FIRMDAYS_HEADER, itertools.chain.from_iterable(
-        zip(table.firm_id[b].tolist(), table.offset[b].tolist(),
-            *(_fmt_column(getattr(table, name)[b]) for name in floats))
+    _write_csv(path, FIRMDAYS_HEADER, (
+        [_quoted(table.firm_id[b].tolist()), map(str, table.offset[b].tolist()),
+         *(_fmt_column(getattr(table, name)[b]) for name in floats)]
         for b in blocks), comments)
 
 
@@ -273,9 +308,11 @@ def read_firmdays(path) -> FirmDayTable:
              *([np.empty(0)] for _ in FIRMDAYS_HEADER[2:])]
     for first, columns in _blocks(path, FIRMDAYS_HEADER):
         parts[0].append(np.array([ids.setdefault(f, f) for f in columns["firm_id"]], dtype=object))
-        parts[1].append(np.array(_parse_column(path, first, columns, "offset", int), dtype=int))
-        for column, part in zip(FIRMDAYS_HEADER[2:], parts[2:]):
-            part.append(np.array(_parse_column(path, first, columns, column, float)))
+        for column, kind, part in zip(FIRMDAYS_HEADER[1:], (int, *[float] * 5), parts[1:]):
+            try:  # numpy reads text as ``int`` and ``float`` do
+                part.append(np.array(columns[column], dtype=kind))
+            except ValueError:
+                raise _unreadable(path, first, columns, {column: kind}) from None
     return FirmDayTable(*map(np.concatenate, parts))
 
 
@@ -287,14 +324,14 @@ def read_firmdays(path) -> FirmDayTable:
 def write_ecu(path, series_list: list[EcuSeries], base_date, comments=()) -> None:
     """``base_date``: calendar day at offset 0 in the test window."""
     base = np.datetime64(base_date)
-    _write_csv(path, ECU_HEADER, itertools.chain.from_iterable(
-        zip(itertools.repeat(s.group_type), itertools.repeat(s.group_key), s.offsets.tolist(),
-            (base + s.offsets * DAY).astype(str).tolist(), _fmt_column(s.ecu),
-            _fmt_column(s.total_weight), s.firm_count.tolist())
+    _write_csv(path, ECU_HEADER, (
+        (s.group_type, s.group_key, map(str, s.offsets.tolist()),
+         (base + s.offsets * DAY).astype(str).tolist(), _fmt_column(s.ecu),
+         _fmt_column(s.total_weight), map(str, s.firm_count.tolist()))
         for s in sorted(series_list, key=lambda s: (s.group_type, s.group_key))), comments)
 
 
 def write_srpi(path, series: SrpiSeries, base_date, comments=()) -> None:
     dates = (np.datetime64(base_date) + series.offsets * DAY).astype(str).tolist()
-    _write_csv(path, SRPI_HEADER, zip(series.offsets.tolist(), dates, _fmt_column(series.srpi),
-                                      _fmt_column(series.delta_srpi)), comments)
+    _write_csv(path, SRPI_HEADER, [(map(str, series.offsets.tolist()), dates,
+                                    *map(_fmt_column, (series.srpi, series.delta_srpi)))], comments)

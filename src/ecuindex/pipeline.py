@@ -9,6 +9,7 @@ and the run settings, so worker count cannot change any result.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -127,8 +128,11 @@ def fit_panel(records: list[FirmRecord], cfg: RunConfig,
 
     A firm whose series cannot cover the windows or whose fit fails
     numerically is skipped with a diagnostic instead of failing the run.
+    The pool starts at most one process per firm and per usable CPU.
     """
     jobs = [(rec, cfg) for rec in records]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(jobs), cpus or 1)
     if workers <= 1:
         outcomes = map(_fit_one, jobs)
     else:
@@ -173,18 +177,26 @@ def firmday_table(results: Iterable[FirmFitResult]) -> FirmDayTable:
     )
 
 
-def _firmday_panel(table: FirmDayTable, models: Mapping[str, ModelRow]) -> FirmDayPanel:
-    """The columnar panel the index stage aggregates.
+def _firm_codes(firm_id: np.ndarray) -> tuple[dict[str, int], np.ndarray]:
+    """Each distinct firm id's position in first-seen order, and each row's firm position."""
+    ids = firm_id.tolist()
+    index = {f: k for k, f in enumerate(dict.fromkeys(ids))}
+    return index, np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
+
+
+def _firmday_panel(table: FirmDayTable, models: Mapping[str, ModelRow], index: dict[str, int],
+                   firm: np.ndarray) -> FirmDayPanel:
+    """The columnar panel the index stage aggregates; ``index`` and ``firm`` as ``_firm_codes``.
 
     A degenerate fit cannot distinguish its regimes, so its recessionary
     probability is zeroed here (the audit flag stays in the model export).
     """
-    rows = [models[firm_id] for firm_id in table.firm_id.tolist()]
-    degenerate = np.array([m.degenerate for m in rows], dtype=bool)
+    rows = [models[firm_id] for firm_id in index]
+    degenerate = np.array([m.degenerate for m in rows], dtype=bool)[firm]
     return FirmDayPanel(table.firm_id, table.offset, table.ele_test,
                         np.where(degenerate, 0.0, table.mu_r),
-                        np.array([m.sector_code for m in rows], dtype=object),
-                        np.array([m.district_code for m in rows], dtype=object))
+                        np.array([m.sector_code for m in rows], dtype=object)[firm],
+                        np.array([m.district_code for m in rows], dtype=object)[firm])
 
 
 def _reference_totals(table: FirmDayTable) -> dict[int, float]:
@@ -194,7 +206,8 @@ def _reference_totals(table: FirmDayTable) -> dict[int, float]:
 
 def build_firmday_panel(results: list[FirmFitResult]) -> FirmDayPanel:
     """Stack fit results into the columnar panel the index stage aggregates."""
-    return _firmday_panel(firmday_table(results), model_rows(results))
+    table = firmday_table(results)
+    return _firmday_panel(table, model_rows(results), *_firm_codes(table.firm_id))
 
 
 def reference_totals(results: list[FirmFitResult]) -> dict[int, float]:
@@ -230,9 +243,7 @@ def read_fit_outputs(directory) -> FitOutputs:
     models = read_models(directory / "models.csv")
     path = directory / "firmdays.csv"
     table = read_firmdays(path)
-    codes: dict[str, int] = {}
-    firm = np.array([codes.setdefault(f, len(codes)) for f in table.firm_id.tolist()],
-                    dtype=np.intp)
+    codes, firm = _firm_codes(table.firm_id)
     missing = sorted(codes.keys() - models.keys())
     if missing:
         raise ValueError(f"firmdays.csv has rows for firm {missing[0]} "
@@ -252,4 +263,5 @@ def read_fit_outputs(directory) -> FitOutputs:
     if short is not None:
         missing = np.setdiff1d(span, table.offset[firm == codes.get(short, -1)])
         raise ValueError(f"{path}: firm {short} has no row for offset {missing[0]}")
-    return FitOutputs(models, table, _firmday_panel(table, models), _reference_totals(table))
+    return FitOutputs(models, table, _firmday_panel(table, models, codes, firm),
+                      _reference_totals(table))

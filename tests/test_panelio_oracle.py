@@ -10,10 +10,14 @@ oracle accepted (dates not written YYYY-MM-DD, non-finite kWh text, lines
 after the header that start with ``#``) are tested in ``test_panelio.py``
 and ``test_cli.py``, not here.  The properties that read files run a second
 time with ``panelio.BLOCK_ROWS`` forced to 2, so every example spans blocks
-and an injected fault can land in a later one.
+and an injected fault can land in a later one.  The last tests pin the
+split path (a block without ``"`` is split at its commas) and its hand-over
+to ``csv.reader``: quoted line breaks on a block boundary, a first quote in a
+later block, mixed LF, CRLF and CR line endings, and empty lines.
 """
 
 import csv
+import io
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -26,7 +30,7 @@ from hypothesis import strategies as st
 import panelio_oracle as oracle
 from ecuindex import panelio
 from ecuindex.ecu import EcuSeries, SrpiSeries
-from ecuindex.panelio import PANEL_HEADER, FirmDayTable
+from ecuindex.panelio import FIRMDAYS_HEADER, PANEL_HEADER, FirmDayTable
 from ecuindex.preprocess import FirmRecord, RawSeries
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -282,3 +286,119 @@ def test_write_srpi_matches_oracle(data, base):
         panelio.write_srpi(got, series, base, COMMENTS)
         oracle.write_srpi(want, series, base, COMMENTS)
         assert got.read_bytes() == want.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the split path: blocks without a quote are split at their commas, and from the
+# first block with a quote on, csv.reader parses the rest of the file
+# ---------------------------------------------------------------------------
+
+
+def assert_same_tables(got, want):
+    assert got.firm_id.tolist() == want.firm_id.tolist()
+    assert got.firm_id.dtype == want.firm_id.dtype
+    for name in ("offset", *FLOAT_COLUMNS):
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+
+
+READERS = {"panel": (panelio.read_panel, oracle.read_panel, assert_same_records),
+           "firmdays": (panelio.read_firmdays, oracle.read_firmdays, assert_same_tables)}
+
+
+def assert_reads_as_oracle(kind, path):
+    """The package's reader returns what the oracle's returns, or raises its message."""
+    read, read_oracle, same = READERS[kind]
+    got, want = outcome(read, path), outcome(read_oracle, path)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "ok":
+        same(got[1], want[1])
+    else:
+        assert got == want
+    return got[0]
+
+
+def render(header, rows, endings, blank_after=()):
+    """CSV text as ``csv.writer`` writes it, data row n ended by ``endings[n - 1]``, cycled.
+
+    An empty line follows data row n for each n in ``blank_after`` (0: the header).
+    """
+    out = [",".join(header) + "\n"]
+    out += ["\n" for n in blank_after if n == 0]
+    for n, row in enumerate(rows, 1):
+        ending = endings[(n - 1) % len(endings)]
+        fh = io.StringIO()
+        csv.writer(fh).writerow(row)
+        out.append(fh.getvalue().removesuffix("\r\n") + ending)
+        out += [ending for k in blank_after if k == n]
+    return "".join(out)
+
+
+def panel_lines(firm_ids, days=3):
+    return [[firm_id, f"2019-01-0{day}", f"{day}.5", "101", "D01"]
+            for firm_id in firm_ids for day in range(1, days + 1)]
+
+
+def firmday_lines(firm_ids, days=3):
+    return [[firm_id, str(k), "0.5", "0.25", "0.75", f"{k}.5", "1e-3"]
+            for firm_id in firm_ids for k in range(days)]
+
+
+LINES = {"panel": (PANEL_HEADER, panel_lines), "firmdays": (FIRMDAYS_HEADER, firmday_lines)}
+
+# name: (firm ids, line endings, empty lines after these data rows, what the readers do);
+# each firm has three rows, so with blocks of 2 lines the plain first firm fills block 1
+SPLIT_CASES = {
+    # with blocks of 2 lines, the first quoted id's line break ends block 2
+    "line_break_on_block_boundary": (["A", "B\nC", "D\r\nE"], ["\r\n"], (), "ok"),
+    "first_quote_in_a_later_block": (["A", "B", "C,\"D\""], ["\r\n"], (), "ok"),
+    "mixed_line_endings": (["A", "B", "C"], ["\n", "\r\n", "\r"], (), "ok"),
+    "mixed_line_endings_quoted": (["A", "B\rC", "D"], ["\r", "\n", "\r\n"], (), "ok"),
+    "trailing_blank_line": (["A", "B"], ["\r\n"], (6,), "ValueError"),
+    "empty_line_mid_file": (["A", "B"], ["\n"], (4,), "ValueError"),
+    "empty_line_after_header": (["A", "B"], ["\r\n"], (0,), "ValueError"),
+    "empty_line_after_a_quote": (["A", "\"B\"", "C"], ["\r\n"], (7,), "ValueError"),
+}
+
+
+@pytest.mark.parametrize("block_rows", [2, panelio.BLOCK_ROWS])
+@pytest.mark.parametrize("kind", sorted(LINES))
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_split_path_cases_match_oracle(tmp_path, monkeypatch, block_rows, kind, case):
+    monkeypatch.setattr(panelio, "BLOCK_ROWS", block_rows)
+    firm_ids, endings, blank_after, expected = SPLIT_CASES[case]
+    header, lines = LINES[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(render(header, lines(firm_ids), endings, blank_after), encoding="utf-8",
+                    newline="")
+    assert assert_reads_as_oracle(kind, path) == expected
+
+
+def test_quoted_line_break_lands_on_a_block_boundary(tmp_path, monkeypatch):
+    """The first case above is laid out as its name says: block 1 is split at its commas,
+    and the quote that block 2 opens closes in block 3."""
+    monkeypatch.setattr(panelio, "BLOCK_ROWS", 2)
+    path = tmp_path / "panel.csv"
+    path.write_text(render(PANEL_HEADER, panel_lines(["A", "B\nC"]), ["\r\n"]), encoding="utf-8",
+                    newline="")
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()[1:]
+    assert '"' not in "".join(lines[:2]) and lines[3] == '"B\n'
+    assert [r.firm_id for r in panelio.read_panel(path)] == ["A", "B\nC"]
+
+
+@SETTINGS
+@given(rows=panel_rows(), endings=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1,
+                                           max_size=3),
+       data=st.data())
+def test_line_endings_and_empty_lines_match_oracle(rows, endings, data):
+    """Any row order, line endings, quoted ids and empty lines read as the oracle reads them."""
+    blank_after = data.draw(st.lists(st.integers(0, len(rows)), max_size=2))
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d, "panel.csv")
+        path.write_text(render(PANEL_HEADER, rows, endings, blank_after), encoding="utf-8",
+                        newline="")
+        assert_reads_as_oracle("panel", path)
+
+
+test_line_endings_and_empty_lines_in_blocks_of_2 = in_blocks_of_2(
+    test_line_endings_and_empty_lines_match_oracle)

@@ -1,6 +1,8 @@
 """Tests for per-firm orchestration and the panel-level fit driver."""
 
+import concurrent.futures
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -106,6 +108,38 @@ def test_fit_panel_worker_count_is_invisible(records, run_cfg, multi_start):
         assert a.report.model.params == b.report.model.params
         np.testing.assert_array_equal(a.filtered.filtered, b.filtered.filtered)
         np.testing.assert_array_equal(a.ele_test, b.ele_test)
+
+
+@pytest.mark.parametrize("cpus,firms,started", [(64, 3, 3), (2, 6, 2), (1, 6, None)])
+def test_fit_panel_pool_is_capped_by_firms_and_cpus(records, run_cfg, monkeypatch, cpus, firms,
+                                                    started):
+    """``workers=500`` starts one process per firm and per usable CPU at most, or no pool."""
+    pools = []
+
+    class Recorder:
+        """Stands in for the process pool: records its size and fits in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    results, _ = fit_panel(records[:firms], run_cfg, workers=500)
+    assert pools == ([] if started is None else [started])
+    serial, _ = fit_panel(records[:firms], run_cfg, workers=1)
+    def fits(rs):
+        return [(r.firm_id, r.report.model.params, r.report.loglik_trace.tolist()) for r in rs]
+
+    assert fits(results) == fits(serial)
 
 
 def test_fit_panel_skips_uncovered_firm(records, run_cfg):
