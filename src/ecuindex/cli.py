@@ -1,10 +1,10 @@
 """Command-line pipeline: simulate -> fit -> index -> report.
 
-Stages hand off through CSV files in the output directory, so each one can
-be rerun or inspected on its own: simulate writes ``panel.csv``, fit writes
-``models.csv`` and ``firmdays.csv``, and index and report read those two
-back through ``pipeline.read_fit_outputs``.  Identical inputs and root seed
-give byte-identical outputs regardless of worker count.
+Stages hand off through files in the output directory, so each one can be
+rerun or inspected on its own: simulate writes ``panel.csv``, fit writes
+``models.csv`` and the binary firm-day array ``firmdays.npy``, and index and
+report read those two back through ``pipeline.read_fit_outputs``.  Identical
+inputs and root seed give byte-identical outputs regardless of worker count.
 """
 
 from __future__ import annotations
@@ -17,16 +17,8 @@ import numpy as np
 
 from .config import ConfigError, build_panel_config, build_run_config, load_config
 from .ecu import ecu_grouped, srpi
-from .panelio import (
-    read_panel,
-    seed_comment,
-    write_ecu,
-    write_firmdays,
-    write_models,
-    write_panel,
-    write_srpi,
-)
-from .pipeline import firmday_table, fit_panel, model_rows, read_fit_outputs
+from .panelio import read_panel, seed_comment, write_ecu, write_models, write_panel, write_srpi
+from .pipeline import fit_panel, model_rows, read_fit_outputs, save_firmdays
 from .sectors import load_code_map
 from .simgen import generate
 
@@ -86,7 +78,7 @@ def cmd_fit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     comments = [seed_comment(cfg.seed)]
     write_models(out / "models.csv", model_rows(results).values(), comments)
-    write_firmdays(out / "firmdays.csv", firmday_table(results), comments)
+    save_firmdays(out / "firmdays.npy", results)
 
     converged = sum(r.report.converged for r in results)
     degenerate = sum(r.report.degenerate for r in results)
@@ -122,10 +114,11 @@ def cmd_report(args) -> int:
     firm = args.firm
 
     fit = read_fit_outputs(out)
-    t = fit.firmdays
-    rows = t.firm_id == firm
-    if not rows.any():
+    if firm not in fit.models:
         raise KeyError(f"unknown firm id {firm!r}")
+    t, days = fit.firmdays, len(fit.firmdays.offset) // len(fit.models)
+    k = list(fit.models).index(firm)  # models.csv order is firmdays.npy row order
+    rows = slice(k * days, (k + 1) * days)
     offsets, mu_r = t.offset[rows], t.mu_r[rows]
     base = np.datetime64(cfg.test_base)
     path = out / f"report_{firm}.csv"
@@ -174,7 +167,7 @@ def main(argv=None) -> int:
                "index": cmd_index, "report": cmd_report}[args.command]
     try:
         return handler(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # OSError: a file that cannot be opened
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_RUNTIME

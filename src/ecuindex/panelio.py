@@ -1,21 +1,21 @@
-"""CSV interchange for every pipeline stage.
+"""CSV interchange for the panel, the fitted models and the indexes.
 
 All files are UTF-8 with a header row and ISO-8601 dates.  Lines starting
 with ``#`` before the header carry run metadata (the root seed) and are
 skipped on read.  Floats are written with ``repr`` so values round-trip
 exactly and reruns are byte-identical; empty fields mean missing (a NaN
-gap or an unmetered day).  Readers and writers work a block of rows at a
-time, held as one string, so their memory is bounded by a block of text
-plus the typed arrays.  A block without ``"`` is split at its commas in one
-call; from the first block with one on, ``csv.reader`` parses the rest of
-the file, so quoted fields may span lines and blocks.  Writers quote a text
-field as ``csv.writer`` does: one holding a comma, a quote or a line break
-goes in quotes, its quotes doubled.  Rows end with CRLF.
+gap or an unmetered day).  Readers work a block of rows at a time, held as
+one string, so their memory is bounded by a block of text plus the typed
+arrays.  A block without ``"`` is split at its commas in one call; from the
+first block with one on, ``csv.reader`` parses the rest of the file, so
+quoted fields may span lines and blocks.  Writers quote a text field as
+``csv.writer`` does: one holding a comma, a quote or a line break goes in
+quotes, its quotes doubled.  Rows end with CRLF.
 
-The fit stage hands off two files: ``models.csv`` with one row per firm
-(its fitted model, flags and group codes) and ``firmdays.csv`` with one
-row per firm-day (deviation, filtered probabilities and the cleaned
-consumption of both windows).
+The files are ``panel.csv`` (one row per firm-day reading), ``models.csv``
+(one row per fitted firm: its model, flags and group codes), ``ecu.csv``
+and ``srpi.csv``.  The fit's firm-day values go to ``index`` as a binary
+array instead (``pipeline.save_firmdays``).
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ PANEL_HEADER = ["firm_id", "date", "kwh", "sector_code", "district_code"]
 MODELS_HEADER = ["firm_id", "sector_code", "district_code",
                  "alpha_p", "beta_p", "sigma_p", "alpha_r", "beta_r", "sigma_r",
                  "q_pp", "q_rr", "pi0_p", "loglik", "converged", "degenerate"]
-FIRMDAYS_HEADER = ["firm_id", "offset", "y", "mu_p", "mu_r", "ele_test", "ele_ref"]
 ECU_HEADER = ["group_type", "group_key", "offset", "date", "ecu", "total_weight", "firm_count"]
 SRPI_HEADER = ["offset", "date", "srpi", "delta_srpi"]
 
 DAY = np.timedelta64(1, "D")
-BLOCK_ROWS = 2048  # data rows a reader or writer holds as text at a time
+BLOCK_ROWS = 2048  # data rows a reader holds as text at a time
 _NEEDS_QUOTES = frozenset(',"\r\n')  # csv.writer quotes a field holding one, doubling its quotes
 
 
@@ -59,24 +58,6 @@ class ModelRow:
     loglik: float
     converged: bool
     degenerate: bool
-
-
-@dataclass(frozen=True)
-class FirmDayTable:
-    """Columns of the firm-day file, one row per fitted firm and offset.
-
-    ``y`` is the deviation series, ``mu_p``/``mu_r`` the filtered regime
-    probabilities as fitted (a degenerate firm's are not zeroed here), and
-    ``ele_test``/``ele_ref`` the cleaned kWh of the test and reference windows.
-    """
-
-    firm_id: np.ndarray
-    offset: np.ndarray
-    y: np.ndarray
-    mu_p: np.ndarray
-    mu_r: np.ndarray
-    ele_test: np.ndarray
-    ele_ref: np.ndarray
 
 
 def _fmt_column(values) -> list[str]:
@@ -132,6 +113,14 @@ def _write_csv(path, header, blocks, comments) -> None:
             fh.write("\r\n".join(rows))
 
 
+def _csv_rows(path, lines):
+    """``csv.reader`` rows; its ``csv.Error`` (a quoted field too long) names ``path``."""
+    try:
+        yield from csv.reader(lines)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _blocks(path, header):
     """Each block of ``BLOCK_ROWS`` data rows as ``(first_data_row, {column: fields})``.
 
@@ -143,7 +132,7 @@ def _blocks(path, header):
         raise FileNotFoundError(f"missing file {path}")
     with open(path, encoding="utf-8", newline="") as fh:
         lines = itertools.dropwhile(lambda line: line.startswith("#"), fh)
-        found = next(csv.reader(lines), None)
+        found = next(_csv_rows(path, lines), None)
         if found is None:
             raise ValueError(f"{path} is empty")
         if found != header:
@@ -159,7 +148,7 @@ def _blocks(path, header):
             yield first, columns
             first += len(columns[header[0]])
         # a quoted field may hold commas and line breaks, and span blocks
-        rows = csv.reader(itertools.chain(block, lines))
+        rows = _csv_rows(path, itertools.chain(block, lines))
         while block := list(itertools.islice(rows, BLOCK_ROWS)):
             if set(map(len, block)) - {width}:
                 n, row = next((n, row) for n, row in enumerate(block, first) if len(row) != width)
@@ -278,42 +267,6 @@ def read_models(path) -> dict[str, ModelRow]:
             out[firm_id] = ModelRow(firm_id, sector, district, model, loglik, converged,
                                     degenerate)
     return out
-
-
-# ---------------------------------------------------------------------------
-# firm-days
-# ---------------------------------------------------------------------------
-
-
-def write_firmdays(path, table: FirmDayTable, comments=()) -> None:
-    """Rows in table order; the pipeline builds the table sorted by (firm_id, offset).
-
-    A NaN, written blank, would not read back: it raises ``read_firmdays``'s error instead.
-    """
-    floats = FIRMDAYS_HEADER[2:]
-    for name in floats:
-        nan = np.flatnonzero(np.isnan(getattr(table, name)))
-        if nan.size:
-            raise ValueError(f"{path} data row {nan[0] + 1}, column {name}: cannot read ''")
-    blocks = (slice(lo, lo + BLOCK_ROWS) for lo in range(0, len(table.offset), BLOCK_ROWS))
-    _write_csv(path, FIRMDAYS_HEADER, (
-        [_quoted(table.firm_id[b].tolist()), map(str, table.offset[b].tolist()),
-         *(_fmt_column(getattr(table, name)[b]) for name in floats)]
-        for b in blocks), comments)
-
-
-def read_firmdays(path) -> FirmDayTable:
-    ids: dict[str, str] = {}  # one str object per firm, however many rows it has
-    parts = [[np.empty(0, dtype=object)], [np.empty(0, dtype=int)],
-             *([np.empty(0)] for _ in FIRMDAYS_HEADER[2:])]
-    for first, columns in _blocks(path, FIRMDAYS_HEADER):
-        parts[0].append(np.array([ids.setdefault(f, f) for f in columns["firm_id"]], dtype=object))
-        for column, kind, part in zip(FIRMDAYS_HEADER[1:], (int, *[float] * 5), parts[1:]):
-            try:  # numpy reads text as ``int`` and ``float`` do
-                part.append(np.array(columns[column], dtype=kind))
-            except ValueError:
-                raise _unreadable(path, first, columns, {column: kind}) from None
-    return FirmDayTable(*map(np.concatenate, parts))
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .config import RunConfig
 from .ecu import FirmDayPanel, fsum_by_key
 from .hmm import FilterOutput, FitReport, em_fit, init_params, random_init
-from .panelio import FirmDayTable, ModelRow, read_firmdays, read_models
+from .panelio import ModelRow, read_models
 from .preprocess import (
     AlignedPair,
     DeviationSeries,
@@ -49,6 +49,27 @@ class FirmFitResult:
     def filtered(self) -> FilterOutput:
         """The causal filter under the fitted model: EM's last forward pass."""
         return self.report.filter
+
+
+FIRMDAY_LAYERS = ("y", "mu_p", "mu_r", "ele_test", "ele_ref")  # firmdays.npy, axis 0
+
+
+@dataclass(frozen=True)
+class FirmDayTable:
+    """The fit's firm-day columns, one row per fitted firm and offset, by firm then offset.
+
+    ``y`` is the deviation series, ``mu_p``/``mu_r`` the filtered regime
+    probabilities as fitted (a degenerate firm's are not zeroed here), and
+    ``ele_test``/``ele_ref`` the cleaned kWh of the test and reference windows.
+    """
+
+    firm_id: np.ndarray
+    offset: np.ndarray
+    y: np.ndarray
+    mu_p: np.ndarray
+    mu_r: np.ndarray
+    ele_test: np.ndarray
+    ele_ref: np.ndarray
 
 
 def preprocess_firm(record: FirmRecord, cfg: RunConfig) -> tuple[DeviationSeries, AlignedPair]:
@@ -158,45 +179,66 @@ def model_rows(results: Iterable[FirmFitResult]) -> dict[str, ModelRow]:
             for r in results}
 
 
-def firmday_table(results: Iterable[FirmFitResult]) -> FirmDayTable:
-    """Stack fit results into the firm-day table, sorted by firm id then offset."""
+def _firmday_layers(results: Iterable[FirmFitResult]) -> tuple[list[str], np.ndarray]:
+    """Firm ids in order and the (5, firms, T) float64 array of their ``FIRMDAY_LAYERS``.
+
+    Every firm's offsets must be the same ``-span..span``, so T is odd and implies them.
+    """
     rs = sorted(results, key=lambda r: r.firm_id)
-
-    def stack(column):
-        return np.concatenate([column(r) for r in rs]) if rs else np.empty(0)
-
-    return FirmDayTable(
-        firm_id=np.repeat(np.array([r.firm_id for r in rs], dtype=object),
-                          [len(r.deviation.offsets) for r in rs]),
-        offset=stack(lambda r: r.deviation.offsets),
-        y=stack(lambda r: r.deviation.y),
-        mu_p=stack(lambda r: r.filtered.mu_p),
-        mu_r=stack(lambda r: r.filtered.mu_r),
-        ele_test=stack(lambda r: r.ele_test),
-        ele_ref=stack(lambda r: r.ele_ref),
-    )
+    span = len(rs[0].deviation.offsets) // 2 if rs else 0
+    offsets = np.arange(-span, span + 1)
+    layers = np.empty((len(FIRMDAY_LAYERS), len(rs), len(offsets)))
+    for k, r in enumerate(rs):
+        if not np.array_equal(r.deviation.offsets, offsets):
+            raise ValueError(f"firm {r.firm_id}: offsets must run {-span}..{span} as the first "
+                             "firm's do")
+        layers[:, k] = r.deviation.y, r.filtered.mu_p, r.filtered.mu_r, r.ele_test, r.ele_ref
+    return [r.firm_id for r in rs], layers
 
 
-def _firm_codes(firm_id: np.ndarray) -> tuple[dict[str, int], np.ndarray]:
-    """Each distinct firm id's position in first-seen order, and each row's firm position."""
-    ids = firm_id.tolist()
-    index = {f: k for k, f in enumerate(dict.fromkeys(ids))}
-    return index, np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
+def _firmday_table(firm_ids: list[str], layers: np.ndarray) -> FirmDayTable:
+    """The table of ``layers`` (5, firms, T): firm-major rows, offsets ``-(T // 2)..T // 2``."""
+    firms, days = layers.shape[1:]
+    return FirmDayTable(np.repeat(np.array(firm_ids, dtype=object), days),
+                        np.tile(np.arange(days) - days // 2, firms),
+                        *layers.reshape(len(layers), -1))
 
 
-def _firmday_panel(table: FirmDayTable, models: Mapping[str, ModelRow], index: dict[str, int],
-                   firm: np.ndarray) -> FirmDayPanel:
-    """The columnar panel the index stage aggregates; ``index`` and ``firm`` as ``_firm_codes``.
+def _check_finite(path, firm_ids: list[str], layers: np.ndarray) -> None:
+    finite = np.isfinite(layers)
+    if not finite.all():
+        layer, firm, day = np.argwhere(~finite)[0].tolist()
+        raise ValueError(f"{path}: column {FIRMDAY_LAYERS[layer]} of firm {firm_ids[firm]} is "
+                         f"{layers[layer, firm, day]} at offset {day - layers.shape[2] // 2}; "
+                         "firm-day values must be finite")
+
+
+def save_firmdays(path, results: Iterable[FirmFitResult]) -> None:
+    """Write the results' firm-day layers as one ``np.save`` array, firms in id order.
+
+    A non-finite value is refused, as ``read_fit_outputs`` would refuse it.
+    """
+    firm_ids, layers = _firmday_layers(results)
+    _check_finite(path, firm_ids, layers)
+    np.save(path, layers)
+
+
+def _firmday_panel(table: FirmDayTable, rows: list[ModelRow]) -> FirmDayPanel:
+    """The columnar panel the index stage aggregates; ``rows`` are the table's firms in order.
 
     A degenerate fit cannot distinguish its regimes, so its recessionary
     probability is zeroed here (the audit flag stays in the model export).
     """
-    rows = [models[firm_id] for firm_id in index]
-    degenerate = np.array([m.degenerate for m in rows], dtype=bool)[firm]
+    days = len(table.offset) // len(rows) if rows else 0
+
+    def per_day(values, dtype):
+        return np.repeat(np.array(values, dtype=dtype), days)
+
+    degenerate = per_day([m.degenerate for m in rows], bool)
     return FirmDayPanel(table.firm_id, table.offset, table.ele_test,
                         np.where(degenerate, 0.0, table.mu_r),
-                        np.array([m.sector_code for m in rows], dtype=object)[firm],
-                        np.array([m.district_code for m in rows], dtype=object)[firm])
+                        per_day([m.sector_code for m in rows], object),
+                        per_day([m.district_code for m in rows], object))
 
 
 def _reference_totals(table: FirmDayTable) -> dict[int, float]:
@@ -206,13 +248,14 @@ def _reference_totals(table: FirmDayTable) -> dict[int, float]:
 
 def build_firmday_panel(results: list[FirmFitResult]) -> FirmDayPanel:
     """Stack fit results into the columnar panel the index stage aggregates."""
-    table = firmday_table(results)
-    return _firmday_panel(table, model_rows(results), *_firm_codes(table.firm_id))
+    rows = model_rows(results)
+    table = _firmday_table(*_firmday_layers(results))
+    return _firmday_panel(table, [rows[firm_id] for firm_id in sorted(rows)])
 
 
 def reference_totals(results: list[FirmFitResult]) -> dict[int, float]:
     """Summed reference-window consumption per offset (the sRPI baseline)."""
-    return _reference_totals(firmday_table(results))
+    return _reference_totals(_firmday_table(*_firmday_layers(results)))
 
 
 @dataclass(frozen=True)
@@ -226,42 +269,47 @@ class FitOutputs:
 
 
 def read_fit_outputs(directory) -> FitOutputs:
-    """Load ``models.csv`` and ``firmdays.csv`` as written by the fit command.
+    """Load ``models.csv`` and ``firmdays.npy`` as written by the fit command.
 
-    The panel and reference totals equal ``build_firmday_panel`` and
-    ``reference_totals`` of the results the files were written from.  A firm
-    repeated in ``models.csv`` or without a row there, a repeated firm-day,
-    a firm of ``models.csv`` without a row for every offset of
-    ``firmdays.csv``, and a ``firmdays.csv`` without rows next to a
-    non-empty ``models.csv`` would miscount the indexes and are refused.
+    ``firmdays.npy`` is one native float64 array of shape (5, firms, T): the
+    ``FIRMDAY_LAYERS`` of each firm, row k for the k-th firm of ``models.csv``,
+    and T odd for the offsets ``-(T // 2)..T // 2``.  Rows are matched to firms
+    by position, so the firm ids of ``models.csv`` must ascend strictly.  A
+    repeated firm in ``models.csv``, a file that is not an ``.npy`` array
+    (read with ``allow_pickle=False``), another dtype, rank or number of
+    layers, another row count than ``models.csv``, an even T and a non-finite
+    value are refused.  The shape leaves no room for a repeated or missing
+    firm-day.  The panel and reference totals equal ``build_firmday_panel``
+    and ``reference_totals`` of the results the files were written from.
     """
     directory = Path(directory)
-    for name in ("models.csv", "firmdays.csv"):
+    for name in ("models.csv", "firmdays.npy"):
         if not (directory / name).exists():
             raise FileNotFoundError(f"missing fit output {directory / name}; "
                                     "run the fit command first")
-    models = read_models(directory / "models.csv")
-    path = directory / "firmdays.csv"
-    table = read_firmdays(path)
-    codes, firm = _firm_codes(table.firm_id)
-    missing = sorted(codes.keys() - models.keys())
-    if missing:
-        raise ValueError(f"firmdays.csv has rows for firm {missing[0]} "
-                         "but models.csv has no row for it")
-    order = np.lexsort((table.offset, firm))  # stable: a repeat sorts after its first row
-    repeats = order[1:][(np.diff(firm[order]) == 0) & (np.diff(table.offset[order]) == 0)]
-    if repeats.size:
-        n = int(repeats.min())
-        raise ValueError(f"{path} data row {n + 1}: firm {table.firm_id[n]} already has "
-                         f"a row for offset {table.offset[n]}")
-    if models and not firm.size:  # with no offsets the coverage rule below holds vacuously
-        raise ValueError(f"{path}: firm {min(models)} has no rows")
-    # no repeats, so a firm with as many rows as the file has offsets has them all
-    span = np.arange(table.offset.min(), table.offset.max() + 1) if firm.size else np.empty(0, int)
-    counts = dict(zip(codes, np.bincount(firm, minlength=len(codes)).tolist()))
-    short = next((f for f in sorted(models) if counts.get(f, 0) != span.size), None)
-    if short is not None:
-        missing = np.setdiff1d(span, table.offset[firm == codes.get(short, -1)])
-        raise ValueError(f"{path}: firm {short} has no row for offset {missing[0]}")
-    return FitOutputs(models, table, _firmday_panel(table, models, codes, firm),
+    path = directory / "models.csv"
+    models = read_models(path)
+    firm_ids = list(models)
+    late = next((k for k in range(1, len(firm_ids)) if firm_ids[k] <= firm_ids[k - 1]), None)
+    if late is not None:
+        raise ValueError(f"{path} data row {late + 1}: firm {firm_ids[late]} comes after "
+                         f"{firm_ids[late - 1]}; firm ids must ascend")
+    path = directory / "firmdays.npy"
+    with open(path, "rb") as fh:
+        try:
+            layers = np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as exc:
+            raise ValueError(f"{path} is not a readable .npy file: {exc}") from None
+    want = np.dtype(float)  # native byte order
+    if layers.dtype != want or layers.ndim != 3 or len(layers) != len(FIRMDAY_LAYERS):
+        raise ValueError(f"{path} holds a {layers.dtype.str} array of shape {layers.shape}; "
+                         f"expected {want.str} of shape ({len(FIRMDAY_LAYERS)}, firms, days)")
+    firms, days = layers.shape[1:]
+    if firms != len(models):
+        raise ValueError(f"{path} has {firms} firm rows but models.csv has {len(models)}")
+    if days % 2 == 0:
+        raise ValueError(f"{path} has {days} days per firm; offsets -span..span need an odd count")
+    _check_finite(path, firm_ids, layers)
+    table = _firmday_table(firm_ids, layers)
+    return FitOutputs(models, table, _firmday_panel(table, list(models.values())),
                       _reference_totals(table))

@@ -54,16 +54,14 @@ def sector_level(code: str) -> int:
 
 def load_code_map(path) -> dict[str, str]:
     """Read a ``code,name`` CSV into a dict.  Lines starting with '#' are skipped."""
-    out: dict[str, str] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(rows, None)
-        if header is None or [h.strip() for h in header[:2]] != ["code", "name"]:
-            raise ValueError(f"{path}: expected header 'code,name'")
-        for row in rows:
-            if not row:
-                continue
-            out[row[0].strip()] = row[1].strip() if len(row) > 1 else ""
+        try:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        except csv.Error as exc:  # a quoted field over the size limit
+            raise ValueError(f"{path}: {exc}") from None
+    if not rows or [h.strip() for h in rows[0][:2]] != ["code", "name"]:
+        raise ValueError(f"{path}: expected header 'code,name'")
+    out = {row[0].strip(): row[1].strip() if len(row) > 1 else "" for row in rows[1:] if row}
     if not out:
         raise ValueError(f"{path}: empty code map")
     return out

@@ -1,8 +1,8 @@
 """The row-at-a-time CSV readers and writers, kept as the test oracle.
 
-``read_panel``, ``_read_rows``, ``read_firmdays``, ``write_panel``,
-``write_firmdays``, ``write_ecu`` and ``write_srpi`` (with the helpers they
-call) are the package's implementation from before the readers and writers
+``read_panel``, ``_read_rows``, ``write_panel``, ``write_ecu`` and
+``write_srpi`` (with the helpers they call) are the package's
+implementation from before the readers and writers
 moved to whole columns, copied without change: every row goes through its
 own Python calls.  Tests require the package to write the same bytes, read
 back the same arrays and raise the same messages, except on the input the
@@ -17,14 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ecuindex.ecu import EcuSeries, SrpiSeries
-from ecuindex.panelio import (
-    DAY,
-    ECU_HEADER,
-    FIRMDAYS_HEADER,
-    PANEL_HEADER,
-    SRPI_HEADER,
-    FirmDayTable,
-)
+from ecuindex.panelio import DAY, ECU_HEADER, PANEL_HEADER, SRPI_HEADER
 from ecuindex.preprocess import FirmRecord, RawSeries
 
 
@@ -47,14 +40,6 @@ def _unreadable(path, rows, header, converters) -> ValueError:
             except ValueError:
                 return ValueError(f"{path} data row {n}, column {column}: cannot read {text!r}")
     return ValueError(f"{path} has a field that cannot be read")
-
-
-def _parse_column(path, rows, header, column, convert) -> list:
-    i = header.index(column)
-    try:
-        return [convert(row[i]) for row in rows]
-    except ValueError:
-        raise _unreadable(path, rows, header, {column: convert}) from None
 
 
 def _open_writer(path, comments):
@@ -119,26 +104,6 @@ def read_panel(path) -> list[FirmRecord]:
             raise ValueError(f"{path}: firm {firm_id}: {exc}") from None
         out.append(FirmRecord(firm_id, *meta[firm_id], series))
     return out
-
-
-def write_firmdays(path, table: FirmDayTable, comments=()) -> None:
-    """Rows in table order; the pipeline builds the table sorted by (firm_id, offset)."""
-    fh, w = _open_writer(path, comments)
-    with fh:
-        w.writerow(FIRMDAYS_HEADER)
-        floats = (getattr(table, name).tolist() for name in FIRMDAYS_HEADER[2:])
-        for firm_id, off, *values in zip(table.firm_id, table.offset.tolist(), *floats):
-            w.writerow([firm_id, off, *map(_fmt, values)])
-
-
-def read_firmdays(path) -> FirmDayTable:
-    rows = _read_rows(path, FIRMDAYS_HEADER)
-    return FirmDayTable(
-        np.array([row[0] for row in rows], dtype=object),
-        np.array(_parse_column(path, rows, FIRMDAYS_HEADER, "offset", int), dtype=int),
-        *(np.array(_parse_column(path, rows, FIRMDAYS_HEADER, c, float))
-          for c in FIRMDAYS_HEADER[2:]),
-    )
 
 
 def write_ecu(path, series_list: list[EcuSeries], base_date, comments=()) -> None:

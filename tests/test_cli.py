@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ecuindex
@@ -196,13 +197,13 @@ def test_fit_outputs(fitted_dir, capsys):
     later = {"panel.csv", "ecu.csv", "srpi.csv"}  # other stages' files in the shared dir
     fit_files = sorted(p.name for p in out.iterdir()
                        if p.name not in later and not p.name.startswith("report_"))
-    assert fit_files == ["firmdays.csv", "models.csv"]
+    assert fit_files == ["firmdays.npy", "models.csv"]
     models = read_rows(out / "models.csv")
     assert models[0].startswith("firm_id,sector_code,district_code,alpha_p,")
     assert len(models) == 1 + 10
-    firmdays = read_rows(out / "firmdays.csv")
-    assert firmdays[0] == "firm_id,offset,y,mu_p,mu_r,ele_test,ele_ref"
-    assert len(firmdays) == 1 + 10 * 191
+    firmdays = np.load(out / "firmdays.npy", allow_pickle=False)
+    assert firmdays.dtype == np.float64 and firmdays.flags.c_contiguous
+    assert firmdays.shape == (5, 10, 191)
 
 
 def test_fit_missing_panel_fails_cleanly(tmp_path, capsys):
@@ -237,62 +238,171 @@ def test_index_requires_fit_outputs(tmp_path, capsys):
     assert "models.csv" in capsys.readouterr().err
 
 
-def test_firm_without_model_row_is_named(fitted_dir, tmp_path, capsys):
+def broken_copy(fitted_dir, tmp_path):
+    """A copy of the shared fit directory to break, and the config."""
     out, cfg = fitted_dir
     broken = tmp_path / "out"
     shutil.copytree(out, broken)
+    return broken, cfg
+
+
+def edit_firmdays(broken, edit):
+    """Replace ``firmdays.npy`` by ``edit`` of its (5, firms, days) array."""
+    np.save(broken / "firmdays.npy", edit(np.load(broken / "firmdays.npy")))
+
+
+READERS = (["index"], ["report", "--firm", "F00003"])
+
+
+def assert_refused(capsys, broken, cfg, *needles, commands=READERS):
+    """Each command exits 1 with one ``error:`` line holding every needle."""
+    for command in commands:
+        assert main([*command, "--config", cfg, "--out", str(broken)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert all(needle in err[0] for needle in needles), err[0]
+
+
+def test_firm_without_model_row_is_named(fitted_dir, tmp_path, capsys):
+    """``firmdays.npy`` holds no ids, so the fault is named by both files' row counts."""
+    broken, cfg = broken_copy(fitted_dir, tmp_path)
     lines = (broken / "models.csv").read_text().splitlines(keepends=True)
     (broken / "models.csv").write_text("".join(ln for ln in lines if not ln.startswith("F00004,")))
-    for command in (["index"], ["report", "--firm", "F00003"]):
-        assert main([*command, "--config", cfg, "--out", str(broken)]) == 1
-        err = capsys.readouterr().err
-        assert "F00004" in err and "models.csv" in err
+    assert_refused(capsys, broken, cfg, "firmdays.npy has 10 firm rows but models.csv has 9")
 
 
-@pytest.mark.parametrize("name,prefix,message", [
-    ("models.csv", "F00003,", "models.csv data row 11: firm F00003 already has a row"),
-    ("firmdays.csv", "F00003,0,",
-     "firmdays.csv data row 1911: firm F00003 already has a row for offset 0"),
+def repeat_models_row(broken):
+    text = (broken / "models.csv").read_text()
+    row = next(ln for ln in text.splitlines(keepends=True) if ln.startswith("F00003,"))
+    (broken / "models.csv").write_text(text + row)
+
+
+def repeat_firmdays_row(broken):
+    edit_firmdays(broken, lambda a: np.insert(a, 4, a[:, 3], axis=1))
+
+
+@pytest.mark.parametrize("repeat,message", [
+    (repeat_models_row, "models.csv data row 11: firm F00003 already has a row"),
+    (repeat_firmdays_row, "firmdays.npy has 11 firm rows but models.csv has 10"),
 ], ids=["models", "firmdays"])
-def test_repeated_fit_row_is_a_data_error(fitted_dir, tmp_path, capsys, name, prefix, message):
-    """A repeated row would count its firm-day twice in the indexes."""
-    out, cfg = fitted_dir
-    broken = tmp_path / "out"
-    shutil.copytree(out, broken)
-    text = (broken / name).read_text()
-    row = next(ln for ln in text.splitlines(keepends=True) if ln.startswith(prefix))
-    (broken / name).write_text(text + row)
-    for command in (["index"], ["report", "--firm", "F00003"]):
-        assert main([*command, "--config", cfg, "--out", str(broken)]) == 1
-        assert message in capsys.readouterr().err
+def test_repeated_fit_row_is_a_data_error(fitted_dir, tmp_path, capsys, repeat, message):
+    """A repeated row would count its firm-days twice in the indexes."""
+    broken, cfg = broken_copy(fitted_dir, tmp_path)
+    repeat(broken)
+    assert_refused(capsys, broken, cfg, message)
 
 
-@pytest.mark.parametrize("prefix,message", [
-    ("F00004,5,", "firmdays.csv: firm F00004 has no row for offset 5"),
-    ("F00004,", "firmdays.csv: firm F00004 has no row for offset -95"),
-    ("F", "firmdays.csv: firm F00000 has no rows"),
+@pytest.mark.parametrize("edit,message", [
+    (lambda a: np.delete(a, 100, axis=2), "firmdays.npy has 190 days per firm"),
+    (lambda a: np.delete(a, 4, axis=1), "firmdays.npy has 9 firm rows but models.csv has 10"),
+    (lambda a: a[:, :0], "firmdays.npy has 0 firm rows but models.csv has 10"),
 ], ids=["one_row", "every_row", "all_rows"])
-def test_missing_firmday_is_a_data_error(fitted_dir, tmp_path, capsys, prefix, message):
-    """A missing firm-day would drop its firm out of that offset's indexes."""
-    out, cfg = fitted_dir
-    broken = tmp_path / "out"
-    shutil.copytree(out, broken)
-    lines = (broken / "firmdays.csv").read_text().splitlines(keepends=True)
-    (broken / "firmdays.csv").write_text("".join(ln for ln in lines if not ln.startswith(prefix)))
-    for command in (["index"], ["report", "--firm", "F00003"]):
-        assert main([*command, "--config", cfg, "--out", str(broken)]) == 1
-        assert message in capsys.readouterr().err
+def test_missing_firmday_is_a_data_error(fitted_dir, tmp_path, capsys, edit, message):
+    """A missing offset or firm would drop firm-days out of the indexes.
+
+    The array has no room for one missing firm-day: a missing offset is an
+    even day count, a missing firm a row count other than ``models.csv``'s.
+    """
+    broken, cfg = broken_copy(fitted_dir, tmp_path)
+    edit_firmdays(broken, edit)
+    assert_refused(capsys, broken, cfg, message)
 
 
 def test_short_firmdays_row_is_a_data_error(fitted_dir, tmp_path, capsys):
-    out, cfg = fitted_dir
-    broken = tmp_path / "out"
-    shutil.copytree(out, broken)
-    lines = (broken / "firmdays.csv").read_text().splitlines(keepends=True)
-    lines[-1] = lines[-1].rsplit(",", 1)[0] + "\n"
-    (broken / "firmdays.csv").write_text("".join(lines))
-    assert main(["index", "--config", cfg, "--out", str(broken)]) == 1
-    assert "fields" in capsys.readouterr().err
+    """A firm-day without its last column is an array of four layers."""
+    broken, cfg = broken_copy(fitted_dir, tmp_path)
+    edit_firmdays(broken, lambda a: a[:4])
+    assert_refused(capsys, broken, cfg, "firmdays.npy holds a <f8 array of shape (4, 10, 191)",
+                   commands=[["index"]])
+
+
+@pytest.mark.parametrize("column,firm,day,value", [
+    ("ele_ref", 4, 2, np.nan),
+    ("mu_r", 0, 190, np.nan),
+    ("ele_test", 9, 95, np.inf),
+    ("y", 3, 0, -np.inf),
+])
+def test_non_finite_firmday_value_is_refused(fitted_dir, tmp_path, capsys, column, firm, day,
+                                              value):
+    """A NaN weight would blank sRPI days; a NaN probability or inf weight is not data."""
+    broken, cfg = broken_copy(fitted_dir, tmp_path)
+    layer = ["y", "mu_p", "mu_r", "ele_test", "ele_ref"].index(column)
+
+    def poison(a):
+        a[layer, firm, day] = value
+        return a
+
+    edit_firmdays(broken, poison)
+    assert_refused(capsys, broken, cfg, f"firmdays.npy: column {column} of firm F0000{firm} is "
+                   f"{value} at offset {day - 95}")
+
+
+def test_models_out_of_order_is_refused(fitted_dir, tmp_path, capsys):
+    """Rows of ``firmdays.npy`` follow ``models.csv``: reordered firms would swap their days."""
+    broken, cfg = broken_copy(fitted_dir, tmp_path)
+    lines = (broken / "models.csv").read_text().splitlines(keepends=True)
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("F00002,"))
+    lines[k], lines[k + 1] = lines[k + 1], lines[k]
+    (broken / "models.csv").write_text("".join(lines))
+    assert_refused(capsys, broken, cfg,
+                   "models.csv data row 4: firm F00002 comes after F00003; firm ids must ascend")
+
+
+def write_bytes(data):
+    def write(broken):
+        (broken / "firmdays.npy").write_bytes(data(broken))
+    return write
+
+
+@pytest.mark.parametrize("damage,message", [
+    (lambda b: edit_firmdays(b, lambda a: a.astype(np.float32)), "holds a <f4 array"),
+    (lambda b: edit_firmdays(b, lambda a: a.astype(">f8")), "holds a >f8 array"),
+    (lambda b: edit_firmdays(b, lambda a: a.reshape(5, -1)), "of shape (5, 1910); expected"),
+    (lambda b: edit_firmdays(b, lambda a: np.concatenate([a, a[:1]])), "of shape (6, 10, 191)"),
+    (write_bytes(lambda b: (b / "firmdays.npy").read_bytes()[:-100]), "is not a readable .npy"),
+    (write_bytes(lambda b: b""), "is not a readable .npy file"),
+    (write_bytes(lambda b: (b / "models.csv").read_bytes()), "is not a readable .npy file"),
+], ids=["float32", "big_endian", "rank_2", "six_layers", "truncated", "empty", "csv_text"])
+def test_unreadable_firmdays_npy_is_refused(fitted_dir, tmp_path, capsys, damage, message):
+    broken, cfg = broken_copy(fitted_dir, tmp_path)
+    damage(broken)
+    assert_refused(capsys, broken, cfg, "firmdays.npy", message)
+
+
+def test_fit_directory_of_the_csv_handoff_must_be_refit(fitted_dir, tmp_path, capsys):
+    broken, cfg = broken_copy(fitted_dir, tmp_path)
+    (broken / "firmdays.npy").unlink()
+    (broken / "firmdays.csv").write_text("firm_id,offset,y,mu_p,mu_r,ele_test,ele_ref\n")
+    assert_refused(capsys, broken, cfg, "missing fit output", "firmdays.npy",
+                   "run the fit command first")
+
+
+def test_directory_in_place_of_firmdays_npy_is_a_data_error(fitted_dir, tmp_path, capsys):
+    broken, cfg = broken_copy(fitted_dir, tmp_path)
+    (broken / "firmdays.npy").unlink()
+    (broken / "firmdays.npy").mkdir()
+    assert_refused(capsys, broken, cfg, "firmdays.npy")
+
+
+def test_directory_in_place_of_panel_is_a_data_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.cfg", BASE_CONFIG)
+    (tmp_path / "out" / "panel.csv").mkdir(parents=True)
+    assert_refused(capsys, tmp_path / "out", cfg, "panel.csv", commands=[["fit"]])
+
+
+def test_oversized_quoted_field_is_a_data_error(fitted_dir, tmp_path, capsys):
+    """A quoted field over ``csv.field_size_limit()`` names its file, not a traceback."""
+    field = '"' + "F" * 200_000 + '"'
+    broken, cfg = broken_copy(fitted_dir, tmp_path)
+    (broken / "panel.csv").write_text("firm_id,date,kwh,sector_code,district_code\n"
+                                      f"{field},2019-01-01,1.0,101,D01\n")
+    assert_refused(capsys, broken, cfg, "panel.csv", "field larger than field limit",
+                   commands=[["fit"]])
+    codes = tmp_path / "codes.csv"
+    codes.write_text(f"code,name\n101,{field}\n")
+    cfg = write_config(tmp_path / "codes.cfg", BASE_CONFIG + f"code_map = {codes}\n")
+    assert_refused(capsys, broken, cfg, "codes.csv", "field larger than field limit",
+                   commands=[["index"]])
 
 
 def test_index_outputs(fitted_dir, capsys):
@@ -346,7 +456,7 @@ def test_full_chain_is_deterministic(tmp_path):
         main(["fit", "--config", cfg, "--out", str(out)])
         main(["index", "--config", cfg, "--out", str(out)])
         outs.append(out)
-    for fname in ("panel.csv", "models.csv", "firmdays.csv", "ecu.csv", "srpi.csv"):
+    for fname in ("panel.csv", "models.csv", "firmdays.npy", "ecu.csv", "srpi.csv"):
         assert filecmp.cmp(outs[0] / fname, outs[1] / fname, shallow=False), fname
 
 
@@ -356,5 +466,5 @@ def test_workers_flag_does_not_change_results(tmp_path):
     for out, workers in ((a, "1"), (b, "2")):
         main(["simulate", "--config", cfg, "--out", str(out)])
         main(["fit", "--config", cfg, "--out", str(out), "--workers", workers])
-    for fname in ("models.csv", "firmdays.csv"):
+    for fname in ("models.csv", "firmdays.npy"):
         assert filecmp.cmp(a / fname, b / fname, shallow=False), fname

@@ -4,9 +4,10 @@
 lockdown shocks (root seed 11), once at workers=1 and once at workers=2.
 Every one of the six files it writes must hash to the value recorded
 below.  The hashes were recorded with numpy 2.4.6 on Python 3.11, before
-the CSV readers and writers moved from row lists to whole text blocks; a
-change that alters any output byte (a float's text, a row's order, a
-quoting rule) fails here.
+the CSV readers and writers moved from row lists to whole text blocks; the
+hash of ``firmdays.npy`` when the fit's firm-day handoff became that binary
+array.  A change that alters any output byte (a float's text, a row's order,
+a quoting rule, the array's header) fails here.
 """
 
 import hashlib
@@ -30,8 +31,8 @@ GOLDEN = {
         "39cbc6313848c271fdd34bd53a5d3d75984390c04efd0aafc30cafd459542be4",
     "models.csv":
         "ff9dd117ce7ccb5d6867dc1396abeaac8d51991c3c887b58e5218ac93032986b",
-    "firmdays.csv":
-        "61bf1a77a9c014890fcff142387641573baa05b77989d3aa4894471d1bf8da59",
+    "firmdays.npy":
+        "2c841b34daa9418b2e840ca36cacfa242a4a3de75669ce7e7b21e392bcf91e37",
     "ecu.csv":
         "7b9b30857bbfa4b7ecb217034241e0e8375dd82b440e02c72397e31fbfc80ea6",
     "srpi.csv":

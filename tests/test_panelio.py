@@ -1,30 +1,29 @@
-"""Round-trip and format tests for the CSV interchange layer."""
+"""Round-trip and format tests for the CSV interchange layer and the fit's firm-day array."""
 
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ecuindex import panelio
+from ecuindex.config import build_run_config
 from ecuindex.ecu import EcuSeries, SrpiSeries
 from ecuindex.hmm import RegimeModel, RegimeParams
 from ecuindex.panelio import (
-    FIRMDAYS_HEADER,
-    FirmDayTable,
     ModelRow,
     _fmt_column,
-    read_firmdays,
     read_models,
     read_panel,
     seed_comment,
     write_ecu,
-    write_firmdays,
     write_models,
     write_panel,
     write_srpi,
 )
-from ecuindex.preprocess import FirmRecord, RawSeries
+from ecuindex.pipeline import fit_panel, model_rows, read_fit_outputs, save_firmdays
+from ecuindex.preprocess import DeviationSeries, FirmRecord, RawSeries
 from ecuindex.simgen import PanelConfig, generate
 
 
@@ -129,40 +128,47 @@ def test_models_roundtrip(tmp_path):
     assert back.degenerate is False
 
 
-def sample_firmdays():
-    return FirmDayTable(
-        firm_id=np.array(["A", "A", "A", "B", "B", "B"], dtype=object),
-        offset=np.array([-1, 0, 1, -1, 0, 1]),
-        y=np.array([0.5, -1.0, 0.1 + 0.2, 2.25, -3.5, 0.0]),
-        mu_p=np.array([0.9, 0.5, 0.1, 1.0, 0.0, 0.25]),
-        mu_r=np.array([0.1, 0.5, 0.9, 0.0, 1.0, 0.75]),
-        ele_test=np.array([1.5, 2.5, 3.5, 0.0, 10.0, 1e6]),
-        ele_ref=np.array([2.0, 4.0, 8.0, 0.5, 0.0, 1e-3]),
-    )
+@pytest.fixture(scope="module")
+def fitted():
+    """Three fitted firms, listed out of id order on purpose."""
+    results, skipped = fit_panel(generate(PanelConfig(n_firms=3, seed=2)).records,
+                                 build_run_config({}))
+    assert skipped == []
+    return results[::-1]
 
 
-def firmdays_roundtrip(tmp_path, names):
-    table = sample_firmdays()
-    path = tmp_path / "firmdays.csv"
-    write_firmdays(path, table, comments=[seed_comment(5)])
-    assert path.read_text().splitlines()[1] == ",".join(FIRMDAYS_HEADER)
-    back = read_firmdays(path)
-    for name in ["firm_id", "offset", *names]:
-        got, want = getattr(back, name), getattr(table, name)
-        assert got.dtype == want.dtype, name
-        np.testing.assert_array_equal(got, want)  # bit-exact, not approx
+def fit_columns(result):
+    return {"y": result.deviation.y, "mu_p": result.filtered.mu_p,
+            "mu_r": result.filtered.mu_r, "ele_test": result.ele_test,
+            "ele_ref": result.ele_ref}
 
 
-def test_deviations_roundtrip(tmp_path):
-    firmdays_roundtrip(tmp_path, ["y"])
+def firmdays_roundtrip(tmp_path, results, names):
+    """``save_firmdays`` then ``read_fit_outputs`` gives back each firm's columns bit for bit."""
+    write_models(tmp_path / "models.csv", model_rows(results).values())
+    save_firmdays(tmp_path / "firmdays.npy", results)
+    back = read_fit_outputs(tmp_path).firmdays
+    assert back.firm_id.dtype == object and back.offset.dtype == int
+    for k, result in enumerate(sorted(results, key=lambda r: r.firm_id)):
+        rows = slice(k * 191, (k + 1) * 191)
+        assert set(back.firm_id[rows]) == {result.firm_id}
+        np.testing.assert_array_equal(back.offset[rows], result.deviation.offsets)
+        for name in names:
+            got, want = getattr(back, name)[rows], fit_columns(result)[name]
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want)  # bit-exact, not approx
 
 
-def test_probs_roundtrip(tmp_path):
-    firmdays_roundtrip(tmp_path, ["mu_p", "mu_r"])
+def test_deviations_roundtrip(tmp_path, fitted):
+    firmdays_roundtrip(tmp_path, fitted, ["y"])
 
 
-def test_weights_roundtrip_sorted(tmp_path):
-    firmdays_roundtrip(tmp_path, ["ele_test", "ele_ref"])
+def test_probs_roundtrip(tmp_path, fitted):
+    firmdays_roundtrip(tmp_path, fitted, ["mu_p", "mu_r"])
+
+
+def test_weights_roundtrip_sorted(tmp_path, fitted):
+    firmdays_roundtrip(tmp_path, fitted, ["ele_test", "ele_ref"])
     model = RegimeModel(np.eye(2), (RegimeParams(0.0, 1.0, 1.0), RegimeParams(0.0, -1.0, 1.0)),
                         np.array([0.5, 0.5]))
     rows = [ModelRow("B", "301", "D01", model, 0.0, True, False),
@@ -175,23 +181,27 @@ def test_weights_roundtrip_sorted(tmp_path):
                                                                            ("301", "D01")]
 
 
-def test_firmdays_writer_refuses_nan(tmp_path):
-    """A NaN would be written blank; the writer raises the error the reader would raise on it."""
-    table = sample_firmdays()
-    table.mu_r[1] = np.nan
-    table.mu_r[4] = np.nan
-    table.ele_ref[0] = np.nan
-    path = tmp_path / "firmdays.csv"
-    with pytest.raises(ValueError, match=r"firmdays.csv data row 2, column mu_r: cannot read ''"):
-        write_firmdays(path, table)
+def test_firmdays_writer_refuses_nan(tmp_path, fitted):
+    """The first non-finite value in (column, firm, offset) order is named; nothing is written."""
+    a, b, c = sorted(fitted, key=lambda r: r.firm_id)
+    ele_test = b.ele_test.copy()
+    ele_test[[1, 4]] = np.nan, np.inf
+    broken = [a, replace(b, ele_test=ele_test),
+              replace(c, ele_ref=np.where(np.arange(191) == 0, np.nan, c.ele_ref))]
+    path = tmp_path / "firmdays.npy"
+    with pytest.raises(ValueError, match=re.escape(
+            f"firmdays.npy: column ele_test of firm {b.firm_id} is nan at offset -94")):
+        save_firmdays(path, broken)
     assert not path.exists()
 
 
-def test_firmdays_short_row_rejected(tmp_path):
-    path = tmp_path / "firmdays.csv"
-    path.write_text(",".join(FIRMDAYS_HEADER) + "\nA,0,0.5,0.5,0.5,1.0\n")
-    with pytest.raises(ValueError, match="row 1 has 6 fields"):
-        read_firmdays(path)
+def test_firmdays_short_row_rejected(tmp_path, fitted):
+    """Every firm's row of the array must cover the same offsets -span..span."""
+    a, b, c = sorted(fitted, key=lambda r: r.firm_id)
+    short = DeviationSeries(b.deviation.offsets[:-1], b.deviation.y[:-1])
+    with pytest.raises(ValueError, match=f"firm {b.firm_id}: offsets must run -95..95"):
+        save_firmdays(tmp_path / "firmdays.npy", [a, replace(b, deviation=short), c])
+    assert not (tmp_path / "firmdays.npy").exists()
 
 
 def test_ecu_file_dates_and_gaps(tmp_path):
@@ -218,15 +228,16 @@ def test_srpi_file_layout(tmp_path):
 
 
 def test_unreadable_fields_named_by_row_and_column(tmp_path):
-    path = tmp_path / "firmdays.csv"
-    path.write_text(",".join(FIRMDAYS_HEADER) + "\nA,0,0.5,0.5,0.5,1.0,1.0\nA,1,0.5,x,0.5,1.0,1.0\n")
-    with pytest.raises(ValueError, match=r"firmdays.csv data row 2, column mu_p: cannot read 'x'"):
-        read_firmdays(path)
     path = tmp_path / "models.csv"
     model = RegimeModel(np.eye(2), (RegimeParams(0.0, 1.0, 1.0), RegimeParams(0.0, -1.0, 1.0)),
                         np.array([0.5, 0.5]))
-    write_models(path, [ModelRow("A", "101", "D01", model, 0.0, True, False)])
-    path.write_text(path.read_text().replace(",true,", ",yes,"))
+    write_models(path, [ModelRow(firm_id, "101", "D01", model, 0.0, True, False)
+                        for firm_id in "AB"])
+    text = path.read_text()
+    path.write_text(text.replace("B,101,D01,0.0,1.0,", "B,101,D01,0.0,x,"))
+    with pytest.raises(ValueError, match=r"models.csv data row 2, column beta_p: cannot read 'x'"):
+        read_models(path)
+    path.write_text(text.replace(",true,", ",yes,"))
     with pytest.raises(ValueError, match="models.csv data row 1, column converged: cannot read 'yes'"):
         read_models(path)
     path = tmp_path / "panel.csv"
@@ -263,19 +274,21 @@ def test_panel_fault_in_block_3_names_its_row(tmp_path, monkeypatch, row, text, 
 
 
 def test_fit_output_faults_in_block_3_name_their_row(tmp_path, monkeypatch):
+    """With blocks of 2 rows, data row 5 of ``models.csv`` is the third block."""
     monkeypatch.setattr(panelio, "BLOCK_ROWS", 2)
-    lines = [",".join(FIRMDAYS_HEADER), *(f"A,{k},0.5,0.5,0.5,1.0,1.0" for k in range(7))]
-    lines[5] = "A,x,0.5,0.5,0.5,1.0,1.0"
-    path = tmp_path / "firmdays.csv"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="firmdays.csv data row 5, column offset: cannot read 'x'"):
-        read_firmdays(path)
     model = RegimeModel(np.eye(2), (RegimeParams(0.0, 1.0, 1.0), RegimeParams(0.0, -1.0, 1.0)),
                         np.array([0.5, 0.5]))
     path = tmp_path / "models.csv"
     write_models(path, [ModelRow(firm_id, "101", "D01", model, 0.0, True, False)
                         for firm_id in "ABCDE"])
     text = path.read_text()
+    path.write_text(text.replace("E,101,D01,0.0,", "E,101,D01,0.x,"))
+    with pytest.raises(ValueError,
+                       match="models.csv data row 5, column alpha_p: cannot read '0.x'"):
+        read_models(path)
+    path.write_text(text.replace("E,101,D01,0.0,1.0,1.0,0.0,-1.0,1.0", "E,101,D01,0.0,1.0,1.0"))
+    with pytest.raises(ValueError, match="models.csv data row 5 has 12 fields, expected 15"):
+        read_models(path)
     path.write_text(text.replace("E,101,D01", "A,101,D01"))
     with pytest.raises(ValueError, match="models.csv data row 5: firm A already has a row"):
         read_models(path)
@@ -285,24 +298,19 @@ def test_fit_output_faults_in_block_3_name_their_row(tmp_path, monkeypatch):
 
 
 def test_readers_peak_memory_is_bounded_by_a_block(tmp_path, monkeypatch):
-    """Read in blocks, a file's traced peak stays below 4x its size.
+    """Read in blocks, a panel file's traced peak stays below 4x its size.
 
-    Holding every field of the file as a string at once peaks near 10x on
-    the panel and 6x on the firm-day file.
+    Holding every field of the file as a string at once peaks near 10x.
     """
     monkeypatch.setattr(panelio, "BLOCK_ROWS", 400)
-    panel, firmdays = tmp_path / "panel.csv", tmp_path / "firmdays.csv"
-    write_panel(panel, generate(PanelConfig(n_firms=20, seed=2, missing_rate=0.02)).records)
-    ids = np.array([f"F{k:05d}" for k in range(20)], dtype=object)
-    write_firmdays(firmdays, FirmDayTable(np.repeat(ids, 191), np.tile(np.arange(-95, 96), 20),
-                                          *np.random.default_rng(0).random((5, 20 * 191)) * 1e3))
-    for read, path in ((read_panel, panel), (read_firmdays, firmdays)):
-        with open(path) as fh:
-            assert sum(1 for _ in fh) > 8 * panelio.BLOCK_ROWS
-        tracemalloc.start()
-        try:
-            read(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * path.stat().st_size, (read.__name__, peak)
+    path = tmp_path / "panel.csv"
+    write_panel(path, generate(PanelConfig(n_firms=20, seed=2, missing_rate=0.02)).records)
+    with open(path) as fh:
+        assert sum(1 for _ in fh) > 8 * panelio.BLOCK_ROWS
+    tracemalloc.start()
+    try:
+        read_panel(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * path.stat().st_size, peak

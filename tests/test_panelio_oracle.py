@@ -13,7 +13,9 @@ time with ``panelio.BLOCK_ROWS`` forced to 2, so every example spans blocks
 and an injected fault can land in a later one.  The last tests pin the
 split path (a block without ``"`` is split at its commas) and its hand-over
 to ``csv.reader``: quoted line breaks on a block boundary, a first quote in a
-later block, mixed LF, CRLF and CR line endings, and empty lines.
+later block, mixed LF, CRLF and CR line endings, and empty lines, on the
+panel and, through ``panelio._blocks`` itself, on the seven-column firm-day
+layout against the oracle's ``_read_rows``.
 """
 
 import csv
@@ -30,7 +32,7 @@ from hypothesis import strategies as st
 import panelio_oracle as oracle
 from ecuindex import panelio
 from ecuindex.ecu import EcuSeries, SrpiSeries
-from ecuindex.panelio import FIRMDAYS_HEADER, PANEL_HEADER, FirmDayTable
+from ecuindex.panelio import PANEL_HEADER
 from ecuindex.preprocess import FirmRecord, RawSeries
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -206,50 +208,6 @@ def test_empty_and_foreign_files_match_oracle(tmp_path, text):
         outcome(oracle.read_panel, tmp_path / "nope.csv")
 
 
-FLOAT_COLUMNS = ("y", "mu_p", "mu_r", "ele_test", "ele_ref")
-
-
-@st.composite
-def firmday_tables(draw):
-    n = draw(st.integers(0, 25))
-    # the writer refuses a NaN (the oracle writes it blank), so most tables have none
-    value = ANY_FLOAT if draw(st.integers(0, 3)) == 0 else ANY_FLOAT.filter(lambda x: x == x)
-    column = st.lists(value, min_size=n, max_size=n)
-    return FirmDayTable(
-        firm_id=np.array(draw(st.lists(NAME, min_size=n, max_size=n)), dtype=object),
-        offset=np.array(draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n)),
-                        dtype=int),
-        **{name: np.array(draw(column), dtype=float)
-           for name in FLOAT_COLUMNS},
-    )
-
-
-@SETTINGS
-@given(table=firmday_tables())
-def test_firmdays_match_oracle(table):
-    with tempfile.TemporaryDirectory() as d:
-        got, want = Path(d, "got.csv"), Path(d, "want.csv")
-        oracle.write_firmdays(want, table, COMMENTS)
-        if any(np.isnan(getattr(table, name)).any() for name in FLOAT_COLUMNS):
-            # the oracle writes a NaN blank; the writer refuses it with the reader's error
-            with pytest.raises(ValueError) as exc:
-                panelio.write_firmdays(got, table, COMMENTS)
-            assert not got.exists()
-            assert outcome(oracle.read_firmdays, want) == \
-                ("ValueError", str(exc.value).replace(str(got), str(want)))
-            return
-        panelio.write_firmdays(got, table, COMMENTS)
-        assert got.read_bytes() == want.read_bytes()
-        back, ref = panelio.read_firmdays(got), oracle.read_firmdays(got)
-        assert back.firm_id.tolist() == ref.firm_id.tolist() == table.firm_id.tolist()
-        for name in ("offset", *FLOAT_COLUMNS):
-            assert bits(getattr(back, name)) == bits(getattr(ref, name)), name
-        assert back.firm_id.dtype == ref.firm_id.dtype
-
-
-test_firmdays_in_blocks_of_2 = in_blocks_of_2(test_firmdays_match_oracle)
-
-
 @st.composite
 def ecu_series(draw):
     n = draw(st.integers(1, 8))
@@ -294,15 +252,24 @@ def test_write_srpi_matches_oracle(data, base):
 # ---------------------------------------------------------------------------
 
 
-def assert_same_tables(got, want):
-    assert got.firm_id.tolist() == want.firm_id.tolist()
-    assert got.firm_id.dtype == want.firm_id.dtype
-    for name in ("offset", *FLOAT_COLUMNS):
-        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+# the seven columns of the former firm-day CSV: a wider, mostly numeric layout that
+# pins the block splitter itself on a second header shape
+FIRMDAY_HEADER = ["firm_id", "offset", "y", "mu_p", "mu_r", "ele_test", "ele_ref"]
+
+
+def read_firmday_rows(path):
+    """The data rows of a firm-day layout file, as ``panelio._blocks`` yields them."""
+    return [list(row) for _, columns in panelio._blocks(path, FIRMDAY_HEADER)
+            for row in zip(*columns.values())]
+
+
+def assert_same_rows(got, want):
+    assert got == want
 
 
 READERS = {"panel": (panelio.read_panel, oracle.read_panel, assert_same_records),
-           "firmdays": (panelio.read_firmdays, oracle.read_firmdays, assert_same_tables)}
+           "firmdays": (read_firmday_rows, lambda path: oracle._read_rows(path, FIRMDAY_HEADER),
+                        assert_same_rows)}
 
 
 def assert_reads_as_oracle(kind, path):
@@ -343,7 +310,7 @@ def firmday_lines(firm_ids, days=3):
             for firm_id in firm_ids for k in range(days)]
 
 
-LINES = {"panel": (PANEL_HEADER, panel_lines), "firmdays": (FIRMDAYS_HEADER, firmday_lines)}
+LINES = {"panel": (PANEL_HEADER, panel_lines), "firmdays": (FIRMDAY_HEADER, firmday_lines)}
 
 # name: (firm ids, line endings, empty lines after these data rows, what the readers do);
 # each firm has three rows, so with blocks of 2 lines the plain first firm fills block 1
