@@ -116,17 +116,15 @@ def cmd_report(args) -> int:
     fit = read_fit_outputs(out)
     if firm not in fit.models:
         raise KeyError(f"unknown firm id {firm!r}")
-    t, days = fit.firmdays, len(fit.firmdays.offset) // len(fit.models)
-    k = list(fit.models).index(firm)  # models.csv order is firmdays.npy row order
-    rows = slice(k * days, (k + 1) * days)
-    offsets, mu_r = t.offset[rows], t.mu_r[rows]
+    y, mu_p, mu_r, _, _ = fit.firmdays[:, list(fit.models).index(firm)]  # models.csv order
+    offsets = np.arange(len(y)) - len(y) // 2
     base = np.datetime64(cfg.test_base)
     path = out / f"report_{firm}.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {seed_comment(cfg.seed)}\n")
         fh.write("offset,date,y,mu_p,mu_r\n")
-        for off, y, p, r in zip(offsets, t.y[rows], t.mu_p[rows], mu_r):
-            fh.write(f"{int(off)},{base + int(off) * DAY},{float(y)!r},{float(p)!r},{float(r)!r}\n")
+        for off, yv, p, r in zip(offsets.tolist(), y.tolist(), mu_p.tolist(), mu_r.tolist()):
+            fh.write(f"{off},{base + off * DAY},{yv!r},{p!r},{r!r}\n")
 
     peak = int(np.argmax(mu_r))
     print(f"firm {firm}")

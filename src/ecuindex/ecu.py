@@ -5,10 +5,10 @@ Aggregates per-firm filtered recessionary probabilities into an ECU series
 weight, plus the simplified resumption power index (total consumption and
 its smoothed gap to the reference year).
 
-Every sum goes through ``fsum_by_key``: rows are sorted by cell (group x
-offset) once and each cell's contiguous slice is summed with ``math.fsum``.
-``fsum`` is exact to the last bit, so results are independent of row order
-and safe to partition across groups.
+The inputs are firm x offset arrays.  Grouping sorts the N firms by group
+once; each (group, offset) cell is then one ``math.fsum`` over that group's
+slice of one offset's column.  ``fsum`` is correctly rounded, so results
+are independent of firm order and safe to partition across groups.
 """
 
 from __future__ import annotations
@@ -30,34 +30,42 @@ AGGREGATE_KEY = "all"
 
 @dataclass(frozen=True)
 class FirmDayPanel:
-    """Columnar firm-day records; the unit the aggregations operate on."""
+    """Firm x offset arrays; the unit the aggregations operate on.
 
-    firm_id: np.ndarray
-    offset: np.ndarray
+    ``offsets`` (T,) are contiguous days.  Row i of ``ele`` and ``mu_r`` (N, T)
+    is the i-th firm's weights (its kWh, 0 on a day it consumes nothing) and
+    recessionary probabilities, ``sector_code[i]`` and ``district_code[i]``
+    (N,) its group codes.  Firm order changes no aggregate.  The length is the
+    firm-day count N * T.
+    """
+
+    offsets: np.ndarray
     ele: np.ndarray
     mu_r: np.ndarray
     sector_code: np.ndarray
     district_code: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "firm_id", np.asarray(self.firm_id, dtype=object))
-        object.__setattr__(self, "offset", np.asarray(self.offset, dtype=int))
+        object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=int))
         object.__setattr__(self, "ele", np.asarray(self.ele, dtype=float))
         object.__setattr__(self, "mu_r", np.asarray(self.mu_r, dtype=float))
         object.__setattr__(self, "sector_code", np.asarray(self.sector_code, dtype=object))
         object.__setattr__(self, "district_code", np.asarray(self.district_code, dtype=object))
-        n = len(self.firm_id)
-        for name in ("offset", "ele", "mu_r", "sector_code", "district_code"):
-            if len(getattr(self, name)) != n:
-                raise ValueError("panel columns must have equal length")
-        if n:
+        shape = (len(self.sector_code), len(self.offsets))
+        if (self.offsets.ndim != 1 or self.ele.shape != shape or self.mu_r.shape != shape
+                or self.district_code.shape != shape[:1]):
+            raise ValueError("panel arrays must have shapes (T,), (N, T), (N, T), (N,) and (N,)")
+        if len(self.offsets) and not np.array_equal(self.offsets - self.offsets[0],
+                                                    np.arange(len(self.offsets))):
+            raise ValueError("offsets must be contiguous")
+        if self.ele.size:
             if not np.isfinite(self.ele).all() or self.ele.min() < 0.0:
                 raise ValueError("ele must be finite and >= 0")
             if not (self.mu_r.min() >= 0.0 and self.mu_r.max() <= 1.0):  # NaN fails too
                 raise ValueError("mu_r must lie in [0, 1]")
 
     def __len__(self) -> int:
-        return len(self.firm_id)
+        return self.ele.size
 
 
 @dataclass(frozen=True)
@@ -104,37 +112,34 @@ class SrpiSeries:
             raise ValueError("series columns must have equal length")
 
 
-def fsum_by_key(keys: np.ndarray, *columns: np.ndarray):
-    """Exact per-key sums: ``(distinct keys ascending, row counts, [sums per column])``.
+def column_fsums(values: np.ndarray, bounds) -> np.ndarray:
+    """Exact sums of rows ``a:b`` of each column of ``values`` (N, T), per ``(a, b)`` of ``bounds``.
 
-    Rows are sorted by their integer key once; each key's rows then form one
-    contiguous slice that ``math.fsum`` adds up.
+    Shape (len(bounds), T).  One column at a time is held as a Python list.
     """
-    order = np.argsort(keys, kind="stable")
-    distinct, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
-    bounds = list(zip(starts.tolist(), (starts + counts).tolist()))
-    sums = []
-    for col in columns:
-        vals = col[order].tolist()
-        sums.append(np.array([math.fsum(vals[a:b]) for a, b in bounds], dtype=float))
-    return distinct, counts, sums
+    sums = np.empty((len(bounds), values.shape[1]))
+    for j, column in enumerate(values.T):
+        vals = column.tolist()
+        sums[:, j] = [math.fsum(vals[a:b]) for a, b in bounds]
+    return sums
 
 
 def ecu_grouped(panel: FirmDayPanel, group_by: str = "none", known_codes=None) -> list[EcuSeries]:
-    """ECU series per group over the panel's full offset span.
+    """ECU series per group over the panel's offsets.
 
     ``group_by`` is "none" (one aggregate series), "sector" or "district".
     When grouping, codes are validated against ``known_codes`` (defaults to
     the built-in taxonomy).  Offsets where a group has no positive-weight
-    record come out as NaN with a zero total weight; ``firm_count`` counts
-    the consuming (positive-weight) records, so zero-weight firms leave
+    firm come out as NaN with a zero total weight; ``firm_count`` counts
+    the consuming (positive-weight) firms, so zero-weight firms leave
     every column untouched.
     """
     if len(panel) == 0:
         raise ValueError("panel is empty")
 
+    firms = len(panel.sector_code)
     if group_by == "none":
-        group_keys, group = [AGGREGATE_KEY], np.zeros(len(panel), dtype=int)
+        group_keys, order, starts = [AGGREGATE_KEY], slice(None), np.zeros(1, dtype=int)
         group_type = GROUP_AGGREGATE
     elif group_by in (GROUP_SECTOR, GROUP_DISTRICT):
         keys = panel.sector_code if group_by == GROUP_SECTOR else panel.district_code
@@ -146,24 +151,20 @@ def ecu_grouped(panel: FirmDayPanel, group_by: str = "none", known_codes=None) -
         if unknown:
             raise ValueError(f"unknown {group_by} code {unknown[0]!r}")
         group_keys, group = np.unique(keys, return_inverse=True)
+        order = np.argsort(group, kind="stable")
+        starts = np.searchsorted(group[order], np.arange(len(group_keys)))
     else:
         raise ValueError(f"group_by must be 'none', 'sector' or 'district', got {group_by!r}")
 
-    lo, hi = int(panel.offset.min()), int(panel.offset.max())
-    span = np.arange(lo, hi + 1)
-
-    consuming = panel.ele > 0.0
-    ele = panel.ele[consuming]
-    cells = group[consuming] * len(span) + (panel.offset[consuming] - lo)
-    cell, count, (den, num) = fsum_by_key(cells, ele, ele * panel.mu_r[consuming])
-    shape = (len(group_keys), len(span))
-    ecu = np.full(shape, np.nan)
-    tot = np.zeros(shape)
-    cnt = np.zeros(shape, dtype=int)
-    ecu.flat[cell] = num / den
-    tot.flat[cell] = den
-    cnt.flat[cell] = count
-    return [EcuSeries(group_type, key, span.copy(), ecu[g], tot[g], cnt[g])
+    bounds = list(zip(starts.tolist(), starts[1:].tolist() + [firms]))
+    ele = panel.ele[order]
+    cnt = np.add.reduceat(ele > 0.0, starts, axis=0, dtype=int)
+    den = column_fsums(ele, bounds)
+    num = column_fsums(ele * panel.mu_r[order], bounds)  # a zero weight adds exact zeros
+    ecu = np.full(den.shape, np.nan)
+    np.divide(num, den, out=ecu, where=cnt > 0)
+    tot = np.where(cnt > 0, den, 0.0)
+    return [EcuSeries(group_type, key, panel.offsets.copy(), ecu[g], tot[g], cnt[g])
             for g, key in enumerate(group_keys)]
 
 
@@ -171,24 +172,20 @@ def srpi(panel: FirmDayPanel, reference_totals: Mapping[int, float],
          window_days: int = 7) -> SrpiSeries:
     """Total test-window consumption per offset and the smoothed year-over-year gap.
 
-    ``reference_totals`` maps each offset of the panel's span to the same
-    firms' total consumption at the aligned reference-window day; a missing
+    ``reference_totals`` maps each offset of the panel to the same firms'
+    total consumption at the aligned reference-window day; a missing
     offset is an alignment error.  The gap is smoothed with the same
     trailing mean the preprocessing uses.
     """
     if len(panel) == 0:
         raise ValueError("panel is empty")
-    lo, hi = int(panel.offset.min()), int(panel.offset.max())
-    span = np.arange(lo, hi + 1)
+    span = panel.offsets
+    (totals,) = column_fsums(panel.ele, [(0, len(panel.ele))])
 
-    offsets, _, (sums,) = fsum_by_key(panel.offset, panel.ele)
-    totals = np.zeros(len(span))
-    totals[offsets - lo] = sums
-
-    missing = [int(off) for off in span if int(off) not in reference_totals]
+    missing = [off for off in span.tolist() if off not in reference_totals]
     if missing:
         raise ValueError(f"reference totals missing offset {missing[0]}")
-    ref = np.array([float(reference_totals[int(off)]) for off in span])
+    ref = np.array([float(reference_totals[off]) for off in span.tolist()])
 
     delta = trailing_mean(totals - ref, window_days)
-    return SrpiSeries(span, totals, delta)
+    return SrpiSeries(span.copy(), totals, delta)

@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .config import RunConfig
-from .ecu import FirmDayPanel, fsum_by_key
+from .ecu import FirmDayPanel, column_fsums
 from .hmm import FilterOutput, FitReport, em_fit, init_params, random_init
 from .panelio import ModelRow, read_models
 from .preprocess import (
@@ -52,24 +52,6 @@ class FirmFitResult:
 
 
 FIRMDAY_LAYERS = ("y", "mu_p", "mu_r", "ele_test", "ele_ref")  # firmdays.npy, axis 0
-
-
-@dataclass(frozen=True)
-class FirmDayTable:
-    """The fit's firm-day columns, one row per fitted firm and offset, by firm then offset.
-
-    ``y`` is the deviation series, ``mu_p``/``mu_r`` the filtered regime
-    probabilities as fitted (a degenerate firm's are not zeroed here), and
-    ``ele_test``/``ele_ref`` the cleaned kWh of the test and reference windows.
-    """
-
-    firm_id: np.ndarray
-    offset: np.ndarray
-    y: np.ndarray
-    mu_p: np.ndarray
-    mu_r: np.ndarray
-    ele_test: np.ndarray
-    ele_ref: np.ndarray
 
 
 def preprocess_firm(record: FirmRecord, cfg: RunConfig) -> tuple[DeviationSeries, AlignedPair]:
@@ -196,74 +178,74 @@ def _firmday_layers(results: Iterable[FirmFitResult]) -> tuple[list[str], np.nda
     return [r.firm_id for r in rs], layers
 
 
-def _firmday_table(firm_ids: list[str], layers: np.ndarray) -> FirmDayTable:
-    """The table of ``layers`` (5, firms, T): firm-major rows, offsets ``-(T // 2)..T // 2``."""
-    firms, days = layers.shape[1:]
-    return FirmDayTable(np.repeat(np.array(firm_ids, dtype=object), days),
-                        np.tile(np.arange(days) - days // 2, firms),
-                        *layers.reshape(len(layers), -1))
-
-
-def _check_finite(path, firm_ids: list[str], layers: np.ndarray) -> None:
-    finite = np.isfinite(layers)
-    if not finite.all():
-        layer, firm, day = np.argwhere(~finite)[0].tolist()
-        raise ValueError(f"{path}: column {FIRMDAY_LAYERS[layer]} of firm {firm_ids[firm]} is "
-                         f"{layers[layer, firm, day]} at offset {day - layers.shape[2] // 2}; "
-                         "firm-day values must be finite")
+def _check_layers(path, firm_ids: list[str], layers: np.ndarray) -> None:
+    """Refuse the first non-finite value of ``layers``, then the first probability outside
+    [0, 1] or negative kWh, in (layer, firm, offset) order."""
+    mu, kwh = layers[1:3], layers[3:]
+    for first, bad, rule in ((0, ~np.isfinite(layers), "firm-day values must be finite"),
+                             (1, (mu < 0.0) | (mu > 1.0), "probabilities must lie in [0, 1]"),
+                             (3, kwh < 0.0, "kWh must not be negative")):
+        if bad.any():
+            layer, firm, day = np.unravel_index(np.argmax(bad), bad.shape)
+            raise ValueError(f"{path}: column {FIRMDAY_LAYERS[first + layer]} of firm "
+                             f"{firm_ids[firm]} is {layers[first + layer, firm, day]} at offset "
+                             f"{day - layers.shape[2] // 2}; {rule}")
 
 
 def save_firmdays(path, results: Iterable[FirmFitResult]) -> None:
     """Write the results' firm-day layers as one ``np.save`` array, firms in id order.
 
-    A non-finite value is refused, as ``read_fit_outputs`` would refuse it.
+    A value ``read_fit_outputs`` would refuse is refused here too.
     """
     firm_ids, layers = _firmday_layers(results)
-    _check_finite(path, firm_ids, layers)
+    _check_layers(path, firm_ids, layers)
     np.save(path, layers)
 
 
-def _firmday_panel(table: FirmDayTable, rows: list[ModelRow]) -> FirmDayPanel:
-    """The columnar panel the index stage aggregates; ``rows`` are the table's firms in order.
+def _firmday_panel(layers: np.ndarray, rows: list[ModelRow]) -> FirmDayPanel:
+    """The panel the index stage aggregates; ``rows`` are the firms of ``layers`` in order.
 
-    A degenerate fit cannot distinguish its regimes, so its recessionary
-    probability is zeroed here (the audit flag stays in the model export).
+    ``ele`` is a view of the ``ele_test`` layer.  A degenerate fit cannot
+    distinguish its regimes, so its recessionary probabilities are zeroed
+    here (the audit flag stays in the model export).
     """
-    days = len(table.offset) // len(rows) if rows else 0
-
-    def per_day(values, dtype):
-        return np.repeat(np.array(values, dtype=dtype), days)
-
-    degenerate = per_day([m.degenerate for m in rows], bool)
-    return FirmDayPanel(table.firm_id, table.offset, table.ele_test,
-                        np.where(degenerate, 0.0, table.mu_r),
-                        per_day([m.sector_code for m in rows], object),
-                        per_day([m.district_code for m in rows], object))
+    _, _, mu_r, ele_test, _ = layers
+    days = layers.shape[2]
+    degenerate = np.array([m.degenerate for m in rows], dtype=bool)
+    return FirmDayPanel(np.arange(days) - days // 2, ele_test,
+                        np.where(degenerate[:, None], 0.0, mu_r),
+                        [m.sector_code for m in rows], [m.district_code for m in rows])
 
 
-def _reference_totals(table: FirmDayTable) -> dict[int, float]:
-    offsets, _, (totals,) = fsum_by_key(table.offset, table.ele_ref)
-    return dict(zip(offsets.tolist(), totals.tolist()))
+def _offset_totals(layers: np.ndarray) -> dict[int, float]:
+    """Exact sums of the ``ele_ref`` layer per offset: the sRPI baseline."""
+    *_, ele_ref = layers
+    days = layers.shape[2]
+    (totals,) = column_fsums(ele_ref, [(0, len(ele_ref))])
+    return dict(zip(range(-(days // 2), days // 2 + 1), totals.tolist()))
 
 
 def build_firmday_panel(results: list[FirmFitResult]) -> FirmDayPanel:
-    """Stack fit results into the columnar panel the index stage aggregates."""
+    """Stack fit results into the firm x offset panel the index stage aggregates."""
     rows = model_rows(results)
-    table = _firmday_table(*_firmday_layers(results))
-    return _firmday_panel(table, [rows[firm_id] for firm_id in sorted(rows)])
+    firm_ids, layers = _firmday_layers(results)
+    return _firmday_panel(layers, [rows[firm_id] for firm_id in firm_ids])
 
 
 def reference_totals(results: list[FirmFitResult]) -> dict[int, float]:
     """Summed reference-window consumption per offset (the sRPI baseline)."""
-    return _reference_totals(_firmday_table(*_firmday_layers(results)))
+    return _offset_totals(_firmday_layers(results)[1])
 
 
 @dataclass(frozen=True)
 class FitOutputs:
-    """The fit stage's files read back, with the index inputs built from them."""
+    """The fit stage's files read back, with the index inputs built from them.
+
+    ``firmdays`` is the loaded (5, firms, T) array; the panel's ``ele`` is a view of it.
+    """
 
     models: dict[str, ModelRow]
-    firmdays: FirmDayTable
+    firmdays: np.ndarray
     panel: FirmDayPanel
     reference_totals: dict[int, float]
 
@@ -277,8 +259,9 @@ def read_fit_outputs(directory) -> FitOutputs:
     by position, so the firm ids of ``models.csv`` must ascend strictly.  A
     repeated firm in ``models.csv``, a file that is not an ``.npy`` array
     (read with ``allow_pickle=False``), another dtype, rank or number of
-    layers, another row count than ``models.csv``, an even T and a non-finite
-    value are refused.  The shape leaves no room for a repeated or missing
+    layers, another row count than ``models.csv``, an even T, a non-finite
+    value, a ``mu_p`` or ``mu_r`` outside [0, 1] and a negative ``ele_test`` or
+    ``ele_ref`` are refused.  The shape leaves no room for a repeated or missing
     firm-day.  The panel and reference totals equal ``build_firmday_panel``
     and ``reference_totals`` of the results the files were written from.
     """
@@ -309,7 +292,6 @@ def read_fit_outputs(directory) -> FitOutputs:
         raise ValueError(f"{path} has {firms} firm rows but models.csv has {len(models)}")
     if days % 2 == 0:
         raise ValueError(f"{path} has {days} days per firm; offsets -span..span need an odd count")
-    _check_finite(path, firm_ids, layers)
-    table = _firmday_table(firm_ids, layers)
-    return FitOutputs(models, table, _firmday_panel(table, list(models.values())),
-                      _reference_totals(table))
+    _check_layers(path, firm_ids, layers)
+    return FitOutputs(models, layers, _firmday_panel(layers, list(models.values())),
+                      _offset_totals(layers))

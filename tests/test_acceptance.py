@@ -11,6 +11,7 @@ import itertools
 import math
 import os
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -160,18 +161,15 @@ def test_criterion_4_normalization_and_ecu_bounds(recovery_fits):
     rng = np.random.default_rng(41)
     offsets = np.arange(-95, 96)
     worst_sum = 0.0
-    cols = {name: [] for name in ("firm_id", "offset", "ele", "mu_r", "sector", "district")}
-    for k, (y, fit) in enumerate(zip(recovery_fits.series, recovery_fits.fits)):
+    mu_r = []
+    for y, fit in zip(recovery_fits.series, recovery_fits.fits):
         out = forward_filter(y, fit.model)
         worst_sum = max(worst_sum, float(np.abs(out.filtered.sum(axis=1) - 1.0).max()))
-        ele = rng.uniform(5.0, 500.0, size=len(offsets))
-        cols["firm_id"] += [f"R{k:03d}"] * len(offsets)
-        cols["offset"] += offsets.tolist()
-        cols["ele"] += ele.tolist()
-        cols["mu_r"] += out.mu_r.tolist()
-        cols["sector"] += [SECTOR_CODES[k % len(SECTOR_CODES)]] * len(offsets)
-        cols["district"] += [DISTRICT_CODES[k % len(DISTRICT_CODES)]] * len(offsets)
-    panel = FirmDayPanel(*cols.values())
+        mu_r.append(out.mu_r)
+    ele = rng.uniform(5.0, 500.0, size=(len(mu_r), len(offsets)))
+    firms = range(len(mu_r))
+    panel = FirmDayPanel(offsets, ele, mu_r, [SECTOR_CODES[k % len(SECTOR_CODES)] for k in firms],
+                         [DISTRICT_CODES[k % len(DISTRICT_CODES)] for k in firms])
     lo, hi = np.inf, -np.inf
     for group_by in ("none", "sector", "district"):
         for s in ecu_grouped(panel, group_by):
@@ -278,18 +276,15 @@ def test_criterion_6_aggregate_shape_after_shock(shape_run):
 def random_firmday_panel(rng):
     n_firms = int(rng.integers(2, 9))
     n_off = int(rng.integers(3, 9))
-    cols = {name: [] for name in ("firm_id", "offset", "ele", "mu_r", "sector", "district")}
+    sectors, districts = [], []
+    ele, mu_r = np.empty((2, n_firms, n_off))
     for k in range(n_firms):
-        sector = SECTOR_CODES[int(rng.integers(len(SECTOR_CODES)))]
-        district = DISTRICT_CODES[int(rng.integers(len(DISTRICT_CODES)))]
+        sectors.append(SECTOR_CODES[int(rng.integers(len(SECTOR_CODES)))])
+        districts.append(DISTRICT_CODES[int(rng.integers(len(DISTRICT_CODES)))])
         for off in range(n_off):
-            cols["firm_id"].append(f"F{k}")
-            cols["offset"].append(off)
-            cols["ele"].append(float(rng.uniform(0.1, 50.0)))
-            cols["mu_r"].append(float(rng.uniform(0.0, 1.0)))
-            cols["sector"].append(sector)
-            cols["district"].append(district)
-    return FirmDayPanel(*cols.values())
+            ele[k, off] = rng.uniform(0.1, 50.0)
+            mu_r[k, off] = rng.uniform(0.0, 1.0)
+    return FirmDayPanel(np.arange(n_off), ele, mu_r, sectors, districts)
 
 
 def test_criterion_7_aggregation_identities():
@@ -312,8 +307,7 @@ def test_criterion_7_aggregation_identities():
 
         # scale invariance: common weight factor cancels
         lam = float(rng.uniform(0.25, 8.0))
-        scaled = FirmDayPanel(panel.firm_id, panel.offset, panel.ele * lam, panel.mu_r,
-                              panel.sector_code, panel.district_code)
+        scaled = replace(panel, ele=panel.ele * lam)
         scaled_agg = ecu_grouped(scaled, "none")[0]
         worst_scale = max(worst_scale, float(np.abs(scaled_agg.ecu - agg.ecu).max()))
     ok = worst_part <= 1e-12 and worst_scale <= 1e-12

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,9 @@ import pytest
 
 import ecuindex
 from ecuindex.cli import main
+from ecuindex.hmm import RegimeModel, RegimeParams
+from ecuindex.panelio import ModelRow, write_models
+from ecuindex.sectors import DEFAULT_DISTRICTS, DEFAULT_SECTORS
 
 
 def write_config(path, text):
@@ -337,6 +341,27 @@ def test_non_finite_firmday_value_is_refused(fitted_dir, tmp_path, capsys, colum
                    f"{value} at offset {day - 95}")
 
 
+@pytest.mark.parametrize("column,firm,day,value,rule", [
+    ("mu_p", 2, 7, -0.25, "probabilities must lie in [0, 1]"),
+    ("mu_r", 5, 120, 1.5, "probabilities must lie in [0, 1]"),
+    ("ele_test", 9, 95, -2.0, "kWh must not be negative"),
+    ("ele_ref", 1, 0, -3.0, "kWh must not be negative"),
+])
+def test_out_of_range_firmday_value_is_refused(fitted_dir, tmp_path, capsys, column, firm, day,
+                                                value, rule):
+    """A probability outside [0, 1] is not a probability; a negative kWh would skew the indexes."""
+    broken, cfg = broken_copy(fitted_dir, tmp_path)
+    layer = ["y", "mu_p", "mu_r", "ele_test", "ele_ref"].index(column)
+
+    def poison(a):
+        a[layer, firm, day] = value
+        return a
+
+    edit_firmdays(broken, poison)
+    assert_refused(capsys, broken, cfg, f"firmdays.npy: column {column} of firm F0000{firm} is "
+                   f"{value} at offset {day - 95}; {rule}")
+
+
 def test_models_out_of_order_is_refused(fitted_dir, tmp_path, capsys):
     """Rows of ``firmdays.npy`` follow ``models.csv``: reordered firms would swap their days."""
     broken, cfg = broken_copy(fitted_dir, tmp_path)
@@ -417,6 +442,36 @@ def test_index_outputs(fitted_dir, capsys):
     srpi = read_rows(out / "srpi.csv")
     assert srpi[0] == "offset,date,srpi,delta_srpi"
     assert len(srpi) == 1 + 191
+
+
+def write_fit_dir(directory, n_firms, days=191, seed=0):
+    """``models.csv`` and ``firmdays.npy`` of random valid values, written without fitting."""
+    rng = np.random.default_rng(seed)
+    model = RegimeModel(np.array([[0.9, 0.1], [0.2, 0.8]]),
+                        (RegimeParams(0.0, 1.0, 1.0), RegimeParams(0.0, -1.0, 1.0)),
+                        np.array([0.5, 0.5]))
+    sectors = sorted(DEFAULT_SECTORS)
+    write_models(directory / "models.csv", [
+        ModelRow(f"F{k:05d}", sectors[k % len(sectors)],
+                 DEFAULT_DISTRICTS[k % len(DEFAULT_DISTRICTS)], model, -1.0, True, k % 7 == 0)
+        for k in range(n_firms)])
+    mu_r = rng.random((n_firms, days))
+    np.save(directory / "firmdays.npy", np.stack([
+        rng.normal(size=mu_r.shape), 1.0 - mu_r, mu_r,
+        rng.uniform(0.0, 500.0, mu_r.shape), rng.uniform(0.0, 500.0, mu_r.shape)]))
+
+
+def test_index_peak_memory_is_a_small_multiple_of_the_array(tmp_path, capsys):
+    """``index`` aggregates the loaded firm x offset layers; it builds no per-firm-day columns."""
+    write_fit_dir(tmp_path, 300)
+    tracemalloc.start()
+    try:
+        assert main(["index", "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "firmdays.npy").stat().st_size
+    assert peak < 3 * size, peak / size
 
 
 def test_index_group_by_none(tmp_path, capsys):

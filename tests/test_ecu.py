@@ -1,6 +1,7 @@
 """Tests for index aggregation: arithmetic oracles, exact identities, grouping edge cases."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,14 +24,19 @@ def fd(firm, off, ele, mu, sector="301", district="D01"):
 
 
 def panel_of(rows):
-    """Columnar panel from firm-day rows, in row order."""
-    columns = list(zip(*rows)) if rows else [[]] * 6
-    return FirmDayPanel(*columns)
-
-
-def rows_of(panel):
-    return list(zip(panel.firm_id, panel.offset.tolist(), panel.ele.tolist(),
-                    panel.mu_r.tolist(), panel.sector_code, panel.district_code))
+    """Dense panel scattered from firm-day rows: firms in first-seen order, offsets from the
+    rows' least to greatest, and ``ele`` = ``mu_r`` = 0 where a firm has no row."""
+    firms = {}  # firm id -> (row index, sector, district)
+    for firm, _, _, _, sector, district in rows:
+        firms.setdefault(firm, (len(firms), sector, district))
+    offsets = [row[1] for row in rows]
+    span = np.arange(min(offsets), max(offsets) + 1) if rows else np.arange(0)
+    ele, mu_r = np.zeros((2, len(firms), len(span)))
+    for firm, off, e, mu, _, _ in rows:
+        ele[firms[firm][0], off - span[0]] = e
+        mu_r[firms[firm][0], off - span[0]] = mu
+    _, sectors, districts = zip(*firms.values()) if firms else ((), (), ())
+    return FirmDayPanel(span, ele, mu_r, sectors, districts)
 
 
 def ecu_one_offset(*rows):
@@ -40,7 +46,7 @@ def ecu_one_offset(*rows):
     return series.ecu[0]
 
 
-def random_panel(rng, n_firms=12, offsets=range(-2, 3), zero_weight_rate=0.0):
+def random_rows(rng, n_firms=12, offsets=range(-2, 3), zero_weight_rate=0.0):
     sectors = ["101", "201", "301", "302"]
     districts = ["D01", "D02", "D03"]
     rows = []
@@ -50,7 +56,11 @@ def random_panel(rng, n_firms=12, offsets=range(-2, 3), zero_weight_rate=0.0):
         for off in offsets:
             ele = 0.0 if rng.random() < zero_weight_rate else float(rng.uniform(0.1, 500.0))
             rows.append(fd(f"F{k:03d}", off, ele, float(rng.random()), sec, dis))
-    return panel_of(rows)
+    return rows
+
+
+def random_panel(rng, **kwargs):
+    return panel_of(random_rows(rng, **kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +243,7 @@ def test_partition_consistency():
 def test_weight_scale_invariance_power_of_two_is_exact():
     rng = np.random.default_rng(7)
     panel = random_panel(rng)
-    scaled = FirmDayPanel(panel.firm_id, panel.offset, panel.ele * 1024.0,
-                          panel.mu_r, panel.sector_code, panel.district_code)
+    scaled = replace(panel, ele=panel.ele * 1024.0)
     for group_by in ("none", "sector", "district"):
         for a, b in zip(ecu_grouped(panel, group_by), ecu_grouped(scaled, group_by)):
             np.testing.assert_array_equal(a.ecu, b.ecu)
@@ -244,8 +253,7 @@ def test_weight_scale_invariance_general():
     rng = np.random.default_rng(8)
     panel = random_panel(rng)
     for lam in (0.3, 3.0, 17.5):
-        scaled = FirmDayPanel(panel.firm_id, panel.offset, panel.ele * lam,
-                              panel.mu_r, panel.sector_code, panel.district_code)
+        scaled = replace(panel, ele=panel.ele * lam)
         for a, b in zip(ecu_grouped(panel, "sector"), ecu_grouped(scaled, "sector")):
             np.testing.assert_allclose(a.ecu, b.ecu, atol=1e-12)
 
@@ -254,10 +262,8 @@ def test_raising_one_probability_never_lowers_any_index():
     rng = np.random.default_rng(9)
     panel = random_panel(rng, n_firms=8, offsets=range(3))
     bumped_mu = panel.mu_r.copy()
-    i = 5
-    bumped_mu[i] = min(1.0, bumped_mu[i] + 0.4)
-    bumped = FirmDayPanel(panel.firm_id, panel.offset, panel.ele, bumped_mu,
-                          panel.sector_code, panel.district_code)
+    bumped_mu[1, 2] = min(1.0, bumped_mu[1, 2] + 0.4)
+    bumped = replace(panel, mu_r=bumped_mu)
     for group_by in ("none", "sector", "district"):
         for a, b in zip(ecu_grouped(panel, group_by), ecu_grouped(bumped, group_by)):
             ok = ~np.isnan(a.ecu)
@@ -266,8 +272,8 @@ def test_raising_one_probability_never_lowers_any_index():
 
 def test_zero_weight_firm_changes_nothing():
     rng = np.random.default_rng(10)
-    panel = random_panel(rng, n_firms=6, offsets=range(3))
-    rows = rows_of(panel)
+    rows = random_rows(rng, n_firms=6, offsets=range(3))
+    panel = panel_of(rows)
     with_ghost = panel_of(rows + [fd("GHOST", off, 0.0, 1.0, "101", "D01") for off in range(3)])
     for group_by in ("none", "district"):
         for a, b in zip(ecu_grouped(panel, group_by), ecu_grouped(with_ghost, group_by)):
@@ -335,17 +341,17 @@ def test_srpi_series_validates_lengths():
 
 
 # ---------------------------------------------------------------------------
-# sort-once aggregation against the per-row dict-loop oracle
+# grouped column sums against the per-row dict-loop oracle
 # ---------------------------------------------------------------------------
 
 
-def oracle_ecu_grouped(p, group_by="none", known_codes=None):
-    """Per-row dict-loop aggregation: the reference ``ecu_grouped`` must match bit for bit."""
+def oracle_ecu_grouped(rows, group_by="none", known_codes=None):
+    """Per-row dict-loop aggregation: ``ecu_grouped`` of ``panel_of(rows)`` must match bit for bit."""
     if group_by == "none":
         keys = None
         group_type = "aggregate"
     else:
-        keys = p.sector_code if group_by == "sector" else p.district_code
+        keys = [row[4] if group_by == "sector" else row[5] for row in rows]
         group_type = group_by
         known = known_codes
         if known is None:
@@ -354,18 +360,17 @@ def oracle_ecu_grouped(p, group_by="none", known_codes=None):
         if unknown:
             raise ValueError(f"unknown {group_by} code {unknown[0]!r}")
 
-    lo, hi = int(p.offset.min()), int(p.offset.max())
-    span = np.arange(lo, hi + 1)
+    offsets = [row[1] for row in rows]
+    span = np.arange(min(offsets), max(offsets) + 1)
 
     weights, products, counts = {}, {}, {}
-    for i in range(len(p)):
+    for i, (_, off, ele, mu, _, _) in enumerate(rows):
         key = AGGREGATE_KEY if keys is None else keys[i]
-        ele = float(p.ele[i])
         if ele <= 0.0:
             continue
-        bucket = (key, int(p.offset[i]))
+        bucket = (key, off)
         weights.setdefault(bucket, []).append(ele)
-        products.setdefault(bucket, []).append(ele * float(p.mu_r[i]))
+        products.setdefault(bucket, []).append(ele * mu)
         counts[bucket] = counts.get(bucket, 0) + 1
 
     group_keys = [AGGREGATE_KEY] if keys is None else sorted(set(keys))
@@ -374,8 +379,8 @@ def oracle_ecu_grouped(p, group_by="none", known_codes=None):
         ecu = np.full(len(span), np.nan)
         tot = np.zeros(len(span))
         cnt = np.zeros(len(span), dtype=int)
-        for j, off in enumerate(span):
-            bucket = (key, int(off))
+        for j, off in enumerate(span.tolist()):
+            bucket = (key, off)
             if bucket not in weights:
                 continue
             den = math.fsum(weights[bucket])
@@ -387,15 +392,15 @@ def oracle_ecu_grouped(p, group_by="none", known_codes=None):
     return out
 
 
-def oracle_srpi(p, reference_totals, window_days=7):
-    """Per-row dict-loop sRPI: the reference ``srpi`` must match bit for bit."""
-    lo, hi = int(p.offset.min()), int(p.offset.max())
-    span = np.arange(lo, hi + 1)
+def oracle_srpi(rows, reference_totals, window_days=7):
+    """Per-row dict-loop sRPI: ``srpi`` of ``panel_of(rows)`` must match bit for bit."""
+    offsets = [row[1] for row in rows]
+    span = np.arange(min(offsets), max(offsets) + 1)
     sums = {}
-    for i in range(len(p)):
-        sums.setdefault(int(p.offset[i]), []).append(float(p.ele[i]))
-    totals = np.array([math.fsum(sums.get(int(off), [])) for off in span])
-    ref = np.array([float(reference_totals[int(off)]) for off in span])
+    for _, off, ele, _, _, _ in rows:
+        sums.setdefault(off, []).append(ele)
+    totals = np.array([math.fsum(sums.get(off, [])) for off in span.tolist()])
+    ref = np.array([float(reference_totals[off]) for off in span.tolist()])
     return SrpiSeries(span, totals, trailing_mean(totals - ref, window_days))
 
 
@@ -404,8 +409,17 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def oracle_panel(rng):
-    """Shuffled panel with zero-weight rows, offsets no firm consumes on or
+def same_series(got, want):
+    """Equal group lists and bit-identical columns of every series."""
+    assert [(s.group_type, s.group_key) for s in got] == [(s.group_type, s.group_key)
+                                                          for s in want]
+    for a, b in zip(got, want):
+        for col in ("offsets", "ecu", "total_weight", "firm_count"):
+            assert same_bits(getattr(a, col), getattr(b, col)), (a.group_key, col)
+
+
+def oracle_rows(rng):
+    """Shuffled firm-day rows with zero-weight rows, offsets no firm consumes on or
     has a row for, and a sector and a district whose rows all weigh zero."""
     lo = int(rng.integers(-6, 1))
     offsets = np.arange(lo, lo + int(rng.integers(1, 10)))
@@ -421,30 +435,45 @@ def oracle_panel(rng):
             rows.append(fd(f"F{k:02d}", int(off), 0.0 if zero else float(rng.uniform(0.01, 900.0)),
                            mu, sec, dis))
     order = rng.permutation(len(rows))
-    return panel_of([rows[i] for i in order])
+    return [rows[i] for i in order]
+
+
+KNOWN = {"101", "202", "301", "306", "999", "D01", "D02", "D03", "D99"}
 
 
 def test_sort_once_aggregation_matches_dict_loop_oracle():
     rng = np.random.default_rng(2024)
-    known = {"101", "202", "301", "306", "999", "D01", "D02", "D03", "D99"}
     ghosts_seen = 0
     for _ in range(200):
-        panel = oracle_panel(rng)
+        rows = oracle_rows(rng)
+        panel = panel_of(rows)
         for group_by in ("none", "sector", "district"):
-            got = ecu_grouped(panel, group_by, known_codes=known)
-            want = oracle_ecu_grouped(panel, group_by, known_codes=known)
-            assert [(s.group_type, s.group_key) for s in got] == \
-                [(s.group_type, s.group_key) for s in want]
-            for a, b in zip(got, want):
-                for col in ("offsets", "ecu", "total_weight", "firm_count"):
-                    assert same_bits(getattr(a, col), getattr(b, col)), (group_by, col)
+            got = ecu_grouped(panel, group_by, known_codes=KNOWN)
+            same_series(got, oracle_ecu_grouped(rows, group_by, known_codes=KNOWN))
+            for a in got:
                 if a.group_key in ("999", "D99"):
                     ghosts_seen += 1
                     assert np.isnan(a.ecu).all()
                     assert not a.total_weight.any() and not a.firm_count.any()
-        span = range(int(panel.offset.min()), int(panel.offset.max()) + 1)
-        ref = {off: float(rng.uniform(0.0, 5000.0)) for off in span}
-        got, want = srpi(panel, ref), oracle_srpi(panel, ref)
+        ref = {off: float(rng.uniform(0.0, 5000.0)) for off in panel.offsets.tolist()}
+        got, want = srpi(panel, ref), oracle_srpi(rows, ref)
         for col in ("offsets", "srpi", "delta_srpi"):
             assert same_bits(getattr(got, col), getattr(want, col)), col
     assert ghosts_seen > 0
+
+
+def test_permuting_firms_changes_no_bit():
+    """Exact sums make every series independent of the order of the panel's firms."""
+    rng = np.random.default_rng(77)
+    for _ in range(50):
+        rows = oracle_rows(rng)
+        panel = panel_of(rows)
+        perm = rng.permutation(len(panel.sector_code))
+        shuffled = FirmDayPanel(panel.offsets, panel.ele[perm], panel.mu_r[perm],
+                                panel.sector_code[perm], panel.district_code[perm])
+        for group_by in ("none", "sector", "district"):
+            same_series(ecu_grouped(shuffled, group_by, known_codes=KNOWN),
+                        ecu_grouped(panel, group_by, known_codes=KNOWN))
+        ref = dict.fromkeys(panel.offsets.tolist(), 1.0)
+        a, b = srpi(shuffled, ref), srpi(panel, ref)
+        assert same_bits(a.srpi, b.srpi) and same_bits(a.delta_srpi, b.delta_srpi)

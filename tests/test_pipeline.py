@@ -194,11 +194,14 @@ def test_firmday_panel_columns(records, run_cfg):
     results, _ = fit_panel(records, run_cfg)
     panel = build_firmday_panel(results)
     assert len(panel) == len(records) * 191
-    assert set(panel.firm_id) == {r.firm_id for r in records}
+    np.testing.assert_array_equal(panel.offsets, np.arange(-95, 96))
+    # one row per firm, in id order
+    assert panel.ele.shape == (len(records), 191)
+    assert list(panel.sector_code) == [r.sector_code for r in results]
+    assert list(panel.district_code) == [r.district_code for r in results]
     # weights are the cleaned unsmoothed consumption from the test window
-    first = results[0]
-    got = panel.ele[panel.firm_id == first.firm_id]
-    np.testing.assert_array_equal(got, first.ele_test)
+    for row, result in zip(panel.ele, results):
+        np.testing.assert_array_equal(row, result.ele_test)
 
 
 def test_reference_totals_are_exact_sums(records, run_cfg):
@@ -221,7 +224,7 @@ def test_fit_files_load_to_the_library_panel(tmp_path):
     assert skipped == [] and any(r.report.degenerate for r in results)
     want = build_firmday_panel(results)
     fit = read_fit_outputs(tmp_path)
-    for col in ("firm_id", "offset", "ele", "mu_r", "sector_code", "district_code"):
+    for col in ("offsets", "ele", "mu_r", "sector_code", "district_code"):
         got, exp = getattr(fit.panel, col), getattr(want, col)
         assert got.dtype == exp.dtype, col
         np.testing.assert_array_equal(got, exp, err_msg=col)
