@@ -65,10 +65,10 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     raw = _load_raw(args)
     cfg = build_run_config(raw)
-    records = read_panel(_panel_path(raw))
     out = _out_dir(raw)
 
-    results, skipped = fit_panel(records, cfg, workers=cfg.workers)
+    # the panel's readings are dropped once fitted, before the outputs are built
+    results, skipped = fit_panel(read_panel(_panel_path(raw)), cfg, workers=cfg.workers)
     for firm_id, reason in skipped:
         print(f"skipped {firm_id}: {reason}")
     if not results:

@@ -83,22 +83,23 @@ def _parse_bool(field: str) -> bool:
     return field == "true"
 
 
-def _unreadable(path, first, columns, converters) -> ValueError:
-    """The error naming the first field, in row order, that its column's converter rejects."""
+def _unreadable(path, first, columns, converters) -> tuple[float, ValueError]:
+    """The data row and error naming the first field, in row order, that its column's
+    converter rejects."""
     for n, fields in enumerate(zip(*(columns[c] for c in converters)), first):
         for (column, convert), text in zip(converters.items(), fields):
             try:
                 convert(text)
             except ValueError:
-                return ValueError(f"{path} data row {n}, column {column}: cannot read {text!r}")
-    return ValueError(f"{path} has a field that cannot be read")
+                return n, ValueError(f"{path} data row {n}, column {column}: cannot read {text!r}")
+    return math.inf, ValueError(f"{path} has a field that cannot be read")
 
 
 def _parse_column(path, first, columns, column, convert) -> list:
     try:
         return [convert(text) for text in columns[column]]
     except ValueError:
-        raise _unreadable(path, first, columns, {column: convert}) from None
+        raise _unreadable(path, first, columns, {column: convert})[1] from None
 
 
 def _write_csv(path, header, blocks, comments) -> None:
@@ -125,7 +126,9 @@ def _blocks(path, header):
     """Each block of ``BLOCK_ROWS`` data rows as ``(first_data_row, {column: fields})``.
 
     The header and the block's field counts are checked before it is yielded; a
-    block whose lines have a ``"`` or another comma count goes to ``csv.reader``.
+    block whose lines have a ``"`` or another comma count goes to ``csv.reader``.  The
+    rows before a wrong field count are yielded before it is raised, so a reader naming
+    the earliest fault of each block names the same row at any ``BLOCK_ROWS``.
     """
     path = Path(path)
     if not path.exists():
@@ -151,8 +154,12 @@ def _blocks(path, header):
         rows = _csv_rows(path, itertools.chain(block, lines))
         while block := list(itertools.islice(rows, BLOCK_ROWS)):
             if set(map(len, block)) - {width}:
-                n, row = next((n, row) for n, row in enumerate(block, first) if len(row) != width)
-                raise ValueError(f"{path} data row {n} has {len(row)} fields, expected {width}")
+                k = next(k for k, row in enumerate(block) if len(row) != width)
+                fault = ValueError(
+                    f"{path} data row {first + k} has {len(block[k])} fields, expected {width}")
+                if k:
+                    yield first, dict(zip(header, zip(*block[:k])))
+                raise fault
             columns = dict(zip(header, zip(*block)))
             del block
             yield first, columns
@@ -184,14 +191,18 @@ def write_panel(path, records: list[FirmRecord], comments=()) -> None:
 
 
 def read_panel(path) -> list[FirmRecord]:
-    """Read a panel file back into per-firm records, sorted by firm id."""
+    """Read a panel file back into per-firm records, sorted by firm id.
+
+    Each block's rows are kept typed until the file is read; then each block is
+    scattered, in file order, into its firm's slice of one date and one kWh array,
+    and each slice is stably sorted by date.  Every series is a view of the two.
+    """
     index: dict[str, int] = {}  # firm id -> position in first-seen order
     codes: dict[str, tuple[str, str]] = {}
     days: set[str] = set()  # day strings already checked: a few hundred
-    firm_parts = [np.empty(0, dtype=np.intp)]
-    date_parts = [np.empty(0, dtype="datetime64[D]")]
-    value_parts = [np.empty(0)]
+    parts = []  # per block: first-seen firm positions, dates and kWh
     for first, columns in _blocks(path, PANEL_HEADER):
+        faults = []  # (data row, error): the earliest in the block is raised
         try:
             for text in set(columns["date"]) - days:
                 check_date(text, "date")
@@ -203,27 +214,42 @@ def read_panel(path) -> list[FirmRecord]:
                 raise ValueError("non-finite kWh text")
         except ValueError:
             converters = {"date": functools.partial(check_date, name="date"), "kwh": _check_kwh}
-            raise _unreadable(path, first, columns, converters) from None
-        triples = zip(columns["firm_id"], columns["sector_code"], columns["district_code"])
-        for firm_id, sector, district in dict.fromkeys(triples):  # distinct, first-seen order
+            faults.append(_unreadable(path, first, columns, converters))
+        firm_codes = columns["firm_id"], columns["sector_code"], columns["district_code"]
+        for firm_id, sector, district in dict.fromkeys(zip(*firm_codes)):  # first-seen order
             if codes.setdefault(firm_id, (sector, district)) != (sector, district):
-                raise ValueError(f"{path}: firm {firm_id} has inconsistent sector/district codes")
+                n = next(n for n, row in enumerate(zip(*firm_codes), first)
+                         if row == (firm_id, sector, district))
+                faults.append((n, ValueError(
+                    f"{path}: firm {firm_id} has inconsistent sector/district codes")))
+                break
             index.setdefault(firm_id, len(index))
-        firm_parts.append(np.fromiter(map(index.__getitem__, columns["firm_id"]), np.intp))
-        date_parts.append(dates)
-        value_parts.append(values)
+        if faults:
+            raise min(faults, key=lambda fault: fault[0])[1]
+        parts.append((np.fromiter(map(index.__getitem__, columns["firm_id"]), np.int32), dates,
+                      values))
     firm_ids = sorted(index)
-    rank = np.argsort([index[firm_id] for firm_id in firm_ids])  # first-seen -> sorted position
-    firm_of_row = rank[np.concatenate(firm_parts)]
-    dates, values = np.concatenate(date_parts), np.concatenate(value_parts)
-    del firm_parts, date_parts, value_parts  # the sort below would otherwise hold them too
-    order = np.lexsort((dates, firm_of_row))
-    dates, values = dates[order], values[order]
-    bounds = np.searchsorted(firm_of_row[order], np.arange(len(firm_ids) + 1)).tolist()
+    seen = np.array([index[firm_id] for firm_id in firm_ids], dtype=np.intp)
+    counts = sum((np.bincount(firms, minlength=len(seen)) for firms, _, _ in parts),
+                 np.zeros(len(seen), np.intp))
+    bounds = np.concatenate(([0], np.cumsum(counts[seen])))
+    fill = bounds[np.argsort(seen)]  # each first-seen firm's next free row
+    dates = np.empty(bounds[-1], dtype="datetime64[D]")
+    values = np.empty(bounds[-1])
+    for firms, block_dates, block_values in parts:
+        order = np.argsort(firms, kind="stable")
+        grouped = firms[order]
+        rows = fill[grouped] + np.arange(len(grouped)) - np.searchsorted(grouped, grouped)
+        dates[rows], values[rows] = block_dates[order], block_values[order]
+        fill += np.bincount(firms, minlength=len(fill))
+    del parts
     out = []
-    for firm_id, lo, hi in zip(firm_ids, bounds, bounds[1:]):
+    for firm_id, lo, hi in zip(firm_ids, bounds.tolist(), bounds[1:].tolist()):
+        day, kwh = dates[lo:hi], values[lo:hi]
+        order = np.argsort(day, kind="stable")  # keeps a repeated day's readings in file order
+        day[:], kwh[:] = day[order], kwh[order]
         try:
-            series = RawSeries(dates[lo:hi], values[lo:hi])
+            series = RawSeries(day, kwh)
         except ValueError as exc:
             raise ValueError(f"{path}: firm {firm_id}: {exc}") from None
         out.append(FirmRecord(firm_id, *codes[firm_id], series))

@@ -9,7 +9,6 @@ group codes live on ``FirmRecord`` alone; the series types carry only data.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +59,8 @@ class FirmRecord:
 def firm_rng(seed: int, firm_id: str, *stream: int) -> np.random.Generator:
     """One firm's random stream, keyed by the root seed, the stream tags and a hash
     of the id, so neither firm order nor worker count can change a draw."""
+    import hashlib  # loads OpenSSL: only simulate and multi-start fits draw a firm's stream
+
     digest = hashlib.sha256(firm_id.encode()).digest()
     return np.random.default_rng(
         np.random.SeedSequence([seed, *stream, int.from_bytes(digest[:8], "big")]))

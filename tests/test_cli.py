@@ -5,17 +5,13 @@ are exercised the same way a shell user would see them.
 """
 
 import filecmp
-import os
 import shutil
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import ecuindex
 from ecuindex.cli import main
 from ecuindex.hmm import RegimeModel, RegimeParams
 from ecuindex.panelio import ModelRow, write_models
@@ -46,16 +42,22 @@ def fitted_dir(tmp_path_factory):
     return root / "out", cfg
 
 
-def test_importing_the_cli_leaves_the_process_pool_out():
+def test_importing_the_cli_leaves_the_process_pool_out(run_child):
     """Only a fit on more than one worker imports ``multiprocessing``."""
-    src = str(Path(ecuindex.__file__).parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
     code = "import sys, ecuindex.cli; print('multiprocessing' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert run_child(code) == "False"
+
+
+def test_fit_and_index_leave_openssl_out(fitted_dir, tmp_path, run_child):
+    """``hashlib`` loads OpenSSL; only ``simulate`` and multi-start fits draw a firm's stream."""
+    out, cfg = fitted_dir
+    shutil.copy(out / "panel.csv", tmp_path)
+    code = ("import sys\n"
+            "from ecuindex.cli import main\n"
+            "for stage in ('fit', 'index'):\n"
+            "    assert main([stage, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print('_hashlib' in sys.modules)")
+    assert run_child(code, cfg, tmp_path) == "False"
 
 
 def read_rows(path):
