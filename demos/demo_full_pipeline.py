@@ -12,11 +12,7 @@ import numpy as np
 
 from ecuindex import PanelConfig, ecu_grouped, generate, srpi
 from ecuindex.config import build_run_config
-from ecuindex.pipeline import (
-    build_firmday_panel,
-    fit_panel,
-    reference_totals,
-)
+from ecuindex.pipeline import fit_outputs, fit_panel
 from ecuindex.sectors import DEFAULT_SECTOR_MIX, sector_level
 from ecuindex.simgen import default_shock_depths
 
@@ -40,8 +36,8 @@ print(f"fitted {len(results)} firms in {time.perf_counter() - t0:.1f}s, "
 n_deg = sum(r.report.degenerate for r in results)
 print(f"{n_deg} degenerate fits (excluded from the index with a zero contribution)")
 
-fd = build_firmday_panel(results)
-agg = ecu_grouped(fd, "none")[0]
+fit = fit_outputs(results)
+agg = ecu_grouped(fit.panel, "none")[0]
 
 print()
 print("aggregate index through the window:")
@@ -61,13 +57,13 @@ for level, name in [(1, "primary"), (2, "secondary"), (3, "tertiary")]:
     sub = [r for r in results if sector_level(r.sector_code) == level]
     if not sub:
         continue
-    series = ecu_grouped(build_firmday_panel(sub), "none")[0]
+    series = ecu_grouped(fit_outputs(sub).panel, "none")[0]
     peak = int(np.nanargmax(series.ecu))
     print(f"  {name:9s} {float(series.ecu[peak]):.3f} at offset "
           f"{int(series.offsets[peak])} ({len(sub)} firms)")
 
 # resumption volume: smoothed gap between this year's and last year's totals
-vol = srpi(fd, reference_totals(results), window_days=run_cfg.smooth_window)
+vol = srpi(fit.panel, fit.reference_totals, window_days=run_cfg.smooth_window)
 trough = int(np.argmin(vol.delta_srpi))
 print()
 print(f"resumption volume trough {vol.delta_srpi[trough]:.0f} kWh "
@@ -83,7 +79,7 @@ else:
     ax.plot(agg.offsets, agg.ecu, label="aggregate")
     for level, name in [(2, "secondary"), (3, "tertiary")]:
         sub = [r for r in results if sector_level(r.sector_code) == level]
-        series = ecu_grouped(build_firmday_panel(sub), "none")[0]
+        series = ecu_grouped(fit_outputs(sub).panel, "none")[0]
         ax.plot(series.offsets, series.ecu, lw=0.8, label=name)
     ax.axvspan(0, 9, color="gray", alpha=0.15, label="holiday")
     ax.set_xlabel("days from base point")

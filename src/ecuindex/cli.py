@@ -17,8 +17,8 @@ import numpy as np
 
 from .config import ConfigError, build_panel_config, build_run_config, load_config
 from .ecu import ecu_grouped, srpi
-from .panelio import read_panel, seed_comment, write_ecu, write_models, write_panel, write_srpi
-from .pipeline import fit_panel, model_rows, read_fit_outputs, save_firmdays
+from .panelio import read_panel, seed_comment, write_ecu, write_panel, write_srpi
+from .pipeline import fit_outputs, fit_panel, read_fit_outputs, write_fit_outputs
 from .sectors import load_code_map
 from .simgen import generate
 
@@ -75,14 +75,13 @@ def cmd_fit(args) -> int:
         first = f"; first: {skipped[0][0]}: {skipped[0][1]}" if skipped else ""
         raise ValueError(f"no firm could be fitted ({len(skipped)} skipped){first}")
 
+    fit = fit_outputs(results)
     out.mkdir(parents=True, exist_ok=True)
-    comments = [seed_comment(cfg.seed)]
-    write_models(out / "models.csv", model_rows(results).values(), comments)
-    save_firmdays(out / "firmdays.npy", results)
+    write_fit_outputs(out, fit, [seed_comment(cfg.seed)])
 
-    converged = sum(r.report.converged for r in results)
-    degenerate = sum(r.report.degenerate for r in results)
-    print(f"fitted {len(results)} firms ({converged} converged, {degenerate} degenerate), "
+    converged = sum(m.converged for m in fit.models.values())
+    degenerate = sum(m.degenerate for m in fit.models.values())
+    print(f"fitted {len(fit.models)} firms ({converged} converged, {degenerate} degenerate), "
           f"skipped {len(skipped)}")
     return EXIT_OK
 

@@ -62,19 +62,12 @@ class RunConfig:
                 raise ValueError(f"group_by entries must be sector or district, got {g!r}")
 
 
-# PanelConfig fields built from two flat keys each
-_PAIR_KEYS = {
-    "base_range": ("base_lo", "base_hi"),
-    "holiday_ref": ("holiday_ref", "holiday_ref_days"),
-    "holiday_test": ("holiday_test", "holiday_test_days"),
-}
 # PanelConfig fields written as code:value lists
 _MAPPING_KEYS = ("sector_mix", "district_mix", "shock_depth")
 
 # every key any stage understands; unknown keys are configuration mistakes
 KNOWN_KEYS = frozenset(
-    {f.name for cls in (RunConfig, PanelConfig) for f in fields(cls) if f.name not in _PAIR_KEYS}
-    | {key for pair in _PAIR_KEYS.values() for key in pair}
+    {f.name for cls in (RunConfig, PanelConfig) for f in fields(cls)}
     | {"out", "panel"}  # read by the command line itself: output directory, input panel
 )
 
@@ -167,10 +160,7 @@ def _expand_depths(depths: dict[str, float], sector_codes) -> dict[str, float]:
 def build_panel_config(raw: dict[str, str]) -> PanelConfig:
     """Validated PanelConfig from raw config strings; other stages' keys are ignored."""
     defaults = PanelConfig()
-    kwargs = _plain_fields(PanelConfig, raw, skip=(*_PAIR_KEYS, *_MAPPING_KEYS))
-    for name, keys in _PAIR_KEYS.items():
-        kwargs[name] = tuple(_convert(key, raw[key], d) if key in raw else d
-                             for key, d in zip(keys, getattr(defaults, name)))
+    kwargs = _plain_fields(PanelConfig, raw, skip=_MAPPING_KEYS)
     for name in _MAPPING_KEYS:
         if name in raw:
             kwargs[name] = parse_mapping(raw[name], name)

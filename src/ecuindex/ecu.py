@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -168,24 +167,21 @@ def ecu_grouped(panel: FirmDayPanel, group_by: str = "none", known_codes=None) -
             for g, key in enumerate(group_keys)]
 
 
-def srpi(panel: FirmDayPanel, reference_totals: Mapping[int, float],
+def srpi(panel: FirmDayPanel, reference_totals: np.ndarray,
          window_days: int = 7) -> SrpiSeries:
     """Total test-window consumption per offset and the smoothed year-over-year gap.
 
-    ``reference_totals`` maps each offset of the panel to the same firms'
-    total consumption at the aligned reference-window day; a missing
-    offset is an alignment error.  The gap is smoothed with the same
-    trailing mean the preprocessing uses.
+    ``reference_totals`` (T,) holds, at each offset of the panel, the same
+    firms' total consumption at the aligned reference-window day; another
+    shape is an alignment error.  The gap is smoothed with the same trailing
+    mean the preprocessing uses.
     """
     if len(panel) == 0:
         raise ValueError("panel is empty")
-    span = panel.offsets
+    ref = np.asarray(reference_totals)
+    if ref.shape != panel.offsets.shape:
+        raise ValueError(f"reference totals have shape {ref.shape}; the panel's "
+                         f"{len(panel.offsets)} offsets need shape {panel.offsets.shape}")
     (totals,) = column_fsums(panel.ele, [(0, len(panel.ele))])
-
-    missing = [off for off in span.tolist() if off not in reference_totals]
-    if missing:
-        raise ValueError(f"reference totals missing offset {missing[0]}")
-    ref = np.array([float(reference_totals[off]) for off in span.tolist()])
-
     delta = trailing_mean(totals - ref, window_days)
-    return SrpiSeries(span.copy(), totals, delta)
+    return SrpiSeries(panel.offsets.copy(), totals, delta)

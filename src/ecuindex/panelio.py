@@ -15,7 +15,7 @@ quotes, its quotes doubled.  Rows end with CRLF.
 The files are ``panel.csv`` (one row per firm-day reading), ``models.csv``
 (one row per fitted firm: its model, flags and group codes), ``ecu.csv``
 and ``srpi.csv``.  The fit's firm-day values go to ``index`` as a binary
-array instead (``pipeline.save_firmdays``).
+array instead (``pipeline.write_fit_outputs``).
 """
 
 from __future__ import annotations
@@ -72,15 +72,22 @@ def _quoted(fields) -> list[str]:
     return list(map(forms.__getitem__, fields))
 
 
-def _check_kwh(field: str) -> None:
-    if field and not math.isfinite(float(field)):
-        raise ValueError(f"kWh must be a finite number or blank, got {field!r}")
-
-
 def _parse_bool(field: str) -> bool:
     if field not in ("true", "false"):
         raise ValueError(f"expected 'true' or 'false', got {field!r}")
     return field == "true"
+
+
+def _parse_finite(field: str) -> float:
+    value = float(field)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {field!r}")
+    return value
+
+
+# the typed columns of models.csv and their converters
+_MODEL_FIELDS = {**dict.fromkeys(MODELS_HEADER[3:13], _parse_finite),
+                 **dict.fromkeys(MODELS_HEADER[13:], _parse_bool)}
 
 
 def _unreadable(path, first, columns, converters) -> tuple[float, ValueError]:
@@ -93,13 +100,6 @@ def _unreadable(path, first, columns, converters) -> tuple[float, ValueError]:
             except ValueError:
                 return n, ValueError(f"{path} data row {n}, column {column}: cannot read {text!r}")
     return math.inf, ValueError(f"{path} has a field that cannot be read")
-
-
-def _parse_column(path, first, columns, column, convert) -> list:
-    try:
-        return [convert(text) for text in columns[column]]
-    except ValueError:
-        raise _unreadable(path, first, columns, {column: convert})[1] from None
 
 
 def _write_csv(path, header, blocks, comments) -> None:
@@ -213,7 +213,8 @@ def read_panel(path) -> list[FirmRecord]:
             if np.count_nonzero(np.isfinite(values)) != len(kwh) - kwh.count(""):
                 raise ValueError("non-finite kWh text")
         except ValueError:
-            converters = {"date": functools.partial(check_date, name="date"), "kwh": _check_kwh}
+            converters = {"date": functools.partial(check_date, name="date"),
+                          "kwh": lambda text: text and _parse_finite(text)}  # blank: missing
             faults.append(_unreadable(path, first, columns, converters))
         firm_codes = columns["firm_id"], columns["sector_code"], columns["district_code"]
         for firm_id, sector, district in dict.fromkeys(zip(*firm_codes)):  # first-seen order
@@ -274,24 +275,33 @@ def write_models(path, rows: Iterable[ModelRow], comments=()) -> None:
 
 
 def read_models(path) -> dict[str, ModelRow]:
+    """The models by firm id; the earliest data row with a field that cannot be read (numbers
+    must be finite), a repeated firm or a model ``RegimeModel`` refuses is named."""
     out = {}
     for first, columns in _blocks(path, MODELS_HEADER):
-        numbers = zip(*(_parse_column(path, first, columns, c, float) for c in MODELS_HEADER[3:13]))
-        flags = zip(*(_parse_column(path, first, columns, c, _parse_bool)
-                      for c in MODELS_HEADER[13:]))
-        for n, (firm_id, sector, district, nums, (converged, degenerate)) in enumerate(zip(
-                columns["firm_id"], columns["sector_code"], columns["district_code"], numbers,
-                flags), first):
+        try:
+            typed = [list(map(convert, columns[c])) for c, convert in _MODEL_FIELDS.items()]
+            fault = None
+        except ValueError:  # the rows before the earliest unreadable one are still checked
+            stop, fault = _unreadable(path, first, columns, _MODEL_FIELDS)
+            typed = [list(map(convert, columns[c][:stop - first]))
+                     for c, convert in _MODEL_FIELDS.items()]
+        for n, (firm_id, sector, district, *nums, converged, degenerate) in enumerate(zip(
+                columns["firm_id"], columns["sector_code"], columns["district_code"], *typed),
+                first):
             if firm_id in out:
                 raise ValueError(f"{path} data row {n}: firm {firm_id} already has a row")
             a_p, b_p, s_p, a_r, b_r, s_r, q_pp, q_rr, pi0_p, loglik = nums
-            model = RegimeModel(
-                np.array([[q_pp, 1.0 - q_pp], [1.0 - q_rr, q_rr]]),
-                (RegimeParams(a_p, b_p, s_p), RegimeParams(a_r, b_r, s_r)),
-                np.array([pi0_p, 1.0 - pi0_p]),
-            )
+            try:
+                model = RegimeModel(np.array([[q_pp, 1.0 - q_pp], [1.0 - q_rr, q_rr]]),
+                                    (RegimeParams(a_p, b_p, s_p), RegimeParams(a_r, b_r, s_r)),
+                                    np.array([pi0_p, 1.0 - pi0_p]))
+            except ValueError as exc:
+                raise ValueError(f"{path} data row {n}: firm {firm_id}: {exc}") from None
             out[firm_id] = ModelRow(firm_id, sector, district, model, loglik, converged,
                                     degenerate)
+        if fault is not None:
+            raise fault
     return out
 
 

@@ -4,11 +4,13 @@ Chains the preprocessing and the EM fit, whose last forward pass is the
 firm's causal filter, and carries along the cleaned consumption that the
 index stage needs for weighting.  The panel-level driver fans firms out
 across processes; every firm's computation depends only on its own record
-and the run settings, so worker count cannot change any result.
+and the run settings, so worker count cannot change any result.  The fit's
+product, in memory and on disk, is one ``FitOutputs``.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -19,7 +21,7 @@ import numpy as np
 from .config import RunConfig
 from .ecu import FirmDayPanel, column_fsums
 from .hmm import FilterOutput, FitReport, em_fit, init_params, random_init
-from .panelio import ModelRow, read_models
+from .panelio import ModelRow, read_models, write_models
 from .preprocess import (
     AlignedPair,
     DeviationSeries,
@@ -153,16 +155,44 @@ def fit_panel(records: list[FirmRecord], cfg: RunConfig,
     return results, skipped
 
 
-def model_rows(results: Iterable[FirmFitResult]) -> dict[str, ModelRow]:
-    """Per-firm rows of the models file, keyed by firm id."""
-    return {r.firm_id: ModelRow(r.firm_id, r.sector_code, r.district_code, r.report.model,
-                                float(r.report.loglik_trace[-1]), r.report.converged,
-                                r.report.degenerate)
-            for r in results}
+@dataclass(frozen=True)
+class FitOutputs:
+    """The fit's product, built from its results or read back from its files.
+
+    ``models`` holds one row per firm, in id order, and ``firmdays`` is the
+    (5, firms, T) float64 array of their ``FIRMDAY_LAYERS``, row k for the k-th
+    model and column j for offset ``j - T // 2``.
+    """
+
+    models: dict[str, ModelRow]
+    firmdays: np.ndarray
+
+    @functools.cached_property
+    def panel(self) -> FirmDayPanel:
+        """The panel the index stage aggregates; ``ele`` is a view of the ``ele_test`` layer.
+
+        A degenerate fit cannot distinguish its regimes, so its recessionary
+        probabilities are zeroed here (the audit flag stays in the models).
+        """
+        _, _, mu_r, ele_test, _ = self.firmdays
+        days = self.firmdays.shape[2]
+        rows = list(self.models.values())
+        degenerate = np.array([m.degenerate for m in rows], dtype=bool)
+        return FirmDayPanel(np.arange(days) - days // 2, ele_test,
+                            np.where(degenerate[:, None], 0.0, mu_r),
+                            [m.sector_code for m in rows], [m.district_code for m in rows])
+
+    @functools.cached_property
+    def reference_totals(self) -> np.ndarray:
+        """Exact sums of the ``ele_ref`` layer per offset, along ``panel.offsets``: the sRPI
+        baseline."""
+        *_, ele_ref = self.firmdays
+        (totals,) = column_fsums(ele_ref, [(0, len(ele_ref))])
+        return totals
 
 
-def _firmday_layers(results: Iterable[FirmFitResult]) -> tuple[list[str], np.ndarray]:
-    """Firm ids in order and the (5, firms, T) float64 array of their ``FIRMDAY_LAYERS``.
+def fit_outputs(results: Iterable[FirmFitResult]) -> FitOutputs:
+    """The models and the stacked firm-day array of ``results``, firms in id order.
 
     Every firm's offsets must be the same ``-span..span``, so T is odd and implies them.
     """
@@ -170,12 +200,25 @@ def _firmday_layers(results: Iterable[FirmFitResult]) -> tuple[list[str], np.nda
     span = len(rs[0].deviation.offsets) // 2 if rs else 0
     offsets = np.arange(-span, span + 1)
     layers = np.empty((len(FIRMDAY_LAYERS), len(rs), len(offsets)))
+    models = {}
     for k, r in enumerate(rs):
         if not np.array_equal(r.deviation.offsets, offsets):
             raise ValueError(f"firm {r.firm_id}: offsets must run {-span}..{span} as the first "
                              "firm's do")
         layers[:, k] = r.deviation.y, r.filtered.mu_p, r.filtered.mu_r, r.ele_test, r.ele_ref
-    return [r.firm_id for r in rs], layers
+        models[r.firm_id] = ModelRow(r.firm_id, r.sector_code, r.district_code, r.report.model,
+                                     float(r.report.loglik_trace[-1]), r.report.converged,
+                                     r.report.degenerate)
+    return FitOutputs(models, layers)
+
+
+# bench/run.py calls these two; they go once fit_panel returns a FitOutputs
+def build_firmday_panel(results: list[FirmFitResult]) -> FirmDayPanel:
+    return fit_outputs(results).panel
+
+
+def reference_totals(results: list[FirmFitResult]) -> np.ndarray:
+    return fit_outputs(results).reference_totals
 
 
 def _check_layers(path, firm_ids: list[str], layers: np.ndarray) -> None:
@@ -192,62 +235,16 @@ def _check_layers(path, firm_ids: list[str], layers: np.ndarray) -> None:
                              f"{day - layers.shape[2] // 2}; {rule}")
 
 
-def save_firmdays(path, results: Iterable[FirmFitResult]) -> None:
-    """Write the results' firm-day layers as one ``np.save`` array, firms in id order.
+def write_fit_outputs(directory, fit: FitOutputs, comments=()) -> None:
+    """Write ``models.csv`` and ``firmdays.npy`` into ``directory``.
 
-    A value ``read_fit_outputs`` would refuse is refused here too.
+    A value ``read_fit_outputs`` would refuse is refused first, and then neither file is
+    written.
     """
-    firm_ids, layers = _firmday_layers(results)
-    _check_layers(path, firm_ids, layers)
-    np.save(path, layers)
-
-
-def _firmday_panel(layers: np.ndarray, rows: list[ModelRow]) -> FirmDayPanel:
-    """The panel the index stage aggregates; ``rows`` are the firms of ``layers`` in order.
-
-    ``ele`` is a view of the ``ele_test`` layer.  A degenerate fit cannot
-    distinguish its regimes, so its recessionary probabilities are zeroed
-    here (the audit flag stays in the model export).
-    """
-    _, _, mu_r, ele_test, _ = layers
-    days = layers.shape[2]
-    degenerate = np.array([m.degenerate for m in rows], dtype=bool)
-    return FirmDayPanel(np.arange(days) - days // 2, ele_test,
-                        np.where(degenerate[:, None], 0.0, mu_r),
-                        [m.sector_code for m in rows], [m.district_code for m in rows])
-
-
-def _offset_totals(layers: np.ndarray) -> dict[int, float]:
-    """Exact sums of the ``ele_ref`` layer per offset: the sRPI baseline."""
-    *_, ele_ref = layers
-    days = layers.shape[2]
-    (totals,) = column_fsums(ele_ref, [(0, len(ele_ref))])
-    return dict(zip(range(-(days // 2), days // 2 + 1), totals.tolist()))
-
-
-def build_firmday_panel(results: list[FirmFitResult]) -> FirmDayPanel:
-    """Stack fit results into the firm x offset panel the index stage aggregates."""
-    rows = model_rows(results)
-    firm_ids, layers = _firmday_layers(results)
-    return _firmday_panel(layers, [rows[firm_id] for firm_id in firm_ids])
-
-
-def reference_totals(results: list[FirmFitResult]) -> dict[int, float]:
-    """Summed reference-window consumption per offset (the sRPI baseline)."""
-    return _offset_totals(_firmday_layers(results)[1])
-
-
-@dataclass(frozen=True)
-class FitOutputs:
-    """The fit stage's files read back, with the index inputs built from them.
-
-    ``firmdays`` is the loaded (5, firms, T) array; the panel's ``ele`` is a view of it.
-    """
-
-    models: dict[str, ModelRow]
-    firmdays: np.ndarray
-    panel: FirmDayPanel
-    reference_totals: dict[int, float]
+    directory = Path(directory)
+    _check_layers(directory / "firmdays.npy", list(fit.models), fit.firmdays)
+    write_models(directory / "models.csv", fit.models.values(), comments)
+    np.save(directory / "firmdays.npy", fit.firmdays)
 
 
 def read_fit_outputs(directory) -> FitOutputs:
@@ -262,8 +259,8 @@ def read_fit_outputs(directory) -> FitOutputs:
     layers, another row count than ``models.csv``, an even T, a non-finite
     value, a ``mu_p`` or ``mu_r`` outside [0, 1] and a negative ``ele_test`` or
     ``ele_ref`` are refused.  The shape leaves no room for a repeated or missing
-    firm-day.  The panel and reference totals equal ``build_firmday_panel``
-    and ``reference_totals`` of the results the files were written from.
+    firm-day.  The array, panel and reference totals equal bit for bit those of the
+    ``fit_outputs`` the files were written from, and so does every model field they hold.
     """
     directory = Path(directory)
     for name in ("models.csv", "firmdays.npy"):
@@ -293,5 +290,4 @@ def read_fit_outputs(directory) -> FitOutputs:
     if days % 2 == 0:
         raise ValueError(f"{path} has {days} days per firm; offsets -span..span need an odd count")
     _check_layers(path, firm_ids, layers)
-    return FitOutputs(models, layers, _firmday_panel(layers, list(models.values())),
-                      _offset_totals(layers))
+    return FitOutputs(models, layers)

@@ -69,14 +69,17 @@ class PanelConfig:
     seed: int = 0
     sector_mix: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_SECTOR_MIX))
     district_mix: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_DISTRICT_MIX))
-    base_range: tuple[float, float] = (50.0, 5000.0)
+    base_lo: float = 50.0
+    base_hi: float = 5000.0
     weekly_amplitude: float = 0.15
     annual_amplitude: float = 0.10
     ref_base: str = "2019-02-04"
     test_base: str = "2020-01-24"
     span: int = 95
-    holiday_ref: tuple[str, int] = ("2019-02-04", 10)
-    holiday_test: tuple[str, int] = ("2020-01-24", 10)
+    holiday_ref: str = "2019-02-04"
+    holiday_ref_days: int = 10
+    holiday_test: str = "2020-01-24"
+    holiday_test_days: int = 10
     holiday_depth: float = 0.35
     shock_start: int = 10
     shock_duration: int = 0
@@ -90,14 +93,15 @@ class PanelConfig:
 
     def validate(self) -> None:
         for name, low in (("n_firms", 0), ("span", 1), ("shock_duration", 0),
-                          ("shock_onset_jitter", 0), ("noise_frac", 0)):
+                          ("shock_onset_jitter", 0), ("noise_frac", 0), ("holiday_ref_days", 0),
+                          ("holiday_test_days", 0)):
             if not getattr(self, name) >= low:  # NaN fails too
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         _check_mix(self.sector_mix, "sector_mix")
         _check_mix(self.district_mix, "district_mix")
-        lo, hi = self.base_range
-        if not (0.0 < lo <= hi):
-            raise ValueError(f"base_range must satisfy 0 < lo <= hi, got {self.base_range}")
+        if not (0.0 < self.base_lo <= self.base_hi):
+            raise ValueError("base_lo and base_hi must satisfy 0 < base_lo <= base_hi, got "
+                             f"{self.base_lo} and {self.base_hi}")
         for name in ("weekly_amplitude", "annual_amplitude", "holiday_depth",
                      "shock_depth_jitter", "missing_rate", "outlier_rate"):
             v = getattr(self, name)
@@ -108,10 +112,7 @@ class PanelConfig:
         for name in ("ref_base", "test_base"):
             check_date(getattr(self, name), name)
         for name in ("holiday_ref", "holiday_test"):
-            start, days = getattr(self, name)
-            check_date(start, name)
-            if int(days) < 0:
-                raise ValueError(f"holiday length must be >= 0, got {days}")
+            check_date(getattr(self, name), name)
         for code, depth in self.depths().items():
             if not (0.0 <= depth <= 1.0):
                 raise ValueError(f"shock depth for {code} must lie in [0, 1], got {depth}")
@@ -179,11 +180,6 @@ def shock_multiplier(offsets, start: int, duration: int, depth: float,
     return mult
 
 
-def _holiday_mask(days: np.ndarray, holiday: tuple[str, int]) -> np.ndarray:
-    start = np.datetime64(holiday[0])
-    return (days >= start) & (days < start + int(holiday[1]) * DAY)
-
-
 def generate(config: PanelConfig) -> SyntheticPanel:
     """Generate the panel. Deterministic: same config means identical output."""
     config.validate()
@@ -206,8 +202,10 @@ def generate(config: PanelConfig) -> SyntheticPanel:
     phase = (days - ANNUAL_PEAK) / DAY / 365.25
     annual = 1.0 + config.annual_amplitude * np.cos(2.0 * np.pi * phase.astype(float))
     holiday = np.ones(n_days)
-    for h in (config.holiday_ref, config.holiday_test):
-        holiday[_holiday_mask(days, h)] = 1.0 - config.holiday_depth
+    for start, length in ((config.holiday_ref, config.holiday_ref_days),
+                          (config.holiday_test, config.holiday_test_days)):
+        start = np.datetime64(start)
+        holiday[(days >= start) & (days < start + int(length) * DAY)] = 1.0 - config.holiday_depth
     test_offsets = ((days - np.datetime64(config.test_base)) / DAY).astype(int)
 
     depths = config.depths()
@@ -215,7 +213,7 @@ def generate(config: PanelConfig) -> SyntheticPanel:
     truth: dict[str, FirmTruth] = {}
     for firm_id, sector, district in zip(firm_ids, sectors, districts):
         rng = firm_rng(config.seed, firm_id)
-        base = float(rng.uniform(*config.base_range))
+        base = float(rng.uniform(config.base_lo, config.base_hi))
         onset = config.shock_start + int(rng.integers(0, config.shock_onset_jitter + 1))
         depth = depths.get(sector, 0.0)
         if config.shock_depth_jitter > 0.0:

@@ -245,7 +245,7 @@ def test_criterion_6_aggregate_shape_after_shock(shape_run):
     offsets = agg.offsets
     pre = agg.ecu[offsets < 0]
     pre_mean = float(pre.mean())
-    holiday = agg.ecu[(offsets >= 0) & (offsets < shape_run.cfg.holiday_test[1])]
+    holiday = agg.ecu[(offsets >= 0) & (offsets < shape_run.cfg.holiday_test_days)]
 
     dipped = float(holiday.min()) < pre_mean
 

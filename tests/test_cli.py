@@ -14,7 +14,7 @@ import pytest
 
 from ecuindex.cli import main
 from ecuindex.hmm import RegimeModel, RegimeParams
-from ecuindex.panelio import ModelRow, write_models
+from ecuindex.panelio import MODELS_HEADER, ModelRow, write_models
 from ecuindex.sectors import DEFAULT_DISTRICTS, DEFAULT_SECTORS
 
 
@@ -373,6 +373,28 @@ def test_models_out_of_order_is_refused(fitted_dir, tmp_path, capsys):
     (broken / "models.csv").write_text("".join(lines))
     assert_refused(capsys, broken, cfg,
                    "models.csv data row 4: firm F00002 comes after F00003; firm ids must ascend")
+
+
+@pytest.mark.parametrize("column,value,message", [
+    ("sigma_p", "-1.0", ": firm F00002: sigma must be positive and finite, got -1.0"),
+    ("q_pp", "1.5", ": firm F00002: transition matrix row entries must lie in [0, 1]"),
+    ("pi0_p", "-0.5", ": firm F00002: initial state probabilities entries must lie in [0, 1]"),
+    ("loglik", "nan", ", column loglik: cannot read 'nan'"),
+    ("alpha_r", "-Infinity", ", column alpha_r: cannot read '-Infinity'"),
+])
+def test_refused_model_names_file_row_and_firm(fitted_dir, tmp_path, capsys, column, value,
+                                                message):
+    """A model field the fit never writes exits 1 naming the file and data row, and the firm
+    of a model ``RegimeModel`` refuses; the fit writes NaN as an empty field."""
+    broken, cfg = broken_copy(fitted_dir, tmp_path)
+    lines = (broken / "models.csv").read_text().splitlines(keepends=True)
+    header = next(i for i, ln in enumerate(lines) if ln.startswith("firm_id,"))
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("F00002,"))
+    fields = lines[k].split(",")
+    fields[MODELS_HEADER.index(column)] = value
+    lines[k] = ",".join(fields)
+    (broken / "models.csv").write_text("".join(lines))
+    assert_refused(capsys, broken, cfg, f"models.csv data row {k - header}{message}")
 
 
 def write_bytes(data):

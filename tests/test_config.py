@@ -123,7 +123,7 @@ def test_panel_defaults():
     assert cfg.n_firms == 100
     assert cfg.span == 95
     assert cfg.sector_mix == DEFAULT_SECTOR_MIX
-    assert cfg.holiday_test == ("2020-01-24", 10)
+    assert (cfg.holiday_test, cfg.holiday_test_days) == ("2020-01-24", 10)
     cfg.validate()
 
 
@@ -133,8 +133,8 @@ def test_panel_overrides():
         "sector_mix=101:1.0\n"
     ))
     assert cfg.n_firms == 7
-    assert cfg.base_range == (10.0, 20.0)
-    assert cfg.holiday_test == ("2020-01-20", 5)
+    assert (cfg.base_lo, cfg.base_hi) == (10.0, 20.0)
+    assert (cfg.holiday_test, cfg.holiday_test_days) == ("2020-01-20", 5)
     assert cfg.sector_mix == {"101": 1.0}
 
 

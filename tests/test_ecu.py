@@ -1,6 +1,7 @@
 """Tests for index aggregation: arithmetic oracles, exact identities, grouping edge cases."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -92,7 +93,7 @@ def test_zero_total_weight_is_a_gap():
 
 def test_empty_records_rejected():
     with pytest.raises(ValueError, match="empty"):
-        srpi(panel_of([]), {})
+        srpi(panel_of([]), np.zeros(0))
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +300,14 @@ def test_values_always_in_unit_interval():
 
 def test_srpi_zero_gap_when_totals_match():
     rows = panel_of([fd("a", off, 100.0, 0.0) for off in range(5)])
-    ref = {off: 100.0 for off in range(5)}
-    out = srpi(rows, ref)
+    out = srpi(rows, np.full(5, 100.0))
     np.testing.assert_array_equal(out.srpi, np.full(5, 100.0))
     np.testing.assert_array_equal(out.delta_srpi, np.zeros(5))
 
 
 def test_srpi_constant_shift():
     rows = panel_of([fd("a", off, 100.0, 0.0) for off in range(10)])
-    out = srpi(rows, {off: 150.0 for off in range(10)})
+    out = srpi(rows, np.full(10, 150.0))
     np.testing.assert_allclose(out.delta_srpi, np.full(10, -50.0), atol=1e-12)
 
 
@@ -317,22 +317,25 @@ def test_srpi_totals_match_independent_sum():
         fd("a", 1, 15.0, 0.1), fd("b", 1, 5.0, 0.9),
         fd("a", 2, 30.0, 0.1),
     ])
-    out = srpi(rows, {0: 0.0, 1: 0.0, 2: 0.0})
+    out = srpi(rows, np.zeros(3))
     np.testing.assert_array_equal(out.srpi, [10.0, 20.0, 30.0])
 
 
 def test_srpi_smooths_the_gap_with_trailing_window():
     # gap ramps 0..9; trailing-7 mean of a ramp lags by 3 once the window fills
     rows = panel_of([fd("a", off, 100.0 + off, 0.0) for off in range(10)])
-    out = srpi(rows, {off: 100.0 for off in range(10)})
+    out = srpi(rows, np.full(10, 100.0))
     assert out.delta_srpi[9] == pytest.approx(6.0, abs=1e-12)
     assert out.delta_srpi[0] == 0.0
 
 
 def test_srpi_requires_aligned_reference():
     rows = panel_of([fd("a", off, 1.0, 0.0) for off in range(3)])
-    with pytest.raises(ValueError, match="missing offset 2"):
-        srpi(rows, {0: 1.0, 1: 1.0})
+    with pytest.raises(ValueError, match=re.escape("reference totals have shape (2,); the panel's "
+                                                   "3 offsets need shape (3,)")):
+        srpi(rows, np.ones(2))
+    with pytest.raises(ValueError, match=re.escape("reference totals have shape ()")):
+        srpi(rows, {0: 1.0, 1: 1.0, 2: 1.0})
 
 
 def test_srpi_series_validates_lengths():
@@ -456,7 +459,7 @@ def test_sort_once_aggregation_matches_dict_loop_oracle():
                     assert np.isnan(a.ecu).all()
                     assert not a.total_weight.any() and not a.firm_count.any()
         ref = {off: float(rng.uniform(0.0, 5000.0)) for off in panel.offsets.tolist()}
-        got, want = srpi(panel, ref), oracle_srpi(rows, ref)
+        got, want = srpi(panel, np.array(list(ref.values()))), oracle_srpi(rows, ref)
         for col in ("offsets", "srpi", "delta_srpi"):
             assert same_bits(getattr(got, col), getattr(want, col)), col
     assert ghosts_seen > 0
@@ -474,6 +477,6 @@ def test_permuting_firms_changes_no_bit():
         for group_by in ("none", "sector", "district"):
             same_series(ecu_grouped(shuffled, group_by, known_codes=KNOWN),
                         ecu_grouped(panel, group_by, known_codes=KNOWN))
-        ref = dict.fromkeys(panel.offsets.tolist(), 1.0)
+        ref = np.ones(len(panel.offsets))
         a, b = srpi(shuffled, ref), srpi(panel, ref)
         assert same_bits(a.srpi, b.srpi) and same_bits(a.delta_srpi, b.delta_srpi)

@@ -25,10 +25,10 @@ from ecuindex.panelio import (
 )
 from ecuindex.pipeline import (
     FIRMDAY_LAYERS,
+    fit_outputs,
     fit_panel,
-    model_rows,
     read_fit_outputs,
-    save_firmdays,
+    write_fit_outputs,
 )
 from ecuindex.preprocess import DeviationSeries, FirmRecord, RawSeries
 from ecuindex.simgen import PanelConfig, generate
@@ -151,9 +151,9 @@ def fit_columns(result):
 
 
 def firmdays_roundtrip(tmp_path, results, names):
-    """``save_firmdays`` then ``read_fit_outputs`` gives back each firm's columns bit for bit."""
-    write_models(tmp_path / "models.csv", model_rows(results).values())
-    save_firmdays(tmp_path / "firmdays.npy", results)
+    """``write_fit_outputs`` then ``read_fit_outputs`` gives back each firm's columns bit for
+    bit."""
+    write_fit_outputs(tmp_path, fit_outputs(results))
     back = read_fit_outputs(tmp_path).firmdays
     for k, result in enumerate(sorted(results, key=lambda r: r.firm_id)):
         for name in names:
@@ -185,17 +185,18 @@ def test_weights_roundtrip_sorted(tmp_path, fitted):
 
 
 def test_firmdays_writer_refuses_nan(tmp_path, fitted):
-    """The first non-finite value in (column, firm, offset) order is named; nothing is written."""
+    """The first non-finite value in (column, firm, offset) order is named; neither file is
+    written."""
     a, b, c = sorted(fitted, key=lambda r: r.firm_id)
     ele_test = b.ele_test.copy()
     ele_test[[1, 4]] = np.nan, np.inf
     broken = [a, replace(b, ele_test=ele_test),
               replace(c, ele_ref=np.where(np.arange(191) == 0, np.nan, c.ele_ref))]
-    path = tmp_path / "firmdays.npy"
     with pytest.raises(ValueError, match=re.escape(
             f"firmdays.npy: column ele_test of firm {b.firm_id} is nan at offset -94")):
-        save_firmdays(path, broken)
-    assert not path.exists()
+        write_fit_outputs(tmp_path, fit_outputs(broken))
+    assert not (tmp_path / "models.csv").exists()
+    assert not (tmp_path / "firmdays.npy").exists()
 
 
 def test_firmdays_short_row_rejected(tmp_path, fitted):
@@ -203,8 +204,7 @@ def test_firmdays_short_row_rejected(tmp_path, fitted):
     a, b, c = sorted(fitted, key=lambda r: r.firm_id)
     short = DeviationSeries(b.deviation.offsets[:-1], b.deviation.y[:-1])
     with pytest.raises(ValueError, match=f"firm {b.firm_id}: offsets must run -95..95"):
-        save_firmdays(tmp_path / "firmdays.npy", [a, replace(b, deviation=short), c])
-    assert not (tmp_path / "firmdays.npy").exists()
+        fit_outputs([a, replace(b, deviation=short), c])
 
 
 def test_ecu_file_dates_and_gaps(tmp_path):
@@ -359,6 +359,43 @@ def test_fit_output_faults_in_block_3_name_their_row(tmp_path, monkeypatch):
     path.write_text(text.replace(",true,", ",yes,").replace(",yes,", ",true,", 4))
     with pytest.raises(ValueError, match="models.csv data row 5, column converged: cannot read 'yes'"):
         read_models(path)
+
+
+def models_with(tmp_path, edits):
+    """A models file of one valid model for each of firms A, B and C, with field ``column`` of
+    data row ``row`` set to ``value`` per edit."""
+    model = RegimeModel(np.eye(2), (RegimeParams(0.0, 1.0, 1.0), RegimeParams(0.0, -1.0, 1.0)),
+                        np.array([0.5, 0.5]))
+    path = tmp_path / "models.csv"
+    write_models(path, [ModelRow(firm_id, "101", "D01", model, 0.0, True, False)
+                        for firm_id in "ABC"])
+    lines = path.read_text().splitlines(keepends=True)
+    header = next(k for k, line in enumerate(lines) if line.startswith("firm_id,"))
+    for row, column, value in edits:
+        fields = lines[header + row].split(",")
+        fields[panelio.MODELS_HEADER.index(column)] = value
+        lines[header + row] = ",".join(fields)
+    path.write_text("".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, panelio.BLOCK_ROWS])
+@pytest.mark.parametrize("edits,message", [
+    ([(1, "converged", "yes"), (2, "alpha_p", "x")],
+     "models.csv data row 1, column converged: cannot read 'yes'"),
+    ([(2, "firm_id", "A"), (3, "beta_r", "x")],
+     "models.csv data row 2: firm A already has a row"),
+    ([(2, "sigma_r", "-1.0"), (3, "loglik", "x")],
+     "models.csv data row 2: firm B: sigma must be positive and finite, got -1.0"),
+    ([(1, "alpha_p", "1.0"), (2, "loglik", "nan"), (3, "degenerate", "x")],
+     "models.csv data row 2, column loglik: cannot read 'nan'"),
+], ids=["unreadable", "repeated", "model", "nan"])
+def test_multi_fault_models_name_their_first_faulty_row(tmp_path, monkeypatch, block_rows, edits,
+                                                        message):
+    """Whatever the block size, the earliest faulty data row is the one named."""
+    monkeypatch.setattr(panelio, "BLOCK_ROWS", block_rows)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_models(models_with(tmp_path, edits))
 
 
 def test_readers_peak_memory_is_bounded_by_a_block(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from ecuindex.pipeline import (
     build_firmday_panel,
     fit_deviation,
     fit_firm,
+    fit_outputs,
     fit_panel,
     preprocess_firm,
     read_fit_outputs,
@@ -207,13 +208,13 @@ def test_firmday_panel_columns(records, run_cfg):
 def test_reference_totals_are_exact_sums(records, run_cfg):
     results, _ = fit_panel(records, run_cfg)
     totals = reference_totals(results)
-    assert sorted(totals) == list(range(-95, 96))
+    assert totals.shape == (191,)  # offsets -95..95
     want = math.fsum(float(r.ele_ref[0]) for r in results)
-    assert totals[-95] == want
+    assert totals[0] == want
 
 
 def test_fit_files_load_to_the_library_panel(tmp_path):
-    """``ecuindex fit`` then ``read_fit_outputs`` gives exactly the in-memory index inputs."""
+    """``ecuindex fit`` then ``read_fit_outputs`` gives exactly the library's ``fit_outputs``."""
     records = panel_records(n_firms=3) + [constant_record()]
     write_panel(tmp_path / "panel.csv", records)
     cfg_path = tmp_path / "run.cfg"
@@ -222,14 +223,28 @@ def test_fit_files_load_to_the_library_panel(tmp_path):
 
     results, skipped = fit_panel(records, build_run_config({}))
     assert skipped == [] and any(r.report.degenerate for r in results)
-    want = build_firmday_panel(results)
+    want = fit_outputs(results)
     fit = read_fit_outputs(tmp_path)
+    assert list(fit.models) == list(want.models)
+    for firm_id, row in want.models.items():
+        got = fit.models[firm_id]
+        for name in ("firm_id", "sector_code", "district_code", "loglik", "converged",
+                     "degenerate"):
+            assert getattr(got, name) == getattr(row, name), (firm_id, name)
+        # models.csv holds q_pp, q_rr and pi0_p; their complements are recomputed on read
+        assert (got.model.q[0, 0], got.model.q[1, 1], got.model.pi0[0]) == \
+            (row.model.q[0, 0], row.model.q[1, 1], row.model.pi0[0])
+        assert got.model.params == row.model.params
+    assert (fit.firmdays.dtype, fit.firmdays.shape) == (want.firmdays.dtype, want.firmdays.shape)
+    assert fit.firmdays.tobytes() == want.firmdays.tobytes()  # bit for bit
+    wrapped = build_firmday_panel(results)
     for col in ("offsets", "ele", "mu_r", "sector_code", "district_code"):
-        got, exp = getattr(fit.panel, col), getattr(want, col)
+        got, exp = getattr(fit.panel, col), getattr(want.panel, col)
         assert got.dtype == exp.dtype, col
         np.testing.assert_array_equal(got, exp, err_msg=col)
-    assert fit.reference_totals == reference_totals(results)
-    assert list(fit.reference_totals) == list(reference_totals(results))
+        np.testing.assert_array_equal(got, getattr(wrapped, col), err_msg=col)
+    assert fit.reference_totals.tobytes() == want.reference_totals.tobytes()
+    assert fit.reference_totals.tobytes() == reference_totals(results).tobytes()
 
 
 def test_multi_start_is_deterministic_and_no_worse(records, run_cfg):

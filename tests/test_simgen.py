@@ -79,8 +79,8 @@ def test_depths_must_be_fractions():
 
 
 def test_base_range_must_be_positive():
-    with pytest.raises(ValueError, match="base_range"):
-        PanelConfig(base_range=(0.0, 100.0)).validate()
+    with pytest.raises(ValueError, match="base_lo"):
+        PanelConfig(base_lo=0.0, base_hi=100.0).validate()
 
 
 def test_default_config_is_valid():
@@ -184,7 +184,7 @@ def test_constant_level_when_all_modulation_off():
     for rec in panel.records:
         vals = rec.series.values
         assert np.all(vals == vals[0])
-        assert cfg.base_range[0] <= vals[0] <= cfg.base_range[1]
+        assert cfg.base_lo <= vals[0] <= cfg.base_hi
         assert vals[0] == panel.truth[rec.firm_id].base
 
 
@@ -279,7 +279,8 @@ def test_null_panel_produces_zero_deviation_series():
     cfg = small_config(
         weekly_amplitude=0.0, annual_amplitude=0.0, noise_frac=0.0,
         shock_depth=flat_depths(0.0), holiday_depth=0.35,
-        holiday_ref=("2019-02-04", 10), holiday_test=("2020-01-24", 10),
+        holiday_ref="2019-02-04", holiday_ref_days=10, holiday_test="2020-01-24",
+        holiday_test_days=10,
     )
     panel = generate(cfg)
     for rec in panel.records:
