@@ -13,8 +13,7 @@ import numpy as np
 from ecuindex import PanelConfig, ecu_grouped, generate, srpi
 from ecuindex.config import build_run_config
 from ecuindex.pipeline import fit_outputs, fit_panel
-from ecuindex.sectors import DEFAULT_SECTOR_MIX, sector_level
-from ecuindex.simgen import default_shock_depths
+from ecuindex.sectors import sector_level
 
 cfg = PanelConfig(
     n_firms=80,
@@ -23,8 +22,7 @@ cfg = PanelConfig(
     shock_start=10,
     shock_half_life=10.0,
     shock_onset_jitter=10,
-    shock_depth=default_shock_depths(
-        list(DEFAULT_SECTOR_MIX), {1: 0.25, 2: 0.40, 3: 0.65}),
+    shock_depth={"primary": 0.25, "secondary": 0.40, "tertiary": 0.65},
 )
 panel = generate(cfg)
 

@@ -68,7 +68,7 @@ def cmd_fit(args) -> int:
     out = _out_dir(raw)
 
     # the panel's readings are dropped once fitted, before the outputs are built
-    results, skipped = fit_panel(read_panel(_panel_path(raw)), cfg, workers=cfg.workers)
+    results, skipped = fit_panel(read_panel(_panel_path(raw)), cfg)
     for firm_id, reason in skipped:
         print(f"skipped {firm_id}: {reason}")
     if not results:

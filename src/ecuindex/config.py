@@ -3,21 +3,20 @@
 One file configures every stage; each stage reads the keys it needs.
 Lines are ``key = value``; blank lines and ``#`` comments are ignored.
 Mappings (sector mix, shock depths) use ``code:value,code:value``.
-Shock depths also accept the level names ``primary``/``secondary``/
-``tertiary``, expanded over all sector codes of that level.
 
 The fields of ``RunConfig`` and ``PanelConfig`` declare the keys, their
 types and their defaults; a value is converted to the type of its field's
-default.  Every error in a config file or its values is a ``ConfigError``.
+default, and the config class itself says what a value means (shock depths,
+for one, are resolved by ``PanelConfig``).  Every error in a config file or
+its values is a ``ConfigError``.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .sectors import LEVEL_NAMES, sector_level
 from .simgen import PanelConfig, check_date
 
 
@@ -57,13 +56,12 @@ class RunConfig:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.outlier_window < 3 or self.outlier_window % 2 == 0:
             raise ValueError(f"outlier_window must be odd and >= 3, got {self.outlier_window}")
-        for g in self.group_by:
+        for i, g in enumerate(self.group_by):
             if g not in ("sector", "district"):
                 raise ValueError(f"group_by entries must be sector or district, got {g!r}")
+            if g in self.group_by[:i]:
+                raise ValueError(f"group_by names {g!r} twice")
 
-
-# PanelConfig fields written as code:value lists
-_MAPPING_KEYS = ("sector_mix", "district_mix", "shock_depth")
 
 # every key any stage understands; unknown keys are configuration mistakes
 KNOWN_KEYS = frozenset(
@@ -110,10 +108,13 @@ def load_config(path) -> dict[str, str]:
 
 
 def _convert(key: str, text: str, default):
-    """``text`` as the type of ``default``: a number, a comma list, or the string itself."""
+    """``text`` as the type of ``default``: a number, a comma list, a code:value
+    mapping, or the string itself."""
     kind = type(default)
     if kind is tuple:
         return tuple(part.strip() for part in text.split(",") if part.strip())
+    if kind is dict:
+        return parse_mapping(text, key)
     if kind not in _KINDS:
         return text
     try:
@@ -122,10 +123,11 @@ def _convert(key: str, text: str, default):
         raise ValueError(f"config field {key} must be {_KINDS[kind]}, got {text!r}") from None
 
 
-def _plain_fields(cls, raw: dict[str, str], skip=()) -> dict:
+def _fields_from(cls, raw: dict[str, str]) -> dict:
     """Converted values of the keys in ``raw`` that name a field of ``cls``."""
-    return {f.name: _convert(f.name, raw[f.name], f.default)
-            for f in fields(cls) if f.name in raw and f.name not in skip}
+    return {f.name: _convert(f.name, raw[f.name],
+                             f.default_factory() if f.default is MISSING else f.default)
+            for f in fields(cls) if f.name in raw}
 
 
 def parse_mapping(value: str, field: str) -> dict[str, float]:
@@ -137,8 +139,11 @@ def parse_mapping(value: str, field: str) -> dict[str, float]:
         if ":" not in item:
             raise ValueError(f"config field {field} entries must be code:value, got {item!r}")
         code, _, num = item.partition(":")
+        code = code.strip()
+        if code in out:
+            raise ValueError(f"config field {field} names {code!r} twice")
         try:
-            out[code.strip()] = float(num)
+            out[code] = float(num)
         except ValueError:
             raise ValueError(f"config field {field} has non-numeric value in {item!r}") from None
     if not out:
@@ -146,28 +151,10 @@ def parse_mapping(value: str, field: str) -> dict[str, float]:
     return out
 
 
-def _expand_depths(depths: dict[str, float], sector_codes) -> dict[str, float]:
-    """Resolve a depth mapping that may mix sector codes and level names."""
-    unknown = set(depths) - set(sector_codes) - set(LEVEL_NAMES.values())
-    if unknown:
-        raise ValueError(f"shock_depth names unknown sector code {sorted(unknown)[0]!r}")
-    return {code: depths[code] if code in depths
-            else depths.get(LEVEL_NAMES[sector_level(code)], 0.0)
-            for code in sector_codes}
-
-
 @_config_errors
 def build_panel_config(raw: dict[str, str]) -> PanelConfig:
     """Validated PanelConfig from raw config strings; other stages' keys are ignored."""
-    defaults = PanelConfig()
-    kwargs = _plain_fields(PanelConfig, raw, skip=_MAPPING_KEYS)
-    for name in _MAPPING_KEYS:
-        if name in raw:
-            kwargs[name] = parse_mapping(raw[name], name)
-    if "shock_depth" in kwargs:
-        sectors = kwargs.get("sector_mix", defaults.sector_mix)
-        kwargs["shock_depth"] = _expand_depths(kwargs["shock_depth"], sectors)
-    cfg = PanelConfig(**kwargs)
+    cfg = PanelConfig(**_fields_from(PanelConfig, raw))
     cfg.validate()
     return cfg
 
@@ -175,6 +162,6 @@ def build_panel_config(raw: dict[str, str]) -> PanelConfig:
 @_config_errors
 def build_run_config(raw: dict[str, str]) -> RunConfig:
     """Validated RunConfig from raw config strings; other stages' keys are ignored."""
-    cfg = RunConfig(**_plain_fields(RunConfig, raw))
+    cfg = RunConfig(**_fields_from(RunConfig, raw))
     cfg.validate()
     return cfg

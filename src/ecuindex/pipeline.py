@@ -128,16 +128,17 @@ def _fit_one(args) -> tuple[str, FirmFitResult | None, str | None]:
 
 
 def fit_panel(records: list[FirmRecord], cfg: RunConfig,
-              workers: int = 1) -> tuple[list[FirmFitResult], list[tuple[str, str]]]:
+              workers: int | None = None) -> tuple[list[FirmFitResult], list[tuple[str, str]]]:
     """Fit every firm; returns (results sorted by firm id, skipped (id, reason)).
 
     A firm whose series cannot cover the windows or whose fit fails
     numerically is skipped with a diagnostic instead of failing the run.
-    The pool starts at most one process per firm and per usable CPU.
+    ``workers`` defaults to ``cfg.workers``; the pool starts at most one
+    process per firm and per usable CPU.
     """
     jobs = [(rec, cfg) for rec in records]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, len(jobs), cpus or 1)
+    workers = min(cfg.workers if workers is None else workers, len(jobs), cpus or 1)
     if workers <= 1:
         outcomes = map(_fit_one, jobs)
     else:

@@ -18,11 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .preprocess import FirmRecord, RawSeries, firm_rng
-from .sectors import (
-    DEFAULT_DISTRICT_MIX,
-    DEFAULT_SECTOR_MIX,
-    sector_level,
-)
+from .sectors import DEFAULT_DISTRICT_MIX, DEFAULT_SECTOR_MIX, LEVEL_NAMES, sector_level
 
 DAY = np.timedelta64(1, "D")
 
@@ -31,14 +27,6 @@ DAY = np.timedelta64(1, "D")
 WEEKLY_SHAPE = np.array([0.35, 0.45, 0.45, 0.40, 0.30, -0.95, -1.00])
 
 ANNUAL_PEAK = np.datetime64("2019-07-19")  # midsummer cooling peak
-
-DEFAULT_LEVEL_DEPTHS = {1: 0.25, 2: 0.45, 3: 0.60}
-
-
-def default_shock_depths(sector_codes, level_depths: Mapping[int, float] | None = None):
-    """Per-sector shock depth from per-level defaults (tertiary hit hardest)."""
-    depths = DEFAULT_LEVEL_DEPTHS if level_depths is None else dict(level_depths)
-    return {code: depths[sector_level(code)] for code in sector_codes}
 
 
 def _check_mix(mix: Mapping[str, float], what: str) -> None:
@@ -83,7 +71,9 @@ class PanelConfig:
     holiday_depth: float = 0.35
     shock_start: int = 10
     shock_duration: int = 0
-    shock_depth: Mapping[str, float] | None = None
+    # by sector code or level name; a code's own entry beats its level's (tertiary hit hardest)
+    shock_depth: Mapping[str, float] = field(
+        default_factory=lambda: {"primary": 0.25, "secondary": 0.45, "tertiary": 0.60})
     shock_half_life: float = 12.0
     shock_onset_jitter: int = 0
     shock_depth_jitter: float = 0.0
@@ -113,14 +103,18 @@ class PanelConfig:
             check_date(getattr(self, name), name)
         for name in ("holiday_ref", "holiday_test"):
             check_date(getattr(self, name), name)
-        for code, depth in self.depths().items():
+        unknown = set(self.shock_depth) - set(self.sector_mix) - set(LEVEL_NAMES.values())
+        if unknown:
+            raise ValueError(f"shock_depth names unknown sector code {sorted(unknown)[0]!r}")
+        for name, depth in {**self.shock_depth, **self.depths()}.items():
             if not (0.0 <= depth <= 1.0):
-                raise ValueError(f"shock depth for {code} must lie in [0, 1], got {depth}")
+                raise ValueError(f"shock depth for {name} must lie in [0, 1], got {depth}")
 
     def depths(self) -> dict[str, float]:
-        if self.shock_depth is None:
-            return default_shock_depths(self.sector_mix)
-        return dict(self.shock_depth)
+        """Depth of every code of ``sector_mix``: its own entry, else its level's, else 0."""
+        d = self.shock_depth
+        return {code: d[code] if code in d else d.get(LEVEL_NAMES[sector_level(code)], 0.0)
+                for code in self.sector_mix}
 
     def date_range(self) -> tuple[np.datetime64, np.datetime64]:
         """First and last calendar day the panel must cover (both windows)."""

@@ -30,12 +30,7 @@ from ecuindex.hmm import (
 )
 from ecuindex.pipeline import build_firmday_panel, fit_panel
 from ecuindex.sectors import DEFAULT_DISTRICT_MIX, DEFAULT_SECTOR_MIX, sector_level
-from ecuindex.simgen import (
-    PanelConfig,
-    default_shock_depths,
-    generate,
-    truth_labels,
-)
+from ecuindex.simgen import PanelConfig, generate, truth_labels
 
 SECTOR_CODES = list(DEFAULT_SECTOR_MIX)
 DISTRICT_CODES = list(DEFAULT_DISTRICT_MIX)
@@ -218,7 +213,7 @@ def shape_run():
         shock_half_life=10.0,
         shock_onset_jitter=10,
         shock_depth_jitter=0.15,
-        shock_depth=default_shock_depths(SECTOR_CODES, {1: 0.25, 2: 0.40, 3: 0.65}),
+        shock_depth={"primary": 0.25, "secondary": 0.40, "tertiary": 0.65},
     )
     panel = generate(cfg)
     results, skipped = fit_panel(panel.records, build_run_config({}),

@@ -108,6 +108,16 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
     assert "n_frms" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,line,needle", [
+    ("index", "group_by = sector,sector", "group_by names 'sector' twice"),
+    ("simulate", "shock_depth = 301:0.2,301:0.9", "shock_depth names '301' twice"),
+])
+def test_repeated_entry_is_a_config_error(tmp_path, capsys, command, line, needle):
+    cfg = write_config(tmp_path / "run.cfg", BASE_CONFIG + line + "\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert needle in capsys.readouterr().err
+
+
 def test_firm_key_is_a_config_error(fitted_dir, tmp_path, capsys):
     out, _ = fitted_dir
     cfg = write_config(tmp_path / "firm.cfg", BASE_CONFIG + "firm = F00003\n")

@@ -118,6 +118,18 @@ def test_mapping_rejects_bad_entries():
         parse_mapping("a:much", "mix")
 
 
+def test_repeated_mapping_code_is_a_config_error():
+    with pytest.raises(ValueError, match="mix names 'a' twice"):
+        parse_mapping("a:0.5, a :0.5", "mix")
+    with pytest.raises(ConfigError, match="shock_depth names '301' twice"):
+        build_panel_config({"shock_depth": "301:0.2,301:0.9"})
+
+
+def test_repeated_group_is_a_config_error():
+    with pytest.raises(ConfigError, match="group_by names 'sector' twice"):
+        build_run_config({"group_by": "sector,sector"})
+
+
 def test_panel_defaults():
     cfg = build_panel_config({})
     assert cfg.n_firms == 100

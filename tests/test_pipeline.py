@@ -30,9 +30,7 @@ from ecuindex.simgen import PanelConfig, generate
 
 def panel_records(n_firms=6, seed=11, **overrides):
     cfg = PanelConfig(n_firms=n_firms, seed=seed,
-                      noise_frac=overrides.pop("noise_frac", 0.06),
-                      shock_depth=overrides.pop("shock_depth", None),
-                      **overrides)
+                      noise_frac=overrides.pop("noise_frac", 0.06), **overrides)
     return generate(cfg).records
 
 
@@ -111,10 +109,8 @@ def test_fit_panel_worker_count_is_invisible(records, run_cfg, multi_start):
         np.testing.assert_array_equal(a.ele_test, b.ele_test)
 
 
-@pytest.mark.parametrize("cpus,firms,started", [(64, 3, 3), (2, 6, 2), (1, 6, None)])
-def test_fit_panel_pool_is_capped_by_firms_and_cpus(records, run_cfg, monkeypatch, cpus, firms,
-                                                    started):
-    """``workers=500`` starts one process per firm and per usable CPU at most, or no pool."""
+def record_pools(monkeypatch, cpus):
+    """Stand a recorder in for the process pool on ``cpus`` usable CPUs; returns its sizes."""
     pools = []
 
     class Recorder:
@@ -134,6 +130,14 @@ def test_fit_panel_pool_is_capped_by_firms_and_cpus(records, run_cfg, monkeypatc
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return pools
+
+
+@pytest.mark.parametrize("cpus,firms,started", [(64, 3, 3), (2, 6, 2), (1, 6, None)])
+def test_fit_panel_pool_is_capped_by_firms_and_cpus(records, run_cfg, monkeypatch, cpus, firms,
+                                                    started):
+    """``workers=500`` starts one process per firm and per usable CPU at most, or no pool."""
+    pools = record_pools(monkeypatch, cpus)
     results, _ = fit_panel(records[:firms], run_cfg, workers=500)
     assert pools == ([] if started is None else [started])
     serial, _ = fit_panel(records[:firms], run_cfg, workers=1)
@@ -141,6 +145,12 @@ def test_fit_panel_pool_is_capped_by_firms_and_cpus(records, run_cfg, monkeypatc
         return [(r.firm_id, r.report.model.params, r.report.loglik_trace.tolist()) for r in rs]
 
     assert fits(results) == fits(serial)
+
+
+def test_fit_panel_workers_default_to_the_config(records, monkeypatch):
+    pools = record_pools(monkeypatch, cpus=2)
+    fit_panel(records[:2], build_run_config({"workers": "2"}))
+    assert pools == [2]
 
 
 def test_fit_panel_skips_uncovered_firm(records, run_cfg):

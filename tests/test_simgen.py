@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from ecuindex.config import build_panel_config
 from ecuindex.preprocess import align, detect_outliers, deviation, interpolate, smooth
-from ecuindex.sectors import DEFAULT_SECTOR_MIX
+from ecuindex.sectors import DEFAULT_SECTOR_MIX, sector_level
 from ecuindex.simgen import (
     PanelConfig,
-    default_shock_depths,
     generate,
     quota_counts,
     shock_multiplier,
@@ -78,6 +78,11 @@ def test_depths_must_be_fractions():
         PanelConfig(shock_depth=flat_depths(1.5)).validate()
 
 
+def test_unused_level_depth_must_be_a_fraction():
+    with pytest.raises(ValueError, match="shock depth for primary"):
+        PanelConfig(sector_mix={"301": 1.0}, shock_depth={"primary": 1.5}).validate()
+
+
 def test_base_range_must_be_positive():
     with pytest.raises(ValueError, match="base_lo"):
         PanelConfig(base_lo=0.0, base_hi=100.0).validate()
@@ -88,8 +93,28 @@ def test_default_config_is_valid():
 
 
 def test_default_depths_by_sector_level():
-    d = default_shock_depths(["101", "204", "315"])
-    assert d == {"101": 0.25, "204": 0.45, "315": 0.60}
+    level_depths = {1: 0.25, 2: 0.45, 3: 0.60}
+    assert PanelConfig().depths() == {code: level_depths[sector_level(code)]
+                                      for code in DEFAULT_SECTOR_MIX}
+
+
+def test_library_and_config_file_build_the_same_panel():
+    """Level names and codes mean the same in ``PanelConfig`` as in a config file."""
+    lib = generate(PanelConfig(n_firms=40, seed=3, shock_depth={"tertiary": 0.6, "201": 0.1}))
+    cfg = generate(build_panel_config({"n_firms": "40", "seed": "3",
+                                       "shock_depth": "tertiary:0.6,201:0.1"}))
+    assert lib.truth == cfg.truth
+    assert any(t.shocked for t in lib.truth.values())
+    for a, b in zip(lib.records, cfg.records, strict=True):
+        assert (a.firm_id, a.sector_code, a.district_code) == \
+            (b.firm_id, b.sector_code, b.district_code)
+        np.testing.assert_array_equal(a.series.dates, b.series.dates)
+        np.testing.assert_array_equal(a.series.values, b.series.values)
+
+
+def test_unknown_shock_depth_code_rejected_by_library():
+    with pytest.raises(ValueError, match="shock_depth names unknown sector code '999'"):
+        PanelConfig(shock_depth={"999": 0.5}).validate()
 
 
 # ---------------------------------------------------------------------------
