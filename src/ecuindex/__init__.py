@@ -37,6 +37,7 @@ from .preprocess import (
     detect_outliers,
     deviation,
     interpolate,
+    preprocess_grid,
     smooth,
 )
 from .simgen import PanelConfig, SyntheticPanel, generate, truth_labels
@@ -71,6 +72,7 @@ __all__ = [
     "init_params",
     "interpolate",
     "label_regimes",
+    "preprocess_grid",
     "sample_path",
     "smooth",
     "srpi",

@@ -126,7 +126,7 @@ def _as_observations(y) -> np.ndarray:
     arr = np.asarray(getattr(y, "y", y), dtype=float)
     if arr.ndim != 1 or len(arr) == 0:
         raise ValueError("observations must be a nonempty 1-d sequence")
-    return arr
+    return np.ascontiguousarray(arr)  # BLAS dot products round a strided vector differently
 
 
 def emission_logdensity(y_t, t, params: RegimeParams):

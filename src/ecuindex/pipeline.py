@@ -1,11 +1,14 @@
-"""Per-firm orchestration: raw series in, fitted model and index inputs out.
+"""Panel orchestration: raw series in, fitted models and index inputs out.
 
-Chains the preprocessing and the EM fit, whose last forward pass is the
-firm's causal filter, and carries along the cleaned consumption that the
-index stage needs for weighting.  The panel-level driver fans firms out
-across processes; every firm's computation depends only on its own record
-and the run settings, so worker count cannot change any result.  The fit's
-product, in memory and on disk, is one ``FitOutputs``.
+``fit_panel`` preprocesses firms in fixed blocks of ``PREPROCESS_BLOCK`` on
+one firm x day grid (``preprocess_grid``), then fits each firm's deviation
+row by EM, whose last forward pass is the firm's causal filter, and carries
+along the cleaned consumption that the index stage needs for weighting.  The
+EM step fans out across processes, one job per firm's rows.  A firm's
+results depend only on its own record and the run settings, not on the
+other firms in its block nor on the worker count; ``preprocess_firm`` is the
+same code on a one-firm grid.  The fit's product, in memory and on disk, is
+one ``FitOutputs``.
 """
 
 from __future__ import annotations
@@ -22,17 +25,7 @@ from .config import RunConfig
 from .ecu import FirmDayPanel, column_fsums
 from .hmm import FilterOutput, FitReport, em_fit, init_params, random_init
 from .panelio import ModelRow, read_models, write_models
-from .preprocess import (
-    AlignedPair,
-    DeviationSeries,
-    FirmRecord,
-    align,
-    detect_outliers,
-    deviation,
-    firm_rng,
-    interpolate,
-    smooth,
-)
+from .preprocess import DAY, AlignedPair, DeviationSeries, FirmRecord, firm_rng, preprocess_grid
 
 
 @dataclass(frozen=True)
@@ -54,22 +47,42 @@ class FirmFitResult:
 
 
 FIRMDAY_LAYERS = ("y", "mu_p", "mu_r", "ele_test", "ele_ref")  # firmdays.npy, axis 0
+PREPROCESS_BLOCK = 16  # firms on one preprocessing grid: bounds its memory, not its results
+
+
+def _preprocess_panel(records: list[FirmRecord], cfg: RunConfig):
+    """``preprocess_grid`` on ``PREPROCESS_BLOCK`` firms at a time: (y, ele_test, ele_ref, errors),
+    the three as C-ordered (firms, T) arrays."""
+    out, errors = np.empty((3, len(records), 2 * cfg.span + 1)), []
+    for at in range(0, len(records), PREPROCESS_BLOCK):
+        block = records[at:at + PREPROCESS_BLOCK]
+        dates = [rec.series.dates for rec in block]
+        day0 = min((d[0] for d in dates if len(d)), default=np.datetime64(cfg.ref_base, "D"))
+        lo = np.array([(d[0] - day0) // DAY if len(d) else 0 for d in dates], dtype=np.intp)
+        hi = lo + [len(d) for d in dates]
+        kwh = np.zeros((len(block), max(hi.max(), 1)))
+        for row, rec, a, b in zip(kwh, block, lo, hi):
+            row[a:b] = rec.series.values
+        *rows, block_errors = preprocess_grid(
+            kwh, lo, hi, day0, cfg.ref_base, cfg.test_base, cfg.span, cfg.outlier_window,
+            cfg.outlier_k, cfg.interp_window, cfg.smooth_window)
+        out[:, at:at + len(block)] = rows
+        errors += block_errors
+    return *out, errors
 
 
 def preprocess_firm(record: FirmRecord, cfg: RunConfig) -> tuple[DeviationSeries, AlignedPair]:
     """Deviation series plus the aligned *unsmoothed* consumption windows.
 
-    Raises ValueError when the series cannot cover both windows; the caller
-    decides whether that skips the firm or aborts the run.
+    The panel's preprocessing on a one-firm grid.  Raises ValueError when the
+    series cannot cover both windows; the caller decides whether that skips
+    the firm or aborts the run.
     """
-    mask = detect_outliers(record.series, cfg.outlier_window, cfg.outlier_k)
-    clean = interpolate(record.series, mask, cfg.interp_window)
-    smoothed = smooth(clean, cfg.smooth_window)
-    ref_base = np.datetime64(cfg.ref_base)
-    test_base = np.datetime64(cfg.test_base)
-    pair = align(smoothed, ref_base, test_base, cfg.span)
-    raw_pair = align(clean, ref_base, test_base, cfg.span)
-    return deviation(pair), raw_pair
+    y, ele_test, ele_ref, (error,) = _preprocess_panel([record], cfg)
+    if error is not None:
+        raise ValueError(error)
+    offsets = np.arange(-cfg.span, cfg.span + 1)
+    return DeviationSeries(offsets, y[0]), AlignedPair(offsets, ele_ref[0], ele_test[0])
 
 
 def fit_deviation(dev: DeviationSeries, cfg: RunConfig, firm_id: str) -> FitReport:
@@ -90,7 +103,7 @@ def fit_deviation(dev: DeviationSeries, cfg: RunConfig, firm_id: str) -> FitRepo
     return best
 
 
-def _economically_flat(dev: DeviationSeries, raw_pair: AlignedPair) -> bool:
+def _economically_flat(dev: DeviationSeries, ele_test: np.ndarray) -> bool:
     """Deviation amplitude below floating-point roundoff of the kWh level.
 
     The rolling-sum preprocessing leaves residuals of order 1e-13 of the
@@ -99,58 +112,63 @@ def _economically_flat(dev: DeviationSeries, raw_pair: AlignedPair) -> bool:
     still many orders below the smallest real consumption change and cannot
     evidence a regime distinction.
     """
-    scale = float(np.mean(np.abs(raw_pair.test)))
+    scale = float(np.mean(np.abs(ele_test)))
     return float(np.abs(dev.y).max()) <= 1e-8 * (1.0 + scale)
+
+
+def _fit_row(args) -> FitReport | Exception:
+    """One firm's EM step on its rows, a flat firm's fit marked degenerate; or its failure."""
+    firm_id, dev, ele_test, cfg = args
+    try:
+        report = fit_deviation(dev, cfg, firm_id)
+    except (ValueError, RuntimeError) as exc:  # RuntimeError: FilterDegeneracyError, EM failure
+        return exc
+    if not report.degenerate and _economically_flat(dev, ele_test):
+        report = replace(report, degenerate=True)
+    return report
 
 
 def fit_firm(record: FirmRecord, cfg: RunConfig) -> FirmFitResult:
     dev, raw_pair = preprocess_firm(record, cfg)
-    report = fit_deviation(dev, cfg, record.firm_id)
-    if not report.degenerate and _economically_flat(dev, raw_pair):
-        report = replace(report, degenerate=True)
-    return FirmFitResult(
-        firm_id=record.firm_id,
-        sector_code=record.sector_code,
-        district_code=record.district_code,
-        deviation=dev,
-        report=report,
-        ele_test=raw_pair.test,
-        ele_ref=raw_pair.reference,
-    )
-
-
-def _fit_one(args) -> tuple[str, FirmFitResult | None, str | None]:
-    record, cfg = args
-    try:
-        return record.firm_id, fit_firm(record, cfg), None
-    except (ValueError, RuntimeError) as exc:  # RuntimeError: FilterDegeneracyError, EM failure
-        return record.firm_id, None, str(exc)
+    report = _fit_row((record.firm_id, dev, raw_pair.test, cfg))
+    if isinstance(report, Exception):
+        raise report
+    return FirmFitResult(record.firm_id, record.sector_code, record.district_code, dev, report,
+                         raw_pair.test, raw_pair.reference)
 
 
 def fit_panel(records: list[FirmRecord], cfg: RunConfig,
               workers: int | None = None) -> tuple[list[FirmFitResult], list[tuple[str, str]]]:
     """Fit every firm; returns (results sorted by firm id, skipped (id, reason)).
 
-    A firm whose series cannot cover the windows or whose fit fails
+    Firms are preprocessed ``PREPROCESS_BLOCK`` at a time on one firm x day
+    grid, into one (firms, T) array per output; EM then fits each row on its
+    own.  A firm whose series cannot cover the windows or whose fit fails
     numerically is skipped with a diagnostic instead of failing the run.
     ``workers`` defaults to ``cfg.workers``; the pool starts at most one
-    process per firm and per usable CPU.
+    process per fitted firm and per usable CPU, and its jobs carry rows.
     """
-    jobs = [(rec, cfg) for rec in records]
+    y, ele_test, ele_ref, errors = _preprocess_panel(records, cfg)
+    offsets = np.arange(-cfg.span, cfg.span + 1)
+    rows = [k for k, error in enumerate(errors) if error is None]
+    jobs = [(records[k].firm_id, DeviationSeries(offsets, y[k]), ele_test[k], cfg) for k in rows]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cfg.workers if workers is None else workers, len(jobs), cpus or 1)
     if workers <= 1:
-        outcomes = map(_fit_one, jobs)
+        outcomes = map(_fit_row, jobs)
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for the import
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_fit_one, jobs, chunksize=max(1, len(jobs) // (workers * 4))))
-    results, skipped = [], []
-    for firm_id, result, reason in outcomes:
-        if result is not None:
-            results.append(result)
+            outcomes = list(pool.map(_fit_row, jobs, chunksize=max(1, len(jobs) // (workers * 4))))
+    results = []
+    skipped = [(rec.firm_id, error) for rec, error in zip(records, errors) if error is not None]
+    for k, (firm_id, dev, _, _), outcome in zip(rows, jobs, outcomes):
+        if isinstance(outcome, Exception):
+            skipped.append((firm_id, str(outcome)))
         else:
-            skipped.append((firm_id, reason))
+            rec = records[k]
+            results.append(FirmFitResult(firm_id, rec.sector_code, rec.district_code, dev, outcome,
+                                         ele_test[k], ele_ref[k]))
     results.sort(key=lambda r: r.firm_id)
     skipped.sort()
     return results, skipped

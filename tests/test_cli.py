@@ -508,6 +508,25 @@ def test_index_peak_memory_is_a_small_multiple_of_the_array(tmp_path, capsys):
     assert peak < 3 * size, peak / size
 
 
+def test_fit_peak_memory_is_a_small_multiple_of_the_array(tmp_path, capsys):
+    """``fit`` preprocesses a few firms at a time, never the whole panel's firm x day grid.
+
+    One EM update per firm keeps the traced run short; more updates allocate nothing that
+    outlives them.
+    """
+    cfg = write_config(tmp_path / "run.cfg", "n_firms = 300\nseed = 3\nem_max_iter = 1\n")
+    common = ["--config", cfg, "--out", str(tmp_path)]
+    assert main(["simulate", *common]) == 0, capsys.readouterr().err
+    tracemalloc.start()
+    try:
+        assert main(["fit", *common]) == 0, capsys.readouterr().err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "firmdays.npy").stat().st_size
+    assert peak < 4 * size, peak / size
+
+
 def test_index_group_by_none(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.cfg", BASE_CONFIG + "group_by =\n")
     out = tmp_path / "out"

@@ -290,6 +290,20 @@ def test_em_recovers_generating_parameters():
     assert fit.q[1, 1] == pytest.approx(0.95, abs=0.05)
 
 
+def test_em_fit_does_not_depend_on_memory_layout():
+    """A strided column of a (T, N) array fits bit for bit like its contiguous copy."""
+    truth = RegimeModel(np.array([[0.95, 0.05], [0.1, 0.9]]),
+                        (RegimeParams(0.01, 1.0, 0.5), RegimeParams(-0.02, -1.0, 0.8)),
+                        np.array([0.6, 0.4]))
+    Y = np.stack([sample_path(truth, 191, seed)[1] for seed in range(4)], axis=1)
+    for column in Y.T:
+        strided, copied = (em_fit(y, init_params(y)) for y in (column, column.copy()))
+        assert strided.model.params == copied.model.params
+        for a, b in ((strided.model.q, copied.model.q), (strided.loglik_trace, copied.loglik_trace),
+                     (strided.filter.filtered, copied.filter.filtered)):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_em_output_is_labeled():
     y = two_regime_series(seed=8)
     m = em_fit(y, init_params(y)).model
