@@ -24,11 +24,11 @@ cfg = PanelConfig(
     shock_onset_jitter=10,
     shock_depth={"primary": 0.25, "secondary": 0.40, "tertiary": 0.65},
 )
-panel = generate(cfg)
+panel = generate(cfg).panel  # one firm x day grid of daily kWh
 
 run_cfg = build_run_config({})
 t0 = time.perf_counter()
-results, skipped = fit_panel(panel.records, run_cfg)
+results, skipped = fit_panel(panel, run_cfg)
 print(f"fitted {len(results)} firms in {time.perf_counter() - t0:.1f}s, "
       f"skipped {len(skipped)}")
 n_deg = sum(r.report.degenerate for r in results)

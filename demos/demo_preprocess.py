@@ -11,6 +11,7 @@ import numpy as np
 
 from ecuindex import (
     PanelConfig,
+    RawSeries,
     align,
     detect_outliers,
     deviation,
@@ -27,9 +28,11 @@ cfg = PanelConfig(
     outlier_rate=0.02,
     shock_start=10,
 )
-panel = generate(cfg)
-firm_id = panel.records[0].firm_id
-raw = panel.records[0].series
+panel = generate(cfg).panel
+firm_id = panel.firm_ids[0]
+# the firm's row of the panel's firm x day grid, as the series the steps below take
+lo, hi = panel.lo[0], panel.hi[0]
+raw = RawSeries(panel.day0 + np.arange(lo, hi), panel.kwh[0, lo:hi])
 
 n_missing = int(np.isnan(raw.values).sum())
 print(f"firm {firm_id}: {len(raw)} days of readings, {n_missing} missing")

@@ -9,27 +9,33 @@ and the causal filtered probability of being in the recessionary regime.
 import numpy as np
 
 from ecuindex import (
+    DeviationSeries,
     PanelConfig,
     em_fit,
     forward_filter,
     generate,
     init_params,
+    preprocess_grid,
 )
 from ecuindex.config import build_run_config
-from ecuindex.pipeline import preprocess_firm
 
 cfg = PanelConfig(n_firms=1, seed=3, noise_frac=0.05,
                   shock_start=10, shock_half_life=12.0)
-panel = generate(cfg)
-record = panel.records[0]
-firm_id = record.firm_id
-truth = panel.truth[firm_id]
+synthetic = generate(cfg)
+panel = synthetic.panel
+firm_id = panel.firm_ids[0]
+truth = synthetic.truth[firm_id]
 
-dev, _ = preprocess_firm(record, build_run_config({}))
+# the fit's preprocessing of the panel's grid rows, with the default settings
+run_cfg = build_run_config({})
+y, _, _, (error,) = preprocess_grid(panel.kwh, panel.lo, panel.hi, panel.day0,
+                                    run_cfg.ref_base, run_cfg.test_base, run_cfg.span)
+assert error is None, error
+dev = DeviationSeries(np.arange(-run_cfg.span, run_cfg.span + 1), y[0])
 
 report = em_fit(dev, init_params(dev))
 model = report.model
-print(f"firm {firm_id} (sector {record.sector_code}), "
+print(f"firm {firm_id} (sector {panel.sector_codes[0]}), "
       f"shock depth {truth.shock_depth:.2f} at offset {truth.shock_start}")
 print(f"EM converged after {report.iterations} iterations, "
       f"loglik {report.loglik_trace[-1]:.1f}")

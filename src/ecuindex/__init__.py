@@ -31,7 +31,7 @@ from .preprocess import (
     AlignedPair,
     CleanSeries,
     DeviationSeries,
-    FirmRecord,
+    KwhPanel,
     RawSeries,
     align,
     detect_outliers,
@@ -52,8 +52,8 @@ __all__ = [
     "FilterDegeneracyError",
     "FilterOutput",
     "FirmDayPanel",
-    "FirmRecord",
     "FitReport",
+    "KwhPanel",
     "PROSPEROUS",
     "PanelConfig",
     "RECESSIONARY",

@@ -19,10 +19,9 @@ from .config import ConfigError, build_panel_config, build_run_config, load_conf
 from .ecu import ecu_grouped, srpi
 from .panelio import read_panel, seed_comment, write_ecu, write_panel, write_srpi
 from .pipeline import fit_outputs, fit_panel, read_fit_outputs, write_fit_outputs
+from .preprocess import DAY
 from .sectors import load_code_map
 from .simgen import generate
-
-DAY = np.timedelta64(1, "D")
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1  # data and runtime failures
@@ -52,13 +51,11 @@ def cmd_simulate(args) -> int:
     cfg = build_panel_config(raw)
     out = _out_dir(raw)
 
-    panel = generate(cfg)
+    panel = generate(cfg).panel
     out.mkdir(parents=True, exist_ok=True)
     path = out / "panel.csv"
-    write_panel(path, panel.records, comments=[seed_comment(cfg.seed)])
-    first, last = cfg.date_range()
-    days = int((last - first) / DAY) + 1
-    print(f"wrote {path}: {cfg.n_firms} firms x {days} days")
+    write_panel(path, panel, comments=[seed_comment(cfg.seed)])
+    print(f"wrote {path}: {len(panel)} firms x {panel.kwh.shape[1]} days")
     return EXIT_OK
 
 

@@ -12,9 +12,10 @@ quoted fields may span lines and blocks.  Writers quote a text field as
 ``csv.writer`` does: one holding a comma, a quote or a line break goes in
 quotes, its quotes doubled.  Rows end with CRLF.
 
-The files are ``panel.csv`` (one row per firm-day reading), ``models.csv``
-(one row per fitted firm: its model, flags and group codes), ``ecu.csv``
-and ``srpi.csv``.  The fit's firm-day values go to ``index`` as a binary
+The files are ``panel.csv`` (one row per firm-day reading, read into and
+written from a ``KwhPanel``'s firm x day grid), ``models.csv`` (one row
+per fitted firm: its model, flags and group codes), ``ecu.csv`` and
+``srpi.csv``.  The fit's firm-day values go to ``index`` as a binary
 array instead (``pipeline.write_fit_outputs``).
 """
 
@@ -32,17 +33,17 @@ import numpy as np
 
 from .ecu import EcuSeries, SrpiSeries
 from .hmm import RegimeModel, RegimeParams
-from .preprocess import FirmRecord, RawSeries
+from .preprocess import DAY, KwhPanel
 from .simgen import check_date
 
 PANEL_HEADER = ["firm_id", "date", "kwh", "sector_code", "district_code"]
 MODELS_HEADER = ["firm_id", "sector_code", "district_code",
                  "alpha_p", "beta_p", "sigma_p", "alpha_r", "beta_r", "sigma_r",
-                 "q_pp", "q_rr", "pi0_p", "loglik", "converged", "degenerate"]
+                 "q_pp", "q_pr", "q_rp", "q_rr", "pi0_p", "pi0_r", "loglik", "converged",
+                 "degenerate"]
 ECU_HEADER = ["group_type", "group_key", "offset", "date", "ecu", "total_weight", "firm_count"]
 SRPI_HEADER = ["offset", "date", "srpi", "delta_srpi"]
 
-DAY = np.timedelta64(1, "D")
 BLOCK_ROWS = 2048  # data rows a reader holds as text at a time
 _NEEDS_QUOTES = frozenset(',"\r\n')  # csv.writer quotes a field holding one, doubling its quotes
 
@@ -86,8 +87,8 @@ def _parse_finite(field: str) -> float:
 
 
 # the typed columns of models.csv and their converters
-_MODEL_FIELDS = {**dict.fromkeys(MODELS_HEADER[3:13], _parse_finite),
-                 **dict.fromkeys(MODELS_HEADER[13:], _parse_bool)}
+_MODEL_FIELDS = {**dict.fromkeys(MODELS_HEADER[3:-2], _parse_finite),
+                 **dict.fromkeys(MODELS_HEADER[-2:], _parse_bool)}
 
 
 def _unreadable(path, first, columns, converters) -> tuple[float, ValueError]:
@@ -175,32 +176,31 @@ def seed_comment(seed) -> str:
 # ---------------------------------------------------------------------------
 
 
-def write_panel(path, records: list[FirmRecord], comments=()) -> None:
-    """One block per firm; each distinct range of days (series are daily) is formatted once."""
-    days: dict[tuple[bytes, int], list[str]] = {}
-
-    def block(rec):
-        dates = rec.series.dates
-        key = (dates[:1].tobytes(), len(dates))
-        if key not in days:
-            days[key] = dates.astype(str).tolist()
-        return (rec.firm_id, days[key], _fmt_column(rec.series.values), rec.sector_code,
-                rec.district_code)
-
-    _write_csv(path, PANEL_HEADER, map(block, sorted(records, key=lambda r: r.firm_id)), comments)
+def write_panel(path, panel: KwhPanel, comments=()) -> None:
+    """One block of rows per firm, its readings straight from its row of the grid."""
+    days = (panel.day0 + np.arange(panel.kwh.shape[1])).astype(str).tolist()
+    _write_csv(path, PANEL_HEADER, (
+        (firm_id, days[lo:hi], _fmt_column(row[lo:hi]), sector, district)
+        for firm_id, sector, district, lo, hi, row in zip(
+            panel.firm_ids, panel.sector_codes, panel.district_codes, panel.lo.tolist(),
+            panel.hi.tolist(), panel.kwh)), comments)
 
 
-def read_panel(path) -> list[FirmRecord]:
-    """Read a panel file back into per-firm records, sorted by firm id.
+def read_panel(path) -> KwhPanel:
+    """Read a panel file into a ``KwhPanel``, firms in id order over the days they cover.
 
-    Each block's rows are kept typed until the file is read; then each block is
-    scattered, in file order, into its firm's slice of one date and one kWh array,
-    and each slice is stably sorted by date.  Every series is a view of the two.
+    Each block's readings are scattered straight into a firm x day grid, its rows the firms
+    in first-seen order.  An axis a block overflows at least doubles, so a file sorted by
+    firm, one sorted by date and a shuffled one read in amortised linear time.  A fault in
+    the text is named by its earliest data row.  Once the file is read, the first firm in id
+    order whose days repeat or skip one, or else that has a negative reading, is named.
     """
-    index: dict[str, int] = {}  # firm id -> position in first-seen order
+    index: dict[str, int] = {}  # firm id -> grid row, in first-seen order
     codes: dict[str, tuple[str, str]] = {}
     days: set[str] = set()  # day strings already checked: a few hundred
-    parts = []  # per block: first-seen firm positions, dates and kWh
+    kwh, seen = np.empty((0, 0)), np.zeros((0, 0), dtype=bool)  # seen: a reading filled the cell
+    counts = np.zeros(0, dtype=np.intp)  # readings per row
+    day0 = 0  # day number of column 0
     for first, columns in _blocks(path, PANEL_HEADER):
         faults = []  # (data row, error): the earliest in the block is raised
         try:
@@ -208,9 +208,9 @@ def read_panel(path) -> list[FirmRecord]:
                 check_date(text, "date")
                 days.add(text)
             dates = np.array(columns["date"], dtype="datetime64[D]")
-            kwh = columns["kwh"]
-            values = np.array([text or "nan" for text in kwh], dtype=float)
-            if np.count_nonzero(np.isfinite(values)) != len(kwh) - kwh.count(""):
+            text = columns["kwh"]
+            values = np.array([field or "nan" for field in text], dtype=float)
+            if np.count_nonzero(np.isfinite(values)) != len(text) - text.count(""):
                 raise ValueError("non-finite kWh text")
         except ValueError:
             converters = {"date": functools.partial(check_date, name="date"),
@@ -227,34 +227,42 @@ def read_panel(path) -> list[FirmRecord]:
             index.setdefault(firm_id, len(index))
         if faults:
             raise min(faults, key=lambda fault: fault[0])[1]
-        parts.append((np.fromiter(map(index.__getitem__, columns["firm_id"]), np.int32), dates,
-                      values))
+        rows = np.fromiter(map(index.__getitem__, columns["firm_id"]), np.intp)
+        cols = dates.astype(np.int64)
+        width = kwh.shape[1]
+        day0 = day0 if width else int(cols.min())
+        start, stop = min(int(cols.min()), day0), max(int(cols.max()) + 1, day0 + width)
+        if len(index) > len(kwh) or stop - start > width:  # an overflowed axis at least doubles
+            n = len(kwh) if len(index) <= len(kwh) else max(len(index), 2 * len(kwh))
+            width = width if stop - start <= width else max(stop - start, 2 * width)
+            shift = day0 - (stop - width if start < day0 else start)  # slack where it grew
+            pad = (0, n - len(kwh)), (shift, width - shift - kwh.shape[1])
+            kwh, seen = np.pad(kwh, pad, constant_values=np.nan), np.pad(seen, pad)
+            counts = np.pad(counts, pad[0])
+            day0 -= shift
+        cols -= day0
+        kwh[rows, cols], seen[rows, cols] = values, True
+        counts += np.bincount(rows, minlength=len(counts))
+    if not index:
+        return KwhPanel([], [], [], np.datetime64(0, "D"), counts, counts, kwh)
     firm_ids = sorted(index)
-    seen = np.array([index[firm_id] for firm_id in firm_ids], dtype=np.intp)
-    counts = sum((np.bincount(firms, minlength=len(seen)) for firms, _, _ in parts),
-                 np.zeros(len(seen), np.intp))
-    bounds = np.concatenate(([0], np.cumsum(counts[seen])))
-    fill = bounds[np.argsort(seen)]  # each first-seen firm's next free row
-    dates = np.empty(bounds[-1], dtype="datetime64[D]")
-    values = np.empty(bounds[-1])
-    for firms, block_dates, block_values in parts:
-        order = np.argsort(firms, kind="stable")
-        grouped = firms[order]
-        rows = fill[grouped] + np.arange(len(grouped)) - np.searchsorted(grouped, grouped)
-        dates[rows], values[rows] = block_dates[order], block_values[order]
-        fill += np.bincount(firms, minlength=len(fill))
-    del parts
-    out = []
-    for firm_id, lo, hi in zip(firm_ids, bounds.tolist(), bounds[1:].tolist()):
-        day, kwh = dates[lo:hi], values[lo:hi]
-        order = np.argsort(day, kind="stable")  # keeps a repeated day's readings in file order
-        day[:], kwh[:] = day[order], kwh[order]
-        try:
-            series = RawSeries(day, kwh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: firm {firm_id}: {exc}") from None
-        out.append(FirmRecord(firm_id, *codes[firm_id], series))
-    return out
+    order = np.array([index[firm_id] for firm_id in firm_ids], dtype=np.intp)
+    if np.array_equal(order, np.arange(len(order))):  # rows already in id order: no copy
+        order = slice(len(order))
+        kwh.resize((len(firm_ids), kwh.shape[1]), refcheck=False)  # frees spare rows; no views
+    seen, counts = seen[order], counts[order]
+    lo, hi = seen.argmax(axis=1), seen.shape[1] - seen[:, ::-1].argmax(axis=1)
+    step_fault = (counts != hi - lo) | (np.count_nonzero(seen, axis=1) != counts)
+    start, stop = lo.min(), hi.max()
+    del seen
+    kwh = kwh[order, start:stop]  # KwhPanel copies it only where it is not C-contiguous
+    negative = (kwh < 0).any(axis=1)  # a cell outside its row's readings is NaN
+    for k in np.flatnonzero(step_fault | negative)[:1]:  # the first faulty firm in id order
+        fault = ("dates must be strictly increasing with a one-day step" if step_fault[k]
+                 else "kWh values must be non-negative")
+        raise ValueError(f"{path}: firm {firm_ids[k]}: {fault}")
+    return KwhPanel(firm_ids, [codes[f][0] for f in firm_ids], [codes[f][1] for f in firm_ids],
+                    np.datetime64(int(day0 + start), "D"), lo - start, hi - start, kwh)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +273,12 @@ def read_panel(path) -> list[FirmRecord]:
 def write_models(path, rows: Iterable[ModelRow], comments=()) -> None:
     rows = sorted(rows, key=lambda r: r.firm_id)
     numbers = np.array([[x for p in r.model.params for x in (p.alpha, p.beta, p.sigma)]
-                        + [r.model.q[0, 0], r.model.q[1, 1], r.model.pi0[0], r.loglik]
-                        for r in rows], dtype=float).reshape(-1, 10)
+                        + [*r.model.q.ravel(), *r.model.pi0, r.loglik]
+                        for r in rows], dtype=float).reshape(-1, len(MODELS_HEADER[3:-2]))
     _write_csv(path, MODELS_HEADER, [[
         *(_quoted([getattr(r, name) for r in rows]) for name in MODELS_HEADER[:3]),
         *map(_fmt_column, numbers.T),
-        *(["true" if getattr(r, name) else "false" for r in rows] for name in MODELS_HEADER[13:])]],
+        *(["true" if getattr(r, name) else "false" for r in rows] for name in MODELS_HEADER[-2:])]],
                comments)
 
 
@@ -291,11 +299,11 @@ def read_models(path) -> dict[str, ModelRow]:
                 first):
             if firm_id in out:
                 raise ValueError(f"{path} data row {n}: firm {firm_id} already has a row")
-            a_p, b_p, s_p, a_r, b_r, s_r, q_pp, q_rr, pi0_p, loglik = nums
+            a_p, b_p, s_p, a_r, b_r, s_r, q_pp, q_pr, q_rp, q_rr, pi0_p, pi0_r, loglik = nums
             try:
-                model = RegimeModel(np.array([[q_pp, 1.0 - q_pp], [1.0 - q_rr, q_rr]]),
+                model = RegimeModel(np.array([[q_pp, q_pr], [q_rp, q_rr]]),
                                     (RegimeParams(a_p, b_p, s_p), RegimeParams(a_r, b_r, s_r)),
-                                    np.array([pi0_p, 1.0 - pi0_p]))
+                                    np.array([pi0_p, pi0_r]))
             except ValueError as exc:
                 raise ValueError(f"{path} data row {n}: firm {firm_id}: {exc}") from None
             out[firm_id] = ModelRow(firm_id, sector, district, model, loglik, converged,

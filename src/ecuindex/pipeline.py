@@ -1,14 +1,13 @@
-"""Panel orchestration: raw series in, fitted models and index inputs out.
+"""Panel orchestration: a kWh panel in, fitted models and index inputs out.
 
-``fit_panel`` preprocesses firms in fixed blocks of ``PREPROCESS_BLOCK`` on
-one firm x day grid (``preprocess_grid``), then fits each firm's deviation
-row by EM, whose last forward pass is the firm's causal filter, and carries
-along the cleaned consumption that the index stage needs for weighting.  The
-EM step fans out across processes, one job per firm's rows.  A firm's
-results depend only on its own record and the run settings, not on the
-other firms in its block nor on the worker count; ``preprocess_firm`` is the
-same code on a one-firm grid.  The fit's product, in memory and on disk, is
-one ``FitOutputs``.
+``fit_panel`` preprocesses the rows of a ``KwhPanel``'s firm x day grid
+``PREPROCESS_BLOCK`` at a time (``preprocess_grid``), then fits each firm's
+deviation row by EM, whose last forward pass is the firm's causal filter,
+and carries along the cleaned consumption that the index stage needs for
+weighting.  The EM step fans out across processes, one job per firm's rows.
+A firm's results depend only on its own row and the run settings, not on
+the other firms in its block nor on the worker count.  The fit's product,
+in memory and on disk, is one ``FitOutputs``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .config import RunConfig
 from .ecu import FirmDayPanel, column_fsums
 from .hmm import FilterOutput, FitReport, em_fit, init_params, random_init
 from .panelio import ModelRow, read_models, write_models
-from .preprocess import DAY, AlignedPair, DeviationSeries, FirmRecord, firm_rng, preprocess_grid
+from .preprocess import DeviationSeries, KwhPanel, firm_rng, preprocess_grid
 
 
 @dataclass(frozen=True)
@@ -50,39 +49,19 @@ FIRMDAY_LAYERS = ("y", "mu_p", "mu_r", "ele_test", "ele_ref")  # firmdays.npy, a
 PREPROCESS_BLOCK = 16  # firms on one preprocessing grid: bounds its memory, not its results
 
 
-def _preprocess_panel(records: list[FirmRecord], cfg: RunConfig):
-    """``preprocess_grid`` on ``PREPROCESS_BLOCK`` firms at a time: (y, ele_test, ele_ref, errors),
-    the three as C-ordered (firms, T) arrays."""
-    out, errors = np.empty((3, len(records), 2 * cfg.span + 1)), []
-    for at in range(0, len(records), PREPROCESS_BLOCK):
-        block = records[at:at + PREPROCESS_BLOCK]
-        dates = [rec.series.dates for rec in block]
-        day0 = min((d[0] for d in dates if len(d)), default=np.datetime64(cfg.ref_base, "D"))
-        lo = np.array([(d[0] - day0) // DAY if len(d) else 0 for d in dates], dtype=np.intp)
-        hi = lo + [len(d) for d in dates]
-        kwh = np.zeros((len(block), max(hi.max(), 1)))
-        for row, rec, a, b in zip(kwh, block, lo, hi):
-            row[a:b] = rec.series.values
-        *rows, block_errors = preprocess_grid(
-            kwh, lo, hi, day0, cfg.ref_base, cfg.test_base, cfg.span, cfg.outlier_window,
-            cfg.outlier_k, cfg.interp_window, cfg.smooth_window)
-        out[:, at:at + len(block)] = rows
+def _preprocess_panel(panel: KwhPanel, cfg: RunConfig):
+    """``preprocess_grid`` on ``PREPROCESS_BLOCK`` rows of the panel at a time: (y, ele_test,
+    ele_ref, errors), the three as C-ordered (firms, T) arrays."""
+    out, errors = np.empty((3, len(panel), 2 * cfg.span + 1)), []
+    for at in range(0, len(panel), PREPROCESS_BLOCK):
+        rows = slice(at, at + PREPROCESS_BLOCK)
+        *layers, block_errors = preprocess_grid(
+            panel.kwh[rows], panel.lo[rows], panel.hi[rows], panel.day0, cfg.ref_base,
+            cfg.test_base, cfg.span, cfg.outlier_window, cfg.outlier_k, cfg.interp_window,
+            cfg.smooth_window)
+        out[:, rows] = layers
         errors += block_errors
     return *out, errors
-
-
-def preprocess_firm(record: FirmRecord, cfg: RunConfig) -> tuple[DeviationSeries, AlignedPair]:
-    """Deviation series plus the aligned *unsmoothed* consumption windows.
-
-    The panel's preprocessing on a one-firm grid.  Raises ValueError when the
-    series cannot cover both windows; the caller decides whether that skips
-    the firm or aborts the run.
-    """
-    y, ele_test, ele_ref, (error,) = _preprocess_panel([record], cfg)
-    if error is not None:
-        raise ValueError(error)
-    offsets = np.arange(-cfg.span, cfg.span + 1)
-    return DeviationSeries(offsets, y[0]), AlignedPair(offsets, ele_ref[0], ele_test[0])
 
 
 def fit_deviation(dev: DeviationSeries, cfg: RunConfig, firm_id: str) -> FitReport:
@@ -128,30 +107,21 @@ def _fit_row(args) -> FitReport | Exception:
     return report
 
 
-def fit_firm(record: FirmRecord, cfg: RunConfig) -> FirmFitResult:
-    dev, raw_pair = preprocess_firm(record, cfg)
-    report = _fit_row((record.firm_id, dev, raw_pair.test, cfg))
-    if isinstance(report, Exception):
-        raise report
-    return FirmFitResult(record.firm_id, record.sector_code, record.district_code, dev, report,
-                         raw_pair.test, raw_pair.reference)
-
-
-def fit_panel(records: list[FirmRecord], cfg: RunConfig,
+def fit_panel(panel: KwhPanel, cfg: RunConfig,
               workers: int | None = None) -> tuple[list[FirmFitResult], list[tuple[str, str]]]:
     """Fit every firm; returns (results sorted by firm id, skipped (id, reason)).
 
-    Firms are preprocessed ``PREPROCESS_BLOCK`` at a time on one firm x day
-    grid, into one (firms, T) array per output; EM then fits each row on its
+    Firms are preprocessed ``PREPROCESS_BLOCK`` rows of the panel's grid at a
+    time, into one (firms, T) array per output; EM then fits each row on its
     own.  A firm whose series cannot cover the windows or whose fit fails
     numerically is skipped with a diagnostic instead of failing the run.
     ``workers`` defaults to ``cfg.workers``; the pool starts at most one
     process per fitted firm and per usable CPU, and its jobs carry rows.
     """
-    y, ele_test, ele_ref, errors = _preprocess_panel(records, cfg)
+    y, ele_test, ele_ref, errors = _preprocess_panel(panel, cfg)
     offsets = np.arange(-cfg.span, cfg.span + 1)
     rows = [k for k, error in enumerate(errors) if error is None]
-    jobs = [(records[k].firm_id, DeviationSeries(offsets, y[k]), ele_test[k], cfg) for k in rows]
+    jobs = [(panel.firm_ids[k], DeviationSeries(offsets, y[k]), ele_test[k], cfg) for k in rows]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cfg.workers if workers is None else workers, len(jobs), cpus or 1)
     if workers <= 1:
@@ -161,15 +131,14 @@ def fit_panel(records: list[FirmRecord], cfg: RunConfig,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_fit_row, jobs, chunksize=max(1, len(jobs) // (workers * 4))))
     results = []
-    skipped = [(rec.firm_id, error) for rec, error in zip(records, errors) if error is not None]
+    skipped = [(firm_id, error) for firm_id, error in zip(panel.firm_ids, errors)
+               if error is not None]
     for k, (firm_id, dev, _, _), outcome in zip(rows, jobs, outcomes):
         if isinstance(outcome, Exception):
             skipped.append((firm_id, str(outcome)))
         else:
-            rec = records[k]
-            results.append(FirmFitResult(firm_id, rec.sector_code, rec.district_code, dev, outcome,
-                                         ele_test[k], ele_ref[k]))
-    results.sort(key=lambda r: r.firm_id)
+            results.append(FirmFitResult(firm_id, panel.sector_codes[k], panel.district_codes[k],
+                                         dev, outcome, ele_test[k], ele_ref[k]))
     skipped.sort()
     return results, skipped
 

@@ -1,13 +1,13 @@
 """Daily consumption series preprocessing.
 
-Turns a raw kWh series (with missing days and meter glitches) into the
-deviation series consumed by the regime model: outlier rejection,
-gap interpolation, trailing smoothing, base-point alignment of the
-reference and test windows, and reference subtraction.  The per-series
-steps each take one series; ``preprocess_grid`` takes those steps for a
-block of firms on one firm x day grid, each firm bit for bit as alone, and
-is what the fit runs.  A firm's id and group codes live on ``FirmRecord``
-alone; the series types carry only data.
+A panel's readings are one ``KwhPanel``: a firm x day grid of kWh, each
+firm's id and group codes alongside.  ``preprocess_grid`` turns a block of its
+rows into the deviation series consumed by the regime model: outlier
+rejection, gap interpolation, trailing smoothing, base-point alignment of the
+reference and test windows, and reference subtraction.  The per-series steps
+(``detect_outliers`` to ``deviation``, on ``RawSeries`` and the types after
+it) take those steps for one series alone; the grid gives each firm's results
+bit for bit as they do.
 """
 
 from __future__ import annotations
@@ -50,13 +50,35 @@ class RawSeries:
 
 
 @dataclass(frozen=True)
-class FirmRecord:
-    """One firm's raw series plus its sector and district assignment."""
+class KwhPanel:
+    """The daily kWh of a panel of firms on one firm x day grid.
 
-    firm_id: str
-    sector_code: str
-    district_code: str
-    series: RawSeries
+    Row i of the C-ordered (firms, days) float64 ``kwh`` is firm ``firm_ids[i]``, the ids
+    ascending; column j is day ``day0 + j``.  The firm's readings fill columns ``lo[i]:hi[i]``,
+    NaN marking a blank one, and every consumer ignores the cells outside them.
+    """
+
+    firm_ids: list[str]
+    sector_codes: list[str]
+    district_codes: list[str]
+    day0: np.datetime64
+    lo: np.ndarray
+    hi: np.ndarray
+    kwh: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "kwh", np.ascontiguousarray(self.kwh, dtype=float))
+        lo, hi, kwh = self.lo, self.hi, self.kwh
+        per_row = self.firm_ids, self.sector_codes, self.district_codes, lo, hi, kwh
+        if kwh.ndim != 2 or len(set(map(len, per_row))) != 1 \
+                or not np.all((0 <= lo) & (lo <= hi) & (hi <= kwh.shape[1])):
+            raise ValueError("kwh must be a (firms, days) grid with one id, two codes and columns "
+                             "lo:hi inside it per row")
+        if any(a >= b for a, b in zip(self.firm_ids, self.firm_ids[1:])):
+            raise ValueError("firm ids must ascend strictly")
+
+    def __len__(self):
+        return len(self.firm_ids)
 
 
 def firm_rng(seed: int, firm_id: str, *stream: int) -> np.random.Generator:
@@ -299,6 +321,8 @@ def preprocess_grid(kwh, lo, hi, day0, ref_base, test_base, span: int = 95,
                          f"{smooth_window}, {span}")
     kwh, lo, hi = np.asarray(kwh, dtype=float), np.asarray(lo, np.intp), np.asarray(hi, np.intp)
     day0, ref_base, test_base = (np.datetime64(d, "D") for d in (day0, ref_base, test_base))
+    if not kwh.shape[1]:  # no row has a day: one column outside them all keeps indexing valid
+        kwh = np.full((len(kwh), 1), np.nan)
     n, days = kwh.shape
     rows, cols = np.arange(n), np.arange(days)
     inside = (cols >= lo[:, None]) & (cols < hi[:, None])

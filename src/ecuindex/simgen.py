@@ -17,10 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .preprocess import FirmRecord, RawSeries, firm_rng
+from .preprocess import DAY, KwhPanel, firm_rng
 from .sectors import DEFAULT_DISTRICT_MIX, DEFAULT_SECTOR_MIX, LEVEL_NAMES, sector_level
-
-DAY = np.timedelta64(1, "D")
 
 # industrial week: weekdays up, weekend down; exactly zero-mean so a 7-day
 # trailing mean of the pure weekly pattern is flat
@@ -135,10 +133,10 @@ class FirmTruth:
 
 @dataclass(frozen=True)
 class SyntheticPanel:
-    """Generated records, sorted by firm id, plus the ground truth keyed by firm id."""
+    """The generated panel, every firm over every day, and the ground truth by firm id."""
 
     config: PanelConfig
-    records: list[FirmRecord]
+    panel: KwhPanel
     truth: dict[str, FirmTruth]
 
 
@@ -203,9 +201,9 @@ def generate(config: PanelConfig) -> SyntheticPanel:
     test_offsets = ((days - np.datetime64(config.test_base)) / DAY).astype(int)
 
     depths = config.depths()
-    records: list[FirmRecord] = []
+    kwh = np.empty((n, n_days))
     truth: dict[str, FirmTruth] = {}
-    for firm_id, sector, district in zip(firm_ids, sectors, districts):
+    for row, firm_id, sector in zip(kwh, firm_ids, sectors):
         rng = firm_rng(config.seed, firm_id)
         base = float(rng.uniform(config.base_lo, config.base_hi))
         onset = config.shock_start + int(rng.integers(0, config.shock_onset_jitter + 1))
@@ -230,12 +228,12 @@ def generate(config: PanelConfig) -> SyntheticPanel:
         glitch = u_out < config.outlier_rate
         values = np.where(glitch, values * factor, values)
 
-        values = np.where(rng.random(n_days) < config.missing_rate, np.nan, values)
-
-        records.append(FirmRecord(firm_id, sector, district, RawSeries(days, values)))
+        row[:] = np.where(rng.random(n_days) < config.missing_rate, np.nan, values)
         truth[firm_id] = FirmTruth(base, shocked, onset, depth)
 
-    return SyntheticPanel(config, records, truth)
+    panel = KwhPanel(firm_ids, sectors, districts, first, np.zeros(n, np.intp),
+                     np.full(n, n_days), kwh)
+    return SyntheticPanel(config, panel, truth)
 
 
 def truth_labels(panel: SyntheticPanel, eps: float = 0.05) -> dict[str, np.ndarray]:

@@ -4,7 +4,9 @@
 ``write_srpi`` (with the helpers they call) are the package's
 implementation from before the readers and writers
 moved to whole columns, copied without change: every row goes through its
-own Python calls.  Tests require the package to write the same bytes, read
+own Python calls.  The panel functions take and return per-firm records
+(``firm_records.FirmRecord``), which tests compare with the package's grid
+rows.  Tests require the package to write the same bytes, read
 back the same arrays and raise the same messages, except on the input the
 package now rejects and this code accepted: dates not written YYYY-MM-DD,
 non-finite kWh text and ``#`` lines after the header.
@@ -18,7 +20,8 @@ import numpy as np
 
 from ecuindex.ecu import EcuSeries, SrpiSeries
 from ecuindex.panelio import DAY, ECU_HEADER, PANEL_HEADER, SRPI_HEADER
-from ecuindex.preprocess import FirmRecord, RawSeries
+from ecuindex.preprocess import RawSeries
+from firm_records import FirmRecord
 
 
 def _fmt(x) -> str:

@@ -14,13 +14,13 @@ import numpy as np
 from ecuindex.preprocess import (
     AlignedPair,
     DeviationSeries,
-    FirmRecord,
     align,
     detect_outliers,
     deviation,
     interpolate,
     smooth,
 )
+from firm_records import FirmRecord
 
 
 def preprocess_firm(record: FirmRecord, cfg) -> tuple[DeviationSeries, AlignedPair]:

@@ -184,7 +184,7 @@ def test_criterion_5_null_pipeline_is_silent():
         shock_depth={code: 0.0 for code in SECTOR_CODES},
     )
     panel = generate(cfg)
-    results, skipped = fit_panel(panel.records, build_run_config({}))
+    results, skipped = fit_panel(panel.panel, build_run_config({}))
     worst_dev = max(float(np.abs(r.deviation.y).max()) for r in results)
     all_degenerate = all(r.report.degenerate for r in results)
     fd_panel = build_firmday_panel(results)
@@ -216,7 +216,7 @@ def shape_run():
         shock_depth={"primary": 0.25, "secondary": 0.40, "tertiary": 0.65},
     )
     panel = generate(cfg)
-    results, skipped = fit_panel(panel.records, build_run_config({}),
+    results, skipped = fit_panel(panel.panel, build_run_config({}),
                                  workers=min(4, os.cpu_count() or 1))
     agg = ecu_grouped(build_firmday_panel(results), "none")[0]
     return SimpleNamespace(cfg=cfg, panel=panel, results=results, agg=agg,

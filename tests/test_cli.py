@@ -509,7 +509,7 @@ def test_index_peak_memory_is_a_small_multiple_of_the_array(tmp_path, capsys):
 
 
 def test_fit_peak_memory_is_a_small_multiple_of_the_array(tmp_path, capsys):
-    """``fit`` preprocesses a few firms at a time, never the whole panel's firm x day grid.
+    """``fit`` holds the panel's raw kWh grid but preprocesses a few of its rows at a time.
 
     One EM update per firm keeps the traced run short; more updates allocate nothing that
     outlives them.

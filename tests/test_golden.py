@@ -30,7 +30,7 @@ GOLDEN = {
     "panel.csv":
         "39cbc6313848c271fdd34bd53a5d3d75984390c04efd0aafc30cafd459542be4",
     "models.csv":
-        "ff9dd117ce7ccb5d6867dc1396abeaac8d51991c3c887b58e5218ac93032986b",
+        "7fb0d0f6563bed029fab6c0cdbc301eca7102921bf8797be8bc8adeaea96f6d3",
     "firmdays.npy":
         "2c841b34daa9418b2e840ca36cacfa242a4a3de75669ce7e7b21e392bcf91e37",
     "ecu.csv":

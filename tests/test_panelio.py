@@ -30,8 +30,9 @@ from ecuindex.pipeline import (
     read_fit_outputs,
     write_fit_outputs,
 )
-from ecuindex.preprocess import DeviationSeries, FirmRecord, RawSeries
+from ecuindex.preprocess import DeviationSeries, KwhPanel, RawSeries
 from ecuindex.simgen import PanelConfig, generate
+from firm_records import FirmRecord, panel_of, records_of
 
 
 def sample_records():
@@ -46,9 +47,9 @@ def sample_records():
 
 def test_panel_roundtrip(tmp_path):
     path = tmp_path / "panel.csv"
-    write_panel(path, sample_records(), comments=[seed_comment(42)])
-    back = read_panel(path)
-    assert [r.firm_id for r in back] == ["A1", "B2"]  # sorted on write and read
+    write_panel(path, panel_of(sample_records()), comments=[seed_comment(42)])
+    back = records_of(read_panel(path))
+    assert [r.firm_id for r in back] == ["A1", "B2"]  # sorted in the panel and on read
     orig = {r.firm_id: r for r in sample_records()}
     for rec in back:
         want = orig[rec.firm_id]
@@ -59,8 +60,8 @@ def test_panel_roundtrip(tmp_path):
 
 def test_floats_roundtrip_bit_exact(tmp_path):
     path = tmp_path / "panel.csv"
-    write_panel(path, sample_records())
-    back = {r.firm_id: r for r in read_panel(path)}
+    write_panel(path, panel_of(sample_records()))
+    back = {r.firm_id: r for r in records_of(read_panel(path))}
     assert back["A1"].series.values[4] == 0.1 + 0.2  # repr round-trip, not approx
 
 
@@ -73,7 +74,7 @@ def test_fmt_strings():
 
 def test_seed_comment_read_back(tmp_path):
     path = tmp_path / "panel.csv"
-    write_panel(path, sample_records(), comments=[seed_comment(123)])
+    write_panel(path, panel_of(sample_records()), comments=[seed_comment(123)])
     assert path.read_text(encoding="utf-8").splitlines()[0] == "# root_seed=123"
     assert read_panel(path)  # comment lines are transparent to readers
 
@@ -83,8 +84,8 @@ def test_comment_lines_only_before_the_header(tmp_path):
     dates = np.arange("2019-01-01", "2019-01-04", dtype="datetime64[D]")
     records = [FirmRecord("#7", "101", "D01", RawSeries(dates, [1.0, np.nan, 3.0])),
                FirmRecord("7", "101", "D01", RawSeries(dates, [4.0, 5.0, 6.0]))]
-    write_panel(path, records, comments=[seed_comment(1)])
-    back = read_panel(path)
+    write_panel(path, panel_of(records), comments=[seed_comment(1)])
+    back = records_of(read_panel(path))
     assert [r.firm_id for r in back] == ["#7", "7"]
     assert np.array_equal(back[0].series.values, [1.0, np.nan, 3.0], equal_nan=True)
     np.testing.assert_array_equal(back[0].series.dates, dates)
@@ -138,7 +139,7 @@ def test_models_roundtrip(tmp_path):
 @pytest.fixture(scope="module")
 def fitted():
     """Three fitted firms, listed out of id order on purpose."""
-    results, skipped = fit_panel(generate(PanelConfig(n_firms=3, seed=2)).records,
+    results, skipped = fit_panel(generate(PanelConfig(n_firms=3, seed=2)).panel,
                                  build_run_config({}))
     assert skipped == []
     return results[::-1]
@@ -317,12 +318,12 @@ def shuffled_panel(tmp_path, rows, seed=0):
 def test_shuffled_panel_reads_as_the_sorted_one(tmp_path, monkeypatch, block_rows):
     monkeypatch.setattr(panelio, "BLOCK_ROWS", block_rows)
     path = tmp_path / "panel.csv"
-    write_panel(path, generate(PanelConfig(n_firms=12, seed=4, missing_rate=0.05)).records)
+    write_panel(path, generate(PanelConfig(n_firms=12, seed=4, missing_rate=0.05)).panel)
     rows = path.read_text().splitlines(keepends=True)[1:]
     shuffled = shuffled_panel(tmp_path, rows)
     firms = [line.split(",", 1)[0] for line in shuffled.read_text().splitlines()[1:]]
     assert len(rows) > 2 * panelio.BLOCK_ROWS and firms != sorted(firms)
-    want, got = read_panel(path), read_panel(shuffled)
+    want, got = records_of(read_panel(path)), records_of(read_panel(shuffled))
     assert [(r.firm_id, r.sector_code, r.district_code) for r in got] == \
         [(r.firm_id, r.sector_code, r.district_code) for r in want]
     for a, b in zip(got, want):
@@ -335,6 +336,80 @@ def test_shuffled_panel_reads_as_the_sorted_one(tmp_path, monkeypatch, block_row
         read_panel(repeated)
     assert str(caught.value) == \
         f"{repeated}: firm {firm_id}: dates must be strictly increasing with a one-day step"
+
+
+def ragged_panel():
+    """12 simulated firms, each cut to its own first and last days, some readings blank; the
+    first firm starts on the grid's first day and the last ends on its last."""
+    full = generate(PanelConfig(n_firms=12, seed=6, missing_rate=0.05)).panel
+    rng = np.random.default_rng(6)
+    lo, hi = rng.integers(0, 200, len(full)), full.hi - rng.integers(0, 200, len(full))
+    lo[0], hi[-1] = 0, full.kwh.shape[1]
+    cols = np.arange(full.kwh.shape[1])
+    kwh = np.where((cols >= lo[:, None]) & (cols < hi[:, None]), full.kwh, np.nan)
+    return KwhPanel(full.firm_ids, full.sector_codes, full.district_codes, full.day0, lo, hi, kwh)
+
+
+def assert_same_panel(got, want):
+    """Every field bit for bit, the cells outside each firm's days (NaN) included."""
+    assert (got.firm_ids, got.sector_codes, got.district_codes, got.day0) == \
+        (want.firm_ids, want.sector_codes, want.district_codes, want.day0)
+    for name in ("lo", "hi", "kwh"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert got.kwh.flags.c_contiguous
+
+
+def data_rows_by_day(lines):
+    """Data lines reordered as a file sorted by date would hold them: every firm's first
+    reading, then every firm's second, and so on."""
+    nth = {}
+    keyed = []
+    for line in lines:
+        firm_id = line.split(",", 1)[0]
+        nth[firm_id] = nth.get(firm_id, -1) + 1
+        keyed.append((nth[firm_id], firm_id, line))
+    return [line for *_, line in sorted(keyed)]
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, panelio.BLOCK_ROWS])
+def test_firm_sorted_date_sorted_and_shuffled_files_read_to_one_panel(tmp_path, monkeypatch,
+                                                                      block_rows):
+    """Firms with their own first and last days round-trip bit for bit, whatever the row
+    order, while the grid grows row by row, to later days and to earlier ones."""
+    monkeypatch.setattr(panelio, "BLOCK_ROWS", block_rows)
+    want = ragged_panel()
+    path = tmp_path / "panel.csv"
+    write_panel(path, want, comments=[seed_comment(6)])
+    header, *rows = path.read_text().splitlines(keepends=True)[1:]
+    by_day = tmp_path / "by_day.csv"
+    by_day.write_text(header + "".join(data_rows_by_day(rows)))
+    shuffled = shuffled_panel(tmp_path, rows, seed=6)
+    assert len({by_day.read_text(), shuffled.read_text(), header + "".join(rows)}) == 3
+    for p in (path, by_day, shuffled):
+        assert_same_panel(read_panel(p), want)
+
+
+@pytest.mark.parametrize("rows,message", [
+    (["B,2019-01-01,1.0,101,D01", "B,2019-01-03,1.0,101,D01",
+      "A,2019-01-01,1.0,101,D01", "A,2019-01-02,-1.0,101,D01"],
+     "firm A: kWh values must be non-negative"),
+    (["B,2019-01-01,-1.0,101,D01", "A,2019-01-01,1.0,101,D01", "A,2019-01-01,2.0,101,D01"],
+     "firm A: dates must be strictly increasing with a one-day step"),
+    (["A,2019-01-01,-1.0,101,D01", "A,2019-01-02,1.0,101,D01", "A,2019-01-04,1.0,101,D01"],
+     "firm A: dates must be strictly increasing with a one-day step"),
+], ids=["first_in_id_order", "repeated_day_of_the_first_firm", "missing_day_before_negative"])
+@pytest.mark.parametrize("block_rows", [1, panelio.BLOCK_ROWS])
+def test_firm_faults_name_the_first_firm_and_its_day_step_first(tmp_path, monkeypatch,
+                                                                block_rows, rows, message):
+    """Of two faulty firms the first in id order is named, wherever its rows are; within one
+    firm, a repeated or missing day is named before a negative reading."""
+    monkeypatch.setattr(panelio, "BLOCK_ROWS", block_rows)
+    path = tmp_path / "panel.csv"
+    path.write_text("\n".join(["firm_id,date,kwh,sector_code,district_code", *rows]) + "\n")
+    with pytest.raises(ValueError) as caught:
+        read_panel(path)
+    assert str(caught.value) == f"{path}: {message}"
 
 
 def test_fit_output_faults_in_block_3_name_their_row(tmp_path, monkeypatch):
@@ -351,7 +426,7 @@ def test_fit_output_faults_in_block_3_name_their_row(tmp_path, monkeypatch):
                        match="models.csv data row 5, column alpha_p: cannot read '0.x'"):
         read_models(path)
     path.write_text(text.replace("E,101,D01,0.0,1.0,1.0,0.0,-1.0,1.0", "E,101,D01,0.0,1.0,1.0"))
-    with pytest.raises(ValueError, match="models.csv data row 5 has 12 fields, expected 15"):
+    with pytest.raises(ValueError, match="models.csv data row 5 has 15 fields, expected 18"):
         read_models(path)
     path.write_text(text.replace("E,101,D01", "A,101,D01"))
     with pytest.raises(ValueError, match="models.csv data row 5: firm A already has a row"):
@@ -405,7 +480,7 @@ def test_readers_peak_memory_is_bounded_by_a_block(tmp_path, monkeypatch):
     """
     monkeypatch.setattr(panelio, "BLOCK_ROWS", 400)
     path = tmp_path / "panel.csv"
-    write_panel(path, generate(PanelConfig(n_firms=20, seed=2, missing_rate=0.02)).records)
+    write_panel(path, generate(PanelConfig(n_firms=20, seed=2, missing_rate=0.02)).panel)
     with open(path) as fh:
         assert sum(1 for _ in fh) > 8 * panelio.BLOCK_ROWS
     tracemalloc.start()
@@ -426,19 +501,21 @@ def high_water_bytes():
         return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
 
 before = high_water_bytes()
-records = read_panel(sys.argv[1])
-print((high_water_bytes() - before) / sum(len(r.series) for r in records))
+panel = read_panel(sys.argv[1])
+print((high_water_bytes() - before) / int((panel.hi - panel.lo).sum()))
 """
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
-def test_read_panel_peak_grows_under_64_bytes_a_row(tmp_path, run_child):
-    """Reading a 500-firm panel raises a fresh process's peak by under 64 bytes a data row.
+def test_read_panel_peak_grows_under_24_bytes_a_row(tmp_path, run_child):
+    """Reading a 500-firm panel raises a fresh process's peak by under 24 bytes a data row.
 
-    Each reading is held in its block's typed part and in its firm's slice: about 49 bytes
-    a row here.  Holding the parts, their concatenation and a sorted copy took about 84.
+    Each reading lands in one 8-byte cell of the grid and one 1-byte mark; at the peak, while
+    the grid's rows double, the old grid and the new one are both held: about 20 bytes a row
+    here.  Keeping each block's rows typed and sorting every firm's readings by day took
+    about 46.
     """
     path = tmp_path / "panel.csv"
-    write_panel(path, generate(PanelConfig(n_firms=500, seed=3, missing_rate=0.02)).records)
+    write_panel(path, generate(PanelConfig(n_firms=500, seed=3, missing_rate=0.02)).panel)
     per_row = float(run_child(READ_PEAK, path))
-    assert per_row < 64, per_row
+    assert per_row < 24, per_row

@@ -2,7 +2,9 @@
 
 ``panelio_oracle`` holds the package's earlier readers and writers.  On
 every input both accept, the package must write byte-identical files and
-read back bit-identical arrays with the same firm order and codes; on the
+read back bit-identical arrays with the same firm order and codes (each
+row of the package's firm x day grid against the oracle's record of that
+firm, the grid spanning exactly the panel's days); on the
 faults both reject (a short or long row, a field that does not parse,
 inconsistent codes, a negative reading, a duplicated or missing day) it
 must raise the same message.  The inputs the package now rejects and the
@@ -33,7 +35,8 @@ import panelio_oracle as oracle
 from ecuindex import panelio
 from ecuindex.ecu import EcuSeries, SrpiSeries
 from ecuindex.panelio import PANEL_HEADER
-from ecuindex.preprocess import FirmRecord, RawSeries
+from ecuindex.preprocess import RawSeries
+from firm_records import FirmRecord, panel_of, records_of
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 COMMENTS = ["root_seed=7", "a, \"quoted\" note"]
@@ -114,7 +117,11 @@ def outcome(read, path):
         return type(exc).__name__, str(exc)
 
 
-def assert_same_records(got, want):
+def assert_same_records(panel, want):
+    """The panel's grid rows hold the records' series, and its columns span just their days."""
+    assert panel.kwh.flags.c_contiguous and panel.kwh.dtype == np.float64
+    assert panel.kwh.shape[1] == (panel.hi.max() - panel.lo.min() if len(panel) else 0)
+    got = records_of(panel)
     assert [r.firm_id for r in got] == [r.firm_id for r in want]
     for g, w in zip(got, want):
         assert type(g.firm_id) is str
@@ -128,7 +135,7 @@ def assert_same_records(got, want):
 def test_write_panel_matches_oracle(recs):
     with tempfile.TemporaryDirectory() as d:
         got, want = Path(d, "got.csv"), Path(d, "want.csv")
-        panelio.write_panel(got, recs, COMMENTS)
+        panelio.write_panel(got, panel_of(recs), COMMENTS)
         oracle.write_panel(want, recs, COMMENTS)
         assert got.read_bytes() == want.read_bytes()
         assert_same_records(panelio.read_panel(got), oracle.read_panel(want))
@@ -350,7 +357,7 @@ def test_quoted_line_break_lands_on_a_block_boundary(tmp_path, monkeypatch):
     with open(path, encoding="utf-8", newline="") as fh:
         lines = fh.readlines()[1:]
     assert '"' not in "".join(lines[:2]) and lines[3] == '"B\n'
-    assert [r.firm_id for r in panelio.read_panel(path)] == ["A", "B\nC"]
+    assert panelio.read_panel(path).firm_ids == ["A", "B\nC"]
 
 
 @SETTINGS

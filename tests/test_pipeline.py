@@ -1,4 +1,4 @@
-"""Tests for per-firm orchestration and the panel-level fit driver."""
+"""Tests for the panel-level fit driver and its per-firm pieces."""
 
 import concurrent.futures
 import math
@@ -11,27 +11,27 @@ import pytest
 from ecuindex import hmm, pipeline
 from ecuindex.cli import main
 from ecuindex.config import RunConfig, build_run_config
-from ecuindex.hmm import FilterDegeneracyError
+from ecuindex.hmm import FilterDegeneracyError, forward_filter
 from ecuindex.panelio import write_panel
 from ecuindex.pipeline import (
+    _preprocess_panel,
     build_firmday_panel,
     fit_deviation,
-    fit_firm,
     fit_outputs,
     fit_panel,
-    preprocess_firm,
     read_fit_outputs,
     reference_totals,
 )
-from ecuindex.preprocess import FirmRecord, RawSeries
+from ecuindex.preprocess import DeviationSeries, KwhPanel, RawSeries
 from ecuindex.sectors import DEFAULT_SECTOR_MIX
 from ecuindex.simgen import PanelConfig, generate
+from firm_records import FirmRecord, panel_of, records_of
 
 
 def panel_records(n_firms=6, seed=11, **overrides):
     cfg = PanelConfig(n_firms=n_firms, seed=seed,
                       noise_frac=overrides.pop("noise_frac", 0.06), **overrides)
-    return generate(cfg).records
+    return records_of(generate(cfg).panel)
 
 
 @pytest.fixture(scope="module")
@@ -50,12 +50,21 @@ def constant_record(firm_id="FLAT1", level=300.0):
                       RawSeries(dates, np.full(len(dates), level)))
 
 
+def preprocess_firm(record, cfg):
+    """The record's deviation series and unsmoothed (ele_test, ele_ref) windows, preprocessed
+    alone as the fit preprocesses it; raises the fit's reason for refusing it."""
+    y, ele_test, ele_ref, (error,) = _preprocess_panel(panel_of([record]), cfg)
+    if error is not None:
+        raise ValueError(error)
+    return DeviationSeries(np.arange(-cfg.span, cfg.span + 1), y[0]), ele_test[0], ele_ref[0]
+
+
 def test_preprocess_firm_shapes(records, run_cfg):
-    dev, raw_pair = preprocess_firm(records[0], run_cfg)
+    dev, ele_test, ele_ref = preprocess_firm(records[0], run_cfg)
     np.testing.assert_array_equal(dev.offsets, np.arange(-95, 96))
-    assert len(raw_pair.test) == 191
-    assert np.all(raw_pair.test >= 0)
-    assert np.all(raw_pair.reference >= 0)
+    assert len(ele_test) == 191
+    assert np.all(ele_test >= 0)
+    assert np.all(ele_ref >= 0)
 
 
 def test_preprocess_firm_insufficient_coverage_raises(run_cfg):
@@ -67,7 +76,8 @@ def test_preprocess_firm_insufficient_coverage_raises(run_cfg):
 
 
 def test_fit_firm_outputs(records, run_cfg):
-    res = fit_firm(records[0], run_cfg)
+    (res,), skipped = fit_panel(panel_of(records[:1]), run_cfg)
+    assert skipped == []
     assert res.firm_id == records[0].firm_id
     assert res.report.converged
     sums = res.filtered.filtered.sum(axis=1)
@@ -85,13 +95,13 @@ def test_fit_panel_runs_one_forward_pass_per_e_step(records, run_cfg, monkeypatc
         return forward(*args, **kwargs)
 
     monkeypatch.setattr(hmm, "_forward", counted)
-    results, skipped = fit_panel(records, run_cfg)
+    results, skipped = fit_panel(panel_of(records), run_cfg)
     assert skipped == []
     assert len(calls) == sum(len(r.report.loglik_trace) for r in results)
 
 
 def test_fit_panel_sorted_and_complete(records, run_cfg):
-    results, skipped = fit_panel(records, run_cfg)
+    results, skipped = fit_panel(panel_of(records), run_cfg)
     assert skipped == []
     assert [r.firm_id for r in results] == sorted(r.firm_id for r in records)
 
@@ -99,8 +109,8 @@ def test_fit_panel_sorted_and_complete(records, run_cfg):
 @pytest.mark.parametrize("multi_start", [0, 2])
 def test_fit_panel_worker_count_is_invisible(records, run_cfg, multi_start):
     cfg = replace(run_cfg, multi_start=multi_start)
-    serial, _ = fit_panel(records, cfg, workers=1)
-    parallel, _ = fit_panel(records, cfg, workers=2)
+    serial, _ = fit_panel(panel_of(records), cfg, workers=1)
+    parallel, _ = fit_panel(panel_of(records), cfg, workers=2)
     assert len(serial) == len(parallel) == len(records)
     for a, b in zip(serial, parallel):
         assert a.firm_id == b.firm_id
@@ -138,9 +148,9 @@ def test_fit_panel_pool_is_capped_by_firms_and_cpus(records, run_cfg, monkeypatc
                                                     started):
     """``workers=500`` starts one process per firm and per usable CPU at most, or no pool."""
     pools = record_pools(monkeypatch, cpus)
-    results, _ = fit_panel(records[:firms], run_cfg, workers=500)
+    results, _ = fit_panel(panel_of(records[:firms]), run_cfg, workers=500)
     assert pools == ([] if started is None else [started])
-    serial, _ = fit_panel(records[:firms], run_cfg, workers=1)
+    serial, _ = fit_panel(panel_of(records[:firms]), run_cfg, workers=1)
     def fits(rs):
         return [(r.firm_id, r.report.model.params, r.report.loglik_trace.tolist()) for r in rs]
 
@@ -149,7 +159,7 @@ def test_fit_panel_pool_is_capped_by_firms_and_cpus(records, run_cfg, monkeypatc
 
 def test_fit_panel_workers_default_to_the_config(records, monkeypatch):
     pools = record_pools(monkeypatch, cpus=2)
-    fit_panel(records[:2], build_run_config({"workers": "2"}))
+    fit_panel(panel_of(records[:2]), build_run_config({"workers": "2"}))
     assert pools == [2]
 
 
@@ -157,7 +167,7 @@ def test_fit_panel_skips_uncovered_firm(records, run_cfg):
     dates = np.arange("2019-12-01", "2020-02-01", dtype="datetime64[D]")
     bad = FirmRecord("ZSHORT", "301", "D01",
                      RawSeries(dates, np.full(len(dates), 5.0)))
-    results, skipped = fit_panel(records + [bad], run_cfg)
+    results, skipped = fit_panel(panel_of(records + [bad]), run_cfg)
     assert len(results) == len(records)
     assert len(skipped) == 1
     assert skipped[0][0] == "ZSHORT"
@@ -168,10 +178,18 @@ def test_fit_panel_skips_all_missing_firm(records, run_cfg):
     dates = np.arange("2018-11-01", "2020-04-29", dtype="datetime64[D]")
     bad = FirmRecord("ZNAN", "301", "D01",
                      RawSeries(dates, np.full(len(dates), np.nan)))
-    results, skipped = fit_panel(records + [bad], run_cfg)
+    results, skipped = fit_panel(panel_of(records + [bad]), run_cfg)
     assert len(results) == len(records)
     assert skipped[0][0] == "ZNAN"
     assert "nothing to interpolate" in skipped[0][1]
+
+
+def test_fit_panel_skips_firms_on_a_grid_without_days(run_cfg):
+    """Firms with no readings on a grid of no columns are skipped, each with its reason."""
+    panel = KwhPanel(["A", "B"], ["301", "301"], ["D01", "D01"], np.datetime64("2019-01-01"),
+                     np.zeros(2, np.intp), np.zeros(2, np.intp), np.empty((2, 0)))
+    empty = "cannot detect outliers in an empty series"
+    assert fit_panel(panel, run_cfg) == ([], [("A", empty), ("B", empty)])
 
 
 @pytest.mark.parametrize("error", [FilterDegeneracyError("filter degeneracy at offset 7"),
@@ -188,13 +206,13 @@ def test_fit_panel_skips_firm_whose_em_fails(records, run_cfg, monkeypatch, erro
         return em_fit(dev, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "em_fit", failing_em_fit)
-    results, skipped = fit_panel(three, run_cfg)
+    results, skipped = fit_panel(panel_of(three), run_cfg)
     assert [r.firm_id for r in results] == [three[0].firm_id, three[2].firm_id]
     assert skipped == [(bad, str(error))]
 
 
 def test_degenerate_firm_contributes_zero(run_cfg):
-    results, skipped = fit_panel([constant_record()], run_cfg)
+    results, skipped = fit_panel(panel_of([constant_record()]), run_cfg)
     assert skipped == []
     assert results[0].report.degenerate
     panel = build_firmday_panel(results)
@@ -202,7 +220,7 @@ def test_degenerate_firm_contributes_zero(run_cfg):
 
 
 def test_firmday_panel_columns(records, run_cfg):
-    results, _ = fit_panel(records, run_cfg)
+    results, _ = fit_panel(panel_of(records), run_cfg)
     panel = build_firmday_panel(results)
     assert len(panel) == len(records) * 191
     np.testing.assert_array_equal(panel.offsets, np.arange(-95, 96))
@@ -216,7 +234,7 @@ def test_firmday_panel_columns(records, run_cfg):
 
 
 def test_reference_totals_are_exact_sums(records, run_cfg):
-    results, _ = fit_panel(records, run_cfg)
+    results, _ = fit_panel(panel_of(records), run_cfg)
     totals = reference_totals(results)
     assert totals.shape == (191,)  # offsets -95..95
     want = math.fsum(float(r.ele_ref[0]) for r in results)
@@ -225,13 +243,13 @@ def test_reference_totals_are_exact_sums(records, run_cfg):
 
 def test_fit_files_load_to_the_library_panel(tmp_path):
     """``ecuindex fit`` then ``read_fit_outputs`` gives exactly the library's ``fit_outputs``."""
-    records = panel_records(n_firms=3) + [constant_record()]
-    write_panel(tmp_path / "panel.csv", records)
+    panel = panel_of(panel_records(n_firms=3) + [constant_record()])
+    write_panel(tmp_path / "panel.csv", panel)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(f"panel = {tmp_path / 'panel.csv'}\n")
     assert main(["fit", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
 
-    results, skipped = fit_panel(records, build_run_config({}))
+    results, skipped = fit_panel(panel, build_run_config({}))
     assert skipped == [] and any(r.report.degenerate for r in results)
     want = fit_outputs(results)
     fit = read_fit_outputs(tmp_path)
@@ -241,9 +259,9 @@ def test_fit_files_load_to_the_library_panel(tmp_path):
         for name in ("firm_id", "sector_code", "district_code", "loglik", "converged",
                      "degenerate"):
             assert getattr(got, name) == getattr(row, name), (firm_id, name)
-        # models.csv holds q_pp, q_rr and pi0_p; their complements are recomputed on read
-        assert (got.model.q[0, 0], got.model.q[1, 1], got.model.pi0[0]) == \
-            (row.model.q[0, 0], row.model.q[1, 1], row.model.pi0[0])
+        # models.csv holds every entry of q and pi0, not 1 - x for the second of each pair
+        assert got.model.q.tobytes() == row.model.q.tobytes(), firm_id
+        assert got.model.pi0.tobytes() == row.model.pi0.tobytes(), firm_id
         assert got.model.params == row.model.params
     assert (fit.firmdays.dtype, fit.firmdays.shape) == (want.firmdays.dtype, want.firmdays.shape)
     assert fit.firmdays.tobytes() == want.firmdays.tobytes()  # bit for bit
@@ -257,8 +275,24 @@ def test_fit_files_load_to_the_library_panel(tmp_path):
     assert fit.reference_totals.tobytes() == reference_totals(results).tobytes()
 
 
+def test_filter_rerun_from_read_back_models_reproduces_firmdays(tmp_path):
+    """``forward_filter`` under each model read back from ``models.csv`` reproduces the firm's
+    ``mu_p`` and ``mu_r`` layers of ``firmdays.npy`` bit for bit."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("n_firms = 12\nseed = 4\nshock_onset_jitter = 10\nmissing_rate = 0.02\n")
+    for stage in ("simulate", "fit"):
+        assert main([stage, "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    fit = read_fit_outputs(tmp_path)
+    y, mu_p, mu_r = fit.firmdays[:3]
+    offsets = np.arange(y.shape[1]) - y.shape[1] // 2
+    for k, (firm_id, row) in enumerate(fit.models.items()):
+        out = forward_filter(DeviationSeries(offsets, y[k]), row.model)
+        assert out.mu_p.tobytes() == mu_p[k].tobytes(), firm_id
+        assert out.mu_r.tobytes() == mu_r[k].tobytes(), firm_id
+
+
 def test_multi_start_is_deterministic_and_no_worse(records, run_cfg):
-    dev, _ = preprocess_firm(records[0], run_cfg)
+    dev = preprocess_firm(records[0], run_cfg)[0]
     single = fit_deviation(dev, run_cfg, records[0].firm_id)
     cfg_ms = RunConfig(multi_start=3, seed=run_cfg.seed)
     a = fit_deviation(dev, cfg_ms, records[0].firm_id)
@@ -270,7 +304,7 @@ def test_multi_start_is_deterministic_and_no_worse(records, run_cfg):
 def test_fit_deviation_prefers_deterministic_init_on_ties(records, run_cfg):
     # a clean series converges to the same optimum from every start, so the
     # deterministic init must win and multi_start output must match single
-    dev, _ = preprocess_firm(records[0], run_cfg)
+    dev = preprocess_firm(records[0], run_cfg)[0]
     single = fit_deviation(dev, run_cfg, records[0].firm_id)
     multi = fit_deviation(dev, RunConfig(multi_start=2, seed=0), records[0].firm_id)
     if multi.loglik_trace[-1] <= single.loglik_trace[-1] + 1e-9:

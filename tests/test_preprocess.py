@@ -4,6 +4,7 @@ import pytest
 from ecuindex.preprocess import (
     AlignedPair,
     CleanSeries,
+    KwhPanel,
     RawSeries,
     align,
     detect_outliers,
@@ -45,6 +46,33 @@ def brute_outlier_mask(values, window_days=15, k=2.0):
         nb = np.array(nb)
         mask[t] = abs(values[t] - nb.mean()) > k * nb.std(ddof=1)
     return mask
+
+
+class TestKwhPanel:
+    def panel(self, firm_ids=("A", "B"), lo=(0, 1), hi=(3, 2), kwh=None, codes=("101", "301")):
+        kwh = np.arange(6.0).reshape(2, 3) if kwh is None else kwh
+        return KwhPanel(list(firm_ids), list(codes), ["D01", "D02"], np.datetime64("2019-01-01"),
+                        np.array(lo), np.array(hi), kwh)
+
+    def test_grid_is_c_ordered_float64(self):
+        panel = self.panel(kwh=np.arange(12).reshape(3, 4).T[:2, :3])
+        assert panel.kwh.dtype == np.float64 and panel.kwh.flags.c_contiguous
+        assert len(panel) == 2
+
+    @pytest.mark.parametrize("change,message", [
+        ({"firm_ids": ("B", "A")}, "firm ids must ascend strictly"),
+        ({"firm_ids": ("A", "A")}, "firm ids must ascend strictly"),
+        ({"codes": ("101",)}, "one id, two codes and columns lo:hi inside it per row"),
+        ({"lo": (0,), "hi": (3,)}, "one id, two codes and columns lo:hi inside it per row"),
+        ({"hi": (4, 2)}, "one id, two codes and columns lo:hi inside it per row"),
+        ({"lo": (2, 1), "hi": (1, 2)}, "one id, two codes and columns lo:hi inside it per row"),
+        ({"lo": (-1, 1)}, "one id, two codes and columns lo:hi inside it per row"),
+        ({"kwh": np.zeros(2)}, "one id, two codes and columns lo:hi inside it per row"),
+    ], ids=["descending", "repeated", "codes", "bounds", "past_the_end", "reversed", "negative",
+            "not_a_grid"])
+    def test_refuses_an_inconsistent_panel(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            self.panel(**change)
 
 
 class TestRawSeries:

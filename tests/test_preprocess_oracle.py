@@ -6,7 +6,7 @@ gaps that send interpolation to the first valid days, signed zeros, and
 series too short or too late to cover the windows.  Each firm's deviation,
 ``ele_test`` and ``ele_ref`` must equal the oracle's bit for bit, and a
 refused firm must get the oracle's message: alone, on a grid whose other
-cells hold junk, and inside a permuted panel that spans several blocks.
+cells hold junk, and at any row of a panel that spans several blocks.
 """
 
 from dataclasses import replace
@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 import preprocess_oracle as oracle
 from ecuindex import pipeline
 from ecuindex.config import RunConfig
-from ecuindex.preprocess import FirmRecord, RawSeries, preprocess_grid
+from ecuindex.preprocess import RawSeries, preprocess_grid
 from ecuindex.simgen import PanelConfig, generate
+from firm_records import FirmRecord, panel_of, records_of
 
 DAY0 = np.datetime64("2019-01-01")
 FEATURES = ("nan_run", "leading_gap", "edge_spikes", "spikes", "all_nan", "constant",
@@ -95,11 +96,9 @@ def panels(draw):
 
 
 def pipeline_rows(record, cfg):
-    try:
-        dev, raw_pair = pipeline.preprocess_firm(record, cfg)
-    except ValueError as exc:
-        return str(exc)
-    return dev.y, raw_pair.test, raw_pair.reference
+    """The fit's (y, ele_test, ele_ref) of ``record`` preprocessed alone, or its message."""
+    y, ele_test, ele_ref, (error,) = pipeline._preprocess_panel(panel_of([record]), cfg)
+    return error if error is not None else (y[0], ele_test[0], ele_ref[0])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -110,8 +109,11 @@ def test_grid_matches_oracle_alone_and_in_any_block(case):
     for rec in records:
         assert_rows_match(pipeline_rows(rec, cfg), want[rec.firm_id], rec.firm_id)
 
+    # ids prefixed by position keep the permuted order on the panel's rows
+    panel = panel_of([replace(rec, firm_id=f"{k:02d}{rec.firm_id}")
+                      for k, rec in enumerate(permuted)])
     with mock.patch.object(pipeline, "PREPROCESS_BLOCK", block):
-        y, ele_test, ele_ref, errors = pipeline._preprocess_panel(permuted, cfg)
+        y, ele_test, ele_ref, errors = pipeline._preprocess_panel(panel, cfg)
     for k, rec in enumerate(permuted):
         got = errors[k] if errors[k] is not None else (y[k], ele_test[k], ele_ref[k])
         assert_rows_match(got, want[rec.firm_id], rec.firm_id)
@@ -147,8 +149,8 @@ def test_signed_zeros_from_a_firm_first_day_match_the_oracle():
     assert_rows_match(pipeline_rows(record, cfg), want, "F")
     for block in (1, 3):
         with mock.patch.object(pipeline, "PREPROCESS_BLOCK", block):
-            y, ele_test, ele_ref, _ = pipeline._preprocess_panel([make_firm("G", 0, 30, 5.0, (), 0),
-                                                                 record], cfg)
+            y, ele_test, ele_ref, _ = pipeline._preprocess_panel(
+                panel_of([make_firm("E", 0, 30, 5.0, (), 0), record]), cfg)
         assert_rows_match((y[1], ele_test[1], ele_ref[1]), want, "F")
 
 
@@ -191,8 +193,8 @@ def mixed_panel():
 
     The panel covers 25 days more than the fit's windows on either side.
     """
-    records = generate(PanelConfig(n_firms=20, seed=4, span=120, missing_rate=0.03,
-                                   outlier_rate=0.02)).records
+    records = records_of(generate(PanelConfig(n_firms=20, seed=4, span=120, missing_rate=0.03,
+                                              outlier_rate=0.02)).panel)
     rng = np.random.default_rng(4)
     mixed = []
     for rec in records:
@@ -207,7 +209,7 @@ def mixed_panel():
                                         ("ZNAN", slice(None), np.full(len(values), np.nan)),
                                         ("ZSHORT", slice(4), values),
                                         ("ZEARLY", slice(300), values))]
-    return [mixed[k] for k in rng.permutation(len(mixed))]
+    return mixed
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +219,7 @@ def mixed():
 
 def test_fit_panel_skips_what_the_oracle_refuses(mixed):
     records, cfg = mixed
-    results, skipped = pipeline.fit_panel(records, cfg)
+    results, skipped = pipeline.fit_panel(panel_of(records), cfg)
     want = {rec.firm_id: oracle_rows(rec, cfg) for rec in records}
     assert skipped == sorted((firm, w) for firm, w in want.items() if isinstance(w, str))
     assert len(skipped) == 5
@@ -227,8 +229,8 @@ def test_fit_panel_skips_what_the_oracle_refuses(mixed):
 
 def test_fit_panel_workers_agree_on_a_mixed_panel(mixed):
     records, cfg = mixed
-    serial, serial_skipped = pipeline.fit_panel(records, cfg, workers=1)
-    parallel, parallel_skipped = pipeline.fit_panel(records, cfg, workers=2)
+    serial, serial_skipped = pipeline.fit_panel(panel_of(records), cfg, workers=1)
+    parallel, parallel_skipped = pipeline.fit_panel(panel_of(records), cfg, workers=2)
     assert serial_skipped == parallel_skipped
     assert [r.firm_id for r in serial] == [r.firm_id for r in parallel]
     for a, b in zip(serial, parallel):

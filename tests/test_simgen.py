@@ -13,6 +13,7 @@ from ecuindex.simgen import (
     shock_multiplier,
     truth_labels,
 )
+from firm_records import records_of
 
 
 def flat_depths(depth):
@@ -105,7 +106,7 @@ def test_library_and_config_file_build_the_same_panel():
                                        "shock_depth": "tertiary:0.6,201:0.1"}))
     assert lib.truth == cfg.truth
     assert any(t.shocked for t in lib.truth.values())
-    for a, b in zip(lib.records, cfg.records, strict=True):
+    for a, b in zip(records_of(lib.panel), records_of(cfg.panel), strict=True):
         assert (a.firm_id, a.sector_code, a.district_code) == \
             (b.firm_id, b.sector_code, b.district_code)
         np.testing.assert_array_equal(a.series.dates, b.series.dates)
@@ -140,8 +141,8 @@ def test_quota_counts_always_sum_to_n():
 def test_realized_mix_tracks_configured_mix():
     panel = generate(PanelConfig(n_firms=2000, seed=3))
     counts = {}
-    for rec in panel.records:
-        counts[rec.sector_code] = counts.get(rec.sector_code, 0) + 1
+    for code in panel.panel.sector_codes:
+        counts[code] = counts.get(code, 0) + 1
     for code, prop in DEFAULT_SECTOR_MIX.items():
         assert abs(counts.get(code, 0) / 2000 - prop) <= 0.02
 
@@ -154,8 +155,8 @@ def test_realized_mix_tracks_configured_mix():
 def test_same_config_same_panel():
     a = generate(small_config(missing_rate=0.05, outlier_rate=0.02, noise_frac=0.1))
     b = generate(small_config(missing_rate=0.05, outlier_rate=0.02, noise_frac=0.1))
-    assert [r.firm_id for r in a.records] == [r.firm_id for r in b.records]
-    for ra, rb in zip(a.records, b.records):
+    assert a.panel.firm_ids == b.panel.firm_ids
+    for ra, rb in zip(records_of(a.panel), records_of(b.panel)):
         assert (ra.sector_code, ra.district_code) == (rb.sector_code, rb.district_code)
         np.testing.assert_array_equal(ra.series.dates, rb.series.dates)
         assert np.array_equal(ra.series.values, rb.series.values, equal_nan=True)
@@ -164,14 +165,15 @@ def test_same_config_same_panel():
 def test_different_seed_different_panel():
     a = generate(small_config(seed=1))
     b = generate(small_config(seed=2))
-    assert not np.array_equal(a.records[0].series.values, b.records[0].series.values)
+    assert not np.array_equal(a.panel.kwh[0], b.panel.kwh[0])
 
 
 def test_every_firm_covers_both_windows():
     cfg = small_config()
     panel = generate(cfg)
     first, last = cfg.date_range()
-    for rec in panel.records:
+    assert panel.panel.day0 == first
+    for rec in records_of(panel.panel):
         s = rec.series
         assert s.dates[0] == first
         assert s.dates[-1] == last
@@ -182,8 +184,7 @@ def test_zero_depth_shock_is_inert():
     # identical output no matter where a zero-depth shock starts
     a = generate(small_config(shock_depth=flat_depths(0.0), shock_start=10))
     b = generate(small_config(shock_depth=flat_depths(0.0), shock_start=50))
-    for ra, rb in zip(a.records, b.records):
-        np.testing.assert_array_equal(ra.series.values, rb.series.values)
+    np.testing.assert_array_equal(a.panel.kwh, b.panel.kwh)
     assert not any(t.shocked for t in a.truth.values())
 
 
@@ -194,7 +195,7 @@ def test_shock_halves_consumption_at_onset():
     cfg = small_config()
     onset_day = np.datetime64(cfg.test_base) + np.timedelta64(10, "D")
     before_day = onset_day - np.timedelta64(1, "D")
-    for rs, rc in zip(shocked.records, counter.records):
+    for rs, rc in zip(records_of(shocked.panel), records_of(counter.panel)):
         s, c = rs.series, rc.series
         i = int(np.searchsorted(s.dates, onset_day))
         assert s.values[i] / c.values[i] == pytest.approx(0.5, rel=1e-12)
@@ -206,7 +207,7 @@ def test_constant_level_when_all_modulation_off():
     cfg = small_config(weekly_amplitude=0.0, annual_amplitude=0.0, holiday_depth=0.0,
                        noise_frac=0.0, shock_depth=flat_depths(0.0))
     panel = generate(cfg)
-    for rec in panel.records:
+    for rec in records_of(panel.panel):
         vals = rec.series.values
         assert np.all(vals == vals[0])
         assert cfg.base_lo <= vals[0] <= cfg.base_hi
@@ -217,9 +218,9 @@ def test_weekend_consumption_dips():
     cfg = small_config(weekly_amplitude=0.2, annual_amplitude=0.0, holiday_depth=0.0,
                        noise_frac=0.0, shock_depth=flat_depths(0.0))
     panel = generate(cfg)
-    s = panel.records[0].series
+    s = records_of(panel.panel)[0].series
     dow = (s.dates.astype("int64") + 3) % 7
-    base = panel.truth[panel.records[0].firm_id].base
+    base = panel.truth[panel.panel.firm_ids[0]].base
     np.testing.assert_allclose(s.values[dow == 5], base * (1 - 0.2 * 0.95), rtol=1e-12)
     np.testing.assert_allclose(s.values[dow == 0], base * (1 + 0.2 * 0.35), rtol=1e-12)
 
@@ -228,8 +229,8 @@ def test_holiday_trough_applied_in_both_years():
     cfg = small_config(weekly_amplitude=0.0, annual_amplitude=0.0, holiday_depth=0.4,
                        noise_frac=0.0, shock_depth=flat_depths(0.0))
     panel = generate(cfg)
-    s = panel.records[0].series
-    base = panel.truth[panel.records[0].firm_id].base
+    s = records_of(panel.panel)[0].series
+    base = panel.truth[panel.panel.firm_ids[0]].base
     for start in (np.datetime64("2019-02-04"), np.datetime64("2020-01-24")):
         i = int(np.searchsorted(s.dates, start))
         np.testing.assert_allclose(s.values[i:i + 10], base * 0.6, rtol=1e-12)
@@ -239,13 +240,13 @@ def test_holiday_trough_applied_in_both_years():
 
 def test_missing_days_marked_nan():
     panel = generate(small_config(n_firms=20, missing_rate=0.1))
-    frac = np.mean([np.isnan(rec.series.values).mean() for rec in panel.records])
+    frac = np.mean([np.isnan(row).mean() for row in panel.panel.kwh])
     assert 0.05 < frac < 0.15
 
 
 def test_firm_ids_stable_and_padded():
     panel = generate(small_config(n_firms=3))
-    assert [rec.firm_id for rec in panel.records] == ["F00000", "F00001", "F00002"]
+    assert panel.panel.firm_ids == ["F00000", "F00001", "F00002"]
     assert list(panel.truth) == ["F00000", "F00001", "F00002"]
 
 
@@ -308,7 +309,7 @@ def test_null_panel_produces_zero_deviation_series():
         holiday_test_days=10,
     )
     panel = generate(cfg)
-    for rec in panel.records:
+    for rec in records_of(panel.panel):
         raw = rec.series
         clean = interpolate(raw, detect_outliers(raw))
         sm = smooth(clean)
