@@ -12,7 +12,6 @@ from ecuindex import (
     DeviationSeries,
     PanelConfig,
     em_fit,
-    forward_filter,
     generate,
     init_params,
     preprocess_grid,
@@ -48,9 +47,9 @@ print(f"recessionary {model.recessionary.alpha:7.3f} {model.recessionary.beta:9.
 print(f"stay probabilities: q_pp {model.q[0, 0]:.3f}, q_rr {model.q[1, 1]:.3f}")
 
 # the filter is causal: day t uses only days up to t, so this is what an
-# analyst tracking the firm in real time would have seen
-out = forward_filter(dev, model)
-mu_r = out.mu_r
+# analyst tracking the firm in real time would have seen; EM's last forward
+# pass is that filter under the fitted model
+mu_r = report.filter.mu_r
 
 # regime calls at the 0.5 line, reported as offset ranges
 calls = mu_r > 0.5

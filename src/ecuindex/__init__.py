@@ -6,13 +6,7 @@ and aggregates the filtered recession probabilities into
 consumption-weighted indexes.
 """
 
-from .ecu import (
-    EcuSeries,
-    FirmDayPanel,
-    SrpiSeries,
-    ecu_grouped,
-    srpi,
-)
+from .ecu import EcuSeries, FirmDayPanel, SrpiSeries, ecu_grouped, srpi
 from .hmm import (
     PROSPEROUS,
     RECESSIONARY,
@@ -22,31 +16,14 @@ from .hmm import (
     RegimeModel,
     RegimeParams,
     em_fit,
-    forward_filter,
     init_params,
-    label_regimes,
-    sample_path,
 )
-from .preprocess import (
-    AlignedPair,
-    CleanSeries,
-    DeviationSeries,
-    KwhPanel,
-    RawSeries,
-    align,
-    detect_outliers,
-    deviation,
-    interpolate,
-    preprocess_grid,
-    smooth,
-)
+from .preprocess import DeviationSeries, KwhPanel, preprocess_grid
 from .simgen import PanelConfig, SyntheticPanel, generate, truth_labels
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignedPair",
-    "CleanSeries",
     "DeviationSeries",
     "EcuSeries",
     "FilterDegeneracyError",
@@ -57,24 +34,15 @@ __all__ = [
     "PROSPEROUS",
     "PanelConfig",
     "RECESSIONARY",
-    "RawSeries",
     "RegimeModel",
     "RegimeParams",
     "SrpiSeries",
     "SyntheticPanel",
-    "align",
-    "detect_outliers",
-    "deviation",
     "ecu_grouped",
     "em_fit",
-    "forward_filter",
     "generate",
     "init_params",
-    "interpolate",
-    "label_regimes",
     "preprocess_grid",
-    "sample_path",
-    "smooth",
     "srpi",
     "truth_labels",
 ]

@@ -57,7 +57,7 @@ class RegimeModel:
     """Transition matrix, per-regime emission parameters, initial state probabilities.
 
     By convention index 0 is the prosperous regime and index 1 the
-    recessionary one once the model has been through ``label_regimes``.
+    recessionary one once ``em_fit`` has labeled the model.
     """
 
     q: np.ndarray
@@ -173,19 +173,6 @@ def _forward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0: np.ndarr
     return b, e0s, e1s, filtered, norms, c, float(np.log(c).sum() + shift.sum())
 
 
-def forward_filter(y, model: RegimeModel) -> FilterOutput:
-    """Causal forward recursion: filtered regime probabilities and the log-likelihood.
-
-    ``filtered[t]`` conditions on observations up to and including step t.
-    The log-likelihood accumulates the per-step normalizers.
-    """
-    yv = _as_observations(y)
-    t = np.arange(1, len(yv) + 1, dtype=float)
-    *_, filtered, _, _, loglik = _forward(yv, t, model.q, model.params, model.pi0,
-                                          getattr(y, "offsets", None))
-    return FilterOutput(filtered, loglik)
-
-
 def _backward(e0s: list, e1s: list, norms: list, q: np.ndarray) -> np.ndarray:
     """Scaled backward variables from the forward pass's density and normalizer lists."""
     (q00, q01), (q10, q11) = q.tolist()
@@ -275,19 +262,15 @@ def _m_step(yv, t, gamma, xi_sum, q: np.ndarray, params, floor: float):
     return np.array(rows), tuple(new_params), np.array([g0 / (g0 + g1), g1 / (g0 + g1)])
 
 
-def label_regimes(model: RegimeModel) -> tuple[RegimeModel, bool]:
+def _label(model: RegimeModel) -> tuple[RegimeModel, np.ndarray, bool]:
     """Order the states (prosperous, recessionary) and report indistinguishability.
 
     The state with the smaller trend intercept is recessionary; intercept
     ties break toward the larger sigma.  If both tie the regimes are
     indistinguishable: the order is kept and the degenerate flag raised.
+    Returns the relabeled model, the order applied (new state k is old state
+    ``order[k]``) and the flag.
     """
-    relabeled, _, degenerate = _label(model)
-    return relabeled, degenerate
-
-
-def _label(model: RegimeModel) -> tuple[RegimeModel, np.ndarray, bool]:
-    """``label_regimes`` plus the order it applied: new state k is old state ``order[k]``."""
     b = [p.beta for p in model.params]
     s = [p.sigma for p in model.params]
     degenerate = False
@@ -310,7 +293,8 @@ def em_fit(y, init: RegimeModel, tol: float = 1e-6, max_iter: int = 500) -> FitR
     Stops when the absolute log-likelihood change drops below ``tol``.
     The returned model is labeled; the trace ends with the log-likelihood
     of the returned model, and ``iterations`` counts M-step updates.
-    ``filter`` is the last E-step's forward pass in label order: ``forward_filter(y, model)``.
+    ``filter`` is the last E-step's forward pass in label order, the causal filter of ``y``
+    under the returned model (``forward_filter`` in ``tests/hmm_helpers.py`` reruns it).
     Sigma collapse is floored (see ``sigma_floor``) and, like regime
     indistinguishability, reported through the degenerate flag.  M-steps
     validate each new sigma; q and pi0 are validated once, at the end.
@@ -398,29 +382,3 @@ def random_init(y, rng: np.random.Generator) -> RegimeModel:
     p = float(rng.uniform(0.2, 0.8))
     return RegimeModel(q, (seed(), seed()), np.array([p, 1.0 - p]))
 
-
-def sample_path(model: RegimeModel, T: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate a state path and observations from the generative model.
-
-    Deterministic per seed.  Returns (states, observations); states use the
-    model's index convention.
-    """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random(T)
-    z = rng.standard_normal(T)
-
-    states = np.empty(T, dtype=int)
-    states[0] = 0 if u[0] < model.pi0[0] else 1
-    stay0, stay1 = model.q[0, 0], model.q[1, 1]
-    for t in range(1, T):
-        stay = stay0 if states[t - 1] == 0 else stay1
-        states[t] = states[t - 1] if u[t] < stay else 1 - states[t - 1]
-
-    t_idx = np.arange(1, T + 1, dtype=float)
-    alpha = np.array([p.alpha for p in model.params])
-    beta = np.array([p.beta for p in model.params])
-    sigma = np.array([p.sigma for p in model.params])
-    y = alpha[states] * t_idx + beta[states] + sigma[states] * z
-    return states, y

@@ -1,4 +1,4 @@
-"""Per-firm records: a panel as one ``RawSeries`` per firm, the shape the oracles keep.
+"""Per-firm records: a panel as one oracle ``RawSeries`` per firm, the shape the oracles keep.
 
 ``panel_of`` lays records out as the package's ``KwhPanel``, and ``records_of``
 reads a panel's rows back as records, so tests can build panels firm by firm
@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ecuindex.preprocess import DAY, KwhPanel, RawSeries
+from ecuindex.preprocess import DAY, KwhPanel
+from preprocess_oracle import RawSeries
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ from ecuindex.hmm import (
     RegimeModel,
     RegimeParams,
     _as_observations,
+    _label,
     _weighted_line,
     emission_logdensity,
-    label_regimes,
     sigma_floor,
 )
 
@@ -162,7 +162,7 @@ def em_fit(y, init: RegimeModel, tol: float = 1e-6, max_iter: int = 500) -> FitR
             raise RuntimeError("non-finite log-likelihood during EM")
         trace.append(final_ll)
 
-    labeled, indistinct = label_regimes(model)
+    labeled, _, indistinct = _label(model)
     floored = any(p.sigma <= floor * (1.0 + 1e-12) for p in labeled.params)
     return FitReport(
         model=labeled,

@@ -20,8 +20,8 @@ import numpy as np
 
 from ecuindex.ecu import EcuSeries, SrpiSeries
 from ecuindex.panelio import DAY, ECU_HEADER, PANEL_HEADER, SRPI_HEADER
-from ecuindex.preprocess import RawSeries
 from firm_records import FirmRecord
+from preprocess_oracle import RawSeries
 
 
 def _fmt(x) -> str:

@@ -23,14 +23,13 @@ from ecuindex.hmm import (
     RegimeModel,
     RegimeParams,
     em_fit,
-    forward_filter,
     init_params,
     random_init,
-    sample_path,
 )
 from ecuindex.pipeline import build_firmday_panel, fit_panel
 from ecuindex.sectors import DEFAULT_DISTRICT_MIX, DEFAULT_SECTOR_MIX, sector_level
 from ecuindex.simgen import PanelConfig, generate, truth_labels
+from hmm_helpers import forward_filter, sample_path
 
 SECTOR_CODES = list(DEFAULT_SECTOR_MIX)
 DISTRICT_CODES = list(DEFAULT_DISTRICT_MIX)

@@ -13,15 +13,14 @@ from ecuindex.hmm import (
     FilterOutput,
     RegimeModel,
     RegimeParams,
+    _label,
     em_fit,
     emission_logdensity,
-    forward_filter,
     init_params,
-    label_regimes,
     random_init,
-    sample_path,
 )
 from ecuindex.preprocess import DeviationSeries
+from hmm_helpers import forward_filter, sample_path
 from test_hmm_oracle import series_and_model
 
 # ---------------------------------------------------------------------------
@@ -390,7 +389,7 @@ def test_label_swaps_rows_and_columns():
     q = np.array([[0.9, 0.1], [0.3, 0.7]])
     # index 0 holds the smaller intercept, so labeling must swap
     m = RegimeModel(q, (RegimeParams(0.0, -5.0, 1.0), RegimeParams(0.0, 5.0, 1.0)), np.array([0.2, 0.8]))
-    labeled, degenerate = label_regimes(m)
+    labeled, _, degenerate = _label(m)
     assert not degenerate
     assert labeled.prosperous.beta == 5.0
     assert labeled.recessionary.beta == -5.0
@@ -401,7 +400,7 @@ def test_label_swaps_rows_and_columns():
 def test_label_noop_when_already_ordered():
     q = np.array([[0.9, 0.1], [0.3, 0.7]])
     m = RegimeModel(q, (RegimeParams(0.0, 5.0, 1.0), RegimeParams(0.0, -5.0, 1.0)), np.array([0.2, 0.8]))
-    labeled, degenerate = label_regimes(m)
+    labeled, _, degenerate = _label(m)
     assert not degenerate
     np.testing.assert_array_equal(labeled.q, q)
 
@@ -409,7 +408,7 @@ def test_label_noop_when_already_ordered():
 def test_label_intercept_tie_breaks_on_sigma():
     q = np.array([[0.9, 0.1], [0.3, 0.7]])
     m = RegimeModel(q, (RegimeParams(0.0, 1.0, 3.0), RegimeParams(0.0, 1.0, 1.0)), np.array([0.5, 0.5]))
-    labeled, degenerate = label_regimes(m)
+    labeled, _, degenerate = _label(m)
     assert not degenerate
     assert labeled.recessionary.sigma == 3.0
 
@@ -417,7 +416,7 @@ def test_label_intercept_tie_breaks_on_sigma():
 def test_label_full_tie_is_degenerate():
     q = np.array([[0.9, 0.1], [0.3, 0.7]])
     m = RegimeModel(q, (RegimeParams(0.0, 1.0, 1.0), RegimeParams(0.0, 1.0, 1.0)), np.array([0.5, 0.5]))
-    _, degenerate = label_regimes(m)
+    *_, degenerate = _label(m)
     assert degenerate
 
 

@@ -25,12 +25,11 @@ from ecuindex.hmm import (
     RegimeParams,
     _forward_backward,
     em_fit,
-    forward_filter,
     init_params,
     random_init,
-    sample_path,
 )
 from ecuindex.preprocess import DeviationSeries
+from hmm_helpers import forward_filter, sample_path
 from test_acceptance import TRUE_MODEL
 
 SHAPES = ("spike", "step", "flat", "ties", "noise")

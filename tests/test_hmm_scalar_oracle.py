@@ -12,8 +12,9 @@ import numpy as np
 from hypothesis import given, settings
 
 import hmm_scalar_oracle as oracle
-from ecuindex.hmm import em_fit, init_params, sample_path
+from ecuindex.hmm import em_fit, init_params
 from ecuindex.preprocess import DeviationSeries
+from hmm_helpers import sample_path
 from test_acceptance import TRUE_MODEL
 from test_hmm import fit_bits
 from test_hmm_oracle import series_and_model

@@ -30,9 +30,10 @@ from ecuindex.pipeline import (
     read_fit_outputs,
     write_fit_outputs,
 )
-from ecuindex.preprocess import DeviationSeries, KwhPanel, RawSeries
+from ecuindex.preprocess import DeviationSeries, KwhPanel
 from ecuindex.simgen import PanelConfig, generate
 from firm_records import FirmRecord, panel_of, records_of
+from preprocess_oracle import RawSeries
 
 
 def sample_records():

@@ -35,8 +35,8 @@ import panelio_oracle as oracle
 from ecuindex import panelio
 from ecuindex.ecu import EcuSeries, SrpiSeries
 from ecuindex.panelio import PANEL_HEADER
-from ecuindex.preprocess import RawSeries
 from firm_records import FirmRecord, panel_of, records_of
+from preprocess_oracle import RawSeries
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 COMMENTS = ["root_seed=7", "a, \"quoted\" note"]

@@ -11,7 +11,7 @@ import pytest
 from ecuindex import hmm, pipeline
 from ecuindex.cli import main
 from ecuindex.config import RunConfig, build_run_config
-from ecuindex.hmm import FilterDegeneracyError, forward_filter
+from ecuindex.hmm import FilterDegeneracyError
 from ecuindex.panelio import write_panel
 from ecuindex.pipeline import (
     _preprocess_panel,
@@ -22,10 +22,12 @@ from ecuindex.pipeline import (
     read_fit_outputs,
     reference_totals,
 )
-from ecuindex.preprocess import DeviationSeries, KwhPanel, RawSeries
+from ecuindex.preprocess import DeviationSeries, KwhPanel
 from ecuindex.sectors import DEFAULT_SECTOR_MIX
 from ecuindex.simgen import PanelConfig, generate
 from firm_records import FirmRecord, panel_of, records_of
+from hmm_helpers import forward_filter
+from preprocess_oracle import RawSeries
 
 
 def panel_records(n_firms=6, seed=11, **overrides):

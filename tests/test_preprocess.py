@@ -1,51 +1,50 @@
+"""Preprocessing: the panel type, each step of ``preprocess_grid`` seen on one grid row, and
+the steps of the per-series oracle whose intermediates (the outlier mask, the series types) no
+grid row shows."""
+
+import warnings
+
 import numpy as np
 import pytest
 
-from ecuindex.preprocess import (
-    AlignedPair,
-    CleanSeries,
-    KwhPanel,
-    RawSeries,
-    align,
-    detect_outliers,
-    deviation,
-    interpolate,
-    smooth,
-    trailing_mean,
-)
+from ecuindex.preprocess import KwhPanel, preprocess_grid, trailing_mean
+from preprocess_oracle import AlignedPair, RawSeries, detect_outliers
+
+DAY0 = np.datetime64("2019-01-01")
+UNFLAGGED = 1e300  # an outlier_k no reading strays beyond: rows are taken as clean
 
 
-def daily(start, n):
-    d0 = np.datetime64(start, "D")
-    return d0 + np.arange(n)
+def raw(values):
+    return RawSeries(DAY0 + np.arange(len(values)), values)
 
 
-def raw(values, start="2019-01-01"):
+def grid_row(values, ref, test, span, start=DAY0, outlier_k=UNFLAGGED, **settings):
+    """One firm's row through ``preprocess_grid``, its first day ``start``: (y, ele_test,
+    ele_ref), or the row's refusal raised as a ValueError."""
     values = np.asarray(values, dtype=float)
-    return RawSeries(daily(start, len(values)), values)
+    y, ele_test, ele_ref, (error,) = preprocess_grid(
+        values[None], [0], [len(values)], start, ref, test, span, outlier_k=outlier_k, **settings)
+    if error is not None:
+        raise ValueError(error)
+    return y[0], ele_test[0], ele_ref[0]
 
 
-def clean(values, start="2019-01-01"):
-    values = np.asarray(values, dtype=float)
-    return CleanSeries(daily(start, len(values)), values)
-
-
-def brute_outlier_mask(values, window_days=15, k=2.0):
-    """Independent oracle: plain-loop centered-window mean/std, excluding the candidate."""
-    values = np.asarray(values, dtype=float)
+def cleaned(values, **settings):
+    """The row after interpolation: its reference window covers every day but the last of an
+    even count, its test window every day but the first."""
     n = len(values)
-    half = window_days // 2
-    mask = np.zeros(n, dtype=bool)
-    for t in range(n):
-        if not np.isfinite(values[t]):
-            continue
-        nb = [values[j] for j in range(max(0, t - half), min(n, t + half + 1))
-              if j != t and np.isfinite(values[j])]
-        if len(nb) < 2:
-            continue
-        nb = np.array(nb)
-        mask[t] = abs(values[t] - nb.mean()) > k * nb.std(ddof=1)
-    return mask
+    span = (n - 1) // 2
+    _, ele_test, ele_ref = grid_row(values, DAY0 + span, DAY0 + n - 1 - span, span, **settings)
+    return np.r_[ele_ref, ele_test[2 * span + 1 - (n - 2 * span - 1):]]
+
+
+def smoothed(values, smooth_window=7):
+    """The smoothed row (an odd count of days): the deviation of a test window over it from a
+    reference window over zeros appended to it, where no smoothing window reaches back."""
+    n, span = len(values), len(values) // 2
+    row = np.r_[values, np.zeros(smooth_window - 1 + n)]
+    ref = DAY0 + n + smooth_window - 1 + span
+    return grid_row(row, ref, DAY0 + span, span, smooth_window=smooth_window)[0]
 
 
 class TestKwhPanel:
@@ -73,6 +72,157 @@ class TestKwhPanel:
     def test_refuses_an_inconsistent_panel(self, change, message):
         with pytest.raises(ValueError, match=message):
             self.panel(**change)
+
+
+class TestInterpolate:
+    def test_identity_without_gaps_or_flags(self):
+        s = np.arange(1.0, 31.0)
+        assert np.array_equal(cleaned(s), s)
+
+    def test_idempotent_on_clean_series(self):
+        holed = np.linspace(10, 40, 25)
+        holed[[0, 7, 8, 24]] = np.nan
+        once = cleaned(holed)
+        assert np.isfinite(once).all()
+        assert np.array_equal(cleaned(once), once)
+
+    def test_trailing_constant_mean(self):
+        values = [5.0] * 14 + [np.nan]
+        assert cleaned(values)[14] == 5.0
+
+    def test_leading_fallback_mean(self):
+        # no valid day before t=0: uses the leading 14 valid days after it
+        values = [np.nan] + list(range(1, 15))
+        assert cleaned(values)[0] == 7.5  # mean(1..14)
+
+    def test_trailing_uses_last_14_valid_days(self):
+        values = np.arange(1.0, 31.0)
+        values[29] = np.nan
+        assert cleaned(values)[29] == np.mean(np.arange(16.0, 30.0))  # days 15..28
+
+    def test_flagged_days_replaced_and_excluded_as_sources(self):
+        values = np.full(30, 10.0)
+        values[20] = 9999.0  # outlier detection flags it
+        values[21] = np.nan
+        out = cleaned(values, outlier_k=2.0)
+        assert out[20] == 10.0
+        assert out[21] == 10.0  # trailing window skips the flagged day
+
+    def test_all_invalid_errors(self):
+        with pytest.raises(ValueError, match="nothing to interpolate from"):
+            grid_row([np.nan, np.nan, np.nan], DAY0 + 1, DAY0 + 1, 1)
+
+
+class TestSmooth:
+    def test_constant_stays_constant(self):
+        assert np.allclose(smoothed([42.0] * 21), 42.0)
+
+    def test_trailing_window_value(self):
+        assert smoothed([0, 0, 0, 0, 0, 0, 7.0])[6] == 1.0
+
+    def test_linear_ramp_closed_form(self):
+        out = smoothed(np.arange(1.0, 22.0))
+        t = np.arange(7, 22)
+        assert np.array_equal(out[6:], t - 3.0)  # mean(t-6..t) = t-3
+
+    def test_warmup_uses_available_days(self):
+        out = smoothed(np.arange(1.0, 8.0))
+        assert np.array_equal(out[:3], [1.0, 1.5, 2.0])
+
+    def test_shift_equivariance(self):
+        rng = np.random.default_rng(3)
+        values = rng.uniform(50, 150, size=61)
+        assert np.allclose(smoothed(values + 1000.0), smoothed(values) + 1000.0, atol=1e-9)
+
+    def test_too_short_errors(self):
+        with pytest.raises(ValueError, match="shorter"):
+            grid_row([1.0, 2.0, 3.0], DAY0 + 1, DAY0 + 1, 1)
+
+
+class TestAlignAndDeviation:
+    def test_full_coverage_191_entries(self):
+        # reference window 2018-11-01..2019-05-10, test 2019-10-21..2020-04-28
+        y, ele_test, ele_ref = grid_row(np.arange(545.0) + 1.0, "2019-02-04", "2020-01-24", 95,
+                                        start="2018-11-01")
+        assert len(y) == len(ele_test) == len(ele_ref) == 191
+        assert ele_ref[0] == 1.0 and ele_test[-1] == 545.0  # 2018-11-01 and 2020-04-28
+
+    def test_missing_head_coverage_errors(self):
+        with pytest.raises(ValueError, match="2018-11-01"):  # one day late
+            grid_row(np.ones(400), "2019-02-04", "2019-02-04", 95, start="2018-11-02")
+
+    def test_span_zero_degenerate(self):
+        y, ele_test, ele_ref = grid_row(np.arange(10.0), "2019-01-05", "2019-01-06", 0)
+        assert len(y) == 1
+        assert ele_ref[0] == 4.0 and ele_test[0] == 5.0
+
+    def test_self_alignment_is_zero_deviation(self):
+        rng = np.random.default_rng(5)
+        y, _, _ = grid_row(rng.uniform(10, 20, size=61), "2019-01-31", "2019-01-31", 30)
+        assert np.array_equal(y, np.zeros(61))
+
+    def test_constant_shift_deviation(self):
+        # reference window 2019-01-01..01-21 at 100, test window 2019-01-22..02-11 at 110
+        values = np.concatenate([np.ones(21) * 100.0, np.ones(21) * 110.0])
+        y, _, _ = grid_row(values, "2019-01-11", "2019-02-01", 10, smooth_window=1)
+        assert np.allclose(y, 10.0)
+
+    def test_pointwise_difference(self):
+        # reference window 2019-01-01..01-03, test window 2019-01-04..01-06
+        y, _, _ = grid_row([90.0, 100.0, 105.0, 80.0, 60.0, 100.0], "2019-01-02", "2019-01-05",
+                           1, smooth_window=1)
+        assert np.array_equal(y, [-10.0, -40.0, -5.0])  # test minus reference
+
+    def test_deviation_length_matches_span(self):
+        for span in (0, 3, 20):
+            y, _, _ = grid_row(np.arange(41.0), "2019-01-21", "2019-01-21", span)
+            assert len(y) == 2 * span + 1
+
+    def test_aligned_pair_rejects_asymmetric_offsets(self):  # the oracle's type
+        with pytest.raises(ValueError, match="symmetric"):
+            AlignedPair(np.arange(-2, 1), np.zeros(3), np.zeros(3))
+
+
+def test_a_refused_inf_row_warns_nothing_and_leaves_its_neighbour_alone():
+    """An inf reading leaves no valid day in a one-day row; its window sums are inf - inf, which
+    numpy must not warn about, and the finite row beside it comes out as it does alone."""
+    finite = np.linspace(3.0, 9.0, 8)
+    grid = np.vstack([np.r_[np.inf, np.full(7, np.nan)], finite])
+    args = DAY0, DAY0 + 2, DAY0 + 5, 2, 15, 2.0, 14, 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        *both, errors = preprocess_grid(grid, [0, 0], [1, 8], *args)
+        *alone, alone_errors = preprocess_grid(finite[None], [0], [8], *args)
+    assert errors == ["nothing to interpolate from: series has no valid values", None]
+    assert alone_errors == [None]
+    for a, b in zip(both, alone):
+        assert a[1].tobytes() == b[0].tobytes()
+
+
+def test_trailing_mean_plain_array():
+    out = trailing_mean([2.0, 4.0, 6.0, 8.0], window=2)
+    assert np.array_equal(out, [2.0, 3.0, 5.0, 7.0])
+
+
+# the oracle's own steps: its series type and the outlier mask, which no grid row shows
+
+
+def brute_outlier_mask(values, window_days=15, k=2.0):
+    """Independent oracle: plain-loop centered-window mean/std, excluding the candidate."""
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    half = window_days // 2
+    mask = np.zeros(n, dtype=bool)
+    for t in range(n):
+        if not np.isfinite(values[t]):
+            continue
+        nb = [values[j] for j in range(max(0, t - half), min(n, t + half + 1))
+              if j != t and np.isfinite(values[j])]
+        if len(nb) < 2:
+            continue
+        nb = np.array(nb)
+        mask[t] = abs(values[t] - nb.mean()) > k * nb.std(ddof=1)
+    return mask
 
 
 class TestRawSeries:
@@ -143,134 +293,3 @@ class TestDetectOutliers:
     def test_even_window_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             detect_outliers(raw([1.0] * 20), window_days=14)
-
-
-class TestInterpolate:
-    def test_identity_without_gaps_or_flags(self):
-        s = raw(np.arange(1.0, 31.0))
-        out = interpolate(s, np.zeros(30, dtype=bool))
-        assert np.array_equal(out.values, s.values)
-        assert np.array_equal(out.dates, s.dates)
-
-    def test_idempotent_on_clean_series(self):
-        c = clean(np.linspace(10, 40, 25))
-        again = interpolate(c)
-        assert np.array_equal(again.values, c.values)
-
-    def test_trailing_constant_mean(self):
-        values = [5.0] * 14 + [np.nan]
-        out = interpolate(raw(values))
-        assert out.values[14] == 5.0
-
-    def test_leading_fallback_mean(self):
-        # no valid day before t=0: uses the leading 14 valid days after it
-        values = [np.nan] + list(range(1, 15))
-        out = interpolate(raw(values))
-        assert out.values[0] == 7.5  # mean(1..14)
-
-    def test_trailing_uses_last_14_valid_days(self):
-        values = np.arange(1.0, 31.0)
-        values[29] = np.nan
-        out = interpolate(raw(values))
-        assert out.values[29] == np.mean(np.arange(16.0, 30.0))  # days 15..28
-
-    def test_flagged_days_replaced_and_excluded_as_sources(self):
-        values = np.full(30, 10.0)
-        values[20] = 9999.0
-        mask = np.zeros(30, dtype=bool)
-        mask[20] = True
-        values[21] = np.nan
-        out = interpolate(raw(values), mask)
-        assert out.values[20] == 10.0
-        assert out.values[21] == 10.0  # trailing window skips the flagged day
-
-    def test_all_invalid_errors(self):
-        with pytest.raises(ValueError, match="nothing to interpolate from"):
-            interpolate(raw([np.nan, np.nan, np.nan]))
-
-
-class TestSmooth:
-    def test_constant_stays_constant(self):
-        out = smooth(clean([42.0] * 20))
-        assert np.allclose(out.values, 42.0)
-
-    def test_trailing_window_value(self):
-        out = smooth(clean([0, 0, 0, 0, 0, 0, 7.0]))
-        assert out.values[6] == 1.0
-
-    def test_linear_ramp_closed_form(self):
-        out = smooth(clean(np.arange(1.0, 21.0)))
-        t = np.arange(7, 21)
-        assert np.array_equal(out.values[6:], t - 3.0)  # mean(t-6..t) = t-3
-
-    def test_warmup_uses_available_days(self):
-        out = smooth(clean(np.arange(1.0, 8.0)))
-        assert np.array_equal(out.values[:3], [1.0, 1.5, 2.0])
-
-    def test_shift_equivariance(self):
-        rng = np.random.default_rng(3)
-        values = rng.uniform(50, 150, size=60)
-        base = smooth(clean(values)).values
-        shifted = smooth(clean(values + 1000.0)).values
-        assert np.allclose(shifted, base + 1000.0, atol=1e-9)
-
-    def test_too_short_errors(self):
-        with pytest.raises(ValueError, match="shorter"):
-            smooth(clean([1.0, 2.0, 3.0]))
-
-
-class TestAlignAndDeviation:
-    def test_full_coverage_191_entries(self):
-        # reference window 2018-11-01..2019-05-10, test 2019-10-21..2020-04-28
-        s = clean(np.arange(545.0) + 1.0, start="2018-11-01")
-        pair = align(s, np.datetime64("2019-02-04"), np.datetime64("2020-01-24"))
-        assert len(pair.offsets) == 191
-        assert pair.offsets[0] == -95 and pair.offsets[-1] == 95
-        assert pair.span == 95
-
-    def test_missing_head_coverage_errors(self):
-        s = clean(np.ones(400), start="2018-11-02")  # one day late
-        with pytest.raises(ValueError, match="2018-11-01"):
-            align(s, np.datetime64("2019-02-04"), np.datetime64("2019-02-04"))
-
-    def test_span_zero_degenerate(self):
-        s = clean(np.arange(10.0), start="2019-01-01")
-        pair = align(s, np.datetime64("2019-01-05"), np.datetime64("2019-01-06"), span=0)
-        assert np.array_equal(pair.offsets, [0])
-        assert pair.reference[0] == 4.0 and pair.test[0] == 5.0
-
-    def test_self_alignment_is_zero_deviation(self):
-        rng = np.random.default_rng(5)
-        s = clean(rng.uniform(10, 20, size=61), start="2019-01-01")
-        base = np.datetime64("2019-01-31")
-        dev = deviation(align(s, base, base, span=30))
-        assert np.array_equal(dev.y, np.zeros(61))
-
-    def test_constant_shift_deviation(self):
-        # reference window 2019-01-01..01-21 at 100, test window 2019-01-22..02-11 at 110
-        s = clean(np.concatenate([np.ones(21) * 100.0, np.ones(21) * 110.0]))
-        dev = deviation(align(s, np.datetime64("2019-01-11"), np.datetime64("2019-02-01"),
-                              span=10))
-        assert np.allclose(dev.y, 10.0)
-
-    def test_pointwise_difference(self):
-        # reference window 2019-01-01..01-03, test window 2019-01-04..01-06
-        s = clean([90.0, 100.0, 105.0, 80.0, 60.0, 100.0])
-        dev = deviation(align(s, np.datetime64("2019-01-02"), np.datetime64("2019-01-05"),
-                              span=1))
-        assert np.array_equal(dev.y, [-10.0, -40.0, -5.0])  # test minus reference
-
-    def test_deviation_length_matches_span(self):
-        s = clean(np.arange(41.0))
-        for span in (0, 3, 20):
-            pair = align(s, np.datetime64("2019-01-21"), np.datetime64("2019-01-21"), span=span)
-            assert len(deviation(pair)) == 2 * span + 1
-
-    def test_aligned_pair_rejects_asymmetric_offsets(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            AlignedPair(np.arange(-2, 1), np.zeros(3), np.zeros(3))
-
-
-def test_trailing_mean_plain_array():
-    out = trailing_mean([2.0, 4.0, 6.0, 8.0], window=2)
-    assert np.array_equal(out, [2.0, 3.0, 5.0, 7.0])

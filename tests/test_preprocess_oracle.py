@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 import preprocess_oracle as oracle
 from ecuindex import pipeline
 from ecuindex.config import RunConfig
-from ecuindex.preprocess import RawSeries, preprocess_grid
+from ecuindex.preprocess import preprocess_grid
 from ecuindex.simgen import PanelConfig, generate
 from firm_records import FirmRecord, panel_of, records_of
+from preprocess_oracle import RawSeries
 
 DAY0 = np.datetime64("2019-01-01")
 FEATURES = ("nan_run", "leading_gap", "edge_spikes", "spikes", "all_nan", "constant",

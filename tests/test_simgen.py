@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ecuindex.config import build_panel_config
-from ecuindex.preprocess import align, detect_outliers, deviation, interpolate, smooth
+from ecuindex.preprocess import preprocess_grid
 from ecuindex.sectors import DEFAULT_SECTOR_MIX, sector_level
 from ecuindex.simgen import (
     PanelConfig,
@@ -308,11 +308,8 @@ def test_null_panel_produces_zero_deviation_series():
         holiday_ref="2019-02-04", holiday_ref_days=10, holiday_test="2020-01-24",
         holiday_test_days=10,
     )
-    panel = generate(cfg)
-    for rec in records_of(panel.panel):
-        raw = rec.series
-        clean = interpolate(raw, detect_outliers(raw))
-        sm = smooth(clean)
-        pair = align(sm, np.datetime64(cfg.ref_base), np.datetime64(cfg.test_base), cfg.span)
-        dev = deviation(pair)
-        np.testing.assert_allclose(dev.y, 0.0, atol=1e-8)
+    p = generate(cfg).panel
+    y, _, _, errors = preprocess_grid(p.kwh, p.lo, p.hi, p.day0, cfg.ref_base, cfg.test_base,
+                                      cfg.span)
+    assert errors == [None] * cfg.n_firms
+    np.testing.assert_allclose(y, 0.0, atol=1e-8)
