@@ -232,13 +232,16 @@ def read_panel(path) -> KwhPanel:
         width = kwh.shape[1]
         day0 = day0 if width else int(cols.min())
         start, stop = min(int(cols.min()), day0), max(int(cols.max()) + 1, day0 + width)
-        if len(index) > len(kwh) or stop - start > width:  # an overflowed axis at least doubles
-            n = len(kwh) if len(index) <= len(kwh) else max(len(index), 2 * len(kwh))
-            width = width if stop - start <= width else max(stop - start, 2 * width)
+        if len(index) > len(kwh):  # an overflowed axis at least doubles; rows grow in place
+            n, old = max(len(index), 2 * len(kwh)), len(kwh)
+            kwh.resize((n, width), refcheck=False)  # no views: the grid is never held twice
+            seen.resize((n, width), refcheck=False)  # new cells False
+            kwh[old:], counts = np.nan, np.pad(counts, (0, n - old))
+        if stop - start > width:
+            width = max(stop - start, 2 * width)
             shift = day0 - (stop - width if start < day0 else start)  # slack where it grew
-            pad = (0, n - len(kwh)), (shift, width - shift - kwh.shape[1])
+            pad = (0, 0), (shift, width - shift - kwh.shape[1])
             kwh, seen = np.pad(kwh, pad, constant_values=np.nan), np.pad(seen, pad)
-            counts = np.pad(counts, pad[0])
             day0 -= shift
         cols -= day0
         kwh[rows, cols], seen[rows, cols] = values, True

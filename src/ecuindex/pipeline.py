@@ -1,13 +1,13 @@
 """Panel orchestration: a kWh panel in, fitted models and index inputs out.
 
-``fit_panel`` preprocesses the rows of a ``KwhPanel``'s firm x day grid
-``PREPROCESS_BLOCK`` at a time (``preprocess_grid``), then fits each firm's
-deviation row by EM, whose last forward pass is the firm's causal filter,
-and carries along the cleaned consumption that the index stage needs for
-weighting.  The EM step fans out across processes, one job per firm's rows.
-A firm's results depend only on its own row and the run settings, not on
-the other firms in its block nor on the worker count.  The fit's product,
-in memory and on disk, is one ``FitOutputs``.
+``fit_panel`` cuts a ``KwhPanel``'s firm x day grid into blocks of at most
+``PREPROCESS_BLOCK`` rows and maps one job over them, serially or in a process
+pool: ``_fit_block`` preprocesses its rows on one grid (``preprocess_grid``),
+fits each firm's deviation row by EM, whose last forward pass is the firm's
+causal filter, and carries along the cleaned consumption that the index stage
+needs for weighting.  A firm's results depend only on its own row and the run
+settings, not on the other firms in its block, the block size nor the worker
+count.  The fit's product, in memory and on disk, is one ``FitOutputs``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -46,40 +47,7 @@ class FirmFitResult:
 
 
 FIRMDAY_LAYERS = ("y", "mu_p", "mu_r", "ele_test", "ele_ref")  # firmdays.npy, axis 0
-PREPROCESS_BLOCK = 16  # firms on one preprocessing grid: bounds its memory, not its results
-
-
-def _preprocess_panel(panel: KwhPanel, cfg: RunConfig):
-    """``preprocess_grid`` on ``PREPROCESS_BLOCK`` rows of the panel at a time: (y, ele_test,
-    ele_ref, errors), the three as C-ordered (firms, T) arrays."""
-    out, errors = np.empty((3, len(panel), 2 * cfg.span + 1)), []
-    for at in range(0, len(panel), PREPROCESS_BLOCK):
-        rows = slice(at, at + PREPROCESS_BLOCK)
-        *layers, block_errors = preprocess_grid(
-            panel.kwh[rows], panel.lo[rows], panel.hi[rows], panel.day0, cfg.ref_base,
-            cfg.test_base, cfg.span, cfg.outlier_window, cfg.outlier_k, cfg.interp_window,
-            cfg.smooth_window)
-        out[:, rows] = layers
-        errors += block_errors
-    return *out, errors
-
-
-def fit_deviation(dev: DeviationSeries, cfg: RunConfig, firm_id: str) -> FitReport:
-    """EM fit from the deterministic init, optionally racing extra random starts.
-
-    With ``multi_start`` > 0 that many random inits, drawn from the firm's
-    stream 3, are fitted too and the highest final log-likelihood wins; the
-    deterministic init wins ties, so multi_start=0 output is reproduced
-    whenever it is already the best.
-    """
-    best = em_fit(dev, init_params(dev), tol=cfg.em_tol, max_iter=cfg.em_max_iter)
-    if cfg.multi_start > 0:
-        rng = firm_rng(cfg.seed, firm_id, 3)
-        for _ in range(cfg.multi_start):
-            cand = em_fit(dev, random_init(dev, rng), tol=cfg.em_tol, max_iter=cfg.em_max_iter)
-            if cand.loglik_trace[-1] > best.loglik_trace[-1]:
-                best = cand
-    return best
+PREPROCESS_BLOCK = 16  # most firms in one job's grid: bounds its memory, not its results
 
 
 def _economically_flat(dev: DeviationSeries, ele_test: np.ndarray) -> bool:
@@ -95,52 +63,64 @@ def _economically_flat(dev: DeviationSeries, ele_test: np.ndarray) -> bool:
     return float(np.abs(dev.y).max()) <= 1e-8 * (1.0 + scale)
 
 
-def _fit_row(args) -> FitReport | Exception:
-    """One firm's EM step on its rows, a flat firm's fit marked degenerate; or its failure."""
-    firm_id, dev, ele_test, cfg = args
-    try:
-        report = fit_deviation(dev, cfg, firm_id)
-    except (ValueError, RuntimeError) as exc:  # RuntimeError: FilterDegeneracyError, EM failure
-        return exc
-    if not report.degenerate and _economically_flat(dev, ele_test):
-        report = replace(report, degenerate=True)
-    return report
+def _fit_block(block: KwhPanel, cfg: RunConfig) -> list[FirmFitResult | tuple[str, str]]:
+    """Preprocess a block of the panel's rows on one grid and fit each row it keeps by EM;
+    per row, in row order, its result or (firm id, why it is skipped).
+
+    EM starts from the deterministic init and from ``multi_start`` random inits drawn from the
+    firm's stream 3; the highest final log-likelihood wins, the deterministic init on ties, so
+    multi_start=0 output is reproduced whenever it is already the best.  A flat firm's fit is
+    marked degenerate.
+    """
+    y, ele_test, ele_ref, errors = preprocess_grid(
+        block.kwh, block.lo, block.hi, block.day0, cfg.ref_base, cfg.test_base, cfg.span,
+        cfg.outlier_window, cfg.outlier_k, cfg.interp_window, cfg.smooth_window)
+    offsets = np.arange(-cfg.span, cfg.span + 1)
+    out = []
+    for k, (firm_id, error) in enumerate(zip(block.firm_ids, errors)):
+        if error is not None:
+            out.append((firm_id, error))
+            continue
+        dev = DeviationSeries(offsets, y[k])
+        rng = firm_rng(cfg.seed, firm_id, 3) if cfg.multi_start > 0 else None
+        inits = chain([init_params(dev)], (random_init(dev, rng) for _ in range(cfg.multi_start)))
+        try:  # max keeps the first of equal fits
+            report = max((em_fit(dev, init, tol=cfg.em_tol, max_iter=cfg.em_max_iter)
+                          for init in inits), key=lambda fit: fit.loglik_trace[-1])
+        except (ValueError, RuntimeError) as exc:  # RuntimeError: FilterDegeneracyError, EM failure
+            out.append((firm_id, str(exc)))
+            continue
+        if not report.degenerate and _economically_flat(dev, ele_test[k]):
+            report = replace(report, degenerate=True)
+        out.append(FirmFitResult(firm_id, block.sector_codes[k], block.district_codes[k], dev,
+                                 report, ele_test[k], ele_ref[k]))
+    return out
 
 
 def fit_panel(panel: KwhPanel, cfg: RunConfig,
               workers: int | None = None) -> tuple[list[FirmFitResult], list[tuple[str, str]]]:
-    """Fit every firm; returns (results sorted by firm id, skipped (id, reason)).
+    """Fit every firm; returns (results sorted by firm id, skipped (id, reason) sorted by id).
 
-    Firms are preprocessed ``PREPROCESS_BLOCK`` rows of the panel's grid at a
-    time, into one (firms, T) array per output; EM then fits each row on its
-    own.  A firm whose series cannot cover the windows or whose fit fails
-    numerically is skipped with a diagnostic instead of failing the run.
-    ``workers`` defaults to ``cfg.workers``; the pool starts at most one
-    process per fitted firm and per usable CPU, and its jobs carry rows.
+    One job, ``_fit_block``, preprocesses and fits a block of at most ``PREPROCESS_BLOCK``
+    rows of the panel's grid, smaller when that gives every worker a job.  A firm whose
+    series cannot cover the windows or whose fit fails numerically is skipped with a
+    diagnostic instead of failing the run.  ``workers`` defaults to ``cfg.workers``; the
+    pool starts at most one process per firm, per usable CPU and per job.
     """
-    y, ele_test, ele_ref, errors = _preprocess_panel(panel, cfg)
-    offsets = np.arange(-cfg.span, cfg.span + 1)
-    rows = [k for k, error in enumerate(errors) if error is None]
-    jobs = [(panel.firm_ids[k], DeviationSeries(offsets, y[k]), ele_test[k], cfg) for k in rows]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cfg.workers if workers is None else workers, len(jobs), cpus or 1)
+    workers = max(1, min(cfg.workers if workers is None else workers, len(panel), cpus or 1))
+    size = max(1, min(PREPROCESS_BLOCK, -(-len(panel) // workers)))
+    blocks = [panel[at:at + size] for at in range(0, len(panel), size)]
+    workers = min(workers, len(blocks))
     if workers <= 1:
-        outcomes = map(_fit_row, jobs)
+        outcomes = map(_fit_block, blocks, repeat(cfg))
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for the import
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_fit_row, jobs, chunksize=max(1, len(jobs) // (workers * 4))))
-    results = []
-    skipped = [(firm_id, error) for firm_id, error in zip(panel.firm_ids, errors)
-               if error is not None]
-    for k, (firm_id, dev, _, _), outcome in zip(rows, jobs, outcomes):
-        if isinstance(outcome, Exception):
-            skipped.append((firm_id, str(outcome)))
-        else:
-            results.append(FirmFitResult(firm_id, panel.sector_codes[k], panel.district_codes[k],
-                                         dev, outcome, ele_test[k], ele_ref[k]))
-    skipped.sort()
-    return results, skipped
+            outcomes = list(pool.map(_fit_block, blocks, repeat(cfg)))
+    outcomes = [outcome for block in outcomes for outcome in block]
+    return ([o for o in outcomes if isinstance(o, FirmFitResult)],
+            [o for o in outcomes if not isinstance(o, FirmFitResult)])
 
 
 @dataclass(frozen=True)

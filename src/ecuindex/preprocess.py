@@ -49,6 +49,11 @@ class KwhPanel:
     def __len__(self):
         return len(self.firm_ids)
 
+    def __getitem__(self, rows: slice) -> KwhPanel:
+        """The panel of a slice of the rows, its grid a view of this one's."""
+        return KwhPanel(self.firm_ids[rows], self.sector_codes[rows], self.district_codes[rows],
+                        self.day0, self.lo[rows], self.hi[rows], self.kwh[rows])
+
 
 def firm_rng(seed: int, firm_id: str, *stream: int) -> np.random.Generator:
     """One firm's random stream, keyed by the root seed, the stream tags and a hash

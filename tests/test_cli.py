@@ -524,7 +524,7 @@ def test_fit_peak_memory_is_a_small_multiple_of_the_array(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     size = (tmp_path / "firmdays.npy").stat().st_size
-    assert peak < 4 * size, peak / size
+    assert peak < 3.5 * size, peak / size
 
 
 def test_index_group_by_none(tmp_path, capsys):

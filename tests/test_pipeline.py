@@ -1,6 +1,7 @@
 """Tests for the panel-level fit driver and its per-firm pieces."""
 
 import concurrent.futures
+import itertools
 import math
 import os
 from dataclasses import replace
@@ -14,15 +15,13 @@ from ecuindex.config import RunConfig, build_run_config
 from ecuindex.hmm import FilterDegeneracyError
 from ecuindex.panelio import write_panel
 from ecuindex.pipeline import (
-    _preprocess_panel,
     build_firmday_panel,
-    fit_deviation,
     fit_outputs,
     fit_panel,
     read_fit_outputs,
     reference_totals,
 )
-from ecuindex.preprocess import DeviationSeries, KwhPanel
+from ecuindex.preprocess import DeviationSeries, KwhPanel, preprocess_grid
 from ecuindex.sectors import DEFAULT_SECTOR_MIX
 from ecuindex.simgen import PanelConfig, generate
 from firm_records import FirmRecord, panel_of, records_of
@@ -54,8 +53,11 @@ def constant_record(firm_id="FLAT1", level=300.0):
 
 def preprocess_firm(record, cfg):
     """The record's deviation series and unsmoothed (ele_test, ele_ref) windows, preprocessed
-    alone as the fit preprocesses it; raises the fit's reason for refusing it."""
-    y, ele_test, ele_ref, (error,) = _preprocess_panel(panel_of([record]), cfg)
+    alone on a one-row grid; raises the fit's reason for refusing it."""
+    panel = panel_of([record])
+    y, ele_test, ele_ref, (error,) = preprocess_grid(
+        panel.kwh, panel.lo, panel.hi, panel.day0, cfg.ref_base, cfg.test_base, cfg.span,
+        cfg.outlier_window, cfg.outlier_k, cfg.interp_window, cfg.smooth_window)
     if error is not None:
         raise ValueError(error)
     return DeviationSeries(np.arange(-cfg.span, cfg.span + 1), y[0]), ele_test[0], ele_ref[0]
@@ -122,11 +124,12 @@ def test_fit_panel_worker_count_is_invisible(records, run_cfg, multi_start):
 
 
 def record_pools(monkeypatch, cpus):
-    """Stand a recorder in for the process pool on ``cpus`` usable CPUs; returns its sizes."""
-    pools = []
+    """Stand a recorder in for the process pool on ``cpus`` usable CPUs; returns the sizes of
+    the pools started and the firm count of each job they were given."""
+    pools, jobs = [], []
 
     class Recorder:
-        """Stands in for the process pool: records its size and fits in this process."""
+        """Stands in for the process pool: records its size and jobs and fits in this process."""
 
         def __init__(self, max_workers):
             pools.append(max_workers)
@@ -137,22 +140,28 @@ def record_pools(monkeypatch, cpus):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+        def map(self, fn, *iterables):
+            args = list(zip(*iterables))
+            jobs.extend(len(block) for block, *_ in args)
+            return itertools.starmap(fn, args)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    return pools
+    return pools, jobs
 
 
-@pytest.mark.parametrize("cpus,firms,started", [(64, 3, 3), (2, 6, 2), (1, 6, None)])
-def test_fit_panel_pool_is_capped_by_firms_and_cpus(records, run_cfg, monkeypatch, cpus, firms,
-                                                    started):
-    """``workers=500`` starts one process per firm and per usable CPU at most, or no pool."""
-    pools = record_pools(monkeypatch, cpus)
-    results, _ = fit_panel(panel_of(records[:firms]), run_cfg, workers=500)
+@pytest.mark.parametrize("cpus,firms,started", [(64, 3, 3), (2, 6, 2), (1, 6, None), (2, 40, 2)])
+def test_fit_panel_pool_is_capped_by_firms_and_cpus(run_cfg, monkeypatch, cpus, firms, started):
+    """``workers=500`` starts at most one process per firm, per usable CPU and per job, or no
+    pool; no job holds more than ``PREPROCESS_BLOCK`` firms."""
+    panel = panel_of(panel_records(n_firms=firms))
+    pools, jobs = record_pools(monkeypatch, cpus)
+    results, _ = fit_panel(panel, run_cfg, workers=500)
     assert pools == ([] if started is None else [started])
-    serial, _ = fit_panel(panel_of(records[:firms]), run_cfg, workers=1)
+    if started is not None:
+        assert sum(jobs) == firms and max(jobs) <= pipeline.PREPROCESS_BLOCK
+        assert started <= len(jobs)
+    serial, _ = fit_panel(panel, run_cfg, workers=1)
     def fits(rs):
         return [(r.firm_id, r.report.model.params, r.report.loglik_trace.tolist()) for r in rs]
 
@@ -160,9 +169,25 @@ def test_fit_panel_pool_is_capped_by_firms_and_cpus(records, run_cfg, monkeypatc
 
 
 def test_fit_panel_workers_default_to_the_config(records, monkeypatch):
-    pools = record_pools(monkeypatch, cpus=2)
+    pools, _ = record_pools(monkeypatch, cpus=2)
     fit_panel(panel_of(records[:2]), build_run_config({"workers": "2"}))
     assert pools == [2]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fit_panel_of_no_firms_fits_nothing_and_starts_no_pool(run_cfg, monkeypatch, workers):
+    pools, _ = record_pools(monkeypatch, cpus=2)
+    empty = KwhPanel([], [], [], np.datetime64("2019-01-01"), np.zeros(0, np.intp),
+                     np.zeros(0, np.intp), np.empty((0, 0)))
+    assert fit_panel(empty, run_cfg, workers=workers) == ([], [])
+    assert pools == []
+
+
+def test_fit_of_a_header_only_panel_fails_cleanly(tmp_path, capsys):
+    (tmp_path / "panel.csv").write_text("firm_id,date,kwh,sector_code,district_code\r\n")
+    assert main(["fit", "--out", str(tmp_path)]) == 1
+    assert "no firm could be fitted (0 skipped)" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["panel.csv"]
 
 
 def test_fit_panel_skips_uncovered_firm(records, run_cfg):
@@ -293,12 +318,18 @@ def test_filter_rerun_from_read_back_models_reproduces_firmdays(tmp_path):
         assert out.mu_r.tobytes() == mu_r[k].tobytes(), firm_id
 
 
+def fit_alone(record, cfg):
+    """The record's fit report, from fitting a one-firm panel."""
+    (result,), skipped = fit_panel(panel_of([record]), cfg)
+    assert skipped == []
+    return result.report
+
+
 def test_multi_start_is_deterministic_and_no_worse(records, run_cfg):
-    dev = preprocess_firm(records[0], run_cfg)[0]
-    single = fit_deviation(dev, run_cfg, records[0].firm_id)
+    single = fit_alone(records[0], run_cfg)
     cfg_ms = RunConfig(multi_start=3, seed=run_cfg.seed)
-    a = fit_deviation(dev, cfg_ms, records[0].firm_id)
-    b = fit_deviation(dev, cfg_ms, records[0].firm_id)
+    a = fit_alone(records[0], cfg_ms)
+    b = fit_alone(records[0], cfg_ms)
     assert a.model.params == b.model.params
     assert a.loglik_trace[-1] >= single.loglik_trace[-1] - 1e-9
 
@@ -306,8 +337,7 @@ def test_multi_start_is_deterministic_and_no_worse(records, run_cfg):
 def test_fit_deviation_prefers_deterministic_init_on_ties(records, run_cfg):
     # a clean series converges to the same optimum from every start, so the
     # deterministic init must win and multi_start output must match single
-    dev = preprocess_firm(records[0], run_cfg)[0]
-    single = fit_deviation(dev, run_cfg, records[0].firm_id)
-    multi = fit_deviation(dev, RunConfig(multi_start=2, seed=0), records[0].firm_id)
+    single = fit_alone(records[0], run_cfg)
+    multi = fit_alone(records[0], RunConfig(multi_start=2, seed=0))
     if multi.loglik_trace[-1] <= single.loglik_trace[-1] + 1e-9:
         assert multi.model.params == single.model.params

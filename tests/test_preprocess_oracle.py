@@ -96,9 +96,20 @@ def panels(draw):
     return cfg, records, [records[k] for k in order], draw(st.integers(1, 5))
 
 
+def grid_blocks(panel, cfg, block):
+    """``preprocess_grid`` over ``block`` rows of the panel at a time, as the fit's jobs call it:
+    the (y, ele_test, ele_ref) rows and messages of all of them."""
+    parts = [preprocess_grid(b.kwh, b.lo, b.hi, b.day0, cfg.ref_base, cfg.test_base, cfg.span,
+                             cfg.outlier_window, cfg.outlier_k, cfg.interp_window,
+                             cfg.smooth_window)
+             for b in (panel[at:at + block] for at in range(0, len(panel), block))]
+    *layers, errors = zip(*parts)
+    return *(np.concatenate(layer) for layer in layers), [e for part in errors for e in part]
+
+
 def pipeline_rows(record, cfg):
-    """The fit's (y, ele_test, ele_ref) of ``record`` preprocessed alone, or its message."""
-    y, ele_test, ele_ref, (error,) = pipeline._preprocess_panel(panel_of([record]), cfg)
+    """The grid's (y, ele_test, ele_ref) of ``record`` preprocessed alone, or its message."""
+    y, ele_test, ele_ref, (error,) = grid_blocks(panel_of([record]), cfg, 1)
     return error if error is not None else (y[0], ele_test[0], ele_ref[0])
 
 
@@ -113,8 +124,7 @@ def test_grid_matches_oracle_alone_and_in_any_block(case):
     # ids prefixed by position keep the permuted order on the panel's rows
     panel = panel_of([replace(rec, firm_id=f"{k:02d}{rec.firm_id}")
                       for k, rec in enumerate(permuted)])
-    with mock.patch.object(pipeline, "PREPROCESS_BLOCK", block):
-        y, ele_test, ele_ref, errors = pipeline._preprocess_panel(panel, cfg)
+    y, ele_test, ele_ref, errors = grid_blocks(panel, cfg, block)
     for k, rec in enumerate(permuted):
         got = errors[k] if errors[k] is not None else (y[k], ele_test[k], ele_ref[k])
         assert_rows_match(got, want[rec.firm_id], rec.firm_id)
@@ -149,9 +159,8 @@ def test_signed_zeros_from_a_firm_first_day_match_the_oracle():
     assert np.signbit(want[0]).tolist() == [True] * 3 + [False] * 4
     assert_rows_match(pipeline_rows(record, cfg), want, "F")
     for block in (1, 3):
-        with mock.patch.object(pipeline, "PREPROCESS_BLOCK", block):
-            y, ele_test, ele_ref, _ = pipeline._preprocess_panel(
-                panel_of([make_firm("E", 0, 30, 5.0, (), 0), record]), cfg)
+        y, ele_test, ele_ref, _ = grid_blocks(
+            panel_of([make_firm("E", 0, 30, 5.0, (), 0), record]), cfg, block)
         assert_rows_match((y[1], ele_test[1], ele_ref[1]), want, "F")
 
 
@@ -228,18 +237,30 @@ def test_fit_panel_skips_what_the_oracle_refuses(mixed):
         assert_rows_match((r.deviation.y, r.ele_test, r.ele_ref), want[r.firm_id], r.firm_id)
 
 
-def test_fit_panel_workers_agree_on_a_mixed_panel(mixed):
+def fit_fields(result):
+    """Every field of a fit result, arrays as their bytes."""
+    report = result.report
+    return (result.firm_id, result.sector_code, result.district_code, report.model.params,
+            report.iterations, report.converged, report.degenerate, report.filter.loglik,
+            *map(bits, (report.model.q, report.model.pi0, report.loglik_trace,
+                        report.filter.filtered, result.deviation.offsets, result.deviation.y,
+                        result.ele_test, result.ele_ref)))
+
+
+@pytest.fixture(scope="module")
+def mixed_fit(mixed):
     records, cfg = mixed
-    serial, serial_skipped = pipeline.fit_panel(panel_of(records), cfg, workers=1)
-    parallel, parallel_skipped = pipeline.fit_panel(panel_of(records), cfg, workers=2)
-    assert serial_skipped == parallel_skipped
-    assert [r.firm_id for r in serial] == [r.firm_id for r in parallel]
-    for a, b in zip(serial, parallel):
-        assert a.report.model.params == b.report.model.params
-        assert (a.report.iterations, a.report.converged, a.report.degenerate) == \
-            (b.report.iterations, b.report.converged, b.report.degenerate)
-        for x, y in ((a.report.model.q, b.report.model.q), (a.report.model.pi0, b.report.model.pi0),
-                     (a.report.loglik_trace, b.report.loglik_trace),
-                     (a.filtered.filtered, b.filtered.filtered), (a.deviation.y, b.deviation.y),
-                     (a.ele_test, b.ele_test), (a.ele_ref, b.ele_ref)):
-            assert bits(x) == bits(y), a.firm_id
+    return pipeline.fit_panel(panel_of(records), cfg, workers=1)
+
+
+@pytest.mark.parametrize("block", [1, 3, 16])
+def test_fit_panel_blocks_and_workers_agree_on_a_mixed_panel(mixed, mixed_fit, block):
+    """At any block size and worker count, each firm's fit and each skip are the workers=1 ones
+    at the default block size, bit for bit."""
+    records, cfg = mixed
+    serial, serial_skipped = mixed_fit
+    for workers in (1, 2):
+        with mock.patch.object(pipeline, "PREPROCESS_BLOCK", block):
+            results, skipped = pipeline.fit_panel(panel_of(records), cfg, workers=workers)
+        assert skipped == serial_skipped
+        assert list(map(fit_fields, results)) == list(map(fit_fields, serial))
