@@ -12,6 +12,7 @@ matplotlib is importable.
 import numpy as np
 
 from ecuindex import PanelConfig, generate, preprocess_grid
+from ecuindex.config import RunConfig
 
 cfg = PanelConfig(
     n_firms=1,
@@ -29,10 +30,10 @@ print(f"firm {firm_id}: {hi - lo} days of readings, {int(np.isnan(readings).sum(
 print(f"  level around {np.nanmedian(readings):.0f} kWh/day")
 
 # the row's deviation and its cleaned but unsmoothed kWh on the two 191-day
-# windows, each centered on its New Year's Eve base point; the defaults are
-# a 15-day outlier window at k = 2, 14-day interpolation and 7-day smoothing
-(y,), (ele_test,), (ele_ref,), (error,) = preprocess_grid(
-    panel.kwh[:1], panel.lo[:1], panel.hi[:1], panel.day0, cfg.ref_base, cfg.test_base, cfg.span)
+# windows, each centered on its New Year's Eve base point; the fit's default
+# settings are a 15-day outlier window at k = 2, 14-day interpolation and
+# 7-day smoothing
+(y,), (ele_test,), (ele_ref,), (error,) = preprocess_grid(panel, RunConfig())
 assert error is None, error
 offsets = np.arange(-cfg.span, cfg.span + 1)
 

@@ -16,7 +16,7 @@ from ecuindex import (
     init_params,
     preprocess_grid,
 )
-from ecuindex.config import build_run_config
+from ecuindex.config import RunConfig
 
 cfg = PanelConfig(n_firms=1, seed=3, noise_frac=0.05,
                   shock_start=10, shock_half_life=12.0)
@@ -26,9 +26,8 @@ firm_id = panel.firm_ids[0]
 truth = synthetic.truth[firm_id]
 
 # the fit's preprocessing of the panel's grid rows, with the default settings
-run_cfg = build_run_config({})
-y, _, _, (error,) = preprocess_grid(panel.kwh, panel.lo, panel.hi, panel.day0,
-                                    run_cfg.ref_base, run_cfg.test_base, run_cfg.span)
+run_cfg = RunConfig()
+y, _, _, (error,) = preprocess_grid(panel, run_cfg)
 assert error is None, error
 dev = DeviationSeries(np.arange(-run_cfg.span, run_cfg.span + 1), y[0])
 

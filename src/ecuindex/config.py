@@ -7,8 +7,9 @@ Mappings (sector mix, shock depths) use ``code:value,code:value``.
 The fields of ``RunConfig`` and ``PanelConfig`` declare the keys, their
 types and their defaults; a value is converted to the type of its field's
 default, and the config class itself says what a value means (shock depths,
-for one, are resolved by ``PanelConfig``).  Every error in a config file or
-its values is a ``ConfigError``.
+for one, are resolved by ``PanelConfig``).  Both classes refuse a bad value
+when an object is built, ``dataclasses.replace`` included.  Every error in a
+config file or its values is a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ class RunConfig:
     workers: int = 1
     group_by: tuple[str, ...] = ("sector", "district")
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_date(self.ref_base, "ref_base")
         check_date(self.test_base, "test_base")
         for name, low in (("span", 1), ("em_max_iter", 1), ("multi_start", 0), ("workers", 1),
-                          ("smooth_window", 1), ("interp_window", 1)):
+                          ("smooth_window", 1), ("interp_window", 1), ("seed", 0)):
             if not getattr(self, name) >= low:  # NaN fails too
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("em_tol", "outlier_k"):
@@ -153,15 +154,11 @@ def parse_mapping(value: str, field: str) -> dict[str, float]:
 
 @_config_errors
 def build_panel_config(raw: dict[str, str]) -> PanelConfig:
-    """Validated PanelConfig from raw config strings; other stages' keys are ignored."""
-    cfg = PanelConfig(**_fields_from(PanelConfig, raw))
-    cfg.validate()
-    return cfg
+    """PanelConfig from raw config strings; other stages' keys are ignored."""
+    return PanelConfig(**_fields_from(PanelConfig, raw))
 
 
 @_config_errors
 def build_run_config(raw: dict[str, str]) -> RunConfig:
-    """Validated RunConfig from raw config strings; other stages' keys are ignored."""
-    cfg = RunConfig(**_fields_from(RunConfig, raw))
-    cfg.validate()
-    return cfg
+    """RunConfig from raw config strings; other stages' keys are ignored."""
+    return RunConfig(**_fields_from(RunConfig, raw))

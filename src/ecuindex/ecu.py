@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .preprocess import trailing_mean
 from .sectors import DEFAULT_DISTRICTS, DEFAULT_SECTORS
 
@@ -168,7 +169,7 @@ def ecu_grouped(panel: FirmDayPanel, group_by: str = "none", known_codes=None) -
 
 
 def srpi(panel: FirmDayPanel, reference_totals: np.ndarray,
-         window_days: int = 7) -> SrpiSeries:
+         window_days: int = RunConfig.smooth_window) -> SrpiSeries:
     """Total test-window consumption per offset and the smoothed year-over-year gap.
 
     ``reference_totals`` (T,) holds, at each offset of the panel, the same

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
+
 PROSPEROUS = 0
 RECESSIONARY = 1
 
@@ -287,7 +289,7 @@ def _label(model: RegimeModel) -> tuple[RegimeModel, np.ndarray, bool]:
     return relabeled, order, degenerate
 
 
-def em_fit(y, init: RegimeModel, tol: float = 1e-6, max_iter: int = 500) -> FitReport:
+def em_fit(y, init: RegimeModel, tol=RunConfig.em_tol, max_iter=RunConfig.em_max_iter) -> FitReport:
     """Maximum-likelihood fit by EM (forward-backward E-step, closed-form M-step).
 
     Stops when the absolute log-likelihood change drops below ``tol``.

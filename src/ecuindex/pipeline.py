@@ -72,9 +72,7 @@ def _fit_block(block: KwhPanel, cfg: RunConfig) -> list[FirmFitResult | tuple[st
     multi_start=0 output is reproduced whenever it is already the best.  A flat firm's fit is
     marked degenerate.
     """
-    y, ele_test, ele_ref, errors = preprocess_grid(
-        block.kwh, block.lo, block.hi, block.day0, cfg.ref_base, cfg.test_base, cfg.span,
-        cfg.outlier_window, cfg.outlier_k, cfg.interp_window, cfg.smooth_window)
+    y, ele_test, ele_ref, errors = preprocess_grid(block, cfg)
     offsets = np.arange(-cfg.span, cfg.span + 1)
     out = []
     for k, (firm_id, error) in enumerate(zip(block.firm_ids, errors)):

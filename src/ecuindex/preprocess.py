@@ -4,9 +4,9 @@ A panel's readings are one ``KwhPanel``: a firm x day grid of kWh, each
 firm's id and group codes alongside.  ``preprocess_grid`` turns a block of its
 rows into the deviation series consumed by the regime model: outlier
 rejection, gap interpolation, trailing smoothing, base-point alignment of the
-reference and test windows, and reference subtraction.  Each row's results are
-bit for bit those of the per-series chain kept as the test oracle in
-``tests/preprocess_oracle.py``.
+reference and test windows, and reference subtraction, with a ``RunConfig``'s
+settings.  Each row's results are bit for bit those of the per-series chain
+kept as the test oracle in ``tests/preprocess_oracle.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ class KwhPanel:
 
     Row i of the C-ordered (firms, days) float64 ``kwh`` is firm ``firm_ids[i]``, the ids
     ascending; column j is day ``day0 + j``.  The firm's readings fill columns ``lo[i]:hi[i]``,
-    NaN marking a blank one, and every consumer ignores the cells outside them.
+    NaN marking a blank one, and every consumer ignores the cells outside them.  ``lo`` and
+    ``hi`` are stored as intp arrays and ``day0`` as a ``datetime64[D]``.
     """
 
     firm_ids: list[str]
@@ -36,8 +37,11 @@ class KwhPanel:
     kwh: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "kwh", np.ascontiguousarray(self.kwh, dtype=float))
-        lo, hi, kwh = self.lo, self.hi, self.kwh
+        lo, hi = np.asarray(self.lo, np.intp), np.asarray(self.hi, np.intp)
+        kwh = np.ascontiguousarray(self.kwh, dtype=float)
+        for name, value in (("day0", np.datetime64(self.day0, "D")), ("lo", lo), ("hi", hi),
+                            ("kwh", kwh)):
+            object.__setattr__(self, name, value)
         per_row = self.firm_ids, self.sector_codes, self.district_codes, lo, hi, kwh
         if kwh.ndim != 2 or len(set(map(len, per_row))) != 1 \
                 or not np.all((0 <= lo) & (lo <= hi) & (hi <= kwh.shape[1])):
@@ -106,25 +110,19 @@ def _coverage_gap(first, last, base: np.datetime64, span: int, label: str) -> st
     return None
 
 
-def preprocess_grid(kwh, lo, hi, day0, ref_base, test_base, span: int = 95,
-                    outlier_window: int = 15, outlier_k: float = 2.0, interp_window: int = 14,
-                    smooth_window: int = 7):
-    """Deviations and unsmoothed windows of a block of firms on one firm x day kWh grid.
+def preprocess_grid(block: KwhPanel, cfg):
+    """Deviations and unsmoothed windows of a block of a panel's rows, under the settings of
+    ``cfg``, a ``RunConfig`` (any object with its fields will do).
 
-    Row i of the (n, D) grid ``kwh`` holds a firm's series in columns ``lo[i]:hi[i]``, column j
-    being day ``day0 + j`` (NaN: missing); other cells are ignored.  Each row takes the steps of
-    the per-series chain in ``tests/preprocess_oracle.py`` with the same floating-point
-    operations in the same order, so its results are bit for bit its series' alone.  Returns the
-    (n, 2 * span + 1) arrays ``y``, ``ele_test`` and ``ele_ref`` and, per row, None or the
-    message of the first step that refuses it (its rows are then meaningless).
+    Each row takes the steps of the per-series chain in ``tests/preprocess_oracle.py`` with the
+    same floating-point operations in the same order, so its results are bit for bit its
+    series' alone.  Returns the (n, 2 * span + 1) arrays ``y``, ``ele_test`` and ``ele_ref``
+    and, per row, None or the message of the first step that refuses it (its rows are then
+    meaningless).
     """
-    if outlier_window < 3 or outlier_window % 2 == 0 or min(interp_window, smooth_window) < 1 \
-            or span < 0:
-        raise ValueError("outlier_window must be odd and >= 3, interp_window and smooth_window "
-                         f">= 1, span >= 0; got {outlier_window}, {interp_window}, "
-                         f"{smooth_window}, {span}")
-    kwh, lo, hi = np.asarray(kwh, dtype=float), np.asarray(lo, np.intp), np.asarray(hi, np.intp)
-    day0, ref_base, test_base = (np.datetime64(d, "D") for d in (day0, ref_base, test_base))
+    kwh, lo, hi, day0 = block.kwh, block.lo, block.hi, block.day0
+    span, smooth_window = cfg.span, cfg.smooth_window
+    ref_base, test_base = np.datetime64(cfg.ref_base, "D"), np.datetime64(cfg.test_base, "D")
     if not kwh.shape[1]:  # no row has a day: one column outside them all keeps indexing valid
         kwh = np.full((len(kwh), 1), np.nan)
     n, days = kwh.shape
@@ -137,7 +135,7 @@ def preprocess_grid(kwh, lo, hi, day0, ref_base, test_base, span: int = 95,
     finite = inside & np.isfinite(kwh)
     shift = np.array([np.mean(row[ok]) if ok.any() else 0.0 for row, ok in zip(kwh, finite)])
     x = np.where(finite, kwh - shift[:, None], 0.0)
-    half = outlier_window // 2
+    half = cfg.outlier_window // 2
     ends, starts = np.minimum(cols + half + 1, days), np.maximum(cols - half, 0)
 
     def window_sums(a):  # over each day's window, less the day itself
@@ -150,7 +148,7 @@ def preprocess_grid(kwh, lo, hi, day0, ref_base, test_base, span: int = 95,
     mean = np.divide(s, m, out=np.zeros_like(s), where=ok)
     var = np.maximum(np.divide(s2 - m * mean * mean, m - 1, out=np.zeros_like(s), where=ok), 0.0)
     guard = 1e-9 * (np.abs(kwh) + np.abs(shift)[:, None] + 1.0)
-    valid = finite & ~(ok & (np.abs(x - mean) > outlier_k * np.sqrt(var) + guard))
+    valid = finite & ~(ok & (np.abs(x - mean) > cfg.outlier_k * np.sqrt(var) + guard))
     del finite, x, s, s2, m, ok, mean, var, guard  # the grid's peak memory is one step's arrays
 
     # interpolate: a cell's sources are the row's last valid days before it, else its first
@@ -160,7 +158,7 @@ def preprocess_grid(kwh, lo, hi, day0, ref_base, test_base, span: int = 95,
     n_valid = valid.sum(axis=1)
     r, c = np.nonzero(need)
     before = np.cumsum(valid, axis=1)[r, c]
-    k = np.minimum(np.where(before > 0, before, n_valid[r]), interp_window)
+    k = np.minimum(np.where(before > 0, before, n_valid[r]), cfg.interp_window)
     start = (np.cumsum(n_valid) - n_valid)[r] + np.where(before > 0, before - k, 0)
     sources, flat = np.flatnonzero(valid), kwh.ravel()
     clean = np.where(inside, kwh, -0.0)  # -0.0 + v is v, also for v = -0.0

@@ -79,17 +79,19 @@ class PanelConfig:
     missing_rate: float = 0.0
     outlier_rate: float = 0.0
 
-    def validate(self) -> None:
-        for name, low in (("n_firms", 0), ("span", 1), ("shock_duration", 0),
-                          ("shock_onset_jitter", 0), ("noise_frac", 0), ("holiday_ref_days", 0),
+    def __post_init__(self):
+        for name, low in (("n_firms", 0), ("seed", 0), ("span", 1), ("shock_duration", 0),
+                          ("shock_onset_jitter", 0), ("holiday_ref_days", 0),
                           ("holiday_test_days", 0)):
             if not getattr(self, name) >= low:  # NaN fails too
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not 0.0 <= self.noise_frac < np.inf:
+            raise ValueError(f"noise_frac must be finite and >= 0, got {self.noise_frac}")
         _check_mix(self.sector_mix, "sector_mix")
         _check_mix(self.district_mix, "district_mix")
-        if not (0.0 < self.base_lo <= self.base_hi):
-            raise ValueError("base_lo and base_hi must satisfy 0 < base_lo <= base_hi, got "
-                             f"{self.base_lo} and {self.base_hi}")
+        if not 0.0 < self.base_lo <= self.base_hi < np.inf:
+            raise ValueError("base_lo and base_hi must be finite and satisfy "
+                             f"0 < base_lo <= base_hi, got {self.base_lo} and {self.base_hi}")
         for name in ("weekly_amplitude", "annual_amplitude", "holiday_depth",
                      "shock_depth_jitter", "missing_rate", "outlier_rate"):
             v = getattr(self, name)
@@ -174,7 +176,6 @@ def shock_multiplier(offsets, start: int, duration: int, depth: float,
 
 def generate(config: PanelConfig) -> SyntheticPanel:
     """Generate the panel. Deterministic: same config means identical output."""
-    config.validate()
     n = config.n_firms
     width = max(5, len(str(max(n - 1, 0))))
     firm_ids = [f"F{k:0{width}d}" for k in range(n)]

@@ -145,6 +145,21 @@ def test_bad_date_fails_fit_before_reading_the_panel(three_firms, tmp_path, caps
     assert main(["fit", "--config", cfg, "--out", str(tmp_path / "empty")]) == 2
 
 
+@pytest.mark.parametrize("command,line", [("simulate", ""), ("fit", ""),
+                                          ("fit", "multi_start = 1\n")])
+def test_negative_seed_is_a_config_error(three_firms, tmp_path, capsys, command, line):
+    """A negative root seed exits 2 naming ``seed`` and writes nothing, whether or not the
+    command draws from it."""
+    out, _ = three_firms
+    panel = (out / "panel.csv").read_bytes()
+    cfg = write_config(tmp_path / "seed.cfg", "n_firms = 3\n" + line)
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert sorted(p.name for p in out.iterdir()) == ["panel.csv"]
+    assert (out / "panel.csv").read_bytes() == panel
+
+
 def edit_first_row(out, field, value):
     """Replace one field of the panel's first data row (data row 1, firm F00000)."""
     lines = (out / "panel.csv").read_text().splitlines(keepends=True)

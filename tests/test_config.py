@@ -1,5 +1,8 @@
 """Tests for the flat key=value configuration format."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from ecuindex.cli import _out_dir, _panel_path
@@ -136,7 +139,6 @@ def test_panel_defaults():
     assert cfg.span == 95
     assert cfg.sector_mix == DEFAULT_SECTOR_MIX
     assert (cfg.holiday_test, cfg.holiday_test_days) == ("2020-01-24", 10)
-    cfg.validate()
 
 
 def test_panel_overrides():
@@ -191,9 +193,38 @@ def test_validation_errors_are_config_errors():
                        (build_panel_config, {"n_firms": "-3"}),
                        (build_panel_config, {"sector_mix": "999:1.0"}),
                        (build_panel_config, {"sector_mix": "999:1.0", "shock_depth": "tertiary:0.5"}),
-                       (build_panel_config, {"shock_depth": "999:0.5"})):
+                       (build_panel_config, {"shock_depth": "999:0.5"}),
+                       (build_run_config, {"seed": "-1"}),
+                       (build_panel_config, {"seed": "-1"}),
+                       (build_panel_config, {"noise_frac": "inf"}),
+                       (build_panel_config, {"base_hi": "inf"}),
+                       (build_panel_config, {"base_lo": "inf", "base_hi": "inf"})):
         with pytest.raises(ConfigError):
             build(raw)
+
+
+@pytest.mark.parametrize("cls,setting,value", [
+    (RunConfig, "span", 0), (RunConfig, "outlier_k", -1.0), (RunConfig, "em_tol", -1.0),
+    (RunConfig, "seed", -1), (PanelConfig, "seed", -1), (PanelConfig, "noise_frac", math.inf),
+    (PanelConfig, "base_hi", math.inf),
+])
+def test_library_config_refuses_a_bad_value_when_built(cls, setting, value):
+    """The library refuses what the command line refuses, with a message naming the setting:
+    a one-day window, an outlier threshold every reading strays beyond, a tolerance EM can
+    never meet, a negative seed, non-finite noise or base load."""
+    with pytest.raises(ValueError, match=f"{setting} must be"):
+        cls(**{setting: value})
+
+
+@pytest.mark.parametrize("setting,value", [
+    ("outlier_window", 4), ("outlier_window", 1), ("interp_window", 0), ("smooth_window", 0),
+    ("span", -1),
+])
+def test_a_setting_no_firm_could_pass_is_refused(setting, value):
+    """A setting the per-series preprocessing would refuse for every firm is refused when the
+    config is built, ``dataclasses.replace`` included."""
+    with pytest.raises(ValueError, match=f"^{setting} must be"):
+        replace(RunConfig(), **{setting: value})
 
 
 def test_run_validation():

@@ -54,10 +54,7 @@ def constant_record(firm_id="FLAT1", level=300.0):
 def preprocess_firm(record, cfg):
     """The record's deviation series and unsmoothed (ele_test, ele_ref) windows, preprocessed
     alone on a one-row grid; raises the fit's reason for refusing it."""
-    panel = panel_of([record])
-    y, ele_test, ele_ref, (error,) = preprocess_grid(
-        panel.kwh, panel.lo, panel.hi, panel.day0, cfg.ref_base, cfg.test_base, cfg.span,
-        cfg.outlier_window, cfg.outlier_k, cfg.interp_window, cfg.smooth_window)
+    y, ele_test, ele_ref, (error,) = preprocess_grid(panel_of([record]), cfg)
     if error is not None:
         raise ValueError(error)
     return DeviationSeries(np.arange(-cfg.span, cfg.span + 1), y[0]), ele_test[0], ele_ref[0]

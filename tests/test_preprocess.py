@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ecuindex.config import RunConfig
 from ecuindex.preprocess import KwhPanel, preprocess_grid, trailing_mean
 from preprocess_oracle import AlignedPair, RawSeries, detect_outliers
 
@@ -18,12 +19,17 @@ def raw(values):
     return RawSeries(DAY0 + np.arange(len(values)), values)
 
 
+def one_row(values, start=DAY0):
+    """A one-firm panel whose readings are ``values`` from day ``start`` on."""
+    return KwhPanel(["F"], ["301"], ["D01"], start, [0], [len(values)], [values])
+
+
 def grid_row(values, ref, test, span, start=DAY0, outlier_k=UNFLAGGED, **settings):
     """One firm's row through ``preprocess_grid``, its first day ``start``: (y, ele_test,
     ele_ref), or the row's refusal raised as a ValueError."""
-    values = np.asarray(values, dtype=float)
-    y, ele_test, ele_ref, (error,) = preprocess_grid(
-        values[None], [0], [len(values)], start, ref, test, span, outlier_k=outlier_k, **settings)
+    cfg = RunConfig(ref_base=str(ref), test_base=str(test), span=span, outlier_k=outlier_k,
+                    **settings)
+    y, ele_test, ele_ref, (error,) = preprocess_grid(one_row(values, start), cfg)
     if error is not None:
         raise ValueError(error)
     return y[0], ele_test[0], ele_ref[0]
@@ -57,6 +63,12 @@ class TestKwhPanel:
         panel = self.panel(kwh=np.arange(12).reshape(3, 4).T[:2, :3])
         assert panel.kwh.dtype == np.float64 and panel.kwh.flags.c_contiguous
         assert len(panel) == 2
+
+    def test_lists_and_a_date_string_are_coerced(self):
+        panel = KwhPanel(["A"], ["101"], ["D01"], "2019-01-01", [0], [2], [[1, 2]])
+        assert panel.lo.dtype == panel.hi.dtype == np.intp
+        assert panel.day0.dtype == np.dtype("datetime64[D]") and panel.day0 == DAY0
+        assert panel.kwh.tolist() == [[1.0, 2.0]]
 
     @pytest.mark.parametrize("change,message", [
         ({"firm_ids": ("B", "A")}, "firm ids must ascend strictly"),
@@ -152,9 +164,11 @@ class TestAlignAndDeviation:
             grid_row(np.ones(400), "2019-02-04", "2019-02-04", 95, start="2018-11-02")
 
     def test_span_zero_degenerate(self):
-        y, ele_test, ele_ref = grid_row(np.arange(10.0), "2019-01-05", "2019-01-06", 0)
-        assert len(y) == 1
-        assert ele_ref[0] == 4.0 and ele_test[0] == 5.0
+        """A window of the base point alone is refused before any row is read."""
+        with pytest.raises(ValueError, match="span must be >= 1, got 0"):
+            grid_row(np.arange(10.0), "2019-01-05", "2019-01-06", 0)
+        y, ele_test, ele_ref = grid_row(np.arange(10.0), "2019-01-05", "2019-01-06", 1)
+        assert ele_ref.tolist() == [3.0, 4.0, 5.0] and ele_test.tolist() == [4.0, 5.0, 6.0]
 
     def test_self_alignment_is_zero_deviation(self):
         rng = np.random.default_rng(5)
@@ -174,7 +188,7 @@ class TestAlignAndDeviation:
         assert np.array_equal(y, [-10.0, -40.0, -5.0])  # test minus reference
 
     def test_deviation_length_matches_span(self):
-        for span in (0, 3, 20):
+        for span in (1, 3, 20):
             y, _, _ = grid_row(np.arange(41.0), "2019-01-21", "2019-01-21", span)
             assert len(y) == 2 * span + 1
 
@@ -188,11 +202,12 @@ def test_a_refused_inf_row_warns_nothing_and_leaves_its_neighbour_alone():
     numpy must not warn about, and the finite row beside it comes out as it does alone."""
     finite = np.linspace(3.0, 9.0, 8)
     grid = np.vstack([np.r_[np.inf, np.full(7, np.nan)], finite])
-    args = DAY0, DAY0 + 2, DAY0 + 5, 2, 15, 2.0, 14, 2
+    both_rows = KwhPanel(["A", "B"], ["301"] * 2, ["D01"] * 2, DAY0, [0, 0], [1, 8], grid)
+    cfg = RunConfig(ref_base=str(DAY0 + 2), test_base=str(DAY0 + 5), span=2, smooth_window=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        *both, errors = preprocess_grid(grid, [0, 0], [1, 8], *args)
-        *alone, alone_errors = preprocess_grid(finite[None], [0], [8], *args)
+        *both, errors = preprocess_grid(both_rows, cfg)
+        *alone, alone_errors = preprocess_grid(one_row(finite), cfg)
     assert errors == ["nothing to interpolate from: series has no valid values", None]
     assert alone_errors == [None]
     for a, b in zip(both, alone):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import preprocess_oracle as oracle
 from ecuindex import pipeline
 from ecuindex.config import RunConfig
-from ecuindex.preprocess import preprocess_grid
+from ecuindex.preprocess import KwhPanel, preprocess_grid
 from ecuindex.simgen import PanelConfig, generate
 from firm_records import FirmRecord, panel_of, records_of
 from preprocess_oracle import RawSeries
@@ -99,10 +99,7 @@ def panels(draw):
 def grid_blocks(panel, cfg, block):
     """``preprocess_grid`` over ``block`` rows of the panel at a time, as the fit's jobs call it:
     the (y, ele_test, ele_ref) rows and messages of all of them."""
-    parts = [preprocess_grid(b.kwh, b.lo, b.hi, b.day0, cfg.ref_base, cfg.test_base, cfg.span,
-                             cfg.outlier_window, cfg.outlier_k, cfg.interp_window,
-                             cfg.smooth_window)
-             for b in (panel[at:at + block] for at in range(0, len(panel), block))]
+    parts = [preprocess_grid(panel[at:at + block], cfg) for at in range(0, len(panel), block)]
     *layers, errors = zip(*parts)
     return *(np.concatenate(layer) for layer in layers), [e for part in errors for e in part]
 
@@ -142,10 +139,10 @@ def test_cells_outside_a_row_are_ignored(case, junk, pad):
     kwh = np.full((len(records), hi.max() + pad + 1), junk)
     for row, rec, a, b in zip(kwh, records, lo, hi):
         row[a:b] = rec.series.values
+    panel = KwhPanel([f"F{k:03d}" for k in range(len(records))], ["301"] * len(records),
+                     ["D01"] * len(records), DAY0 - pad, lo, hi, kwh)
     with np.errstate(all="ignore"):
-        y, ele_test, ele_ref, errors = preprocess_grid(
-            kwh, lo, hi, DAY0 - pad, cfg.ref_base, cfg.test_base, cfg.span, cfg.outlier_window,
-            cfg.outlier_k, cfg.interp_window, cfg.smooth_window)
+        y, ele_test, ele_ref, errors = preprocess_grid(panel, cfg)
     for k, rec in enumerate(records):
         got = errors[k] if errors[k] is not None else (y[k], ele_test[k], ele_ref[k])
         assert_rows_match(got, oracle_rows(rec, cfg), rec.firm_id)
@@ -182,20 +179,6 @@ def test_overflowing_kwh_is_refused_as_the_oracle_refuses_it(values):
         want = oracle_rows(record, cfg)
         assert isinstance(want, str)
         assert pipeline_rows(record, cfg) == want
-
-
-@pytest.mark.parametrize("setting,value,shown", [
-    ("outlier_window", 4, "4, 14, 7, 95"), ("outlier_window", 1, "1, 14, 7, 95"),
-    ("interp_window", 0, "15, 0, 7, 95"), ("smooth_window", 0, "15, 14, 0, 95"),
-    ("span", -1, "15, 14, 7, -1"),
-])
-def test_a_setting_no_firm_could_pass_is_refused(setting, value, shown):
-    """The grid refuses a setting the per-series steps would refuse for every firm."""
-    cfg = replace(RunConfig(), **{setting: value})
-    with pytest.raises(ValueError, match=f"outlier_window must be odd .*; got {shown}$"):
-        preprocess_grid(np.ones((1, 400)), [0], [400], DAY0, cfg.ref_base, cfg.test_base,
-                        cfg.span, cfg.outlier_window, cfg.outlier_k, cfg.interp_window,
-                        cfg.smooth_window)
 
 
 def mixed_panel():

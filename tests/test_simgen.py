@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ecuindex.config import build_panel_config
+from ecuindex.config import RunConfig, build_panel_config
 from ecuindex.preprocess import preprocess_grid
 from ecuindex.sectors import DEFAULT_SECTOR_MIX, sector_level
 from ecuindex.simgen import (
@@ -61,36 +61,36 @@ def test_recovery_crossing_day():
 
 def test_negative_n_firms_rejected():
     with pytest.raises(ValueError, match="n_firms"):
-        PanelConfig(n_firms=-1).validate()
+        PanelConfig(n_firms=-1)
 
 
 def test_sector_mix_must_sum_to_one():
     with pytest.raises(ValueError, match="sector_mix"):
-        PanelConfig(sector_mix={"101": 0.5, "301": 0.4}).validate()
+        PanelConfig(sector_mix={"101": 0.5, "301": 0.4})
 
 
 def test_rates_must_be_below_one():
     with pytest.raises(ValueError, match="missing_rate"):
-        PanelConfig(missing_rate=1.0).validate()
+        PanelConfig(missing_rate=1.0)
 
 
 def test_depths_must_be_fractions():
     with pytest.raises(ValueError, match="shock depth"):
-        PanelConfig(shock_depth=flat_depths(1.5)).validate()
+        PanelConfig(shock_depth=flat_depths(1.5))
 
 
 def test_unused_level_depth_must_be_a_fraction():
     with pytest.raises(ValueError, match="shock depth for primary"):
-        PanelConfig(sector_mix={"301": 1.0}, shock_depth={"primary": 1.5}).validate()
+        PanelConfig(sector_mix={"301": 1.0}, shock_depth={"primary": 1.5})
 
 
 def test_base_range_must_be_positive():
     with pytest.raises(ValueError, match="base_lo"):
-        PanelConfig(base_lo=0.0, base_hi=100.0).validate()
+        PanelConfig(base_lo=0.0, base_hi=100.0)
 
 
 def test_default_config_is_valid():
-    PanelConfig().validate()
+    PanelConfig()
 
 
 def test_default_depths_by_sector_level():
@@ -115,7 +115,7 @@ def test_library_and_config_file_build_the_same_panel():
 
 def test_unknown_shock_depth_code_rejected_by_library():
     with pytest.raises(ValueError, match="shock_depth names unknown sector code '999'"):
-        PanelConfig(shock_depth={"999": 0.5}).validate()
+        PanelConfig(shock_depth={"999": 0.5})
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,7 @@ def test_null_panel_produces_zero_deviation_series():
         holiday_test_days=10,
     )
     p = generate(cfg).panel
-    y, _, _, errors = preprocess_grid(p.kwh, p.lo, p.hi, p.day0, cfg.ref_base, cfg.test_base,
-                                      cfg.span)
+    y, _, _, errors = preprocess_grid(p, RunConfig(ref_base=cfg.ref_base, test_base=cfg.test_base,
+                                                   span=cfg.span))
     assert errors == [None] * cfg.n_firms
     np.testing.assert_allclose(y, 0.0, atol=1e-8)
