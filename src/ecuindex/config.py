@@ -15,6 +15,7 @@ config file or its values is a ``ConfigError``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -53,8 +54,8 @@ class RunConfig:
             if not getattr(self, name) >= low:  # NaN fails too
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("em_tol", "outlier_k"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.outlier_window < 3 or self.outlier_window % 2 == 0:
             raise ValueError(f"outlier_window must be odd and >= 3, got {self.outlier_window}")
         for i, g in enumerate(self.group_by):

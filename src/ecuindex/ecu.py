@@ -5,10 +5,10 @@ Aggregates per-firm filtered recessionary probabilities into an ECU series
 weight, plus the simplified resumption power index (total consumption and
 its smoothed gap to the reference year).
 
-The inputs are firm x offset arrays.  Grouping sorts the N firms by group
-once; each (group, offset) cell is then one ``math.fsum`` over that group's
-slice of one offset's column.  ``fsum`` is correctly rounded, so results
-are independent of firm order and safe to partition across groups.
+The inputs are firm x offset arrays.  Each (group, offset) cell is one
+``math.fsum`` over that group's rows of one offset's column, taken where
+they lie.  ``fsum`` is correctly rounded, so results are independent of
+firm order and safe to partition across groups.
 """
 
 from __future__ import annotations
@@ -112,16 +112,10 @@ class SrpiSeries:
             raise ValueError("series columns must have equal length")
 
 
-def column_fsums(values: np.ndarray, bounds) -> np.ndarray:
-    """Exact sums of rows ``a:b`` of each column of ``values`` (N, T), per ``(a, b)`` of ``bounds``.
-
-    Shape (len(bounds), T).  One column at a time is held as a Python list.
-    """
-    sums = np.empty((len(bounds), values.shape[1]))
-    for j, column in enumerate(values.T):
-        vals = column.tolist()
-        sums[:, j] = [math.fsum(vals[a:b]) for a, b in bounds]
-    return sums
+def column_fsums(values: np.ndarray) -> np.ndarray:
+    """Exact sum of each column of ``values`` (n, T); one column at a time is held as a Python
+    list."""
+    return np.array([math.fsum(column.tolist()) for column in values.T])
 
 
 def ecu_grouped(panel: FirmDayPanel, group_by: str = "none", known_codes=None) -> list[EcuSeries]:
@@ -137,10 +131,8 @@ def ecu_grouped(panel: FirmDayPanel, group_by: str = "none", known_codes=None) -
     if len(panel) == 0:
         raise ValueError("panel is empty")
 
-    firms = len(panel.sector_code)
     if group_by == "none":
-        group_keys, order, starts = [AGGREGATE_KEY], slice(None), np.zeros(1, dtype=int)
-        group_type = GROUP_AGGREGATE
+        groups, group_type = [(AGGREGATE_KEY, slice(None))], GROUP_AGGREGATE  # a view: no copy
     elif group_by in (GROUP_SECTOR, GROUP_DISTRICT):
         keys = panel.sector_code if group_by == GROUP_SECTOR else panel.district_code
         group_type = group_by
@@ -151,21 +143,21 @@ def ecu_grouped(panel: FirmDayPanel, group_by: str = "none", known_codes=None) -
         if unknown:
             raise ValueError(f"unknown {group_by} code {unknown[0]!r}")
         group_keys, group = np.unique(keys, return_inverse=True)
-        order = np.argsort(group, kind="stable")
-        starts = np.searchsorted(group[order], np.arange(len(group_keys)))
+        groups = [(key, group == g) for g, key in enumerate(group_keys)]
     else:
         raise ValueError(f"group_by must be 'none', 'sector' or 'district', got {group_by!r}")
 
-    bounds = list(zip(starts.tolist(), starts[1:].tolist() + [firms]))
-    ele = panel.ele[order]
-    cnt = np.add.reduceat(ele > 0.0, starts, axis=0, dtype=int)
-    den = column_fsums(ele, bounds)
-    num = column_fsums(ele * panel.mu_r[order], bounds)  # a zero weight adds exact zeros
-    ecu = np.full(den.shape, np.nan)
-    np.divide(num, den, out=ecu, where=cnt > 0)
-    tot = np.where(cnt > 0, den, 0.0)
-    return [EcuSeries(group_type, key, panel.offsets.copy(), ecu[g], tot[g], cnt[g])
-            for g, key in enumerate(group_keys)]
+    series = []
+    for key, rows in groups:
+        ele = panel.ele[rows]
+        cnt = np.count_nonzero(ele > 0.0, axis=0)
+        den = column_fsums(ele)
+        num = column_fsums(ele * panel.mu_r[rows])  # a zero weight adds exact zeros
+        ecu = np.full(den.shape, np.nan)
+        np.divide(num, den, out=ecu, where=cnt > 0)
+        series.append(EcuSeries(group_type, key, panel.offsets.copy(), ecu,
+                                np.where(cnt > 0, den, 0.0), cnt))
+    return series
 
 
 def srpi(panel: FirmDayPanel, reference_totals: np.ndarray,
@@ -183,6 +175,6 @@ def srpi(panel: FirmDayPanel, reference_totals: np.ndarray,
     if ref.shape != panel.offsets.shape:
         raise ValueError(f"reference totals have shape {ref.shape}; the panel's "
                          f"{len(panel.offsets)} offsets need shape {panel.offsets.shape}")
-    (totals,) = column_fsums(panel.ele, [(0, len(panel.ele))])
+    totals = column_fsums(panel.ele)
     delta = trailing_mean(totals - ref, window_days)
     return SrpiSeries(panel.offsets.copy(), totals, delta)

@@ -153,8 +153,7 @@ class FitOutputs:
         """Exact sums of the ``ele_ref`` layer per offset, along ``panel.offsets``: the sRPI
         baseline."""
         *_, ele_ref = self.firmdays
-        (totals,) = column_fsums(ele_ref, [(0, len(ele_ref))])
-        return totals
+        return column_fsums(ele_ref)
 
 
 def fit_outputs(results: Iterable[FirmFitResult]) -> FitOutputs:

@@ -25,7 +25,7 @@ class KwhPanel:
     Row i of the C-ordered (firms, days) float64 ``kwh`` is firm ``firm_ids[i]``, the ids
     ascending; column j is day ``day0 + j``.  The firm's readings fill columns ``lo[i]:hi[i]``,
     NaN marking a blank one, and every consumer ignores the cells outside them.  ``lo`` and
-    ``hi`` are stored as intp arrays and ``day0`` as a ``datetime64[D]``.
+    ``hi`` must hold integers and are stored as intp arrays, ``day0`` as a ``datetime64[D]``.
     """
 
     firm_ids: list[str]
@@ -37,7 +37,10 @@ class KwhPanel:
     kwh: np.ndarray
 
     def __post_init__(self):
-        lo, hi = np.asarray(self.lo, np.intp), np.asarray(self.hi, np.intp)
+        lo, hi = np.asarray(self.lo), np.asarray(self.hi)
+        if any(a.size and a.dtype.kind not in "iu" for a in (lo, hi)):
+            raise ValueError("lo and hi must be integer column indexes")
+        lo, hi = lo.astype(np.intp), hi.astype(np.intp)
         kwh = np.ascontiguousarray(self.kwh, dtype=float)
         for name, value in (("day0", np.datetime64(self.day0, "D")), ("lo", lo), ("hi", hi),
                             ("kwh", kwh)):

@@ -520,7 +520,7 @@ def test_index_peak_memory_is_a_small_multiple_of_the_array(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     size = (tmp_path / "firmdays.npy").stat().st_size
-    assert peak < 3 * size, peak / size
+    assert peak < 1.75 * size, peak / size
 
 
 def test_fit_peak_memory_is_a_small_multiple_of_the_array(tmp_path, capsys):

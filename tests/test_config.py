@@ -198,7 +198,9 @@ def test_validation_errors_are_config_errors():
                        (build_panel_config, {"seed": "-1"}),
                        (build_panel_config, {"noise_frac": "inf"}),
                        (build_panel_config, {"base_hi": "inf"}),
-                       (build_panel_config, {"base_lo": "inf", "base_hi": "inf"})):
+                       (build_panel_config, {"base_lo": "inf", "base_hi": "inf"}),
+                       (build_run_config, {"em_tol": "inf"}),
+                       (build_run_config, {"outlier_k": "inf"})):
         with pytest.raises(ConfigError):
             build(raw)
 
@@ -206,12 +208,14 @@ def test_validation_errors_are_config_errors():
 @pytest.mark.parametrize("cls,setting,value", [
     (RunConfig, "span", 0), (RunConfig, "outlier_k", -1.0), (RunConfig, "em_tol", -1.0),
     (RunConfig, "seed", -1), (PanelConfig, "seed", -1), (PanelConfig, "noise_frac", math.inf),
-    (PanelConfig, "base_hi", math.inf),
+    (PanelConfig, "base_hi", math.inf), (RunConfig, "em_tol", math.inf),
+    (RunConfig, "outlier_k", math.inf),
 ])
 def test_library_config_refuses_a_bad_value_when_built(cls, setting, value):
     """The library refuses what the command line refuses, with a message naming the setting:
-    a one-day window, an outlier threshold every reading strays beyond, a tolerance EM can
-    never meet, a negative seed, non-finite noise or base load."""
+    a one-day window, an outlier threshold every reading strays beyond or none can, a
+    tolerance EM can never meet or meets at once, a negative seed, non-finite noise or base
+    load."""
     with pytest.raises(ValueError, match=f"{setting} must be"):
         cls(**{setting: value})
 

@@ -444,7 +444,7 @@ def oracle_rows(rng):
 KNOWN = {"101", "202", "301", "306", "999", "D01", "D02", "D03", "D99"}
 
 
-def test_sort_once_aggregation_matches_dict_loop_oracle():
+def test_grouped_aggregation_matches_dict_loop_oracle():
     rng = np.random.default_rng(2024)
     ghosts_seen = 0
     for _ in range(200):

@@ -79,8 +79,10 @@ class TestKwhPanel:
         ({"lo": (2, 1), "hi": (1, 2)}, "one id, two codes and columns lo:hi inside it per row"),
         ({"lo": (-1, 1)}, "one id, two codes and columns lo:hi inside it per row"),
         ({"kwh": np.zeros(2)}, "one id, two codes and columns lo:hi inside it per row"),
+        ({"lo": (0.9, 1), "hi": (1.7, 2)}, "lo and hi must be integer column indexes"),
+        ({"hi": (3.0, 2)}, "lo and hi must be integer column indexes"),
     ], ids=["descending", "repeated", "codes", "bounds", "past_the_end", "reversed", "negative",
-            "not_a_grid"])
+            "not_a_grid", "fractional", "float_hi"])
     def test_refuses_an_inconsistent_panel(self, change, message):
         with pytest.raises(ValueError, match=message):
             self.panel(**change)
