@@ -17,10 +17,9 @@ import numpy as np
 
 from .config import ConfigError, build_panel_config, build_run_config, load_config
 from .ecu import ecu_grouped, srpi
-from .panelio import read_panel, seed_comment, write_ecu, write_panel, write_srpi
+from .panelio import (read_code_map, read_panel, seed_comment, write_ecu, write_panel,
+                      write_report, write_srpi)
 from .pipeline import fit_outputs, fit_panel, read_fit_outputs, write_fit_outputs
-from .preprocess import DAY
-from .sectors import load_code_map
 from .simgen import generate
 
 EXIT_OK = 0
@@ -88,7 +87,7 @@ def cmd_index(args) -> int:
     cfg = build_run_config(raw)
     out = _out_dir(raw)
     fit = read_fit_outputs(out)
-    known_sectors = set(load_code_map(cfg.code_map)) if cfg.code_map else None
+    known_sectors = read_code_map(cfg.code_map) if cfg.code_map else None
 
     series = ecu_grouped(fit.panel, "none")
     for group_by in cfg.group_by:
@@ -114,13 +113,8 @@ def cmd_report(args) -> int:
         raise KeyError(f"unknown firm id {firm!r}")
     y, mu_p, mu_r, _, _ = fit.firmdays[:, list(fit.models).index(firm)]  # models.csv order
     offsets = np.arange(len(y)) - len(y) // 2
-    base = np.datetime64(cfg.test_base)
     path = out / f"report_{firm}.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {seed_comment(cfg.seed)}\n")
-        fh.write("offset,date,y,mu_p,mu_r\n")
-        for off, yv, p, r in zip(offsets.tolist(), y.tolist(), mu_p.tolist(), mu_r.tolist()):
-            fh.write(f"{off},{base + off * DAY},{yv!r},{p!r},{r!r}\n")
+    write_report(path, offsets, (y, mu_p, mu_r), cfg.test_base, [seed_comment(cfg.seed)])
 
     peak = int(np.argmax(mu_r))
     print(f"firm {firm}")

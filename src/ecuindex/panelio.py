@@ -1,4 +1,4 @@
-"""CSV interchange for the panel, the fitted models and the indexes.
+"""CSV interchange: the one module that reads and writes the package's CSV files.
 
 All files are UTF-8 with a header row and ISO-8601 dates.  Lines starting
 with ``#`` before the header carry run metadata (the root seed) and are
@@ -14,9 +14,10 @@ quotes, its quotes doubled.  Rows end with CRLF.
 
 The files are ``panel.csv`` (one row per firm-day reading, read into and
 written from a ``KwhPanel``'s firm x day grid), ``models.csv`` (one row
-per fitted firm: its model, flags and group codes), ``ecu.csv`` and
-``srpi.csv``.  The fit's firm-day values go to ``index`` as a binary
-array instead (``pipeline.write_fit_outputs``).
+per fitted firm: its model, flags and group codes), ``ecu.csv``, ``srpi.csv``,
+``report_<firm>.csv`` and the ``code,name`` code map of the sectors ``index``
+accepts.  The fit's firm-day values go to ``index`` as a binary array instead
+(``pipeline.write_fit_outputs``).
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ MODELS_HEADER = ["firm_id", "sector_code", "district_code",
                  "degenerate"]
 ECU_HEADER = ["group_type", "group_key", "offset", "date", "ecu", "total_weight", "firm_count"]
 SRPI_HEADER = ["offset", "date", "srpi", "delta_srpi"]
+REPORT_HEADER = ["offset", "date", "y", "mu_p", "mu_r"]
+CODE_MAP_HEADER = ["code", "name"]
 
 BLOCK_ROWS = 2048  # data rows a reader holds as text at a time
 _NEEDS_QUOTES = frozenset(',"\r\n')  # csv.writer quotes a field holding one, doubling its quotes
@@ -91,15 +94,25 @@ _MODEL_FIELDS = {**dict.fromkeys(MODELS_HEADER[3:-2], _parse_finite),
                  **dict.fromkeys(MODELS_HEADER[-2:], _parse_bool)}
 
 
+def _typed(path, n, converters, fields) -> list:
+    """Row ``n``'s ``fields`` through ``converters``, {column: convert}; names the first refused."""
+    out = []
+    for (name, convert), text in zip(converters.items(), fields):
+        try:
+            out.append(convert(text))
+        except ValueError:
+            raise ValueError(f"{path} data row {n}, column {name}: cannot read {text!r}") from None
+    return out
+
+
 def _unreadable(path, first, columns, converters) -> tuple[float, ValueError]:
     """The data row and error naming the first field, in row order, that its column's
     converter rejects."""
     for n, fields in enumerate(zip(*(columns[c] for c in converters)), first):
-        for (column, convert), text in zip(converters.items(), fields):
-            try:
-                convert(text)
-            except ValueError:
-                return n, ValueError(f"{path} data row {n}, column {column}: cannot read {text!r}")
+        try:
+            _typed(path, n, converters, fields)
+        except ValueError as exc:
+            return n, exc
     return math.inf, ValueError(f"{path} has a field that cannot be read")
 
 
@@ -286,23 +299,16 @@ def write_models(path, rows: Iterable[ModelRow], comments=()) -> None:
 
 
 def read_models(path) -> dict[str, ModelRow]:
-    """The models by firm id; the earliest data row with a field that cannot be read (numbers
-    must be finite), a repeated firm or a model ``RegimeModel`` refuses is named."""
+    """The models by firm id.  A row's fields are read in header order (numbers must be
+    finite), then its firm must be new and its model one ``RegimeModel`` accepts; the first
+    faulty data row is named."""
     out = {}
     for first, columns in _blocks(path, MODELS_HEADER):
-        try:
-            typed = [list(map(convert, columns[c])) for c, convert in _MODEL_FIELDS.items()]
-            fault = None
-        except ValueError:  # the rows before the earliest unreadable one are still checked
-            stop, fault = _unreadable(path, first, columns, _MODEL_FIELDS)
-            typed = [list(map(convert, columns[c][:stop - first]))
-                     for c, convert in _MODEL_FIELDS.items()]
-        for n, (firm_id, sector, district, *nums, converged, degenerate) in enumerate(zip(
-                columns["firm_id"], columns["sector_code"], columns["district_code"], *typed),
-                first):
+        for n, (firm_id, sector, district, *fields) in enumerate(zip(*columns.values()), first):
+            (a_p, b_p, s_p, a_r, b_r, s_r, q_pp, q_pr, q_rp, q_rr, pi0_p, pi0_r, loglik,
+             converged, degenerate) = _typed(path, n, _MODEL_FIELDS, fields)
             if firm_id in out:
                 raise ValueError(f"{path} data row {n}: firm {firm_id} already has a row")
-            a_p, b_p, s_p, a_r, b_r, s_r, q_pp, q_pr, q_rp, q_rr, pi0_p, pi0_r, loglik = nums
             try:
                 model = RegimeModel(np.array([[q_pp, q_pr], [q_rp, q_rr]]),
                                     (RegimeParams(a_p, b_p, s_p), RegimeParams(a_r, b_r, s_r)),
@@ -311,9 +317,12 @@ def read_models(path) -> dict[str, ModelRow]:
                 raise ValueError(f"{path} data row {n}: firm {firm_id}: {exc}") from None
             out[firm_id] = ModelRow(firm_id, sector, district, model, loglik, converged,
                                     degenerate)
-        if fault is not None:
-            raise fault
     return out
+
+
+def read_code_map(path) -> set[str]:
+    """The codes of a ``code,name`` file; the names are not used."""
+    return {code for _, columns in _blocks(path, CODE_MAP_HEADER) for code in columns["code"]}
 
 
 # ---------------------------------------------------------------------------
@@ -335,3 +344,10 @@ def write_srpi(path, series: SrpiSeries, base_date, comments=()) -> None:
     dates = (np.datetime64(base_date) + series.offsets * DAY).astype(str).tolist()
     _write_csv(path, SRPI_HEADER, [(map(str, series.offsets.tolist()), dates,
                                     *map(_fmt_column, (series.srpi, series.delta_srpi)))], comments)
+
+
+def write_report(path, offsets, columns, base_date, comments=()) -> None:
+    """One firm's ``y``, ``mu_p`` and ``mu_r`` ``columns`` by offset."""
+    dates = (np.datetime64(base_date) + offsets * DAY).astype(str).tolist()
+    _write_csv(path, REPORT_HEADER, [(map(str, offsets.tolist()), dates,
+                                      *map(_fmt_column, columns))], comments)

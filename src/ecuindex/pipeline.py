@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -79,10 +79,10 @@ def _fit_block(block: KwhPanel, cfg: RunConfig) -> list[FirmFitResult | tuple[st
         if error is not None:
             out.append((firm_id, error))
             continue
-        dev = DeviationSeries(offsets, y[k])
         rng = firm_rng(cfg.seed, firm_id, 3) if cfg.multi_start > 0 else None
-        inits = chain([init_params(dev)], (random_init(dev, rng) for _ in range(cfg.multi_start)))
         try:  # max keeps the first of equal fits
+            dev = DeviationSeries(offsets, y[k])
+            inits = [init_params(dev)] + [random_init(dev, rng) for _ in range(cfg.multi_start)]
             report = max((em_fit(dev, init, tol=cfg.em_tol, max_iter=cfg.em_max_iter)
                           for init in inits), key=lambda fit: fit.loglik_trace[-1])
         except (ValueError, RuntimeError) as exc:  # RuntimeError: FilterDegeneracyError, EM failure

@@ -136,8 +136,6 @@ def preprocess_grid(block: KwhPanel, cfg):
     # windows clipped to the grid flag what windows clipped to the row flag; the shift is
     # one 1-D mean per row, since a masked 2-D mean would sum in another order
     finite = inside & np.isfinite(kwh)
-    shift = np.array([np.mean(row[ok]) if ok.any() else 0.0 for row, ok in zip(kwh, finite)])
-    x = np.where(finite, kwh - shift[:, None], 0.0)
     half = cfg.outlier_window // 2
     ends, starts = np.minimum(cols + half + 1, days), np.maximum(cols - half, 0)
 
@@ -146,12 +144,17 @@ def preprocess_grid(block: KwhPanel, cfg):
         np.cumsum(a, axis=1, out=c[:, 1:])
         return c[:, ends] - c[:, starts] - a
 
-    s, s2, m = window_sums(x), window_sums(x * x), window_sums(finite.astype(float))
-    ok = finite & (m >= 2)
-    mean = np.divide(s, m, out=np.zeros_like(s), where=ok)
-    var = np.maximum(np.divide(s2 - m * mean * mean, m - 1, out=np.zeros_like(s), where=ok), 0.0)
-    guard = 1e-9 * (np.abs(kwh) + np.abs(shift)[:, None] + 1.0)
-    valid = finite & ~(ok & (np.abs(x - mean) > cfg.outlier_k * np.sqrt(var) + guard))
+    with np.errstate(over="ignore", invalid="ignore"):  # a row whose sums overflow is refused
+        shift = np.array([np.mean(row[ok]) if ok.any() else 0.0 for row, ok in zip(kwh, finite)])
+        x = np.where(finite, kwh - shift[:, None], 0.0)
+        s, s2, m = window_sums(x), window_sums(x * x), window_sums(finite.astype(float))
+        overflow = ~np.isfinite(s2).all(axis=1)
+        ok = finite & (m >= 2)
+        mean = np.divide(s, m, out=np.zeros_like(s), where=ok)
+        var = np.maximum(np.divide(s2 - m * mean * mean, m - 1, out=np.zeros_like(s), where=ok),
+                         0.0)
+        guard = 1e-9 * (np.abs(kwh) + np.abs(shift)[:, None] + 1.0)
+        valid = finite & ~(ok & (np.abs(x - mean) > cfg.outlier_k * np.sqrt(var) + guard))
     del finite, x, s, s2, m, ok, mean, var, guard  # the grid's peak memory is one step's arrays
 
     # interpolate: a cell's sources are the row's last valid days before it, else its first
@@ -187,7 +190,7 @@ def preprocess_grid(block: KwhPanel, cfg):
 
     length = hi - lo
     missing = "clean series must not contain missing values"
-    refusals = (  # in the order the per-series steps check, each message as they word it
+    refusals = (  # the per-series steps' checks in their order and words, then an overflow
         (length == 0, "cannot detect outliers in an empty series"),
         (need.any(axis=1) & (n_valid == 0),
          "nothing to interpolate from: series has no valid values"),
@@ -195,6 +198,7 @@ def preprocess_grid(block: KwhPanel, cfg):
         (length < smooth_window,
          f"series length {{}} is shorter than the {smooth_window}-day window"),
         (~np.isfinite(csum[rows, hi]), missing),
+        (overflow, "kWh readings too large: the outlier windows' sums of squares overflow"),
     )
     errors = [None] * n
     for refused, message in refusals:

@@ -4,13 +4,12 @@ Sector codes are two-level: the first digit is the broad group
 (1 = primary, 2 = secondary, 3 = tertiary), the remaining digits index the
 sector within the group.  The default mix below mirrors the firm-count
 shares of a large metropolitan smart-meter panel and is used to seed the
-synthetic generator; any taxonomy can be substituted via a code-map CSV
-(columns ``code,name``).
+synthetic generator.  The module does no I/O: a run can replace the
+sector codes ``index`` accepts with those of a ``code,name`` file, which
+``panelio.read_code_map`` reads.
 """
 
 from __future__ import annotations
-
-import csv
 
 # code -> (name, default firm share)
 DEFAULT_SECTORS: dict[str, tuple[str, float]] = {
@@ -51,17 +50,3 @@ def sector_level(code: str) -> int:
         raise ValueError(f"sector code {code!r} has no valid level prefix (expected 1, 2 or 3)")
     return int(code[0])
 
-
-def load_code_map(path) -> dict[str, str]:
-    """Read a ``code,name`` CSV into a dict.  Lines starting with '#' are skipped."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
-        except csv.Error as exc:  # a quoted field over the size limit
-            raise ValueError(f"{path}: {exc}") from None
-    if not rows or [h.strip() for h in rows[0][:2]] != ["code", "name"]:
-        raise ValueError(f"{path}: expected header 'code,name'")
-    out = {row[0].strip(): row[1].strip() if len(row) > 1 else "" for row in rows[1:] if row}
-    if not out:
-        raise ValueError(f"{path}: empty code map")
-    return out

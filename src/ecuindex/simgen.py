@@ -89,9 +89,9 @@ class PanelConfig:
             raise ValueError(f"noise_frac must be finite and >= 0, got {self.noise_frac}")
         _check_mix(self.sector_mix, "sector_mix")
         _check_mix(self.district_mix, "district_mix")
-        if not 0.0 < self.base_lo <= self.base_hi < np.inf:
-            raise ValueError("base_lo and base_hi must be finite and satisfy "
-                             f"0 < base_lo <= base_hi, got {self.base_lo} and {self.base_hi}")
+        if not 0.0 < self.base_lo <= self.base_hi <= 1e150:  # sums of squares overflow near 1e154
+            raise ValueError("base_lo and base_hi must be positive with base_lo <= base_hi <= "
+                             f"1e150, got {self.base_lo} and {self.base_hi}")
         for name in ("weekly_amplitude", "annual_amplitude", "holiday_depth",
                      "shock_depth_jitter", "missing_rate", "outlier_rate"):
             v = getattr(self, name)

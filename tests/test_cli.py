@@ -7,6 +7,7 @@ are exercised the same way a shell user would see them.
 import filecmp
 import shutil
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ import pytest
 
 from ecuindex.cli import main
 from ecuindex.hmm import RegimeModel, RegimeParams
-from ecuindex.panelio import MODELS_HEADER, ModelRow, write_models
+from ecuindex.panelio import (MODELS_HEADER, ModelRow, read_models, read_panel, write_models,
+                              write_panel)
 from ecuindex.sectors import DEFAULT_DISTRICTS, DEFAULT_SECTORS
 
 
@@ -201,6 +203,37 @@ def test_panel_takes_iso_days_and_finite_kwh(three_firms, capsys, field, value):
     assert f"panel.csv data row 1, column {column}: cannot read {value!r}" in capsys.readouterr().err
 
 
+def test_firm_of_huge_readings_is_skipped_alone(three_firms, tmp_path, capsys):
+    """Finite readings whose sums of squares overflow skip their firm with a reason, without a
+    numpy warning, and leave the other firms' fit outputs as they are without it."""
+    out, cfg = three_firms
+    panel = read_panel(out / "panel.csv")
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    write_panel(alone / "panel.csv", panel[:2])
+    kwh = panel.kwh.copy()
+    kwh[2] *= 1e198
+    write_panel(out / "panel.csv", replace(panel, kwh=kwh))
+    for directory in (out, alone):
+        assert main(["fit", "--config", cfg, "--out", str(directory)]) == 0
+    assert "skipped F00002: kWh readings too large" in capsys.readouterr().out
+    for name in ("models.csv", "firmdays.npy"):
+        assert filecmp.cmp(out / name, alone / name, shallow=False), name
+
+
+def test_base_load_ceiling(tmp_path, capsys):
+    """A panel at the highest base load, 1e150, fits every firm; the next float is refused."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "top.cfg", "n_firms = 3\nbase_lo = 1e150\nbase_hi = 1e150\n")
+    for command in ("simulate", "fit"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert "fitted 3 firms" in capsys.readouterr().out
+    cfg = write_config(tmp_path / "over.cfg", "base_hi = 1.0000000000000002e150\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "over")]) == 2
+    assert "base_hi <= 1e150" in capsys.readouterr().err
+    assert not (tmp_path / "over").exists()
+
+
 def test_fit_fails_when_every_firm_is_skipped(three_firms, capsys):
     out, cfg = three_firms
     lines = (out / "panel.csv").read_text().splitlines(keepends=True)
@@ -220,7 +253,28 @@ def test_malformed_code_map_is_a_data_error(fitted_dir, tmp_path, capsys):
     cfg = write_config(tmp_path / "run.cfg", BASE_CONFIG + f"code_map = {codes}\n")
     shutil.copytree(out, tmp_path / "o")
     assert main(["index", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "expected header 'code,name'" in capsys.readouterr().err
+    assert "header ['sector', 'label'] does not match ['code', 'name']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("omit,code", [(False, 0), (True, 1)], ids=["every-sector", "one-omitted"])
+def test_code_map_lists_the_sectors_index_accepts(fitted_dir, tmp_path, capsys, omit, code):
+    """A code map naming every sector of the fit gives the built-in list's ``ecu.csv``; one
+    that omits a sector is a data error naming it."""
+    out, plain_cfg = fitted_dir
+    sectors = sorted({m.sector_code for m in read_models(out / "models.csv").values()})
+    codes = tmp_path / "codes.csv"
+    codes.write_text("# sectors of the fit\ncode,name\n" + "".join(
+        f'{c},"{DEFAULT_SECTORS[c][0]}"\r\n' for c in sectors[omit:]))
+    cfg = write_config(tmp_path / "run.cfg", BASE_CONFIG + f"code_map = {codes}\n")
+    mapped, plain = tmp_path / "mapped", tmp_path / "plain"
+    shutil.copytree(out, mapped)
+    assert main(["index", "--config", cfg, "--out", str(mapped)]) == code
+    if omit:
+        assert f"unknown sector code {sectors[0]!r}" in capsys.readouterr().err
+    else:
+        shutil.copytree(out, plain)
+        assert main(["index", "--config", plain_cfg, "--out", str(plain)]) == 0
+        assert filecmp.cmp(plain / "ecu.csv", mapped / "ecu.csv", shallow=False)
 
 
 def test_fit_outputs(fitted_dir, capsys):

@@ -1,4 +1,7 @@
-"""The package's public names are its four stages, and nothing else."""
+"""The package's public names are its four stages, and nothing else; one module owns CSV."""
+
+import ast
+from pathlib import Path
 
 import ecuindex
 from ecuindex import hmm, preprocess
@@ -21,3 +24,16 @@ def test_public_names_are_the_four_stages():
     assert all(hasattr(ecuindex, name) for name in PUBLIC)
     for module in (ecuindex, preprocess, hmm):  # without the attribute, `from module import` fails
         assert [name for name in REMOVED if hasattr(module, name)] == [], module.__name__
+
+
+def test_only_panelio_imports_csv():
+    """The CSV dialect (line endings, quoting, ``#`` lines, header and width checks) is decided
+    in one module."""
+    importers = set()
+    for path in Path(ecuindex.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(name == "csv" or name.startswith("csv.") for name in names):
+                importers.add(path.stem)
+    assert importers == {"panelio"}

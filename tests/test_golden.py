@@ -6,7 +6,8 @@ Every one of the six files it writes must hash to the value recorded
 below.  The hashes were recorded with numpy 2.4.6 on Python 3.11, before
 the CSV readers and writers moved from row lists to whole text blocks; the
 hash of ``firmdays.npy`` when the fit's firm-day handoff became that binary
-array.  A change that alters any output byte (a float's text, a row's order,
+array, and that of ``report_F00003.csv`` when its rows came to end in CRLF
+as every other CSV's do.  A change that alters any output byte (a float's text, a row's order,
 a quoting rule, the array's header) fails here.
 """
 
@@ -38,7 +39,7 @@ GOLDEN = {
     "srpi.csv":
         "b00e565afe4fe105307074dc329befaa42ea965483a71e2149a2a315b6f4ea74",
     "report_F00003.csv":
-        "7a9dcd71f5b08663c8d8307a8687f3f5a945c24c21ad9b2e9d9c54a7c00596d1",
+        "e40891ee3a1860c02668b3b1a084a01a574e020e33c510b85a6550f8623eafa6",
 }
 
 
