@@ -15,12 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, build_panel_config, build_run_config, load_config
+from .config import (ConfigError, RunConfig, build_panel_config, build_run_config,
+                     load_config)
 from .ecu import ecu_grouped, srpi
 from .panelio import (read_code_map, read_panel, seed_comment, write_ecu, write_panel,
                       write_report, write_srpi)
 from .pipeline import fit_outputs, fit_panel, read_fit_outputs, write_fit_outputs
-from .simgen import generate
+from .simgen import PanelConfig, generate
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1  # data and runtime failures
@@ -29,7 +30,7 @@ EXIT_CONFIG = 2  # a ConfigError: the config file or a flag
 
 def _load_raw(args) -> dict[str, str]:
     raw = load_config(args.config) if args.config else {}
-    for key in ("seed", "out", "workers"):  # flags override the file
+    for key in ("seed", "out", "workers", "firm"):  # flags override the file
         if getattr(args, key, None) is not None:
             raw[key] = str(getattr(args, key))
     return raw
@@ -45,24 +46,15 @@ def _panel_path(raw: dict[str, str]) -> Path:
     return _out_dir(raw) / "panel.csv"
 
 
-def cmd_simulate(args) -> int:
-    raw = _load_raw(args)
-    cfg = build_panel_config(raw)
-    out = _out_dir(raw)
-
+def cmd_simulate(cfg: PanelConfig, out: Path, comments: list[str], raw: dict[str, str]) -> None:
     panel = generate(cfg).panel
     out.mkdir(parents=True, exist_ok=True)
     path = out / "panel.csv"
-    write_panel(path, panel, comments=[seed_comment(cfg.seed)])
+    write_panel(path, panel, comments)
     print(f"wrote {path}: {len(panel)} firms x {panel.kwh.shape[1]} days")
-    return EXIT_OK
 
 
-def cmd_fit(args) -> int:
-    raw = _load_raw(args)
-    cfg = build_run_config(raw)
-    out = _out_dir(raw)
-
+def cmd_fit(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, str]) -> None:
     # the panel's readings are dropped once fitted, before the outputs are built
     results, skipped = fit_panel(read_panel(_panel_path(raw)), cfg)
     for firm_id, reason in skipped:
@@ -73,19 +65,15 @@ def cmd_fit(args) -> int:
 
     fit = fit_outputs(results)
     out.mkdir(parents=True, exist_ok=True)
-    write_fit_outputs(out, fit, [seed_comment(cfg.seed)])
+    write_fit_outputs(out, fit, comments)
 
     converged = sum(m.converged for m in fit.models.values())
     degenerate = sum(m.degenerate for m in fit.models.values())
     print(f"fitted {len(fit.models)} firms ({converged} converged, {degenerate} degenerate), "
           f"skipped {len(skipped)}")
-    return EXIT_OK
 
 
-def cmd_index(args) -> int:
-    raw = _load_raw(args)
-    cfg = build_run_config(raw)
-    out = _out_dir(raw)
+def cmd_index(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, str]) -> None:
     fit = read_fit_outputs(out)
     known_sectors = read_code_map(cfg.code_map) if cfg.code_map else None
 
@@ -95,26 +83,20 @@ def cmd_index(args) -> int:
         series.extend(ecu_grouped(fit.panel, group_by, known_codes=known))
     resumption = srpi(fit.panel, fit.reference_totals, window_days=cfg.smooth_window)
 
-    comments = [seed_comment(cfg.seed)]
     write_ecu(out / "ecu.csv", series, cfg.test_base, comments)
     write_srpi(out / "srpi.csv", resumption, cfg.test_base, comments)
     print(f"wrote {out / 'ecu.csv'} ({len(series)} series) and {out / 'srpi.csv'}")
-    return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    raw = _load_raw(args)
-    cfg = build_run_config(raw)
-    out = _out_dir(raw)
-    firm = args.firm
-
+def cmd_report(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, str]) -> None:
+    firm = raw["firm"]
     fit = read_fit_outputs(out)
     if firm not in fit.models:
-        raise KeyError(f"unknown firm id {firm!r}")
+        raise ValueError(f"unknown firm id {firm!r}")
     y, mu_p, mu_r, _, _ = fit.firmdays[:, list(fit.models).index(firm)]  # models.csv order
     offsets = np.arange(len(y)) - len(y) // 2
     path = out / f"report_{firm}.csv"
-    write_report(path, offsets, (y, mu_p, mu_r), cfg.test_base, [seed_comment(cfg.seed)])
+    write_report(path, offsets, (y, mu_p, mu_r), cfg.test_base, comments)
 
     peak = int(np.argmax(mu_r))
     print(f"firm {firm}")
@@ -126,7 +108,6 @@ def cmd_report(args) -> int:
     print(f"  mean mu_r={float(np.mean(mu_r)):.3f}, "
           f"peak mu_r={float(mu_r[peak]):.3f} at offset {int(offsets[peak])}")
     print(f"wrote {path}")
-    return EXIT_OK
 
 
 def _add_common(sub, workers=False, firm=False):
@@ -140,6 +121,10 @@ def _add_common(sub, workers=False, firm=False):
 
 
 def main(argv=None) -> int:
+    """Run one stage: merge the config file with the flags, build the stage's config, and
+    call its command with the config, the output directory and the root seed line of every
+    CSV it writes.  Returns 0, or 1 (data, runtime) or 2 (configuration) after one
+    ``error:`` line."""
     parser = argparse.ArgumentParser(
         prog="ecuindex",
         description="Electricity-consumption uncertainty index pipeline",
@@ -151,14 +136,15 @@ def main(argv=None) -> int:
     _add_common(commands.add_parser("report", help="per-offset table for one firm"), firm=True)
 
     args = parser.parse_args(argv)
-    handler = {"simulate": cmd_simulate, "fit": cmd_fit,
-               "index": cmd_index, "report": cmd_report}[args.command]
+    run = {"simulate": cmd_simulate, "fit": cmd_fit, "index": cmd_index, "report": cmd_report}
     try:
-        return handler(args)
-    except (ValueError, KeyError, OSError) as exc:  # OSError: a file that cannot be opened
-        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {msg}", file=sys.stderr)
+        raw = _load_raw(args)
+        cfg = (build_panel_config if args.command == "simulate" else build_run_config)(raw)
+        run[args.command](cfg, _out_dir(raw), [seed_comment(cfg.seed)], raw)
+    except (ValueError, OSError) as exc:  # OSError: a file that cannot be opened
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_RUNTIME
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -164,6 +164,7 @@ def _blocks(path, header):
             del block, text, fields  # a block's text is held once, as columns
             yield first, columns
             first += len(columns[header[0]])
+            del columns  # and not while the next block is read
         # a quoted field may hold commas and line breaks, and span blocks
         rows = _csv_rows(path, itertools.chain(block, lines))
         while block := list(itertools.islice(rows, BLOCK_ROWS)):
@@ -178,6 +179,7 @@ def _blocks(path, header):
             del block
             yield first, columns
             first += len(columns[header[0]])
+            del columns
 
 
 def seed_comment(seed) -> str:
@@ -259,6 +261,7 @@ def read_panel(path) -> KwhPanel:
         cols -= day0
         kwh[rows, cols], seen[rows, cols] = values, True
         counts += np.bincount(rows, minlength=len(counts))
+        del columns, text, firm_codes  # the next block is read holding none of this one's text
     if not index:
         return KwhPanel([], [], [], np.datetime64(0, "D"), counts, counts, kwh)
     firm_ids = sorted(index)
@@ -291,6 +294,11 @@ def write_models(path, rows: Iterable[ModelRow], comments=()) -> None:
     numbers = np.array([[x for p in r.model.params for x in (p.alpha, p.beta, p.sigma)]
                         + [*r.model.q.ravel(), *r.model.pi0, r.loglik]
                         for r in rows], dtype=float).reshape(-1, len(MODELS_HEADER[3:-2]))
+    bad = ~np.isfinite(numbers)
+    if bad.any():  # read_models would refuse it
+        k, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"{path} data row {k + 1}, column {MODELS_HEADER[3 + j]}: "
+                         f"{numbers[k, j]} is not finite")
     _write_csv(path, MODELS_HEADER, [[
         *(_quoted([getattr(r, name) for r in rows]) for name in MODELS_HEADER[:3]),
         *map(_fmt_column, numbers.T),

@@ -63,9 +63,10 @@ def _economically_flat(dev: DeviationSeries, ele_test: np.ndarray) -> bool:
     return float(np.abs(dev.y).max()) <= 1e-8 * (1.0 + scale)
 
 
-def _fit_block(block: KwhPanel, cfg: RunConfig) -> list[FirmFitResult | tuple[str, str]]:
+def _fit_block(block: KwhPanel,
+               cfg: RunConfig) -> tuple[list[FirmFitResult], list[tuple[str, str]]]:
     """Preprocess a block of the panel's rows on one grid and fit each row it keeps by EM;
-    per row, in row order, its result or (firm id, why it is skipped).
+    returns the fitted firms and the skipped ones' (firm id, reason), both in row order.
 
     EM starts from the deterministic init and from ``multi_start`` random inits drawn from the
     firm's stream 3; the highest final log-likelihood wins, the deterministic init on ties, so
@@ -74,10 +75,10 @@ def _fit_block(block: KwhPanel, cfg: RunConfig) -> list[FirmFitResult | tuple[st
     """
     y, ele_test, ele_ref, errors = preprocess_grid(block, cfg)
     offsets = np.arange(-cfg.span, cfg.span + 1)
-    out = []
+    fitted, skipped = [], []
     for k, (firm_id, error) in enumerate(zip(block.firm_ids, errors)):
         if error is not None:
-            out.append((firm_id, error))
+            skipped.append((firm_id, error))
             continue
         rng = firm_rng(cfg.seed, firm_id, 3) if cfg.multi_start > 0 else None
         try:  # max keeps the first of equal fits
@@ -86,13 +87,13 @@ def _fit_block(block: KwhPanel, cfg: RunConfig) -> list[FirmFitResult | tuple[st
             report = max((em_fit(dev, init, tol=cfg.em_tol, max_iter=cfg.em_max_iter)
                           for init in inits), key=lambda fit: fit.loglik_trace[-1])
         except (ValueError, RuntimeError) as exc:  # RuntimeError: FilterDegeneracyError, EM failure
-            out.append((firm_id, str(exc)))
+            skipped.append((firm_id, str(exc)))
             continue
         if not report.degenerate and _economically_flat(dev, ele_test[k]):
             report = replace(report, degenerate=True)
-        out.append(FirmFitResult(firm_id, block.sector_codes[k], block.district_codes[k], dev,
-                                 report, ele_test[k], ele_ref[k]))
-    return out
+        fitted.append(FirmFitResult(firm_id, block.sector_codes[k], block.district_codes[k],
+                                    dev, report, ele_test[k], ele_ref[k]))
+    return fitted, skipped
 
 
 def fit_panel(panel: KwhPanel, cfg: RunConfig,
@@ -111,14 +112,13 @@ def fit_panel(panel: KwhPanel, cfg: RunConfig,
     blocks = [panel[at:at + size] for at in range(0, len(panel), size)]
     workers = min(workers, len(blocks))
     if workers <= 1:
-        outcomes = map(_fit_block, blocks, repeat(cfg))
+        outcomes = list(map(_fit_block, blocks, repeat(cfg)))
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for the import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_fit_block, blocks, repeat(cfg)))
-    outcomes = [outcome for block in outcomes for outcome in block]
-    return ([o for o in outcomes if isinstance(o, FirmFitResult)],
-            [o for o in outcomes if not isinstance(o, FirmFitResult)])
+    return ([r for fitted, _ in outcomes for r in fitted],
+            [s for _, skipped in outcomes for s in skipped])
 
 
 @dataclass(frozen=True)
@@ -186,9 +186,27 @@ def reference_totals(results: list[FirmFitResult]) -> np.ndarray:
     return fit_outputs(results).reference_totals
 
 
+def _check_ids(path, firm_ids: list[str]) -> None:
+    """Refuse firm ids that do not ascend strictly: array rows are matched to firms by position."""
+    late = next((k for k in range(1, len(firm_ids)) if firm_ids[k] <= firm_ids[k - 1]), None)
+    if late is not None:
+        raise ValueError(f"{path} data row {late + 1}: firm {firm_ids[late]} comes after "
+                         f"{firm_ids[late - 1]}; firm ids must ascend")
+
+
 def _check_layers(path, firm_ids: list[str], layers: np.ndarray) -> None:
-    """Refuse the first non-finite value of ``layers``, then the first probability outside
-    [0, 1] or negative kWh, in (layer, firm, offset) order."""
+    """Refuse an array that is not the native float64 (5, firms, T) array of ``firm_ids`` with
+    T odd, then its first non-finite value, then its first probability outside [0, 1] or
+    negative kWh, in (layer, firm, offset) order."""
+    want = np.dtype(float)  # native byte order
+    if layers.dtype != want or layers.ndim != 3 or len(layers) != len(FIRMDAY_LAYERS):
+        raise ValueError(f"{path} holds a {layers.dtype.str} array of shape {layers.shape}; "
+                         f"expected {want.str} of shape ({len(FIRMDAY_LAYERS)}, firms, days)")
+    firms, days = layers.shape[1:]
+    if firms != len(firm_ids):
+        raise ValueError(f"{path} has {firms} firm rows but models.csv has {len(firm_ids)}")
+    if days % 2 == 0:
+        raise ValueError(f"{path} has {days} days per firm; offsets -span..span need an odd count")
     mu, kwh = layers[1:3], layers[3:]
     for first, bad, rule in ((0, ~np.isfinite(layers), "firm-day values must be finite"),
                              (1, (mu < 0.0) | (mu > 1.0), "probabilities must lie in [0, 1]"),
@@ -197,17 +215,16 @@ def _check_layers(path, firm_ids: list[str], layers: np.ndarray) -> None:
             layer, firm, day = np.unravel_index(np.argmax(bad), bad.shape)
             raise ValueError(f"{path}: column {FIRMDAY_LAYERS[first + layer]} of firm "
                              f"{firm_ids[firm]} is {layers[first + layer, firm, day]} at offset "
-                             f"{day - layers.shape[2] // 2}; {rule}")
+                             f"{day - days // 2}; {rule}")
 
 
 def write_fit_outputs(directory, fit: FitOutputs, comments=()) -> None:
-    """Write ``models.csv`` and ``firmdays.npy`` into ``directory``.
-
-    A value ``read_fit_outputs`` would refuse is refused first, and then neither file is
-    written.
-    """
+    """Write ``models.csv`` and ``firmdays.npy`` into ``directory``; a pair ``read_fit_outputs``
+    would refuse, such as models out of id order, is refused before either file is written."""
     directory = Path(directory)
-    _check_layers(directory / "firmdays.npy", list(fit.models), fit.firmdays)
+    firm_ids = [m.firm_id for m in fit.models.values()]
+    _check_ids(directory / "models.csv", firm_ids)
+    _check_layers(directory / "firmdays.npy", firm_ids, fit.firmdays)
     write_models(directory / "models.csv", fit.models.values(), comments)
     np.save(directory / "firmdays.npy", fit.firmdays)
 
@@ -234,25 +251,12 @@ def read_fit_outputs(directory) -> FitOutputs:
                                     "run the fit command first")
     path = directory / "models.csv"
     models = read_models(path)
-    firm_ids = list(models)
-    late = next((k for k in range(1, len(firm_ids)) if firm_ids[k] <= firm_ids[k - 1]), None)
-    if late is not None:
-        raise ValueError(f"{path} data row {late + 1}: firm {firm_ids[late]} comes after "
-                         f"{firm_ids[late - 1]}; firm ids must ascend")
+    _check_ids(path, list(models))
     path = directory / "firmdays.npy"
     with open(path, "rb") as fh:
         try:
             layers = np.lib.format.read_array(fh, allow_pickle=False)
         except ValueError as exc:
             raise ValueError(f"{path} is not a readable .npy file: {exc}") from None
-    want = np.dtype(float)  # native byte order
-    if layers.dtype != want or layers.ndim != 3 or len(layers) != len(FIRMDAY_LAYERS):
-        raise ValueError(f"{path} holds a {layers.dtype.str} array of shape {layers.shape}; "
-                         f"expected {want.str} of shape ({len(FIRMDAY_LAYERS)}, firms, days)")
-    firms, days = layers.shape[1:]
-    if firms != len(models):
-        raise ValueError(f"{path} has {firms} firm rows but models.csv has {len(models)}")
-    if days % 2 == 0:
-        raise ValueError(f"{path} has {days} days per firm; offsets -span..span need an odd count")
-    _check_layers(path, firm_ids, layers)
+    _check_layers(path, list(models), layers)
     return FitOutputs(models, layers)

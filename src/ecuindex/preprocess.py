@@ -174,7 +174,8 @@ def preprocess_grid(block: KwhPanel, cfg):
 
     # smooth: a row's sums start from +0.0 on its first day, as its series' sums do
     csum = np.zeros((n, days + 1))
-    np.cumsum(clean, axis=1, out=csum[:, 1:])
+    with np.errstate(over="ignore"):  # a row whose running sum overflows is refused
+        np.cumsum(clean, axis=1, out=csum[:, 1:])
     csum[rows, lo] = 0.0
 
     def window(base):  # smoothed and clean values; clipped columns serve refused rows only
@@ -189,15 +190,14 @@ def preprocess_grid(block: KwhPanel, cfg):
         y = smooth_test - smooth_ref
 
     length = hi - lo
-    missing = "clean series must not contain missing values"
     refusals = (  # the per-series steps' checks in their order and words, then an overflow
         (length == 0, "cannot detect outliers in an empty series"),
         (need.any(axis=1) & (n_valid == 0),
          "nothing to interpolate from: series has no valid values"),
-        (~np.isfinite(clean).all(axis=1), missing),
+        (~np.isfinite(clean).all(axis=1), "clean series must not contain missing values"),
         (length < smooth_window,
          f"series length {{}} is shorter than the {smooth_window}-day window"),
-        (~np.isfinite(csum[rows, hi]), missing),
+        (~np.isfinite(csum[rows, hi]), "kWh readings too large: the smoothing sums overflow"),
         (overflow, "kWh readings too large: the outlier windows' sums of squares overflow"),
     )
     errors = [None] * n

@@ -2,8 +2,10 @@
 
 The steps and types below are the package's per-series implementation from
 before the fit preprocessed firms in blocks on a firm x day grid, copied
-without change: ``RawSeries`` → ``detect_outliers`` → ``interpolate`` →
+without change but one: ``RawSeries`` → ``detect_outliers`` → ``interpolate`` →
 ``CleanSeries`` → ``smooth`` → ``align`` (``AlignedPair``) → ``deviation``.
+``smooth`` names a running sum that overflows as such; it was refused as a
+missing value.
 ``preprocess_firm`` takes one firm's series through them, smoothed and
 clean.  Tests require the package's ``preprocess_grid`` to give the same
 deviation and windows bit for bit, and the same message for a firm it
@@ -185,7 +187,11 @@ def smooth(series: CleanSeries, window_days: int = 7) -> CleanSeries:
         raise ValueError("cannot smooth an empty series")
     if len(series) < window_days:
         raise ValueError(f"series length {len(series)} is shorter than the {window_days}-day window")
-    return CleanSeries(series.dates, trailing_mean(series.values, window_days))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = trailing_mean(series.values, window_days)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("kWh readings too large: the smoothing sums overflow")
+    return CleanSeries(series.dates, values)
 
 
 def _window_slice(series: CleanSeries, base: np.datetime64, span: int, label: str) -> np.ndarray:

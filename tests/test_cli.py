@@ -96,6 +96,22 @@ def test_simulate_seed_flag_overrides_config(tmp_path):
     assert "# root_seed=7" in (b / "panel.csv").read_text()
 
 
+def test_seed_flag_overrides_config_in_every_stage(tmp_path, capsys):
+    """``--seed`` beats the config's ``seed`` in the root seed line of every CSV a stage
+    writes."""
+    cfg = write_config(tmp_path / "run.cfg", BASE_CONFIG)
+    out = tmp_path / "out"
+    written = {"simulate": ["panel.csv"], "fit": ["models.csv"], "index": ["ecu.csv", "srpi.csv"],
+               "report": ["report_F00003.csv"]}
+    for stage, names in written.items():
+        firm = ["--firm", "F00003"] if stage == "report" else []
+        assert main([stage, "--config", cfg, "--out", str(out), "--seed", "7", *firm]) == 0
+        for name in names:
+            assert (out / name).read_text().startswith("# root_seed=7\n"), name
+    csvs = sorted(p.name for p in out.iterdir() if p.suffix == ".csv")
+    assert csvs == sorted(name for names in written.values() for name in names)
+
+
 def test_simulate_rejects_bad_field(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.cfg", "n_firms = -3\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -203,22 +219,37 @@ def test_panel_takes_iso_days_and_finite_kwh(three_firms, capsys, field, value):
     assert f"panel.csv data row 1, column {column}: cannot read {value!r}" in capsys.readouterr().err
 
 
-def test_firm_of_huge_readings_is_skipped_alone(three_firms, tmp_path, capsys):
-    """Finite readings whose sums of squares overflow skip their firm with a reason, without a
-    numpy warning, and leave the other firms' fit outputs as they are without it."""
+def fit_with_a_huge_firm(three_firms, tmp_path, capsys, factor):
+    """Fit the panel with its last firm's readings scaled by ``factor`` and, in another
+    directory, without that firm; the two fits' outputs must be the same.  Returns the first
+    fit's stdout."""
     out, cfg = three_firms
     panel = read_panel(out / "panel.csv")
     alone = tmp_path / "alone"
     alone.mkdir()
     write_panel(alone / "panel.csv", panel[:2])
     kwh = panel.kwh.copy()
-    kwh[2] *= 1e198
+    kwh[2] *= factor
     write_panel(out / "panel.csv", replace(panel, kwh=kwh))
     for directory in (out, alone):
         assert main(["fit", "--config", cfg, "--out", str(directory)]) == 0
-    assert "skipped F00002: kWh readings too large" in capsys.readouterr().out
     for name in ("models.csv", "firmdays.npy"):
         assert filecmp.cmp(out / name, alone / name, shallow=False), name
+    return capsys.readouterr().out
+
+
+def test_firm_of_huge_readings_is_skipped_alone(three_firms, tmp_path, capsys):
+    """Finite readings whose sums of squares overflow skip their firm with a reason, without a
+    numpy warning, and leave the other firms' fit outputs as they are without it."""
+    out = fit_with_a_huge_firm(three_firms, tmp_path, capsys, 1e198)
+    assert "skipped F00002: kWh readings too large" in out
+
+
+def test_firm_whose_running_sum_overflows_is_skipped_alone(three_firms, tmp_path, capsys):
+    """Readings near 1e306 kWh overflow the smoothing step's running sum: the firm is skipped
+    naming the overflow, not a missing value, without a numpy warning."""
+    out = fit_with_a_huge_firm(three_firms, tmp_path, capsys, 1e303)
+    assert "skipped F00002: kWh readings too large: the smoothing sums overflow" in out
 
 
 def test_base_load_ceiling(tmp_path, capsys):

@@ -25,6 +25,7 @@ from ecuindex.panelio import (
 )
 from ecuindex.pipeline import (
     FIRMDAY_LAYERS,
+    FitOutputs,
     fit_outputs,
     fit_panel,
     read_fit_outputs,
@@ -199,6 +200,33 @@ def test_firmdays_writer_refuses_nan(tmp_path, fitted):
         write_fit_outputs(tmp_path, fit_outputs(broken))
     assert not (tmp_path / "models.csv").exists()
     assert not (tmp_path / "firmdays.npy").exists()
+
+
+def swap_order(fit):
+    """The same firms and firm-days, both in reverse id order: a consistent pair."""
+    return FitOutputs(dict(reversed(fit.models.items())), fit.firmdays[:, ::-1].copy())
+
+
+@pytest.mark.parametrize("damage,message", [
+    (swap_order, "models.csv data row 2: firm {1} comes after {2}; firm ids must ascend"),
+    (lambda fit: replace(fit, firmdays=fit.firmdays[:, :2]),
+     "firmdays.npy has 2 firm rows but models.csv has 3"),
+    (lambda fit: replace(fit, firmdays=fit.firmdays[:, :, 1:]),
+     "firmdays.npy has 190 days per firm"),
+    (lambda fit: replace(fit, firmdays=fit.firmdays.astype(np.float32)),
+     "firmdays.npy holds a <f4 array of shape (5, 3, 191)"),
+    (lambda fit: replace(fit, firmdays=fit.firmdays[:4]),
+     "firmdays.npy holds a <f8 array of shape (4, 3, 191)"),
+    (lambda fit: replace(fit, models={**fit.models, "F00001": replace(
+        fit.models["F00001"], loglik=np.nan)}), "models.csv data row 2, column loglik: nan"),
+], ids=["reverse_order", "firm_rows", "even_days", "float32", "four_layers", "nan_loglik"])
+def test_fit_writer_refuses_a_pair_the_reader_refuses(tmp_path, fitted, damage, message):
+    """``models.csv`` is written in id order and the array as it is, so a pair whose models are
+    out of id order would come back mispaired; neither file is written."""
+    fit = fit_outputs(fitted)
+    with pytest.raises(ValueError, match=re.escape(message.format(*fit.models))):
+        write_fit_outputs(tmp_path, damage(fit))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_firmdays_short_row_rejected(tmp_path, fitted):
@@ -513,10 +541,12 @@ def test_read_panel_peak_per_row_is_bounded(tmp_path, run_child, firms, bound):
     """Reading a panel raises a fresh process's peak by under ``bound`` bytes a data row.
 
     Each reading lands in one 8-byte cell of the grid and one 1-byte mark, and the grid's
-    rows double in place: about 19 bytes a row at 500 firms, and 26 at 520, whose rows double
-    from 512 to 1,024 near the end of the file.  Doubling the rows by a copy, which holds the
-    old grid and the new one at once, took 21 and 34; keeping each block's rows typed and
-    sorting every firm's readings by day took about 46 at 500.
+    rows double in place: about 17 bytes a row at 500 firms, and 25 at 520, whose rows double
+    from 512 to 1,024 near the end of the file (2 less in a child that compiles its imports,
+    whose freed memory the read reuses).  Holding a block's text while the next one was read
+    took 21 and 29; doubling the rows by a copy, which holds the old grid and the new one at
+    once, took 21 and 34; keeping each block's rows typed and sorting every firm's readings by
+    day took about 46 at 500.
     """
     path = tmp_path / "panel.csv"
     write_panel(path, generate(PanelConfig(n_firms=firms, seed=3, missing_rate=0.02)).panel)
