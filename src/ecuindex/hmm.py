@@ -131,6 +131,13 @@ def _as_observations(y) -> np.ndarray:
     return np.ascontiguousarray(arr)  # BLAS dot products round a strided vector differently
 
 
+def _degeneracy(offsets, step: int) -> FilterDegeneracyError:
+    """The error of a pass that degenerates at 0-based ``step``: named ``offsets[step]``, or the
+    1-based step without offsets."""
+    return FilterDegeneracyError("filter degeneracy at offset "
+                                 f"{offsets[step] if offsets is not None else step + 1}")
+
+
 def emission_logdensity(y_t, t, params: RegimeParams):
     """Log Gaussian density of ``y_t`` around the regime trend at position ``t`` (1-based)."""
     resid = (np.asarray(y_t, dtype=float) - params.mean(t)) / params.sigma
@@ -161,8 +168,7 @@ def _forward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0: np.ndarr
         a1 = p1 * e1
         c = a0 + a1
         if not (c > 0.0 and c < math.inf):
-            where = offsets[len(norms)] if offsets is not None else len(norms) + 1
-            raise FilterDegeneracyError(f"filter degeneracy at offset {where}")
+            raise _degeneracy(offsets, len(norms))
         f0 = a0 / c
         f1 = a1 / c
         f0s.append(f0)
@@ -205,8 +211,7 @@ def _forward_backward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0:
     total = gamma[:, 0] + gamma[:, 1]
     bad = np.flatnonzero(~((total > 0.0) & (total < np.inf)))
     if len(bad):
-        where = offsets[bad[0]] if offsets is not None else bad[0] + 1
-        raise FilterDegeneracyError(f"filter degeneracy at offset {where}")
+        raise _degeneracy(offsets, bad[0])
     gamma /= total[:, None]
 
     inner = (b[1:] * beta_hat[1:]) / c[1:, None]
@@ -321,11 +326,17 @@ def em_fit(y, init: RegimeModel, tol=RunConfig.em_tol, max_iter=RunConfig.em_max
         q, params, pi0 = _m_step(yv, t, gamma, xi_sum, q, params, floor)
         updates += 1
 
+    return _report(q, params, pi0, floor, filtered, trace, updates, converged)
+
+
+def _report(q, params, pi0, floor: float, filtered, trace: list, updates: int,
+            converged: bool) -> FitReport:
+    """EM's result: the model labeled, its (T, 2) filter reordered to match, the trace, flags."""
     labeled, order, indistinct = _label(RegimeModel(q, params, pi0))
     floored = any(p.sigma <= floor * (1.0 + 1e-12) for p in labeled.params)
     return FitReport(
         model=labeled,
-        filter=FilterOutput(filtered[:, order], loglik),
+        filter=FilterOutput(filtered[:, order], trace[-1]),
         iterations=updates,
         loglik_trace=np.asarray(trace),
         converged=converged,

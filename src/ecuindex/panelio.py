@@ -290,7 +290,17 @@ def read_panel(path) -> KwhPanel:
 
 
 def write_models(path, rows: Iterable[ModelRow], comments=()) -> None:
+    """The models as ``models.csv`` rows in firm id order; a text field longer than the CSV
+    reader's field limit or a non-finite number, which ``read_models`` would refuse, is refused
+    before the file is opened."""
     rows = sorted(rows, key=lambda r: r.firm_id)
+    limit = csv.field_size_limit()
+    for k, r in enumerate(rows):
+        for name in MODELS_HEADER[:3]:
+            if len(getattr(r, name)) > limit:
+                raise ValueError(f"{path} data row {k + 1}, column {name}: a field of "
+                                 f"{len(getattr(r, name))} characters is longer than the CSV "
+                                 f"reader's limit of {limit}")
     numbers = np.array([[x for p in r.model.params for x in (p.alpha, p.beta, p.sigma)]
                         + [*r.model.q.ravel(), *r.model.pi0, r.loglik]
                         for r in rows], dtype=float).reshape(-1, len(MODELS_HEADER[3:-2]))

@@ -1,13 +1,15 @@
 """Panel orchestration: a kWh panel in, fitted models and index inputs out.
 
 ``fit_panel`` cuts a ``KwhPanel``'s firm x day grid into blocks of at most
-``PREPROCESS_BLOCK`` rows and maps one job over them, serially or in a process
-pool: ``_fit_block`` preprocesses its rows on one grid (``preprocess_grid``),
-fits each firm's deviation row by EM, whose last forward pass is the firm's
-causal filter, and carries along the cleaned consumption that the index stage
-needs for weighting.  A firm's results depend only on its own row and the run
-settings, not on the other firms in its block, the block size nor the worker
-count.  The fit's product, in memory and on disk, is one ``FitOutputs``.
+``EM_BLOCK`` rows and maps one job over them, serially or in a process pool:
+``_fit_block`` preprocesses its rows ``PREPROCESS_BLOCK`` at a time
+(``preprocess_grid``), fits all their deviation rows by EM as one batch
+(``hmmbatch.em_rows``, which hands its last few rows to ``em_fit``), and carries
+along the cleaned consumption that the index stage needs for weighting.  EM's
+last forward pass is each firm's causal filter.  A firm's results depend only
+on its own row and the run settings, not on the other firms in its block, the
+block sizes nor the worker count.  The fit's product, in memory and on disk, is
+one ``FitOutputs``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ class FirmFitResult:
 
 
 FIRMDAY_LAYERS = ("y", "mu_p", "mu_r", "ele_test", "ele_ref")  # firmdays.npy, axis 0
-PREPROCESS_BLOCK = 16  # most firms in one job's grid: bounds its memory, not its results
+PREPROCESS_BLOCK = 16  # most firms on one preprocessing grid: bounds its memory, not its results
+EM_BLOCK = 64  # most firms in one job and its EM batch: bounds memory (a pool worker sends a
+               # job's results back at once), not results
 
 
 def _economically_flat(dev: DeviationSeries, ele_test: np.ndarray) -> bool:
@@ -65,29 +69,51 @@ def _economically_flat(dev: DeviationSeries, ele_test: np.ndarray) -> bool:
 
 def _fit_block(block: KwhPanel,
                cfg: RunConfig) -> tuple[list[FirmFitResult], list[tuple[str, str]]]:
-    """Preprocess a block of the panel's rows on one grid and fit each row it keeps by EM;
-    returns the fitted firms and the skipped ones' (firm id, reason), both in row order.
+    """Preprocess a block of the panel's rows, ``PREPROCESS_BLOCK`` at a time, and fit each row
+    it keeps by EM; returns the fitted firms and the skipped ones' (firm id, reason), both in
+    row order.
 
     EM starts from the deterministic init and from ``multi_start`` random inits drawn from the
-    firm's stream 3; the highest final log-likelihood wins, the deterministic init on ties, so
-    multi_start=0 output is reproduced whenever it is already the best.  A flat firm's fit is
-    marked degenerate.
+    firm's stream 3, each init one row of the block's EM batch; the highest final
+    log-likelihood wins, the deterministic init on ties, so multi_start=0 output is reproduced
+    whenever it is already the best.  A firm whose init or fit fails is skipped with the
+    message of its first failure in init order.  A flat firm's fit is marked degenerate.
     """
-    y, ele_test, ele_ref, errors = preprocess_grid(block, cfg)
-    offsets = np.arange(-cfg.span, cfg.span + 1)
+    from .hmmbatch import em_rows  # here, so that index, which imports this module, need not
+                                   # compile it: that raised its peak RSS by 0.2 MB
+    n, offsets = len(block), np.arange(-cfg.span, cfg.span + 1)
+    y, ele_test, ele_ref = (np.empty((n, len(offsets))) for _ in range(3))
+    errors: list = []
+    for at in range(0, n, PREPROCESS_BLOCK):
+        part = slice(at, at + PREPROCESS_BLOCK)
+        y[part], ele_test[part], ele_ref[part], part_errors = preprocess_grid(block[part], cfg)
+        errors += part_errors
+    devs, inits = {}, []
+    for k, error in enumerate(errors):
+        if error is not None:
+            continue
+        rng = firm_rng(cfg.seed, block.firm_ids[k], 3) if cfg.multi_start > 0 else None
+        try:
+            dev = DeviationSeries(offsets, y[k])
+            inits += [init_params(dev)] + [random_init(dev, rng) for _ in range(cfg.multi_start)]
+        except (ValueError, RuntimeError) as exc:
+            errors[k] = str(exc)
+            continue
+        devs[k] = dev
+    rows = [k for k in devs for _ in range(1 + cfg.multi_start)]
+    outcomes = iter(em_rows(y[rows], inits, cfg.em_tol, cfg.em_max_iter, offsets))
     fitted, skipped = [], []
     for k, (firm_id, error) in enumerate(zip(block.firm_ids, errors)):
+        if error is None:
+            dev = devs[k]
+            fits = [next(outcomes) for _ in range(1 + cfg.multi_start)]
+            try:  # max keeps the first of equal fits and stops at the first failure
+                report = max((_finish(dev, fit, cfg) for fit in fits),
+                             key=lambda fit: fit.loglik_trace[-1])
+            except (ValueError, RuntimeError) as exc:  # RuntimeError: FilterDegeneracyError,
+                error = str(exc)                       # EM failure
         if error is not None:
             skipped.append((firm_id, error))
-            continue
-        rng = firm_rng(cfg.seed, firm_id, 3) if cfg.multi_start > 0 else None
-        try:  # max keeps the first of equal fits
-            dev = DeviationSeries(offsets, y[k])
-            inits = [init_params(dev)] + [random_init(dev, rng) for _ in range(cfg.multi_start)]
-            report = max((em_fit(dev, init, tol=cfg.em_tol, max_iter=cfg.em_max_iter)
-                          for init in inits), key=lambda fit: fit.loglik_trace[-1])
-        except (ValueError, RuntimeError) as exc:  # RuntimeError: FilterDegeneracyError, EM failure
-            skipped.append((firm_id, str(exc)))
             continue
         if not report.degenerate and _economically_flat(dev, ele_test[k]):
             report = replace(report, degenerate=True)
@@ -96,21 +122,36 @@ def _fit_block(block: KwhPanel,
     return fitted, skipped
 
 
+def _finish(dev: DeviationSeries, outcome, cfg: RunConfig) -> FitReport:
+    """One EM row's report from its batch outcome: a failure is raised, and a row handed off
+    is finished by ``em_fit``, its updates and trace joined to the batch's."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    if isinstance(outcome, FitReport):
+        return outcome
+    model, trace, updates = outcome
+    tail = em_fit(dev, model, tol=cfg.em_tol, max_iter=cfg.em_max_iter - updates)
+    if not updates:  # the tail's trace starts with the one log-likelihood the batch took
+        return tail
+    return replace(tail, iterations=updates + tail.iterations,
+                   loglik_trace=np.concatenate((trace[:-1], tail.loglik_trace)))
+
+
 def fit_panel(panel: KwhPanel, cfg: RunConfig,
               workers: int | None = None) -> tuple[list[FirmFitResult], list[tuple[str, str]]]:
     """Fit every firm; returns (results sorted by firm id, skipped (id, reason) sorted by id).
 
-    One job, ``_fit_block``, preprocesses and fits a block of at most ``PREPROCESS_BLOCK``
-    rows of the panel's grid, smaller when that gives every worker a job.  A firm whose
-    series cannot cover the windows or whose fit fails numerically is skipped with a
-    diagnostic instead of failing the run.  ``workers`` defaults to ``cfg.workers``; the
-    pool starts at most one process per firm, per usable CPU and per job.
+    One job, ``_fit_block``, preprocesses and fits a block of at most ``EM_BLOCK`` rows of the
+    panel's grid; the blocks are of balanced size, and as many as there are workers when that
+    makes them smaller.  A firm whose series cannot cover the windows or whose fit fails
+    numerically is skipped with a diagnostic instead of failing the run.  ``workers`` defaults
+    to ``cfg.workers``; the pool starts at most one process per firm, per usable CPU and per
+    job.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(cfg.workers if workers is None else workers, len(panel), cpus or 1))
-    size = max(1, min(PREPROCESS_BLOCK, -(-len(panel) // workers)))
-    blocks = [panel[at:at + size] for at in range(0, len(panel), size)]
-    workers = min(workers, len(blocks))
+    jobs = max(workers, -(-len(panel) // EM_BLOCK)) if len(panel) else 0
+    blocks = [panel[len(panel) * k // jobs:len(panel) * (k + 1) // jobs] for k in range(jobs)]
     if workers <= 1:
         outcomes = list(map(_fit_block, blocks, repeat(cfg)))
     else:

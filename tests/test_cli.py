@@ -62,6 +62,19 @@ def test_fit_and_index_leave_openssl_out(fitted_dir, tmp_path, run_child):
     assert run_child(code, cfg, tmp_path) == "False"
 
 
+def test_index_leaves_the_batched_em_out(fitted_dir, tmp_path, run_child):
+    """Only ``fit`` imports ``hmmbatch``: compiling it in ``index`` raised that stage's peak
+    RSS."""
+    out, cfg = fitted_dir
+    for name in ("models.csv", "firmdays.npy"):
+        shutil.copy(out / name, tmp_path)
+    code = ("import sys\n"
+            "from ecuindex.cli import main\n"
+            "assert main(['index', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print('ecuindex.hmmbatch' in sys.modules)")
+    assert run_child(code, cfg, tmp_path) == "False"
+
+
 def read_rows(path):
     lines = path.read_text().splitlines()
     return [ln for ln in lines if ln and not ln.startswith("#")]

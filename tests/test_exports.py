@@ -33,7 +33,7 @@ def test_only_panelio_imports_csv():
     for path in Path(ecuindex.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
-                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
             if any(name == "csv" or name.startswith("csv.") for name in names):
                 importers.add(path.stem)
     assert importers == {"panelio"}

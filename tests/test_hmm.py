@@ -1,11 +1,15 @@
 """Tests for the two-regime HMM: filter against brute-force path enumeration, EM properties."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ecuindex import hmmbatch, pipeline
+from ecuindex.config import RunConfig
 from ecuindex.hmm import (
     PROSPEROUS,
     RECESSIONARY,
@@ -365,6 +369,49 @@ def test_swapped_init_gives_the_same_fit_bit_for_bit(case):
     if report is None or report.degenerate:  # tied regimes would keep their init order
         return
     assert fit_bits(em_fit(y, swap_regimes(model), max_iter=50)) == fit_bits(report)
+
+
+@st.composite
+def stacked_cases(draw):
+    """Two to six ``series_and_model`` cases of one length, and a hand-off size for their
+    batch."""
+    T = draw(st.one_of(st.just(191), st.integers(1, 191)))
+    cases = [draw(series_and_model(T)) for _ in range(draw(st.integers(2, 6)))]
+    return cases, draw(st.integers(0, len(cases)))
+
+
+def outcome_bits(fn, *args, **kwargs):
+    """``fit_bits`` of ``fn``'s report, or the type and message of its classified failure."""
+    try:
+        with np.errstate(all="ignore"):  # as in the batch
+            return fit_bits(fn(*args, **kwargs))
+    except (ValueError, RuntimeError) as exc:  # RuntimeError: FilterDegeneracyError, EM failure
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(stacked_cases())
+def test_batched_em_is_em_fit_on_each_row_bit_for_bit(stacked):
+    """Rows side by side round as ``em_fit`` rounds each alone, and fail as it fails."""
+    cases, _ = stacked
+    with mock.patch.object(hmmbatch, "SCALAR_ROWS", 0):
+        outs = hmmbatch.em_rows(np.array([y for y, _ in cases]), [m for _, m in cases], max_iter=50)
+    for (y, model), out in zip(cases, outs):
+        got = (type(out), str(out)) if isinstance(out, Exception) else fit_bits(out)
+        assert got == outcome_bits(em_fit, y, model, max_iter=50)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(stacked_cases())
+def test_rows_handed_off_finish_as_em_fit_bit_for_bit(stacked):
+    """A row the batch hands to ``em_fit`` ends with ``em_fit``'s updates, trace and model."""
+    cases, scalar_rows = stacked
+    with mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows):
+        outs = hmmbatch.em_rows(np.array([y for y, _ in cases]), [m for _, m in cases], max_iter=50)
+    cfg = RunConfig(em_max_iter=50)
+    for (y, model), out in zip(cases, outs):
+        assert (outcome_bits(pipeline._finish, y, out, cfg)
+                == outcome_bits(em_fit, y, model, max_iter=50))
 
 
 def test_em_zero_series_flagged_degenerate():

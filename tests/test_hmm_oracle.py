@@ -65,9 +65,10 @@ def hard_model(y, rng):
 
 
 @st.composite
-def series_and_model(draw):
+def series_and_model(draw, T=None):
+    """A hard series of length ``T`` (drawn if None) and an init for it."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    T = draw(st.one_of(st.just(191), st.integers(1, 191)))
+    T = draw(st.one_of(st.just(191), st.integers(1, 191))) if T is None else T
     level = draw(st.sampled_from([0.0, 1e6, -1e6]))
     noise = draw(st.sampled_from([1e-9, 1.0, 1e3]))
     y = make_series(draw(st.sampled_from(SHAPES)), T, level, noise, rng)

@@ -219,7 +219,12 @@ def swap_order(fit):
      "firmdays.npy holds a <f8 array of shape (4, 3, 191)"),
     (lambda fit: replace(fit, models={**fit.models, "F00001": replace(
         fit.models["F00001"], loglik=np.nan)}), "models.csv data row 2, column loglik: nan"),
-], ids=["reverse_order", "firm_rows", "even_days", "float32", "four_layers", "nan_loglik"])
+    (lambda fit: replace(fit, models={**fit.models, "F00001": replace(
+        fit.models["F00001"], sector_code="," + "9" * 200_000)}),
+     "models.csv data row 2, column sector_code: a field of 200001 characters is longer than "
+     "the CSV reader's limit of 131072"),
+], ids=["reverse_order", "firm_rows", "even_days", "float32", "four_layers", "nan_loglik",
+        "long_sector_code"])
 def test_fit_writer_refuses_a_pair_the_reader_refuses(tmp_path, fitted, damage, message):
     """``models.csv`` is written in id order and the array as it is, so a pair whose models are
     out of id order would come back mispaired; neither file is written."""

@@ -150,13 +150,13 @@ def record_pools(monkeypatch, cpus):
 @pytest.mark.parametrize("cpus,firms,started", [(64, 3, 3), (2, 6, 2), (1, 6, None), (2, 40, 2)])
 def test_fit_panel_pool_is_capped_by_firms_and_cpus(run_cfg, monkeypatch, cpus, firms, started):
     """``workers=500`` starts at most one process per firm, per usable CPU and per job, or no
-    pool; no job holds more than ``PREPROCESS_BLOCK`` firms."""
+    pool; no job holds more than ``EM_BLOCK`` firms."""
     panel = panel_of(panel_records(n_firms=firms))
     pools, jobs = record_pools(monkeypatch, cpus)
     results, _ = fit_panel(panel, run_cfg, workers=500)
     assert pools == ([] if started is None else [started])
     if started is not None:
-        assert sum(jobs) == firms and max(jobs) <= pipeline.PREPROCESS_BLOCK
+        assert sum(jobs) == firms and max(jobs) <= pipeline.EM_BLOCK
         assert started <= len(jobs)
     serial, _ = fit_panel(panel, run_cfg, workers=1)
     def fits(rs):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import preprocess_oracle as oracle
-from ecuindex import pipeline
+from ecuindex import hmmbatch, pipeline
 from ecuindex.config import RunConfig
 from ecuindex.preprocess import KwhPanel, preprocess_grid
 from ecuindex.simgen import PanelConfig, generate
@@ -231,19 +231,32 @@ def fit_fields(result):
 
 
 @pytest.fixture(scope="module")
-def mixed_fit(mixed):
+def mixed_fits(mixed):
+    """The workers=1 fits at the default block sizes, without and with two random inits."""
     records, cfg = mixed
-    return pipeline.fit_panel(panel_of(records), cfg, workers=1)
+    return {ms: pipeline.fit_panel(panel_of(records), replace(cfg, multi_start=ms), workers=1)
+            for ms in (0, 2)}
+
+
+# (EM_BLOCK, SCALAR_ROWS, multi_start): one firm's rows alone, a few firms', or all of them in
+# one batch, handed to em_fit at once (16) or never (0)
+EM_CASES = [(em_block, scalar_rows, 0) for em_block in (1, 3, 16, 128) for scalar_rows in (0, 16)]
+EM_CASES += [(3, 0, 2), (128, 16, 2)]
 
 
 @pytest.mark.parametrize("block", [1, 3, 16])
-def test_fit_panel_blocks_and_workers_agree_on_a_mixed_panel(mixed, mixed_fit, block):
-    """At any block size and worker count, each firm's fit and each skip are the workers=1 ones
-    at the default block size, bit for bit."""
+def test_fit_panel_blocks_and_workers_agree_on_a_mixed_panel(mixed, mixed_fits, block):
+    """At any preprocessing block, EM batch, hand-off size and worker count, each firm's fit and
+    each skip are the workers=1 ones at the default sizes, bit for bit.  Each block size takes
+    every third of the ``EM_CASES``, so the three take them all."""
     records, cfg = mixed
-    serial, serial_skipped = mixed_fit
-    for workers in (1, 2):
-        with mock.patch.object(pipeline, "PREPROCESS_BLOCK", block):
-            results, skipped = pipeline.fit_panel(panel_of(records), cfg, workers=workers)
-        assert skipped == serial_skipped
-        assert list(map(fit_fields, results)) == list(map(fit_fields, serial))
+    for em_block, scalar_rows, multi_start in EM_CASES[[1, 3, 16].index(block)::3]:
+        serial, serial_skipped = mixed_fits[multi_start]
+        for workers in (1, 2):
+            with mock.patch.object(pipeline, "PREPROCESS_BLOCK", block), \
+                    mock.patch.object(pipeline, "EM_BLOCK", em_block), \
+                    mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows):
+                results, skipped = pipeline.fit_panel(
+                    panel_of(records), replace(cfg, multi_start=multi_start), workers=workers)
+            assert skipped == serial_skipped
+            assert list(map(fit_fields, results)) == list(map(fit_fields, serial))
