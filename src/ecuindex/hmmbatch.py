@@ -1,101 +1,143 @@
-"""EM of the two-regime HMM on a stack of deviation rows at once, bit for bit as ``em_fit``.
+"""EM of the two-regime HMM on a stream of deviation rows, a batch at a time, bit for bit as
+``em_fit``.
 
 ``em_fit`` runs its forward and backward recursions on Python floats, one firm at a time.
-``em_rows`` runs the same recursions across the rows of an (n, T) stack: each step is a few
-numpy operations on (n,) vectors with one entry per row, the same operations in the same order
-as ``em_fit``'s, so every row rounds as it would alone.  Only the fit imports this module, so
+``em_rows`` runs the same recursions across the rows of a batch: each step is a few numpy
+operations on (m,) vectors with one entry per row, the same operations in the same order as
+``em_fit``'s, so every row rounds as it would alone.  Its M-step, ``_m_step_rows``, is
+``_m_step``'s arithmetic on the whole batch, each weighted sum a per-row BLAS dot.  A row that
+leaves the batch makes room for the next one waiting.  Only the fit imports this module, so
 the other stages do not compile it.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain, islice
 
 import numpy as np
 
 from .config import RunConfig
-from .hmm import _HALF_LOG_2PI, RegimeModel, _degeneracy, _m_step, _report, sigma_floor
+from .hmm import (_HALF_LOG_2PI, RegimeModel, RegimeParams, _degeneracy, _report,
+                  sigma_floor)
 
 
-SCALAR_ROWS = 16  # em_fit finishes a stack of this many rows or fewer, and a batch's last ones
+SCALAR_ROWS = 16  # em_fit finishes a stream of this many rows or fewer, and a stream's last ones
 
 
-def em_rows(ys: np.ndarray, inits: list, tol=RunConfig.em_tol, max_iter=RunConfig.em_max_iter,
-            offsets=None) -> list:
-    """``em_fit`` on each row of the (n, T) stack ``ys`` from its model in ``inits``, with the
-    rows' recursions run side by side as (n,) vectors.
+def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
+            max_iter=RunConfig.em_max_iter, offsets=None) -> list:
+    """``em_fit`` on rows of the (n, T) grid ``ys``: ``starts`` yields pairs (row of ``ys``,
+    init model), and each pair's row is fitted from its model in a batch of at most ``width``
+    rows whose recursions run side by side as row vectors.
 
-    Each row takes ``em_fit``'s operations in ``em_fit``'s order, so its result is bit for bit
-    ``em_fit``'s on that row alone.  Returns per row its ``FitReport``, the exception
-    ``em_fit`` raises on it, or, once ``SCALAR_ROWS`` or fewer rows would take another M-step,
-    a hand-off ``(model, trace, updates)``: the model before that M-step, the log-likelihoods
-    so far and the updates made.  ``em_fit(y, model, tol, max_iter - updates)`` finishes the
-    row, its trace starting with ``trace[-1]``.  A stack of ``SCALAR_ROWS`` rows or fewer is
-    all handed off as it came in.
+    ``starts`` is read as the batch has room, so a pair's init is only made when its row
+    joins.  Each row takes ``em_fit``'s operations in ``em_fit``'s order, so its result is bit
+    for bit ``em_fit``'s on that row alone.  Returns per pair, in order, its ``FitReport``, the
+    exception ``em_fit`` raises on it, or, once no pair waits and ``SCALAR_ROWS`` or fewer rows
+    would take another M-step, a hand-off ``(model, trace, updates)``: the model before that
+    M-step, the log-likelihoods so far and the updates made.
+    ``em_fit(y, model, tol, max_iter - updates)`` finishes the row, its trace starting with
+    ``trace[-1]``.  A stream of ``SCALAR_ROWS`` pairs or fewer is all handed off as it came in.
     """
-    ys = np.ascontiguousarray(ys, dtype=float)  # em_fit's BLAS dot products need whole rows
-    n, T = ys.shape
-    if n <= SCALAR_ROWS:
-        return [(init, [], 0) for init in inits]
+    ys = np.asarray(ys, dtype=float)
+    starts = iter(starts)
+    first = list(islice(starts, SCALAR_ROWS + 1))
+    if len(first) <= SCALAR_ROWS:
+        return [(init, [], 0) for _, init in first]
+    starts = chain(first, starts)
+    waiting = next(starts, None)
+    T = ys.shape[1]
     t = np.arange(1, T + 1, dtype=float)
-    out: list = [None] * n
-    rows = list(range(n))  # the stack row of each active row
-    models = [(m.q, m.params, m.pi0) for m in inits]
-    floors = [sigma_floor(y) for y in ys]
-    traces: list[list[float]] = [[] for _ in range(n)]
-    updates = [0] * n
-    pool = np.empty(7 * n * T)  # the E-step's buffers, carved for the active rows
+    out: list = []
+    slots, rows, floors, traces, updates = [], [], [], [], []  # per batch row
+    model = np.empty((12, 0))  # per batch row its q, alpha/beta/sigma and pi0 (``_views``)
+    pool = np.empty(8 * width * T)  # the batch's rows and its E-step's buffers
     with np.errstate(all="ignore"):  # a failing row's NaNs stay in its own column
-        while rows:
-            logliks, filtered, gamma, xi, errors = _e_step_rows(ys, rows, t, models, pool,
+        while True:
+            joining = []
+            while waiting is not None and len(rows) < width:
+                row, init = waiting
+                joining.append(init)
+                slots.append(len(out))
+                out.append(None)
+                rows.append(row)
+                floors.append(sigma_floor(ys[row]))
+                traces.append([])
+                updates.append(0)
+                waiting = next(starts, None)
+            if joining:
+                model = np.concatenate((model, np.array([_column(m) for m in joining]).T), axis=1)
+            if not rows:
+                return out
+            m = len(rows)
+            y = pool[:m * T].reshape(m, T)
+            np.take(ys, rows, axis=0, out=y, mode="clip")  # clip: unbuffered
+            logliks, filtered, gamma, xi, errors = _e_step_rows(y, t, model, pool[m * T:],
                                                                 offsets)
             running = []
-            for j, r in enumerate(rows):
+            for j, trace in enumerate(traces):
                 if errors[j] is None and not math.isfinite(logliks[j]):
                     errors[j] = RuntimeError("non-finite log-likelihood during EM")
                 if errors[j] is not None:
-                    out[r] = errors[j]
+                    out[slots[j]] = errors[j]
                     continue
-                trace = traces[r]
                 trace.append(logliks[j])
-                converged = (updates[r] < max_iter and len(trace) > 1
+                converged = (updates[j] < max_iter and len(trace) > 1
                              and abs(trace[-1] - trace[-2]) < tol)
-                if converged or updates[r] >= max_iter:
+                if converged or updates[j] >= max_iter:
                     try:
-                        out[r] = _report(*models[j], floors[r], filtered[:, :, j], trace,
-                                         updates[r], converged)
+                        out[slots[j]] = _report(*_row_model(model, j), floors[j],
+                                                filtered[:, :, j], trace, updates[j], converged)
                     except ValueError as exc:
-                        out[r] = exc
+                        out[slots[j]] = exc
                 else:
                     running.append(j)
-            if len(running) <= SCALAR_ROWS:
+            if waiting is None and len(running) <= SCALAR_ROWS:
                 kept = []
                 for j in running:
                     try:
-                        out[rows[j]] = (RegimeModel(*models[j]), traces[rows[j]],
-                                        updates[rows[j]])
+                        out[slots[j]] = (RegimeModel(*_row_model(model, j)), traces[j], updates[j])
                     except ValueError:  # em_fit checks q and pi0 only at the end
                         kept.append(j)
                 running = kept
             stepped = []
+            if running:
+                model, failures = _m_step_rows(y, t, gamma, xi, model, np.array(floors))
             for j in running:
-                r = rows[j]
-                try:
-                    models[j] = _m_step(ys[r], t, gamma[j].T, xi[:, :, j], *models[j][:2],
-                                        floors[r])
-                except ValueError as exc:
-                    out[r] = exc
+                if failures[j] is not None:
+                    out[slots[j]] = failures[j]
                     continue
-                updates[r] += 1
+                updates[j] += 1
                 stepped.append(j)
-            rows = [rows[j] for j in stepped]
-            models = [models[j] for j in stepped]
-    return out
+            model = model.take(stepped, axis=1)
+            slots, rows, floors, traces, updates = ([x[j] for j in stepped]
+                                                    for x in (slots, rows, floors, traces, updates))
 
 
-def _e_step_rows(ys: np.ndarray, rows: list, t: np.ndarray, models: list, pool: np.ndarray,
-                 offsets):
-    """``_forward_backward`` on the stack rows ``rows`` of ``ys`` under their ``models``, the
+def _column(init: RegimeModel) -> list:
+    """``init`` as its column of a batch's (12, m) model array."""
+    (a0, b0, s0), (a1, b1, s1) = [(p.alpha, p.beta, p.sigma) for p in init.params]
+    return [*init.q.ravel().tolist(), a0, a1, b0, b1, s0, s1, *init.pi0.tolist()]
+
+
+def _views(model: np.ndarray):
+    """The (2, 2, m) q, the (3, 2, m) alpha/beta/sigma and the (2, m) pi0 of the (12, m)
+    ``model``, as views."""
+    m = model.shape[1]
+    return model[:4].reshape(2, 2, m), model[4:10].reshape(3, 2, m), model[10:]
+
+
+def _row_model(model: np.ndarray, j: int):
+    """Batch row j's (q, params, pi0) on Python floats, as ``em_fit`` holds them."""
+    col = model[:, j].tolist()
+    return (np.array(col[:4]).reshape(2, 2),
+            (RegimeParams(col[4], col[6], col[8]), RegimeParams(col[5], col[7], col[9])),
+            np.array(col[10:]))
+
+
+def _e_step_rows(y: np.ndarray, t: np.ndarray, model: np.ndarray, pool: np.ndarray, offsets):
+    """``_forward_backward`` on the (m, T) rows ``y`` under their (12, m) ``model``, the
     recursions run over (m,) vectors of the m rows.
 
     Returns the log-likelihoods (a list), the filtered pairs (T, 2, m), the smoothed
@@ -103,20 +145,16 @@ def _e_step_rows(ys: np.ndarray, rows: list, t: np.ndarray, models: list, pool: 
     transition posteriors (2, 2, m) and per row None or its ``FilterDegeneracyError``.
     The arrays are views of ``pool`` (at least 7 * m * T floats), overwritten by the next call.
     """
-    m, T = len(rows), len(t)
+    m, T = y.shape
     u = m * T
-    q = np.array([mq for mq, _, _ in models]).transpose(1, 2, 0).copy()  # q[i, j] is (m,)
-    alpha, beta, sigma = np.array([[(p.alpha, p.beta, p.sigma) for p in params]
-                                   for _, params, _ in models]).transpose(2, 1, 0)
-    pi0 = np.array([p for _, _, p in models]).T.copy()
+    q, (alpha, beta, sigma), pi0 = _views(model)  # q[i, j] is (m,)
     e = pool[:2 * u].reshape(T, 2, m)  # scaled emission densities, then ``inner``
-    f = pool[2 * u:4 * u].reshape(T, 2, m)  # the rows' values, then the filtered pairs
+    f = pool[2 * u:4 * u].reshape(T, 2, m)  # filtered pairs
     r = pool[4 * u:6 * u].reshape(m, 2, T)  # log-densities, backward variables, posteriors
     c = pool[6 * u:7 * u].reshape(T, m)  # normalizers
     z = c.reshape(m, T)  # scratch where c is not in use
 
     # emission_logdensity, shifted so that the larger of each pair is 0
-    y = np.take(ys, rows, axis=0, out=f.reshape(2, m, T)[0], mode="clip")  # clip: unbuffered
     logb = r.reshape(2, m, T)
     for i in range(2):
         np.multiply(alpha[i][:, None], t, out=logb[i])
@@ -134,7 +172,7 @@ def _e_step_rows(ys: np.ndarray, rows: list, t: np.ndarray, models: list, pool: 
 
     # _forward; the 2x2 products of each step in one call, summed over the state left
     mul, add, div = np.multiply, np.add, np.divide
-    p, v, prod = pi0, np.empty((2, m)), np.empty((2, 2, m))
+    p, v, prod = pi0.copy(), np.empty((2, m)), np.empty((2, 2, m))  # p is written in place
     prod0, prod1 = prod
     for ek, fk, f0, f1, fk4, ck in zip(e, f, f[:, 0], f[:, 1], f[:, :, None], c):
         mul(p, ek, fk)
@@ -170,6 +208,53 @@ def _e_step_rows(ys: np.ndarray, rows: list, t: np.ndarray, models: list, pool: 
     # order, ((alpha * q) * inner) at a time
     xi = np.einsum("tim,ijm,tjm->ijm", f[:-1], q, inner)
     return logliks, f, gamma, xi, errors
+
+
+def _dots(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w[j] @ x[j]`` for each row j of the (m, T) ``w`` (``w[j] @ x`` if ``x`` is 1-d): a
+    stacked matmul of vectors calls BLAS's dot on each pair, as ``@`` does on one."""
+    return np.matmul(w[:, None, :], x[..., None])[:, 0, 0]
+
+
+def _m_step_rows(y: np.ndarray, t: np.ndarray, gamma: np.ndarray, xi: np.ndarray,
+                 model: np.ndarray, floors: np.ndarray):
+    """``_m_step`` on each row of a batch at once: the rows ``y`` (m, T), their posteriors
+    ``gamma`` (m, 2, T) and ``xi`` (2, 2, m), their (12, m) ``model`` and (m,) sigma ``floors``.
+
+    Returns the next (12, m) model and per row None or the ``ValueError`` ``_m_step`` raises
+    on it, for regime 0 before regime 1.  Every operation is ``_m_step``'s (with
+    ``_weighted_line``'s) on (m,) vectors, and every weighted sum is a BLAS dot per row, so each
+    row rounds as ``_m_step`` rounds it alone.
+    """
+    q, params, _ = _views(model)
+    new = np.empty_like(model)
+    new_q, new_params, new_pi0 = _views(new)
+    errors: list = [None] * len(floors)
+    for i in range(2):
+        w = gamma[:, i]
+        sw = w.sum(axis=1)
+        t_bar = _dots(w, t) / sw
+        y_bar = _dots(w, y) / sw
+        dt = t - t_bar[:, None]
+        denom = _dots(w, dt * dt)
+        flat = denom <= 0.0  # _weighted_line's flat line: slope 0 through the mean
+        alpha = np.where(flat, 0.0, _dots(w, dt * (y - y_bar[:, None])) / denom)
+        beta = np.where(flat, y_bar, y_bar - alpha * t_bar)
+        resid = y - (alpha[:, None] * t + beta[:, None])
+        sigma = np.maximum(np.sqrt(np.maximum(_dots(w, resid * resid) / sw, 0.0)), floors)
+        moved = ~(sw <= 0.0)  # a state without weight keeps its values
+        new_params[:, i] = np.where(moved, (alpha, beta, sigma), params[:, i])
+        for j in np.flatnonzero(moved & ~(np.isfinite(sigma) & (sigma > 0.0))).tolist():
+            try:
+                RegimeParams(alpha[j], beta[j], float(sigma[j]))
+            except ValueError as exc:
+                errors[j] = errors[j] or exc
+    den = xi[:, 0] + xi[:, 1]
+    r = xi / den[:, None]
+    new_q[...] = np.where((den > 0.0)[:, None], r / (r[:, 0] + r[:, 1])[:, None], q)
+    g = gamma[:, :, 0].T
+    np.divide(g, g[0] + g[1], out=new_pi0)
+    return new, errors
 
 
 def _degeneracies(bad: np.ndarray, offsets) -> list:

@@ -1,15 +1,15 @@
 """Panel orchestration: a kWh panel in, fitted models and index inputs out.
 
-``fit_panel`` cuts a ``KwhPanel``'s firm x day grid into blocks of at most
-``EM_BLOCK`` rows and maps one job over them, serially or in a process pool:
-``_fit_block`` preprocesses its rows ``PREPROCESS_BLOCK`` at a time
-(``preprocess_grid``), fits all their deviation rows by EM as one batch
-(``hmmbatch.em_rows``, which hands its last few rows to ``em_fit``), and carries
-along the cleaned consumption that the index stage needs for weighting.  EM's
-last forward pass is each firm's causal filter.  A firm's results depend only
-on its own row and the run settings, not on the other firms in its block, the
-block sizes nor the worker count.  The fit's product, in memory and on disk, is
-one ``FitOutputs``.
+``fit_panel`` runs one job on a ``KwhPanel``'s whole firm x day grid, or, in a
+process pool, one per block of at most ``EM_BLOCK`` rows: ``_fit_block``
+preprocesses its rows ``PREPROCESS_BLOCK`` at a time (``preprocess_grid``), fits
+their deviation rows by EM in a batch of at most ``EM_BLOCK`` rows that refills
+as rows converge (``hmmbatch.em_rows``, which hands its last few rows to
+``em_fit``), and carries along the cleaned consumption that the index stage
+needs for weighting.  EM's last forward pass is each firm's causal filter.  A
+firm's results depend only on its own row and the run settings, not on the
+other firms in its block, the block or batch sizes nor the worker count.  The
+fit's product, in memory and on disk, is one ``FitOutputs``.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ class FirmFitResult:
 
 FIRMDAY_LAYERS = ("y", "mu_p", "mu_r", "ele_test", "ele_ref")  # firmdays.npy, axis 0
 PREPROCESS_BLOCK = 16  # most firms on one preprocessing grid: bounds its memory, not its results
-EM_BLOCK = 64  # most firms in one job and its EM batch: bounds memory (a pool worker sends a
-               # job's results back at once), not results
+EM_BLOCK = 64  # most firms in a pool job and rows in an EM batch: bounds memory (a pool worker
+               # sends a job's results back at once), not results
 
 
 def _economically_flat(dev: DeviationSeries, ele_test: np.ndarray) -> bool:
@@ -74,7 +74,7 @@ def _fit_block(block: KwhPanel,
     row order.
 
     EM starts from the deterministic init and from ``multi_start`` random inits drawn from the
-    firm's stream 3, each init one row of the block's EM batch; the highest final
+    firm's stream 3, each init made as its row joins the EM batch; the highest final
     log-likelihood wins, the deterministic init on ties, so multi_start=0 output is reproduced
     whenever it is already the best.  A firm whose init or fit fails is skipped with the
     message of its first failure in init order.  A flat firm's fit is marked degenerate.
@@ -88,20 +88,24 @@ def _fit_block(block: KwhPanel,
         part = slice(at, at + PREPROCESS_BLOCK)
         y[part], ele_test[part], ele_ref[part], part_errors = preprocess_grid(block[part], cfg)
         errors += part_errors
-    devs, inits = {}, []
-    for k, error in enumerate(errors):
-        if error is not None:
-            continue
-        rng = firm_rng(cfg.seed, block.firm_ids[k], 3) if cfg.multi_start > 0 else None
-        try:
-            dev = DeviationSeries(offsets, y[k])
-            inits += [init_params(dev)] + [random_init(dev, rng) for _ in range(cfg.multi_start)]
-        except (ValueError, RuntimeError) as exc:
-            errors[k] = str(exc)
-            continue
-        devs[k] = dev
-    rows = [k for k in devs for _ in range(1 + cfg.multi_start)]
-    outcomes = iter(em_rows(y[rows], inits, cfg.em_tol, cfg.em_max_iter, offsets))
+    devs = {}
+
+    def starts():  # (row, init) per EM row; a failed init is recorded in errors instead
+        for k, error in enumerate(errors):
+            if error is not None:
+                continue
+            rng = firm_rng(cfg.seed, block.firm_ids[k], 3) if cfg.multi_start > 0 else None
+            try:
+                dev = DeviationSeries(offsets, y[k])
+                inits = [init_params(dev)] + [random_init(dev, rng)
+                                              for _ in range(cfg.multi_start)]
+            except (ValueError, RuntimeError) as exc:
+                errors[k] = str(exc)
+                continue
+            devs[k] = dev
+            yield from ((k, init) for init in inits)
+
+    outcomes = iter(em_rows(y, starts(), EM_BLOCK, cfg.em_tol, cfg.em_max_iter, offsets))
     fitted, skipped = [], []
     for k, (firm_id, error) in enumerate(zip(block.firm_ids, errors)):
         if error is None:
@@ -141,20 +145,21 @@ def fit_panel(panel: KwhPanel, cfg: RunConfig,
               workers: int | None = None) -> tuple[list[FirmFitResult], list[tuple[str, str]]]:
     """Fit every firm; returns (results sorted by firm id, skipped (id, reason) sorted by id).
 
-    One job, ``_fit_block``, preprocesses and fits a block of at most ``EM_BLOCK`` rows of the
-    panel's grid; the blocks are of balanced size, and as many as there are workers when that
-    makes them smaller.  A firm whose series cannot cover the windows or whose fit fails
+    One job, ``_fit_block``, preprocesses and fits rows of the panel's grid: all of them in a
+    serial run, so that one EM batch refills from the whole panel, and in a pool a block of at
+    most ``EM_BLOCK`` rows, the blocks of balanced size and as many as there are workers when
+    that makes them smaller.  A firm whose series cannot cover the windows or whose fit fails
     numerically is skipped with a diagnostic instead of failing the run.  ``workers`` defaults
     to ``cfg.workers``; the pool starts at most one process per firm, per usable CPU and per
     job.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(cfg.workers if workers is None else workers, len(panel), cpus or 1))
-    jobs = max(workers, -(-len(panel) // EM_BLOCK)) if len(panel) else 0
-    blocks = [panel[len(panel) * k // jobs:len(panel) * (k + 1) // jobs] for k in range(jobs)]
     if workers <= 1:
-        outcomes = list(map(_fit_block, blocks, repeat(cfg)))
+        outcomes = [_fit_block(panel, cfg)]
     else:
+        jobs = max(workers, -(-len(panel) // EM_BLOCK))
+        blocks = [panel[len(panel) * k // jobs:len(panel) * (k + 1) // jobs] for k in range(jobs)]
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for the import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_fit_block, blocks, repeat(cfg)))

@@ -18,10 +18,12 @@ from ecuindex.hmm import (
     RegimeModel,
     RegimeParams,
     _label,
+    _m_step,
     em_fit,
     emission_logdensity,
     init_params,
     random_init,
+    sigma_floor,
 )
 from ecuindex.preprocess import DeviationSeries
 from hmm_helpers import forward_filter, sample_path
@@ -373,11 +375,17 @@ def test_swapped_init_gives_the_same_fit_bit_for_bit(case):
 
 @st.composite
 def stacked_cases(draw):
-    """Two to six ``series_and_model`` cases of one length, and a hand-off size for their
-    batch."""
+    """Two to six ``series_and_model`` cases of one length, a hand-off size and a batch width
+    for their stream; a width below their count makes rows join mid-stream."""
     T = draw(st.one_of(st.just(191), st.integers(1, 191)))
     cases = [draw(series_and_model(T)) for _ in range(draw(st.integers(2, 6)))]
-    return cases, draw(st.integers(0, len(cases)))
+    return cases, draw(st.integers(0, len(cases))), draw(st.integers(1, len(cases)))
+
+
+def stream(cases, width):
+    """``em_rows`` on the cases, each series a row of one grid and started from its model."""
+    return hmmbatch.em_rows(np.array([y for y, _ in cases]),
+                            enumerate(m for _, m in cases), width, max_iter=50)
 
 
 def outcome_bits(fn, *args, **kwargs):
@@ -393,9 +401,9 @@ def outcome_bits(fn, *args, **kwargs):
 @given(stacked_cases())
 def test_batched_em_is_em_fit_on_each_row_bit_for_bit(stacked):
     """Rows side by side round as ``em_fit`` rounds each alone, and fail as it fails."""
-    cases, _ = stacked
+    cases, _, width = stacked
     with mock.patch.object(hmmbatch, "SCALAR_ROWS", 0):
-        outs = hmmbatch.em_rows(np.array([y for y, _ in cases]), [m for _, m in cases], max_iter=50)
+        outs = stream(cases, width)
     for (y, model), out in zip(cases, outs):
         got = (type(out), str(out)) if isinstance(out, Exception) else fit_bits(out)
         assert got == outcome_bits(em_fit, y, model, max_iter=50)
@@ -405,13 +413,68 @@ def test_batched_em_is_em_fit_on_each_row_bit_for_bit(stacked):
 @given(stacked_cases())
 def test_rows_handed_off_finish_as_em_fit_bit_for_bit(stacked):
     """A row the batch hands to ``em_fit`` ends with ``em_fit``'s updates, trace and model."""
-    cases, scalar_rows = stacked
+    cases, scalar_rows, width = stacked
     with mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows):
-        outs = hmmbatch.em_rows(np.array([y for y, _ in cases]), [m for _, m in cases], max_iter=50)
+        outs = stream(cases, width)
     cfg = RunConfig(em_max_iter=50)
     for (y, model), out in zip(cases, outs):
         assert (outcome_bits(pipeline._finish, y, out, cfg)
                 == outcome_bits(em_fit, y, model, max_iter=50))
+
+
+@st.composite
+def m_step_rows(draw):
+    """One to four rows of one length for an M-step: each a series, its posteriors, its
+    model and sigma floor.  A regime's weights are zero, all on step 0 (a flat weighted line)
+    or free; the series' scale of 1e160 makes its residual squares overflow to an infinite
+    sigma; a row of the transition posteriors may be zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = draw(st.one_of(st.just(191), st.integers(1, 40)))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        y = rng.standard_normal(T) * draw(st.sampled_from([1.0, 1e-6, 1e160]))
+        kinds = draw(st.sampled_from([(a, b) for a in ("zero", "flat", "free")
+                                      for b in ("zero", "flat", "free") if (a, b) != ("zero",) * 2]))
+        gamma = np.zeros((2, T))  # nonzero at step 0 for some regime, so pi0 is defined
+        for i, kind in enumerate(kinds):
+            if kind == "flat":
+                gamma[i, 0] = draw(st.sampled_from([1.0, 0.3]))
+            elif kind == "free":
+                gamma[i] = rng.uniform(0.01, 1.0, T)
+        xi = rng.uniform(0.0, 5.0, (2, 2)) * draw(st.sampled_from([[[1.0], [1.0]], [[0.0], [1.0]]]))
+        model = random_init(y if np.ptp(y) < 1e100 else y * 1e-150, rng)
+        with np.errstate(over="ignore"):  # the floor of an overflowing spread is 1e-4
+            rows.append((y, gamma, xi, model, sigma_floor(y)))
+    return rows
+
+
+def m_step_bits(q, params, pi0) -> list:
+    return [np.asarray(x, dtype=float).tobytes()
+            for x in (q, [[p.alpha, p.beta, p.sigma] for p in params], pi0)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(m_step_rows())
+def test_batched_m_step_is_m_step_on_each_row_bit_for_bit(rows):
+    """``_m_step_rows`` gives each row ``_m_step``'s model, or its error, bit for bit."""
+    T = len(rows[0][0])
+    t = np.arange(1, T + 1, dtype=float)
+    y = np.array([y for y, *_ in rows])
+    gamma = np.array([gamma for _, gamma, *_ in rows])
+    xi = np.stack([xi for _, _, xi, *_ in rows], axis=-1)
+    model = np.array([hmmbatch._column(model) for *_, model, _ in rows]).T
+    with np.errstate(all="ignore"):
+        new, errors = hmmbatch._m_step_rows(y, t, gamma, xi, model,
+                                            np.array([floor for *_, floor in rows]))
+    for j, (yj, _, xj, mj, floor) in enumerate(rows):
+        try:
+            with np.errstate(all="ignore"):
+                want = m_step_bits(*_m_step(yj, t, gamma[j].T, xj, mj.q, mj.params, floor))
+        except ValueError as exc:
+            want = type(exc), str(exc)
+        got = ((type(errors[j]), str(errors[j])) if errors[j] is not None
+               else m_step_bits(*hmmbatch._row_model(new, j)))
+        assert got == want
 
 
 def test_em_zero_series_flagged_degenerate():

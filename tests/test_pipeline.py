@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ecuindex import hmm, pipeline
+from ecuindex import hmm, hmmbatch, pipeline
 from ecuindex.cli import main
 from ecuindex.config import RunConfig, build_run_config
 from ecuindex.hmm import FilterDegeneracyError
@@ -163,6 +163,30 @@ def test_fit_panel_pool_is_capped_by_firms_and_cpus(run_cfg, monkeypatch, cpus, 
         return [(r.firm_id, r.report.model.params, r.report.loglik_trace.tolist()) for r in rs]
 
     assert fits(results) == fits(serial)
+
+
+def test_serial_fit_panel_is_one_job_whose_em_batch_refills(run_cfg, monkeypatch):
+    """A serial fit runs ``_fit_block`` once, on the whole panel, and its EM batch never holds
+    more than ``EM_BLOCK`` rows: ten firms pass through a batch of four."""
+    panel = panel_of(panel_records(n_firms=10))
+    blocks, widths = [], []
+    fit_block, e_step_rows = pipeline._fit_block, hmmbatch._e_step_rows
+
+    def recording_fit_block(block, cfg):
+        blocks.append(len(block))
+        return fit_block(block, cfg)
+
+    def recording_e_step_rows(y, *args):
+        widths.append(len(y))
+        return e_step_rows(y, *args)
+
+    monkeypatch.setattr(pipeline, "_fit_block", recording_fit_block)
+    monkeypatch.setattr(hmmbatch, "_e_step_rows", recording_e_step_rows)
+    monkeypatch.setattr(pipeline, "EM_BLOCK", 4)
+    monkeypatch.setattr(hmmbatch, "SCALAR_ROWS", 0)
+    results, skipped = fit_panel(panel, run_cfg, workers=1)
+    assert blocks == [10] and len(results) + len(skipped) == 10
+    assert max(widths) == pipeline.EM_BLOCK
 
 
 def test_fit_panel_workers_default_to_the_config(records, monkeypatch):
