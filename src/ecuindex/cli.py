@@ -24,7 +24,7 @@ from .pipeline import fit_outputs, fit_panel, read_fit_outputs, write_fit_output
 from .simgen import PanelConfig, generate
 
 EXIT_OK = 0
-EXIT_RUNTIME = 1  # data and runtime failures
+EXIT_RUNTIME = 1  # data and runtime failures, running out of memory included
 EXIT_CONFIG = 2  # a ConfigError: the config file or a flag
 
 
@@ -141,8 +141,8 @@ def main(argv=None) -> int:
         raw = _load_raw(args)
         cfg = (build_panel_config if args.command == "simulate" else build_run_config)(raw)
         run[args.command](cfg, _out_dir(raw), [seed_comment(cfg.seed)], raw)
-    except (ValueError, OSError) as exc:  # OSError: a file that cannot be opened
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # OSError: a file that cannot be opened
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_RUNTIME
     return EXIT_OK
 

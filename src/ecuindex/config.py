@@ -19,7 +19,7 @@ import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .simgen import PanelConfig, check_date
+from .simgen import PanelConfig, check_date, check_int64
 
 
 class ConfigError(ValueError):
@@ -53,6 +53,7 @@ class RunConfig:
                           ("smooth_window", 1), ("interp_window", 1), ("seed", 0)):
             if not getattr(self, name) >= low:  # NaN fails too
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        check_int64(self)
         for name in ("em_tol", "outlier_k"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")

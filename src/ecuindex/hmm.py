@@ -319,14 +319,19 @@ def em_fit(y, init: RegimeModel, tol=RunConfig.em_tol, max_iter=RunConfig.em_max
         if not math.isfinite(loglik):
             raise RuntimeError("non-finite log-likelihood during EM")
         trace.append(loglik)
-        # after max_iter updates this E-step only ends the trace at the returned model
-        converged = updates < max_iter and len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol
+        converged = _converged(trace, updates, tol, max_iter)
         if converged or updates >= max_iter:
             break
         q, params, pi0 = _m_step(yv, t, gamma, xi_sum, q, params, floor)
         updates += 1
 
     return _report(q, params, pi0, floor, filtered, trace, updates, converged)
+
+
+def _converged(trace: list, updates: int, tol, max_iter) -> bool:
+    """EM's stop rule: the last E-step moved the log-likelihood by less than ``tol`` (after
+    ``max_iter`` updates that E-step only ends the trace at the returned model)."""
+    return updates < max_iter and len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol
 
 
 def _report(q, params, pi0, floor: float, filtered, trace: list, updates: int,

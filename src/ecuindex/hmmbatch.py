@@ -6,23 +6,25 @@
 operations on (m,) vectors with one entry per row, the same operations in the same order as
 ``em_fit``'s, so every row rounds as it would alone.  Its M-step, ``_m_step_rows``, is
 ``_m_step``'s arithmetic on the whole batch, each weighted sum a per-row BLAS dot.  A row that
-leaves the batch makes room for the next one waiting.  Only the fit imports this module, so
-the other stages do not compile it.
+leaves the batch makes room for the next one waiting, and ``_em_tail`` hands a stream's last
+rows to ``em_fit``.  Only the fit imports this module, so the other stages do not compile it.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, islice
+from dataclasses import replace
 
 import numpy as np
 
+from . import hmm
 from .config import RunConfig
-from .hmm import (_HALF_LOG_2PI, RegimeModel, RegimeParams, _degeneracy, _report,
+from .hmm import (_HALF_LOG_2PI, RegimeModel, RegimeParams, _converged, _degeneracy, _report,
                   sigma_floor)
+from .preprocess import DeviationSeries
 
 
-SCALAR_ROWS = 16  # em_fit finishes a stream of this many rows or fewer, and a stream's last ones
+SCALAR_ROWS = 16  # em_fit finishes a stream's last rows once this many or fewer still run
 
 
 def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
@@ -32,20 +34,14 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
     rows whose recursions run side by side as row vectors.
 
     ``starts`` is read as the batch has room, so a pair's init is only made when its row
-    joins.  Each row takes ``em_fit``'s operations in ``em_fit``'s order, so its result is bit
-    for bit ``em_fit``'s on that row alone.  Returns per pair, in order, its ``FitReport``, the
-    exception ``em_fit`` raises on it, or, once no pair waits and ``SCALAR_ROWS`` or fewer rows
-    would take another M-step, a hand-off ``(model, trace, updates)``: the model before that
-    M-step, the log-likelihoods so far and the updates made.
-    ``em_fit(y, model, tol, max_iter - updates)`` finishes the row, its trace starting with
-    ``trace[-1]``.  A stream of ``SCALAR_ROWS`` pairs or fewer is all handed off as it came in.
+    joins.  Each row takes ``em_fit``'s operations in ``em_fit``'s order, so each pair's
+    outcome, returned in order, is the ``FitReport`` or the exception of ``em_fit`` on
+    ``DeviationSeries(offsets, row)`` (the plain row if ``offsets`` is None) alone, bit for bit.
+    Once no pair waits and ``SCALAR_ROWS`` or fewer rows still run, ``em_fit`` itself finishes
+    them, so a stream of that many pairs or fewer takes one batch E-step.
     """
     ys = np.asarray(ys, dtype=float)
     starts = iter(starts)
-    first = list(islice(starts, SCALAR_ROWS + 1))
-    if len(first) <= SCALAR_ROWS:
-        return [(init, [], 0) for _, init in first]
-    starts = chain(first, starts)
     waiting = next(starts, None)
     T = ys.shape[1]
     t = np.arange(1, T + 1, dtype=float)
@@ -83,8 +79,7 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
                     out[slots[j]] = errors[j]
                     continue
                 trace.append(logliks[j])
-                converged = (updates[j] < max_iter and len(trace) > 1
-                             and abs(trace[-1] - trace[-2]) < tol)
+                converged = _converged(trace, updates[j], tol, max_iter)
                 if converged or updates[j] >= max_iter:
                     try:
                         out[slots[j]] = _report(*_row_model(model, j), floors[j],
@@ -97,9 +92,12 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
                 kept = []
                 for j in running:
                     try:
-                        out[slots[j]] = (RegimeModel(*_row_model(model, j)), traces[j], updates[j])
+                        init = RegimeModel(*_row_model(model, j))
                     except ValueError:  # em_fit checks q and pi0 only at the end
                         kept.append(j)
+                        continue
+                    out[slots[j]] = _em_tail(ys[rows[j]], offsets, init, traces[j], updates[j],
+                                             tol, max_iter)
                 running = kept
             stepped = []
             if running:
@@ -113,6 +111,19 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
             model = model.take(stepped, axis=1)
             slots, rows, floors, traces, updates = ([x[j] for j in stepped]
                                                     for x in (slots, rows, floors, traces, updates))
+
+
+def _em_tail(y: np.ndarray, offsets, init: RegimeModel, trace: list, updates, tol, max_iter):
+    """The row's fit by ``hmm.em_fit`` (looked up on the module, so that a wrapper set there sees
+    it) from the model reached after ``updates``, joined to ``trace``; or the exception raised."""
+    try:
+        tail = hmm.em_fit(y if offsets is None else DeviationSeries(offsets, y), init, tol=tol,
+                          max_iter=max_iter - updates)
+    except (ValueError, RuntimeError) as exc:  # RuntimeError: FilterDegeneracyError, EM failure
+        return exc
+    # the tail's trace starts with the last log-likelihood the batch took
+    return replace(tail, iterations=updates + tail.iterations,
+                   loglik_trace=np.concatenate((trace[:-1], tail.loglik_trace)))
 
 
 def _column(init: RegimeModel) -> list:

@@ -4,8 +4,8 @@
 process pool, one per block of at most ``EM_BLOCK`` rows: ``_fit_block``
 preprocesses its rows ``PREPROCESS_BLOCK`` at a time (``preprocess_grid``), fits
 their deviation rows by EM in a batch of at most ``EM_BLOCK`` rows that refills
-as rows converge (``hmmbatch.em_rows``, which hands its last few rows to
-``em_fit``), and carries along the cleaned consumption that the index stage
+as rows converge (``hmmbatch.em_rows``, which returns each start's finished fit
+or failure), and carries along the cleaned consumption that the index stage
 needs for weighting.  EM's last forward pass is each firm's causal filter.  A
 firm's results depend only on its own row and the run settings, not on the
 other firms in its block, the block or batch sizes nor the worker count.  The
@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import RunConfig
 from .ecu import FirmDayPanel, column_fsums
-from .hmm import FilterOutput, FitReport, em_fit, init_params, random_init
+from .hmm import FilterOutput, FitReport, init_params, random_init
 from .panelio import ModelRow, read_models, write_models
 from .preprocess import DeviationSeries, KwhPanel, firm_rng, preprocess_grid
 
@@ -74,10 +74,10 @@ def _fit_block(block: KwhPanel,
     row order.
 
     EM starts from the deterministic init and from ``multi_start`` random inits drawn from the
-    firm's stream 3, each init made as its row joins the EM batch; the highest final
-    log-likelihood wins, the deterministic init on ties, so multi_start=0 output is reproduced
-    whenever it is already the best.  A firm whose init or fit fails is skipped with the
-    message of its first failure in init order.  A flat firm's fit is marked degenerate.
+    firm's stream 3, each init made as its row joins the EM batch.  A firm whose init or fit
+    fails is skipped with the message of its first failure in init order; otherwise the highest
+    final log-likelihood wins, the deterministic init on ties, so multi_start=0 output is
+    reproduced whenever it is already the best.  A flat firm's fit is marked degenerate.
     """
     from .hmmbatch import em_rows  # here, so that index, which imports this module, need not
                                    # compile it: that raised its peak RSS by 0.2 MB
@@ -111,34 +111,16 @@ def _fit_block(block: KwhPanel,
         if error is None:
             dev = devs[k]
             fits = [next(outcomes) for _ in range(1 + cfg.multi_start)]
-            try:  # max keeps the first of equal fits and stops at the first failure
-                report = max((_finish(dev, fit, cfg) for fit in fits),
-                             key=lambda fit: fit.loglik_trace[-1])
-            except (ValueError, RuntimeError) as exc:  # RuntimeError: FilterDegeneracyError,
-                error = str(exc)                       # EM failure
+            error = next((str(fit) for fit in fits if isinstance(fit, Exception)), None)
         if error is not None:
             skipped.append((firm_id, error))
             continue
+        report = max(fits, key=lambda fit: fit.loglik_trace[-1])  # the first of equal fits
         if not report.degenerate and _economically_flat(dev, ele_test[k]):
             report = replace(report, degenerate=True)
         fitted.append(FirmFitResult(firm_id, block.sector_codes[k], block.district_codes[k],
                                     dev, report, ele_test[k], ele_ref[k]))
     return fitted, skipped
-
-
-def _finish(dev: DeviationSeries, outcome, cfg: RunConfig) -> FitReport:
-    """One EM row's report from its batch outcome: a failure is raised, and a row handed off
-    is finished by ``em_fit``, its updates and trace joined to the batch's."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    if isinstance(outcome, FitReport):
-        return outcome
-    model, trace, updates = outcome
-    tail = em_fit(dev, model, tol=cfg.em_tol, max_iter=cfg.em_max_iter - updates)
-    if not updates:  # the tail's trace starts with the one log-likelihood the batch took
-        return tail
-    return replace(tail, iterations=updates + tail.iterations,
-                   loglik_trace=np.concatenate((trace[:-1], tail.loglik_trace)))
 
 
 def fit_panel(panel: KwhPanel, cfg: RunConfig,

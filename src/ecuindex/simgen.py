@@ -12,7 +12,7 @@ id, so generation order (or parallel fan-out) cannot change the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -45,6 +45,15 @@ def check_date(value: str, name: str) -> None:
         ok = False
     if not ok:
         raise ValueError(f"{name} must be a date written YYYY-MM-DD, got {value!r}")
+
+
+def check_int64(settings) -> None:
+    """Reject an int field of the dataclass ``settings`` that numpy's int64 cannot hold."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if f.type == "int" and not -2**63 <= value < 2**63:
+            raise ValueError(f"{f.name} must lie in the 64-bit integer range "
+                             f"[{-2**63}, {2**63 - 1}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +94,7 @@ class PanelConfig:
                           ("holiday_test_days", 0)):
             if not getattr(self, name) >= low:  # NaN fails too
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        check_int64(self)
         if not 0.0 <= self.noise_frac < np.inf:
             raise ValueError(f"noise_frac must be finite and >= 0, got {self.noise_frac}")
         _check_mix(self.sector_mix, "sector_mix")

@@ -191,6 +191,48 @@ def test_negative_seed_is_a_config_error(three_firms, tmp_path, capsys, command,
     assert (out / "panel.csv").read_bytes() == panel
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("simulate", "span", 10**20), ("simulate", "holiday_ref_days", 10**19),
+    ("simulate", "shock_onset_jitter", 10**19), ("fit", "smooth_window", 10**20),
+    ("fit", "interp_window", 10**20), ("fit", "outlier_window", 10**20 + 1)])
+def test_integer_beyond_int64_is_a_config_error(three_firms, tmp_path, capsys, command, key,
+                                                value):
+    """An integer setting that numpy's int64 cannot hold exits 2 naming it and writes nothing,
+    where it used to end in an ``OverflowError`` traceback or exit 1."""
+    out, _ = three_firms
+    panel = (out / "panel.csv").read_bytes()
+    cfg = write_config(tmp_path / "big.cfg", f"n_firms = 3\n{key} = {value}\n")
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {key} must lie in the 64-bit integer range "
+                                       f"[{-2**63}, {2**63 - 1}], got {value}\n")
+    assert sorted(p.name for p in out.iterdir()) == ["panel.csv"]
+    assert (out / "panel.csv").read_bytes() == panel
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit"])
+def test_day_range_too_large_to_allocate_is_one_error_line(three_firms, tmp_path, capsys,
+                                                           command):
+    """``span`` = 10**15 asks numpy for a 14.2 PiB day range, which it refuses at once: exit 1
+    after one ``error:`` line and no output."""
+    out, _ = three_firms
+    cfg = write_config(tmp_path / "wide.cfg", "n_firms = 3\nspan = 1000000000000000\n")
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == ["panel.csv"]
+
+
+def test_memory_error_without_a_message_says_out_of_memory(tmp_path, capsys, monkeypatch):
+    def exhausted(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr("ecuindex.cli.generate", exhausted)
+    assert main(["simulate", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def edit_first_row(out, field, value):
     """Replace one field of the panel's first data row (data row 1, firm F00000)."""
     lines = (out / "panel.csv").read_text().splitlines(keepends=True)

@@ -1,7 +1,7 @@
 """Tests for the flat key=value configuration format."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -229,6 +229,21 @@ def test_a_setting_no_firm_could_pass_is_refused(setting, value):
     config is built, ``dataclasses.replace`` included."""
     with pytest.raises(ValueError, match=f"^{setting} must be"):
         replace(RunConfig(), **{setting: value})
+
+
+INT_FIELDS = [(cls, f.name) for cls in (RunConfig, PanelConfig) for f in fields(cls)
+              if f.type == "int"]
+
+
+@pytest.mark.parametrize("cls,setting", INT_FIELDS)
+def test_every_integer_setting_stays_within_int64(cls, setting):
+    """Every int field takes the largest int64 and refuses the next integer, and a field with
+    no lower bound refuses one below the smallest, ``dataclasses.replace`` included."""
+    assert len(INT_FIELDS) == 16
+    replace(cls(), **{setting: 2**63 - 1})
+    for value in (2**63, -2**63 - 1):
+        with pytest.raises(ValueError, match=f"^{setting} must "):
+            replace(cls(), **{setting: value})
 
 
 def test_run_validation():

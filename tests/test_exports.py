@@ -1,4 +1,5 @@
-"""The package's public names are its four stages, and nothing else; one module owns CSV."""
+"""The package's public names are its four stages, and nothing else; one module owns CSV, and
+one hands EM rows to `em_fit`."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,20 @@ def test_only_panelio_imports_csv():
             if any(name == "csv" or name.startswith("csv.") for name in names):
                 importers.add(path.stem)
     assert importers == {"panelio"}
+
+
+def test_hmm_alone_defines_em_fit_and_hmmbatch_alone_calls_it():
+    """The batch hands its last rows to ``em_fit`` in one place, and the package re-exports it:
+    no other module defines, imports or names it (docstrings and comments are not code)."""
+    defines, imports, names = set(), set(), set()
+    for path in Path(ecuindex.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "em_fit":
+                defines.add(path.stem)
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if any("em_fit" in (alias.name, alias.asname) for alias in node.names):
+                    imports.add(path.stem)
+            if (isinstance(node, ast.Name) and node.id == "em_fit"
+                    or isinstance(node, ast.Attribute) and node.attr == "em_fit"):
+                names.add(path.stem)
+    assert (defines, imports, names) == ({"hmm"}, {"__init__"}, {"hmmbatch"})

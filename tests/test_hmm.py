@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecuindex import hmmbatch, pipeline
-from ecuindex.config import RunConfig
+from ecuindex import hmm, hmmbatch
 from ecuindex.hmm import (
     PROSPEROUS,
     RECESSIONARY,
     FilterDegeneracyError,
     FilterOutput,
+    FitReport,
     RegimeModel,
     RegimeParams,
     _label,
@@ -375,17 +375,19 @@ def test_swapped_init_gives_the_same_fit_bit_for_bit(case):
 
 @st.composite
 def stacked_cases(draw):
-    """Two to six ``series_and_model`` cases of one length, a hand-off size and a batch width
-    for their stream; a width below their count makes rows join mid-stream."""
+    """Two to six ``series_and_model`` cases of one length, their offsets (None in a drawn
+    share), a hand-off size and a batch width for their stream; a width below their count makes
+    rows join mid-stream, and offsets that are not the 1-based steps show which a failure names."""
     T = draw(st.one_of(st.just(191), st.integers(1, 191)))
     cases = [draw(series_and_model(T)) for _ in range(draw(st.integers(2, 6)))]
-    return cases, draw(st.integers(0, len(cases))), draw(st.integers(1, len(cases)))
+    offsets = draw(st.sampled_from([None, np.arange(T) * 3 - T]))
+    return cases, offsets, draw(st.integers(0, len(cases))), draw(st.integers(1, len(cases)))
 
 
-def stream(cases, width):
+def stream(cases, offsets, width):
     """``em_rows`` on the cases, each series a row of one grid and started from its model."""
     return hmmbatch.em_rows(np.array([y for y, _ in cases]),
-                            enumerate(m for _, m in cases), width, max_iter=50)
+                            enumerate(m for _, m in cases), width, max_iter=50, offsets=offsets)
 
 
 def outcome_bits(fn, *args, **kwargs):
@@ -397,29 +399,65 @@ def outcome_bits(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
+def assert_stream_is_em_fit(cases, offsets, scalar_rows, width):
+    """Each outcome of the stream, with ``scalar_rows`` rows handed off, is ``em_fit``'s on its
+    row alone, as a ``DeviationSeries`` when the stream has offsets."""
+    with mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows):
+        outs = stream(cases, offsets, width)
+    assert len(outs) == len(cases)
+    for (y, model), out in zip(cases, outs):
+        assert isinstance(out, (FitReport, ValueError, RuntimeError))
+        got = (type(out), str(out)) if isinstance(out, Exception) else fit_bits(out)
+        series = y if offsets is None else DeviationSeries(offsets, y)
+        assert got == outcome_bits(em_fit, series, model, max_iter=50)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(stacked_cases())
 def test_batched_em_is_em_fit_on_each_row_bit_for_bit(stacked):
     """Rows side by side round as ``em_fit`` rounds each alone, and fail as it fails."""
-    cases, _, width = stacked
-    with mock.patch.object(hmmbatch, "SCALAR_ROWS", 0):
-        outs = stream(cases, width)
-    for (y, model), out in zip(cases, outs):
-        got = (type(out), str(out)) if isinstance(out, Exception) else fit_bits(out)
-        assert got == outcome_bits(em_fit, y, model, max_iter=50)
+    cases, offsets, _, width = stacked
+    assert_stream_is_em_fit(cases, offsets, 0, width)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(stacked_cases())
 def test_rows_handed_off_finish_as_em_fit_bit_for_bit(stacked):
     """A row the batch hands to ``em_fit`` ends with ``em_fit``'s updates, trace and model."""
-    cases, scalar_rows, width = stacked
-    with mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows):
-        outs = stream(cases, width)
-    cfg = RunConfig(em_max_iter=50)
-    for (y, model), out in zip(cases, outs):
-        assert (outcome_bits(pipeline._finish, y, out, cfg)
-                == outcome_bits(em_fit, y, model, max_iter=50))
+    assert_stream_is_em_fit(*stacked)
+
+
+def test_batch_and_tail_failures_name_the_series_offset():
+    """A row that degenerates at its first E-step fails in the batch, and one that degenerates
+    only after an update fails in ``em_fit``'s tail; both name ``offsets[step]``."""
+    T, k = 191, 120
+    offsets = np.arange(T) * 3 - T
+    y = np.zeros(T)
+    y[k] = 1e4
+    # only state 1 can emit the spike, and it never holds mass: the init's wide state 0 still
+    # can, the state 0 of the first update cannot
+    late = RegimeModel(np.eye(2), (RegimeParams(0.0, 0.0, 1e4), RegimeParams(0.0, 1e4, 1e-300)),
+                       np.array([0.5, 0.5]))
+    early = RegimeModel(np.eye(2), (RegimeParams(0.0, 0.0, 1e-12),
+                                    RegimeParams(0.0, 1e4, 1e-12)), np.array([1.0, 0.0]))
+    em_fit = hmm.em_fit
+    for scalar_rows, tail_failures in ((0, 0), (2, 1)):
+        failures = []
+
+        def recording_em_fit(*args, **kwargs):
+            try:
+                return em_fit(*args, **kwargs)
+            except FilterDegeneracyError as exc:
+                failures.append(exc)
+                raise
+
+        with (mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows),
+              mock.patch.object(hmm, "em_fit", recording_em_fit)):
+            outs = hmmbatch.em_rows(np.array([y, y]), enumerate([late, early]), 2,
+                                    offsets=offsets)
+        assert [(type(out), str(out)) for out in outs] == [
+            (FilterDegeneracyError, f"filter degeneracy at offset {offsets[k]}")] * 2
+        assert len(failures) == tail_failures
 
 
 @st.composite

@@ -246,17 +246,64 @@ def test_fit_panel_skips_firm_whose_em_fails(records, run_cfg, monkeypatch, erro
     three = records[:3]
     bad = three[1].firm_id
     bad_y = preprocess_firm(three[1], run_cfg)[0].y
-    em_fit = pipeline.em_fit
+    em_fit = hmm.em_fit
 
     def failing_em_fit(dev, *args, **kwargs):
         if np.array_equal(dev.y, bad_y):
             raise error
         return em_fit(dev, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "em_fit", failing_em_fit)
+    monkeypatch.setattr(hmm, "em_fit", failing_em_fit)
     results, skipped = fit_panel(panel_of(three), run_cfg)
     assert [r.firm_id for r in results] == [three[0].firm_id, three[2].firm_id]
     assert skipped == [(bad, str(error))]
+
+
+def test_firm_with_a_failed_start_is_skipped_with_its_first_failure(records, monkeypatch):
+    """With multi-start, a firm any of whose starts fails is skipped, with the message of its
+    first failure in init order."""
+    cfg = build_run_config({"multi_start": "1"})
+    three = records[:3]
+    both, random_only = (preprocess_firm(r, cfg)[0].y for r in three[:2])
+    em_fit = hmm.em_fit
+
+    def failing_em_fit(dev, init, **kwargs):
+        deterministic = init.q[0, 0] == 0.95  # init_params' sticky transitions
+        if (np.array_equal(dev.y, both)
+                or np.array_equal(dev.y, random_only) and not deterministic):
+            raise RuntimeError(f"{'deterministic' if deterministic else 'random'} init fails")
+        return em_fit(dev, init, **kwargs)
+
+    monkeypatch.setattr(hmm, "em_fit", failing_em_fit)
+    results, skipped = fit_panel(panel_of(three), cfg)
+    assert [r.firm_id for r in results] == [three[2].firm_id]
+    assert skipped == [(three[0].firm_id, "deterministic init fails"),
+                       (three[1].firm_id, "random init fails")]
+
+
+def test_a_wrapper_on_hmm_em_fit_sees_the_tail_and_changes_no_fit(run_cfg, monkeypatch):
+    """A serial fit calls ``em_fit`` through the ``hmm`` module for the last rows of its EM
+    stream only, so a wrapper set there, as the benchmark's tracer sets one, times each of
+    them and changes nothing."""
+    panel = panel_of(panel_records(n_firms=hmmbatch.SCALAR_ROWS + 4))
+
+    def fit_bits():
+        results, skipped = fit_panel(panel, run_cfg, workers=1)
+        assert skipped == []
+        return [(r.firm_id, r.report.iterations, r.report.converged, r.report.degenerate,
+                 r.report.loglik_trace.tobytes(), r.filtered.filtered.tobytes(),
+                 r.report.model.q.tobytes(), r.report.model.pi0.tobytes(), r.report.model.params)
+                for r in results]
+
+    plain, calls, em_fit = fit_bits(), [], hmm.em_fit
+
+    def counting_em_fit(*args, **kwargs):
+        calls.append(args[0])
+        return em_fit(*args, **kwargs)
+
+    monkeypatch.setattr(hmm, "em_fit", counting_em_fit)
+    assert fit_bits() == plain
+    assert 1 <= len(calls) <= hmmbatch.SCALAR_ROWS
 
 
 def test_degenerate_firm_contributes_zero(run_cfg):
