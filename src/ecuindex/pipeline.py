@@ -1,15 +1,14 @@
 """Panel orchestration: a kWh panel in, fitted models and index inputs out.
 
-``fit_panel`` runs one job on a ``KwhPanel``'s whole firm x day grid, or, in a
-process pool, one per block of at most ``EM_BLOCK`` rows: ``_fit_block``
-preprocesses its rows ``PREPROCESS_BLOCK`` at a time (``preprocess_grid``), fits
-their deviation rows by EM in a batch of at most ``EM_BLOCK`` rows that refills
-as rows converge (``hmmbatch.em_rows``, which returns each start's finished fit
-or failure), and carries along the cleaned consumption that the index stage
-needs for weighting.  EM's last forward pass is each firm's causal filter.  A
-firm's results depend only on its own row and the run settings, not on the
-other firms in its block, the block or batch sizes nor the worker count.  The
-fit's product, in memory and on disk, is one ``FitOutputs``.
+``fit_panel`` runs one job on a ``KwhPanel``'s whole firm x day grid, or, in a process pool, one
+per block of at most ``EM_BLOCK`` rows.  ``EM_BLOCK`` is a job's one block size: ``_fit_block``
+preprocesses its rows on grids of at most ``EM_BLOCK`` rows (``preprocess_grid``), decides which
+of them are flat a grid at a time, fits their deviation rows by EM in a batch of at most
+``EM_BLOCK`` rows that refills as rows converge (``hmmbatch.em_rows``, which returns each start's
+finished fit or failure), and carries along the cleaned consumption that the index stage needs
+for weighting.  EM's last forward pass is each firm's causal filter.  A firm's results depend
+only on its own row and the run settings, not on the other firms in its block, the block size
+nor the worker count.  The fit's product, in memory and on disk, is one ``FitOutputs``.
 """
 
 from __future__ import annotations
@@ -49,44 +48,34 @@ class FirmFitResult:
 
 
 FIRMDAY_LAYERS = ("y", "mu_p", "mu_r", "ele_test", "ele_ref")  # firmdays.npy, axis 0
-PREPROCESS_BLOCK = 16  # most firms on one preprocessing grid: bounds its memory, not its results
-EM_BLOCK = 64  # most firms in a pool job and rows in an EM batch: bounds memory (a pool worker
-               # sends a job's results back at once), not results
-
-
-def _economically_flat(dev: DeviationSeries, ele_test: np.ndarray) -> bool:
-    """Deviation amplitude below floating-point roundoff of the kWh level.
-
-    The rolling-sum preprocessing leaves residuals of order 1e-13 of the
-    consumption level even on a firm whose two years match exactly, so a
-    strict zero test is meaningless.  Anything within 1e-8 of the level is
-    still many orders below the smallest real consumption change and cannot
-    evidence a regime distinction.
-    """
-    scale = float(np.mean(np.abs(ele_test)))
-    return float(np.abs(dev.y).max()) <= 1e-8 * (1.0 + scale)
+EM_BLOCK = 64  # most rows in a preprocessing grid, an EM batch and a pool job: bounds memory
+               # (a pool worker sends a job's results back at once), not results
 
 
 def _fit_block(block: KwhPanel,
                cfg: RunConfig) -> tuple[list[FirmFitResult], list[tuple[str, str]]]:
-    """Preprocess a block of the panel's rows, ``PREPROCESS_BLOCK`` at a time, and fit each row
-    it keeps by EM; returns the fitted firms and the skipped ones' (firm id, reason), both in
+    """Preprocess a block of the panel's rows on grids of at most ``EM_BLOCK`` rows and fit each
+    row it keeps by EM; returns the fitted firms and the skipped ones' (firm id, reason), both in
     row order.
 
     EM starts from the deterministic init and from ``multi_start`` random inits drawn from the
     firm's stream 3, each init made as its row joins the EM batch.  A firm whose init or fit
     fails is skipped with the message of its first failure in init order; otherwise the highest
     final log-likelihood wins, the deterministic init on ties, so multi_start=0 output is
-    reproduced whenever it is already the best.  A flat firm's fit is marked degenerate.
+    reproduced whenever it is already the best.  A flat firm's fit is marked degenerate: one
+    whose deviations lie within 1e-8 of (1 plus) its mean test-window kWh, far above the 1e-13
+    residual the rolling sums leave where both years match, and below any real change.
     """
     from .hmmbatch import em_rows  # here, so that index, which imports this module, need not
                                    # compile it: that raised its peak RSS by 0.2 MB
     n, offsets = len(block), np.arange(-cfg.span, cfg.span + 1)
     y, ele_test, ele_ref = (np.empty((n, len(offsets))) for _ in range(3))
-    errors: list = []
-    for at in range(0, n, PREPROCESS_BLOCK):
-        part = slice(at, at + PREPROCESS_BLOCK)
+    flat, errors = np.zeros(n, dtype=bool), []
+    for at in range(0, n, EM_BLOCK):
+        part = slice(at, at + EM_BLOCK)
         y[part], ele_test[part], ele_ref[part], part_errors = preprocess_grid(block[part], cfg)
+        ok = at + np.flatnonzero([e is None for e in part_errors])  # a refused row is meaningless
+        flat[ok] = np.abs(y[ok]).max(axis=1) <= 1e-8 * (1.0 + np.abs(ele_test[ok]).mean(axis=1))
         errors += part_errors
     devs = {}
 
@@ -116,7 +105,7 @@ def _fit_block(block: KwhPanel,
             skipped.append((firm_id, error))
             continue
         report = max(fits, key=lambda fit: fit.loglik_trace[-1])  # the first of equal fits
-        if not report.degenerate and _economically_flat(dev, ele_test[k]):
+        if flat[k] and not report.degenerate:
             report = replace(report, degenerate=True)
         fitted.append(FirmFitResult(firm_id, block.sector_codes[k], block.district_codes[k],
                                     dev, report, ele_test[k], ele_ref[k]))
@@ -129,11 +118,11 @@ def fit_panel(panel: KwhPanel, cfg: RunConfig,
 
     One job, ``_fit_block``, preprocesses and fits rows of the panel's grid: all of them in a
     serial run, so that one EM batch refills from the whole panel, and in a pool a block of at
-    most ``EM_BLOCK`` rows, the blocks of balanced size and as many as there are workers when
-    that makes them smaller.  A firm whose series cannot cover the windows or whose fit fails
-    numerically is skipped with a diagnostic instead of failing the run.  ``workers`` defaults
-    to ``cfg.workers``; the pool starts at most one process per firm, per usable CPU and per
-    job.
+    most ``EM_BLOCK`` rows, one preprocessing grid, the blocks of balanced size and as many as
+    there are workers when that makes them smaller.  A firm whose series cannot cover the
+    windows or whose fit fails numerically is skipped with a diagnostic instead of failing the
+    run.  ``workers`` defaults to ``cfg.workers``; the pool starts at most one process per firm,
+    per usable CPU and per job.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(cfg.workers if workers is None else workers, len(panel), cpus or 1))

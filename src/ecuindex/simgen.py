@@ -48,12 +48,23 @@ def check_date(value: str, name: str) -> None:
 
 
 def check_int64(settings) -> None:
-    """Reject an int field of the dataclass ``settings`` that numpy's int64 cannot hold."""
+    """Reject an int field of the dataclass ``settings`` that numpy's int64 cannot hold, then a
+    ``span`` or holiday length implying a day beyond its day numbers (-2**63 is NaT) or more days
+    than it counts: ``ref_base - span`` to ``test_base + span``, a holiday to the day after it."""
     for f in fields(settings):
         value = getattr(settings, f.name)
         if f.type == "int" and not -2**63 <= value < 2**63:
             raise ValueError(f"{f.name} must lie in the 64-bit integer range "
                              f"[{-2**63}, {2**63 - 1}], got {value}")
+    day = {n: np.datetime64(getattr(settings, n), "D").astype(np.int64).item() for n in
+           ("ref_base", "test_base", "holiday_ref", "holiday_test") if hasattr(settings, n)}
+    lo, hi = sorted((day.pop("ref_base"), day.pop("test_base")))
+    holidays = [(f"{start}_days", d, d + getattr(settings, f"{start}_days"))
+                for start, d in day.items()]
+    for name, first, last in [("span", lo - settings.span, hi + settings.span), *holidays]:
+        if not (-2**63 < first and last < 2**63 and last - first + 1 < 2**63):
+            raise ValueError(f"{name} must keep the days it implies, and their count, within "
+                             f"numpy's 64-bit day numbers, got {getattr(settings, name)}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +105,8 @@ class PanelConfig:
                           ("holiday_test_days", 0)):
             if not getattr(self, name) >= low:  # NaN fails too
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("ref_base", "test_base", "holiday_ref", "holiday_test"):
+            check_date(getattr(self, name), name)
         check_int64(self)
         if not 0.0 <= self.noise_frac < np.inf:
             raise ValueError(f"noise_frac must be finite and >= 0, got {self.noise_frac}")
@@ -109,10 +122,6 @@ class PanelConfig:
                 raise ValueError(f"{name} must lie in [0, 1), got {v}")
         if not self.shock_half_life > 0.0:
             raise ValueError(f"shock_half_life must be > 0, got {self.shock_half_life}")
-        for name in ("ref_base", "test_base"):
-            check_date(getattr(self, name), name)
-        for name in ("holiday_ref", "holiday_test"):
-            check_date(getattr(self, name), name)
         unknown = set(self.shock_depth) - set(self.sector_mix) - set(LEVEL_NAMES.values())
         if unknown:
             raise ValueError(f"shock_depth names unknown sector code {sorted(unknown)[0]!r}")

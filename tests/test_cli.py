@@ -210,6 +210,26 @@ def test_integer_beyond_int64_is_a_config_error(three_firms, tmp_path, capsys, c
     assert (out / "panel.csv").read_bytes() == panel
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("simulate", "span", 2**63 - 1), ("simulate", "span", 2**62), ("fit", "span", 2**62),
+    ("fit", "span", 2**63 - 1), ("simulate", "holiday_ref_days", 2**63 - 1),
+    ("simulate", "holiday_test_days", 2**63 - 1)])
+def test_days_beyond_numpys_day_numbers_are_a_config_error(three_firms, tmp_path, capsys,
+                                                           command, key, value):
+    """A ``span`` or holiday length whose days numpy's int64 day numbers cannot hold exits 2
+    naming it and writes nothing, where ``simulate`` used to write wrapped dates or a panel
+    without its holiday and ``fit`` skipped every firm or exited 1."""
+    out, _ = three_firms
+    panel = (out / "panel.csv").read_bytes()
+    cfg = write_config(tmp_path / "days.cfg", f"n_firms = 3\n{key} = {value}\n")
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {key} must keep the days it implies, and their "
+                                       f"count, within numpy's 64-bit day numbers, got {value}\n")
+    assert sorted(p.name for p in out.iterdir()) == ["panel.csv"]
+    assert (out / "panel.csv").read_bytes() == panel
+
+
 @pytest.mark.parametrize("command", ["simulate", "fit"])
 def test_day_range_too_large_to_allocate_is_one_error_line(three_firms, tmp_path, capsys,
                                                            command):

@@ -235,15 +235,65 @@ INT_FIELDS = [(cls, f.name) for cls in (RunConfig, PanelConfig) for f in fields(
               if f.type == "int"]
 
 
+DAY_COUNTS = ("span", "holiday_ref_days", "holiday_test_days")
+
+
 @pytest.mark.parametrize("cls,setting", INT_FIELDS)
 def test_every_integer_setting_stays_within_int64(cls, setting):
-    """Every int field takes the largest int64 and refuses the next integer, and a field with
-    no lower bound refuses one below the smallest, ``dataclasses.replace`` included."""
+    """Every int field takes the largest int64, unless it counts days, which the day check
+    refuses there, and refuses the next integer, and a field with no lower bound refuses one
+    below the smallest, ``dataclasses.replace`` included."""
     assert len(INT_FIELDS) == 16
-    replace(cls(), **{setting: 2**63 - 1})
+    if setting in DAY_COUNTS:
+        with pytest.raises(ValueError, match=f"^{setting} must keep the days it implies"):
+            replace(cls(), **{setting: 2**63 - 1})
+    else:
+        replace(cls(), **{setting: 2**63 - 1})
     for value in (2**63, -2**63 - 1):
         with pytest.raises(ValueError, match=f"^{setting} must "):
             replace(cls(), **{setting: value})
+
+
+# at the default dates, 2019-02-04 and 2020-01-24 (day numbers 17931 and 18285): days from
+# 17931 - span to 18285 + span are 2 * span + 355, and a holiday's day after is its start + days
+LONGEST = {"span": (2**63 - 356) // 2, "holiday_ref_days": 2**63 - 1 - 17931,
+           "holiday_test_days": 2**63 - 1 - 18285}
+
+
+@pytest.mark.parametrize("cls,setting", [(PanelConfig, name) for name in DAY_COUNTS]
+                         + [(RunConfig, "span")])
+def test_day_counts_are_refused_beyond_numpys_day_numbers(cls, setting):
+    """A ``span`` or holiday length is taken up to the longest whose days, and their count,
+    numpy's int64 day numbers hold, and refused one day longer or at the values that used to
+    wrap, by the library and as a ``ConfigError``; building a config allocates nothing."""
+    build = build_panel_config if cls is PanelConfig else build_run_config
+    longest = LONGEST[setting]
+    assert getattr(replace(cls(), **{setting: longest}), setting) == longest
+    assert getattr(build({setting: str(longest)}), setting) == longest
+    for value in sorted({longest + 1, 2**62 if setting == "span" else longest + 2, 2**63 - 1}):
+        message = (f"{setting} must keep the days it implies, and their count, within numpy's "
+                   f"64-bit day numbers, got {value}")
+        with pytest.raises(ValueError) as caught:
+            replace(cls(), **{setting: value})
+        assert str(caught.value) == message
+        with pytest.raises(ConfigError) as caught:
+            build({setting: str(value)})
+        assert str(caught.value) == message
+
+
+def test_day_check_counts_from_the_earlier_base_and_before_1970():
+    """The day range runs from the earlier base to the later one, whichever is ``ref_base``, and
+    a holiday's from its first day through the day after it: before 1970 its length is bound by
+    that count, 2**63 - 1 days."""
+    swapped = dict(ref_base="2020-01-24", test_base="2019-02-04")
+    for cls in (PanelConfig, RunConfig):
+        replace(cls(), span=LONGEST["span"], **swapped)
+        with pytest.raises(ValueError, match="^span must keep"):
+            replace(cls(), span=LONGEST["span"] + 1, **swapped)
+    early = replace(PanelConfig(), holiday_ref="1969-12-31", holiday_ref_days=2**63 - 2)
+    assert early.holiday_ref_days == 2**63 - 2  # day -1 through day 2**63 - 3
+    with pytest.raises(ValueError, match="^holiday_ref_days must keep"):
+        replace(early, holiday_ref_days=2**63 - 1)  # its day after is a day number, its count not
 
 
 def test_run_validation():

@@ -1,16 +1,19 @@
 """Each demo script and the README's library example run to completion, so an
-API change that breaks one fails here.
+API change that breaks one fails here, and the README quotes the fit's block sizes.
 
 The demos write their plots (when matplotlib is importable) into the
 working directory, which is a temporary one.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from ecuindex import hmmbatch, pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("demo_*.py"))
@@ -44,3 +47,23 @@ def test_readme_library_example_runs(tmp_path):
     script = tmp_path / "library_use.py"
     script.write_text(code, encoding="utf-8")
     assert "peak P(recessionary)" in run_script(script, tmp_path)
+
+
+def readme_sizes(start, end):
+    """The README's text from ``start`` to ``end``, on one line, and every number it gives of
+    firms, rows or EM starts, or at most or at a time."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    text = " ".join(readme[readme.index(start):].split(end, 1)[0].split())
+    found = re.findall(r"\b(\d+)(?:(?= (?:of its )?(?:firms?|rows?|EM starts?)\b| at a time))"
+                       r"|at most (\d+)", text)
+    return text, {int(a or b) for a, b in found}
+
+
+def test_readme_quotes_the_fit_block_sizes_the_code_defines():
+    """The Preprocess paragraph gives one block size, ``pipeline.EM_BLOCK``, and the recursions
+    paragraph that and ``hmmbatch.SCALAR_ROWS``, by name and value, and no other."""
+    text, sizes = readme_sizes("1. **Preprocess**", "2. **Fit**")
+    assert "`pipeline.EM_BLOCK`" in text and sizes == {pipeline.EM_BLOCK}
+    text, sizes = readme_sizes("One root seed drives", "## Install")
+    assert "`pipeline.EM_BLOCK`" in text and "`hmmbatch.SCALAR_ROWS`" in text
+    assert sizes == {pipeline.EM_BLOCK, hmmbatch.SCALAR_ROWS}

@@ -281,29 +281,58 @@ def test_firm_with_a_failed_start_is_skipped_with_its_first_failure(records, mon
                        (three[1].firm_id, "random init fails")]
 
 
+def fit_bits(panel, cfg, workers=1):
+    """Every fitted firm's report, arrays as their bytes, from a fit that skips no firm."""
+    results, skipped = fit_panel(panel, cfg, workers=workers)
+    assert skipped == []
+    return [(r.firm_id, r.report.iterations, r.report.converged, r.report.degenerate,
+             r.report.loglik_trace.tobytes(), r.filtered.filtered.tobytes(),
+             r.report.model.q.tobytes(), r.report.model.pi0.tobytes(), r.report.model.params)
+            for r in results]
+
+
 def test_a_wrapper_on_hmm_em_fit_sees_the_tail_and_changes_no_fit(run_cfg, monkeypatch):
     """A serial fit calls ``em_fit`` through the ``hmm`` module for the last rows of its EM
     stream only, so a wrapper set there, as the benchmark's tracer sets one, times each of
     them and changes nothing."""
     panel = panel_of(panel_records(n_firms=hmmbatch.SCALAR_ROWS + 4))
-
-    def fit_bits():
-        results, skipped = fit_panel(panel, run_cfg, workers=1)
-        assert skipped == []
-        return [(r.firm_id, r.report.iterations, r.report.converged, r.report.degenerate,
-                 r.report.loglik_trace.tobytes(), r.filtered.filtered.tobytes(),
-                 r.report.model.q.tobytes(), r.report.model.pi0.tobytes(), r.report.model.params)
-                for r in results]
-
-    plain, calls, em_fit = fit_bits(), [], hmm.em_fit
+    plain, calls, em_fit = fit_bits(panel, run_cfg), [], hmm.em_fit
 
     def counting_em_fit(*args, **kwargs):
         calls.append(args[0])
         return em_fit(*args, **kwargs)
 
     monkeypatch.setattr(hmm, "em_fit", counting_em_fit)
-    assert fit_bits() == plain
+    assert fit_bits(panel, run_cfg) == plain
     assert 1 <= len(calls) <= hmmbatch.SCALAR_ROWS
+
+
+@pytest.fixture(scope="module")
+def flat_among_ordinary(run_cfg):
+    """Firm F00001 of acceptance criterion 5's null panel, renamed F00003-flat, fifth of eleven
+    firms with ten ordinary ones; returns the panel, its id and its fits at the default sizes."""
+    null = PanelConfig(n_firms=40, seed=5, weekly_amplitude=0.0, annual_amplitude=0.0,
+                       noise_frac=0.0, missing_rate=0.0, outlier_rate=0.0,
+                       shock_depth={code: 0.0 for code in DEFAULT_SECTOR_MIX})
+    flat = replace(records_of(generate(null).panel)[1], firm_id="F00003-flat")
+    dev = preprocess_firm(flat, run_cfg)[0]
+    assert not hmm.em_fit(dev, hmm.init_params(dev)).degenerate  # only its flatness flags it
+    panel = panel_of(panel_records(n_firms=10) + [flat])
+    assert panel.firm_ids[4] == flat.firm_id
+    return panel, flat.firm_id, fit_bits(panel, run_cfg)
+
+
+@pytest.mark.parametrize("em_block", [1, 3, 16, 64])
+def test_a_flat_firm_among_ordinary_ones_alone_is_degenerate(run_cfg, flat_among_ordinary,
+                                                             monkeypatch, em_block):
+    """Flatness is decided a preprocessing grid at a time for the grid's rows: at any block size
+    and worker count, the flat firm, wherever it falls in its grid, is the one degenerate fit,
+    and every fit is the default run's bit for bit."""
+    panel, flat_id, default = flat_among_ordinary
+    assert [bits[0] for bits in default if bits[3]] == [flat_id]
+    monkeypatch.setattr(pipeline, "EM_BLOCK", em_block)
+    for workers in (1, 2):
+        assert fit_bits(panel, run_cfg, workers) == default
 
 
 def test_degenerate_firm_contributes_zero(run_cfg):

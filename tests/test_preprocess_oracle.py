@@ -239,22 +239,22 @@ def mixed_fits(mixed):
 
 
 # (EM_BLOCK, SCALAR_ROWS, multi_start): one firm's rows alone, a few firms', or all of them in
-# one batch, handed to em_fit at once (16) or never (0)
+# one batch and one preprocessing grid, handed to em_fit at once (16) or never (0)
 EM_CASES = [(em_block, scalar_rows, 0) for em_block in (1, 3, 16, 128) for scalar_rows in (0, 16)]
 EM_CASES += [(3, 0, 2), (128, 16, 2)]
 
 
-@pytest.mark.parametrize("block", [1, 3, 16])
-def test_fit_panel_blocks_and_workers_agree_on_a_mixed_panel(mixed, mixed_fits, block):
-    """At any preprocessing block, EM batch, hand-off size and worker count, each firm's fit and
-    each skip are the workers=1 ones at the default sizes, bit for bit.  Each block size takes
-    every third of the ``EM_CASES``, so the three take them all."""
+@pytest.mark.parametrize("em_block", [1, 3, 16, 128])
+def test_fit_panel_blocks_and_workers_agree_on_a_mixed_panel(mixed, mixed_fits, em_block):
+    """At any block size (of the preprocessing grids, the EM batch and the pool's jobs), hand-off
+    size and worker count, each firm's fit and each skip are the workers=1 ones at the default
+    sizes, bit for bit.  Each block size takes the ``EM_CASES`` of its own, so the four take
+    them all."""
     records, cfg = mixed
-    for em_block, scalar_rows, multi_start in EM_CASES[[1, 3, 16].index(block)::3]:
+    for _, scalar_rows, multi_start in [case for case in EM_CASES if case[0] == em_block]:
         serial, serial_skipped = mixed_fits[multi_start]
         for workers in (1, 2):
-            with mock.patch.object(pipeline, "PREPROCESS_BLOCK", block), \
-                    mock.patch.object(pipeline, "EM_BLOCK", em_block), \
+            with mock.patch.object(pipeline, "EM_BLOCK", em_block), \
                     mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows):
                 results, skipped = pipeline.fit_panel(
                     panel_of(records), replace(cfg, multi_start=multi_start), workers=workers)
