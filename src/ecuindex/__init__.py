@@ -6,6 +6,11 @@ and aggregates the filtered recession probabilities into
 consumption-weighted indexes.
 """
 
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):  # a set value wins
+    os.environ.setdefault(_var, "1")  # before numpy's import, or its BLAS starts idle threads
+
 from .ecu import EcuSeries, FirmDayPanel, SrpiSeries, ecu_grouped, srpi
 from .hmm import (
     PROSPEROUS,

@@ -28,15 +28,15 @@ SCALAR_ROWS = 16  # em_fit finishes a stream's last rows once this many or fewer
 
 
 def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
-            max_iter=RunConfig.em_max_iter, offsets=None) -> list:
+            max_iter=RunConfig.em_max_iter, offsets=None):
     """``em_fit`` on rows of the (n, T) grid ``ys``: ``starts`` yields pairs (row of ``ys``,
     init model), and each pair's row is fitted from its model in a batch of at most ``width``
     rows whose recursions run side by side as row vectors.
 
     ``starts`` is read as the batch has room, so a pair's init is only made when its row
-    joins.  Each row takes ``em_fit``'s operations in ``em_fit``'s order, so each pair's
-    outcome, returned in order, is the ``FitReport`` or the exception of ``em_fit`` on
-    ``DeviationSeries(offsets, row)`` (the plain row if ``offsets`` is None) alone, bit for bit.
+    joins.  Each row takes ``em_fit``'s operations in ``em_fit``'s order, so each pair's outcome,
+    yielded with its index after the batch step that ends it, is ``em_fit``'s ``FitReport`` or
+    exception on ``DeviationSeries(offsets, row)`` (row if no offsets) alone, bit for bit.
     Once no pair waits and ``SCALAR_ROWS`` or fewer rows still run, ``em_fit`` itself finishes
     them, so a stream of that many pairs or fewer takes one batch E-step.
     """
@@ -45,18 +45,21 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
     waiting = next(starts, None)
     T = ys.shape[1]
     t = np.arange(1, T + 1, dtype=float)
-    out: list = []
+    out: dict = {}  # per pair that the last batch step finished, its outcome
+    joined = 0  # pairs read from starts
     slots, rows, floors, traces, updates = [], [], [], [], []  # per batch row
     model = np.empty((12, 0))  # per batch row its q, alpha/beta/sigma and pi0 (``_views``)
     pool = np.empty(8 * width * T)  # the batch's rows and its E-step's buffers
-    with np.errstate(all="ignore"):  # a failing row's NaNs stay in its own column
-        while True:
+    while True:
+        yield from out.items()
+        out.clear()
+        with np.errstate(all="ignore"):  # a failing row's NaNs stay in its own column
             joining = []
             while waiting is not None and len(rows) < width:
                 row, init = waiting
                 joining.append(init)
-                slots.append(len(out))
-                out.append(None)
+                slots.append(joined)
+                joined += 1
                 rows.append(row)
                 floors.append(sigma_floor(ys[row]))
                 traces.append([])
@@ -65,7 +68,7 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
             if joining:
                 model = np.concatenate((model, np.array([_column(m) for m in joining]).T), axis=1)
             if not rows:
-                return out
+                return
             m = len(rows)
             y = pool[:m * T].reshape(m, T)
             np.take(ys, rows, axis=0, out=y, mode="clip")  # clip: unbuffered

@@ -1,22 +1,19 @@
 """Panel orchestration: a kWh panel in, fitted models and index inputs out.
 
-``fit_panel`` runs one job on a ``KwhPanel``'s whole firm x day grid, or, in a process pool, one
-per block of at most ``EM_BLOCK`` rows.  ``EM_BLOCK`` is a job's one block size: ``_fit_block``
-preprocesses its rows on grids of at most ``EM_BLOCK`` rows (``preprocess_grid``), decides which
-of them are flat a grid at a time, fits their deviation rows by EM in a batch of at most
-``EM_BLOCK`` rows that refills as rows converge (``hmmbatch.em_rows``, which returns each start's
-finished fit or failure), and carries along the cleaned consumption that the index stage needs
-for weighting.  EM's last forward pass is each firm's causal filter.  A firm's results depend
-only on its own row and the run settings, not on the other firms in its block, the block size
-nor the worker count.  The fit's product, in memory and on disk, is one ``FitOutputs``.
+``fit_panel`` runs one job, ``_fit_block``, on a ``KwhPanel``'s whole firm x day grid or, in a
+process pool, one per worker on a contiguous share of its rows.  A job preprocesses its rows,
+fits them by EM in a batch that refills as rows converge (``hmmbatch.em_rows``), and writes each
+row's deviations, causal filter (EM's last forward pass) and the cleaned consumption that weights
+the index into one firm-day array.  A firm's results depend only on its own row and the run
+settings, not on the other firms in its job nor the worker count.  The fit's product, in memory
+and on disk, is one ``FitOutputs``.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, replace
-from itertools import repeat
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -48,15 +45,15 @@ class FirmFitResult:
 
 
 FIRMDAY_LAYERS = ("y", "mu_p", "mu_r", "ele_test", "ele_ref")  # firmdays.npy, axis 0
-EM_BLOCK = 64  # most rows in a preprocessing grid, an EM batch and a pool job: bounds memory
-               # (a pool worker sends a job's results back at once), not results
+EM_BLOCK = 64  # most rows in a preprocessing grid and an EM batch: bounds a job's memory
+_SHARED = []  # in a pool worker, the (panel, cfg, out) it inherited by fork
 
 
-def _fit_block(block: KwhPanel,
-               cfg: RunConfig) -> tuple[list[FirmFitResult], list[tuple[str, str]]]:
+def _fit_block(block: KwhPanel, cfg: RunConfig,
+               out: np.ndarray) -> tuple[list[tuple], list[tuple[str, str]]]:
     """Preprocess a block of the panel's rows on grids of at most ``EM_BLOCK`` rows and fit each
-    row it keeps by EM; returns the fitted firms and the skipped ones' (firm id, reason), both in
-    row order.
+    row it keeps by EM, writing row k's ``FIRMDAY_LAYERS`` into ``out[:, k]``; returns in row
+    order the fitted rows' (k, model, iterations, trace, converged, degenerate) and the skips.
 
     EM starts from the deterministic init and from ``multi_start`` random inits drawn from the
     firm's stream 3, each init made as its row joins the EM batch.  A firm whose init or fit
@@ -69,15 +66,15 @@ def _fit_block(block: KwhPanel,
     from .hmmbatch import em_rows  # here, so that index, which imports this module, need not
                                    # compile it: that raised its peak RSS by 0.2 MB
     n, offsets = len(block), np.arange(-cfg.span, cfg.span + 1)
-    y, ele_test, ele_ref = (np.empty((n, len(offsets))) for _ in range(3))
+    y, ele_test = out[0], out[3]
     flat, errors = np.zeros(n, dtype=bool), []
     for at in range(0, n, EM_BLOCK):
         part = slice(at, at + EM_BLOCK)
-        y[part], ele_test[part], ele_ref[part], part_errors = preprocess_grid(block[part], cfg)
+        y[part], ele_test[part], out[4, part], part_errors = preprocess_grid(block[part], cfg)
         ok = at + np.flatnonzero([e is None for e in part_errors])  # a refused row is meaningless
         flat[ok] = np.abs(y[ok]).max(axis=1) <= 1e-8 * (1.0 + np.abs(ele_test[ok]).mean(axis=1))
         errors += part_errors
-    devs = {}
+    started = []  # rows in the order em_rows reads their inits
 
     def starts():  # (row, init) per EM row; a failed init is recorded in errors instead
         for k, error in enumerate(errors):
@@ -91,25 +88,30 @@ def _fit_block(block: KwhPanel,
             except (ValueError, RuntimeError) as exc:
                 errors[k] = str(exc)
                 continue
-            devs[k] = dev
+            started.append(k)
             yield from ((k, init) for init in inits)
 
-    outcomes = iter(em_rows(y, starts(), EM_BLOCK, cfg.em_tol, cfg.em_max_iter, offsets))
-    fitted, skipped = [], []
-    for k, (firm_id, error) in enumerate(zip(block.firm_ids, errors)):
-        if error is None:
-            dev = devs[k]
-            fits = [next(outcomes) for _ in range(1 + cfg.multi_start)]
-            error = next((str(fit) for fit in fits if isinstance(fit, Exception)), None)
-        if error is not None:
-            skipped.append((firm_id, error))
+    fitted, known = [], {}  # per row whose fits are not all known, those known by pair
+    for pair, fit in em_rows(y, starts(), EM_BLOCK, cfg.em_tol, cfg.em_max_iter, offsets):
+        k = started[pair // (1 + cfg.multi_start)]
+        known.setdefault(k, {})[pair] = fit
+        if len(known[k]) <= cfg.multi_start:
             continue
-        report = max(fits, key=lambda fit: fit.loglik_trace[-1])  # the first of equal fits
-        if flat[k] and not report.degenerate:
-            report = replace(report, degenerate=True)
-        fitted.append(FirmFitResult(firm_id, block.sector_codes[k], block.district_codes[k],
-                                    dev, report, ele_test[k], ele_ref[k]))
-    return fitted, skipped
+        fits = [fit for _, fit in sorted(known.pop(k).items())]  # in init order
+        errors[k] = next((str(fit) for fit in fits if isinstance(fit, Exception)), None)
+        if errors[k] is None:
+            best = max(fits, key=lambda fit: fit.loglik_trace[-1])  # the first of equal fits
+            out[1:3, k] = best.filter.filtered.T  # now, so that few rows' filters are held
+            fitted.append((k, best.model, best.iterations, best.loglik_trace, best.converged,
+                           best.degenerate or bool(flat[k])))
+    return sorted(fitted), [(block.firm_ids[k], e) for k, e in enumerate(errors) if e is not None]
+
+
+def _fit_share(rows: slice) -> tuple[list[tuple], list[tuple[str, str]]]:
+    """A pool job: ``_fit_block`` on a share of the panel's rows; sends back no length-T array."""
+    panel, cfg, out = _SHARED
+    fitted, skipped = _fit_block(panel[rows], cfg, out[:, rows])
+    return [(rows.start + k, *record) for k, *record in fitted], skipped
 
 
 def fit_panel(panel: KwhPanel, cfg: RunConfig,
@@ -117,25 +119,40 @@ def fit_panel(panel: KwhPanel, cfg: RunConfig,
     """Fit every firm; returns (results sorted by firm id, skipped (id, reason) sorted by id).
 
     One job, ``_fit_block``, preprocesses and fits rows of the panel's grid: all of them in a
-    serial run, so that one EM batch refills from the whole panel, and in a pool a block of at
-    most ``EM_BLOCK`` rows, one preprocessing grid, the blocks of balanced size and as many as
-    there are workers when that makes them smaller.  A firm whose series cannot cover the
-    windows or whose fit fails numerically is skipped with a diagnostic instead of failing the
-    run.  ``workers`` defaults to ``cfg.workers``; the pool starts at most one process per firm,
-    per usable CPU and per job.
+    serial run, and in a pool one share per worker, the shares differing by at most one row.
+    They write into one (5, firms, T) array, of which each result's arrays are views; a pool's
+    is an anonymous shared mapping that the forked workers inherit with the panel, so neither is
+    pickled, and a dead worker (``ChildProcessError``) leaves nothing to clean up.  A firm whose
+    series cannot cover the windows or whose fit fails numerically is skipped with a diagnostic.
+    ``workers`` defaults to ``cfg.workers``; a pool has at most one process per firm and CPU.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(cfg.workers if workers is None else workers, len(panel), cpus or 1))
+    offsets = np.arange(-cfg.span, cfg.span + 1)
+    shape = (len(FIRMDAY_LAYERS), len(panel), len(offsets))
     if workers <= 1:
-        outcomes = [_fit_block(panel, cfg)]
+        outcomes = [_fit_block(panel, cfg, out := np.empty(shape))]
     else:
-        jobs = max(workers, -(-len(panel) // EM_BLOCK))
-        blocks = [panel[len(panel) * k // jobs:len(panel) * (k + 1) // jobs] for k in range(jobs)]
-        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for the import
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_fit_block, blocks, repeat(cfg)))
-    return ([r for fitted, _ in outcomes for r in fitted],
-            [s for _, skipped in outcomes for s in skipped])
+        import mmap  # only a pool run pays for these imports
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+        from multiprocessing import get_context
+        out = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * int(np.prod(shape))))
+        shares = [slice(len(panel) * k // workers, len(panel) * (k + 1) // workers)
+                  for k in range(workers)]
+        try:
+            with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
+                                     initializer=_SHARED.extend,
+                                     initargs=((panel, cfg, out),)) as pool:
+                outcomes = list(pool.map(_fit_share, shares))
+        except BrokenExecutor as exc:
+            raise ChildProcessError(f"the fit's process pool broke: {exc}") from None
+    results = []
+    for k, model, iterations, trace, *flags in (r for fitted, _ in outcomes for r in fitted):
+        report = FitReport(model, FilterOutput(out[1:3, k].T, trace[-1]), iterations, trace, *flags)
+        results.append(FirmFitResult(panel.firm_ids[k], panel.sector_codes[k],
+                                     panel.district_codes[k], DeviationSeries(offsets, out[0, k]),
+                                     report, out[3, k], out[4, k]))
+    return results, [s for _, skipped in outcomes for s in skipped]
 
 
 @dataclass(frozen=True)

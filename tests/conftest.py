@@ -10,11 +10,13 @@ import pytest
 import ecuindex
 
 
-def _run_child(code, *args) -> str:
-    """The last line that ``code`` prints, run with ``args`` in a fresh interpreter."""
+def _run_child(code, *args, env=None) -> str:
+    """The last line that ``code`` prints, run with ``args`` in a fresh interpreter whose
+    environment is this one's updated by ``env``, where a None value unsets a variable."""
     src = str(Path(ecuindex.__file__).parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src, **(env or {})}
+    env = {key: value for key, value in env.items() if value is not None}
     proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -5,6 +5,7 @@ are exercised the same way a shell user would see them.
 """
 
 import filecmp
+import os
 import shutil
 import tracemalloc
 from dataclasses import replace
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ecuindex import pipeline
 from ecuindex.cli import main
 from ecuindex.hmm import RegimeModel, RegimeParams
 from ecuindex.panelio import (MODELS_HEADER, ModelRow, read_models, read_panel, write_models,
@@ -751,3 +753,40 @@ def test_workers_flag_does_not_change_results(tmp_path):
         main(["fit", "--config", cfg, "--out", str(out), "--workers", workers])
     for fname in ("models.csv", "firmdays.npy"):
         assert filecmp.cmp(a / fname, b / fname, shallow=False), fname
+
+
+def test_three_workers_write_the_bytes_of_one(tmp_path, monkeypatch):
+    """Three pool workers, one share of the firms each, write the fit files of a serial run."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    cfg = write_config(tmp_path / "run.cfg", BASE_CONFIG)
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out, workers in ((a, "1"), (b, "3")):
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["fit", "--config", cfg, "--out", str(out), "--workers", workers]) == 0
+    for fname in ("models.csv", "firmdays.npy"):
+        assert filecmp.cmp(a / fname, b / fname, shallow=False), fname
+
+
+TEST_PID = os.getpid()
+
+
+def dying_fit_block(*args):
+    """Stands in for ``pipeline._fit_block``: the pool worker that runs it dies at once."""
+    assert os.getpid() != TEST_PID, "the fit ran in the test's own process"
+    os._exit(3)
+
+
+def test_a_dead_pool_worker_is_one_error_line(tmp_path, capsys, monkeypatch):
+    """A pool worker that dies, as one the OOM killer ends, fails ``fit`` with exit 1, one
+    ``error:`` line that names the broken pool, and no output; two processes are started."""
+    cfg = write_config(tmp_path / "run.cfg", BASE_CONFIG)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(pipeline, "_fit_block", dying_fit_block)
+    assert main(["fit", "--config", cfg, "--out", str(out), "--workers", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the fit's process pool broke")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert sorted(p.name for p in out.iterdir()) == ["panel.csv"]

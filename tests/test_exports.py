@@ -2,7 +2,10 @@
 one hands EM rows to `em_fit`."""
 
 import ast
+import os
 from pathlib import Path
+
+import pytest
 
 import ecuindex
 from ecuindex import hmm, preprocess
@@ -55,3 +58,17 @@ def test_hmm_alone_defines_em_fit_and_hmmbatch_alone_calls_it():
                     or isinstance(node, ast.Attribute) and node.attr == "em_fit"):
                 names.add(path.stem)
     assert (defines, imports, names) == ({"hmm"}, {"__init__"}, {"hmmbatch"})
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_importing_the_package_starts_one_blas_thread_unless_told_otherwise(run_child):
+    """``import ecuindex`` sets one BLAS thread before numpy starts its pool, and a user's own
+    setting wins."""
+    code = ("import os, ecuindex\n"
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    unset = dict.fromkeys(BLAS_THREADS)
+    assert run_child(code, env=unset) == "1 1"
+    assert run_child(code, env={**unset, "OPENBLAS_NUM_THREADS": "2"}).split()[1] == "2"

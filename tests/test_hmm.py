@@ -385,9 +385,11 @@ def stacked_cases(draw):
 
 
 def stream(cases, offsets, width):
-    """``em_rows`` on the cases, each series a row of one grid and started from its model."""
-    return hmmbatch.em_rows(np.array([y for y, _ in cases]),
-                            enumerate(m for _, m in cases), width, max_iter=50, offsets=offsets)
+    """``em_rows`` on the cases, each series a row of one grid and started from its model; the
+    outcomes in start order."""
+    return [outcome for _, outcome in sorted(hmmbatch.em_rows(
+        np.array([y for y, _ in cases]), enumerate(m for _, m in cases), width, max_iter=50,
+        offsets=offsets))]
 
 
 def outcome_bits(fn, *args, **kwargs):
@@ -453,8 +455,8 @@ def test_batch_and_tail_failures_name_the_series_offset():
 
         with (mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows),
               mock.patch.object(hmm, "em_fit", recording_em_fit)):
-            outs = hmmbatch.em_rows(np.array([y, y]), enumerate([late, early]), 2,
-                                    offsets=offsets)
+            outs = [outcome for _, outcome in sorted(hmmbatch.em_rows(
+                np.array([y, y]), enumerate([late, early]), 2, offsets=offsets))]
         assert [(type(out), str(out)) for out in outs] == [
             (FilterDegeneracyError, f"filter degeneracy at offset {offsets[k]}")] * 2
         assert len(failures) == tail_failures

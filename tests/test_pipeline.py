@@ -4,6 +4,7 @@ import concurrent.futures
 import itertools
 import math
 import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -126,10 +127,13 @@ def record_pools(monkeypatch, cpus):
     pools, jobs = [], []
 
     class Recorder:
-        """Stands in for the process pool: records its size and jobs and fits in this process."""
+        """Stands in for the process pool: records its size and jobs, runs its initializer and
+        fits in this process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            assert mp_context.get_start_method() == "fork"  # initargs are inherited, not pickled
             pools.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -139,30 +143,63 @@ def record_pools(monkeypatch, cpus):
 
         def map(self, fn, *iterables):
             args = list(zip(*iterables))
-            jobs.extend(len(block) for block, *_ in args)
+            jobs.extend(rows.stop - rows.start for rows, *_ in args)
             return itertools.starmap(fn, args)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(pipeline, "_SHARED", [])  # the in-process initializer fills it
     return pools, jobs
 
 
 @pytest.mark.parametrize("cpus,firms,started", [(64, 3, 3), (2, 6, 2), (1, 6, None), (2, 40, 2)])
 def test_fit_panel_pool_is_capped_by_firms_and_cpus(run_cfg, monkeypatch, cpus, firms, started):
-    """``workers=500`` starts at most one process per firm, per usable CPU and per job, or no
-    pool; no job holds more than ``EM_BLOCK`` firms."""
+    """``workers=500`` starts at most one process per firm and per usable CPU, or no pool; the
+    pool runs one job per process, the jobs' shares of the firms differing by at most one."""
     panel = panel_of(panel_records(n_firms=firms))
     pools, jobs = record_pools(monkeypatch, cpus)
     results, _ = fit_panel(panel, run_cfg, workers=500)
     assert pools == ([] if started is None else [started])
     if started is not None:
-        assert sum(jobs) == firms and max(jobs) <= pipeline.EM_BLOCK
-        assert started <= len(jobs)
+        assert sum(jobs) == firms and max(jobs) - min(jobs) <= 1
+        assert len(jobs) == started
     serial, _ = fit_panel(panel, run_cfg, workers=1)
     def fits(rs):
         return [(r.firm_id, r.report.model.params, r.report.loglik_trace.tolist()) for r in rs]
 
     assert fits(results) == fits(serial)
+
+
+def test_a_pool_job_writes_its_layers_and_sends_back_no_length_t_array(run_cfg, monkeypatch):
+    """A pool job, run here on rows 2..5 of six, writes their layers into the shared array as a
+    serial fit computes them, and its reply pickles to under half of T float64s per firm, so
+    no firm-day array travels back."""
+    panel = panel_of(panel_records(n_firms=6))
+    days = 2 * run_cfg.span + 1
+    out = np.zeros((len(pipeline.FIRMDAY_LAYERS), len(panel), days))
+    monkeypatch.setattr(pipeline, "_SHARED", [panel, run_cfg, out])
+    fitted, skipped = reply = pipeline._fit_share(slice(2, 6))
+    assert [record[0] for record in fitted] == [2, 3, 4, 5] and skipped == []
+    serial = fit_outputs(fit_panel(panel, run_cfg, workers=1)[0]).firmdays
+    np.testing.assert_array_equal(out[:, 2:], serial[:, 2:])
+    np.testing.assert_array_equal(out[:, :2], 0.0)
+    assert len(pickle.dumps(reply)) / len(fitted) < days * 8 / 2
+
+
+def test_a_pool_pickles_no_panel_and_leaves_no_process(records, run_cfg, monkeypatch):
+    """The pool's workers inherit the panel by fork, so pickling one fails here; once
+    ``fit_panel`` returns, no worker and no resource tracker is left."""
+    def refuse(panel, protocol):
+        raise AssertionError("a KwhPanel was pickled")
+
+    monkeypatch.setattr(KwhPanel, "__reduce_ex__", refuse, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    results, skipped = fit_panel(panel_of(records), run_cfg, workers=2)
+    assert len(results) == len(records) and skipped == []
+    children = f"/proc/self/task/{os.getpid()}/children"
+    if os.path.exists(children):
+        with open(children) as fh:
+            assert fh.read().split() == []
 
 
 def test_serial_fit_panel_is_one_job_whose_em_batch_refills(run_cfg, monkeypatch):
@@ -172,9 +209,9 @@ def test_serial_fit_panel_is_one_job_whose_em_batch_refills(run_cfg, monkeypatch
     blocks, widths = [], []
     fit_block, e_step_rows = pipeline._fit_block, hmmbatch._e_step_rows
 
-    def recording_fit_block(block, cfg):
+    def recording_fit_block(block, cfg, out):
         blocks.append(len(block))
-        return fit_block(block, cfg)
+        return fit_block(block, cfg, out)
 
     def recording_e_step_rows(y, *args):
         widths.append(len(y))

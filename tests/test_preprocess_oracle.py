@@ -246,10 +246,9 @@ EM_CASES += [(3, 0, 2), (128, 16, 2)]
 
 @pytest.mark.parametrize("em_block", [1, 3, 16, 128])
 def test_fit_panel_blocks_and_workers_agree_on_a_mixed_panel(mixed, mixed_fits, em_block):
-    """At any block size (of the preprocessing grids, the EM batch and the pool's jobs), hand-off
-    size and worker count, each firm's fit and each skip are the workers=1 ones at the default
-    sizes, bit for bit.  Each block size takes the ``EM_CASES`` of its own, so the four take
-    them all."""
+    """At any block size (of the preprocessing grids and the EM batch), hand-off size and worker
+    count, each firm's fit and each skip are the workers=1 ones at the default sizes, bit for
+    bit.  Each block size takes the ``EM_CASES`` of its own, so the four take them all."""
     records, cfg = mixed
     for _, scalar_rows, multi_start in [case for case in EM_CASES if case[0] == em_block]:
         serial, serial_skipped = mixed_fits[multi_start]
