@@ -29,25 +29,24 @@ SCALAR_ROWS = 16  # em_fit finishes a stream's last rows once this many or fewer
 
 def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
             max_iter=RunConfig.em_max_iter, offsets=None):
-    """``em_fit`` on rows of the (n, T) grid ``ys``: ``starts`` yields pairs (row of ``ys``,
-    init model), and each pair's row is fitted from its model in a batch of at most ``width``
-    rows whose recursions run side by side as row vectors.
+    """``em_fit`` on rows of the (n, T) grid ``ys``: ``starts`` yields (key, row of ``ys``,
+    init model), each key hashable and distinct, and each start's row is fitted from its model
+    in a batch of at most ``width`` rows whose recursions run side by side as row vectors.
 
-    ``starts`` is read as the batch has room, so a pair's init is only made when its row
-    joins.  Each row takes ``em_fit``'s operations in ``em_fit``'s order, so each pair's outcome,
-    yielded with its index after the batch step that ends it, is ``em_fit``'s ``FitReport`` or
-    exception on ``DeviationSeries(offsets, row)`` (row if no offsets) alone, bit for bit.
-    Once no pair waits and ``SCALAR_ROWS`` or fewer rows still run, ``em_fit`` itself finishes
-    them, so a stream of that many pairs or fewer takes one batch E-step.
+    ``starts`` is read as the batch has room, so a start's init is only made when its row
+    joins.  Each row takes ``em_fit``'s operations in ``em_fit``'s order, so each start's
+    outcome, yielded as (key, outcome) after the batch step that ends it, is ``em_fit``'s
+    ``FitReport`` or exception on ``DeviationSeries(offsets, row)`` (row if no offsets) alone,
+    bit for bit.  Once no start waits and ``SCALAR_ROWS`` or fewer rows still run, ``em_fit``
+    itself finishes them, so a stream of that many starts or fewer takes one batch E-step.
     """
     ys = np.asarray(ys, dtype=float)
     starts = iter(starts)
     waiting = next(starts, None)
     T = ys.shape[1]
     t = np.arange(1, T + 1, dtype=float)
-    out: dict = {}  # per pair that the last batch step finished, its outcome
-    joined = 0  # pairs read from starts
-    slots, rows, floors, traces, updates = [], [], [], [], []  # per batch row
+    out: dict = {}  # per key of a start that the last batch step finished, its outcome
+    keys, rows, floors, traces, updates = [], [], [], [], []  # per batch row
     model = np.empty((12, 0))  # per batch row its q, alpha/beta/sigma and pi0 (``_views``)
     pool = np.empty(8 * width * T)  # the batch's rows and its E-step's buffers
     while True:
@@ -56,10 +55,9 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
         with np.errstate(all="ignore"):  # a failing row's NaNs stay in its own column
             joining = []
             while waiting is not None and len(rows) < width:
-                row, init = waiting
+                key, row, init = waiting
                 joining.append(init)
-                slots.append(joined)
-                joined += 1
+                keys.append(key)
                 rows.append(row)
                 floors.append(sigma_floor(ys[row]))
                 traces.append([])
@@ -79,16 +77,16 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
                 if errors[j] is None and not math.isfinite(logliks[j]):
                     errors[j] = RuntimeError("non-finite log-likelihood during EM")
                 if errors[j] is not None:
-                    out[slots[j]] = errors[j]
+                    out[keys[j]] = errors[j]
                     continue
                 trace.append(logliks[j])
                 converged = _converged(trace, updates[j], tol, max_iter)
                 if converged or updates[j] >= max_iter:
                     try:
-                        out[slots[j]] = _report(*_row_model(model, j), floors[j],
-                                                filtered[:, :, j], trace, updates[j], converged)
+                        out[keys[j]] = _report(*_row_model(model, j), floors[j],
+                                               filtered[:, :, j], trace, updates[j], converged)
                     except ValueError as exc:
-                        out[slots[j]] = exc
+                        out[keys[j]] = exc
                 else:
                     running.append(j)
             if waiting is None and len(running) <= SCALAR_ROWS:
@@ -99,21 +97,21 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
                     except ValueError:  # em_fit checks q and pi0 only at the end
                         kept.append(j)
                         continue
-                    out[slots[j]] = _em_tail(ys[rows[j]], offsets, init, traces[j], updates[j],
-                                             tol, max_iter)
+                    out[keys[j]] = _em_tail(ys[rows[j]], offsets, init, traces[j], updates[j],
+                                            tol, max_iter)
                 running = kept
             stepped = []
             if running:
                 model, failures = _m_step_rows(y, t, gamma, xi, model, np.array(floors))
             for j in running:
                 if failures[j] is not None:
-                    out[slots[j]] = failures[j]
+                    out[keys[j]] = failures[j]
                     continue
                 updates[j] += 1
                 stepped.append(j)
             model = model.take(stepped, axis=1)
-            slots, rows, floors, traces, updates = ([x[j] for j in stepped]
-                                                    for x in (slots, rows, floors, traces, updates))
+            keys, rows, floors, traces, updates = ([x[j] for j in stepped]
+                                                   for x in (keys, rows, floors, traces, updates))
 
 
 def _em_tail(y: np.ndarray, offsets, init: RegimeModel, trace: list, updates, tol, max_iter):

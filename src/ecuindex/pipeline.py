@@ -56,11 +56,12 @@ def _fit_block(block: KwhPanel, cfg: RunConfig,
     order the fitted rows' (k, model, iterations, trace, converged, degenerate) and the skips.
 
     EM starts from the deterministic init and from ``multi_start`` random inits drawn from the
-    firm's stream 3, each init made as its row joins the EM batch.  A firm whose init or fit
-    fails is skipped with the message of its first failure in init order; otherwise the highest
-    final log-likelihood wins, the deterministic init on ties, so multi_start=0 output is
-    reproduced whenever it is already the best.  A flat firm's fit is marked degenerate: one
-    whose deviations lie within 1e-8 of (1 plus) its mean test-window kWh, far above the 1e-13
+    firm's stream 3, each made as its row joins the EM batch and keyed (row, start index), by
+    which a row's fits are gathered in whatever order they end.  A firm whose init or fit fails
+    is skipped with the message of its first failure in init order; otherwise the highest final
+    log-likelihood wins, the deterministic init on ties, so multi_start=0 output is reproduced
+    whenever it is already the best.  A flat firm's fit is marked degenerate: one whose
+    deviations lie within 1e-8 of (1 plus) its mean test-window kWh, far above the 1e-13
     residual the rolling sums leave where both years match, and below any real change.
     """
     from .hmmbatch import em_rows  # here, so that index, which imports this module, need not
@@ -74,9 +75,8 @@ def _fit_block(block: KwhPanel, cfg: RunConfig,
         ok = at + np.flatnonzero([e is None for e in part_errors])  # a refused row is meaningless
         flat[ok] = np.abs(y[ok]).max(axis=1) <= 1e-8 * (1.0 + np.abs(ele_test[ok]).mean(axis=1))
         errors += part_errors
-    started = []  # rows in the order em_rows reads their inits
 
-    def starts():  # (row, init) per EM row; a failed init is recorded in errors instead
+    def starts():  # (key (row, start), row, init) per EM start; a failed init goes to errors
         for k, error in enumerate(errors):
             if error is not None:
                 continue
@@ -88,13 +88,11 @@ def _fit_block(block: KwhPanel, cfg: RunConfig,
             except (ValueError, RuntimeError) as exc:
                 errors[k] = str(exc)
                 continue
-            started.append(k)
-            yield from ((k, init) for init in inits)
+            yield from (((k, i), k, init) for i, init in enumerate(inits))
 
-    fitted, known = [], {}  # per row whose fits are not all known, those known by pair
-    for pair, fit in em_rows(y, starts(), EM_BLOCK, cfg.em_tol, cfg.em_max_iter, offsets):
-        k = started[pair // (1 + cfg.multi_start)]
-        known.setdefault(k, {})[pair] = fit
+    fitted, known = [], {}  # per row whose fits are not all known, those known by start
+    for (k, i), fit in em_rows(y, starts(), EM_BLOCK, cfg.em_tol, cfg.em_max_iter, offsets):
+        known.setdefault(k, {})[i] = fit
         if len(known[k]) <= cfg.multi_start:
             continue
         fits = [fit for _, fit in sorted(known.pop(k).items())]  # in init order
@@ -241,15 +239,17 @@ def _check_layers(path, firm_ids: list[str], layers: np.ndarray) -> None:
         raise ValueError(f"{path} has {firms} firm rows but models.csv has {len(firm_ids)}")
     if days % 2 == 0:
         raise ValueError(f"{path} has {days} days per firm; offsets -span..span need an odd count")
-    mu, kwh = layers[1:3], layers[3:]
-    for first, bad, rule in ((0, ~np.isfinite(layers), "firm-day values must be finite"),
-                             (1, (mu < 0.0) | (mu > 1.0), "probabilities must lie in [0, 1]"),
-                             (3, kwh < 0.0, "kWh must not be negative")):
-        if bad.any():
-            layer, firm, day = np.unravel_index(np.argmax(bad), bad.shape)
-            raise ValueError(f"{path}: column {FIRMDAY_LAYERS[first + layer]} of firm "
-                             f"{firm_ids[firm]} is {layers[first + layer, firm, day]} at offset "
-                             f"{day - days // 2}; {rule}")
+    for rule, checked, allowed in (
+            ("firm-day values must be finite", range(len(FIRMDAY_LAYERS)), np.isfinite),
+            ("probabilities must lie in [0, 1]", (1, 2), lambda v: (v >= 0.0) & (v <= 1.0)),
+            ("kWh must not be negative", (3, 4), lambda v: v >= 0.0)):
+        for layer in checked:  # one (firms, T) mask at a time
+            ok = allowed(layers[layer])
+            if not ok.all():
+                firm, day = np.unravel_index(np.argmin(ok), ok.shape)
+                raise ValueError(f"{path}: column {FIRMDAY_LAYERS[layer]} of firm "
+                                 f"{firm_ids[firm]} is {layers[layer, firm, day]} at offset "
+                                 f"{day - days // 2}; {rule}")
 
 
 def write_fit_outputs(directory, fit: FitOutputs, comments=()) -> None:

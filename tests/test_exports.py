@@ -60,6 +60,20 @@ def test_hmm_alone_defines_em_fit_and_hmmbatch_alone_calls_it():
     assert (defines, imports, names) == ({"hmm"}, {"__init__"}, {"hmmbatch"})
 
 
+def test_pipeline_alone_imports_hmmbatch_and_takes_only_em_rows():
+    """The fit reaches batched EM through one function: no module but ``pipeline`` imports
+    ``hmmbatch``, and ``pipeline`` takes ``em_rows`` from it and nothing else."""
+    taken = {}
+    for path in Path(ecuindex.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("hmmbatch"):
+                taken.setdefault(path.stem, set()).update(alias.name for alias in node.names)
+            elif (isinstance(node, (ast.Import, ast.ImportFrom))
+                  and any("hmmbatch" in alias.name for alias in node.names)):
+                taken.setdefault(path.stem, set()).add("the module itself")
+    assert taken == {"pipeline": {"em_rows"}}
+
+
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

@@ -388,8 +388,8 @@ def stream(cases, offsets, width):
     """``em_rows`` on the cases, each series a row of one grid and started from its model; the
     outcomes in start order."""
     return [outcome for _, outcome in sorted(hmmbatch.em_rows(
-        np.array([y for y, _ in cases]), enumerate(m for _, m in cases), width, max_iter=50,
-        offsets=offsets))]
+        np.array([y for y, _ in cases]), ((k, k, m) for k, (_, m) in enumerate(cases)), width,
+        max_iter=50, offsets=offsets))]
 
 
 def outcome_bits(fn, *args, **kwargs):
@@ -408,10 +408,16 @@ def assert_stream_is_em_fit(cases, offsets, scalar_rows, width):
         outs = stream(cases, offsets, width)
     assert len(outs) == len(cases)
     for (y, model), out in zip(cases, outs):
-        assert isinstance(out, (FitReport, ValueError, RuntimeError))
-        got = (type(out), str(out)) if isinstance(out, Exception) else fit_bits(out)
-        series = y if offsets is None else DeviationSeries(offsets, y)
-        assert got == outcome_bits(em_fit, series, model, max_iter=50)
+        assert_is_em_fit(out, y, model, offsets)
+
+
+def assert_is_em_fit(out, y, model, offsets):
+    """``out`` is ``em_fit``'s outcome on ``y`` alone from ``model``, as a ``DeviationSeries``
+    when there are offsets."""
+    assert isinstance(out, (FitReport, ValueError, RuntimeError))
+    got = (type(out), str(out)) if isinstance(out, Exception) else fit_bits(out)
+    series = y if offsets is None else DeviationSeries(offsets, y)
+    assert got == outcome_bits(em_fit, series, model, max_iter=50)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -427,6 +433,25 @@ def test_batched_em_is_em_fit_on_each_row_bit_for_bit(stacked):
 def test_rows_handed_off_finish_as_em_fit_bit_for_bit(stacked):
     """A row the batch hands to ``em_fit`` ends with ``em_fit``'s updates, trace and model."""
     assert_stream_is_em_fit(*stacked)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(stacked_cases())
+def test_em_rows_yields_each_outcome_under_the_key_it_was_given(stacked):
+    """Keys need not be integers nor rows distinct: each row is started twice, from its own
+    model and from the next row's, under keys of several types; the stream yields each key
+    once, with ``em_fit``'s outcome of its start."""
+    cases, offsets, scalar_rows, width = stacked
+    ys = np.array([y for y, _ in cases])
+    starts = []
+    for k, (_, model) in enumerate(cases):
+        starts += [(f"row {k}", k, model), ((k, 0.5), k, cases[(k + 1) % len(cases)][1])]
+    with mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows):
+        yielded = list(hmmbatch.em_rows(ys, iter(starts), width, max_iter=50, offsets=offsets))
+    assert sorted(map(repr, (key for key, _ in yielded))) == sorted(repr(k) for k, *_ in starts)
+    outcomes = dict(yielded)
+    for key, k, model in starts:
+        assert_is_em_fit(outcomes[key], ys[k], model, offsets)
 
 
 def test_batch_and_tail_failures_name_the_series_offset():
@@ -456,7 +481,7 @@ def test_batch_and_tail_failures_name_the_series_offset():
         with (mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows),
               mock.patch.object(hmm, "em_fit", recording_em_fit)):
             outs = [outcome for _, outcome in sorted(hmmbatch.em_rows(
-                np.array([y, y]), enumerate([late, early]), 2, offsets=offsets))]
+                np.array([y, y]), [(0, 0, late), (1, 1, early)], 2, offsets=offsets))]
         assert [(type(out), str(out)) for out in outs] == [
             (FilterDegeneracyError, f"filter degeneracy at offset {offsets[k]}")] * 2
         assert len(failures) == tail_failures

@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -344,6 +345,23 @@ def test_a_wrapper_on_hmm_em_fit_sees_the_tail_and_changes_no_fit(run_cfg, monke
     assert 1 <= len(calls) <= hmmbatch.SCALAR_ROWS
 
 
+def test_a_firms_starts_are_gathered_by_key_not_by_arrival(records, monkeypatch):
+    """``_fit_block`` groups a firm's multi-start fits by the key each start was given, so
+    outcomes that arrive in reverse give the same fits, bit for bit."""
+    cfg = build_run_config({"multi_start": "2"})
+    panel = panel_of(records)
+    plain, em_rows, keys = fit_bits(panel, cfg), hmmbatch.em_rows, []
+
+    def reversed_em_rows(*args, **kwargs):
+        outcomes = list(em_rows(*args, **kwargs))
+        keys.extend(key for key, _ in reversed(outcomes))
+        yield from reversed(outcomes)
+
+    monkeypatch.setattr(hmmbatch, "em_rows", reversed_em_rows)
+    assert fit_bits(panel, cfg) == plain
+    assert len(keys) == 3 * len(records) and keys != sorted(keys)
+
+
 @pytest.fixture(scope="module")
 def flat_among_ordinary(run_cfg):
     """Firm F00001 of acceptance criterion 5's null panel, renamed F00003-flat, fifth of eleven
@@ -435,6 +453,22 @@ def test_fit_files_load_to_the_library_panel(tmp_path):
     assert fit.reference_totals.tobytes() == want.reference_totals.tobytes()
     assert fit.reference_totals.tobytes() == reference_totals(results).tobytes()
 
+
+def test_checking_the_firmday_layers_holds_few_masks_at_once():
+    """``write_fit_outputs`` and ``read_fit_outputs`` check the whole array; the check builds
+    one rule's mask at a time, so its peak stays well below the array's own size."""
+    rng = np.random.default_rng(0)
+    mu_r = rng.random((2000, 191))
+    layers = np.stack([rng.normal(size=mu_r.shape), 1.0 - mu_r, mu_r,
+                       rng.uniform(0.0, 500.0, mu_r.shape), rng.uniform(0.0, 500.0, mu_r.shape)])
+    firm_ids = [f"F{k:05d}" for k in range(2000)]
+    tracemalloc.start()
+    try:
+        pipeline._check_layers("firmdays.npy", firm_ids, layers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.175 * layers.nbytes, peak / layers.nbytes
 
 def test_filter_rerun_from_read_back_models_reproduces_firmdays(tmp_path):
     """``forward_filter`` under each model read back from ``models.csv`` reproduces the firm's
