@@ -48,9 +48,10 @@ class RegimeParams:
 
 
 def _check_simplex(vec: np.ndarray, what: str) -> None:
-    if not (np.all(vec >= 0.0) and np.all(vec <= 1.0)):  # so that a NaN fails
+    values = vec.tolist()  # Python floats: a model's three checks are most of its cost
+    if not all(0.0 <= x <= 1.0 for x in values):  # so that a NaN fails
         raise ValueError(f"{what} entries must lie in [0, 1], got {vec}")
-    if not abs(float(vec.sum()) - 1.0) <= _SIMPLEX_TOL:
+    if not abs(sum(values) - 1.0) <= _SIMPLEX_TOL:
         raise ValueError(f"{what} must sum to 1 within {_SIMPLEX_TOL}, got {vec}")
 
 
@@ -360,7 +361,7 @@ def init_params(y) -> RegimeModel:
     yv = _as_observations(y)
     t = np.arange(1, len(yv) + 1, dtype=float)
     floor = sigma_floor(yv)
-    med = float(np.median(yv))
+    med = _median(yv)
     below = yv < med
     if not below.any():
         below = np.ones(len(yv), dtype=bool)
@@ -380,6 +381,15 @@ def init_params(y) -> RegimeModel:
         params=(seed(above), seed(below)),
         pi0=np.array([0.5, 0.5]),
     )
+
+
+def _median(v: np.ndarray) -> float:
+    """``np.median`` of the nonempty 1-d ``v``, bit for bit: the same partition, the mean of its
+    middle one or two values, or its last value if that is NaN.  ``np.median``'s own NaN check
+    imports ``numpy.ma``, which the fit has no other use for."""
+    n = len(v)
+    part = np.partition(v, [*range((n - 1) // 2, n // 2 + 1), -1])
+    return float(part[-1] if np.isnan(part[-1]) else part[(n - 1) // 2:n // 2 + 1].mean())
 
 
 def random_init(y, rng: np.random.Generator) -> RegimeModel:

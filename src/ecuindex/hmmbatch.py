@@ -101,8 +101,9 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
                                             tol, max_iter)
                 running = kept
             stepped = []
-            if running:
-                model, failures = _m_step_rows(y, t, gamma, xi, model, np.array(floors))
+            if running:  # the E-step's densities, of no further use, hold the M-step's
+                scratch = pool[m * T:3 * m * T].reshape(2, m, T)
+                model, failures = _m_step_rows(y, t, gamma, xi, model, np.array(floors), scratch)
             for j in running:
                 if failures[j] is not None:
                     out[keys[j]] = failures[j]
@@ -155,7 +156,8 @@ def _e_step_rows(y: np.ndarray, t: np.ndarray, model: np.ndarray, pool: np.ndarr
     Returns the log-likelihoods (a list), the filtered pairs (T, 2, m), the smoothed
     posteriors (m, 2, T), whose ``[j].T`` is row j's F-ordered (T, 2) array, the summed
     transition posteriors (2, 2, m) and per row None or its ``FilterDegeneracyError``.
-    The arrays are views of ``pool`` (at least 7 * m * T floats), overwritten by the next call.
+    The arrays are views of ``pool`` (at least 7 * m * T floats), overwritten by the next call;
+    its first 2 * m * T floats hold the scaled densities, of no use once it returns.
     """
     m, T = y.shape
     u = m * T
@@ -229,9 +231,10 @@ def _dots(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _m_step_rows(y: np.ndarray, t: np.ndarray, gamma: np.ndarray, xi: np.ndarray,
-                 model: np.ndarray, floors: np.ndarray):
+                 model: np.ndarray, floors: np.ndarray, scratch: np.ndarray):
     """``_m_step`` on each row of a batch at once: the rows ``y`` (m, T), their posteriors
-    ``gamma`` (m, 2, T) and ``xi`` (2, 2, m), their (12, m) ``model`` and (m,) sigma ``floors``.
+    ``gamma`` (m, 2, T) and ``xi`` (2, 2, m), their (12, m) ``model`` and (m,) sigma ``floors``;
+    its (m, T) temporaries go in the two planes of the (2, m, T) ``scratch``.
 
     Returns the next (12, m) model and per row None or the ``ValueError`` ``_m_step`` raises
     on it, for regime 0 before regime 1.  Every operation is ``_m_step``'s (with
@@ -242,18 +245,22 @@ def _m_step_rows(y: np.ndarray, t: np.ndarray, gamma: np.ndarray, xi: np.ndarray
     new = np.empty_like(model)
     new_q, new_params, new_pi0 = _views(new)
     errors: list = [None] * len(floors)
+    dt, work = scratch
     for i in range(2):
         w = gamma[:, i]
         sw = w.sum(axis=1)
         t_bar = _dots(w, t) / sw
         y_bar = _dots(w, y) / sw
-        dt = t - t_bar[:, None]
-        denom = _dots(w, dt * dt)
+        np.subtract(t, t_bar[:, None], out=dt)
+        denom = _dots(w, np.multiply(dt, dt, out=work))
         flat = denom <= 0.0  # _weighted_line's flat line: slope 0 through the mean
-        alpha = np.where(flat, 0.0, _dots(w, dt * (y - y_bar[:, None])) / denom)
+        np.subtract(y, y_bar[:, None], out=work)
+        alpha = np.where(flat, 0.0, _dots(w, np.multiply(dt, work, out=work)) / denom)
         beta = np.where(flat, y_bar, y_bar - alpha * t_bar)
-        resid = y - (alpha[:, None] * t + beta[:, None])
-        sigma = np.maximum(np.sqrt(np.maximum(_dots(w, resid * resid) / sw, 0.0)), floors)
+        resid = np.multiply(alpha[:, None], t, out=dt)  # y - (alpha * t + beta), in place
+        resid += beta[:, None]
+        var = _dots(w, np.square(np.subtract(y, resid, out=resid), out=work)) / sw
+        sigma = np.maximum(np.sqrt(np.maximum(var, 0.0)), floors)
         moved = ~(sw <= 0.0)  # a state without weight keeps its values
         new_params[:, i] = np.where(moved, (alpha, beta, sigma), params[:, i])
         for j in np.flatnonzero(moved & ~(np.isfinite(sigma) & (sigma > 0.0))).tolist():

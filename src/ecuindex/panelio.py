@@ -47,7 +47,7 @@ SRPI_HEADER = ["offset", "date", "srpi", "delta_srpi"]
 REPORT_HEADER = ["offset", "date", "y", "mu_p", "mu_r"]
 CODE_MAP_HEADER = ["code", "name"]
 
-BLOCK_ROWS = 2048  # data rows a reader holds as text at a time
+BLOCK_ROWS = 2048  # data rows a reader, or write_models, holds as text at a time
 _NEEDS_QUOTES = frozenset(',"\r\n')  # csv.writer quotes a field holding one, doubling its quotes
 
 
@@ -290,9 +290,9 @@ def read_panel(path) -> KwhPanel:
 
 
 def write_models(path, rows: Iterable[ModelRow], comments=()) -> None:
-    """The models as ``models.csv`` rows in firm id order; a text field longer than the CSV
-    reader's field limit or a non-finite number, which ``read_models`` would refuse, is refused
-    before the file is opened."""
+    """The models as ``models.csv`` rows in firm id order, formatted ``BLOCK_ROWS`` rows at a
+    time; a text field longer than the CSV reader's field limit or a non-finite number, which
+    ``read_models`` would refuse, is refused before the file is opened."""
     rows = sorted(rows, key=lambda r: r.firm_id)
     limit = csv.field_size_limit()
     for k, r in enumerate(rows):
@@ -301,19 +301,26 @@ def write_models(path, rows: Iterable[ModelRow], comments=()) -> None:
                 raise ValueError(f"{path} data row {k + 1}, column {name}: a field of "
                                  f"{len(getattr(r, name))} characters is longer than the CSV "
                                  f"reader's limit of {limit}")
-    numbers = np.array([[x for p in r.model.params for x in (p.alpha, p.beta, p.sigma)]
-                        + [*r.model.q.ravel(), *r.model.pi0, r.loglik]
-                        for r in rows], dtype=float).reshape(-1, len(MODELS_HEADER[3:-2]))
-    bad = ~np.isfinite(numbers)
-    if bad.any():  # read_models would refuse it
-        k, j = np.unravel_index(np.argmax(bad), bad.shape)
-        raise ValueError(f"{path} data row {k + 1}, column {MODELS_HEADER[3 + j]}: "
-                         f"{numbers[k, j]} is not finite")
-    _write_csv(path, MODELS_HEADER, [[
-        *(_quoted([getattr(r, name) for r in rows]) for name in MODELS_HEADER[:3]),
-        *map(_fmt_column, numbers.T),
-        *(["true" if getattr(r, name) else "false" for r in rows] for name in MODELS_HEADER[-2:])]],
-               comments)
+    starts = range(0, len(rows), BLOCK_ROWS)
+    for at in starts:
+        numbers = _model_numbers(rows[at:at + BLOCK_ROWS])
+        bad = ~np.isfinite(numbers)
+        if bad.any():  # read_models would refuse it
+            k, j = np.unravel_index(np.argmax(bad), bad.shape)
+            raise ValueError(f"{path} data row {at + k + 1}, column {MODELS_HEADER[3 + j]}: "
+                             f"{numbers[k, j]} is not finite")
+    _write_csv(path, MODELS_HEADER, ([
+        *(_quoted([getattr(r, name) for r in block]) for name in MODELS_HEADER[:3]),
+        *map(_fmt_column, _model_numbers(block).T),
+        *(["true" if getattr(r, name) else "false" for r in block] for name in MODELS_HEADER[-2:])]
+        for block in (rows[at:at + BLOCK_ROWS] for at in starts)), comments)
+
+
+def _model_numbers(rows: list[ModelRow]) -> np.ndarray:
+    """The numeric fields of ``rows`` as a (rows, 13) array, in ``MODELS_HEADER`` order."""
+    return np.array([[x for p in r.model.params for x in (p.alpha, p.beta, p.sigma)]
+                     + [*r.model.q.ravel(), *r.model.pi0, r.loglik]
+                     for r in rows], dtype=float).reshape(-1, len(MODELS_HEADER[3:-2]))
 
 
 def read_models(path) -> dict[str, ModelRow]:

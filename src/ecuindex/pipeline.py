@@ -45,15 +45,20 @@ class FirmFitResult:
 
 
 FIRMDAY_LAYERS = ("y", "mu_p", "mu_r", "ele_test", "ele_ref")  # firmdays.npy, axis 0
-EM_BLOCK = 64  # most rows in a preprocessing grid and an EM batch: bounds a job's memory
+EM_BLOCK = 64  # most rows in a preprocessing grid, about 15 arrays of 545 days a row
+# most rows in an EM batch, 8 planes of 191 days (12 KB) a row: most of a batch E-step's cost
+# is fixed (3.7 ms at 64 rows and 4.4 ms at 128 on a 2-vCPU VM), and 200 rows raised a 200-firm
+# fit's peak RSS by 1.5%, 128 rows not at all
+EM_BATCH = 128
 _SHARED = []  # in a pool worker, the (panel, cfg, out) it inherited by fork
 
 
 def _fit_block(block: KwhPanel, cfg: RunConfig,
                out: np.ndarray) -> tuple[list[tuple], list[tuple[str, str]]]:
     """Preprocess a block of the panel's rows on grids of at most ``EM_BLOCK`` rows and fit each
-    row it keeps by EM, writing row k's ``FIRMDAY_LAYERS`` into ``out[:, k]``; returns in row
-    order the fitted rows' (k, model, iterations, trace, converged, degenerate) and the skips.
+    row it keeps by EM in a batch of at most ``EM_BATCH`` rows, writing row k's
+    ``FIRMDAY_LAYERS`` into ``out[:, k]``; returns in row order the fitted rows' (k, model,
+    iterations, trace, converged, degenerate) and the skips.
 
     EM starts from the deterministic init and from ``multi_start`` random inits drawn from the
     firm's stream 3, each made as its row joins the EM batch and keyed (row, start index), by
@@ -91,7 +96,7 @@ def _fit_block(block: KwhPanel, cfg: RunConfig,
             yield from (((k, i), k, init) for i, init in enumerate(inits))
 
     fitted, known = [], {}  # per row whose fits are not all known, those known by start
-    for (k, i), fit in em_rows(y, starts(), EM_BLOCK, cfg.em_tol, cfg.em_max_iter, offsets):
+    for (k, i), fit in em_rows(y, starts(), EM_BATCH, cfg.em_tol, cfg.em_max_iter, offsets):
         known.setdefault(k, {})[i] = fit
         if len(known[k]) <= cfg.multi_start:
             continue

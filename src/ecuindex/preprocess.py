@@ -168,7 +168,7 @@ def preprocess_grid(block: KwhPanel, cfg):
     start = (np.cumsum(n_valid) - n_valid)[r] + np.where(before > 0, before - k, 0)
     sources, flat = np.flatnonzero(valid), kwh.ravel()
     clean = np.where(inside, kwh, -0.0)  # -0.0 + v is v, also for v = -0.0
-    for width in np.unique(k[k > 0]):
+    for width in np.flatnonzero(np.bincount(k[k > 0])):  # np.unique would import numpy.ma
         pick = k == width
         clean[r[pick], c[pick]] = flat[sources[start[pick, None] + np.arange(width)]].mean(axis=1)
 

@@ -64,6 +64,21 @@ def test_fit_and_index_leave_openssl_out(fitted_dir, tmp_path, run_child):
     assert run_child(code, cfg, tmp_path) == "False"
 
 
+def test_fit_and_index_leave_numpy_ma_out(fitted_dir, tmp_path, run_child):
+    """On numpy 2.4, ``np.unique`` and ``np.median`` import ``numpy.ma`` (1.2 MB of RSS); a fit
+    at ``multi_start`` = 0 and the index stage call neither."""
+    out, cfg = fitted_dir
+    shutil.copy(out / "panel.csv", tmp_path)
+    code = ("import sys\n"
+            "from ecuindex.cli import main\n"
+            "seen = []\n"
+            "for stage in ('fit', 'index'):\n"
+            "    assert main([stage, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "    seen.append('numpy.ma' in sys.modules)\n"
+            "print(*seen)")
+    assert run_child(code, cfg, tmp_path) == "False False"
+
+
 def test_index_leaves_the_batched_em_out(fitted_dir, tmp_path, run_child):
     """Only ``fit`` imports ``hmmbatch``: compiling it in ``index`` raised that stage's peak
     RSS."""
@@ -701,7 +716,7 @@ def test_fit_peak_memory_is_a_small_multiple_of_the_array(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     size = (tmp_path / "firmdays.npy").stat().st_size
-    assert peak < 3.5 * size, peak / size
+    assert peak < 3.0 * size, peak / size
 
 
 def test_index_group_by_none(tmp_path, capsys):

@@ -60,10 +60,14 @@ def readme_sizes(start, end):
 
 
 def test_readme_quotes_the_fit_block_sizes_the_code_defines():
-    """The Preprocess paragraph gives one block size, ``pipeline.EM_BLOCK``, and the recursions
-    paragraph that and ``hmmbatch.SCALAR_ROWS``, by name and value, and no other."""
+    """The Preprocess paragraph gives the grid and batch sizes, ``pipeline.EM_BLOCK`` and
+    ``pipeline.EM_BATCH``, and the recursions paragraph those and ``hmmbatch.SCALAR_ROWS``, by
+    name and value, and no other."""
+    grid_and_batch = {pipeline.EM_BLOCK, pipeline.EM_BATCH}
     text, sizes = readme_sizes("1. **Preprocess**", "2. **Fit**")
-    assert "`pipeline.EM_BLOCK`" in text and sizes == {pipeline.EM_BLOCK}
+    assert "`pipeline.EM_BLOCK`" in text and "`pipeline.EM_BATCH`" in text
+    assert sizes == grid_and_batch
     text, sizes = readme_sizes("One root seed drives", "## Install")
-    assert "`pipeline.EM_BLOCK`" in text and "`hmmbatch.SCALAR_ROWS`" in text
-    assert sizes == {pipeline.EM_BLOCK, hmmbatch.SCALAR_ROWS}
+    for name in ("pipeline.EM_BLOCK", "pipeline.EM_BATCH", "hmmbatch.SCALAR_ROWS"):
+        assert f"`{name}`" in text
+    assert sizes == grid_and_batch | {hmmbatch.SCALAR_ROWS}

@@ -148,6 +148,37 @@ def test_model_rejects_nan_probabilities():
         RegimeModel(np.array([[0.9, 0.1], [0.3, 0.7]]), params, np.array([np.nan, 0.5]))
 
 
+SIMPLEX_PARAMS = (RegimeParams(0, 1, 1), RegimeParams(0, -1, 1))
+
+
+@pytest.mark.parametrize("q, pi0, message", [
+    ([[-0.1, 1.1], [0.3, 0.7]], [0.5, 0.5],
+     "transition matrix row entries must lie in [0, 1], got [-0.1  1.1]"),
+    ([[0.9, 0.1], [np.nan, 1.0]], [0.5, 0.5],
+     "transition matrix row entries must lie in [0, 1], got [nan  1.]"),
+    ([[0.9, 0.1], [0.3, -0.0]], [0.5, 0.5],
+     "transition matrix row must sum to 1 within 1e-12, got [ 0.3 -0. ]"),
+    ([[0.9, 0.1], [0.3, 0.7]], [np.inf, 0.0],
+     "initial state probabilities entries must lie in [0, 1], got [inf  0.]"),
+    ([[0.9, 0.1], [0.3, 0.7]], [0.6, 0.6],
+     "initial state probabilities must sum to 1 within 1e-12, got [0.6 0.6]"),
+    ([[0.9, 0.1], [0.3, 0.7]], [0.5, 0.5 + 2e-12],
+     "initial state probabilities must sum to 1 within 1e-12, got [0.5 0.5]"),
+])
+def test_simplex_checks_refuse_with_their_messages(q, pi0, message):
+    """A negative, NaN or infinite entry and a sum off by more than 1e-12 are refused, the
+    message showing the vector as numpy prints it."""
+    with pytest.raises(ValueError) as exc:
+        RegimeModel(np.array(q), SIMPLEX_PARAMS, np.array(pi0))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("q, pi0", [([[1.0, 0.0], [0.0, 1.0]], [-0.0, 1.0]),
+                                    ([[0.9, 0.1], [0.3, 0.7]], [0.5, 0.5 + 5e-13])])
+def test_simplex_checks_accept_the_edges_and_sums_within_tolerance(q, pi0):
+    RegimeModel(np.array(q), SIMPLEX_PARAMS, np.array(pi0))
+
+
 # ---------------------------------------------------------------------------
 # forward filter
 # ---------------------------------------------------------------------------
@@ -521,7 +552,8 @@ def m_step_bits(q, params, pi0) -> list:
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(m_step_rows())
 def test_batched_m_step_is_m_step_on_each_row_bit_for_bit(rows):
-    """``_m_step_rows`` gives each row ``_m_step``'s model, or its error, bit for bit."""
+    """``_m_step_rows`` gives each row ``_m_step``'s model, or its error, bit for bit, whatever
+    its scratch planes held before."""
     T = len(rows[0][0])
     t = np.arange(1, T + 1, dtype=float)
     y = np.array([y for y, *_ in rows])
@@ -530,7 +562,8 @@ def test_batched_m_step_is_m_step_on_each_row_bit_for_bit(rows):
     model = np.array([hmmbatch._column(model) for *_, model, _ in rows]).T
     with np.errstate(all="ignore"):
         new, errors = hmmbatch._m_step_rows(y, t, gamma, xi, model,
-                                            np.array([floor for *_, floor in rows]))
+                                            np.array([floor for *_, floor in rows]),
+                                            np.full((2, *y.shape), np.nan))
     for j, (yj, _, xj, mj, floor) in enumerate(rows):
         try:
             with np.errstate(all="ignore"):
@@ -620,6 +653,19 @@ def test_init_is_deterministic():
     a, b = init_params(y), init_params(y)
     assert a.params == b.params
     np.testing.assert_array_equal(a.q, b.q)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]),
+                          st.floats(width=64)), min_size=1, max_size=12))
+def test_median_is_np_median_bit_for_bit(values):
+    """``hmm._median``, which ``init_params`` splits at, is ``np.median`` bit for bit at odd and
+    even lengths, on ties, signed zeros, infinities and NaN, and leaves its input as it was."""
+    v = np.array(values)
+    with np.errstate(invalid="ignore"):
+        want = np.float64(np.median(v)).tobytes()
+        assert np.float64(hmm._median(v)).tobytes() == want
+    assert v.tobytes() == np.array(values).tobytes()
 
 
 def test_random_init_valid_and_seeded():

@@ -203,28 +203,52 @@ def test_a_pool_pickles_no_panel_and_leaves_no_process(records, run_cfg, monkeyp
             assert fh.read().split() == []
 
 
-def test_serial_fit_panel_is_one_job_whose_em_batch_refills(run_cfg, monkeypatch):
-    """A serial fit runs ``_fit_block`` once, on the whole panel, and its EM batch never holds
-    more than ``EM_BLOCK`` rows: ten firms pass through a batch of four."""
-    panel = panel_of(panel_records(n_firms=10))
-    blocks, widths = [], []
-    fit_block, e_step_rows = pipeline._fit_block, hmmbatch._e_step_rows
+def record_serial_fit(monkeypatch, run_cfg, n_firms, em_block, em_batch):
+    """A workers=1 fit of ``n_firms`` firms at the given grid size and batch width, handing no
+    row to ``em_fit``; returns the rows of each ``_fit_block`` job, of each preprocessing grid
+    and of each batch E-step."""
+    blocks, grids, widths = [], [], []
+    fit_block, grid, e_step_rows = pipeline._fit_block, pipeline.preprocess_grid, \
+        hmmbatch._e_step_rows
 
     def recording_fit_block(block, cfg, out):
         blocks.append(len(block))
         return fit_block(block, cfg, out)
+
+    def recording_grid(block, cfg):
+        grids.append(len(block))
+        return grid(block, cfg)
 
     def recording_e_step_rows(y, *args):
         widths.append(len(y))
         return e_step_rows(y, *args)
 
     monkeypatch.setattr(pipeline, "_fit_block", recording_fit_block)
+    monkeypatch.setattr(pipeline, "preprocess_grid", recording_grid)
     monkeypatch.setattr(hmmbatch, "_e_step_rows", recording_e_step_rows)
-    monkeypatch.setattr(pipeline, "EM_BLOCK", 4)
+    monkeypatch.setattr(pipeline, "EM_BLOCK", em_block)
+    monkeypatch.setattr(pipeline, "EM_BATCH", em_batch)
     monkeypatch.setattr(hmmbatch, "SCALAR_ROWS", 0)
-    results, skipped = fit_panel(panel, run_cfg, workers=1)
-    assert blocks == [10] and len(results) + len(skipped) == 10
-    assert max(widths) == pipeline.EM_BLOCK
+    results, skipped = fit_panel(panel_of(panel_records(n_firms=n_firms)), run_cfg, workers=1)
+    assert len(results) + len(skipped) == n_firms
+    return blocks, grids, widths
+
+
+def test_serial_fit_panel_is_one_job_whose_em_batch_refills(run_cfg, monkeypatch):
+    """A serial fit runs ``_fit_block`` once, on the whole panel, and its EM batch never holds
+    more than ``EM_BATCH`` rows: ten firms, preprocessed on one grid, pass through a batch of
+    four."""
+    blocks, grids, widths = record_serial_fit(monkeypatch, run_cfg, 10, em_block=64, em_batch=4)
+    assert blocks == [10] and grids == [10]
+    assert max(widths) == 4
+
+
+def test_serial_fit_panel_preprocesses_on_grids_of_em_block_rows(run_cfg, monkeypatch):
+    """The preprocessing grid is bounded by ``EM_BLOCK`` alone: with grids of four rows and a
+    batch of ten, ten firms take grids of 4, 4 and 2, and the first E-step holds all ten."""
+    blocks, grids, widths = record_serial_fit(monkeypatch, run_cfg, 10, em_block=4, em_batch=10)
+    assert blocks == [10] and grids == [4, 4, 2]
+    assert widths[0] == 10
 
 
 def test_fit_panel_workers_default_to_the_config(records, monkeypatch):

@@ -238,22 +238,25 @@ def mixed_fits(mixed):
             for ms in (0, 2)}
 
 
-# (EM_BLOCK, SCALAR_ROWS, multi_start): one firm's rows alone, a few firms', or all of them in
-# one batch and one preprocessing grid, handed to em_fit at once (16) or never (0)
-EM_CASES = [(em_block, scalar_rows, 0) for em_block in (1, 3, 16, 128) for scalar_rows in (0, 16)]
-EM_CASES += [(3, 0, 2), (128, 16, 2)]
+# (EM_BLOCK, EM_BATCH, SCALAR_ROWS, multi_start): one firm's rows alone, a few firms', or all
+# of them in one preprocessing grid and one batch, handed to em_fit at once (16) or never (0),
+# and a grid smaller and larger than the batch
+EM_CASES = [(size, size, scalar_rows, 0) for size in (1, 3, 16, 128) for scalar_rows in (0, 16)]
+EM_CASES += [(3, 3, 0, 2), (128, 128, 16, 2), (3, 128, 16, 0), (128, 3, 0, 0)]
 
 
 @pytest.mark.parametrize("em_block", [1, 3, 16, 128])
 def test_fit_panel_blocks_and_workers_agree_on_a_mixed_panel(mixed, mixed_fits, em_block):
-    """At any block size (of the preprocessing grids and the EM batch), hand-off size and worker
-    count, each firm's fit and each skip are the workers=1 ones at the default sizes, bit for
-    bit.  Each block size takes the ``EM_CASES`` of its own, so the four take them all."""
+    """At any preprocessing grid size, EM batch width, hand-off size and worker count, each
+    firm's fit and each skip are the workers=1 ones at the default sizes, bit for bit.  Each
+    grid size takes the ``EM_CASES`` of its own, so the four take them all."""
     records, cfg = mixed
-    for _, scalar_rows, multi_start in [case for case in EM_CASES if case[0] == em_block]:
+    for _, em_batch, scalar_rows, multi_start in [case for case in EM_CASES
+                                                  if case[0] == em_block]:
         serial, serial_skipped = mixed_fits[multi_start]
         for workers in (1, 2):
             with mock.patch.object(pipeline, "EM_BLOCK", em_block), \
+                    mock.patch.object(pipeline, "EM_BATCH", em_batch), \
                     mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows):
                 results, skipped = pipeline.fit_panel(
                     panel_of(records), replace(cfg, multi_start=multi_start), workers=workers)
