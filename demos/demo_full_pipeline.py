@@ -31,10 +31,9 @@ t0 = time.perf_counter()
 results, skipped = fit_panel(panel, run_cfg)
 print(f"fitted {len(results)} firms in {time.perf_counter() - t0:.1f}s, "
       f"skipped {len(skipped)}")
-n_deg = sum(r.report.degenerate for r in results)
-print(f"{n_deg} degenerate fits (excluded from the index with a zero contribution)")
-
-fit = fit_outputs(results)
+fit = fit_outputs(results)  # one table, row k of each field the k-th firm in id order
+print(f"{fit.degenerate.sum()} degenerate fits (excluded from the index with a zero "
+      f"contribution), {fit.converged.sum()} converged")
 agg = ecu_grouped(fit.panel, "none")[0]
 
 print()

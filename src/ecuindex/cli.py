@@ -3,7 +3,7 @@
 Stages hand off through files in the output directory, so each one can be
 rerun or inspected on its own: simulate writes ``panel.csv``, fit writes
 ``models.csv`` and the binary firm-day array ``firmdays.npy``, and index and
-report read those two back through ``pipeline.read_fit_outputs``.  Identical
+report read those two back through ``panelio.read_fit_outputs``.  Identical
 inputs and root seed give byte-identical outputs regardless of worker count.
 """
 
@@ -18,9 +18,8 @@ import numpy as np
 from .config import (ConfigError, RunConfig, build_panel_config, build_run_config,
                      load_config)
 from .ecu import ecu_grouped, srpi
-from .panelio import (read_code_map, read_panel, seed_comment, write_ecu, write_panel,
-                      write_report, write_srpi)
-from .pipeline import fit_outputs, fit_panel, read_fit_outputs, write_fit_outputs
+from .panelio import (read_code_map, read_fit_outputs, read_panel, regime_model, seed_comment,
+                      write_ecu, write_fit_outputs, write_panel, write_report, write_srpi)
 from .simgen import PanelConfig, generate
 
 EXIT_OK = 0
@@ -55,6 +54,7 @@ def cmd_simulate(cfg: PanelConfig, out: Path, comments: list[str], raw: dict[str
 
 
 def cmd_fit(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, str]) -> None:
+    from .pipeline import fit_outputs, fit_panel  # only fit loads the fit's code
     # the panel's readings are dropped once fitted, before the outputs are built
     results, skipped = fit_panel(read_panel(_panel_path(raw)), cfg)
     for firm_id, reason in skipped:
@@ -67,10 +67,8 @@ def cmd_fit(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, str])
     out.mkdir(parents=True, exist_ok=True)
     write_fit_outputs(out, fit, comments)
 
-    converged = sum(m.converged for m in fit.models.values())
-    degenerate = sum(m.degenerate for m in fit.models.values())
-    print(f"fitted {len(fit.models)} firms ({converged} converged, {degenerate} degenerate), "
-          f"skipped {len(skipped)}")
+    print(f"fitted {len(fit.firm_ids)} firms ({np.count_nonzero(fit.converged)} converged, "
+          f"{np.count_nonzero(fit.degenerate)} degenerate), skipped {len(skipped)}")
 
 
 def cmd_index(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, str]) -> None:
@@ -91,20 +89,22 @@ def cmd_index(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, str
 def cmd_report(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, str]) -> None:
     firm = raw["firm"]
     fit = read_fit_outputs(out)
-    if firm not in fit.models:
+    if firm not in fit.firm_ids:
         raise ValueError(f"unknown firm id {firm!r}")
-    y, mu_p, mu_r, _, _ = fit.firmdays[:, list(fit.models).index(firm)]  # models.csv order
+    k = fit.firm_ids.index(firm)
+    y, mu_p, mu_r, _, _ = fit.firmdays[:, k]
     offsets = np.arange(len(y)) - len(y) // 2
     path = out / f"report_{firm}.csv"
     write_report(path, offsets, (y, mu_p, mu_r), cfg.test_base, comments)
 
     peak = int(np.argmax(mu_r))
     print(f"firm {firm}")
-    row = fit.models[firm]
-    p, r = row.model.prosperous, row.model.recessionary
+    model = regime_model(fit.models[k])
+    p, r = model.prosperous, model.recessionary
     print(f"  prosperous:   alpha={p.alpha:+.4f} beta={p.beta:+.2f} sigma={p.sigma:.2f}")
     print(f"  recessionary: alpha={r.alpha:+.4f} beta={r.beta:+.2f} sigma={r.sigma:.2f}")
-    print(f"  converged={str(row.converged).lower()} degenerate={str(row.degenerate).lower()}")
+    print(f"  converged={str(fit.converged[k]).lower()} "
+          f"degenerate={str(fit.degenerate[k]).lower()}")
     print(f"  mean mu_r={float(np.mean(mu_r)):.3f}, "
           f"peak mu_r={float(mu_r[peak]):.3f} at offset {int(offsets[peak])}")
     print(f"wrote {path}")

@@ -221,7 +221,7 @@ def _forward_backward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0:
 
 def _weighted_line(t: np.ndarray, y: np.ndarray, w: np.ndarray, sw=None) -> tuple[float, float]:
     """Weighted least-squares line y ~ alpha*t + beta (centered); ``sw`` is ``w.sum()`` if given."""
-    sw = w.sum() if sw is None else sw
+    sw = float(w.sum() if sw is None else sw)
     if sw <= 0.0:
         return 0.0, 0.0
     t_bar = float(w @ t) / sw

@@ -1,4 +1,4 @@
-"""CSV interchange: the one module that reads and writes the package's CSV files.
+"""File interchange: the one module that reads and writes the package's files.
 
 All files are UTF-8 with a header row and ISO-8601 dates.  Lines starting
 with ``#`` before the header carry run metadata (the root seed) and are
@@ -16,8 +16,8 @@ The files are ``panel.csv`` (one row per firm-day reading, read into and
 written from a ``KwhPanel``'s firm x day grid), ``models.csv`` (one row
 per fitted firm: its model, flags and group codes), ``ecu.csv``, ``srpi.csv``,
 ``report_<firm>.csv`` and the ``code,name`` code map of the sectors ``index``
-accepts.  The fit's firm-day values go to ``index`` as a binary array instead
-(``pipeline.write_fit_outputs``).
+accepts.  The fit's firm-day values go to ``index`` as a binary array instead,
+``firmdays.npy``; it and ``models.csv`` are one ``FitOutputs`` on disk.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
-from .ecu import EcuSeries, SrpiSeries
+from .ecu import EcuSeries, FirmDayPanel, SrpiSeries, column_fsums
 from .hmm import RegimeModel, RegimeParams
 from .preprocess import DAY, KwhPanel
 from .simgen import check_date
@@ -46,22 +45,10 @@ ECU_HEADER = ["group_type", "group_key", "offset", "date", "ecu", "total_weight"
 SRPI_HEADER = ["offset", "date", "srpi", "delta_srpi"]
 REPORT_HEADER = ["offset", "date", "y", "mu_p", "mu_r"]
 CODE_MAP_HEADER = ["code", "name"]
+FIRMDAY_LAYERS = ("y", "mu_p", "mu_r", "ele_test", "ele_ref")  # firmdays.npy, axis 0
 
 BLOCK_ROWS = 2048  # data rows a reader, or write_models, holds as text at a time
 _NEEDS_QUOTES = frozenset(',"\r\n')  # csv.writer quotes a field holding one, doubling its quotes
-
-
-@dataclass(frozen=True)
-class ModelRow:
-    """One fitted firm as stored in the models file."""
-
-    firm_id: str
-    sector_code: str
-    district_code: str
-    model: RegimeModel
-    loglik: float
-    converged: bool
-    degenerate: bool
 
 
 def _fmt_column(values) -> list[str]:
@@ -285,64 +272,187 @@ def read_panel(path) -> KwhPanel:
 
 
 # ---------------------------------------------------------------------------
-# models
+# the fit's outputs: models.csv and firmdays.npy
 # ---------------------------------------------------------------------------
 
 
-def write_models(path, rows: Iterable[ModelRow], comments=()) -> None:
-    """The models as ``models.csv`` rows in firm id order, formatted ``BLOCK_ROWS`` rows at a
-    time; a text field longer than the CSV reader's field limit or a non-finite number, which
-    ``read_models`` would refuse, is refused before the file is opened."""
-    rows = sorted(rows, key=lambda r: r.firm_id)
+@dataclass(frozen=True)
+class FitOutputs:
+    """The fit's product as one table, built from its results or read back from its files.
+
+    Row k of each field is the k-th firm in id order: ``firm_ids``, ``sector_codes`` and
+    ``district_codes`` are lists, ``models`` is the (firms, 13) float64 array of the numbers
+    of ``models.csv`` in ``MODELS_HEADER[3:-2]`` order, ``converged`` and ``degenerate`` are
+    bool arrays, and ``firmdays`` is the (5, firms, T) float64 array of the firms'
+    ``FIRMDAY_LAYERS``, column j for offset ``j - T // 2``.
+    """
+
+    firm_ids: list[str]
+    sector_codes: list[str]
+    district_codes: list[str]
+    models: np.ndarray
+    converged: np.ndarray
+    degenerate: np.ndarray
+    firmdays: np.ndarray
+
+    @functools.cached_property
+    def panel(self) -> FirmDayPanel:
+        """The panel the index stage aggregates; ``ele`` is a view of the ``ele_test`` layer.
+
+        A degenerate fit cannot distinguish its regimes, so its recessionary
+        probabilities are zeroed here (the audit flag stays in the models).
+        """
+        _, _, mu_r, ele_test, _ = self.firmdays
+        days = self.firmdays.shape[2]
+        return FirmDayPanel(np.arange(days) - days // 2, ele_test,
+                            np.where(self.degenerate[:, None], 0.0, mu_r),
+                            self.sector_codes, self.district_codes)
+
+    @functools.cached_property
+    def reference_totals(self) -> np.ndarray:
+        """Exact sums of the ``ele_ref`` layer per offset, along ``panel.offsets``: the sRPI
+        baseline."""
+        *_, ele_ref = self.firmdays
+        return column_fsums(ele_ref)
+
+
+def regime_model(numbers) -> RegimeModel:
+    """The ``RegimeModel`` of a row of ``FitOutputs.models``, checked as ``RegimeModel`` checks
+    one: each regime's sigma, then the rows of q, then pi0."""
+    row = np.asarray(numbers, dtype=float)
+    params = tuple(RegimeParams(*p) for p in row[:6].reshape(2, 3).tolist())
+    return RegimeModel(row[6:10].reshape(2, 2), params, row[10:12])
+
+
+def write_models(path, firm_ids, sector_codes, district_codes, models, converged, degenerate,
+                 comments=()) -> None:
+    """A ``FitOutputs`` table's columns as ``models.csv`` rows in their order, ``BLOCK_ROWS``
+    rows at a time.  Columns of unequal length, a text field longer than the CSV reader's
+    limit and a non-finite number, which ``read_models`` would refuse, are refused first."""
+    texts = firm_ids, sector_codes, district_codes
+    if (len({*map(len, (*texts, converged, degenerate))}) > 1
+            or np.shape(models) != (len(firm_ids), len(MODELS_HEADER[3:-2]))):
+        raise ValueError(f"{path}: the columns of the models table differ in length")
     limit = csv.field_size_limit()
-    for k, r in enumerate(rows):
-        for name in MODELS_HEADER[:3]:
-            if len(getattr(r, name)) > limit:
+    for k, fields in enumerate(zip(*texts)):
+        for name, field in zip(MODELS_HEADER, fields):
+            if len(field) > limit:
                 raise ValueError(f"{path} data row {k + 1}, column {name}: a field of "
-                                 f"{len(getattr(r, name))} characters is longer than the CSV "
-                                 f"reader's limit of {limit}")
-    starts = range(0, len(rows), BLOCK_ROWS)
-    for at in starts:
-        numbers = _model_numbers(rows[at:at + BLOCK_ROWS])
-        bad = ~np.isfinite(numbers)
-        if bad.any():  # read_models would refuse it
-            k, j = np.unravel_index(np.argmax(bad), bad.shape)
-            raise ValueError(f"{path} data row {at + k + 1}, column {MODELS_HEADER[3 + j]}: "
-                             f"{numbers[k, j]} is not finite")
+                                 f"{len(field)} characters is longer than the CSV reader's "
+                                 f"limit of {limit}")
+    bad = ~np.isfinite(models)
+    if bad.any():  # read_models would refuse it
+        k, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"{path} data row {k + 1}, column {MODELS_HEADER[3 + j]}: "
+                         f"{models[k, j]} is not finite")
     _write_csv(path, MODELS_HEADER, ([
-        *(_quoted([getattr(r, name) for r in block]) for name in MODELS_HEADER[:3]),
-        *map(_fmt_column, _model_numbers(block).T),
-        *(["true" if getattr(r, name) else "false" for r in block] for name in MODELS_HEADER[-2:])]
-        for block in (rows[at:at + BLOCK_ROWS] for at in starts)), comments)
+        *(_quoted(column[at:at + BLOCK_ROWS]) for column in texts),
+        *map(_fmt_column, models[at:at + BLOCK_ROWS].T),
+        *(["true" if x else "false" for x in flags[at:at + BLOCK_ROWS].tolist()]
+          for flags in (converged, degenerate))]
+        for at in range(0, len(models), BLOCK_ROWS)), comments)
 
 
-def _model_numbers(rows: list[ModelRow]) -> np.ndarray:
-    """The numeric fields of ``rows`` as a (rows, 13) array, in ``MODELS_HEADER`` order."""
-    return np.array([[x for p in r.model.params for x in (p.alpha, p.beta, p.sigma)]
-                     + [*r.model.q.ravel(), *r.model.pi0, r.loglik]
-                     for r in rows], dtype=float).reshape(-1, len(MODELS_HEADER[3:-2]))
-
-
-def read_models(path) -> dict[str, ModelRow]:
-    """The models by firm id.  A row's fields are read in header order (numbers must be
-    finite), then its firm must be new and its model one ``RegimeModel`` accepts; the first
-    faulty data row is named."""
-    out = {}
+def read_models(path) -> tuple:
+    """The columns of a ``FitOutputs`` table, ``firmdays`` aside, in file order.  A row's
+    fields are read in header order (numbers must be finite), then its firm must be new and its
+    model one ``RegimeModel`` accepts; the first faulty data row is named."""
+    texts, seen = ([], [], []), set()  # firm ids, sector and district codes
+    blocks = [np.empty((0, len(_MODEL_FIELDS)))]  # per block its rows' numbers and flags
     for first, columns in _blocks(path, MODELS_HEADER):
-        for n, (firm_id, sector, district, *fields) in enumerate(zip(*columns.values()), first):
-            (a_p, b_p, s_p, a_r, b_r, s_r, q_pp, q_pr, q_rp, q_rr, pi0_p, pi0_r, loglik,
-             converged, degenerate) = _typed(path, n, _MODEL_FIELDS, fields)
-            if firm_id in out:
+        block = []
+        for n, (firm_id, _, _, *fields) in enumerate(zip(*columns.values()), first):
+            block.append(_typed(path, n, _MODEL_FIELDS, fields))
+            if firm_id in seen:
                 raise ValueError(f"{path} data row {n}: firm {firm_id} already has a row")
+            seen.add(firm_id)
             try:
-                model = RegimeModel(np.array([[q_pp, q_pr], [q_rp, q_rr]]),
-                                    (RegimeParams(a_p, b_p, s_p), RegimeParams(a_r, b_r, s_r)),
-                                    np.array([pi0_p, pi0_r]))
+                regime_model(block[-1][:-2])
             except ValueError as exc:
                 raise ValueError(f"{path} data row {n}: firm {firm_id}: {exc}") from None
-            out[firm_id] = ModelRow(firm_id, sector, district, model, loglik, converged,
-                                    degenerate)
-    return out
+        for text, name in zip(texts, MODELS_HEADER):
+            text += columns[name]
+        blocks.append(np.array(block, dtype=float).reshape(-1, len(_MODEL_FIELDS)))
+    table = np.concatenate(blocks)
+    return *texts, table[:, :-2].copy(), table[:, -2] == 1.0, table[:, -1] == 1.0
+
+
+def _check_ids(path, firm_ids: list[str]) -> None:
+    """Refuse firm ids that do not ascend strictly: array rows are matched to firms by position."""
+    late = next((k for k in range(1, len(firm_ids)) if firm_ids[k] <= firm_ids[k - 1]), None)
+    if late is not None:
+        raise ValueError(f"{path} data row {late + 1}: firm {firm_ids[late]} comes after "
+                         f"{firm_ids[late - 1]}; firm ids must ascend")
+
+
+def _check_layers(path, firm_ids: list[str], layers: np.ndarray) -> None:
+    """Refuse an array that is not the native float64 (5, firms, T) array of ``firm_ids`` with
+    T odd, then its first non-finite value, then its first probability outside [0, 1] or
+    negative kWh, in (layer, firm, offset) order."""
+    want = np.dtype(float)  # native byte order
+    if layers.dtype != want or layers.ndim != 3 or len(layers) != len(FIRMDAY_LAYERS):
+        raise ValueError(f"{path} holds a {layers.dtype.str} array of shape {layers.shape}; "
+                         f"expected {want.str} of shape ({len(FIRMDAY_LAYERS)}, firms, days)")
+    firms, days = layers.shape[1:]
+    if firms != len(firm_ids):
+        raise ValueError(f"{path} has {firms} firm rows but models.csv has {len(firm_ids)}")
+    if days % 2 == 0:
+        raise ValueError(f"{path} has {days} days per firm; offsets -span..span need an odd count")
+    for rule, checked, allowed in (
+            ("firm-day values must be finite", range(len(FIRMDAY_LAYERS)), np.isfinite),
+            ("probabilities must lie in [0, 1]", (1, 2), lambda v: (v >= 0.0) & (v <= 1.0)),
+            ("kWh must not be negative", (3, 4), lambda v: v >= 0.0)):
+        for layer in checked:  # one (firms, T) mask at a time
+            ok = allowed(layers[layer])
+            if not ok.all():
+                firm, day = np.unravel_index(np.argmin(ok), ok.shape)
+                raise ValueError(f"{path}: column {FIRMDAY_LAYERS[layer]} of firm "
+                                 f"{firm_ids[firm]} is {layers[layer, firm, day]} at offset "
+                                 f"{day - days // 2}; {rule}")
+
+
+def write_fit_outputs(directory, fit: FitOutputs, comments=()) -> None:
+    """Write ``models.csv`` and ``firmdays.npy`` into ``directory``; a pair ``read_fit_outputs``
+    would refuse, such as models out of id order, is refused before either file is written."""
+    directory = Path(directory)
+    _check_ids(directory / "models.csv", fit.firm_ids)
+    _check_layers(directory / "firmdays.npy", fit.firm_ids, fit.firmdays)
+    write_models(directory / "models.csv", fit.firm_ids, fit.sector_codes, fit.district_codes,
+                 fit.models, fit.converged, fit.degenerate, comments)
+    np.save(directory / "firmdays.npy", fit.firmdays)
+
+
+def read_fit_outputs(directory) -> FitOutputs:
+    """Load ``models.csv`` and ``firmdays.npy`` as written by the fit command.
+
+    ``firmdays.npy`` is one native float64 array of shape (5, firms, T): the
+    ``FIRMDAY_LAYERS`` of each firm, row k for the k-th firm of ``models.csv``,
+    and T odd for the offsets ``-(T // 2)..T // 2``.  Rows are matched to firms
+    by position, so the firm ids of ``models.csv`` must ascend strictly.  A
+    repeated firm in ``models.csv``, a file that is not an ``.npy`` array
+    (read with ``allow_pickle=False``), another dtype, rank or number of
+    layers, another row count than ``models.csv``, an even T, a non-finite
+    value, a ``mu_p`` or ``mu_r`` outside [0, 1] and a negative ``ele_test`` or
+    ``ele_ref`` are refused.  The shape leaves no room for a repeated or missing
+    firm-day.  Every field equals bit for bit that of the ``FitOutputs`` the files were
+    written from, and so do the panel and reference totals.
+    """
+    directory = Path(directory)
+    for name in ("models.csv", "firmdays.npy"):
+        if not (directory / name).exists():
+            raise FileNotFoundError(f"missing fit output {directory / name}; "
+                                    "run the fit command first")
+    path = directory / "models.csv"
+    table = read_models(path)
+    _check_ids(path, table[0])
+    path = directory / "firmdays.npy"
+    with open(path, "rb") as fh:
+        try:
+            layers = np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as exc:
+            raise ValueError(f"{path} is not a readable .npy file: {exc}") from None
+    _check_layers(path, table[0], layers)
+    return FitOutputs(*table, layers)
 
 
 def read_code_map(path) -> set[str]:

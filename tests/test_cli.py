@@ -16,9 +16,7 @@ import pytest
 
 from ecuindex import pipeline
 from ecuindex.cli import main
-from ecuindex.hmm import RegimeModel, RegimeParams
-from ecuindex.panelio import (MODELS_HEADER, ModelRow, read_models, read_panel, write_models,
-                              write_panel)
+from ecuindex.panelio import MODELS_HEADER, read_models, read_panel, write_models, write_panel
 from ecuindex.sectors import DEFAULT_DISTRICTS, DEFAULT_SECTORS
 
 
@@ -90,6 +88,21 @@ def test_index_leaves_the_batched_em_out(fitted_dir, tmp_path, run_child):
             "assert main(['index', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
             "print('ecuindex.hmmbatch' in sys.modules)")
     assert run_child(code, cfg, tmp_path) == "False"
+
+
+def test_only_fit_loads_the_fit_code(fitted_dir, tmp_path, run_child):
+    """``simulate``, ``index`` and ``report`` read and write their files through ``panelio``:
+    none of them imports ``pipeline`` or, through it, ``hmmbatch``."""
+    out, cfg = fitted_dir
+    for name in ("models.csv", "firmdays.npy"):
+        shutil.copy(out / name, tmp_path)
+    code = ("import sys\n"
+            "from ecuindex.cli import main\n"
+            "common = ['--config', sys.argv[1], '--out', sys.argv[2]]\n"
+            "for stage in (['simulate'], ['index'], ['report', '--firm', 'F00003']):\n"
+            "    assert main([*stage, *common]) == 0\n"
+            "print(*(f'ecuindex.{name}' in sys.modules for name in ('pipeline', 'hmmbatch')))")
+    assert run_child(code, cfg, tmp_path) == "False False"
 
 
 def read_rows(path):
@@ -384,7 +397,7 @@ def test_code_map_lists_the_sectors_index_accepts(fitted_dir, tmp_path, capsys, 
     """A code map naming every sector of the fit gives the built-in list's ``ecu.csv``; one
     that omits a sector is a data error naming it."""
     out, plain_cfg = fitted_dir
-    sectors = sorted({m.sector_code for m in read_models(out / "models.csv").values()})
+    sectors = sorted(set(read_models(out / "models.csv")[1]))
     codes = tmp_path / "codes.csv"
     codes.write_text("# sectors of the fit\ncode,name\n" + "".join(
         f'{c},"{DEFAULT_SECTORS[c][0]}"\r\n' for c in sectors[omit:]))
@@ -673,14 +686,13 @@ def test_index_outputs(fitted_dir, capsys):
 def write_fit_dir(directory, n_firms, days=191, seed=0):
     """``models.csv`` and ``firmdays.npy`` of random valid values, written without fitting."""
     rng = np.random.default_rng(seed)
-    model = RegimeModel(np.array([[0.9, 0.1], [0.2, 0.8]]),
-                        (RegimeParams(0.0, 1.0, 1.0), RegimeParams(0.0, -1.0, 1.0)),
-                        np.array([0.5, 0.5]))
-    sectors = sorted(DEFAULT_SECTORS)
-    write_models(directory / "models.csv", [
-        ModelRow(f"F{k:05d}", sectors[k % len(sectors)],
-                 DEFAULT_DISTRICTS[k % len(DEFAULT_DISTRICTS)], model, -1.0, True, k % 7 == 0)
-        for k in range(n_firms)])
+    sectors, firms = sorted(DEFAULT_SECTORS), range(n_firms)
+    model = [0.0, 1.0, 1.0, 0.0, -1.0, 1.0, 0.9, 0.1, 0.2, 0.8, 0.5, 0.5, -1.0]  # and loglik
+    write_models(directory / "models.csv", [f"F{k:05d}" for k in firms],
+                 [sectors[k % len(sectors)] for k in firms],
+                 [DEFAULT_DISTRICTS[k % len(DEFAULT_DISTRICTS)] for k in firms],
+                 np.tile(model, (n_firms, 1)), np.ones(n_firms, dtype=bool),
+                 np.arange(n_firms) % 7 == 0)
     mu_r = rng.random((n_firms, days))
     np.save(directory / "firmdays.npy", np.stack([
         rng.normal(size=mu_r.shape), 1.0 - mu_r, mu_r,

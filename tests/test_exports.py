@@ -1,5 +1,5 @@
-"""The package's public names are its four stages, and nothing else; one module owns CSV, and
-one hands EM rows to `em_fit`."""
+"""The package's public names are its four stages, and nothing else; one module owns the file
+formats, and one hands EM rows to `em_fit`."""
 
 import ast
 import os
@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ecuindex
-from ecuindex import hmm, preprocess
+from ecuindex import hmm, panelio, pipeline, preprocess
 
 # bench/spans.py times the functions in ecuindex.__all__ (without em_fit spans its --trace 1
 # divides by zero) and bench/run.py imports generate and truth_labels from ecuindex, so em_fit,
@@ -21,6 +21,10 @@ PUBLIC = ("DeviationSeries EcuSeries FilterDegeneracyError FilterOutput FirmDayP
 # the per-series chain (now tests/preprocess_oracle.py) and the test-only regime helpers
 REMOVED = ("AlignedPair CleanSeries RawSeries align detect_outliers deviation interpolate smooth "
            "forward_filter label_regimes sample_path").split()
+# the per-firm model records, now one table, panelio.FitOutputs
+REMOVED_FROM_PANELIO = ["ModelRow", "_model_numbers"]
+# the fit's files, whose format panelio alone decides; pipeline may only use its FitOutputs
+MOVED_TO_PANELIO = ["FitOutputs", "read_fit_outputs", "write_fit_outputs"]
 
 
 def test_public_names_are_the_four_stages():
@@ -28,19 +32,42 @@ def test_public_names_are_the_four_stages():
     assert all(hasattr(ecuindex, name) for name in PUBLIC)
     for module in (ecuindex, preprocess, hmm):  # without the attribute, `from module import` fails
         assert [name for name in REMOVED if hasattr(module, name)] == [], module.__name__
+    assert [name for name in REMOVED_FROM_PANELIO if hasattr(panelio, name)] == []
+    assert [name for name in MOVED_TO_PANELIO if hasattr(pipeline, name)] == ["FitOutputs"]
+    assert pipeline.FitOutputs is panelio.FitOutputs
+
+
+def dotted(node) -> str:
+    """``a.b.c`` for an attribute chain on a name, else ``""``."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+NUMPY_FILES = {"save", "load", "lib.format"}  # numpy's .npy writer and readers
 
 
 def test_only_panelio_imports_csv():
-    """The CSV dialect (line endings, quoting, ``#`` lines, header and width checks) is decided
-    in one module."""
-    importers = set()
+    """The file formats are decided in one module: the CSV dialect (line endings, quoting,
+    ``#`` lines, header and width checks) and the fit's ``.npy`` array.  No other module imports
+    ``csv`` or uses ``np.save``, ``np.load`` or ``np.lib.format``."""
+    users = set()
     for path in Path(ecuindex.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
-                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
-            if any(name == "csv" or name.startswith("csv.") for name in names):
-                importers.add(path.stem)
-    assert importers == {"panelio"}
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                names = [dotted(node)] if isinstance(node, ast.Attribute) else []
+            for name in names:
+                head, _, rest = name.partition(".")
+                if (head == "csv" or head in ("np", "numpy")
+                        and any(rest == f or rest.startswith(f + ".") for f in NUMPY_FILES)):
+                    users.add(path.stem)
+    assert users == {"panelio"}
 
 
 def test_hmm_alone_defines_em_fit_and_hmmbatch_alone_calls_it():

@@ -11,26 +11,23 @@ import pytest
 from ecuindex import panelio
 from ecuindex.config import build_run_config
 from ecuindex.ecu import EcuSeries, SrpiSeries
-from ecuindex.hmm import RegimeModel, RegimeParams
+from ecuindex.hmm import RegimeParams
 from ecuindex.panelio import (
-    ModelRow,
+    FIRMDAY_LAYERS,
+    FitOutputs,
     _fmt_column,
+    read_fit_outputs,
     read_models,
     read_panel,
+    regime_model,
     seed_comment,
     write_ecu,
+    write_fit_outputs,
     write_models,
     write_panel,
     write_srpi,
 )
-from ecuindex.pipeline import (
-    FIRMDAY_LAYERS,
-    FitOutputs,
-    fit_outputs,
-    fit_panel,
-    read_fit_outputs,
-    write_fit_outputs,
-)
+from ecuindex.pipeline import fit_outputs, fit_panel
 from ecuindex.preprocess import DeviationSeries, KwhPanel
 from ecuindex.simgen import PanelConfig, generate
 from firm_records import FirmRecord, panel_of, records_of
@@ -119,23 +116,31 @@ def test_inconsistent_codes_rejected(tmp_path):
         read_panel(path)
 
 
+# a valid model row in MODELS_HEADER[3:-2] order: alpha, beta, sigma of each regime, q, pi0
+# and loglik
+EYE_MODEL = [0.0, 1.0, 1.0, 0.0, -1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.5, 0.5, 0.0]
+
+
+def models_table(firm_ids, model=EYE_MODEL, sector="101", district="D01"):
+    """The models columns of ``firm_ids``, each with ``model``, converged and not
+    degenerate."""
+    n = len(firm_ids)
+    return (list(firm_ids), [sector] * n, [district] * n, np.tile(model, (n, 1)),
+            np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
+
+
 def test_models_roundtrip(tmp_path):
-    model = RegimeModel(
-        np.array([[0.97, 0.03], [0.05, 0.95]]),
-        (RegimeParams(0.012, 3.7, 1.25), RegimeParams(-0.3, -41.0, 8.5)),
-        np.array([0.6, 0.4]),
-    )
-    rows = [ModelRow("A", "306", "D02", model, -123.456789, True, False)]
+    model = [0.012, 3.7, 1.25, -0.3, -41.0, 8.5, 0.97, 0.03, 0.05, 0.95, 0.6, 0.4, -123.456789]
     path = tmp_path / "models.csv"
-    write_models(path, rows)
-    back = read_models(path)["A"]
-    assert (back.sector_code, back.district_code) == ("306", "D02")
-    assert back.model.prosperous == model.prosperous
-    assert back.model.recessionary == model.recessionary
-    np.testing.assert_allclose(back.model.q, model.q, atol=1e-15)
-    assert back.loglik == -123.456789
-    assert back.converged is True
-    assert back.degenerate is False
+    write_models(path, *models_table("A", model, "306", "D02"))
+    firm_ids, sectors, districts, models, converged, degenerate = read_models(path)
+    assert (firm_ids, sectors, districts) == (["A"], ["306"], ["D02"])
+    assert models.dtype == np.float64 and models.tolist() == [model]
+    assert converged.tolist() == [True] and degenerate.tolist() == [False]
+    back = regime_model(models[0])
+    assert back.prosperous == RegimeParams(0.012, 3.7, 1.25)
+    assert back.recessionary == RegimeParams(-0.3, -41.0, 8.5)
+    assert back.q.tolist() == [[0.97, 0.03], [0.05, 0.95]] and back.pi0.tolist() == [0.6, 0.4]
 
 
 @pytest.fixture(scope="module")
@@ -175,16 +180,13 @@ def test_probs_roundtrip(tmp_path, fitted):
 
 def test_weights_roundtrip_sorted(tmp_path, fitted):
     firmdays_roundtrip(tmp_path, fitted, ["ele_test", "ele_ref"])
-    model = RegimeModel(np.eye(2), (RegimeParams(0.0, 1.0, 1.0), RegimeParams(0.0, -1.0, 1.0)),
-                        np.array([0.5, 0.5]))
-    rows = [ModelRow("B", "301", "D01", model, 0.0, True, False),
-            ModelRow("A", "101", "D02", model, 0.0, True, False)]
+    assert fit_outputs(fitted).firm_ids == sorted(r.firm_id for r in fitted)  # sorted once
+    firm_ids, _, _, *numbers = models_table("BA")
     path = tmp_path / "models.csv"
-    write_models(path, rows)
-    back = read_models(path)
-    assert list(back) == ["A", "B"]  # sorted on write
-    assert [(r.sector_code, r.district_code) for r in back.values()] == [("101", "D02"),
-                                                                           ("301", "D01")]
+    write_models(path, firm_ids, ["301", "101"], ["D01", "D02"], *numbers)
+    firm_ids, sectors, districts, *_ = read_models(path)
+    assert firm_ids == ["B", "A"]  # in the table's order: write_fit_outputs refuses any other
+    assert list(zip(sectors, districts)) == [("301", "D01"), ("101", "D02")]
 
 
 def test_firmdays_writer_refuses_nan(tmp_path, fitted):
@@ -204,7 +206,16 @@ def test_firmdays_writer_refuses_nan(tmp_path, fitted):
 
 def swap_order(fit):
     """The same firms and firm-days, both in reverse id order: a consistent pair."""
-    return FitOutputs(dict(reversed(fit.models.items())), fit.firmdays[:, ::-1].copy())
+    return FitOutputs(fit.firm_ids[::-1], fit.sector_codes[::-1], fit.district_codes[::-1],
+                      fit.models[::-1], fit.converged[::-1], fit.degenerate[::-1],
+                      fit.firmdays[:, ::-1].copy())
+
+
+def with_loglik(fit, k, value):
+    """``fit`` with firm k's log-likelihood set to ``value``."""
+    models = fit.models.copy()
+    models[k, -1] = value
+    return replace(fit, models=models)
 
 
 @pytest.mark.parametrize("damage,message", [
@@ -217,19 +228,20 @@ def swap_order(fit):
      "firmdays.npy holds a <f4 array of shape (5, 3, 191)"),
     (lambda fit: replace(fit, firmdays=fit.firmdays[:4]),
      "firmdays.npy holds a <f8 array of shape (4, 3, 191)"),
-    (lambda fit: replace(fit, models={**fit.models, "F00001": replace(
-        fit.models["F00001"], loglik=np.nan)}), "models.csv data row 2, column loglik: nan"),
-    (lambda fit: replace(fit, models={**fit.models, "F00001": replace(
-        fit.models["F00001"], sector_code="," + "9" * 200_000)}),
+    (lambda fit: with_loglik(fit, 1, np.nan), "models.csv data row 2, column loglik: nan"),
+    (lambda fit: replace(fit, sector_codes=[*fit.sector_codes[:1], "," + "9" * 200_000,
+                                            *fit.sector_codes[2:]]),
      "models.csv data row 2, column sector_code: a field of 200001 characters is longer than "
      "the CSV reader's limit of 131072"),
+    (lambda fit: replace(fit, models=fit.models[:2]),
+     "models.csv: the columns of the models table differ in length"),
 ], ids=["reverse_order", "firm_rows", "even_days", "float32", "four_layers", "nan_loglik",
-        "long_sector_code"])
+        "long_sector_code", "short_models"])
 def test_fit_writer_refuses_a_pair_the_reader_refuses(tmp_path, fitted, damage, message):
-    """``models.csv`` is written in id order and the array as it is, so a pair whose models are
-    out of id order would come back mispaired; neither file is written."""
+    """The rows of both files are matched by position, so a pair whose firms are out of id
+    order would come back mispaired; neither file is written."""
     fit = fit_outputs(fitted)
-    with pytest.raises(ValueError, match=re.escape(message.format(*fit.models))):
+    with pytest.raises(ValueError, match=re.escape(message.format(*fit.firm_ids))):
         write_fit_outputs(tmp_path, damage(fit))
     assert list(tmp_path.iterdir()) == []
 
@@ -267,10 +279,7 @@ def test_srpi_file_layout(tmp_path):
 
 def test_unreadable_fields_named_by_row_and_column(tmp_path):
     path = tmp_path / "models.csv"
-    model = RegimeModel(np.eye(2), (RegimeParams(0.0, 1.0, 1.0), RegimeParams(0.0, -1.0, 1.0)),
-                        np.array([0.5, 0.5]))
-    write_models(path, [ModelRow(firm_id, "101", "D01", model, 0.0, True, False)
-                        for firm_id in "AB"])
+    write_models(path, *models_table("AB"))
     text = path.read_text()
     path.write_text(text.replace("B,101,D01,0.0,1.0,", "B,101,D01,0.0,x,"))
     with pytest.raises(ValueError, match=r"models.csv data row 2, column beta_p: cannot read 'x'"):
@@ -449,11 +458,8 @@ def test_firm_faults_name_the_first_firm_and_its_day_step_first(tmp_path, monkey
 def test_fit_output_faults_in_block_3_name_their_row(tmp_path, monkeypatch):
     """With blocks of 2 rows, data row 5 of ``models.csv`` is the third block."""
     monkeypatch.setattr(panelio, "BLOCK_ROWS", 2)
-    model = RegimeModel(np.eye(2), (RegimeParams(0.0, 1.0, 1.0), RegimeParams(0.0, -1.0, 1.0)),
-                        np.array([0.5, 0.5]))
     path = tmp_path / "models.csv"
-    write_models(path, [ModelRow(firm_id, "101", "D01", model, 0.0, True, False)
-                        for firm_id in "ABCDE"])
+    write_models(path, *models_table("ABCDE"))
     text = path.read_text()
     path.write_text(text.replace("E,101,D01,0.0,", "E,101,D01,0.x,"))
     with pytest.raises(ValueError,
@@ -473,11 +479,8 @@ def test_fit_output_faults_in_block_3_name_their_row(tmp_path, monkeypatch):
 def models_with(tmp_path, edits):
     """A models file of one valid model for each of firms A, B and C, with field ``column`` of
     data row ``row`` set to ``value`` per edit."""
-    model = RegimeModel(np.eye(2), (RegimeParams(0.0, 1.0, 1.0), RegimeParams(0.0, -1.0, 1.0)),
-                        np.array([0.5, 0.5]))
     path = tmp_path / "models.csv"
-    write_models(path, [ModelRow(firm_id, "101", "D01", model, 0.0, True, False)
-                        for firm_id in "ABC"])
+    write_models(path, *models_table("ABC"))
     lines = path.read_text().splitlines(keepends=True)
     header = next(k for k, line in enumerate(lines) if line.startswith("firm_id,"))
     for row, column, value in edits:
@@ -527,27 +530,28 @@ def test_readers_peak_memory_is_bounded_by_a_block(tmp_path, monkeypatch):
 
 
 def model_rows(n_firms):
-    """``n_firms`` rows of one model, each with its own log-likelihood."""
-    model = RegimeModel(np.array([[0.9, 0.1], [0.2, 0.8]]),
-                        (RegimeParams(0.1, 1.0, 1.0), RegimeParams(-0.2, -1.0, 2.0)),
-                        np.array([0.3, 0.7]))
-    return [ModelRow(f"F{k:06d}", "101", "D01", model, -1.0 - k / 7, True, k % 3 == 0)
-            for k in range(n_firms)]
+    """The models columns of ``n_firms`` firms of one model, each with its own
+    log-likelihood, every third degenerate."""
+    firm_ids, sectors, districts, models, converged, _ = models_table(
+        [f"F{k:06d}" for k in range(n_firms)],
+        [0.1, 1.0, 1.0, -0.2, -1.0, 2.0, 0.9, 0.1, 0.2, 0.8, 0.3, 0.7, 0.0])
+    models[:, -1] = -1.0 - np.arange(n_firms) / 7
+    return firm_ids, sectors, districts, models, converged, np.arange(n_firms) % 3 == 0
 
 
 def test_models_writer_peak_memory_does_not_grow_with_the_firms(tmp_path, monkeypatch):
     """``write_models`` formats ``BLOCK_ROWS`` rows at a time: from 2 to 8 blocks its traced
-    peak grows by at most 32 bytes per firm (its sorted list of rows takes 8 to 16), where
-    holding every field as text grew it by 1.3 KB.  The file is the one written in a single
-    block."""
+    peak grows by at most 32 bytes per firm, where holding every field as text grew it by
+    1.3 KB.  The file is the one written in a single block."""
     rows = model_rows(800)
-    write_models(tmp_path / "one_block.csv", rows)
+    write_models(tmp_path / "one_block.csv", *rows)
     monkeypatch.setattr(panelio, "BLOCK_ROWS", 100)
     peaks = []
     for n in (200, 800):
+        columns = [column[:n] for column in rows]
         tracemalloc.start()
         try:
-            write_models(tmp_path / f"{n}.csv", rows[:n])
+            write_models(tmp_path / f"{n}.csv", *columns)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -559,9 +563,9 @@ def test_models_writer_names_a_non_finite_number_in_a_later_block(tmp_path, monk
     """The refused row is counted over the blocks, and no file is written."""
     monkeypatch.setattr(panelio, "BLOCK_ROWS", 2)
     rows = model_rows(5)
-    rows[3] = replace(rows[3], loglik=np.inf)
+    rows[3][3, -1] = np.inf
     with pytest.raises(ValueError, match=re.escape("data row 4, column loglik: inf is not finite")):
-        write_models(tmp_path / "models.csv", rows)
+        write_models(tmp_path / "models.csv", *rows)
     assert list(tmp_path.iterdir()) == []
 
 

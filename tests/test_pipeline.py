@@ -11,18 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ecuindex import hmm, hmmbatch, pipeline
+from ecuindex import hmm, hmmbatch, panelio, pipeline
 from ecuindex.cli import main
 from ecuindex.config import RunConfig, build_run_config
 from ecuindex.hmm import FilterDegeneracyError
-from ecuindex.panelio import write_panel
-from ecuindex.pipeline import (
-    build_firmday_panel,
-    fit_outputs,
-    fit_panel,
-    read_fit_outputs,
-    reference_totals,
-)
+from ecuindex.panelio import read_fit_outputs, regime_model, write_panel
+from ecuindex.pipeline import build_firmday_panel, fit_outputs, fit_panel, reference_totals
 from ecuindex.preprocess import DeviationSeries, KwhPanel, preprocess_grid
 from ecuindex.sectors import DEFAULT_SECTOR_MIX
 from ecuindex.simgen import PanelConfig, generate
@@ -177,7 +171,7 @@ def test_a_pool_job_writes_its_layers_and_sends_back_no_length_t_array(run_cfg, 
     no firm-day array travels back."""
     panel = panel_of(panel_records(n_firms=6))
     days = 2 * run_cfg.span + 1
-    out = np.zeros((len(pipeline.FIRMDAY_LAYERS), len(panel), days))
+    out = np.zeros((len(panelio.FIRMDAY_LAYERS), len(panel), days))
     monkeypatch.setattr(pipeline, "_SHARED", [panel, run_cfg, out])
     fitted, skipped = reply = pipeline._fit_share(slice(2, 6))
     assert [record[0] for record in fitted] == [2, 3, 4, 5] and skipped == []
@@ -369,6 +363,34 @@ def test_a_wrapper_on_hmm_em_fit_sees_the_tail_and_changes_no_fit(run_cfg, monke
     assert 1 <= len(calls) <= hmmbatch.SCALAR_ROWS
 
 
+def test_a_model_holds_python_floats_whichever_em_finished_it(run_cfg, monkeypatch):
+    """A firm that ``em_fit`` finishes and one the batch finishes hold Python float params, so
+    ``_fit_block``'s records pickle to the same bytes at any ``EM_BATCH``: with 80 firms and
+    three EM updates each, a batch of 64 hands its last 16 rows to ``em_fit``, one of 128
+    none."""
+    panel = panel_of(panel_records(n_firms=80))
+    cfg = replace(run_cfg, em_max_iter=3)
+    tails, em_fit = [], hmm.em_fit
+
+    def counting_em_fit(*args, **kwargs):
+        tails.append(args)
+        return em_fit(*args, **kwargs)
+
+    monkeypatch.setattr(hmm, "em_fit", counting_em_fit)
+    replies, tail_rows = [], []
+    for width in (64, 128):
+        monkeypatch.setattr(pipeline, "EM_BATCH", width)
+        tails.clear()
+        fitted, skipped = pipeline._fit_block(panel, cfg, np.empty((5, len(panel), 191)))
+        assert len(fitted) == 80 and skipped == []
+        assert {type(x) for _, model, *_ in fitted for p in model.params
+                for x in (p.alpha, p.beta, p.sigma)} == {float}
+        replies.append(pickle.dumps(fitted))
+        tail_rows.append(len(tails))
+    assert tail_rows == [16, 0]
+    assert replies[0] == replies[1]
+
+
 def test_a_firms_starts_are_gathered_by_key_not_by_arrival(records, monkeypatch):
     """``_fit_block`` groups a firm's multi-start fits by the key each start was given, so
     outcomes that arrive in reverse give the same fits, bit for bit."""
@@ -456,18 +478,14 @@ def test_fit_files_load_to_the_library_panel(tmp_path):
     assert skipped == [] and any(r.report.degenerate for r in results)
     want = fit_outputs(results)
     fit = read_fit_outputs(tmp_path)
-    assert list(fit.models) == list(want.models)
-    for firm_id, row in want.models.items():
-        got = fit.models[firm_id]
-        for name in ("firm_id", "sector_code", "district_code", "loglik", "converged",
-                     "degenerate"):
-            assert getattr(got, name) == getattr(row, name), (firm_id, name)
-        # models.csv holds every entry of q and pi0, not 1 - x for the second of each pair
-        assert got.model.q.tobytes() == row.model.q.tobytes(), firm_id
-        assert got.model.pi0.tobytes() == row.model.pi0.tobytes(), firm_id
-        assert got.model.params == row.model.params
-    assert (fit.firmdays.dtype, fit.firmdays.shape) == (want.firmdays.dtype, want.firmdays.shape)
-    assert fit.firmdays.tobytes() == want.firmdays.tobytes()  # bit for bit
+    for name in ("firm_ids", "sector_codes", "district_codes"):
+        assert getattr(fit, name) == getattr(want, name), name
+    # models.csv holds every entry of q and pi0, not 1 - x for the second of each pair
+    for name in ("models", "converged", "degenerate", "firmdays"):
+        got, exp = getattr(fit, name), getattr(want, name)
+        assert (got.dtype, got.shape) == (exp.dtype, exp.shape), name
+        assert got.tobytes() == exp.tobytes(), name  # bit for bit
+    assert fit.degenerate.any()
     wrapped = build_firmday_panel(results)
     for col in ("offsets", "ele", "mu_r", "sector_code", "district_code"):
         got, exp = getattr(fit.panel, col), getattr(want.panel, col)
@@ -488,7 +506,7 @@ def test_checking_the_firmday_layers_holds_few_masks_at_once():
     firm_ids = [f"F{k:05d}" for k in range(2000)]
     tracemalloc.start()
     try:
-        pipeline._check_layers("firmdays.npy", firm_ids, layers)
+        panelio._check_layers("firmdays.npy", firm_ids, layers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -504,8 +522,8 @@ def test_filter_rerun_from_read_back_models_reproduces_firmdays(tmp_path):
     fit = read_fit_outputs(tmp_path)
     y, mu_p, mu_r = fit.firmdays[:3]
     offsets = np.arange(y.shape[1]) - y.shape[1] // 2
-    for k, (firm_id, row) in enumerate(fit.models.items()):
-        out = forward_filter(DeviationSeries(offsets, y[k]), row.model)
+    for k, firm_id in enumerate(fit.firm_ids):
+        out = forward_filter(DeviationSeries(offsets, y[k]), regime_model(fit.models[k]))
         assert out.mu_p.tobytes() == mu_p[k].tobytes(), firm_id
         assert out.mu_r.tobytes() == mu_r[k].tobytes(), firm_id
 
