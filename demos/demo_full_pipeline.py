@@ -11,9 +11,8 @@ import time
 import numpy as np
 
 from ecuindex import PanelConfig, ecu_grouped, generate, srpi
-from ecuindex.config import build_run_config
+from ecuindex.config import build_run_config, sector_level
 from ecuindex.pipeline import fit_outputs, fit_panel
-from ecuindex.sectors import sector_level
 
 cfg = PanelConfig(
     n_firms=80,

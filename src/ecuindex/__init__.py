@@ -11,6 +11,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):  # a set value wins
     os.environ.setdefault(_var, "1")  # before numpy's import, or its BLAS starts idle threads
 
+from .config import PanelConfig
 from .ecu import EcuSeries, FirmDayPanel, SrpiSeries, ecu_grouped, srpi
 from .hmm import (
     PROSPEROUS,
@@ -24,7 +25,7 @@ from .hmm import (
     init_params,
 )
 from .preprocess import DeviationSeries, KwhPanel, preprocess_grid
-from .simgen import PanelConfig, SyntheticPanel, generate, truth_labels
+from .simgen import SyntheticPanel, generate, truth_labels
 
 __version__ = "0.1.0"
 

@@ -15,12 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (ConfigError, RunConfig, build_panel_config, build_run_config,
-                     load_config)
+from .config import (ConfigError, PanelConfig, RunConfig, build_panel_config,
+                     build_run_config, load_config)
 from .ecu import ecu_grouped, srpi
 from .panelio import (read_code_map, read_fit_outputs, read_panel, regime_model, seed_comment,
                       write_ecu, write_fit_outputs, write_panel, write_report, write_srpi)
-from .simgen import PanelConfig, generate
+from .simgen import generate
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1  # data and runtime failures, running out of memory included

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
-from .preprocess import trailing_mean
-from .sectors import DEFAULT_DISTRICTS, DEFAULT_SECTORS
+from .config import DEFAULT_DISTRICTS, DEFAULT_SECTORS, RunConfig
 
 GROUP_AGGREGATE = "aggregate"
 GROUP_SECTOR = "sector"
@@ -112,6 +110,15 @@ class SrpiSeries:
             raise ValueError("series columns must have equal length")
 
 
+def trailing_mean(values, window: int) -> np.ndarray:
+    """Trailing mean over ``window`` entries; leading entries use all available ones."""
+    v = np.asarray(values, dtype=float)
+    c = np.concatenate(([0.0], np.cumsum(v)))
+    idx = np.arange(len(v))
+    lo = np.maximum(idx - window + 1, 0)
+    return (c[idx + 1] - c[lo]) / (idx + 1 - lo)
+
+
 def column_fsums(values: np.ndarray) -> np.ndarray:
     """Exact sum of each column of ``values`` (n, T); one column at a time is held as a Python
     list."""
@@ -166,8 +173,7 @@ def srpi(panel: FirmDayPanel, reference_totals: np.ndarray,
 
     ``reference_totals`` (T,) holds, at each offset of the panel, the same
     firms' total consumption at the aligned reference-window day; another
-    shape is an alignment error.  The gap is smoothed with the same trailing
-    mean the preprocessing uses.
+    shape is an alignment error.  The gap is smoothed by ``trailing_mean``.
     """
     if len(panel) == 0:
         raise ValueError("panel is empty")

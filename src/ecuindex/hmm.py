@@ -208,7 +208,8 @@ def _forward_backward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0:
     b, e0s, e1s, alpha_hat, norms, c, loglik = _forward(yv, t, q, params, pi0, offsets)
     beta_hat = _backward(e0s, e1s, norms, q)
 
-    gamma = alpha_hat * beta_hat
+    with np.errstate(invalid="ignore"):  # 0 * inf, an overflowed unreachable state, is refused
+        gamma = alpha_hat * beta_hat
     total = gamma[:, 0] + gamma[:, 1]
     bad = np.flatnonzero(~((total > 0.0) & (total < np.inf)))
     if len(bad):

@@ -33,8 +33,8 @@ import numpy as np
 
 from .ecu import EcuSeries, FirmDayPanel, SrpiSeries, column_fsums
 from .hmm import RegimeModel, RegimeParams
+from .config import check_date
 from .preprocess import DAY, KwhPanel
-from .simgen import check_date
 
 PANEL_HEADER = ["firm_id", "date", "kwh", "sector_code", "district_code"]
 MODELS_HEADER = ["firm_id", "sector_code", "district_code",
@@ -199,6 +199,7 @@ def read_panel(path) -> KwhPanel:
     """
     index: dict[str, int] = {}  # firm id -> grid row, in first-seen order
     codes: dict[str, tuple[str, str]] = {}
+    shared: dict[str, str] = {}  # a code's text -> its first string, which every firm shares
     days: set[str] = set()  # day strings already checked: a few hundred
     kwh, seen = np.empty((0, 0)), np.zeros((0, 0), dtype=bool)  # seen: a reading filled the cell
     counts = np.zeros(0, dtype=np.intp)  # readings per row
@@ -220,7 +221,8 @@ def read_panel(path) -> KwhPanel:
             faults.append(_unreadable(path, first, columns, converters))
         firm_codes = columns["firm_id"], columns["sector_code"], columns["district_code"]
         for firm_id, sector, district in dict.fromkeys(zip(*firm_codes)):  # first-seen order
-            if codes.setdefault(firm_id, (sector, district)) != (sector, district):
+            pair = shared.setdefault(sector, sector), shared.setdefault(district, district)
+            if codes.setdefault(firm_id, pair) != pair:
                 n = next(n for n, row in enumerate(zip(*firm_codes), first)
                          if row == (firm_id, sector, district))
                 faults.append((n, ValueError(
@@ -358,6 +360,7 @@ def read_models(path) -> tuple:
     fields are read in header order (numbers must be finite), then its firm must be new and its
     model one ``RegimeModel`` accepts; the first faulty data row is named."""
     texts, seen = ([], [], []), set()  # firm ids, sector and district codes
+    shared: dict[str, str] = {}  # a code's text -> its first string, which every firm shares
     blocks = [np.empty((0, len(_MODEL_FIELDS)))]  # per block its rows' numbers and flags
     for first, columns in _blocks(path, MODELS_HEADER):
         block = []
@@ -371,7 +374,8 @@ def read_models(path) -> tuple:
             except ValueError as exc:
                 raise ValueError(f"{path} data row {n}: firm {firm_id}: {exc}") from None
         for text, name in zip(texts, MODELS_HEADER):
-            text += columns[name]
+            column = columns[name]
+            text += column if name == "firm_id" else map(shared.setdefault, column, column)
         blocks.append(np.array(block, dtype=float).reshape(-1, len(_MODEL_FIELDS)))
     table = np.concatenate(blocks)
     return *texts, table[:, :-2].copy(), table[:, -2] == 1.0, table[:, -1] == 1.0

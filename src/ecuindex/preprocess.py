@@ -91,15 +91,6 @@ class DeviationSeries:
         return len(self.y)
 
 
-def trailing_mean(values, window: int) -> np.ndarray:
-    """Trailing mean over ``window`` entries; leading entries use all available ones."""
-    v = np.asarray(values, dtype=float)
-    c = np.concatenate(([0.0], np.cumsum(v)))
-    idx = np.arange(len(v))
-    lo = np.maximum(idx - window + 1, 0)
-    return (c[idx + 1] - c[lo]) / (idx + 1 - lo)
-
-
 def _coverage_gap(first, last, base: np.datetime64, span: int, label: str) -> str | None:
     """Why a series from ``first`` to ``last`` cannot give the window around ``base``, or None."""
     need_lo, need_hi = base - span * DAY, base + span * DAY

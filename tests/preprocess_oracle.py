@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ecuindex.preprocess import DAY, DeviationSeries, _coverage_gap, trailing_mean
+from ecuindex.ecu import trailing_mean
+from ecuindex.preprocess import DAY, DeviationSeries, _coverage_gap
 
 
 def _as_dates(dates) -> np.ndarray:

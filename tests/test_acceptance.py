@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ecuindex.config import build_run_config
+from ecuindex.config import DEFAULT_DISTRICT_MIX, DEFAULT_SECTOR_MIX, build_run_config, sector_level
 from ecuindex.ecu import FirmDayPanel, ecu_grouped
 from ecuindex.hmm import (
     RegimeModel,
@@ -27,7 +27,6 @@ from ecuindex.hmm import (
     random_init,
 )
 from ecuindex.pipeline import build_firmday_panel, fit_panel
-from ecuindex.sectors import DEFAULT_DISTRICT_MIX, DEFAULT_SECTOR_MIX, sector_level
 from ecuindex.simgen import PanelConfig, generate, truth_labels
 from hmm_helpers import forward_filter, sample_path
 

@@ -16,8 +16,8 @@ import pytest
 
 from ecuindex import pipeline
 from ecuindex.cli import main
+from ecuindex.config import DEFAULT_DISTRICTS, DEFAULT_SECTORS
 from ecuindex.panelio import MODELS_HEADER, read_models, read_panel, write_models, write_panel
-from ecuindex.sectors import DEFAULT_DISTRICTS, DEFAULT_SECTORS
 
 
 def write_config(path, text):

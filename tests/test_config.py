@@ -7,6 +7,7 @@ import pytest
 
 from ecuindex.cli import _out_dir, _panel_path
 from ecuindex.config import (
+    DEFAULT_SECTOR_MIX,
     KNOWN_KEYS,
     ConfigError,
     RunConfig,
@@ -16,7 +17,6 @@ from ecuindex.config import (
     parse_kv,
     parse_mapping,
 )
-from ecuindex.sectors import DEFAULT_SECTOR_MIX
 from ecuindex.simgen import PanelConfig
 
 # a valid value different from the default, for every accepted key

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ecuindex.config import DEFAULT_DISTRICTS, DEFAULT_SECTORS
 from ecuindex.ecu import (
     AGGREGATE_KEY,
     EcuSeries,
@@ -14,9 +15,8 @@ from ecuindex.ecu import (
     SrpiSeries,
     ecu_grouped,
     srpi,
+    trailing_mean,
 )
-from ecuindex.preprocess import trailing_mean
-from ecuindex.sectors import DEFAULT_DISTRICTS, DEFAULT_SECTORS
 
 
 def fd(firm, off, ele, mu, sector="301", district="D01"):

@@ -1,5 +1,5 @@
 """The package's public names are its four stages, and nothing else; one module owns the file
-formats, and one hands EM rows to `em_fit`."""
+formats, one hands EM rows to `em_fit`, and one, importing no other, declares the settings."""
 
 import ast
 import os
@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ecuindex
-from ecuindex import hmm, panelio, pipeline, preprocess
+from ecuindex import config, hmm, panelio, pipeline, preprocess
 
 # bench/spans.py times the functions in ecuindex.__all__ (without em_fit spans its --trace 1
 # divides by zero) and bench/run.py imports generate and truth_labels from ecuindex, so em_fit,
@@ -99,6 +99,43 @@ def test_pipeline_alone_imports_hmmbatch_and_takes_only_em_rows():
                   and any("hmmbatch" in alias.name for alias in node.names)):
                 taken.setdefault(path.stem, set()).add("the module itself")
     assert taken == {"pipeline": {"em_rows"}}
+
+
+def package_imports(path) -> set[str]:
+    """The package modules that a module imports anywhere in its code (``__init__`` for the
+    package itself)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "ecuindex"
+                                                 or node.module.startswith("ecuindex.")):
+            module = (node.module or "").removeprefix("ecuindex").lstrip(".")
+            found.update([module] if module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[2] or "__init__" for alias in node.names
+                         if alias.name.partition(".")[0] == "ecuindex")
+    return found
+
+
+def test_config_alone_declares_the_settings_and_imports_no_other_module():
+    """``config`` is the bottom of the package: the settings, their checks and the default
+    codebook are declared there and nowhere else, the generator's module is imported only by
+    the command line and the package, and ``ecu`` needs nothing but the settings."""
+    src = Path(ecuindex.__file__).parent
+    imports = {path.stem: package_imports(path) for path in src.glob("*.py")}
+    assert not (src / "sectors.py").exists()
+    assert imports["config"] == set()
+    assert imports["ecu"] == {"config"}
+    assert {module for module, found in imports.items() if "simgen" in found} == {"cli",
+                                                                                 "__init__"}
+    defines = {}
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defines.setdefault(node.name, set()).add(path.stem)
+    for name in ("PanelConfig", "check_date", "check_int64", "sector_level"):
+        assert defines[name] == {"config"}, name
+    assert ecuindex.PanelConfig is config.PanelConfig
+    assert not hasattr(preprocess, "trailing_mean")
 
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

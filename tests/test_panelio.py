@@ -105,6 +105,18 @@ def test_wrong_header_rejected(tmp_path):
         read_panel(path)
 
 
+def test_readers_hold_each_code_text_once(tmp_path):
+    """A code that many firms share is one string in what ``read_panel`` and
+    ``read_fit_outputs`` return, not one per firm (1.87 MB at 18,000 firms)."""
+    path = tmp_path / "panel.csv"
+    write_panel(path, generate(PanelConfig(n_firms=40, seed=2)).panel)
+    panel = read_panel(path)
+    write_fit_outputs(tmp_path, fit_outputs(fit_panel(panel, build_run_config({}))[0]))
+    fit = read_fit_outputs(tmp_path)
+    for codes in (panel.sector_codes, panel.district_codes, fit.sector_codes, fit.district_codes):
+        assert len({id(code) for code in codes}) == len(set(codes)) < len(codes)
+
+
 def test_inconsistent_codes_rejected(tmp_path):
     path = tmp_path / "panel.csv"
     path.write_text(

@@ -13,12 +13,11 @@ import pytest
 
 from ecuindex import hmm, hmmbatch, panelio, pipeline
 from ecuindex.cli import main
-from ecuindex.config import RunConfig, build_run_config
+from ecuindex.config import DEFAULT_SECTOR_MIX, RunConfig, build_run_config
 from ecuindex.hmm import FilterDegeneracyError
 from ecuindex.panelio import read_fit_outputs, regime_model, write_panel
 from ecuindex.pipeline import build_firmday_panel, fit_outputs, fit_panel, reference_totals
 from ecuindex.preprocess import DeviationSeries, KwhPanel, preprocess_grid
-from ecuindex.sectors import DEFAULT_SECTOR_MIX
 from ecuindex.simgen import PanelConfig, generate
 from firm_records import FirmRecord, panel_of, records_of
 from hmm_helpers import forward_filter

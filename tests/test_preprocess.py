@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ecuindex.config import RunConfig
-from ecuindex.preprocess import KwhPanel, preprocess_grid, trailing_mean
+from ecuindex.ecu import trailing_mean
+from ecuindex.preprocess import KwhPanel, preprocess_grid
 from preprocess_oracle import AlignedPair, RawSeries, detect_outliers
 
 DAY0 = np.datetime64("2019-01-01")

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from ecuindex.config import RunConfig, build_panel_config
+from ecuindex.config import DEFAULT_SECTOR_MIX, RunConfig, build_panel_config, sector_level
 from ecuindex.preprocess import preprocess_grid
-from ecuindex.sectors import DEFAULT_SECTOR_MIX, sector_level
 from ecuindex.simgen import (
     PanelConfig,
     generate,
