@@ -7,7 +7,8 @@ operations on (m,) vectors with one entry per row, the same operations in the sa
 ``em_fit``'s, so every row rounds as it would alone.  Its M-step, ``_m_step_rows``, is
 ``_m_step``'s arithmetic on the whole batch, each weighted sum a per-row BLAS dot.  A row that
 leaves the batch makes room for the next one waiting, and ``_em_tail`` hands a stream's last
-rows to ``em_fit``.  Only the fit imports this module, so the other stages do not compile it.
+rows to ``em_fit``; a stream can instead hand its last rows back, each with its EM state, for a
+later stream to finish.  Only the fit imports this module, so the other stages do not compile it.
 """
 
 from __future__ import annotations
@@ -28,16 +29,18 @@ SCALAR_ROWS = 16  # em_fit finishes a stream's last rows once this many or fewer
 
 
 def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
-            max_iter=RunConfig.em_max_iter, offsets=None):
+            max_iter=RunConfig.em_max_iter, offsets=None, hand_back=-1):
     """``em_fit`` on rows of the (n, T) grid ``ys``: ``starts`` yields (key, row of ``ys``,
-    init model), each key hashable and distinct, and each start's row is fitted from its model
-    in a batch of at most ``width`` rows whose recursions run side by side as row vectors.
+    init), each key hashable and distinct, and each start's row is fitted from its init, a
+    model or the state (model column, trace, update count) in which a stream handed it back, in
+    a batch of at most ``width`` rows whose recursions run side by side as row vectors.
 
     ``starts`` is read as the batch has room, so a start's init is only made when its row
     joins.  Each row takes ``em_fit``'s operations in ``em_fit``'s order, so each start's
     outcome, yielded as (key, outcome) after the batch step that ends it, is ``em_fit``'s
     ``FitReport`` or exception on ``DeviationSeries(offsets, row)`` (row if no offsets) alone,
-    bit for bit.  Once no start waits and ``SCALAR_ROWS`` or fewer rows still run, ``em_fit``
+    bit for bit.  Once no start waits and ``hand_back`` or fewer rows run, each is yielded as
+    (key, its state) and the stream ends; else once ``SCALAR_ROWS`` or fewer run, ``em_fit``
     itself finishes them, so a stream of that many starts or fewer takes one batch E-step.
     """
     ys = np.asarray(ys, dtype=float)
@@ -52,19 +55,24 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
     while True:
         yield from out.items()
         out.clear()
+        if waiting is None and len(rows) <= hand_back:
+            yield from zip(keys, zip(model.T.copy(), traces, updates))
+            return
         with np.errstate(all="ignore"):  # a failing row's NaNs stay in its own column
             joining = []
             while waiting is not None and len(rows) < width:
                 key, row, init = waiting
-                joining.append(init)
+                column, trace, count = ((_column(init), [], 0) if isinstance(init, RegimeModel)
+                                        else init)
+                joining.append(column)
                 keys.append(key)
                 rows.append(row)
                 floors.append(sigma_floor(ys[row]))
-                traces.append([])
-                updates.append(0)
+                traces.append(list(trace))
+                updates.append(count)
                 waiting = next(starts, None)
             if joining:
-                model = np.concatenate((model, np.array([_column(m) for m in joining]).T), axis=1)
+                model = np.concatenate((model, np.array(joining).T), axis=1)
             if not rows:
                 return
             m = len(rows)
@@ -89,7 +97,7 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
                         out[keys[j]] = exc
                 else:
                     running.append(j)
-            if waiting is None and len(running) <= SCALAR_ROWS:
+            if waiting is None and hand_back < len(running) <= SCALAR_ROWS:
                 kept = []
                 for j in running:
                     try:

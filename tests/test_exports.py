@@ -89,16 +89,24 @@ def test_hmm_alone_defines_em_fit_and_hmmbatch_alone_calls_it():
 
 def test_pipeline_alone_imports_hmmbatch_and_takes_only_em_rows():
     """The fit reaches batched EM through one function: no module but ``pipeline`` imports
-    ``hmmbatch``, and ``pipeline`` takes ``em_rows`` from it and nothing else."""
-    taken = {}
+    ``hmmbatch``, and ``pipeline`` imports the module itself, at its top so that a pool's
+    workers inherit it, and names nothing of it but ``em_rows``, looked up at each call so
+    that a wrapper set on the module is the one called."""
+    taken, used = {}, set()
     for path in Path(ecuindex.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("hmmbatch"):
                 taken.setdefault(path.stem, set()).update(alias.name for alias in node.names)
             elif (isinstance(node, (ast.Import, ast.ImportFrom))
                   and any("hmmbatch" in alias.name for alias in node.names)):
                 taken.setdefault(path.stem, set()).add("the module itself")
-    assert taken == {"pipeline": {"em_rows"}}
+                assert node in tree.body, f"{path.stem} imports hmmbatch inside a function"
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "hmmbatch"):
+                used.add((path.stem, node.attr))
+    assert taken == {"pipeline": {"the module itself"}}
+    assert used == {("pipeline", "em_rows")}
 
 
 def package_imports(path) -> set[str]:

@@ -442,13 +442,13 @@ def assert_stream_is_em_fit(cases, offsets, scalar_rows, width):
         assert_is_em_fit(out, y, model, offsets)
 
 
-def assert_is_em_fit(out, y, model, offsets):
+def assert_is_em_fit(out, y, model, offsets, max_iter=50):
     """``out`` is ``em_fit``'s outcome on ``y`` alone from ``model``, as a ``DeviationSeries``
     when there are offsets."""
     assert isinstance(out, (FitReport, ValueError, RuntimeError))
     got = (type(out), str(out)) if isinstance(out, Exception) else fit_bits(out)
     series = y if offsets is None else DeviationSeries(offsets, y)
-    assert got == outcome_bits(em_fit, series, model, max_iter=50)
+    assert got == outcome_bits(em_fit, series, model, max_iter=max_iter)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -485,19 +485,79 @@ def test_em_rows_yields_each_outcome_under_the_key_it_was_given(stacked):
         assert_is_em_fit(outcomes[key], ys[k], model, offsets)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(stacked_cases(), st.integers(0, 6))
+def test_a_stream_handed_back_and_resumed_is_em_fit_bit_for_bit(stacked, hand_back):
+    """A stream that hands its rows back once ``hand_back`` or fewer run, each with its state,
+    and a second stream that resumes them among fresh starts of the same rows yield
+    ``em_fit``'s outcome for every start."""
+    cases, offsets, scalar_rows, width = stacked
+    ys = np.array([y for y, _ in cases])
+    with mock.patch.object(hmmbatch, "SCALAR_ROWS", 0):
+        first = list(hmmbatch.em_rows(ys, [(k, k, m) for k, (_, m) in enumerate(cases)], width,
+                                      max_iter=50, offsets=offsets, hand_back=hand_back))
+    states = [(key, key, state) for key, state in first if isinstance(state, tuple)]
+    assert len(states) <= hand_back
+    fresh = [(("fresh", k), k, m) for k, (_, m) in enumerate(cases)]
+    mixed = [start for pair in itertools.zip_longest(states, fresh) for start in pair if start]
+    with mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows):
+        second = list(hmmbatch.em_rows(ys, mixed, width, max_iter=50, offsets=offsets))
+    outcomes = dict([(key, out) for key, out in first if not isinstance(out, tuple)] + second)
+    assert len(outcomes) == 2 * len(cases)
+    for k, (y, model) in enumerate(cases):
+        assert_is_em_fit(outcomes[k], y, model, offsets)
+        assert_is_em_fit(outcomes[("fresh", k)], y, model, offsets)
+
+
+def spike_models():
+    """A series that is zero but for a spike at step 120, with two absorbing models of it: only
+    state 1 can emit the spike and never holds mass, so ``late`` degenerates at its second
+    E-step, once its wide state 0 is narrowed, and ``early`` at its first."""
+    y = np.zeros(191)
+    y[120] = 1e4
+    late = RegimeModel(np.eye(2), (RegimeParams(0.0, 0.0, 1e4), RegimeParams(0.0, 1e4, 1e-300)),
+                       np.array([0.5, 0.5]))
+    early = RegimeModel(np.eye(2), (RegimeParams(0.0, 0.0, 1e-12),
+                                    RegimeParams(0.0, 1e4, 1e-12)), np.array([1.0, 0.0]))
+    return y, late, early
+
+
+def test_rows_handed_back_end_as_em_fit_ends_them():
+    """A row that fails before the cut, one that fails after it and one that reaches
+    ``em_max_iter``, resumed beside a fresh start in the batch or handed straight to
+    ``em_fit``'s tail, each end as ``em_fit`` ends them alone."""
+    y, late, early = spike_models()
+    walk = np.cumsum(np.random.default_rng(5).standard_normal(191))
+    ys, walk_init = np.array([y, y, walk]), init_params(walk)
+    first = dict(hmmbatch.em_rows(ys, [(0, 0, late), (1, 1, early), (2, 2, walk_init)], 3,
+                                  max_iter=4, hand_back=3))
+    assert isinstance(first[1], FilterDegeneracyError)
+    assert [(type(first[j]), first[j][2]) for j in (0, 2)] == [(tuple, 1)] * 2  # one update
+    em_fit_of = {0: (y, late), 2: (walk, walk_init), "fresh": (walk, walk_init)}
+    for scalar_rows, tails in ((0, 0), (16, 2)):
+        calls, plain = [], hmm.em_fit
+
+        def counting_em_fit(*args, **kwargs):
+            calls.append(args)
+            return plain(*args, **kwargs)
+
+        with (mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows),
+              mock.patch.object(hmm, "em_fit", counting_em_fit)):
+            outs = dict(hmmbatch.em_rows(
+                ys, [(0, 0, first[0]), ("fresh", 2, walk_init), (2, 2, first[2])], 3, max_iter=4))
+        assert len(calls) == tails
+        assert isinstance(outs[0], FilterDegeneracyError)
+        assert (outs[2].iterations, outs[2].converged) == (4, False)
+        for key, (series, model) in em_fit_of.items():
+            assert_is_em_fit(outs[key], series, model, None, max_iter=4)
+
+
 def test_batch_and_tail_failures_name_the_series_offset():
     """A row that degenerates at its first E-step fails in the batch, and one that degenerates
     only after an update fails in ``em_fit``'s tail; both name ``offsets[step]``."""
     T, k = 191, 120
     offsets = np.arange(T) * 3 - T
-    y = np.zeros(T)
-    y[k] = 1e4
-    # only state 1 can emit the spike, and it never holds mass: the init's wide state 0 still
-    # can, the state 0 of the first update cannot
-    late = RegimeModel(np.eye(2), (RegimeParams(0.0, 0.0, 1e4), RegimeParams(0.0, 1e4, 1e-300)),
-                       np.array([0.5, 0.5]))
-    early = RegimeModel(np.eye(2), (RegimeParams(0.0, 0.0, 1e-12),
-                                    RegimeParams(0.0, 1e4, 1e-12)), np.array([1.0, 0.0]))
+    y, late, early = spike_models()
     em_fit = hmm.em_fit
     for scalar_rows, tail_failures in ((0, 0), (2, 1)):
         failures = []

@@ -14,7 +14,7 @@ import pytest
 from ecuindex import hmm, hmmbatch, panelio, pipeline
 from ecuindex.cli import main
 from ecuindex.config import DEFAULT_SECTOR_MIX, RunConfig, build_run_config
-from ecuindex.hmm import FilterDegeneracyError
+from ecuindex.hmm import FilterDegeneracyError, FitReport
 from ecuindex.panelio import read_fit_outputs, regime_model, write_panel
 from ecuindex.pipeline import build_firmday_panel, fit_outputs, fit_panel, reference_totals
 from ecuindex.preprocess import DeviationSeries, KwhPanel, preprocess_grid
@@ -165,19 +165,66 @@ def test_fit_panel_pool_is_capped_by_firms_and_cpus(run_cfg, monkeypatch, cpus, 
 
 
 def test_a_pool_job_writes_its_layers_and_sends_back_no_length_t_array(run_cfg, monkeypatch):
-    """A pool job, run here on rows 2..5 of six, writes their layers into the shared array as a
-    serial fit computes them, and its reply pickles to under half of T float64s per firm, so
-    no firm-day array travels back."""
+    """A pool job, run here on rows 2..5 of six, hands back its last two rows (no ``em_fit``
+    tail comes first), which the parent's drain finishes: the layers in the shared array are
+    those a serial fit computes, and the job's reply pickles to under half of T float64s per
+    firm, so no firm-day array travels back."""
     panel = panel_of(panel_records(n_firms=6))
     days = 2 * run_cfg.span + 1
     out = np.zeros((len(panelio.FIRMDAY_LAYERS), len(panel), days))
     monkeypatch.setattr(pipeline, "_SHARED", [panel, run_cfg, out])
-    fitted, skipped = reply = pipeline._fit_share(slice(2, 6))
-    assert [record[0] for record in fitted] == [2, 3, 4, 5] and skipped == []
+    monkeypatch.setattr(hmmbatch, "SCALAR_ROWS", 0)
+    reply = pipeline._fit_share(slice(2, 6), 2)
+    (ks, _, _), _, (_, _, handed_back) = reply[:3]
+    assert sorted(ks.tolist()) == [2, 3, 4, 5] and handed_back.sum() == 2 and reply[-1] == []
+    size = len(pickle.dumps(reply))
+    fits = pipeline._drain([reply], run_cfg, out)
+    assert sorted(k for k, _, fit in fits if isinstance(fit, FitReport)) == [2, 3, 4, 5]
     serial = fit_outputs(fit_panel(panel, run_cfg, workers=1)[0]).firmdays
     np.testing.assert_array_equal(out[:, 2:], serial[:, 2:])
     np.testing.assert_array_equal(out[:, :2], 0.0)
-    assert len(pickle.dumps(reply)) / len(fitted) < days * 8 / 2
+    assert size / 4 < days * 8 / 2
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_pooled_fit_that_drains_handed_back_starts_is_the_serial_fit(run_cfg, monkeypatch,
+                                                                        workers):
+    """With multi_start 2, pool jobs hand their last starts back, among them starts of firms
+    whose other starts the job finished, and the parent drains them in one stream: the fitted
+    rows, the layers and the skip messages are the serial fit's, bit for bit.  ``SCALAR_ROWS``
+    is cut to 4, at most the hand-back counts of these small shares (6 and 4), so that no job
+    hands its last starts to ``em_fit`` before its count is reached."""
+    cfg = replace(run_cfg, multi_start=2)
+    monkeypatch.setattr(hmmbatch, "SCALAR_ROWS", 4)
+    dates = np.arange("2019-12-01", "2020-02-01", dtype="datetime64[D]")
+    short = FirmRecord("F00005-short", "301", "D01", RawSeries(dates, np.full(len(dates), 5.0)))
+    panel = panel_of(sorted(panel_records(n_firms=24) + [short], key=lambda r: r.firm_id))
+    serial, serial_skipped = fit_panel(panel, cfg, workers=1)
+    streams, em_rows = [], hmmbatch.em_rows
+
+    def recording_em_rows(*args, **kwargs):
+        streams.append(list(em_rows(*args, **kwargs)))
+        yield from streams[-1]
+
+    monkeypatch.setattr(hmmbatch, "em_rows", recording_em_rows)
+    pools, _ = record_pools(monkeypatch, cpus=workers)
+    results, skipped = fit_panel(panel, cfg, workers=workers)
+    assert pools == [workers] and len(streams) == workers + 1  # the jobs, then one drain
+    mixed = 0
+    for stream in streams[:-1]:
+        handed = {k for (k, _), out in stream if isinstance(out, tuple)}
+        mixed += len(handed & {k for (k, _), out in stream if not isinstance(out, tuple)})
+    assert mixed and len(streams[-1]) == sum(
+        isinstance(out, tuple) for stream in streams[:-1] for _, out in stream)
+
+    def bits(rs):
+        return [(r.firm_id, r.report.iterations, r.report.converged, r.report.degenerate,
+                 r.report.loglik_trace.tobytes(), r.report.model.q.tobytes(),
+                 r.report.model.pi0.tobytes(), r.report.model.params) for r in rs]
+
+    assert bits(results) == bits(serial) and len(serial) == 24
+    assert skipped == serial_skipped and [s[0] for s in skipped] == ["F00005-short"]
+    np.testing.assert_array_equal(fit_outputs(results).firmdays, fit_outputs(serial).firmdays)
 
 
 def test_a_pool_pickles_no_panel_and_leaves_no_process(records, run_cfg, monkeypatch):
@@ -380,11 +427,11 @@ def test_a_model_holds_python_floats_whichever_em_finished_it(run_cfg, monkeypat
     for width in (64, 128):
         monkeypatch.setattr(pipeline, "EM_BATCH", width)
         tails.clear()
-        fitted, skipped = pipeline._fit_block(panel, cfg, np.empty((5, len(panel), 191)))
-        assert len(fitted) == 80 and skipped == []
-        assert {type(x) for _, model, *_ in fitted for p in model.params
+        fits = pipeline._fit_block(panel, cfg, np.empty((5, len(panel), 191)))
+        assert sorted(k for k, _, fit in fits if isinstance(fit, FitReport)) == [*range(80)]
+        assert {type(x) for _, _, fit in fits for p in fit.model.params
                 for x in (p.alpha, p.beta, p.sigma)} == {float}
-        replies.append(pickle.dumps(fitted))
+        replies.append(pickle.dumps(sorted(fits, key=lambda fit: fit[0])))
         tail_rows.append(len(tails))
     assert tail_rows == [16, 0]
     assert replies[0] == replies[1]
