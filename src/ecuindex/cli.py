@@ -18,8 +18,9 @@ import numpy as np
 from .config import (ConfigError, PanelConfig, RunConfig, build_panel_config,
                      build_run_config, load_config)
 from .ecu import ecu_grouped, srpi
-from .panelio import (read_code_map, read_fit_outputs, read_panel, regime_model, seed_comment,
-                      write_ecu, write_fit_outputs, write_panel, write_report, write_srpi)
+from .hmm import RegimeModel
+from .panelio import (read_code_map, read_fit_outputs, read_panel, seed_comment, write_ecu,
+                      write_fit_outputs, write_panel, write_report, write_srpi)
 from .simgen import generate
 
 EXIT_OK = 0
@@ -99,7 +100,7 @@ def cmd_report(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, st
 
     peak = int(np.argmax(mu_r))
     print(f"firm {firm}")
-    model = regime_model(fit.models[k])
+    model = RegimeModel.from_numbers(fit.models[k])
     p, r = model.prosperous, model.recessionary
     print(f"  prosperous:   alpha={p.alpha:+.4f} beta={p.beta:+.2f} sigma={p.sigma:.2f}")
     print(f"  recessionary: alpha={r.alpha:+.4f} beta={r.beta:+.2f} sigma={r.sigma:.2f}")

@@ -24,6 +24,9 @@ RECESSIONARY = 1
 
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 _SIMPLEX_TOL = 1e-12
+# a model's 12 numbers, in the order of RegimeModel.numbers, the EM batch and models.csv
+MODEL_COLUMNS = ("alpha_p", "beta_p", "sigma_p", "alpha_r", "beta_r", "sigma_r",
+                 "q_pp", "q_pr", "q_rp", "q_rr", "pi0_p", "pi0_r")
 
 
 class FilterDegeneracyError(RuntimeError):
@@ -80,6 +83,21 @@ class RegimeModel:
         if self.pi0.shape != (2,):
             raise ValueError("pi0 must have two entries")
         _check_simplex(self.pi0, "initial state probabilities")
+
+    @classmethod
+    def from_numbers(cls, row) -> RegimeModel:
+        """The model of the first 12 numbers of ``row`` (a row of ``models.csv``'s numbers
+        ends with the log-likelihood) in ``MODEL_COLUMNS`` order, built on Python floats, so
+        that no view of ``row`` is kept, and checked in order: each regime's sigma, then the
+        rows of q, then pi0."""
+        a0, b0, s0, a1, b1, s1, *rest = np.asarray(row[:12], dtype=float).tolist()
+        return cls(np.array(rest[:4]).reshape(2, 2),
+                   (RegimeParams(a0, b0, s0), RegimeParams(a1, b1, s1)), np.array(rest[4:]))
+
+    def numbers(self) -> list[float]:
+        """The model's 12 numbers in ``MODEL_COLUMNS`` order, as Python floats."""
+        return [*(float(x) for p in self.params for x in (p.alpha, p.beta, p.sigma)),
+                *self.q.ravel().tolist(), *self.pi0.tolist()]
 
     @property
     def prosperous(self) -> RegimeParams:
@@ -327,7 +345,7 @@ def em_fit(y, init: RegimeModel, tol=RunConfig.em_tol, max_iter=RunConfig.em_max
         q, params, pi0 = _m_step(yv, t, gamma, xi_sum, q, params, floor)
         updates += 1
 
-    return _report(q, params, pi0, floor, filtered, trace, updates, converged)
+    return _report(RegimeModel(q, params, pi0), floor, filtered, trace, updates, converged)
 
 
 def _converged(trace: list, updates: int, tol, max_iter) -> bool:
@@ -336,10 +354,10 @@ def _converged(trace: list, updates: int, tol, max_iter) -> bool:
     return updates < max_iter and len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol
 
 
-def _report(q, params, pi0, floor: float, filtered, trace: list, updates: int,
+def _report(model: RegimeModel, floor: float, filtered, trace: list, updates: int,
             converged: bool) -> FitReport:
     """EM's result: the model labeled, its (T, 2) filter reordered to match, the trace, flags."""
-    labeled, order, indistinct = _label(RegimeModel(q, params, pi0))
+    labeled, order, indistinct = _label(model)
     floored = any(p.sigma <= floor * (1.0 + 1e-12) for p in labeled.params)
     return FitReport(
         model=labeled,

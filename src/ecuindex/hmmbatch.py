@@ -8,7 +8,9 @@ operations on (m,) vectors with one entry per row, the same operations in the sa
 ``_m_step``'s arithmetic on the whole batch, each weighted sum a per-row BLAS dot.  A row that
 leaves the batch makes room for the next one waiting, and ``_em_tail`` hands a stream's last
 rows to ``em_fit``; a stream can instead hand its last rows back, each with its EM state, for a
-later stream to finish.  Only the fit imports this module, so the other stages do not compile it.
+later stream to finish.  A row's model is its column of the batch's (12, m) array: its 12
+numbers in ``hmm.MODEL_COLUMNS`` order, those of ``RegimeModel.numbers`` and of a
+``models.csv`` row.  Only the fit imports this module, so the other stages do not compile it.
 """
 
 from __future__ import annotations
@@ -32,15 +34,16 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
             max_iter=RunConfig.em_max_iter, offsets=None, hand_back=-1):
     """``em_fit`` on rows of the (n, T) grid ``ys``: ``starts`` yields (key, row of ``ys``,
     init), each key hashable and distinct, and each start's row is fitted from its init, a
-    model or the state (model column, trace, update count) in which a stream handed it back, in
-    a batch of at most ``width`` rows whose recursions run side by side as row vectors.
+    model or the state (its 12 numbers, trace, update count) in which a stream handed it back,
+    in a batch of at most ``width`` rows whose recursions run side by side as row vectors.
 
     ``starts`` is read as the batch has room, so a start's init is only made when its row
     joins.  Each row takes ``em_fit``'s operations in ``em_fit``'s order, so each start's
     outcome, yielded as (key, outcome) after the batch step that ends it, is ``em_fit``'s
     ``FitReport`` or exception on ``DeviationSeries(offsets, row)`` (row if no offsets) alone,
-    bit for bit.  Once no start waits and ``hand_back`` or fewer rows run, each is yielded as
-    (key, its state) and the stream ends; else once ``SCALAR_ROWS`` or fewer run, ``em_fit``
+    bit for bit.  Given a ``hand_back`` of 0 or more, once no start waits and at most
+    ``max(hand_back, SCALAR_ROWS)`` rows run, each is yielded as (key, its state) and the
+    stream ends, never calling ``em_fit``; else once ``SCALAR_ROWS`` or fewer run, ``em_fit``
     itself finishes them, so a stream of that many starts or fewer takes one batch E-step.
     """
     ys = np.asarray(ys, dtype=float)
@@ -48,23 +51,24 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
     waiting = next(starts, None)
     T = ys.shape[1]
     t = np.arange(1, T + 1, dtype=float)
+    last = max(hand_back, SCALAR_ROWS) if hand_back >= 0 else -1  # most running rows handed back
     out: dict = {}  # per key of a start that the last batch step finished, its outcome
     keys, rows, floors, traces, updates = [], [], [], [], []  # per batch row
-    model = np.empty((12, 0))  # per batch row its q, alpha/beta/sigma and pi0 (``_views``)
+    model = np.empty((12, 0))  # per batch row its 12 numbers (``_views``)
     pool = np.empty(8 * width * T)  # the batch's rows and its E-step's buffers
     while True:
         yield from out.items()
         out.clear()
-        if waiting is None and len(rows) <= hand_back:
+        if waiting is None and len(rows) <= last:
             yield from zip(keys, zip(model.T.copy(), traces, updates))
             return
         with np.errstate(all="ignore"):  # a failing row's NaNs stay in its own column
             joining = []
             while waiting is not None and len(rows) < width:
                 key, row, init = waiting
-                column, trace, count = ((_column(init), [], 0) if isinstance(init, RegimeModel)
-                                        else init)
-                joining.append(column)
+                numbers, trace, count = ((init.numbers(), [], 0)
+                                         if isinstance(init, RegimeModel) else init)
+                joining.append(numbers)
                 keys.append(key)
                 rows.append(row)
                 floors.append(sigma_floor(ys[row]))
@@ -91,17 +95,17 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
                 converged = _converged(trace, updates[j], tol, max_iter)
                 if converged or updates[j] >= max_iter:
                     try:
-                        out[keys[j]] = _report(*_row_model(model, j), floors[j],
+                        out[keys[j]] = _report(RegimeModel.from_numbers(model[:, j]), floors[j],
                                                filtered[:, :, j], trace, updates[j], converged)
                     except ValueError as exc:
                         out[keys[j]] = exc
                 else:
                     running.append(j)
-            if waiting is None and hand_back < len(running) <= SCALAR_ROWS:
+            if waiting is None and hand_back < 0 and len(running) <= SCALAR_ROWS:
                 kept = []
                 for j in running:
                     try:
-                        init = RegimeModel(*_row_model(model, j))
+                        init = RegimeModel.from_numbers(model[:, j])
                     except ValueError:  # em_fit checks q and pi0 only at the end
                         kept.append(j)
                         continue
@@ -136,25 +140,11 @@ def _em_tail(y: np.ndarray, offsets, init: RegimeModel, trace: list, updates, to
                    loglik_trace=np.concatenate((trace[:-1], tail.loglik_trace)))
 
 
-def _column(init: RegimeModel) -> list:
-    """``init`` as its column of a batch's (12, m) model array."""
-    (a0, b0, s0), (a1, b1, s1) = [(p.alpha, p.beta, p.sigma) for p in init.params]
-    return [*init.q.ravel().tolist(), a0, a1, b0, b1, s0, s1, *init.pi0.tolist()]
-
-
 def _views(model: np.ndarray):
-    """The (2, 2, m) q, the (3, 2, m) alpha/beta/sigma and the (2, m) pi0 of the (12, m)
-    ``model``, as views."""
+    """The (2, 2, m) q, the (3, 2, m) alpha/beta/sigma and the (2, m) pi0 of the C-ordered
+    (12, m) ``model``, as views."""
     m = model.shape[1]
-    return model[:4].reshape(2, 2, m), model[4:10].reshape(3, 2, m), model[10:]
-
-
-def _row_model(model: np.ndarray, j: int):
-    """Batch row j's (q, params, pi0) on Python floats, as ``em_fit`` holds them."""
-    col = model[:, j].tolist()
-    return (np.array(col[:4]).reshape(2, 2),
-            (RegimeParams(col[4], col[6], col[8]), RegimeParams(col[5], col[7], col[9])),
-            np.array(col[10:]))
+    return model[6:10].reshape(2, 2, m), model[:6].reshape(2, 3, m).transpose(1, 0, 2), model[10:]
 
 
 def _e_step_rows(y: np.ndarray, t: np.ndarray, model: np.ndarray, pool: np.ndarray, offsets):

@@ -32,15 +32,13 @@ from pathlib import Path
 import numpy as np
 
 from .ecu import EcuSeries, FirmDayPanel, SrpiSeries, column_fsums
-from .hmm import RegimeModel, RegimeParams
+from .hmm import MODEL_COLUMNS, RegimeModel
 from .config import check_date
 from .preprocess import DAY, KwhPanel
 
 PANEL_HEADER = ["firm_id", "date", "kwh", "sector_code", "district_code"]
-MODELS_HEADER = ["firm_id", "sector_code", "district_code",
-                 "alpha_p", "beta_p", "sigma_p", "alpha_r", "beta_r", "sigma_r",
-                 "q_pp", "q_pr", "q_rp", "q_rr", "pi0_p", "pi0_r", "loglik", "converged",
-                 "degenerate"]
+MODELS_HEADER = ["firm_id", "sector_code", "district_code", *MODEL_COLUMNS, "loglik",
+                 "converged", "degenerate"]
 ECU_HEADER = ["group_type", "group_key", "offset", "date", "ecu", "total_weight", "firm_count"]
 SRPI_HEADER = ["offset", "date", "srpi", "delta_srpi"]
 REPORT_HEADER = ["offset", "date", "y", "mu_p", "mu_r"]
@@ -318,14 +316,6 @@ class FitOutputs:
         return column_fsums(ele_ref)
 
 
-def regime_model(numbers) -> RegimeModel:
-    """The ``RegimeModel`` of a row of ``FitOutputs.models``, checked as ``RegimeModel`` checks
-    one: each regime's sigma, then the rows of q, then pi0."""
-    row = np.asarray(numbers, dtype=float)
-    params = tuple(RegimeParams(*p) for p in row[:6].reshape(2, 3).tolist())
-    return RegimeModel(row[6:10].reshape(2, 2), params, row[10:12])
-
-
 def write_models(path, firm_ids, sector_codes, district_codes, models, converged, degenerate,
                  comments=()) -> None:
     """A ``FitOutputs`` table's columns as ``models.csv`` rows in their order, ``BLOCK_ROWS``
@@ -370,7 +360,7 @@ def read_models(path) -> tuple:
                 raise ValueError(f"{path} data row {n}: firm {firm_id} already has a row")
             seen.add(firm_id)
             try:
-                regime_model(block[-1][:-2])
+                RegimeModel.from_numbers(block[-1])
             except ValueError as exc:
                 raise ValueError(f"{path} data row {n}: firm {firm_id}: {exc}") from None
         for text, name in zip(texts, MODELS_HEADER):

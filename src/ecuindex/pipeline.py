@@ -6,8 +6,9 @@ fits them by EM in a batch that refills as rows converge (``hmmbatch.em_rows``),
 row's deviations, causal filter (EM's last forward pass) and the cleaned consumption that weights
 the index into one firm-day array.  A pool job hands its last running rows back with their EM
 states, and the parent finishes those of every job in one stream (``_drain``), so a fit pays
-one drain of small batch steps at any worker count.  A firm's results depend only on its own
-row and the run settings, not on the other firms in its job nor the worker count.
+one drain of small batch steps at any worker count; a reply holds the models of its fits and
+its states alike as 12 numbers (``RegimeModel.numbers``).  A firm's results depend only on its
+own row and the run settings, not on the other firms in its job nor the worker count.
 ``fit_outputs`` turns the results into the fit's product, one ``panelio.FitOutputs`` table.
 """
 
@@ -23,8 +24,8 @@ import numpy as np
 from . import hmmbatch
 from .config import RunConfig
 from .ecu import FirmDayPanel
-from .hmm import FilterOutput, FitReport, init_params, random_init
-from .panelio import FIRMDAY_LAYERS, MODELS_HEADER, FitOutputs, regime_model
+from .hmm import FilterOutput, FitReport, RegimeModel, init_params, random_init
+from .panelio import FIRMDAY_LAYERS, MODELS_HEADER, FitOutputs
 from .preprocess import DeviationSeries, KwhPanel, firm_rng, preprocess_grid
 
 
@@ -58,8 +59,8 @@ def _fit_block(block: KwhPanel, cfg: RunConfig, out: np.ndarray, hand_back=-1) -
     """Preprocess a block of the panel's rows on grids of at most ``EM_BLOCK`` rows and fit each
     row it keeps by EM in a batch of at most ``EM_BATCH`` rows, writing row k's
     ``FIRMDAY_LAYERS`` into ``out[:, k]``; returns ``_gather``'s (k, start, outcome) list and
-    (k, 0, message) per row refused or whose init fails.  The EM stream hands back the rows still
-    running once ``hand_back`` or fewer do.
+    (k, 0, message) per row refused or whose init fails.  With a ``hand_back`` of 0 or more, the
+    EM stream hands back the rows still running as ``hmmbatch.em_rows`` says.
 
     EM starts from the deterministic init and from ``multi_start`` random inits drawn from the
     firm's stream 3, each made as its row joins the EM batch and keyed (row, start index).
@@ -128,9 +129,9 @@ def _fit_share(rows: slice, hand_back: int) -> tuple:
     panel, cfg, out = _SHARED
     fits = [(rows.start + k, i, fit)
             for k, i, fit in _fit_block(panel[rows], cfg, out[:, rows], hand_back)]
-    kept = [(k, i, fit.iterations, _numbers(fit.model), fit.loglik_trace, fit.converged,
+    kept = [(k, i, fit.iterations, fit.model.numbers(), fit.loglik_trace, fit.converged,
              fit.degenerate, False) if isinstance(fit, FitReport)
-            else (k, i, fit[2], fit[0], fit[1], False, False, True)  # (column, trace, count)
+            else (k, i, fit[2], fit[0], fit[1], False, False, True)  # (numbers, trace, count)
             for k, i, fit in fits if not isinstance(fit, str)]
     k, i, counts, numbers, traces, *flags = zip(*kept) if kept else [()] * 8
     return (np.array([k, i, counts], dtype=np.intp), np.array(numbers).reshape(-1, 12),
@@ -150,8 +151,8 @@ def _drain(replies: list[tuple], cfg: RunConfig, out: np.ndarray) -> list[tuple]
                 ints.T.tolist(), numbers, flags.T.tolist(),
                 np.split(traces, np.cumsum(lengths)[:-1])):
             fits.append((k, i, (row, trace.tolist(), count) if running else FitReport(
-                regime_model(row), FilterOutput(out[1:3, k].T, trace[-1]), count, trace,
-                converged, degenerate)))
+                RegimeModel.from_numbers(row), FilterOutput(out[1:3, k].T, trace[-1]), count,
+                trace, converged, degenerate)))
     running = {k for k, _, fit in fits if isinstance(fit, tuple)}
     pending = [((k, i), fit) for k, i, fit in fits if k in running]
     states = [(key, key[0], fit) for key, fit in pending if isinstance(fit, tuple)]
@@ -171,10 +172,10 @@ def fit_panel(panel: KwhPanel, cfg: RunConfig,
     They write into one (5, firms, T) array, of which each result's arrays are views; a pool's
     is an anonymous shared mapping that the forked workers inherit with the panel, so neither is
     pickled, and a dead worker (``ChildProcessError``) leaves nothing to clean up.  The parent
-    finishes the last ``min(EM_BATCH // workers, share // 2)`` rows of each job in one
-    ``_drain``.  A firm whose series cannot cover the windows or whose fit fails numerically is
-    skipped with a diagnostic.  ``workers`` defaults to ``cfg.workers``; a pool has at most one
-    process per firm and CPU.
+    finishes the last ``min(EM_BATCH // workers, share // 2)`` rows of each job, or the last
+    ``hmmbatch.SCALAR_ROWS`` if that is more, in one ``_drain``.  A firm whose series cannot
+    cover the windows or whose fit fails numerically is skipped with a diagnostic.  ``workers``
+    defaults to ``cfg.workers``; a pool has at most one process per firm and CPU.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(cfg.workers if workers is None else workers, len(panel), cpus or 1))
@@ -205,12 +206,6 @@ def fit_panel(panel: KwhPanel, cfg: RunConfig,
             [(panel.firm_ids[k], fit) for k, _, fit in fits if isinstance(fit, str)])
 
 
-def _numbers(model) -> list:
-    """``model``'s 12 numbers in ``FitOutputs.models`` order, as ``regime_model`` reads them."""
-    return [*(x for p in model.params for x in (p.alpha, p.beta, p.sigma)), *model.q.ravel(),
-            *model.pi0]
-
-
 def fit_outputs(results: Iterable[FirmFitResult]) -> FitOutputs:
     """The table of ``results``, firms in id order, with their stacked firm-day array.
 
@@ -226,7 +221,7 @@ def fit_outputs(results: Iterable[FirmFitResult]) -> FitOutputs:
             raise ValueError(f"firm {r.firm_id}: offsets must run {-span}..{span} as the first "
                              "firm's do")
         layers[:, k] = r.deviation.y, r.filtered.mu_p, r.filtered.mu_r, r.ele_test, r.ele_ref
-        models[k] = [*_numbers(r.report.model), r.report.loglik_trace[-1]]
+        models[k] = [*r.report.model.numbers(), r.report.loglik_trace[-1]]
     return FitOutputs([r.firm_id for r in rs], [r.sector_code for r in rs],
                       [r.district_code for r in rs], models,
                       np.array([r.report.converged for r in rs], dtype=bool),

@@ -1,5 +1,6 @@
 """The package's public names are its four stages, and nothing else; one module owns the file
-formats, one hands EM rows to `em_fit`, and one, importing no other, declares the settings."""
+formats, one hands EM rows to `em_fit`, one, importing no other, declares the settings, and one
+owns a model's numbers and builds models from them."""
 
 import ast
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ecuindex
-from ecuindex import config, hmm, panelio, pipeline, preprocess
+from ecuindex import config, hmm, hmmbatch, panelio, pipeline, preprocess
 
 # bench/spans.py times the functions in ecuindex.__all__ (without em_fit spans its --trace 1
 # divides by zero) and bench/run.py imports generate and truth_labels from ecuindex, so em_fit,
@@ -21,8 +22,11 @@ PUBLIC = ("DeviationSeries EcuSeries FilterDegeneracyError FilterOutput FirmDayP
 # the per-series chain (now tests/preprocess_oracle.py) and the test-only regime helpers
 REMOVED = ("AlignedPair CleanSeries RawSeries align detect_outliers deviation interpolate smooth "
            "forward_filter label_regimes sample_path").split()
-# the per-firm model records, now one table, panelio.FitOutputs
-REMOVED_FROM_PANELIO = ["ModelRow", "_model_numbers"]
+# the per-firm model records, now one table, panelio.FitOutputs, and the reader of one of its
+# rows, now RegimeModel.from_numbers
+REMOVED_FROM_PANELIO = ["ModelRow", "_model_numbers", "regime_model"]
+# the converters between two layouts of a model's 12 numbers, now one, RegimeModel.numbers's
+REMOVED_CONVERTERS = {hmmbatch: ["_column", "_row_model"], pipeline: ["_numbers"]}
 # the fit's files, whose format panelio alone decides; pipeline may only use its FitOutputs
 MOVED_TO_PANELIO = ["FitOutputs", "read_fit_outputs", "write_fit_outputs"]
 
@@ -33,6 +37,8 @@ def test_public_names_are_the_four_stages():
     for module in (ecuindex, preprocess, hmm):  # without the attribute, `from module import` fails
         assert [name for name in REMOVED if hasattr(module, name)] == [], module.__name__
     assert [name for name in REMOVED_FROM_PANELIO if hasattr(panelio, name)] == []
+    for module, names in REMOVED_CONVERTERS.items():
+        assert [name for name in names if hasattr(module, name)] == [], module.__name__
     assert [name for name in MOVED_TO_PANELIO if hasattr(pipeline, name)] == ["FitOutputs"]
     assert pipeline.FitOutputs is panelio.FitOutputs
 
@@ -107,6 +113,20 @@ def test_pipeline_alone_imports_hmmbatch_and_takes_only_em_rows():
                 used.add((path.stem, node.attr))
     assert taken == {"pipeline": {"the module itself"}}
     assert used == {("pipeline", "em_rows")}
+
+
+def test_only_hmm_and_hmmbatch_construct_models():
+    """A model's numbers have one layout, ``RegimeModel.numbers``'s: outside ``hmm``, whose EM
+    builds models, and ``hmmbatch``, whose M-step checks each new sigma, no module calls the
+    ``RegimeModel`` or ``RegimeParams`` constructor; they read a model with
+    ``RegimeModel.from_numbers``."""
+    callers = set()
+    for path in Path(ecuindex.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and dotted(node.func).rpartition(".")[2] in (
+                    "RegimeModel", "RegimeParams"):
+                callers.add(path.stem)
+    assert callers == {"hmm", "hmmbatch"}
 
 
 def package_imports(path) -> set[str]:

@@ -179,6 +179,46 @@ def test_simplex_checks_accept_the_edges_and_sums_within_tolerance(q, pi0):
     RegimeModel(np.array(q), SIMPLEX_PARAMS, np.array(pi0))
 
 
+# a model's 12 numbers in hmm.MODEL_COLUMNS order
+NUMBERS = [0.5, 2.0, 1.5, -0.25, -1.0, 0.75, 0.9, 0.1, 0.25, 0.75, 0.6, 0.4]
+
+
+def test_a_model_round_trips_through_its_numbers():
+    """``numbers`` gives the 12 numbers as Python floats in ``MODEL_COLUMNS`` order, whatever
+    float type the params hold, and ``from_numbers`` builds the same model on Python floats from
+    the first 12 numbers of a row, keeping no view of the array it was given."""
+    m = RegimeModel(np.array([[0.9, 0.1], [0.25, 0.75]]),
+                    (RegimeParams(np.float64(0.5), np.float64(2.0), 1.5),
+                     RegimeParams(-0.25, -1.0, 0.75)), np.array([0.6, 0.4]))
+    assert len(hmm.MODEL_COLUMNS) == len(NUMBERS)
+    assert m.numbers() == NUMBERS and {type(x) for x in m.numbers()} == {float}
+    row = np.array(m.numbers())
+    back = RegimeModel.from_numbers(row)
+    row[:] = np.nan
+    assert back.params == m.params
+    assert {type(x) for p in back.params for x in (p.alpha, p.beta, p.sigma)} == {float}
+    assert back.q.tolist() == m.q.tolist() and back.pi0.tolist() == m.pi0.tolist()
+    assert back.numbers() == NUMBERS
+    assert RegimeModel.from_numbers([*NUMBERS, -123.5]).numbers() == NUMBERS  # a models row
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({2: 0.0, 5: -1.0, 6: 2.0, 10: 2.0}, "sigma must be positive and finite, got 0.0"),
+    ({5: np.nan, 6: 2.0, 10: 2.0}, "sigma must be positive and finite, got nan"),
+    ({6: 2.0, 10: 2.0}, "transition matrix row entries must lie in [0, 1], got [2.  0.1]"),
+    ({8: 0.5, 10: 2.0}, "transition matrix row must sum to 1 within 1e-12, got [0.5  0.75]"),
+    ({10: 2.0}, "initial state probabilities entries must lie in [0, 1], got [2.  0.4]"),
+    ({11: 0.5}, "initial state probabilities must sum to 1 within 1e-12, got [0.6 0.5]"),
+])
+def test_numbers_are_checked_sigmas_then_q_rows_then_pi0(changes, message):
+    """``from_numbers`` refuses the first fault in the order the constructors check: regime 0's
+    sigma, regime 1's, each row of q, then pi0."""
+    row = [changes.get(k, x) for k, x in enumerate(NUMBERS)]
+    with pytest.raises(ValueError) as exc:
+        RegimeModel.from_numbers(row)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # forward filter
 # ---------------------------------------------------------------------------
@@ -522,6 +562,16 @@ def spike_models():
     return y, late, early
 
 
+def counting(calls: list):
+    """``hmm.em_fit`` that first appends its positional and keyword arguments to ``calls``."""
+    plain = hmm.em_fit
+
+    def counting_em_fit(*args, **kwargs):
+        calls.append((args, kwargs))
+        return plain(*args, **kwargs)
+    return counting_em_fit
+
+
 def test_rows_handed_back_end_as_em_fit_ends_them():
     """A row that fails before the cut, one that fails after it and one that reaches
     ``em_max_iter``, resumed beside a fresh start in the batch or handed straight to
@@ -535,14 +585,9 @@ def test_rows_handed_back_end_as_em_fit_ends_them():
     assert [(type(first[j]), first[j][2]) for j in (0, 2)] == [(tuple, 1)] * 2  # one update
     em_fit_of = {0: (y, late), 2: (walk, walk_init), "fresh": (walk, walk_init)}
     for scalar_rows, tails in ((0, 0), (16, 2)):
-        calls, plain = [], hmm.em_fit
-
-        def counting_em_fit(*args, **kwargs):
-            calls.append(args)
-            return plain(*args, **kwargs)
-
+        calls = []
         with (mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows),
-              mock.patch.object(hmm, "em_fit", counting_em_fit)):
+              mock.patch.object(hmm, "em_fit", counting(calls))):
             outs = dict(hmmbatch.em_rows(
                 ys, [(0, 0, first[0]), ("fresh", 2, walk_init), (2, 2, first[2])], 3, max_iter=4))
         assert len(calls) == tails
@@ -550,6 +595,41 @@ def test_rows_handed_back_end_as_em_fit_ends_them():
         assert (outs[2].iterations, outs[2].converged) == (4, False)
         for key, (series, model) in em_fit_of.items():
             assert_is_em_fit(outs[key], series, model, None, max_iter=4)
+
+
+def test_a_stream_that_hands_back_never_calls_em_fit():
+    """Given a hand-back count below ``SCALAR_ROWS`` and below the number of its rows, a stream
+    still hands every row back once no more than ``SCALAR_ROWS`` run, each after one update,
+    and never calls ``em_fit``."""
+    ys = np.cumsum(np.random.default_rng(5).standard_normal((4, 191)), axis=1)
+    calls = []
+    with mock.patch.object(hmm, "em_fit", counting(calls)):
+        out = dict(hmmbatch.em_rows(ys, [(k, k, init_params(y)) for k, y in enumerate(ys)], 4,
+                                    hand_back=2))
+    assert calls == []
+    assert sorted(out) == [0, 1, 2, 3]
+    assert [(len(numbers), count) for numbers, _, count in out.values()] == [(12, 1)] * 4
+
+
+def test_a_tail_row_whose_model_is_refused_stays_in_the_batch():
+    """A state whose q rows are off the simplex by 1e-9, which ``RegimeModel`` refuses and so
+    ``em_fit`` cannot start from, takes its first update in the batch although the tail
+    begins, and then goes to ``em_fit``; it ends bit for bit as in a stream without a tail."""
+    walk = np.cumsum(np.random.default_rng(5).standard_normal(191))
+    numbers = init_params(walk).numbers()
+    numbers[6:10] = [0.95 + 1e-9, 0.05, 0.05, 0.95 + 1e-9]
+    with pytest.raises(ValueError, match="transition matrix row must sum to 1"):
+        RegimeModel.from_numbers(numbers)
+    outs = {}
+    for scalar_rows, tails in ((16, [49]), (0, [])):  # each tail's max_iter
+        calls = []
+        with (mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows),
+              mock.patch.object(hmm, "em_fit", counting(calls))):
+            [(key, outs[scalar_rows])] = hmmbatch.em_rows(
+                walk[None], [("off", 0, (numbers, [], 0))], 1, max_iter=50)
+        assert (key, [kwargs["max_iter"] for _, kwargs in calls]) == ("off", tails)
+    assert isinstance(outs[0], FitReport) and outs[0].iterations > 1
+    assert fit_bits(outs[16]) == fit_bits(outs[0])
 
 
 def test_batch_and_tail_failures_name_the_series_offset():
@@ -619,7 +699,7 @@ def test_batched_m_step_is_m_step_on_each_row_bit_for_bit(rows):
     y = np.array([y for y, *_ in rows])
     gamma = np.array([gamma for _, gamma, *_ in rows])
     xi = np.stack([xi for _, _, xi, *_ in rows], axis=-1)
-    model = np.array([hmmbatch._column(model) for *_, model, _ in rows]).T
+    model = np.array([model.numbers() for *_, model, _ in rows]).T
     with np.errstate(all="ignore"):
         new, errors = hmmbatch._m_step_rows(y, t, gamma, xi, model,
                                             np.array([floor for *_, floor in rows]),
@@ -630,8 +710,9 @@ def test_batched_m_step_is_m_step_on_each_row_bit_for_bit(rows):
                 want = m_step_bits(*_m_step(yj, t, gamma[j].T, xj, mj.q, mj.params, floor))
         except ValueError as exc:
             want = type(exc), str(exc)
-        got = ((type(errors[j]), str(errors[j])) if errors[j] is not None
-               else m_step_bits(*hmmbatch._row_model(new, j)))
+        back = None if errors[j] is not None else RegimeModel.from_numbers(new[:, j])
+        got = ((type(errors[j]), str(errors[j])) if back is None
+               else m_step_bits(back.q, back.params, back.pi0))
         assert got == want
 
 

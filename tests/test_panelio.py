@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecuindex import panelio
+from ecuindex import hmm, panelio
 from ecuindex.config import build_run_config
 from ecuindex.ecu import EcuSeries, SrpiSeries
-from ecuindex.hmm import RegimeParams
+from ecuindex.hmm import RegimeModel, RegimeParams
 from ecuindex.panelio import (
     FIRMDAY_LAYERS,
     FitOutputs,
@@ -19,7 +19,6 @@ from ecuindex.panelio import (
     read_fit_outputs,
     read_models,
     read_panel,
-    regime_model,
     seed_comment,
     write_ecu,
     write_fit_outputs,
@@ -128,6 +127,10 @@ def test_inconsistent_codes_rejected(tmp_path):
         read_panel(path)
 
 
+def test_models_csv_names_the_model_columns_hmm_declares():
+    assert panelio.MODELS_HEADER[3:15] == list(hmm.MODEL_COLUMNS)
+
+
 # a valid model row in MODELS_HEADER[3:-2] order: alpha, beta, sigma of each regime, q, pi0
 # and loglik
 EYE_MODEL = [0.0, 1.0, 1.0, 0.0, -1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.5, 0.5, 0.0]
@@ -149,7 +152,7 @@ def test_models_roundtrip(tmp_path):
     assert (firm_ids, sectors, districts) == (["A"], ["306"], ["D02"])
     assert models.dtype == np.float64 and models.tolist() == [model]
     assert converged.tolist() == [True] and degenerate.tolist() == [False]
-    back = regime_model(models[0])
+    back = RegimeModel.from_numbers(models[0])
     assert back.prosperous == RegimeParams(0.012, 3.7, 1.25)
     assert back.recessionary == RegimeParams(-0.3, -41.0, 8.5)
     assert back.q.tolist() == [[0.97, 0.03], [0.05, 0.95]] and back.pi0.tolist() == [0.6, 0.4]

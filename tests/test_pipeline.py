@@ -14,8 +14,8 @@ import pytest
 from ecuindex import hmm, hmmbatch, panelio, pipeline
 from ecuindex.cli import main
 from ecuindex.config import DEFAULT_SECTOR_MIX, RunConfig, build_run_config
-from ecuindex.hmm import FilterDegeneracyError, FitReport
-from ecuindex.panelio import read_fit_outputs, regime_model, write_panel
+from ecuindex.hmm import FilterDegeneracyError, FitReport, RegimeModel
+from ecuindex.panelio import read_fit_outputs, write_panel
 from ecuindex.pipeline import build_firmday_panel, fit_outputs, fit_panel, reference_totals
 from ecuindex.preprocess import DeviationSeries, KwhPanel, preprocess_grid
 from ecuindex.simgen import PanelConfig, generate
@@ -569,7 +569,8 @@ def test_filter_rerun_from_read_back_models_reproduces_firmdays(tmp_path):
     y, mu_p, mu_r = fit.firmdays[:3]
     offsets = np.arange(y.shape[1]) - y.shape[1] // 2
     for k, firm_id in enumerate(fit.firm_ids):
-        out = forward_filter(DeviationSeries(offsets, y[k]), regime_model(fit.models[k]))
+        model = RegimeModel.from_numbers(fit.models[k])
+        out = forward_filter(DeviationSeries(offsets, y[k]), model)
         assert out.mu_p.tobytes() == mu_p[k].tobytes(), firm_id
         assert out.mu_r.tobytes() == mu_r[k].tobytes(), firm_id
 
