@@ -11,22 +11,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):  # a set value wins
     os.environ.setdefault(_var, "1")  # before numpy's import, or its BLAS starts idle threads
 
-from .config import PanelConfig
-from .ecu import EcuSeries, FirmDayPanel, SrpiSeries, ecu_grouped, srpi
-from .hmm import (
-    PROSPEROUS,
-    RECESSIONARY,
-    FilterDegeneracyError,
-    FilterOutput,
-    FitReport,
-    RegimeModel,
-    RegimeParams,
-    em_fit,
-    init_params,
-)
-from .preprocess import DeviationSeries, KwhPanel, preprocess_grid
-from .simgen import SyntheticPanel, generate, truth_labels
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -52,3 +36,22 @@ __all__ = [
     "srpi",
     "truth_labels",
 ]
+
+
+def __getattr__(name: str):
+    """A name of ``__all__``, imported from its module when first asked for (PEP 562), so that
+    ``import ecuindex`` loads no stage's code and each stage loads only the modules it runs."""
+    if name == "PanelConfig":
+        from .config import PanelConfig
+    elif name in ("EcuSeries", "FirmDayPanel", "SrpiSeries", "ecu_grouped", "srpi"):
+        from .ecu import EcuSeries, FirmDayPanel, SrpiSeries, ecu_grouped, srpi
+    elif name in ("DeviationSeries", "KwhPanel", "preprocess_grid"):
+        from .preprocess import DeviationSeries, KwhPanel, preprocess_grid
+    elif name in ("SyntheticPanel", "generate", "truth_labels"):
+        from .simgen import SyntheticPanel, generate, truth_labels
+    elif name in __all__:  # the rest are the model's
+        from .hmm import (PROSPEROUS, RECESSIONARY, FilterDegeneracyError, FilterOutput,
+                          FitReport, RegimeModel, RegimeParams, em_fit, init_params)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return locals()[name]

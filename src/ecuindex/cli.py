@@ -18,10 +18,8 @@ import numpy as np
 from .config import (ConfigError, PanelConfig, RunConfig, build_panel_config,
                      build_run_config, load_config)
 from .ecu import ecu_grouped, srpi
-from .hmm import RegimeModel
 from .panelio import (read_code_map, read_fit_outputs, read_panel, seed_comment, write_ecu,
                       write_fit_outputs, write_panel, write_report, write_srpi)
-from .simgen import generate
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1  # data and runtime failures, running out of memory included
@@ -47,6 +45,7 @@ def _panel_path(raw: dict[str, str]) -> Path:
 
 
 def cmd_simulate(cfg: PanelConfig, out: Path, comments: list[str], raw: dict[str, str]) -> None:
+    from .simgen import generate  # only simulate loads the generator
     panel = generate(cfg).panel
     out.mkdir(parents=True, exist_ok=True)
     path = out / "panel.csv"
@@ -88,6 +87,7 @@ def cmd_index(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, str
 
 
 def cmd_report(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, str]) -> None:
+    from .hmm import RegimeModel  # index, which reads the same files, never loads the model
     firm = raw["firm"]
     fit = read_fit_outputs(out)
     if firm not in fit.firm_ids:

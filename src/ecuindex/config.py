@@ -14,7 +14,8 @@ config file or its values is a ``ConfigError``.
 Sector codes are two-level, the first digit the broad group (1 = primary,
 2 = secondary, 3 = tertiary).  The default sector mix mirrors the firm-count
 shares of a large metropolitan smart-meter panel, and ``index`` accepts the
-default codes unless ``code_map`` names others.  No other module is imported.
+default codes unless ``code_map`` names others.  The constants the stages share live
+here too, so that a stage imports no module it does not run.  No other module is imported.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
+
+DAY = np.timedelta64(1, "D")
+_SIMPLEX_TOL = 1e-12  # how far a probability vector may sum from 1
+# a model's 12 numbers, in the order of RegimeModel.numbers, the EM batch and models.csv
+MODEL_COLUMNS = ("alpha_p", "beta_p", "sigma_p", "alpha_r", "beta_r", "sigma_r",
+                 "q_pp", "q_pr", "q_rp", "q_rr", "pi0_p", "pi0_r")
 
 
 class ConfigError(ValueError):

@@ -17,16 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import _SIMPLEX_TOL, MODEL_COLUMNS, RunConfig
 
 PROSPEROUS = 0
 RECESSIONARY = 1
 
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
-_SIMPLEX_TOL = 1e-12
-# a model's 12 numbers, in the order of RegimeModel.numbers, the EM batch and models.csv
-MODEL_COLUMNS = ("alpha_p", "beta_p", "sigma_p", "alpha_r", "beta_r", "sigma_r",
-                 "q_pp", "q_pr", "q_rp", "q_rr", "pi0_p", "pi0_r")
 
 
 class FilterDegeneracyError(RuntimeError):

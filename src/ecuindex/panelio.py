@@ -28,13 +28,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import _SIMPLEX_TOL, DAY, MODEL_COLUMNS, check_date
 from .ecu import EcuSeries, FirmDayPanel, SrpiSeries, column_fsums
-from .hmm import MODEL_COLUMNS, RegimeModel
-from .config import check_date
-from .preprocess import DAY, KwhPanel
+
+if TYPE_CHECKING:
+    from .preprocess import KwhPanel
 
 PANEL_HEADER = ["firm_id", "date", "kwh", "sector_code", "district_code"]
 MODELS_HEADER = ["firm_id", "sector_code", "district_code", *MODEL_COLUMNS, "loglik",
@@ -195,6 +197,7 @@ def read_panel(path) -> KwhPanel:
     the text is named by its earliest data row.  Once the file is read, the first firm in id
     order whose days repeat or skip one, or else that has a negative reading, is named.
     """
+    from .preprocess import KwhPanel  # only a stage that reads a panel loads preprocess
     index: dict[str, int] = {}  # firm id -> grid row, in first-seen order
     codes: dict[str, tuple[str, str]] = {}
     shared: dict[str, str] = {}  # a code's text -> its first string, which every firm shares
@@ -345,28 +348,53 @@ def write_models(path, firm_ids, sector_codes, district_codes, models, converged
         for at in range(0, len(models), BLOCK_ROWS)), comments)
 
 
+def _models_block(columns) -> np.ndarray | None:
+    """A block's numbers and flags (n, 15) parsed a column at a time, or None if a field is
+    unreadable or a model one ``RegimeModel`` refuses, decided by its IEEE operations: sigmas
+    above 0, q's rows and pi0 in [0, 1] summing to 1 within ``_SIMPLEX_TOL``."""
+    flags = [columns[name] for name in MODELS_HEADER[-2:]]
+    try:
+        numbers = np.array([columns[name] for name in MODELS_HEADER[3:-2]], dtype=float)
+    except ValueError:
+        return None
+    probs = numbers[6:12]
+    if (np.isfinite(numbers).all() and (numbers[[2, 5]] > 0.0).all()
+            and ((probs >= 0.0) & (probs <= 1.0)).all()  # so that the sums cannot overflow
+            and (abs(probs[::2] + probs[1::2] - 1.0) <= _SIMPLEX_TOL).all()
+            and all(f.count("true") + f.count("false") == len(f) for f in flags)):
+        return np.vstack([numbers, *(np.array(f) == "true" for f in flags)]).T
+    return None
+
+
 def read_models(path) -> tuple:
-    """The columns of a ``FitOutputs`` table, ``firmdays`` aside, in file order.  A row's
-    fields are read in header order (numbers must be finite), then its firm must be new and its
+    """The columns of a ``FitOutputs`` table, ``firmdays`` aside, in file order.  A block is
+    parsed and checked a column at a time.  A block with a fault is read again a row at a time:
+    a row's fields in header order (numbers must be finite), then its firm must be new and its
     model one ``RegimeModel`` accepts; the first faulty data row is named."""
     texts, seen = ([], [], []), set()  # firm ids, sector and district codes
     shared: dict[str, str] = {}  # a code's text -> its first string, which every firm shares
     blocks = [np.empty((0, len(_MODEL_FIELDS)))]  # per block its rows' numbers and flags
     for first, columns in _blocks(path, MODELS_HEADER):
-        block = []
-        for n, (firm_id, _, _, *fields) in enumerate(zip(*columns.values()), first):
-            block.append(_typed(path, n, _MODEL_FIELDS, fields))
-            if firm_id in seen:
-                raise ValueError(f"{path} data row {n}: firm {firm_id} already has a row")
-            seen.add(firm_id)
-            try:
-                RegimeModel.from_numbers(block[-1])
-            except ValueError as exc:
-                raise ValueError(f"{path} data row {n}: firm {firm_id}: {exc}") from None
+        ids = set(columns["firm_id"])
+        block = _models_block(columns)
+        if block is None or len(ids) < len(columns["firm_id"]) or not seen.isdisjoint(ids):
+            from .hmm import RegimeModel  # only a block with a fault loads the model, to name it
+            block = []
+            for n, (firm_id, _, _, *fields) in enumerate(zip(*columns.values()), first):
+                block.append(_typed(path, n, _MODEL_FIELDS, fields))
+                if firm_id in seen:
+                    raise ValueError(f"{path} data row {n}: firm {firm_id} already has a row")
+                seen.add(firm_id)
+                try:
+                    RegimeModel.from_numbers(block[-1])
+                except ValueError as exc:
+                    raise ValueError(f"{path} data row {n}: firm {firm_id}: {exc}") from None
+            block = np.array(block, dtype=float).reshape(-1, len(_MODEL_FIELDS))
+        seen |= ids
         for text, name in zip(texts, MODELS_HEADER):
             column = columns[name]
             text += column if name == "firm_id" else map(shared.setdefault, column, column)
-        blocks.append(np.array(block, dtype=float).reshape(-1, len(_MODEL_FIELDS)))
+        blocks.append(block)
     table = np.concatenate(blocks)
     return *texts, table[:, :-2].copy(), table[:, -2] == 1.0, table[:, -1] == 1.0
 
@@ -462,9 +490,11 @@ def read_code_map(path) -> set[str]:
 def write_ecu(path, series_list: list[EcuSeries], base_date, comments=()) -> None:
     """``base_date``: calendar day at offset 0 in the test window."""
     base = np.datetime64(base_date)
+    days = {s.offsets.tobytes(): s.offsets for s in series_list}  # the series share offsets
+    days = {key: (list(map(str, offsets.tolist())), (base + offsets * DAY).astype(str).tolist())
+            for key, offsets in days.items()}  # offset and date fields, once per distinct offsets
     _write_csv(path, ECU_HEADER, (
-        (s.group_type, s.group_key, map(str, s.offsets.tolist()),
-         (base + s.offsets * DAY).astype(str).tolist(), _fmt_column(s.ecu),
+        (s.group_type, s.group_key, *days[s.offsets.tobytes()], _fmt_column(s.ecu),
          _fmt_column(s.total_weight), map(str, s.firm_count.tolist()))
         for s in sorted(series_list, key=lambda s: (s.group_type, s.group_key))), comments)
 

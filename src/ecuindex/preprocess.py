@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DAY = np.timedelta64(1, "D")
+from .config import DAY
 
 
 @dataclass(frozen=True)

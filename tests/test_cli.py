@@ -278,7 +278,7 @@ def test_memory_error_without_a_message_says_out_of_memory(tmp_path, capsys, mon
     def exhausted(cfg):
         raise MemoryError
 
-    monkeypatch.setattr("ecuindex.cli.generate", exhausted)
+    monkeypatch.setattr("ecuindex.simgen.generate", exhausted)  # cmd_simulate imports it
     assert main(["simulate", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: out of memory\n"
 
@@ -697,6 +697,31 @@ def write_fit_dir(directory, n_firms, days=191, seed=0):
     np.save(directory / "firmdays.npy", np.stack([
         rng.normal(size=mu_r.shape), 1.0 - mu_r, mu_r,
         rng.uniform(0.0, 500.0, mu_r.shape), rng.uniform(0.0, 500.0, mu_r.shape)]))
+
+
+# run a stage in a fresh interpreter and print the package modules it loaded
+STAGE_MODULES = ("import sys\nfrom ecuindex.cli import main\nassert main(sys.argv[1:]) == 0\n"
+                 "print(*sorted(m for m in sys.modules if m.startswith('ecuindex.')))")
+
+
+def test_each_stage_loads_only_the_modules_it_runs(three_firms, run_child):
+    """``index`` loads neither the EM, the preprocessing nor the generator, ``simulate`` no
+    model and ``fit`` no generator: a module a stage does not run only costs it start-up."""
+    out, cfg = three_firms
+    loaded = {stage: set(run_child(STAGE_MODULES, stage, "--config", cfg, "--out", out).split())
+              for stage in ("simulate", "fit", "index")}
+    assert loaded["index"] == {"ecuindex.cli", "ecuindex.config", "ecuindex.ecu",
+                               "ecuindex.panelio"}
+    assert "ecuindex.hmm" not in loaded["simulate"] and "ecuindex.simgen" in loaded["simulate"]
+    assert "ecuindex.simgen" not in loaded["fit"] and "ecuindex.hmmbatch" in loaded["fit"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_numpy_imported_after_the_package_starts_one_blas_thread(run_child):
+    """``import ecuindex`` no longer imports numpy, but it still sets one BLAS thread for it."""
+    code = "import os, ecuindex, numpy\nprint(len(os.listdir('/proc/self/task')))"
+    unset = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+    assert run_child(code, env=unset) == "1"
 
 
 def test_index_peak_memory_is_a_small_multiple_of_the_array(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Round-trip and format tests for the CSV interchange layer and the fit's firm-day array."""
 
+import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecuindex import hmm, panelio
 from ecuindex.config import build_run_config
@@ -523,6 +526,65 @@ def test_multi_fault_models_name_their_first_faulty_row(tmp_path, monkeypatch, b
     monkeypatch.setattr(panelio, "BLOCK_ROWS", block_rows)
     with pytest.raises(ValueError, match=re.escape(message)):
         read_models(models_with(tmp_path, edits))
+
+
+SPECIAL = st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 0.5, 1.0, -1.0])
+# how far a probability pair's sum is put from 1: on either side of _SIMPLEX_TOL = 1e-12
+OFF_ONE = st.just(0.0) | st.sampled_from([1e-12, -1e-12, math.nextafter(1e-12, 1.0),
+                                          -math.nextafter(1e-12, 1.0), 2e-12, -2e-12])
+# pairs summing to 1 within _SIMPLEX_TOL with an entry outside [0, 1], or a signed zero
+EDGE_PAIRS = st.sampled_from([[1.0 + 5e-13, 0.0], [-5e-13, 1.0], [-0.0, 1.0], [1.0, -0.0]])
+
+
+@st.composite
+def model_numbers(draw):
+    """12 numbers in ``MODEL_COLUMNS`` order: each regime's alpha, beta and a positive sigma,
+    then the rows of q and pi0, each pair summing to 1 but one, which is put off 1 or on an
+    edge, and up to two numbers set to a special value."""
+    row = []
+    for _ in range(2):
+        row += [draw(st.floats()), draw(st.floats()), draw(st.floats(5e-324, 1e300))]
+    for _ in range(3):
+        first = draw(st.floats(0.0, 1.0))
+        row += [first, 1.0 - first]
+    k = draw(st.sampled_from([6, 8, 10]))
+    row[k:k + 2] = draw(EDGE_PAIRS | OFF_ONE.map(lambda off: [row[k], 1.0 - row[k] + off]))
+    for j in draw(st.lists(st.integers(0, 11), max_size=2)):
+        row[j] = draw(SPECIAL)
+    return row
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(model_numbers())
+def test_column_check_accepts_exactly_the_models_the_row_check_accepts(numbers):
+    """A block of one row passes the column check when its numbers are finite, as the row
+    check reads them, and ``RegimeModel.from_numbers`` accepts them."""
+    columns = {"firm_id": ["A"], "sector_code": ["101"], "district_code": ["D01"],
+               **{name: [repr(x)] for name, x in zip(hmm.MODEL_COLUMNS, numbers)},
+               "loglik": ["0.0"], "converged": ["true"], "degenerate": ["false"]}
+    try:
+        RegimeModel.from_numbers(numbers)
+        accepted = all(map(math.isfinite, numbers))
+    except ValueError:
+        accepted = False
+    assert (panelio._models_block(columns) is not None) == accepted
+
+
+@pytest.mark.parametrize("block_rows", [1, panelio.BLOCK_ROWS])
+def test_a_model_off_the_simplex_mid_block_is_named_by_its_row(tmp_path, monkeypatch,
+                                                               block_rows):
+    """A q row readable and in [0, 1] but summing to 1 + 2e-12 fails a block's column check,
+    and the block read again row by row names it as ``RegimeModel`` does."""
+    monkeypatch.setattr(panelio, "BLOCK_ROWS", block_rows)
+    table = models_table("ABCDE")
+    table[3][2, 6:8] = [0.75, 0.25 + 2e-12]
+    path = tmp_path / "models.csv"
+    write_models(path, *table)
+    with pytest.raises(ValueError) as refused:
+        RegimeModel.from_numbers(table[3][2])
+    with pytest.raises(ValueError) as caught:
+        read_models(path)
+    assert str(caught.value) == f"{path} data row 3: firm C: {refused.value}"
 
 
 def test_readers_peak_memory_is_bounded_by_a_block(tmp_path, monkeypatch):
