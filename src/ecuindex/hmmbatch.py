@@ -7,10 +7,11 @@ operations on (m,) vectors with one entry per row, the same operations in the sa
 ``em_fit``'s, so every row rounds as it would alone.  Its M-step, ``_m_step_rows``, is
 ``_m_step``'s arithmetic on the whole batch, each weighted sum a per-row BLAS dot.  A row that
 leaves the batch makes room for the next one waiting, and ``_em_tail`` hands a stream's last
-rows to ``em_fit``; a stream can instead hand its last rows back, each with its EM state, for a
-later stream to finish.  A row's model is its column of the batch's (12, m) array: its 12
-numbers in ``hmm.MODEL_COLUMNS`` order, those of ``RegimeModel.numbers`` and of a
-``models.csv`` row.  Only the fit imports this module, so the other stages do not compile it.
+rows to ``em_fit``; a stream can instead hand its last rows back, each with its EM state, its
+model's numbers and a log-likelihood trace as long as its update count, for a later stream to
+finish.  A row's model is its column of the batch's (12, m) array: its 12 numbers in
+``hmm.MODEL_COLUMNS`` order, those of ``RegimeModel.numbers`` and of a ``models.csv`` row.
+Only the fit imports this module, so the other stages do not compile it.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
             max_iter=RunConfig.em_max_iter, offsets=None, hand_back=-1):
     """``em_fit`` on rows of the (n, T) grid ``ys``: ``starts`` yields (key, row of ``ys``,
     init), each key hashable and distinct, and each start's row is fitted from its init, a
-    model or the state (its 12 numbers, trace, update count) in which a stream handed it back,
-    in a batch of at most ``width`` rows whose recursions run side by side as row vectors.
+    model or the state (its 12 numbers, trace) in which a stream handed it back, in a batch of
+    at most ``width`` rows whose recursions run side by side as row vectors.
 
     ``starts`` is read as the batch has room, so a start's init is only made when its row
     joins.  Each row takes ``em_fit``'s operations in ``em_fit``'s order, so each start's
@@ -53,27 +54,25 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
     t = np.arange(1, T + 1, dtype=float)
     last = max(hand_back, SCALAR_ROWS) if hand_back >= 0 else -1  # most running rows handed back
     out: dict = {}  # per key of a start that the last batch step finished, its outcome
-    keys, rows, floors, traces, updates = [], [], [], [], []  # per batch row
+    keys, rows, floors, traces = [], [], [], []  # per batch row
     model = np.empty((12, 0))  # per batch row its 12 numbers (``_views``)
     pool = np.empty(8 * width * T)  # the batch's rows and its E-step's buffers
     while True:
         yield from out.items()
         out.clear()
         if waiting is None and len(rows) <= last:
-            yield from zip(keys, zip(model.T.copy(), traces, updates))
+            yield from zip(keys, zip(model.T.copy(), traces))
             return
         with np.errstate(all="ignore"):  # a failing row's NaNs stay in its own column
             joining = []
             while waiting is not None and len(rows) < width:
                 key, row, init = waiting
-                numbers, trace, count = ((init.numbers(), [], 0)
-                                         if isinstance(init, RegimeModel) else init)
+                numbers, trace = (init.numbers(), []) if isinstance(init, RegimeModel) else init
                 joining.append(numbers)
                 keys.append(key)
                 rows.append(row)
                 floors.append(sigma_floor(ys[row]))
                 traces.append(list(trace))
-                updates.append(count)
                 waiting = next(starts, None)
             if joining:
                 model = np.concatenate((model, np.array(joining).T), axis=1)
@@ -92,11 +91,12 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
                     out[keys[j]] = errors[j]
                     continue
                 trace.append(logliks[j])
-                converged = _converged(trace, updates[j], tol, max_iter)
-                if converged or updates[j] >= max_iter:
+                updates = len(trace) - 1
+                converged = _converged(trace, updates, tol, max_iter)
+                if converged or updates >= max_iter:
                     try:
                         out[keys[j]] = _report(RegimeModel.from_numbers(model[:, j]), floors[j],
-                                               filtered[:, :, j], trace, updates[j], converged)
+                                               filtered[:, :, j], trace, updates, converged)
                     except ValueError as exc:
                         out[keys[j]] = exc
                 else:
@@ -109,8 +109,7 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
                     except ValueError:  # em_fit checks q and pi0 only at the end
                         kept.append(j)
                         continue
-                    out[keys[j]] = _em_tail(ys[rows[j]], offsets, init, traces[j], updates[j],
-                                            tol, max_iter)
+                    out[keys[j]] = _em_tail(ys[rows[j]], offsets, init, traces[j], tol, max_iter)
                 running = kept
             stepped = []
             if running:  # the E-step's densities, of no further use, hold the M-step's
@@ -120,16 +119,16 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
                 if failures[j] is not None:
                     out[keys[j]] = failures[j]
                     continue
-                updates[j] += 1
                 stepped.append(j)
             model = model.take(stepped, axis=1)
-            keys, rows, floors, traces, updates = ([x[j] for j in stepped]
-                                                   for x in (keys, rows, floors, traces, updates))
+            keys, rows, floors, traces = ([x[j] for j in stepped]
+                                          for x in (keys, rows, floors, traces))
 
 
-def _em_tail(y: np.ndarray, offsets, init: RegimeModel, trace: list, updates, tol, max_iter):
+def _em_tail(y: np.ndarray, offsets, init: RegimeModel, trace: list, tol, max_iter):
     """The row's fit by ``hmm.em_fit`` (looked up on the module, so that a wrapper set there sees
-    it) from the model reached after ``updates``, joined to ``trace``; or the exception raised."""
+    it) from the model its ``len(trace) - 1`` updates reached, joined to ``trace``; or its error."""
+    updates = len(trace) - 1
     try:
         tail = hmm.em_fit(y if offsets is None else DeviationSeries(offsets, y), init, tol=tol,
                           max_iter=max_iter - updates)

@@ -4,19 +4,19 @@
 process pool, one per worker on a contiguous share of its rows.  A job preprocesses its rows,
 fits them by EM in a batch that refills as rows converge (``hmmbatch.em_rows``), and writes each
 row's deviations, causal filter (EM's last forward pass) and the cleaned consumption that weights
-the index into one firm-day array.  A pool job hands its last running rows back with their EM
-states, and the parent finishes those of every job in one stream (``_drain``), so a fit pays
-one drain of small batch steps at any worker count; a reply holds the models of its fits and
-its states alike as 12 numbers (``RegimeModel.numbers``).  A firm's results depend only on its
-own row and the run settings, not on the other firms in its job nor the worker count.
+the index into one firm-day array.  A job folds EM's outcomes into one record per row as they
+arrive (``_fold``): its best fit, whose filter goes straight into the array, and its first
+failure.  A pool job returns what a serial one does, its records and the EM states of the rows
+it hands back, which the parent finishes for every job in one stream and folds in (``_drain``),
+so a fit pays one drain of small batch steps at any worker count.  A firm's results depend
+only on its own row and the run settings, not on the other firms in its job nor the worker count.
 ``fit_outputs`` turns the results into the fit's product, one ``panelio.FitOutputs`` table.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from . import hmmbatch
 from .config import RunConfig
 from .ecu import FirmDayPanel
-from .hmm import FilterOutput, FitReport, RegimeModel, init_params, random_init
+from .hmm import FilterOutput, FitReport, init_params, random_init
 from .panelio import FIRMDAY_LAYERS, MODELS_HEADER, FitOutputs
 from .preprocess import DeviationSeries, KwhPanel, firm_rng, preprocess_grid
 
@@ -55,12 +55,12 @@ EM_BATCH = 128
 _SHARED = []  # in a pool worker, the (panel, cfg, out) it inherited by fork
 
 
-def _fit_block(block: KwhPanel, cfg: RunConfig, out: np.ndarray, hand_back=-1) -> list[tuple]:
+def _fit_block(block: KwhPanel, cfg: RunConfig, out: np.ndarray, hand_back=-1) -> tuple:
     """Preprocess a block of the panel's rows on grids of at most ``EM_BLOCK`` rows and fit each
     row it keeps by EM in a batch of at most ``EM_BATCH`` rows, writing row k's
-    ``FIRMDAY_LAYERS`` into ``out[:, k]``; returns ``_gather``'s (k, start, outcome) list and
-    (k, 0, message) per row refused or whose init fails.  With a ``hand_back`` of 0 or more, the
-    EM stream hands back the rows still running as ``hmmbatch.em_rows`` says.
+    ``FIRMDAY_LAYERS`` into ``out[:, k]``; returns ``_fold``'s records, (None, (0, message))
+    for a row refused or whose init fails, and the states that the EM stream hands back, given a
+    ``hand_back`` of 0 or more, as ``hmmbatch.em_rows`` says.
 
     EM starts from the deterministic init and from ``multi_start`` random inits drawn from the
     firm's stream 3, each made as its row joins the EM batch and keyed (row, start index).
@@ -86,81 +86,55 @@ def _fit_block(block: KwhPanel, cfg: RunConfig, out: np.ndarray, hand_back=-1) -
                 continue
             yield from (((k, i), k, init) for i, init in enumerate(inits))
 
-    fits = list(_gather(hmmbatch.em_rows(y, starts(), EM_BATCH, cfg.em_tol, cfg.em_max_iter,
-                                         offsets, hand_back),
-                        defaultdict(lambda: 1 + cfg.multi_start), out))
-    return fits + [(k, 0, e) for k, e in enumerate(errors) if e is not None]
+    records = {}
+    states = _fold(records, hmmbatch.em_rows(y, starts(), EM_BATCH, cfg.em_tol, cfg.em_max_iter,
+                                             offsets, hand_back), out)
+    records.update((k, (None, (0, e))) for k, e in enumerate(errors) if e is not None)
+    return records, states
 
 
-def _gather(outcomes, waiting, out: np.ndarray):
-    """Once ``waiting[k]`` EM ``outcomes`` keyed (k, start) are in, yield (k, start, outcome)
-    for what decides row k: its first failure in init order, as a message, else its best fit,
-    the first of the highest final log-likelihoods (so multi_start=0 output is kept whenever it
-    is already the best), its filter written into and held as ``out[1:3, k]``; and each
-    handed-back state before the failure.  A flat firm's fit is degenerate: its deviations lie
-    within 1e-8 of (1 plus) its mean test-window kWh, far above the 1e-13 residual the rolling
-    sums leave where both years match, and below any real change."""
-    known = {}
+def _fold(records: dict, outcomes, out: np.ndarray) -> list:
+    """Fold EM ``outcomes`` keyed (k, start) into ``records``, one (best, failure) per row k,
+    in any order of arrival: its best fit as (start, fit), the first in init order of the
+    highest final log-likelihoods (so multi_start=0 output is kept whenever it is already the
+    best), its filter written into ``out[1:3, k]`` and detached from the fit kept; and its first
+    failure in init order as (start, message).  Returns the handed-back states, unfolded."""
+    states = []
     for (k, i), fit in outcomes:
-        known.setdefault(k, {})[i] = fit
-        waiting[k] -= 1
-        if waiting[k]:
+        if isinstance(fit, tuple):
+            states.append(((k, i), fit))
             continue
-        fits = sorted(known.pop(k).items())  # in init order
-        first = next((j for j, (_, fit) in enumerate(fits)
-                      if not isinstance(fit, (FitReport, tuple))), len(fits))
-        done = [(i, fit) for i, fit in fits if isinstance(fit, FitReport)]
-        if first < len(fits):
-            yield k, fits[first][0], str(fits[first][1])
-        elif done:
-            i, best = max(done, key=lambda pair: pair[1].loglik_trace[-1])  # the first of equal
-            out[1:3, k] = best.filter.filtered.T  # now, so that few rows' filters are held
-            flat = np.abs(out[0, k]).max() <= 1e-8 * (1.0 + np.abs(out[3, k]).mean())
-            yield k, i, FitReport(best.model, FilterOutput(out[1:3, k].T, best.loglik_trace[-1]),
-                                  best.iterations, best.loglik_trace, best.converged,
-                                  best.degenerate or bool(flat))
-        yield from ((k, i, fit) for i, fit in fits[:first] if isinstance(fit, tuple))
+        best, failed = records.get(k, (None, None))
+        if not isinstance(fit, FitReport):
+            if failed is None or i < failed[0]:
+                records[k] = best, (i, str(fit))
+        # a higher final log-likelihood, or as high from an earlier start
+        elif best is None or (fit.loglik_trace[-1], best[0]) > (best[1].loglik_trace[-1], i):
+            out[1:3, k] = fit.filter.filtered.T  # now, so that few rows' filters are held
+            records[k] = (i, replace(fit, filter=None)), failed
+    return states
 
 
 def _fit_share(rows: slice, hand_back: int) -> tuple:
-    """A pool job: ``_fit_block`` on a share of the panel's rows, its fits and handed-back
-    states packed as (k, start, count) ints, (n, 12) model numbers, flags (converged,
-    degenerate, handed back) and one array of traces with their lengths, none length T."""
+    """A pool job: ``_fit_block`` on a share of the panel's rows, its rows numbered as the
+    panel's; each fit's filter is in the shared array, so no length-T array is sent back."""
     panel, cfg, out = _SHARED
-    fits = [(rows.start + k, i, fit)
-            for k, i, fit in _fit_block(panel[rows], cfg, out[:, rows], hand_back)]
-    kept = [(k, i, fit.iterations, fit.model.numbers(), fit.loglik_trace, fit.converged,
-             fit.degenerate, False) if isinstance(fit, FitReport)
-            else (k, i, fit[2], fit[0], fit[1], False, False, True)  # (numbers, trace, count)
-            for k, i, fit in fits if not isinstance(fit, str)]
-    k, i, counts, numbers, traces, *flags = zip(*kept) if kept else [()] * 8
-    return (np.array([k, i, counts], dtype=np.intp), np.array(numbers).reshape(-1, 12),
-            np.array(flags, dtype=bool), np.concatenate([[], *traces]),
-            np.array([len(t) for t in traces], dtype=np.intp),
-            [fit for fit in fits if isinstance(fit[2], str)])
+    records, states = _fit_block(panel[rows], cfg, out[:, rows], hand_back)
+    return ({rows.start + k: record for k, record in records.items()},
+            [((rows.start + k, i), state) for (k, i), state in states])
 
 
-def _drain(replies: list[tuple], cfg: RunConfig, out: np.ndarray) -> list[tuple]:
-    """The pool's (k, start, outcome) list, each fit's filter the view of ``out`` its job wrote,
-    after the states of all jobs finish in one ``em_rows`` stream, one drain of small batch
-    steps and one ``em_fit`` tail, and each row that had one is gathered again."""
-    fits = []
-    for ints, numbers, flags, traces, lengths, failed in replies:
-        fits += failed
-        for (k, i, count), row, (converged, degenerate, running), trace in zip(
-                ints.T.tolist(), numbers, flags.T.tolist(),
-                np.split(traces, np.cumsum(lengths)[:-1])):
-            fits.append((k, i, (row, trace.tolist(), count) if running else FitReport(
-                RegimeModel.from_numbers(row), FilterOutput(out[1:3, k].T, trace[-1]), count,
-                trace, converged, degenerate)))
-    running = {k for k, _, fit in fits if isinstance(fit, tuple)}
-    pending = [((k, i), fit) for k, i, fit in fits if k in running]
-    states = [(key, key[0], fit) for key, fit in pending if isinstance(fit, tuple)]
-    drained = hmmbatch.em_rows(out[0], states, EM_BATCH, cfg.em_tol, cfg.em_max_iter,
-                               np.arange(-cfg.span, cfg.span + 1))
-    outcomes = [(key, fit) for key, fit in pending if not isinstance(fit, tuple)] + [*drained]
-    return ([fit for fit in fits if fit[0] not in running]
-            + list(_gather(outcomes, Counter(k for (k, _), _ in pending), out)))
+def _drain(replies: list[tuple], cfg: RunConfig, out: np.ndarray) -> dict:
+    """The pool's records: those of its jobs, each row a single job's, into which the states of
+    all jobs, finished in one ``em_rows`` stream, one drain of small batch steps and one
+    ``em_fit`` tail, are folded."""
+    records, states = {}, []
+    for job_records, job_states in replies:
+        records.update(job_records)
+        states += [(key, key[0], state) for key, state in job_states]
+    _fold(records, hmmbatch.em_rows(out[0], states, EM_BATCH, cfg.em_tol, cfg.em_max_iter,
+                                    np.arange(-cfg.span, cfg.span + 1)), out)
+    return records
 
 
 def fit_panel(panel: KwhPanel, cfg: RunConfig,
@@ -174,15 +148,18 @@ def fit_panel(panel: KwhPanel, cfg: RunConfig,
     pickled, and a dead worker (``ChildProcessError``) leaves nothing to clean up.  The parent
     finishes the last ``min(EM_BATCH // workers, share // 2)`` rows of each job, or the last
     ``hmmbatch.SCALAR_ROWS`` if that is more, in one ``_drain``.  A firm whose series cannot
-    cover the windows or whose fit fails numerically is skipped with a diagnostic.  ``workers``
-    defaults to ``cfg.workers``; a pool has at most one process per firm and CPU.
+    cover the windows or whose fit fails numerically is skipped with a diagnostic, and a flat
+    one's fit is degenerate: its deviations lie within 1e-8 of (1 plus) its mean test-window
+    kWh, far above the 1e-13 residual the rolling sums leave where both years match, and below
+    any real change.  ``workers`` defaults to ``cfg.workers``; a pool has at most one process
+    per firm and CPU.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(cfg.workers if workers is None else workers, len(panel), cpus or 1))
     offsets = np.arange(-cfg.span, cfg.span + 1)
     shape = (len(FIRMDAY_LAYERS), len(panel), len(offsets))
     if workers <= 1:
-        fits = _fit_block(panel, cfg, out := np.empty(shape))
+        records, _ = _fit_block(panel, cfg, out := np.empty(shape))
     else:
         import mmap  # only a pool run pays for these imports
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -198,12 +175,20 @@ def fit_panel(panel: KwhPanel, cfg: RunConfig,
                     min(EM_BATCH // workers, (s.stop - s.start) // 2) for s in shares]))
         except BrokenExecutor as exc:
             raise ChildProcessError(f"the fit's process pool broke: {exc}") from None
-        fits = _drain(replies, cfg, out)
-    fits.sort(key=lambda fit: fit[0])
-    return ([FirmFitResult(panel.firm_ids[k], panel.sector_codes[k], panel.district_codes[k],
-                           DeviationSeries(offsets, out[0, k]), fit, out[3, k], out[4, k])
-             for k, _, fit in fits if not isinstance(fit, str)],
-            [(panel.firm_ids[k], fit) for k, _, fit in fits if isinstance(fit, str)])
+        records = _drain(replies, cfg, out)
+    results, skipped = [], []
+    for k, (best, failed) in sorted(records.items()):
+        if failed:
+            skipped.append((panel.firm_ids[k], failed[1]))
+            continue
+        fit = best[1]
+        flat = np.abs(out[0, k]).max() <= 1e-8 * (1.0 + np.abs(out[3, k]).mean())
+        report = replace(fit, filter=FilterOutput(out[1:3, k].T, fit.loglik_trace[-1]),
+                         degenerate=fit.degenerate or bool(flat))
+        results.append(FirmFitResult(panel.firm_ids[k], panel.sector_codes[k],
+                                     panel.district_codes[k], DeviationSeries(offsets, out[0, k]),
+                                     report, out[3, k], out[4, k]))
+    return results, skipped
 
 
 def fit_outputs(results: Iterable[FirmFitResult]) -> FitOutputs:

@@ -178,3 +178,33 @@ def test_importing_the_package_starts_one_blas_thread_unless_told_otherwise(run_
     unset = dict.fromkeys(BLAS_THREADS)
     assert run_child(code, env=unset) == "1 1"
     assert run_child(code, env={**unset, "OPENBLAS_NUM_THREADS": "2"}).split()[1] == "2"
+
+
+def test_pipeline_decides_each_firm_once():
+    """A firm's EM outcomes are folded into one record as they arrive, and the fit reads its
+    decision off that record: in ``pipeline`` one function writes a fit's filter into
+    ``out[1:3, …]``, nothing imports ``collections``, whose counters a second gathering of
+    outcomes needed, and no function but ``fit_panel`` builds a ``FilterOutput``."""
+    tree = ast.parse(Path(pipeline.__file__).read_text(encoding="utf-8"))
+    writers, builders, imported = set(), set(), set()
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            targets = (node.targets if isinstance(node, ast.Assign) else [node.target]
+                       if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+            for sub in (sub for target in targets for sub in ast.walk(target)):
+                if (isinstance(sub, ast.Subscript) and dotted(sub.value) == "out"
+                        and isinstance(sub.slice, ast.Tuple)
+                        and ast.unparse(sub.slice.elts[0]) == "1:3"):
+                    writers.add(function.name)
+            if isinstance(node, ast.Call) and dotted(node.func).endswith("FilterOutput"):
+                builders.add(function.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").partition(".")[0])
+    assert len(writers) == 1, writers
+    assert builders == {"fit_panel"}
+    assert "collections" not in imported

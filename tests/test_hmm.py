@@ -439,6 +439,7 @@ def test_swapped_init_gives_the_same_fit_bit_for_bit(case):
     """The regimes' order in the init changes no rounding, so a labelled fit cannot tell."""
     y, model = case
     report = unless_classified_failure(em_fit, y, model, max_iter=50)
+    assert report is None or report.iterations == len(report.loglik_trace) - 1
     if report is None or report.degenerate:  # tied regimes would keep their init order
         return
     assert fit_bits(em_fit(y, swap_regimes(model), max_iter=50)) == fit_bits(report)
@@ -486,6 +487,7 @@ def assert_is_em_fit(out, y, model, offsets, max_iter=50):
     """``out`` is ``em_fit``'s outcome on ``y`` alone from ``model``, as a ``DeviationSeries``
     when there are offsets."""
     assert isinstance(out, (FitReport, ValueError, RuntimeError))
+    assert isinstance(out, Exception) or out.iterations == len(out.loglik_trace) - 1
     got = (type(out), str(out)) if isinstance(out, Exception) else fit_bits(out)
     series = y if offsets is None else DeviationSeries(offsets, y)
     assert got == outcome_bits(em_fit, series, model, max_iter=max_iter)
@@ -582,7 +584,7 @@ def test_rows_handed_back_end_as_em_fit_ends_them():
     first = dict(hmmbatch.em_rows(ys, [(0, 0, late), (1, 1, early), (2, 2, walk_init)], 3,
                                   max_iter=4, hand_back=3))
     assert isinstance(first[1], FilterDegeneracyError)
-    assert [(type(first[j]), first[j][2]) for j in (0, 2)] == [(tuple, 1)] * 2  # one update
+    assert [(type(first[j]), len(first[j][1])) for j in (0, 2)] == [(tuple, 1)] * 2  # one update
     em_fit_of = {0: (y, late), 2: (walk, walk_init), "fresh": (walk, walk_init)}
     for scalar_rows, tails in ((0, 0), (16, 2)):
         calls = []
@@ -608,7 +610,7 @@ def test_a_stream_that_hands_back_never_calls_em_fit():
                                     hand_back=2))
     assert calls == []
     assert sorted(out) == [0, 1, 2, 3]
-    assert [(len(numbers), count) for numbers, _, count in out.values()] == [(12, 1)] * 4
+    assert [(len(numbers), len(trace)) for numbers, trace in out.values()] == [(12, 1)] * 4
 
 
 def test_a_tail_row_whose_model_is_refused_stays_in_the_batch():
@@ -626,7 +628,7 @@ def test_a_tail_row_whose_model_is_refused_stays_in_the_batch():
         with (mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows),
               mock.patch.object(hmm, "em_fit", counting(calls))):
             [(key, outs[scalar_rows])] = hmmbatch.em_rows(
-                walk[None], [("off", 0, (numbers, [], 0))], 1, max_iter=50)
+                walk[None], [("off", 0, (numbers, []))], 1, max_iter=50)
         assert (key, [kwargs["max_iter"] for _, kwargs in calls]) == ("off", tails)
     assert isinstance(outs[0], FitReport) and outs[0].iterations > 1
     assert fit_bits(outs[16]) == fit_bits(outs[0])

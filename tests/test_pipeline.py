@@ -6,7 +6,7 @@ import math
 import os
 import pickle
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ import pytest
 from ecuindex import hmm, hmmbatch, panelio, pipeline
 from ecuindex.cli import main
 from ecuindex.config import DEFAULT_SECTOR_MIX, RunConfig, build_run_config
-from ecuindex.hmm import FilterDegeneracyError, FitReport, RegimeModel
+from ecuindex.hmm import FilterDegeneracyError, FilterOutput, FitReport, RegimeModel
 from ecuindex.panelio import read_fit_outputs, write_panel
 from ecuindex.pipeline import build_firmday_panel, fit_outputs, fit_panel, reference_totals
 from ecuindex.preprocess import DeviationSeries, KwhPanel, preprocess_grid
@@ -164,6 +164,18 @@ def test_fit_panel_pool_is_capped_by_firms_and_cpus(run_cfg, monkeypatch, cpus, 
     assert fits(results) == fits(serial)
 
 
+def arrays_in(x):
+    """The arrays in ``x``, through its containers and the fields of its dataclasses."""
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, (dict, list, tuple)):
+        for item in (x.items() if isinstance(x, dict) else x):
+            yield from arrays_in(item)
+    elif is_dataclass(x):
+        for field in fields(x):
+            yield from arrays_in(getattr(x, field.name))
+
+
 def test_a_pool_job_writes_its_layers_and_sends_back_no_length_t_array(run_cfg, monkeypatch):
     """A pool job, run here on rows 2..5 of six, hands back its last two rows (no ``em_fit``
     tail comes first), which the parent's drain finishes: the layers in the shared array are
@@ -175,11 +187,16 @@ def test_a_pool_job_writes_its_layers_and_sends_back_no_length_t_array(run_cfg, 
     monkeypatch.setattr(pipeline, "_SHARED", [panel, run_cfg, out])
     monkeypatch.setattr(hmmbatch, "SCALAR_ROWS", 0)
     reply = pipeline._fit_share(slice(2, 6), 2)
-    (ks, _, _), _, (_, _, handed_back) = reply[:3]
-    assert sorted(ks.tolist()) == [2, 3, 4, 5] and handed_back.sum() == 2 and reply[-1] == []
+    records, states = reply
+    ks = [*records, *(k for (k, _), _ in states)]
+    assert sorted(ks) == [2, 3, 4, 5] and len(states) == 2
+    assert [failed for _, failed in records.values()] == [None] * len(records)
+    shapes = [array.shape for array in arrays_in(reply)]
+    assert shapes and all(days not in shape for shape in shapes)
     size = len(pickle.dumps(reply))
-    fits = pipeline._drain([reply], run_cfg, out)
-    assert sorted(k for k, _, fit in fits if isinstance(fit, FitReport)) == [2, 3, 4, 5]
+    records = pipeline._drain([reply], run_cfg, out)
+    assert sorted(k for k, (best, _) in records.items() if isinstance(best[1], FitReport)) == [
+        2, 3, 4, 5]
     serial = fit_outputs(fit_panel(panel, run_cfg, workers=1)[0]).firmdays
     np.testing.assert_array_equal(out[:, 2:], serial[:, 2:])
     np.testing.assert_array_equal(out[:, :2], 0.0)
@@ -427,14 +444,46 @@ def test_a_model_holds_python_floats_whichever_em_finished_it(run_cfg, monkeypat
     for width in (64, 128):
         monkeypatch.setattr(pipeline, "EM_BATCH", width)
         tails.clear()
-        fits = pipeline._fit_block(panel, cfg, np.empty((5, len(panel), 191)))
-        assert sorted(k for k, _, fit in fits if isinstance(fit, FitReport)) == [*range(80)]
-        assert {type(x) for _, _, fit in fits for p in fit.model.params
+        records, _ = pipeline._fit_block(panel, cfg, np.empty((5, len(panel), 191)))
+        assert sorted(k for k, (best, _) in records.items()
+                      if isinstance(best[1], FitReport)) == [*range(80)]
+        assert {type(x) for (_, fit), _ in records.values() for p in fit.model.params
                 for x in (p.alpha, p.beta, p.sigma)} == {float}
-        replies.append(pickle.dumps(sorted(fits, key=lambda fit: fit[0])))
+        replies.append(pickle.dumps(sorted(records.items())))
         tail_rows.append(len(tails))
     assert tail_rows == [16, 0]
     assert replies[0] == replies[1]
+
+
+def test_a_row_is_decided_in_init_order_whatever_order_its_outcomes_arrive_in():
+    """``_fold`` keeps a row's best fit, the first in init order of its highest final
+    log-likelihoods, with that fit's filter in ``out``, and its first failure in init order, on
+    which ``fit_panel`` skips the row, whichever outcome arrives first; a handed-back state
+    passes back unfolded."""
+    model, T = hmm.init_params(np.arange(5.0)), 5
+
+    def fit(loglik, p):  # a fit whose filter is (p, 1 - p) at every step
+        return FitReport(model, FilterOutput(np.full((T, 2), [p, 1.0 - p]), loglik), 1,
+                         np.array([loglik - 1.0, loglik]), True, False)
+
+    tied = [((0, 2), fit(-5.0, 0.3)), ((0, 0), fit(-6.0, 0.1)), ((0, 1), fit(-5.0, 0.2))]
+    higher = [*tied, ((0, 3), fit(-4.0, 0.4))]
+    failing = [((0, 3), ValueError("fourth fails")), ((0, 0), fit(-5.0, 0.1)),
+               ((0, 1), RuntimeError("second fails")), ((0, 2), fit(-4.0, 0.3))]
+    state = (np.arange(12.0), [-7.0])
+    for outcomes, start, p, failed in [(tied, 1, 0.2, None), (higher, 3, 0.4, None),
+                                       (failing, 2, 0.3, (1, "second fails"))]:
+        for arrival in itertools.permutations(outcomes):
+            records, out = {}, np.zeros((5, 1, T))
+            [(key, passed)] = pipeline._fold(records, [*arrival[:2], ((0, 9), state),
+                                                       *arrival[2:]], out)
+            assert key == (0, 9) and passed is state
+            (kept, best), failure = records.pop(0)
+            assert (kept, best.filter, best.loglik_trace[-1], failure) == (
+                start, None, dict(outcomes)[0, start].loglik_trace[-1], failed)
+            assert records == {}
+            np.testing.assert_array_equal(out[1:3, 0].T, np.full((T, 2), [p, 1.0 - p]))
+            np.testing.assert_array_equal(out[[0, 3, 4]], 0.0)
 
 
 def test_a_firms_starts_are_gathered_by_key_not_by_arrival(records, monkeypatch):
