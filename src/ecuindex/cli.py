@@ -72,7 +72,7 @@ def cmd_fit(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, str])
 
 
 def cmd_index(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, str]) -> None:
-    fit = read_fit_outputs(out)
+    fit = read_fit_outputs(out, ("mu_r", "ele_test", "ele_ref"))  # what it aggregates
     known_sectors = read_code_map(cfg.code_map) if cfg.code_map else None
 
     series = ecu_grouped(fit.panel, "none")
@@ -89,11 +89,11 @@ def cmd_index(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, str
 def cmd_report(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, str]) -> None:
     from .hmm import RegimeModel  # index, which reads the same files, never loads the model
     firm = raw["firm"]
-    fit = read_fit_outputs(out)
+    fit = read_fit_outputs(out, ("y", "mu_p", "mu_r"))
     if firm not in fit.firm_ids:
         raise ValueError(f"unknown firm id {firm!r}")
     k = fit.firm_ids.index(firm)
-    y, mu_p, mu_r, _, _ = fit.firmdays[:, k]
+    y, mu_p, mu_r = (layer[k] for layer in fit.firmdays[:3])
     offsets = np.arange(len(y)) - len(y) // 2
     path = out / f"report_{firm}.csv"
     write_report(path, offsets, (y, mu_p, mu_r), cfg.test_base, comments)

@@ -6,13 +6,15 @@ weight, plus the simplified resumption power index (total consumption and
 its smoothed gap to the reference year).
 
 The inputs are firm x offset arrays.  Each (group, offset) cell is one
-``math.fsum`` over that group's rows of one offset's column, taken where
-they lie.  ``fsum`` is correctly rounded, so results are independent of
-firm order and safe to partition across groups.
+``math.fsum`` over that group's rows of one offset's column, gathered and
+weighted a block of columns at a time, so no other firm x offset array is built.
+``fsum`` is correctly rounded, so results are independent of firm order and
+safe to partition across groups.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +26,7 @@ GROUP_AGGREGATE = "aggregate"
 GROUP_SECTOR = "sector"
 GROUP_DISTRICT = "district"
 AGGREGATE_KEY = "all"
+BLOCK_VALUES = 8192  # firm-days an exact sum gathers and multiplies at a time, or one column
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,11 @@ class FirmDayPanel:
 
     def __len__(self) -> int:
         return self.ele.size
+
+    @functools.cached_property
+    def totals(self) -> np.ndarray:
+        """Exact sum of ``ele`` per offset: the aggregate ECU's weight and the sRPI."""
+        return column_fsums(self.ele)
 
 
 @dataclass(frozen=True)
@@ -119,10 +127,16 @@ def trailing_mean(values, window: int) -> np.ndarray:
     return (c[idx + 1] - c[lo]) / (idx + 1 - lo)
 
 
-def column_fsums(values: np.ndarray) -> np.ndarray:
-    """Exact sum of each column of ``values`` (n, T); one column at a time is held as a Python
-    list."""
-    return np.array([math.fsum(column.tolist()) for column in values.T])
+def column_fsums(values: np.ndarray, rows=slice(None), factor=None) -> np.ndarray:
+    """Exact sum of each column of ``values[rows]`` (n, T), or of ``values[rows] * factor[rows]``,
+    taken a block of about ``BLOCK_VALUES`` values at a time; one column at a time is held as a
+    Python list."""
+    sums, width = [], max(1, BLOCK_VALUES // max(1, len(values[rows, :0])))  # a block's columns
+    for at in range(0, values.shape[1], width):
+        block = values[rows, at:at + width]
+        block = block if factor is None else block * factor[rows, at:at + width]
+        sums += [math.fsum(column.tolist()) for column in block.T]
+    return np.array(sums)
 
 
 def ecu_grouped(panel: FirmDayPanel, group_by: str = "none", known_codes=None) -> list[EcuSeries]:
@@ -150,16 +164,16 @@ def ecu_grouped(panel: FirmDayPanel, group_by: str = "none", known_codes=None) -
         if unknown:
             raise ValueError(f"unknown {group_by} code {unknown[0]!r}")
         group_keys, group = np.unique(keys, return_inverse=True)
-        groups = [(key, group == g) for g, key in enumerate(group_keys)]
+        groups = [(key, np.flatnonzero(group == g)) for g, key in enumerate(group_keys)]
     else:
         raise ValueError(f"group_by must be 'none', 'sector' or 'district', got {group_by!r}")
 
+    consuming = panel.ele > 0.0
     series = []
     for key, rows in groups:
-        ele = panel.ele[rows]
-        cnt = np.count_nonzero(ele > 0.0, axis=0)
-        den = column_fsums(ele)
-        num = column_fsums(ele * panel.mu_r[rows])  # a zero weight adds exact zeros
+        cnt = np.count_nonzero(consuming[rows], axis=0)
+        den = panel.totals if group_type == GROUP_AGGREGATE else column_fsums(panel.ele, rows)
+        num = column_fsums(panel.ele, rows, panel.mu_r)  # a zero weight adds exact zeros
         ecu = np.full(den.shape, np.nan)
         np.divide(num, den, out=ecu, where=cnt > 0)
         series.append(EcuSeries(group_type, key, panel.offsets.copy(), ecu,
@@ -181,6 +195,5 @@ def srpi(panel: FirmDayPanel, reference_totals: np.ndarray,
     if ref.shape != panel.offsets.shape:
         raise ValueError(f"reference totals have shape {ref.shape}; the panel's "
                          f"{len(panel.offsets)} offsets need shape {panel.offsets.shape}")
-    totals = column_fsums(panel.ele)
-    delta = trailing_mean(totals - ref, window_days)
-    return SrpiSeries(panel.offsets.copy(), totals, delta)
+    delta = trailing_mean(panel.totals - ref, window_days)
+    return SrpiSeries(panel.offsets.copy(), panel.totals, delta)

@@ -17,7 +17,8 @@ written from a ``KwhPanel``'s firm x day grid), ``models.csv`` (one row
 per fitted firm: its model, flags and group codes), ``ecu.csv``, ``srpi.csv``,
 ``report_<firm>.csv`` and the ``code,name`` code map of the sectors ``index``
 accepts.  The fit's firm-day values go to ``index`` as a binary array instead,
-``firmdays.npy``; it and ``models.csv`` are one ``FitOutputs`` on disk.
+``firmdays.npy``; it and ``models.csv`` are one ``FitOutputs`` on disk.  The array is
+read a layer at a time, each checked, and only the layers a stage names are kept.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ REPORT_HEADER = ["offset", "date", "y", "mu_p", "mu_r"]
 CODE_MAP_HEADER = ["code", "name"]
 FIRMDAY_LAYERS = ("y", "mu_p", "mu_r", "ele_test", "ele_ref")  # firmdays.npy, axis 0
 
-BLOCK_ROWS = 2048  # data rows a reader, or write_models, holds as text at a time
+BLOCK_ROWS = 2048  # rows a CSV reader or write_models holds as text, or firmdays.npy reads, at once
 _NEEDS_QUOTES = frozenset(',"\r\n')  # csv.writer quotes a field holding one, doubling its quotes
 
 
@@ -287,7 +288,8 @@ class FitOutputs:
     ``district_codes`` are lists, ``models`` is the (firms, 13) float64 array of the numbers
     of ``models.csv`` in ``MODELS_HEADER[3:-2]`` order, ``converged`` and ``degenerate`` are
     bool arrays, and ``firmdays`` is the (5, firms, T) float64 array of the firms'
-    ``FIRMDAY_LAYERS``, column j for offset ``j - T // 2``.
+    ``FIRMDAY_LAYERS``, column j for offset ``j - T // 2``; read back with fewer layers, it is
+    a tuple of the five (firms, T) layers, None for each layer not read.
     """
 
     firm_ids: list[str]
@@ -296,19 +298,21 @@ class FitOutputs:
     models: np.ndarray
     converged: np.ndarray
     degenerate: np.ndarray
-    firmdays: np.ndarray
+    firmdays: np.ndarray | tuple
 
     @functools.cached_property
     def panel(self) -> FirmDayPanel:
-        """The panel the index stage aggregates; ``ele`` is a view of the ``ele_test`` layer.
+        """The panel the index stage aggregates; ``ele`` is the ``ele_test`` layer itself.
 
-        A degenerate fit cannot distinguish its regimes, so its recessionary
-        probabilities are zeroed here (the audit flag stays in the models).
+        A degenerate fit cannot distinguish its regimes, so its recessionary probabilities are
+        zeroed (the audit flag stays in the models): in place in a layer read on its own, and in
+        a copy of a layer of the whole array, which stays as fitted.
         """
         _, _, mu_r, ele_test, _ = self.firmdays
-        days = self.firmdays.shape[2]
-        return FirmDayPanel(np.arange(days) - days // 2, ele_test,
-                            np.where(self.degenerate[:, None], 0.0, mu_r),
+        mu_r = mu_r.copy() if isinstance(self.firmdays, np.ndarray) else mu_r
+        mu_r[self.degenerate] = 0.0
+        days = ele_test.shape[1]
+        return FirmDayPanel(np.arange(days) - days // 2, ele_test, mu_r,
                             self.sector_codes, self.district_codes)
 
     @functools.cached_property
@@ -407,30 +411,41 @@ def _check_ids(path, firm_ids: list[str]) -> None:
                          f"{firm_ids[late - 1]}; firm ids must ascend")
 
 
-def _check_layers(path, firm_ids: list[str], layers: np.ndarray) -> None:
-    """Refuse an array that is not the native float64 (5, firms, T) array of ``firm_ids`` with
-    T odd, then its first non-finite value, then its first probability outside [0, 1] or
-    negative kWh, in (layer, firm, offset) order."""
+def _check_layers(path, firm_ids: list[str], dtype, shape: tuple, layers=(), fh=None) -> None:
+    """Refuse an array of ``dtype`` and ``shape`` that is not the native float64 (5, firms, T)
+    array of ``firm_ids`` with T odd, then the first value of its ``layers`` that is not finite,
+    then the first probability outside [0, 1] or negative kWh, in (layer, firm, offset) order.
+    ``BLOCK_ROWS`` firms are checked at a time, read from ``fh`` if given, a None layer's into
+    one buffer."""
     want = np.dtype(float)  # native byte order
-    if layers.dtype != want or layers.ndim != 3 or len(layers) != len(FIRMDAY_LAYERS):
-        raise ValueError(f"{path} holds a {layers.dtype.str} array of shape {layers.shape}; "
+    if dtype != want or len(shape) != 3 or shape[0] != len(FIRMDAY_LAYERS):
+        raise ValueError(f"{path} holds a {dtype.str} array of shape {shape}; "
                          f"expected {want.str} of shape ({len(FIRMDAY_LAYERS)}, firms, days)")
-    firms, days = layers.shape[1:]
+    firms, days = shape[1:]
     if firms != len(firm_ids):
         raise ValueError(f"{path} has {firms} firm rows but models.csv has {len(firm_ids)}")
     if days % 2 == 0:
         raise ValueError(f"{path} has {days} days per firm; offsets -span..span need an odd count")
-    for rule, checked, allowed in (
-            ("firm-day values must be finite", range(len(FIRMDAY_LAYERS)), np.isfinite),
-            ("probabilities must lie in [0, 1]", (1, 2), lambda v: (v >= 0.0) & (v <= 1.0)),
-            ("kWh must not be negative", (3, 4), lambda v: v >= 0.0)):
-        for layer in checked:  # one (firms, T) mask at a time
-            ok = allowed(layers[layer])
-            if not ok.all():
-                firm, day = np.unravel_index(np.argmin(ok), ok.shape)
-                raise ValueError(f"{path}: column {FIRMDAY_LAYERS[layer]} of firm "
-                                 f"{firm_ids[firm]} is {layers[layer, firm, day]} at offset "
-                                 f"{day - days // 2}; {rule}")
+    rules = (("firm-day values must be finite", FIRMDAY_LAYERS, np.isfinite),
+             ("probabilities must lie in [0, 1]", ("mu_p", "mu_r"), lambda v: (v >= 0) & (v <= 1)),
+             ("kWh must not be negative", ("ele_test", "ele_ref"), lambda v: v >= 0.0))
+    faults = {}  # rule -> its first fault, in reading order: (layer, firm, day, value)
+    buffer = np.empty((min(firms, BLOCK_ROWS) if fh else 0, days))  # for a layer not kept
+    for layer, values in enumerate(layers):
+        for at in range(0, firms, BLOCK_ROWS):
+            block = buffer[:firms - at] if values is None else values[at:at + BLOCK_ROWS]
+            if fh is not None:
+                fh.readinto(block)
+            for rule, (_, checked, allowed) in enumerate(rules):
+                if rule not in faults and FIRMDAY_LAYERS[layer] in checked:
+                    ok = allowed(block)
+                    if not ok.all():
+                        firm, day = np.unravel_index(np.argmin(ok), ok.shape)
+                        faults[rule] = layer, at + firm, day, block[firm, day]
+    if faults:
+        rule, (layer, firm, day, value) = min(faults.items())
+        raise ValueError(f"{path}: column {FIRMDAY_LAYERS[layer]} of firm {firm_ids[firm]} is "
+                         f"{value} at offset {day - days // 2}; {rules[rule][0]}")
 
 
 def write_fit_outputs(directory, fit: FitOutputs, comments=()) -> None:
@@ -438,26 +453,27 @@ def write_fit_outputs(directory, fit: FitOutputs, comments=()) -> None:
     would refuse, such as models out of id order, is refused before either file is written."""
     directory = Path(directory)
     _check_ids(directory / "models.csv", fit.firm_ids)
-    _check_layers(directory / "firmdays.npy", fit.firm_ids, fit.firmdays)
+    layers = fit.firmdays
+    _check_layers(directory / "firmdays.npy", fit.firm_ids, layers.dtype, layers.shape, layers)
     write_models(directory / "models.csv", fit.firm_ids, fit.sector_codes, fit.district_codes,
                  fit.models, fit.converged, fit.degenerate, comments)
     np.save(directory / "firmdays.npy", fit.firmdays)
 
 
-def read_fit_outputs(directory) -> FitOutputs:
-    """Load ``models.csv`` and ``firmdays.npy`` as written by the fit command.
+def read_fit_outputs(directory, layers=FIRMDAY_LAYERS) -> FitOutputs:
+    """Load ``models.csv`` and the named ``layers`` of ``firmdays.npy``, as the fit wrote them.
 
-    ``firmdays.npy`` is one native float64 array of shape (5, firms, T): the
-    ``FIRMDAY_LAYERS`` of each firm, row k for the k-th firm of ``models.csv``,
-    and T odd for the offsets ``-(T // 2)..T // 2``.  Rows are matched to firms
-    by position, so the firm ids of ``models.csv`` must ascend strictly.  A
-    repeated firm in ``models.csv``, a file that is not an ``.npy`` array
-    (read with ``allow_pickle=False``), another dtype, rank or number of
-    layers, another row count than ``models.csv``, an even T, a non-finite
-    value, a ``mu_p`` or ``mu_r`` outside [0, 1] and a negative ``ele_test`` or
-    ``ele_ref`` are refused.  The shape leaves no room for a repeated or missing
-    firm-day.  Every field equals bit for bit that of the ``FitOutputs`` the files were
-    written from, and so do the panel and reference totals.
+    ``firmdays.npy`` is one C-ordered native float64 array of shape (5, firms, T), in ``.npy``
+    format 1.0 or 2.0: the ``FIRMDAY_LAYERS`` of each firm, row k for the k-th firm of
+    ``models.csv``, and T odd for the offsets ``-(T // 2)..T // 2``.  A layer kept is read
+    straight into its own array (all five into one), any other a block at a time into one
+    buffer, and every layer is checked.  Rows are matched to firms by position, so the firm ids of
+    ``models.csv`` must ascend strictly.  A repeated firm in ``models.csv``, a file that is
+    not such an array or holds less data than its header names, another row count than
+    ``models.csv``, an even T, a non-finite value, a ``mu_p`` or ``mu_r`` outside [0, 1] and a
+    negative ``ele_test`` or ``ele_ref`` are refused.  The shape leaves no room for a repeated
+    or missing firm-day.  Every field equals bit for bit that of the ``FitOutputs`` the files
+    were written from, and so do the panel and reference totals.
     """
     directory = Path(directory)
     for name in ("models.csv", "firmdays.npy"):
@@ -467,14 +483,25 @@ def read_fit_outputs(directory) -> FitOutputs:
     path = directory / "models.csv"
     table = read_models(path)
     _check_ids(path, table[0])
-    path = directory / "firmdays.npy"
+    path, fmt = directory / "firmdays.npy", np.lib.format
     with open(path, "rb") as fh:
         try:
-            layers = np.lib.format.read_array(fh, allow_pickle=False)
+            version = fmt.read_magic(fh)
+            if version not in ((1, 0), (2, 0)):
+                raise ValueError(f"format version {version} is not read")
+            shape, fortran_order, dtype = (fmt.read_array_header_1_0 if version == (1, 0)
+                                           else fmt.read_array_header_2_0)(fh)
+            if (fortran_order or dtype.hasobject or min(shape, default=0) < 0
+                    or path.stat().st_size - fh.tell() < math.prod(shape) * dtype.itemsize):
+                raise ValueError(f"no C-ordered {shape} array of {dtype.str} numbers follows")
         except ValueError as exc:
             raise ValueError(f"{path} is not a readable .npy file: {exc}") from None
-    _check_layers(path, table[0], layers)
-    return FitOutputs(*table, layers)
+        _check_layers(path, table[0], dtype, shape)  # before any array is allocated
+        whole = np.empty(shape) if set(FIRMDAY_LAYERS) <= set(layers) else None
+        read = list(whole) if whole is not None else [
+            np.empty(shape[1:]) if name in layers else None for name in FIRMDAY_LAYERS]
+        _check_layers(path, table[0], dtype, shape, read, fh)  # each layer read as it is checked
+    return FitOutputs(*table, tuple(read) if whole is None else whole)
 
 
 def read_code_map(path) -> set[str]:

@@ -5,6 +5,7 @@ are exercised the same way a shell user would see them.
 """
 
 import filecmp
+import math
 import os
 import shutil
 import tracemalloc
@@ -14,10 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecuindex import pipeline
+from ecuindex import panelio, pipeline
 from ecuindex.cli import main
 from ecuindex.config import DEFAULT_DISTRICTS, DEFAULT_SECTORS
-from ecuindex.panelio import MODELS_HEADER, read_models, read_panel, write_models, write_panel
+from ecuindex.panelio import (FIRMDAY_LAYERS, MODELS_HEADER, read_models, read_panel,
+                              write_models, write_panel)
 
 
 def write_config(path, text):
@@ -633,6 +635,92 @@ def test_unreadable_firmdays_npy_is_refused(fitted_dir, tmp_path, capsys, damage
     assert_refused(capsys, broken, cfg, "firmdays.npy", message)
 
 
+@pytest.mark.parametrize("first,second,named", [
+    (("y", 9, 0, -np.inf), ("mu_r", 0, 3, 1.5), "column y of firm F00009 is -inf"),
+    (("mu_p", 7, 5, -0.25), ("mu_r", 2, 5, 1.5), "column mu_p of firm F00007 is -0.25"),
+    (("ele_ref", 0, 1, -3.0), ("mu_r", 9, 2, np.nan), "column mu_r of firm F00009 is nan"),
+], ids=["finite_rule_first", "layer_order", "nan_in_a_later_layer"])
+def test_the_first_fault_is_named_across_kept_and_unread_layers(fitted_dir, tmp_path, capsys,
+                                                                 monkeypatch, first, second,
+                                                                 named):
+    """Of two faults, the one first by rule, then layer, firm and offset is named, whichever
+    layers the command keeps, with one firm checked at a time."""
+    monkeypatch.setattr(panelio, "BLOCK_ROWS", 1)
+    broken, cfg = broken_copy(fitted_dir, tmp_path)
+
+    def poison(a):
+        for column, firm, day, value in (first, second):
+            a[FIRMDAY_LAYERS.index(column), firm, day] = value
+        return a
+
+    edit_firmdays(broken, poison)
+    assert_refused(capsys, broken, cfg, f"firmdays.npy: {named}")
+
+
+def index_outputs(fitted_dir, out, write):
+    """``ecu.csv`` and ``srpi.csv`` of ``index`` on the fit directory whose array ``write``
+    writes to a path."""
+    shutil.copytree(fitted_dir[0], out)
+    array = np.load(out / "firmdays.npy")
+    write(out / "firmdays.npy", array)
+    assert main(["index", "--config", fitted_dir[1], "--out", str(out)]) == 0
+    return [(out / name).read_bytes() for name in ("ecu.csv", "srpi.csv")]
+
+
+def write_version(version):
+    def write(path, array):
+        with open(path, "wb") as fh:
+            np.lib.format.write_array(fh, array, version=version)
+    return write
+
+
+def test_npy_format_2_and_trailing_bytes_give_the_same_indexes(fitted_dir, tmp_path, capsys):
+    """A version 2.0 header is read as 1.0 is, and bytes after the array are ignored."""
+    want = index_outputs(fitted_dir, tmp_path / "v1", write_version((1, 0)))
+    assert index_outputs(fitted_dir, tmp_path / "v2", write_version((2, 0))) == want
+
+    def trailing(path, array):
+        np.save(path, array)
+        with open(path, "ab") as fh:
+            fh.write(b"\x00" * 100)
+
+    assert index_outputs(fitted_dir, tmp_path / "trailing", trailing) == want
+
+
+def negative_days(path, array):
+    """The array saved with its header's day count negated."""
+    np.save(path, array)
+    data = path.read_bytes()
+    end = data.index(b"\n") + 1
+    path.write_bytes(data[:end].replace(b"191)", b"-191)").replace(b" \n", b"\n") + data[end:])
+
+
+@pytest.mark.parametrize("write,message", [
+    (lambda path, a: np.save(path, np.asfortranarray(a)), "is not a readable .npy file"),
+    (write_version((3, 0)), "is not a readable .npy file: format version (3, 0) is not read"),
+    (negative_days, "is not a readable .npy file"),
+], ids=["fortran_order", "version_3", "negative_shape"])
+def test_npy_forms_the_fit_never_writes_are_refused(fitted_dir, tmp_path, capsys, write,
+                                                     message):
+    """``np.save`` writes none of these for the fit's C-ordered float64 array."""
+    broken, cfg = broken_copy(fitted_dir, tmp_path)
+    write(broken / "firmdays.npy", np.load(broken / "firmdays.npy"))
+    assert_refused(capsys, broken, cfg, "firmdays.npy", message)
+
+
+def test_truncated_firmdays_npy_is_unreadable_before_any_value_fault(fitted_dir, tmp_path,
+                                                                     capsys):
+    """The file's size is checked against its header before a value is read, so a NaN in the
+    first layer of a truncated file does not name it."""
+    broken, cfg = broken_copy(fitted_dir, tmp_path)
+    array = np.load(broken / "firmdays.npy")
+    array[0, 0, 0] = np.nan
+    np.save(broken / "firmdays.npy", array)
+    data = (broken / "firmdays.npy").read_bytes()
+    (broken / "firmdays.npy").write_bytes(data[:-8])
+    assert_refused(capsys, broken, cfg, "firmdays.npy is not a readable .npy file")
+
+
 def test_fit_directory_of_the_csv_handoff_must_be_refit(fitted_dir, tmp_path, capsys):
     broken, cfg = broken_copy(fitted_dir, tmp_path)
     (broken / "firmdays.npy").unlink()
@@ -725,7 +813,8 @@ def test_numpy_imported_after_the_package_starts_one_blas_thread(run_child):
 
 
 def test_index_peak_memory_is_a_small_multiple_of_the_array(tmp_path, capsys):
-    """``index`` aggregates the loaded firm x offset layers; it builds no per-firm-day columns."""
+    """``index`` holds the three firm x offset layers it aggregates and a block of each other
+    one; it builds no per-firm-day columns and no (firms, T) float temporary."""
     write_fit_dir(tmp_path, 300)
     tracemalloc.start()
     try:
@@ -734,7 +823,7 @@ def test_index_peak_memory_is_a_small_multiple_of_the_array(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     size = (tmp_path / "firmdays.npy").stat().st_size
-    assert peak < 1.75 * size, peak / size
+    assert peak < 1.0 * size, peak / size
 
 
 def test_fit_peak_memory_is_a_small_multiple_of_the_array(tmp_path, capsys):
@@ -764,6 +853,26 @@ def test_index_group_by_none(tmp_path, capsys):
     assert main(["index", "--config", cfg, "--out", str(out)]) == 0
     groups = {ln.split(",")[0] for ln in read_rows(out / "ecu.csv")[1:]}
     assert groups == {"aggregate"}
+
+
+def test_report_writes_a_degenerate_firms_fitted_mu_r_and_index_aggregates_zeros(tmp_path,
+                                                                                 capsys):
+    """``index`` zeroes a degenerate firm's ``mu_r`` in the layer it reads; ``report``, which
+    reads the same file, writes the stored values.  Every 7th firm is degenerate."""
+    write_fit_dir(tmp_path, 20)
+    _, _, mu_r, ele, _ = np.load(tmp_path / "firmdays.npy")
+    for argv in (["index"], ["report", "--firm", "F00000"], ["index"]):
+        assert main([*argv, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+    rows = [row.split(",") for row in read_rows(tmp_path / "report_F00000.csv")[1:]]
+    assert [float(row[4]) for row in rows] == mu_r[0].tolist()
+    degenerate = np.arange(20) % 7 == 0
+    zeroed = np.where(degenerate[:, None], 0.0, mu_r)
+    want = [math.fsum((e * m).tolist()) / math.fsum(e.tolist()) for e, m in zip(ele.T, zeroed.T)]
+    ecu = [float(row.split(",")[4]) for row in read_rows(tmp_path / "ecu.csv")
+           if row.startswith("aggregate,")]
+    assert ecu == want
+    assert ecu != [math.fsum((e * m).tolist()) / math.fsum(e.tolist())
+                   for e, m in zip(ele.T, mu_r.T)]
 
 
 def test_report_unknown_firm(fitted_dir, capsys):

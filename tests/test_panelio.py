@@ -207,6 +207,22 @@ def test_weights_roundtrip_sorted(tmp_path, fitted):
     assert list(zip(sectors, districts)) == [("301", "D01"), ("101", "D02")]
 
 
+def test_panel_zeroes_degenerate_mu_r_in_place_only_in_a_layer_read_alone(tmp_path, fitted):
+    """The fit's whole array stays as fitted; a ``mu_r`` layer read on its own is zeroed where
+    it lies, and the two panels are the same bit for bit."""
+    fit = replace(fit_outputs(fitted), degenerate=np.array([True, False, True]))
+    fitted_mu_r = fit.firmdays[2].copy()
+    write_fit_outputs(tmp_path, fit)
+    assert not fit.panel.mu_r[[0, 2]].any() and fit.panel.mu_r[1].any()
+    assert fit.firmdays[2].tobytes() == fitted_mu_r.tobytes()
+    read = read_fit_outputs(tmp_path, ("mu_r", "ele_test", "ele_ref"))
+    assert read.firmdays[:2] == (None, None)
+    assert read.panel.mu_r is read.firmdays[2] and read.panel.ele is read.firmdays[3]
+    for name in ("ele", "mu_r"):
+        assert getattr(read.panel, name).tobytes() == getattr(fit.panel, name).tobytes()
+    assert read.reference_totals.tobytes() == fit.reference_totals.tobytes()
+
+
 def test_firmdays_writer_refuses_nan(tmp_path, fitted):
     """The first non-finite value in (column, firm, offset) order is named; neither file is
     written."""

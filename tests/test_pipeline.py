@@ -601,7 +601,7 @@ def test_checking_the_firmday_layers_holds_few_masks_at_once():
     firm_ids = [f"F{k:05d}" for k in range(2000)]
     tracemalloc.start()
     try:
-        panelio._check_layers("firmdays.npy", firm_ids, layers)
+        panelio._check_layers("firmdays.npy", firm_ids, layers.dtype, layers.shape, layers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
