@@ -87,7 +87,6 @@ def cmd_index(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, str
 
 
 def cmd_report(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, str]) -> None:
-    from .hmm import RegimeModel  # index, which reads the same files, never loads the model
     firm = raw["firm"]
     fit = read_fit_outputs(out, ("y", "mu_p", "mu_r"))
     if firm not in fit.firm_ids:
@@ -100,10 +99,10 @@ def cmd_report(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, st
 
     peak = int(np.argmax(mu_r))
     print(f"firm {firm}")
-    model = RegimeModel.from_numbers(fit.models[k])
-    p, r = model.prosperous, model.recessionary
-    print(f"  prosperous:   alpha={p.alpha:+.4f} beta={p.beta:+.2f} sigma={p.sigma:.2f}")
-    print(f"  recessionary: alpha={r.alpha:+.4f} beta={r.beta:+.2f} sigma={r.sigma:.2f}")
+    # read_models has checked the model; its numbers start with each regime's alpha, beta, sigma
+    for regime, (alpha, beta, sigma) in zip(("prosperous", "recessionary"),
+                                            fit.models[k, :6].reshape(2, 3)):
+        print(f"  {regime + ':':<14}alpha={alpha:+.4f} beta={beta:+.2f} sigma={sigma:.2f}")
     print(f"  converged={str(fit.converged[k]).lower()} "
           f"degenerate={str(fit.degenerate[k]).lower()}")
     print(f"  mean mu_r={float(np.mean(mu_r)):.3f}, "

@@ -159,25 +159,25 @@ def emission_logdensity(y_t, t, params: RegimeParams):
     return -np.log(params.sigma) - _HALF_LOG_2PI - 0.5 * resid * resid
 
 
-def _forward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0: np.ndarray, offsets=None):
-    """Scaled forward recursion (Rabiner 1989, §V.A) on Python floats, 2x2 products written out.
+def _e_step(yv: np.ndarray, t: np.ndarray, numbers, offsets=None):
+    """Scaled forward-backward pass (Rabiner 1989, §V.A) under the model of ``numbers``, its
+    12 numbers in ``MODEL_COLUMNS`` order: both recursions run on Python floats, their 2x2
+    products written out.
 
-    Returns (b, e0s, e1s, filtered, norms, c, loglik): emission densities
-    scaled per step so the larger is 1, as a (T, 2) array and as one list
-    per regime, filtered pairs, the per-step normalizers as a list and as
-    an array, log-likelihood.
-    A normalizer that is not positive and finite raises FilterDegeneracyError
-    naming ``offsets[t]`` (else the 1-based step).
+    Returns (loglik, filtered, gamma, xi_sum): the log-likelihood, the (T, 2) filtered pairs,
+    the smoothed posteriors and the summed pairwise transition posteriors.  A forward
+    normalizer that is not positive and finite, or a posterior row that cannot be normalized,
+    raises FilterDegeneracyError naming ``offsets[t]`` (else the 1-based step).
     """
-    logb0, logb1 = (emission_logdensity(yv, t, p) for p in params)
+    logb0, logb1 = (emission_logdensity(yv, t, RegimeParams(*numbers[i:i + 3])) for i in (0, 3))
+    q00, q01, q10, q11, p0, p1 = numbers[6:12]
     shift = np.maximum(logb0, logb1)
-    b = np.empty((len(yv), 2))
+    b = np.empty((len(yv), 2))  # emission densities scaled per step so that the larger is 1
     np.exp(logb0 - shift, out=b[:, 0])
     np.exp(logb1 - shift, out=b[:, 1])
     e0s, e1s = b.T.tolist()
-    (q00, q01), (q10, q11) = q.tolist()
-    p0, p1 = pi0.tolist()
-    f0s, f1s, norms = [], [], []
+
+    f0s, f1s, norms = [], [], []  # forward: filtered pairs and normalizers
     for e0, e1 in zip(e0s, e1s):
         a0 = p0 * e0
         a1 = p1 * e1
@@ -193,14 +193,9 @@ def _forward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0: np.ndarr
         p1 = f0 * q01 + f1 * q11
     c = np.fromiter(norms, float, len(norms))
     filtered = np.fromiter(f0s + f1s, float, 2 * len(norms)).reshape(2, -1).T  # F order, as gamma's
-    return b, e0s, e1s, filtered, norms, c, float(np.log(c).sum() + shift.sum())
 
-
-def _backward(e0s: list, e1s: list, norms: list, q: np.ndarray) -> np.ndarray:
-    """Scaled backward variables from the forward pass's density and normalizer lists."""
-    (q00, q01), (q10, q11) = q.tolist()
     r0 = r1 = 1.0
-    r0s, r1s = [r0], [r1]
+    r0s, r1s = [r0], [r1]  # backward variables, last step first
     for e0, e1, ct in zip(e0s[:0:-1], e1s[:0:-1], norms[:0:-1]):
         u0 = e0 * r0
         u1 = e1 * r1
@@ -208,22 +203,10 @@ def _backward(e0s: list, e1s: list, norms: list, q: np.ndarray) -> np.ndarray:
         r1 = (q10 * u0 + q11 * u1) / ct
         r0s.append(r0)
         r1s.append(r1)
-    return np.fromiter(r0s + r1s, float, 2 * len(r0s)).reshape(2, -1).T[::-1]
-
-
-def _forward_backward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0: np.ndarray,
-                      offsets=None):
-    """Scaled forward-backward pass.
-
-    Returns (loglik, filtered, gamma, xi_sum): filtered pairs, smoothed
-    posteriors and summed pairwise transition posteriors.  A posterior row
-    that cannot be normalized raises FilterDegeneracyError named as in ``_forward``.
-    """
-    b, e0s, e1s, alpha_hat, norms, c, loglik = _forward(yv, t, q, params, pi0, offsets)
-    beta_hat = _backward(e0s, e1s, norms, q)
+    beta_hat = np.fromiter(r0s + r1s, float, 2 * len(r0s)).reshape(2, -1).T[::-1]
 
     with np.errstate(invalid="ignore"):  # 0 * inf, an overflowed unreachable state, is refused
-        gamma = alpha_hat * beta_hat
+        gamma = filtered * beta_hat
     total = gamma[:, 0] + gamma[:, 1]
     bad = np.flatnonzero(~((total > 0.0) & (total < np.inf)))
     if len(bad):
@@ -231,7 +214,9 @@ def _forward_backward(yv: np.ndarray, t: np.ndarray, q: np.ndarray, params, pi0:
     gamma /= total[:, None]
 
     inner = (b[1:] * beta_hat[1:]) / c[1:, None]
-    return loglik, alpha_hat, gamma, np.einsum("ti,ij,tj->ij", alpha_hat[:-1], q, inner)
+    q = np.array([[q00, q01], [q10, q11]])
+    return (float(np.log(c).sum() + shift.sum()), filtered, gamma,
+            np.einsum("ti,ij,tj->ij", filtered[:-1], q, inner))
 
 
 def _weighted_line(t: np.ndarray, y: np.ndarray, w: np.ndarray, sw=None) -> tuple[float, float]:
@@ -255,34 +240,37 @@ def sigma_floor(y) -> float:
     return 1e-4 * (sd if sd > 0.0 else 1.0)
 
 
-def _m_step(yv, t, gamma, xi_sum, q: np.ndarray, params, floor: float):
-    """Closed-form M-step: the next (q, params, pi0); a state without weight keeps its values.
+def _m_step(yv, t, gamma, xi_sum, numbers, floor: float) -> list[float]:
+    """Closed-form M-step: the next 12 numbers of the model of ``numbers``; a state without
+    weight keeps its values.
 
-    Each regime's weight sum is taken once; the q rows and pi0 are
-    normalized on the Python floats of ``xi_sum`` and ``gamma[0]``.
+    Each regime's weight sum is taken once; the q rows and pi0 are normalized on the Python
+    floats of ``xi_sum`` and ``gamma[0]``.  A sigma that ``RegimeParams`` refuses raises its
+    error, regime 0 first.
     """
-    new_params = []
+    new = list(numbers)
     for i in range(2):
         w = gamma[:, i]
         sw = w.sum()
         if sw <= 0.0:
-            new_params.append(params[i])
             continue
         alpha, beta = _weighted_line(t, yv, w, sw)
         resid = yv - (alpha * t + beta)
         var = float(w @ (resid * resid)) / float(sw)
         sigma = max(math.sqrt(max(var, 0.0)), floor)
-        new_params.append(RegimeParams(alpha, beta, sigma))
+        if not (math.isfinite(sigma) and sigma > 0.0):
+            RegimeParams(alpha, beta, sigma)  # raises the error of the sigma it refuses
+        new[3 * i:3 * i + 3] = alpha, beta, sigma
 
-    rows = q.tolist()
     for i, (x0, x1) in enumerate(xi_sum.tolist()):
         den = x0 + x1
         if den > 0.0:
             r0, r1 = x0 / den, x1 / den
-            rows[i] = [r0 / (r0 + r1), r1 / (r0 + r1)]
+            new[6 + 2 * i:8 + 2 * i] = r0 / (r0 + r1), r1 / (r0 + r1)
 
     g0, g1 = gamma[0].tolist()
-    return np.array(rows), tuple(new_params), np.array([g0 / (g0 + g1), g1 / (g0 + g1)])
+    new[10:] = g0 / (g0 + g1), g1 / (g0 + g1)
+    return new
 
 
 def _label(model: RegimeModel) -> tuple[RegimeModel, np.ndarray, bool]:
@@ -327,21 +315,21 @@ def em_fit(y, init: RegimeModel, tol=RunConfig.em_tol, max_iter=RunConfig.em_max
     t = np.arange(1, len(yv) + 1, dtype=float)
     floor = sigma_floor(yv)
 
-    q, params, pi0 = init.q, init.params, init.pi0
+    numbers = init.numbers()
     trace: list[float] = []
     updates = 0
     while True:
-        loglik, filtered, gamma, xi_sum = _forward_backward(yv, t, q, params, pi0, offsets)
+        loglik, filtered, gamma, xi_sum = _e_step(yv, t, numbers, offsets)
         if not math.isfinite(loglik):
             raise RuntimeError("non-finite log-likelihood during EM")
         trace.append(loglik)
         converged = _converged(trace, updates, tol, max_iter)
         if converged or updates >= max_iter:
             break
-        q, params, pi0 = _m_step(yv, t, gamma, xi_sum, q, params, floor)
+        numbers = _m_step(yv, t, gamma, xi_sum, numbers, floor)
         updates += 1
 
-    return _report(RegimeModel(q, params, pi0), floor, filtered, trace, updates, converged)
+    return _report(numbers, floor, filtered, trace, updates, converged)
 
 
 def _converged(trace: list, updates: int, tol, max_iter) -> bool:
@@ -350,10 +338,11 @@ def _converged(trace: list, updates: int, tol, max_iter) -> bool:
     return updates < max_iter and len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol
 
 
-def _report(model: RegimeModel, floor: float, filtered, trace: list, updates: int,
+def _report(numbers, floor: float, filtered, trace: list, updates: int,
             converged: bool) -> FitReport:
-    """EM's result: the model labeled, its (T, 2) filter reordered to match, the trace, flags."""
-    labeled, order, indistinct = _label(model)
+    """EM's result: the model of the 12 ``numbers`` labeled, its (T, 2) filter reordered to
+    match, the trace, flags.  A model ``RegimeModel`` refuses raises its ``ValueError``."""
+    labeled, order, indistinct = _label(RegimeModel.from_numbers(numbers))
     floored = any(p.sigma <= floor * (1.0 + 1e-12) for p in labeled.params)
     return FitReport(
         model=labeled,

@@ -1,16 +1,17 @@
 """EM of the two-regime HMM on a stream of deviation rows, a batch at a time, bit for bit as
 ``em_fit``.
 
-``em_fit`` runs its forward and backward recursions on Python floats, one firm at a time.
-``em_rows`` runs the same recursions across the rows of a batch: each step is a few numpy
-operations on (m,) vectors with one entry per row, the same operations in the same order as
-``em_fit``'s, so every row rounds as it would alone.  Its M-step, ``_m_step_rows``, is
-``_m_step``'s arithmetic on the whole batch, each weighted sum a per-row BLAS dot.  A row that
-leaves the batch makes room for the next one waiting, and ``_em_tail`` hands a stream's last
-rows to ``em_fit``; a stream can instead hand its last rows back, each with its EM state, its
-model's numbers and a log-likelihood trace as long as its update count, for a later stream to
-finish.  A row's model is its column of the batch's (12, m) array: its 12 numbers in
-``hmm.MODEL_COLUMNS`` order, those of ``RegimeModel.numbers`` and of a ``models.csv`` row.
+``em_fit``'s E-step, ``hmm._e_step``, runs its forward and backward recursions on Python
+floats, one firm at a time.  ``em_rows``'s, ``_e_step_rows``, runs the same recursions across
+the rows of a batch: each step is a few numpy operations on (m,) vectors with one entry per
+row, the same operations in the same order as ``_e_step``'s, so every row rounds as it would
+alone.  Its M-step, ``_m_step_rows``, is ``hmm._m_step``'s arithmetic on the whole batch, each
+weighted sum a per-row BLAS dot.  A row that leaves the batch makes room for the next one
+waiting, and ``_em_tail`` hands a stream's last rows to ``em_fit``; a stream can instead hand
+its last rows back, each with its EM state, its model's numbers and a log-likelihood trace as
+long as its update count, for a later stream to finish.  A row's model is its column of the
+batch's (12, m) array: its 12 numbers in ``hmm.MODEL_COLUMNS`` order, those ``em_fit`` keeps
+between its steps, those of ``RegimeModel.numbers`` and of a ``models.csv`` row.
 Only the fit imports this module, so the other stages do not compile it.
 """
 
@@ -95,8 +96,8 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
                 converged = _converged(trace, updates, tol, max_iter)
                 if converged or updates >= max_iter:
                     try:
-                        out[keys[j]] = _report(RegimeModel.from_numbers(model[:, j]), floors[j],
-                                               filtered[:, :, j], trace, updates, converged)
+                        out[keys[j]] = _report(model[:, j], floors[j], filtered[:, :, j], trace,
+                                               updates, converged)
                     except ValueError as exc:
                         out[keys[j]] = exc
                 else:
@@ -147,7 +148,7 @@ def _views(model: np.ndarray):
 
 
 def _e_step_rows(y: np.ndarray, t: np.ndarray, model: np.ndarray, pool: np.ndarray, offsets):
-    """``_forward_backward`` on the (m, T) rows ``y`` under their (12, m) ``model``, the
+    """``hmm._e_step`` on the (m, T) rows ``y`` under their (12, m) ``model``, the
     recursions run over (m,) vectors of the m rows.
 
     Returns the log-likelihoods (a list), the filtered pairs (T, 2, m), the smoothed
@@ -165,7 +166,7 @@ def _e_step_rows(y: np.ndarray, t: np.ndarray, model: np.ndarray, pool: np.ndarr
     c = pool[6 * u:7 * u].reshape(T, m)  # normalizers
     z = c.reshape(m, T)  # scratch where c is not in use
 
-    # emission_logdensity, shifted so that the larger of each pair is 0
+    # _e_step's log-densities, shifted so that the larger of each pair is 0
     logb = r.reshape(2, m, T)
     for i in range(2):
         np.multiply(alpha[i][:, None], t, out=logb[i])
@@ -181,7 +182,7 @@ def _e_step_rows(y: np.ndarray, t: np.ndarray, model: np.ndarray, pool: np.ndarr
         logb[i] -= shift
         np.exp(logb[i], out=e[:, i].T)
 
-    # _forward; the 2x2 products of each step in one call, summed over the state left
+    # _e_step's forward pass; the 2x2 products of each step in one call, summed over the state left
     mul, add, div = np.multiply, np.add, np.divide
     p, v, prod = pi0.copy(), np.empty((2, m)), np.empty((2, 2, m))  # p is written in place
     prod0, prod1 = prod
@@ -197,7 +198,7 @@ def _e_step_rows(y: np.ndarray, t: np.ndarray, model: np.ndarray, pool: np.ndarr
     np.copyto(logc, c.T)  # each row's normalizers contiguous, as em_fit sums them
     logliks = (np.log(logc, out=logc).sum(axis=1) + shift_sums).tolist()
 
-    # _backward into r, then inner = e[1:] * beta[1:] / c[1:] in place of e, gamma in place of r
+    # its backward pass into r, then inner = e[1:] * beta[1:] / c[1:] in place of e, gamma in r
     beta_hat = r.transpose(2, 1, 0)
     beta_hat[T - 1] = 1.0
     q_t, v4 = q.transpose(1, 0, 2), v[:, None]
@@ -215,7 +216,7 @@ def _e_step_rows(y: np.ndarray, t: np.ndarray, model: np.ndarray, pool: np.ndarr
     gamma /= total[:, None]
     errors = [a or b for a, b in zip(errors, _degeneracies(bad.T, offsets))]
 
-    # _forward_backward's einsum with a row axis: each (i, j, row) sums its products over t in
+    # _e_step's einsum with a row axis: each (i, j, row) sums its products over t in
     # order, ((alpha * q) * inner) at a time
     xi = np.einsum("tim,ijm,tjm->ijm", f[:-1], q, inner)
     return logliks, f, gamma, xi, errors
@@ -229,7 +230,7 @@ def _dots(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _m_step_rows(y: np.ndarray, t: np.ndarray, gamma: np.ndarray, xi: np.ndarray,
                  model: np.ndarray, floors: np.ndarray, scratch: np.ndarray):
-    """``_m_step`` on each row of a batch at once: the rows ``y`` (m, T), their posteriors
+    """``hmm._m_step`` on each row of a batch at once: the rows ``y`` (m, T), their posteriors
     ``gamma`` (m, 2, T) and ``xi`` (2, 2, m), their (12, m) ``model`` and (m,) sigma ``floors``;
     its (m, T) temporaries go in the two planes of the (2, m, T) ``scratch``.
 

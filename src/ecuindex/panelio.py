@@ -449,9 +449,14 @@ def _check_layers(path, firm_ids: list[str], dtype, shape: tuple, layers=(), fh=
 
 
 def write_fit_outputs(directory, fit: FitOutputs, comments=()) -> None:
-    """Write ``models.csv`` and ``firmdays.npy`` into ``directory``; a pair ``read_fit_outputs``
-    would refuse, such as models out of id order, is refused before either file is written."""
+    """Write ``models.csv`` and ``firmdays.npy`` into ``directory``; a fit read back with fewer
+    layers, or a pair ``read_fit_outputs`` would refuse, such as models out of id order, is
+    refused before either file is written."""
     directory = Path(directory)
+    unread = [name for name, layer in zip(FIRMDAY_LAYERS, fit.firmdays) if layer is None]
+    if unread:
+        raise ValueError(f"{directory / 'firmdays.npy'}: layers {', '.join(unread)} were not "
+                         "read back, so the fit cannot be written")
     _check_ids(directory / "models.csv", fit.firm_ids)
     layers = fit.firmdays
     _check_layers(directory / "firmdays.npy", fit.firm_ids, layers.dtype, layers.shape, layers)

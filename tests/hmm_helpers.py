@@ -2,16 +2,18 @@
 
 import numpy as np
 
-from ecuindex.hmm import FilterOutput, RegimeModel, _as_observations, _forward
+from ecuindex.hmm import FilterOutput, RegimeModel, _as_observations
+from hmm_scalar_oracle import _forward
 
 
 def forward_filter(y, model: RegimeModel) -> FilterOutput:
-    """The causal filter EM ends on (``hmm._forward``), under ``model``: ``filtered[t]``
-    conditions on observations up to and including step t."""
+    """The causal filter EM ends on, under ``model``: ``filtered[t]`` conditions on
+    observations up to and including step t.  The scalar oracle's forward pass is bit for bit
+    ``em_fit``'s (``test_em_matches_scalar_oracle``)."""
     yv = _as_observations(y)
     t = np.arange(1, len(yv) + 1, dtype=float)
-    *_, filtered, _, _, loglik = _forward(yv, t, model.q, model.params, model.pi0,
-                                          getattr(y, "offsets", None))
+    _, filtered, _, loglik = _forward(yv, t, model.q, model.params, model.pi0,
+                                      getattr(y, "offsets", None))
     return FilterOutput(filtered, loglik)
 
 

@@ -793,13 +793,16 @@ STAGE_MODULES = ("import sys\nfrom ecuindex.cli import main\nassert main(sys.arg
 
 
 def test_each_stage_loads_only_the_modules_it_runs(three_firms, run_child):
-    """``index`` loads neither the EM, the preprocessing nor the generator, ``simulate`` no
-    model and ``fit`` no generator: a module a stage does not run only costs it start-up."""
+    """``index`` and ``report`` load neither the EM, the preprocessing nor the generator,
+    ``simulate`` no model and ``fit`` no generator: a module a stage does not run only costs it
+    start-up."""
     out, cfg = three_firms
-    loaded = {stage: set(run_child(STAGE_MODULES, stage, "--config", cfg, "--out", out).split())
-              for stage in ("simulate", "fit", "index")}
-    assert loaded["index"] == {"ecuindex.cli", "ecuindex.config", "ecuindex.ecu",
-                               "ecuindex.panelio"}
+    firm = {"report": ("--firm", "F00000")}
+    loaded = {stage: set(run_child(STAGE_MODULES, stage, *firm.get(stage, ()), "--config", cfg,
+                                   "--out", out).split())
+              for stage in ("simulate", "fit", "index", "report")}
+    assert loaded["index"] == loaded["report"] == {"ecuindex.cli", "ecuindex.config",
+                                                   "ecuindex.ecu", "ecuindex.panelio"}
     assert "ecuindex.hmm" not in loaded["simulate"] and "ecuindex.simgen" in loaded["simulate"]
     assert "ecuindex.simgen" not in loaded["fit"] and "ecuindex.hmmbatch" in loaded["fit"]
 

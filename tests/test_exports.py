@@ -208,3 +208,19 @@ def test_pipeline_decides_each_firm_once():
     assert len(writers) == 1, writers
     assert builders == {"fit_panel"}
     assert "collections" not in imported
+
+
+def test_em_fit_keeps_its_model_as_numbers():
+    """``hmm`` has one scalar E-step, ``_e_step``, and ``em_fit`` keeps its model as the 12
+    numbers the batch and ``models.csv`` use: ``hmm`` defines no ``_forward``, ``_backward``
+    or ``_forward_backward``, and ``em_fit``, ``_e_step`` and ``_m_step`` build no
+    ``RegimeModel``, by its constructor or by ``from_numbers``."""
+    tree = ast.parse(Path(hmm.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert {"_forward", "_backward", "_forward_backward"}.isdisjoint(functions)
+    for name in ("em_fit", "_e_step", "_m_step"):
+        builders = [dotted(node.func) for node in ast.walk(functions[name])
+                    if isinstance(node, ast.Call)
+                    and dotted(node.func).rpartition(".")[2] in ("RegimeModel", "from_numbers")]
+        assert builders == [], name

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecuindex import hmm, hmmbatch
@@ -27,7 +27,7 @@ from ecuindex.hmm import (
 )
 from ecuindex.preprocess import DeviationSeries
 from hmm_helpers import forward_filter, sample_path
-from test_hmm_oracle import series_and_model
+from test_hmm_oracle import absorbing, series_and_model
 
 # ---------------------------------------------------------------------------
 # brute-force oracle: total likelihood by summing over every state path
@@ -686,9 +686,8 @@ def m_step_rows(draw):
     return rows
 
 
-def m_step_bits(q, params, pi0) -> list:
-    return [np.asarray(x, dtype=float).tobytes()
-            for x in (q, [[p.alpha, p.beta, p.sigma] for p in params], pi0)]
+def m_step_bits(numbers) -> bytes:
+    return np.asarray(numbers, dtype=float).tobytes()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -709,12 +708,61 @@ def test_batched_m_step_is_m_step_on_each_row_bit_for_bit(rows):
     for j, (yj, _, xj, mj, floor) in enumerate(rows):
         try:
             with np.errstate(all="ignore"):
-                want = m_step_bits(*_m_step(yj, t, gamma[j].T, xj, mj.q, mj.params, floor))
+                want = m_step_bits(_m_step(yj, t, gamma[j].T, xj, mj.numbers(), floor))
         except ValueError as exc:
             want = type(exc), str(exc)
         back = None if errors[j] is not None else RegimeModel.from_numbers(new[:, j])
         got = ((type(errors[j]), str(errors[j])) if back is None
-               else m_step_bits(back.q, back.params, back.pi0))
+               else m_step_bits(back.numbers()))
+        assert got == want
+
+
+@st.composite
+def e_step_rows(draw):
+    """One to four ``series_and_model`` cases of one length, and their offsets (None in a drawn
+    share); offsets that are not the 1-based steps show which a failure names."""
+    T = draw(st.one_of(st.just(191), st.integers(1, 191)))
+    cases = [draw(series_and_model(T)) for _ in range(draw(st.integers(1, 4)))]
+    return cases, draw(st.sampled_from([None, np.arange(T) * 3 - T]))
+
+
+def e_step_bits(loglik, filtered, gamma, xi_sum) -> list:
+    return [np.asarray(x, dtype=float).tobytes() for x in (loglik, filtered, gamma, xi_sum)]
+
+
+WALK = np.cumsum(np.random.default_rng(5).standard_normal(191))
+SPIKE = np.array([0.0, 0.0, 100.0, 0.0])
+
+
+# the absorbing models of ``test_recursions_match_numpy_oracle`` beside rows that fit: backward
+# variables of the unreachable state that overflow (0 * inf), at two scales, and a chain locked
+# in the one state that cannot emit a value (a 0/0 normalizer)
+@example(([(np.zeros(191), absorbing((1.0, 1e3), (0.0, 1.0))), (WALK, init_params(WALK)),
+           (np.zeros(191), absorbing((1e-9, 1e-6), (0.0, 1.0)))], None))
+@example(([(SPIKE, absorbing((1e-12, 1e-12), (1.0, 0.0), (0.0, 100.0))),
+           (SPIKE, random_init(SPIKE, np.random.default_rng(5)))], np.arange(4) * 3 - 4))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(e_step_rows())
+def test_batched_e_step_is_e_step_on_each_row_bit_for_bit(case):
+    """``_e_step_rows`` gives each row ``_e_step``'s log-likelihood, filtered pairs, posteriors
+    and summed transition posteriors, or its error, bit for bit, whatever its pool held
+    before."""
+    cases, offsets = case
+    y = np.array([y for y, _ in cases])
+    m, T = y.shape
+    t = np.arange(1, T + 1, dtype=float)
+    model = np.array([model.numbers() for _, model in cases]).T
+    with np.errstate(all="ignore"):
+        logliks, filtered, gamma, xi, errors = hmmbatch._e_step_rows(
+            y, t, model, np.full(7 * m * T, np.nan), offsets)
+    for j, (yj, mj) in enumerate(cases):
+        try:
+            with np.errstate(all="ignore"):
+                want = e_step_bits(*hmm._e_step(yj, t, mj.numbers(), offsets))
+        except FilterDegeneracyError as exc:
+            want = type(exc), str(exc)
+        got = ((type(errors[j]), str(errors[j])) if errors[j] is not None
+               else e_step_bits(logliks[j], filtered[:, :, j], gamma[j].T, xi[:, :, j]))
         assert got == want
 
 

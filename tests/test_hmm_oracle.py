@@ -23,7 +23,7 @@ from ecuindex.hmm import (
     FilterDegeneracyError,
     RegimeModel,
     RegimeParams,
-    _forward_backward,
+    _e_step,
     em_fit,
     init_params,
     random_init,
@@ -122,7 +122,7 @@ def test_recursions_match_numpy_oracle(case):
         want_em, want_em_err = outcome(oracle._forward_backward, y, model)
     assert filt_err == want_filt_err
     t = np.arange(1, T + 1, dtype=float)
-    em, em_err = outcome(_forward_backward, y, t, model.q, model.params, model.pi0)
+    em, em_err = outcome(_e_step, y, t, model.numbers())
     if want_em_err is None:
         # a 0/0 posterior in the oracle is a degeneracy at its 1-based step
         nan_rows = np.flatnonzero(np.isnan(want_em[1]).any(axis=1))
@@ -174,7 +174,7 @@ def test_degeneracy_offset_matches_oracle():
     # plain arrays carry no offsets: errors name the 1-based step
     t = np.arange(1.0, 5.0)
     with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 3$"):
-        _forward_backward(dev.y, t, model.q, model.params, model.pi0)
+        _e_step(dev.y, t, model.numbers())
     with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 3$"):
         em_fit(dev.y, model)
     with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 3$"):
@@ -198,7 +198,7 @@ def test_posterior_degeneracy_is_raised_where_oracle_has_nan():
     assert np.isnan(want_gamma[0]).any()
     # raised as the degeneracy it is even where a RuntimeWarning is an error, as under pytest
     with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 1$"):
-        _forward_backward(y, t, model.q, model.params, model.pi0)
+        _e_step(y, t, model.numbers())
     with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 1$"):
         em_fit(y, model)
     with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset -95$"):

@@ -269,8 +269,12 @@ def with_loglik(fit, k, value):
      "the CSV reader's limit of 131072"),
     (lambda fit: replace(fit, models=fit.models[:2]),
      "models.csv: the columns of the models table differ in length"),
+    (lambda fit: replace(fit, firmdays=tuple(
+        layer if name in ("mu_r", "ele_test", "ele_ref") else None
+        for name, layer in zip(FIRMDAY_LAYERS, fit.firmdays))),  # as index reads it back
+     "firmdays.npy: layers y, mu_p were not read back"),
 ], ids=["reverse_order", "firm_rows", "even_days", "float32", "four_layers", "nan_loglik",
-        "long_sector_code", "short_models"])
+        "long_sector_code", "short_models", "unread_layers"])
 def test_fit_writer_refuses_a_pair_the_reader_refuses(tmp_path, fitted, damage, message):
     """The rows of both files are matched by position, so a pair whose firms are out of id
     order would come back mispaired; neither file is written."""

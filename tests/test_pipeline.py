@@ -84,13 +84,13 @@ def test_fit_firm_outputs(records, run_cfg):
 def test_fit_panel_runs_one_forward_pass_per_e_step(records, run_cfg, monkeypatch):
     """The filtered pairs come from EM's last E-step: no extra forward pass per firm."""
     calls = []
-    forward = hmm._forward
+    e_step = hmm._e_step
 
     def counted(*args, **kwargs):
         calls.append(None)
-        return forward(*args, **kwargs)
+        return e_step(*args, **kwargs)
 
-    monkeypatch.setattr(hmm, "_forward", counted)
+    monkeypatch.setattr(hmm, "_e_step", counted)
     results, skipped = fit_panel(panel_of(records), run_cfg)
     assert skipped == []
     assert len(calls) == sum(len(r.report.loglik_trace) for r in results)
