@@ -55,7 +55,7 @@ def cmd_simulate(cfg: PanelConfig, out: Path, comments: list[str], raw: dict[str
 
 def cmd_fit(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, str]) -> None:
     from .pipeline import fit_outputs, fit_panel  # only fit loads the fit's code
-    # the panel's readings are dropped once fitted, before the outputs are built
+    # the panel's readings are dropped once fitted; the results are rows of the fit's one table
     results, skipped = fit_panel(read_panel(_panel_path(raw)), cfg)
     for firm_id, reason in skipped:
         print(f"skipped {firm_id}: {reason}")
@@ -93,9 +93,8 @@ def cmd_report(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, st
         raise ValueError(f"unknown firm id {firm!r}")
     k = fit.firm_ids.index(firm)
     y, mu_p, mu_r = (layer[k] for layer in fit.firmdays[:3])
-    offsets = np.arange(len(y)) - len(y) // 2
     path = out / f"report_{firm}.csv"
-    write_report(path, offsets, (y, mu_p, mu_r), cfg.test_base, comments)
+    write_report(path, fit.offsets, (y, mu_p, mu_r), cfg.test_base, comments)
 
     peak = int(np.argmax(mu_r))
     print(f"firm {firm}")
@@ -106,7 +105,7 @@ def cmd_report(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, st
     print(f"  converged={str(fit.converged[k]).lower()} "
           f"degenerate={str(fit.degenerate[k]).lower()}")
     print(f"  mean mu_r={float(np.mean(mu_r)):.3f}, "
-          f"peak mu_r={float(mu_r[peak]):.3f} at offset {int(offsets[peak])}")
+          f"peak mu_r={float(mu_r[peak]):.3f} at offset {int(fit.offsets[peak])}")
     print(f"wrote {path}")
 
 

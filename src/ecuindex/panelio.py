@@ -282,14 +282,14 @@ def read_panel(path) -> KwhPanel:
 
 @dataclass(frozen=True)
 class FitOutputs:
-    """The fit's product as one table, built from its results or read back from its files.
+    """The fit's product as one table, built by ``pipeline.fit_panel`` or read from its files.
 
     Row k of each field is the k-th firm in id order: ``firm_ids``, ``sector_codes`` and
     ``district_codes`` are lists, ``models`` is the (firms, 13) float64 array of the numbers
     of ``models.csv`` in ``MODELS_HEADER[3:-2]`` order, ``converged`` and ``degenerate`` are
     bool arrays, and ``firmdays`` is the (5, firms, T) float64 array of the firms'
-    ``FIRMDAY_LAYERS``, column j for offset ``j - T // 2``; read back with fewer layers, it is
-    a tuple of the five (firms, T) layers, None for each layer not read.
+    ``FIRMDAY_LAYERS``, column j for ``offsets[j]``; read back with fewer layers, it is a tuple
+    of the five (firms, T) layers, None for each layer not read.
     """
 
     firm_ids: list[str]
@@ -299,6 +299,12 @@ class FitOutputs:
     converged: np.ndarray
     degenerate: np.ndarray
     firmdays: np.ndarray | tuple
+
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        """Column j's offset, ``j - T // 2``, from the T columns of any layer that was read."""
+        days = next(layer for layer in self.firmdays if layer is not None).shape[-1]
+        return np.arange(days) - days // 2
 
     @functools.cached_property
     def panel(self) -> FirmDayPanel:
@@ -311,14 +317,11 @@ class FitOutputs:
         _, _, mu_r, ele_test, _ = self.firmdays
         mu_r = mu_r.copy() if isinstance(self.firmdays, np.ndarray) else mu_r
         mu_r[self.degenerate] = 0.0
-        days = ele_test.shape[1]
-        return FirmDayPanel(np.arange(days) - days // 2, ele_test, mu_r,
-                            self.sector_codes, self.district_codes)
+        return FirmDayPanel(self.offsets, ele_test, mu_r, self.sector_codes, self.district_codes)
 
     @functools.cached_property
     def reference_totals(self) -> np.ndarray:
-        """Exact sums of the ``ele_ref`` layer per offset, along ``panel.offsets``: the sRPI
-        baseline."""
+        """Exact sums of the ``ele_ref`` layer per offset, along ``offsets``: the sRPI baseline."""
         *_, ele_ref = self.firmdays
         return column_fsums(ele_ref)
 
@@ -352,19 +355,34 @@ def write_models(path, firm_ids, sector_codes, district_codes, models, converged
         for at in range(0, len(models), BLOCK_ROWS)), comments)
 
 
+def _models_ok(numbers: np.ndarray) -> np.ndarray:
+    """Per column of ``numbers``, (13, n) in ``MODELS_HEADER[3:-2]`` order, whether its numbers
+    are finite and a model ``RegimeModel`` accepts, decided by its IEEE operations: sigmas above
+    0, q's rows and pi0 in [0, 1] summing to 1 within ``_SIMPLEX_TOL``."""
+    probs = numbers[6:12]
+    probs = np.where((probs >= 0.0) & (probs <= 1.0), probs, np.nan)  # no sum can overflow
+    return (np.isfinite(numbers).all(axis=0) & (numbers[[2, 5]] > 0.0).all(axis=0)
+            & (abs(probs[::2] + probs[1::2] - 1.0) <= _SIMPLEX_TOL).all(axis=0))
+
+
+def _check_model(path, n, firm_id, numbers) -> None:
+    """Refuse a model ``RegimeModel`` refuses, naming data row ``n`` and its firm."""
+    from .hmm import RegimeModel  # only a faulty model loads the model, to name its fault
+    try:
+        RegimeModel.from_numbers(numbers)
+    except ValueError as exc:
+        raise ValueError(f"{path} data row {n}: firm {firm_id}: {exc}") from None
+
+
 def _models_block(columns) -> np.ndarray | None:
     """A block's numbers and flags (n, 15) parsed a column at a time, or None if a field is
-    unreadable or a model one ``RegimeModel`` refuses, decided by its IEEE operations: sigmas
-    above 0, q's rows and pi0 in [0, 1] summing to 1 within ``_SIMPLEX_TOL``."""
+    unreadable or a model ``_models_ok`` refuses."""
     flags = [columns[name] for name in MODELS_HEADER[-2:]]
     try:
         numbers = np.array([columns[name] for name in MODELS_HEADER[3:-2]], dtype=float)
     except ValueError:
         return None
-    probs = numbers[6:12]
-    if (np.isfinite(numbers).all() and (numbers[[2, 5]] > 0.0).all()
-            and ((probs >= 0.0) & (probs <= 1.0)).all()  # so that the sums cannot overflow
-            and (abs(probs[::2] + probs[1::2] - 1.0) <= _SIMPLEX_TOL).all()
+    if (_models_ok(numbers).all()
             and all(f.count("true") + f.count("false") == len(f) for f in flags)):
         return np.vstack([numbers, *(np.array(f) == "true" for f in flags)]).T
     return None
@@ -382,17 +400,13 @@ def read_models(path) -> tuple:
         ids = set(columns["firm_id"])
         block = _models_block(columns)
         if block is None or len(ids) < len(columns["firm_id"]) or not seen.isdisjoint(ids):
-            from .hmm import RegimeModel  # only a block with a fault loads the model, to name it
             block = []
             for n, (firm_id, _, _, *fields) in enumerate(zip(*columns.values()), first):
                 block.append(_typed(path, n, _MODEL_FIELDS, fields))
                 if firm_id in seen:
                     raise ValueError(f"{path} data row {n}: firm {firm_id} already has a row")
                 seen.add(firm_id)
-                try:
-                    RegimeModel.from_numbers(block[-1])
-                except ValueError as exc:
-                    raise ValueError(f"{path} data row {n}: firm {firm_id}: {exc}") from None
+                _check_model(path, n, firm_id, block[-1])
             block = np.array(block, dtype=float).reshape(-1, len(_MODEL_FIELDS))
         seen |= ids
         for text, name in zip(texts, MODELS_HEADER):
@@ -450,8 +464,9 @@ def _check_layers(path, firm_ids: list[str], dtype, shape: tuple, layers=(), fh=
 
 def write_fit_outputs(directory, fit: FitOutputs, comments=()) -> None:
     """Write ``models.csv`` and ``firmdays.npy`` into ``directory``; a fit read back with fewer
-    layers, or a pair ``read_fit_outputs`` would refuse, such as models out of id order, is
-    refused before either file is written."""
+    layers, or a pair ``read_fit_outputs`` would refuse, such as models out of id order or the
+    first model ``RegimeModel`` refuses, named as the reader names it, is refused before either
+    file is written."""
     directory = Path(directory)
     unread = [name for name, layer in zip(FIRMDAY_LAYERS, fit.firmdays) if layer is None]
     if unread:
@@ -460,6 +475,10 @@ def write_fit_outputs(directory, fit: FitOutputs, comments=()) -> None:
     _check_ids(directory / "models.csv", fit.firm_ids)
     layers = fit.firmdays
     _check_layers(directory / "firmdays.npy", fit.firm_ids, layers.dtype, layers.shape, layers)
+    for k in np.flatnonzero(~_models_ok(fit.models[:len(fit.firm_ids)].T)):
+        if not np.isfinite(fit.models[k]).all():
+            break  # write_models names the first non-finite number
+        _check_model(directory / "models.csv", k + 1, fit.firm_ids[k], fit.models[k])
     write_models(directory / "models.csv", fit.firm_ids, fit.sector_codes, fit.district_codes,
                  fit.models, fit.converged, fit.degenerate, comments)
     np.save(directory / "firmdays.npy", fit.firmdays)

@@ -4,13 +4,13 @@
 process pool, one per worker on a contiguous share of its rows.  A job preprocesses its rows,
 fits them by EM in a batch that refills as rows converge (``hmmbatch.em_rows``), and writes each
 row's deviations, causal filter (EM's last forward pass) and the cleaned consumption that weights
-the index into one firm-day array.  A job folds EM's outcomes into one record per row as they
-arrive (``_fold``): its best fit, whose filter goes straight into the array, and its first
-failure.  A pool job returns what a serial one does, its records and the EM states of the rows
-it hands back, which the parent finishes for every job in one stream and folds in (``_drain``),
-so a fit pays one drain of small batch steps at any worker count.  A firm's results depend
-only on its own row and the run settings, not on the other firms in its job nor the worker count.
-``fit_outputs`` turns the results into the fit's product, one ``panelio.FitOutputs`` table.
+the index into one firm-day array, the ``firmdays`` of the fit's ``panelio.FitOutputs``, whose
+rows the results are.  A job folds EM's outcomes into one record per row as they arrive
+(``_fold``): its best fit, whose filter goes straight into the array, and its first failure.  A
+pool job returns what a serial one does, its records and the EM states of the rows it hands
+back, which the parent finishes for every job in one stream and folds in (``_drain``), so a fit
+pays one drain of small batch steps at any worker count.  A firm's results depend only on its
+own row and the run settings, not on the other firms in its job nor the worker count.
 """
 
 from __future__ import annotations
@@ -31,20 +31,19 @@ from .preprocess import DeviationSeries, KwhPanel, firm_rng, preprocess_grid
 
 @dataclass(frozen=True)
 class FirmFitResult:
-    """Everything downstream stages need for one fitted firm."""
+    """Row ``k`` of ``fit``, read as views, and the firm's ``report``, its filter a view too."""
 
-    firm_id: str
-    sector_code: str
-    district_code: str
-    deviation: DeviationSeries
+    fit: FitOutputs
+    k: int
     report: FitReport
-    ele_test: np.ndarray  # cleaned kWh over the test window, the ECU weights
-    ele_ref: np.ndarray   # cleaned kWh over the reference window, for the sRPI baseline
 
-    @property
-    def filtered(self) -> FilterOutput:
-        """The causal filter under the fitted model: EM's last forward pass."""
-        return self.report.filter
+    firm_id = property(lambda r: r.fit.firm_ids[r.k])
+    sector_code = property(lambda r: r.fit.sector_codes[r.k])
+    district_code = property(lambda r: r.fit.district_codes[r.k])
+    deviation = property(lambda r: DeviationSeries(r.fit.offsets, r.fit.firmdays[0, r.k]))
+    ele_test = property(lambda r: r.fit.firmdays[3, r.k])  # cleaned test-window kWh: ECU weights
+    ele_ref = property(lambda r: r.fit.firmdays[4, r.k])  # the reference window's: sRPI baseline
+    filtered = property(lambda r: r.report.filter)  # the fitted model's causal filter
 
 
 EM_BLOCK = 64  # most rows in a preprocessing grid, about 15 arrays of 545 days a row
@@ -139,25 +138,24 @@ def _drain(replies: list[tuple], cfg: RunConfig, out: np.ndarray) -> dict:
 
 def fit_panel(panel: KwhPanel, cfg: RunConfig,
               workers: int | None = None) -> tuple[list[FirmFitResult], list[tuple[str, str]]]:
-    """Fit every firm; returns (results sorted by firm id, skipped (id, reason) sorted by id).
+    """Fit every firm; returns (results, rows of one ``FitOutputs``; skipped (id, reason)) by id.
 
     One job, ``_fit_block``, preprocesses and fits rows of the panel's grid: all of them in a
     serial run, and in a pool one share per worker, the shares differing by at most one row.
-    They write into one (5, firms, T) array, of which each result's arrays are views; a pool's
-    is an anonymous shared mapping that the forked workers inherit with the panel, so neither is
-    pickled, and a dead worker (``ChildProcessError``) leaves nothing to clean up.  The parent
-    finishes the last ``min(EM_BATCH // workers, share // 2)`` rows of each job, or the last
-    ``hmmbatch.SCALAR_ROWS`` if that is more, in one ``_drain``.  A firm whose series cannot
-    cover the windows or whose fit fails numerically is skipped with a diagnostic, and a flat
-    one's fit is degenerate: its deviations lie within 1e-8 of (1 plus) its mean test-window
-    kWh, far above the 1e-13 residual the rolling sums leave where both years match, and below
-    any real change.  ``workers`` defaults to ``cfg.workers``; a pool has at most one process
-    per firm and CPU.
+    They write into one (5, firms, T) array, the table's ``firmdays`` once skipped rows are
+    squeezed out in place; a pool's is an anonymous shared mapping that the forked workers
+    inherit with the panel, so neither is pickled, and a dead worker (``ChildProcessError``)
+    leaves nothing to clean up.  The parent finishes the last ``min(EM_BATCH // workers,
+    share // 2)`` rows of each job, or the last ``hmmbatch.SCALAR_ROWS`` if that is more, in
+    one ``_drain``.  A firm whose series cannot cover the windows or whose fit fails
+    numerically is skipped with a diagnostic, and a flat one's fit is degenerate: its
+    deviations lie within 1e-8 of (1 plus) its mean test-window kWh, far above the 1e-13
+    residual the rolling sums leave where both years match, and below any real change.
+    ``workers`` defaults to ``cfg.workers``; a pool has at most one process per firm and CPU.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(cfg.workers if workers is None else workers, len(panel), cpus or 1))
-    offsets = np.arange(-cfg.span, cfg.span + 1)
-    shape = (len(FIRMDAY_LAYERS), len(panel), len(offsets))
+    shape = (len(FIRMDAY_LAYERS), len(panel), 2 * cfg.span + 1)
     if workers <= 1:
         records, _ = _fit_block(panel, cfg, out := np.empty(shape))
     else:
@@ -176,41 +174,43 @@ def fit_panel(panel: KwhPanel, cfg: RunConfig,
         except BrokenExecutor as exc:
             raise ChildProcessError(f"the fit's process pool broke: {exc}") from None
         records = _drain(replies, cfg, out)
-    results, skipped = [], []
+    rows, fits, skipped = [], [], []  # fits with flatness decided, their filters in out
     for k, (best, failed) in sorted(records.items()):
         if failed:
             skipped.append((panel.firm_ids[k], failed[1]))
             continue
-        fit = best[1]
         flat = np.abs(out[0, k]).max() <= 1e-8 * (1.0 + np.abs(out[3, k]).mean())
-        report = replace(fit, filter=FilterOutput(out[1:3, k].T, fit.loglik_trace[-1]),
-                         degenerate=fit.degenerate or bool(flat))
-        results.append(FirmFitResult(panel.firm_ids[k], panel.sector_codes[k],
-                                     panel.district_codes[k], DeviationSeries(offsets, out[0, k]),
-                                     report, out[3, k], out[4, k]))
-    return results, skipped
+        rows.append(k)
+        fits.append(replace(best[1], degenerate=best[1].degenerate or bool(flat)))
+    # row i of the (5, fitted, T) prefix of out is row k of layer i // n, at or after it
+    rowwise, n = out.reshape(-1, shape[2]), len(rows)
+    for i, k in enumerate(rows * shape[0] if n < len(panel) else ()):
+        rowwise[i] = rowwise[i // n * len(panel) + k]
+    fit = FitOutputs(*([codes[k] for k in rows]  # reached only through a result: n > 0
+                       for codes in (panel.firm_ids, panel.sector_codes, panel.district_codes)),
+                     np.array([[*f.model.numbers(), f.loglik_trace[-1]] for f in fits]),
+                     np.array([f.converged for f in fits]), np.array([f.degenerate for f in fits]),
+                     rowwise[:shape[0] * n].reshape(shape[0], n, shape[2]))
+    return [FirmFitResult(fit, j, replace(f, filter=FilterOutput(fit.firmdays[1:3, j].T,
+                                                                 f.loglik_trace[-1])))
+            for j, f in enumerate(fits)], skipped
 
 
 def fit_outputs(results: Iterable[FirmFitResult]) -> FitOutputs:
-    """The table of ``results``, firms in id order, with their stacked firm-day array.
-
-    Every firm's offsets must be the same ``-span..span``, so T is odd and implies them.
-    """
-    rs = sorted(results, key=lambda r: r.firm_id)
-    span = len(rs[0].deviation.offsets) // 2 if rs else 0
-    offsets = np.arange(-span, span + 1)
-    layers = np.empty((len(FIRMDAY_LAYERS), len(rs), len(offsets)))
-    models = np.empty((len(rs), len(MODELS_HEADER[3:-2])))
-    for k, r in enumerate(rs):
-        if not np.array_equal(r.deviation.offsets, offsets):
-            raise ValueError(f"firm {r.firm_id}: offsets must run {-span}..{span} as the first "
-                             "firm's do")
-        layers[:, k] = r.deviation.y, r.filtered.mu_p, r.filtered.mu_r, r.ele_test, r.ele_ref
-        models[k] = [*r.report.model.numbers(), r.report.loglik_trace[-1]]
-    return FitOutputs([r.firm_id for r in rs], [r.sector_code for r in rs],
-                      [r.district_code for r in rs], models,
-                      np.array([r.report.converged for r in rs], dtype=bool),
-                      np.array([r.report.degenerate for r in rs], dtype=bool), layers)
+    """One fit's ``results`` as a table in id order: the fit's own for all its rows, else a copy."""
+    results = sorted(results, key=lambda r: r.k)
+    if any(r.fit is not results[0].fit for r in results):
+        raise ValueError("the results are rows of more than one fit")
+    if not results:
+        return FitOutputs([], [], [], np.empty((0, len(MODELS_HEADER[3:-2]))),
+                          *np.zeros((2, 0), dtype=bool), np.empty((len(FIRMDAY_LAYERS), 0, 1)))
+    fit, rows = results[0].fit, [r.k for r in results]
+    if rows == list(range(len(fit.firm_ids))):
+        return fit
+    return FitOutputs(*([c[k] for k in rows] for c in (fit.firm_ids, fit.sector_codes,
+                                                        fit.district_codes)),
+                      *(a[rows] for a in (fit.models, fit.converged, fit.degenerate)),
+                      fit.firmdays[:, rows])
 
 
 # bench/run.py calls these two; they go once fit_panel returns a FitOutputs

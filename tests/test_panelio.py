@@ -30,7 +30,7 @@ from ecuindex.panelio import (
     write_srpi,
 )
 from ecuindex.pipeline import fit_outputs, fit_panel
-from ecuindex.preprocess import DeviationSeries, KwhPanel
+from ecuindex.preprocess import KwhPanel
 from ecuindex.simgen import PanelConfig, generate
 from firm_records import FirmRecord, panel_of, records_of
 from preprocess_oracle import RawSeries
@@ -226,14 +226,13 @@ def test_panel_zeroes_degenerate_mu_r_in_place_only_in_a_layer_read_alone(tmp_pa
 def test_firmdays_writer_refuses_nan(tmp_path, fitted):
     """The first non-finite value in (column, firm, offset) order is named; neither file is
     written."""
-    a, b, c = sorted(fitted, key=lambda r: r.firm_id)
-    ele_test = b.ele_test.copy()
-    ele_test[[1, 4]] = np.nan, np.inf
-    broken = [a, replace(b, ele_test=ele_test),
-              replace(c, ele_ref=np.where(np.arange(191) == 0, np.nan, c.ele_ref))]
+    fit = fit_outputs(fitted)
+    firmdays = fit.firmdays.copy()
+    firmdays[3, 1, [1, 4]] = np.nan, np.inf
+    firmdays[4, 2, 0] = np.nan
     with pytest.raises(ValueError, match=re.escape(
-            f"firmdays.npy: column ele_test of firm {b.firm_id} is nan at offset -94")):
-        write_fit_outputs(tmp_path, fit_outputs(broken))
+            f"firmdays.npy: column ele_test of firm {fit.firm_ids[1]} is nan at offset -94")):
+        write_fit_outputs(tmp_path, replace(fit, firmdays=firmdays))
     assert not (tmp_path / "models.csv").exists()
     assert not (tmp_path / "firmdays.npy").exists()
 
@@ -245,10 +244,10 @@ def swap_order(fit):
                       fit.firmdays[:, ::-1].copy())
 
 
-def with_loglik(fit, k, value):
-    """``fit`` with firm k's log-likelihood set to ``value``."""
+def with_number(fit, k, column, value):
+    """``fit`` with firm k's number in ``column`` of ``models.csv`` set to ``value``."""
     models = fit.models.copy()
-    models[k, -1] = value
+    models[k, panelio.MODELS_HEADER.index(column) - 3] = value
     return replace(fit, models=models)
 
 
@@ -262,7 +261,12 @@ def with_loglik(fit, k, value):
      "firmdays.npy holds a <f4 array of shape (5, 3, 191)"),
     (lambda fit: replace(fit, firmdays=fit.firmdays[:4]),
      "firmdays.npy holds a <f8 array of shape (4, 3, 191)"),
-    (lambda fit: with_loglik(fit, 1, np.nan), "models.csv data row 2, column loglik: nan"),
+    (lambda fit: with_number(fit, 1, "loglik", np.nan),
+     "models.csv data row 2, column loglik: nan"),
+    (lambda fit: with_number(fit, 1, "q_pp", 1.5), "models.csv data row 2: firm {1}: "
+     "transition matrix row entries must lie in [0, 1], got [1.5 "),
+    (lambda fit: with_number(fit, 1, "sigma_p", 0.0),
+     "models.csv data row 2: firm {1}: sigma must be positive and finite, got 0.0"),
     (lambda fit: replace(fit, sector_codes=[*fit.sector_codes[:1], "," + "9" * 200_000,
                                             *fit.sector_codes[2:]]),
      "models.csv data row 2, column sector_code: a field of 200001 characters is longer than "
@@ -274,7 +278,7 @@ def with_loglik(fit, k, value):
         for name, layer in zip(FIRMDAY_LAYERS, fit.firmdays))),  # as index reads it back
      "firmdays.npy: layers y, mu_p were not read back"),
 ], ids=["reverse_order", "firm_rows", "even_days", "float32", "four_layers", "nan_loglik",
-        "long_sector_code", "short_models", "unread_layers"])
+        "invalid_q", "zero_sigma", "long_sector_code", "short_models", "unread_layers"])
 def test_fit_writer_refuses_a_pair_the_reader_refuses(tmp_path, fitted, damage, message):
     """The rows of both files are matched by position, so a pair whose firms are out of id
     order would come back mispaired; neither file is written."""
@@ -282,14 +286,6 @@ def test_fit_writer_refuses_a_pair_the_reader_refuses(tmp_path, fitted, damage, 
     with pytest.raises(ValueError, match=re.escape(message.format(*fit.firm_ids))):
         write_fit_outputs(tmp_path, damage(fit))
     assert list(tmp_path.iterdir()) == []
-
-
-def test_firmdays_short_row_rejected(tmp_path, fitted):
-    """Every firm's row of the array must cover the same offsets -span..span."""
-    a, b, c = sorted(fitted, key=lambda r: r.firm_id)
-    short = DeviationSeries(b.deviation.offsets[:-1], b.deviation.y[:-1])
-    with pytest.raises(ValueError, match=f"firm {b.firm_id}: offsets must run -95..95"):
-        fit_outputs([a, replace(b, deviation=short), c])
 
 
 def test_ecu_file_dates_and_gaps(tmp_path):

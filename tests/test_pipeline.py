@@ -15,7 +15,7 @@ from ecuindex import hmm, hmmbatch, panelio, pipeline
 from ecuindex.cli import main
 from ecuindex.config import DEFAULT_SECTOR_MIX, RunConfig, build_run_config
 from ecuindex.hmm import FilterDegeneracyError, FilterOutput, FitReport, RegimeModel
-from ecuindex.panelio import read_fit_outputs, write_panel
+from ecuindex.panelio import read_fit_outputs, write_fit_outputs, write_panel
 from ecuindex.pipeline import build_firmday_panel, fit_outputs, fit_panel, reference_totals
 from ecuindex.preprocess import DeviationSeries, KwhPanel, preprocess_grid
 from ecuindex.simgen import PanelConfig, generate
@@ -589,6 +589,73 @@ def test_fit_files_load_to_the_library_panel(tmp_path):
         np.testing.assert_array_equal(got, getattr(wrapped, col), err_msg=col)
     assert fit.reference_totals.tobytes() == want.reference_totals.tobytes()
     assert fit.reference_totals.tobytes() == reference_totals(results).tobytes()
+
+
+def test_fit_outputs_of_a_whole_fit_is_its_table_and_of_a_subset_a_copy(records, run_cfg):
+    """Every result is a row of ``fit_panel``'s one table, its arrays views of that row; all the
+    rows give the table itself, a subset a copy of its rows in id order, and rows of two fits
+    are refused."""
+    results, _ = fit_panel(panel_of(records), run_cfg)
+    fit = fit_outputs(results[::-1])
+    assert all(r.fit is fit for r in results) and [r.k for r in results] == [0, 1, 2, 3, 4, 5]
+    for r in results:
+        for view in (r.deviation.y, r.ele_test, r.ele_ref, r.filtered.filtered):
+            assert np.shares_memory(view, fit.firmdays), r.firm_id
+        assert r.filtered.filtered.T.tobytes() == fit.firmdays[1:3, r.k].tobytes()
+    sub = fit_outputs([results[3], results[1]])
+    assert sub.firm_ids == [results[1].firm_id, results[3].firm_id]
+    assert sub.sector_codes == [fit.sector_codes[1], fit.sector_codes[3]]
+    assert not np.shares_memory(sub.firmdays, fit.firmdays)
+    assert sub.firmdays.tobytes() == fit.firmdays[:, [1, 3]].tobytes()
+    for name in ("models", "converged", "degenerate"):
+        assert getattr(sub, name).tobytes() == getattr(fit, name)[[1, 3]].tobytes(), name
+    other, _ = fit_panel(panel_of(records), run_cfg)
+    with pytest.raises(ValueError, match="the results are rows of more than one fit"):
+        fit_outputs([results[0], other[1]])
+    assert fit_outputs([]).firm_ids == [] and fit_outputs([]).firmdays.shape[:2] == (5, 0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_skipped_rows_are_squeezed_out_of_the_fits_own_buffer(records, run_cfg, monkeypatch,
+                                                              workers):
+    """With a firm skipped mid-panel, the table's firm-day array is a C-ordered view of the
+    (5, panel firms, T) array the fit wrote, and equals the fit of the other firms alone."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    dates = np.arange("2019-12-01", "2020-02-01", dtype="datetime64[D]")
+    short = FirmRecord(records[2].firm_id + "-short", "301", "D01",
+                       RawSeries(dates, np.full(len(dates), 5.0)))
+    panel = panel_of(records + [short])
+    assert panel.firm_ids[3] == short.firm_id
+    results, skipped = fit_panel(panel, run_cfg, workers=workers)
+    fit = fit_outputs(results)
+    assert [firm_id for firm_id, _ in skipped] == [short.firm_id]
+    assert fit.firmdays.flags.c_contiguous and fit.firmdays.base.shape == (5, len(panel), 191)
+    alone = fit_outputs(fit_panel(panel_of(records), run_cfg, workers=1)[0])
+    assert fit.firm_ids == alone.firm_ids
+    for name in ("models", "converged", "degenerate", "firmdays"):
+        assert getattr(fit, name).tobytes() == getattr(alone, name).tobytes(), name
+
+
+@pytest.mark.parametrize("skip", [False, True])
+def test_writing_a_fit_holds_no_second_firmday_array(tmp_path, skip):
+    """``fit_outputs`` of a whole fit copies nothing and ``write_fit_outputs`` checks and saves
+    the array where it lies, with or without a skipped firm: their traced peak stays far below
+    the size of ``firmdays.npy``, where a copy of the array alone would reach it."""
+    panel = generate(PanelConfig(n_firms=300, seed=3)).panel
+    if skip:
+        dates = np.arange("2019-12-01", "2020-02-01", dtype="datetime64[D]")
+        panel = panel_of(records_of(panel) + [FirmRecord(
+            panel.firm_ids[150] + "-short", "301", "D01", RawSeries(dates, np.ones(len(dates))))])
+    results, skipped = fit_panel(panel, build_run_config({"em_max_iter": "1"}), workers=1)
+    assert len(skipped) == skip and len(results) == 300
+    tracemalloc.start()
+    try:
+        write_fit_outputs(tmp_path, fit_outputs(results))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "firmdays.npy").stat().st_size
+    assert peak < 0.5 * size, peak / size
 
 
 def test_checking_the_firmday_layers_holds_few_masks_at_once():
