@@ -273,29 +273,19 @@ def _m_step(yv, t, gamma, xi_sum, numbers, floor: float) -> list[float]:
     return new
 
 
-def _label(model: RegimeModel) -> tuple[RegimeModel, np.ndarray, bool]:
-    """Order the states (prosperous, recessionary) and report indistinguishability.
+def _label(numbers: list) -> tuple[list, bool, bool]:
+    """Order the states of a model's 12 Python floats (prosperous, recessionary) and report
+    indistinguishability.
 
-    The state with the smaller trend intercept is recessionary; intercept
-    ties break toward the larger sigma.  If both tie the regimes are
-    indistinguishable: the order is kept and the degenerate flag raised.
-    Returns the relabeled model, the order applied (new state k is old state
-    ``order[k]``) and the flag.
+    The state with the smaller trend intercept is recessionary; intercept ties break toward the
+    larger sigma, and a NaN comes first in each, as with ``np.argmin`` and ``np.argmax``.  If
+    both tie the regimes are indistinguishable: the order is kept and the degenerate flag
+    raised.  Returns the labeled numbers, whether the states were swapped, and the flag.
     """
-    b = [p.beta for p in model.params]
-    s = [p.sigma for p in model.params]
-    degenerate = False
-    if b[0] != b[1]:
-        rec = int(np.argmin(b))
-    elif s[0] != s[1]:
-        rec = int(np.argmax(s))
-    else:
-        rec = RECESSIONARY
-        degenerate = True
-    order = np.array([1 - rec, rec])
-    relabeled = RegimeModel(model.q[np.ix_(order, order)], tuple(model.params[i] for i in order),
-                            model.pi0[order])
-    return relabeled, order, degenerate
+    a0, b0, s0, a1, b1, s1, q00, q01, q10, q11, p0, p1 = numbers
+    swapped = (b0 < b1 or b0 != b0) if b0 != b1 else (s0 > s1 or s0 != s0)
+    labeled = [a1, b1, s1, a0, b0, s0, q11, q10, q01, q00, p1, p0] if swapped else list(numbers)
+    return labeled, swapped, b0 == b1 and s0 == s1
 
 
 def em_fit(y, init: RegimeModel, tol=RunConfig.em_tol, max_iter=RunConfig.em_max_iter) -> FitReport:
@@ -329,7 +319,7 @@ def em_fit(y, init: RegimeModel, tol=RunConfig.em_tol, max_iter=RunConfig.em_max
         numbers = _m_step(yv, t, gamma, xi_sum, numbers, floor)
         updates += 1
 
-    return _report(numbers, floor, filtered, trace, updates, converged)
+    return _fit_report(*_finish(numbers, floor, filtered, trace, converged))
 
 
 def _converged(trace: list, updates: int, tol, max_iter) -> bool:
@@ -338,20 +328,21 @@ def _converged(trace: list, updates: int, tol, max_iter) -> bool:
     return updates < max_iter and len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol
 
 
-def _report(numbers, floor: float, filtered, trace: list, updates: int,
-            converged: bool) -> FitReport:
-    """EM's result: the model of the 12 ``numbers`` labeled, its (T, 2) filter reordered to
-    match, the trace, flags.  A model ``RegimeModel`` refuses raises its ``ValueError``."""
-    labeled, order, indistinct = _label(RegimeModel.from_numbers(numbers))
-    floored = any(p.sigma <= floor * (1.0 + 1e-12) for p in labeled.params)
-    return FitReport(
-        model=labeled,
-        filter=FilterOutput(filtered[:, order], trace[-1]),
-        iterations=updates,
-        loglik_trace=np.asarray(trace),
-        converged=converged,
-        degenerate=indistinct or floored,
-    )
+def _finish(numbers, floor: float, filtered, trace: list, converged: bool) -> tuple:
+    """EM's result as (row, trace, filter): the ``models.csv`` row of the model of the 12
+    ``numbers`` labeled (its numbers, the last log-likelihood, then the converged and degenerate
+    flags as 1.0 or 0.0), the trace, and a copy of the (T, 2) filter in label order.  A model
+    ``RegimeModel`` refuses raises its ``ValueError``."""
+    labeled, swapped, indistinct = _label(RegimeModel.from_numbers(numbers).numbers())
+    floored = min(labeled[2], labeled[5]) <= floor * (1.0 + 1e-12)
+    return ([*labeled, trace[-1], float(converged), float(indistinct or floored)], trace,
+            filtered[:, [1, 0] if swapped else [0, 1]])
+
+
+def _fit_report(row, trace, filtered) -> FitReport:
+    """The ``FitReport`` of a model's ``models.csv`` row, its trace and its (T, 2) filter."""
+    return FitReport(RegimeModel.from_numbers(row), FilterOutput(filtered, trace[-1]),
+                     len(trace) - 1, np.asarray(trace, dtype=float), bool(row[13]), bool(row[14]))
 
 
 def init_params(y) -> RegimeModel:

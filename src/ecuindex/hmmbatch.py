@@ -11,20 +11,20 @@ waiting, and ``_em_tail`` hands a stream's last rows to ``em_fit``; a stream can
 its last rows back, each with its EM state, its model's numbers and a log-likelihood trace as
 long as its update count, for a later stream to finish.  A row's model is its column of the
 batch's (12, m) array: its 12 numbers in ``hmm.MODEL_COLUMNS`` order, those ``em_fit`` keeps
-between its steps, those of ``RegimeModel.numbers`` and of a ``models.csv`` row.
+between its steps, those of ``RegimeModel.numbers`` and of a ``models.csv`` row.  A finished
+start's outcome is numbers too, not a ``FitReport``: its ``models.csv`` row, trace and filter.
 Only the fit imports this module, so the other stages do not compile it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from . import hmm
 from .config import RunConfig
-from .hmm import (_HALF_LOG_2PI, RegimeModel, RegimeParams, _converged, _degeneracy, _report,
+from .hmm import (_HALF_LOG_2PI, RegimeModel, RegimeParams, _converged, _degeneracy, _finish,
                   sigma_floor)
 from .preprocess import DeviationSeries
 
@@ -36,15 +36,16 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
             max_iter=RunConfig.em_max_iter, offsets=None, hand_back=-1):
     """``em_fit`` on rows of the (n, T) grid ``ys``: ``starts`` yields (key, row of ``ys``,
     init), each key hashable and distinct, and each start's row is fitted from its init, a
-    model or the state (its 12 numbers, trace) in which a stream handed it back, in a batch of
-    at most ``width`` rows whose recursions run side by side as row vectors.
+    model or the state (its 12 numbers, trace, None) in which a stream handed it back, in a
+    batch of at most ``width`` rows whose recursions run side by side as row vectors.
 
     ``starts`` is read as the batch has room, so a start's init is only made when its row
     joins.  Each row takes ``em_fit``'s operations in ``em_fit``'s order, so each start's
-    outcome, yielded as (key, outcome) after the batch step that ends it, is ``em_fit``'s
-    ``FitReport`` or exception on ``DeviationSeries(offsets, row)`` (row if no offsets) alone,
-    bit for bit.  Given a ``hand_back`` of 0 or more, once no start waits and at most
-    ``max(hand_back, SCALAR_ROWS)`` rows run, each is yielded as (key, its state) and the
+    outcome, yielded as (key, outcome) after the batch step that ends it, is ``em_fit``'s on
+    ``DeviationSeries(offsets, row)`` (row if no offsets) alone, bit for bit: its exception, or
+    ``hmm._finish``'s (row, trace, filter), whose ``hmm._fit_report`` is ``em_fit``'s report.
+    Given a ``hand_back`` of 0 or more, once no start waits and at most ``max(hand_back,
+    SCALAR_ROWS)`` rows run, each is yielded as (key, its state), its filter None, and the
     stream ends, never calling ``em_fit``; else once ``SCALAR_ROWS`` or fewer run, ``em_fit``
     itself finishes them, so a stream of that many starts or fewer takes one batch E-step.
     """
@@ -62,13 +63,13 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
         yield from out.items()
         out.clear()
         if waiting is None and len(rows) <= last:
-            yield from zip(keys, zip(model.T.copy(), traces))
+            yield from zip(keys, zip(model.T.tolist(), traces, [None] * len(keys)))
             return
         with np.errstate(all="ignore"):  # a failing row's NaNs stay in its own column
             joining = []
             while waiting is not None and len(rows) < width:
                 key, row, init = waiting
-                numbers, trace = (init.numbers(), []) if isinstance(init, RegimeModel) else init
+                numbers, trace = (init.numbers(), []) if isinstance(init, RegimeModel) else init[:2]
                 joining.append(numbers)
                 keys.append(key)
                 rows.append(row)
@@ -96,8 +97,8 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
                 converged = _converged(trace, updates, tol, max_iter)
                 if converged or updates >= max_iter:
                     try:
-                        out[keys[j]] = _report(model[:, j], floors[j], filtered[:, :, j], trace,
-                                               updates, converged)
+                        out[keys[j]] = _finish(model[:, j], floors[j], filtered[:, :, j], trace,
+                                               converged)
                     except ValueError as exc:
                         out[keys[j]] = exc
                 else:
@@ -128,16 +129,16 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
 
 def _em_tail(y: np.ndarray, offsets, init: RegimeModel, trace: list, tol, max_iter):
     """The row's fit by ``hmm.em_fit`` (looked up on the module, so that a wrapper set there sees
-    it) from the model its ``len(trace) - 1`` updates reached, joined to ``trace``; or its error."""
-    updates = len(trace) - 1
+    it) from the model its ``len(trace) - 1`` updates reached, as ``hmm._finish``'s (row, trace,
+    filter), its trace joined to ``trace``; or its error."""
     try:
         tail = hmm.em_fit(y if offsets is None else DeviationSeries(offsets, y), init, tol=tol,
-                          max_iter=max_iter - updates)
+                          max_iter=max_iter + 1 - len(trace))
     except (ValueError, RuntimeError) as exc:  # RuntimeError: FilterDegeneracyError, EM failure
         return exc
-    # the tail's trace starts with the last log-likelihood the batch took
-    return replace(tail, iterations=updates + tail.iterations,
-                   loglik_trace=np.concatenate((trace[:-1], tail.loglik_trace)))
+    joined = trace[:-1] + tail.loglik_trace.tolist()  # the tail's trace starts at the batch's last
+    return ([*tail.model.numbers(), joined[-1], float(tail.converged), float(tail.degenerate)],
+            joined, tail.filter.filtered)
 
 
 def _views(model: np.ndarray):

@@ -5,18 +5,20 @@ process pool, one per worker on a contiguous share of its rows.  A job preproces
 fits them by EM in a batch that refills as rows converge (``hmmbatch.em_rows``), and writes each
 row's deviations, causal filter (EM's last forward pass) and the cleaned consumption that weights
 the index into one firm-day array, the ``firmdays`` of the fit's ``panelio.FitOutputs``, whose
-rows the results are.  A job folds EM's outcomes into one record per row as they arrive
-(``_fold``): its best fit, whose filter goes straight into the array, and its first failure.  A
-pool job returns what a serial one does, its records and the EM states of the rows it hands
-back, which the parent finishes for every job in one stream and folds in (``_drain``), so a fit
-pays one drain of small batch steps at any worker count.  A firm's results depend only on its
+rows the results are.  EM's outcomes are rows of ``models.csv``, not ``FitReport``s, and a job
+folds them into one record per row as they arrive (``_fold``): its best fit, whose row and filter
+go straight into the arrays, and its first failure.  A pool job returns what a serial one does,
+its records and the EM states of the rows it hands back, which the parent finishes for every job
+in one stream and folds in (``_drain``), so a fit pays one drain of small batch steps at any
+worker count.  A firm's results depend only on its
 own row and the run settings, not on the other firms in its job nor the worker count.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -24,18 +26,22 @@ import numpy as np
 from . import hmmbatch
 from .config import RunConfig
 from .ecu import FirmDayPanel
-from .hmm import FilterOutput, FitReport, init_params, random_init
+from .hmm import _fit_report, init_params, random_init
 from .panelio import FIRMDAY_LAYERS, MODELS_HEADER, FitOutputs
 from .preprocess import DeviationSeries, KwhPanel, firm_rng, preprocess_grid
 
 
 @dataclass(frozen=True)
 class FirmFitResult:
-    """Row ``k`` of ``fit``, read as views, and the firm's ``report``, its filter a view too."""
+    """Row ``k`` of ``fit``, read as views, and the firm's EM log-likelihood ``trace``."""
 
     fit: FitOutputs
     k: int
-    report: FitReport
+    trace: list
+
+    report = cached_property(lambda r: _fit_report(  # built once read, its filter a view too
+        [*r.fit.models[r.k], r.fit.converged[r.k], r.fit.degenerate[r.k]], r.trace,
+        r.fit.firmdays[1:3, r.k].T))
 
     firm_id = property(lambda r: r.fit.firm_ids[r.k])
     sector_code = property(lambda r: r.fit.sector_codes[r.k])
@@ -51,15 +57,16 @@ EM_BLOCK = 64  # most rows in a preprocessing grid, about 15 arrays of 545 days 
 # is fixed (3.7 ms at 64 rows and 4.4 ms at 128 on a 2-vCPU VM), and 200 rows raised a 200-firm
 # fit's peak RSS by 1.5%, 128 rows not at all
 EM_BATCH = 128
-_SHARED = []  # in a pool worker, the (panel, cfg, out) it inherited by fork
+_SHARED = []  # in a pool worker, the (panel, cfg, out, models) it inherited by fork
 
 
-def _fit_block(block: KwhPanel, cfg: RunConfig, out: np.ndarray, hand_back=-1) -> tuple:
+def _fit_block(block: KwhPanel, cfg: RunConfig, out: np.ndarray, models: np.ndarray,
+               hand_back=-1) -> tuple:
     """Preprocess a block of the panel's rows on grids of at most ``EM_BLOCK`` rows and fit each
-    row it keeps by EM in a batch of at most ``EM_BATCH`` rows, writing row k's
-    ``FIRMDAY_LAYERS`` into ``out[:, k]``; returns ``_fold``'s records, (None, (0, message))
-    for a row refused or whose init fails, and the states that the EM stream hands back, given a
-    ``hand_back`` of 0 or more, as ``hmmbatch.em_rows`` says.
+    row it keeps by EM in a batch of at most ``EM_BATCH`` rows, writing row k's ``FIRMDAY_LAYERS``
+    into ``out[:, k]`` and its ``models.csv`` row into ``models[k]``; returns ``_fold``'s records,
+    (None, (0, message)) for a row refused or whose init fails, and the states that the EM stream
+    hands back, given a ``hand_back`` of 0 or more, as ``hmmbatch.em_rows`` says.
 
     EM starts from the deterministic init and from ``multi_start`` random inits drawn from the
     firm's stream 3, each made as its row joins the EM batch and keyed (row, start index).
@@ -87,43 +94,42 @@ def _fit_block(block: KwhPanel, cfg: RunConfig, out: np.ndarray, hand_back=-1) -
 
     records = {}
     states = _fold(records, hmmbatch.em_rows(y, starts(), EM_BATCH, cfg.em_tol, cfg.em_max_iter,
-                                             offsets, hand_back), out)
+                                             offsets, hand_back), out, models)
     records.update((k, (None, (0, e))) for k, e in enumerate(errors) if e is not None)
     return records, states
 
 
-def _fold(records: dict, outcomes, out: np.ndarray) -> list:
+def _fold(records: dict, outcomes, out: np.ndarray, models: np.ndarray) -> list:
     """Fold EM ``outcomes`` keyed (k, start) into ``records``, one (best, failure) per row k,
-    in any order of arrival: its best fit as (start, fit), the first in init order of the
+    in any order of arrival: its best fit as (start, trace), the first in init order of the
     highest final log-likelihoods (so multi_start=0 output is kept whenever it is already the
-    best), its filter written into ``out[1:3, k]`` and detached from the fit kept; and its first
+    best), its row written into ``models[k]`` and its filter into ``out[1:3, k]``; and its first
     failure in init order as (start, message).  Returns the handed-back states, unfolded."""
     states = []
-    for (k, i), fit in outcomes:
-        if isinstance(fit, tuple):
-            states.append(((k, i), fit))
-            continue
+    for (k, i), outcome in outcomes:
         best, failed = records.get(k, (None, None))
-        if not isinstance(fit, FitReport):
+        if isinstance(outcome, Exception):
             if failed is None or i < failed[0]:
-                records[k] = best, (i, str(fit))
+                records[k] = best, (i, str(outcome))
+        elif outcome[2] is None:  # a handed-back state: (numbers, trace, None)
+            states.append(((k, i), outcome))
         # a higher final log-likelihood, or as high from an earlier start
-        elif best is None or (fit.loglik_trace[-1], best[0]) > (best[1].loglik_trace[-1], i):
-            out[1:3, k] = fit.filter.filtered.T  # now, so that few rows' filters are held
-            records[k] = (i, replace(fit, filter=None)), failed
+        elif best is None or (outcome[1][-1], best[0]) > (best[1][-1], i):
+            models[k], out[1:3, k] = outcome[0], outcome[2].T  # now, so that few filters are held
+            records[k] = (i, outcome[1]), failed
     return states
 
 
 def _fit_share(rows: slice, hand_back: int) -> tuple:
-    """A pool job: ``_fit_block`` on a share of the panel's rows, its rows numbered as the
-    panel's; each fit's filter is in the shared array, so no length-T array is sent back."""
-    panel, cfg, out = _SHARED
-    records, states = _fit_block(panel[rows], cfg, out[:, rows], hand_back)
+    """A pool job: ``_fit_block`` on a share of the panel's rows, numbered as the panel's; each
+    fit's filter and row are in the shared arrays, so only numbers and messages are sent back."""
+    panel, cfg, out, models = _SHARED
+    records, states = _fit_block(panel[rows], cfg, out[:, rows], models[rows], hand_back)
     return ({rows.start + k: record for k, record in records.items()},
             [((rows.start + k, i), state) for (k, i), state in states])
 
 
-def _drain(replies: list[tuple], cfg: RunConfig, out: np.ndarray) -> dict:
+def _drain(replies: list[tuple], cfg: RunConfig, out: np.ndarray, models: np.ndarray) -> dict:
     """The pool's records: those of its jobs, each row a single job's, into which the states of
     all jobs, finished in one ``em_rows`` stream, one drain of small batch steps and one
     ``em_fit`` tail, are folded."""
@@ -132,7 +138,7 @@ def _drain(replies: list[tuple], cfg: RunConfig, out: np.ndarray) -> dict:
         records.update(job_records)
         states += [(key, key[0], state) for key, state in job_states]
     _fold(records, hmmbatch.em_rows(out[0], states, EM_BATCH, cfg.em_tol, cfg.em_max_iter,
-                                    np.arange(-cfg.span, cfg.span + 1)), out)
+                                    np.arange(-cfg.span, cfg.span + 1)), out, models)
     return records
 
 
@@ -143,57 +149,58 @@ def fit_panel(panel: KwhPanel, cfg: RunConfig,
     One job, ``_fit_block``, preprocesses and fits rows of the panel's grid: all of them in a
     serial run, and in a pool one share per worker, the shares differing by at most one row.
     They write into one (5, firms, T) array, the table's ``firmdays`` once skipped rows are
-    squeezed out in place; a pool's is an anonymous shared mapping that the forked workers
-    inherit with the panel, so neither is pickled, and a dead worker (``ChildProcessError``)
-    leaves nothing to clean up.  The parent finishes the last ``min(EM_BATCH // workers,
-    share // 2)`` rows of each job, or the last ``hmmbatch.SCALAR_ROWS`` if that is more, in
-    one ``_drain``.  A firm whose series cannot cover the windows or whose fit fails
-    numerically is skipped with a diagnostic, and a flat one's fit is degenerate: its
-    deviations lie within 1e-8 of (1 plus) its mean test-window kWh, far above the 1e-13
-    residual the rolling sums leave where both years match, and below any real change.
+    squeezed out in place, and one (firms, 15) array of ``models.csv`` rows, the table's models
+    and flags; a pool's are anonymous shared mappings that the forked workers inherit with the
+    panel, so none is pickled, and a dead worker (``ChildProcessError``) leaves nothing to clean
+    up.  The parent finishes the last ``min(EM_BATCH // workers, share // 2)`` rows of each job,
+    or the last ``hmmbatch.SCALAR_ROWS`` if that is more, in one ``_drain``.  A firm whose
+    series cannot cover the windows or whose fit fails numerically is skipped with a diagnostic,
+    and a flat one's fit is degenerate: its deviations lie within 1e-8 of (1 plus) its mean
+    test-window kWh, far above the 1e-13 residual the rolling sums leave where both years match,
+    and below any real change.
     ``workers`` defaults to ``cfg.workers``; a pool has at most one process per firm and CPU.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(cfg.workers if workers is None else workers, len(panel), cpus or 1))
     shape = (len(FIRMDAY_LAYERS), len(panel), 2 * cfg.span + 1)
+    table = (len(panel), len(MODELS_HEADER) - 3)  # a models.csv row's numbers and flags
     if workers <= 1:
-        records, _ = _fit_block(panel, cfg, out := np.empty(shape))
+        records, _ = _fit_block(panel, cfg, out := np.empty(shape), models := np.empty(table))
     else:
         import mmap  # only a pool run pays for these imports
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         from multiprocessing import get_context
-        out = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * int(np.prod(shape))))
+        out, models = (np.ndarray(dims, buffer=mmap.mmap(-1, 8 * int(np.prod(dims))))
+                       for dims in (shape, table))
         shares = [slice(len(panel) * k // workers, len(panel) * (k + 1) // workers)
                   for k in range(workers)]
         try:
             with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
                                      initializer=_SHARED.extend,
-                                     initargs=((panel, cfg, out),)) as pool:
+                                     initargs=((panel, cfg, out, models),)) as pool:
                 replies = list(pool.map(_fit_share, shares, [
                     min(EM_BATCH // workers, (s.stop - s.start) // 2) for s in shares]))
         except BrokenExecutor as exc:
             raise ChildProcessError(f"the fit's process pool broke: {exc}") from None
-        records = _drain(replies, cfg, out)
-    rows, fits, skipped = [], [], []  # fits with flatness decided, their filters in out
+        records = _drain(replies, cfg, out, models)
+    rows, skipped = [], []
     for k, (best, failed) in sorted(records.items()):
         if failed:
             skipped.append((panel.firm_ids[k], failed[1]))
             continue
-        flat = np.abs(out[0, k]).max() <= 1e-8 * (1.0 + np.abs(out[3, k]).mean())
+        if np.abs(out[0, k]).max() <= 1e-8 * (1.0 + np.abs(out[3, k]).mean()):
+            models[k, 14] = 1.0  # a flat firm's fit is degenerate
         rows.append(k)
-        fits.append(replace(best[1], degenerate=best[1].degenerate or bool(flat)))
     # row i of the (5, fitted, T) prefix of out is row k of layer i // n, at or after it
     rowwise, n = out.reshape(-1, shape[2]), len(rows)
     for i, k in enumerate(rows * shape[0] if n < len(panel) else ()):
         rowwise[i] = rowwise[i // n * len(panel) + k]
+    fitted = models[rows]
     fit = FitOutputs(*([codes[k] for k in rows]  # reached only through a result: n > 0
                        for codes in (panel.firm_ids, panel.sector_codes, panel.district_codes)),
-                     np.array([[*f.model.numbers(), f.loglik_trace[-1]] for f in fits]),
-                     np.array([f.converged for f in fits]), np.array([f.degenerate for f in fits]),
+                     fitted[:, :13].copy(), fitted[:, 13] == 1.0, fitted[:, 14] == 1.0,
                      rowwise[:shape[0] * n].reshape(shape[0], n, shape[2]))
-    return [FirmFitResult(fit, j, replace(f, filter=FilterOutput(fit.firmdays[1:3, j].T,
-                                                                 f.loglik_trace[-1])))
-            for j, f in enumerate(fits)], skipped
+    return [FirmFitResult(fit, j, records[k][0][1]) for j, k in enumerate(rows)], skipped
 
 
 def fit_outputs(results: Iterable[FirmFitResult]) -> FitOutputs:

@@ -6,20 +6,22 @@ floats: every step goes through small numpy calls and each EM iteration
 builds a validated ``RegimeModel``.  Two changes follow the package's
 API: ``forward_filter`` no longer keeps the predicted pairs, and
 ``em_fit`` fills ``FitReport.filter`` with a second pass, ``forward_filter``
-on the labeled model, as the pipeline once did for every firm.  Tests
+on the labeled model, as the pipeline once did for every firm.  ``_label``
+is the package's labeling from when it worked on a ``RegimeModel``, kept
+here so that the oracle imports none of the code it checks.  Tests
 compare the package against them within stated tolerances.
 """
 
 import numpy as np
 
 from ecuindex.hmm import (
+    RECESSIONARY,
     FilterDegeneracyError,
     FilterOutput,
     FitReport,
     RegimeModel,
     RegimeParams,
     _as_observations,
-    _label,
     _weighted_line,
     emission_logdensity,
     sigma_floor,
@@ -126,6 +128,31 @@ def _m_step(yv, t, gamma, xi_sum, model: RegimeModel, floor: float) -> RegimeMod
 
     pi0 = gamma[0] / gamma[0].sum()
     return RegimeModel(q, tuple(params), pi0)
+
+
+def _label(model: RegimeModel) -> tuple[RegimeModel, np.ndarray, bool]:
+    """Order the states (prosperous, recessionary) and report indistinguishability.
+
+    The state with the smaller trend intercept is recessionary; intercept
+    ties break toward the larger sigma.  If both tie the regimes are
+    indistinguishable: the order is kept and the degenerate flag raised.
+    Returns the relabeled model, the order applied (new state k is old state
+    ``order[k]``) and the flag.
+    """
+    b = [p.beta for p in model.params]
+    s = [p.sigma for p in model.params]
+    degenerate = False
+    if b[0] != b[1]:
+        rec = int(np.argmin(b))
+    elif s[0] != s[1]:
+        rec = int(np.argmax(s))
+    else:
+        rec = RECESSIONARY
+        degenerate = True
+    order = np.array([1 - rec, rec])
+    relabeled = RegimeModel(model.q[np.ix_(order, order)], tuple(model.params[i] for i in order),
+                            model.pi0[order])
+    return relabeled, order, degenerate
 
 
 def em_fit(y, init: RegimeModel, tol: float = 1e-6, max_iter: int = 500) -> FitReport:

@@ -7,7 +7,9 @@ emission densities with ``np.column_stack`` and walks ``b.tolist()``, the
 backward pass slices and converts the arrays again, and the M-step works
 on numpy rows and sums each regime's weights three times.  The package's
 leaner kernel does the same arithmetic in the same order, so tests require
-bit-identical fits, or the same error type and message.
+bit-identical fits, or the same error type and message.  ``_label`` is the
+package's labeling from when it worked on a ``RegimeModel``, kept here so
+that the oracle imports none of the code it checks.
 """
 
 import math
@@ -15,13 +17,13 @@ import math
 import numpy as np
 
 from ecuindex.hmm import (
+    RECESSIONARY,
     FilterDegeneracyError,
     FilterOutput,
     FitReport,
     RegimeModel,
     RegimeParams,
     _as_observations,
-    _label,
     _weighted_line,
     emission_logdensity,
     sigma_floor,
@@ -120,6 +122,31 @@ def _m_step(yv, t, gamma, xi_sum, q: np.ndarray, params, floor: float):
             q[i] = row / row.sum()
 
     return q, tuple(new_params), gamma[0] / gamma[0].sum()
+
+
+def _label(model: RegimeModel) -> tuple[RegimeModel, np.ndarray, bool]:
+    """Order the states (prosperous, recessionary) and report indistinguishability.
+
+    The state with the smaller trend intercept is recessionary; intercept
+    ties break toward the larger sigma.  If both tie the regimes are
+    indistinguishable: the order is kept and the degenerate flag raised.
+    Returns the relabeled model, the order applied (new state k is old state
+    ``order[k]``) and the flag.
+    """
+    b = [p.beta for p in model.params]
+    s = [p.sigma for p in model.params]
+    degenerate = False
+    if b[0] != b[1]:
+        rec = int(np.argmin(b))
+    elif s[0] != s[1]:
+        rec = int(np.argmax(s))
+    else:
+        rec = RECESSIONARY
+        degenerate = True
+    order = np.array([1 - rec, rec])
+    relabeled = RegimeModel(model.q[np.ix_(order, order)], tuple(model.params[i] for i in order),
+                            model.pi0[order])
+    return relabeled, order, degenerate
 
 
 def em_fit(y, init: RegimeModel, tol: float = 1e-6, max_iter: int = 500) -> FitReport:

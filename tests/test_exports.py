@@ -184,7 +184,9 @@ def test_pipeline_decides_each_firm_once():
     """A firm's EM outcomes are folded into one record as they arrive, and the fit reads its
     decision off that record: in ``pipeline`` one function writes a fit's filter into
     ``out[1:3, …]``, nothing imports ``collections``, whose counters a second gathering of
-    outcomes needed, and no function but ``fit_panel`` builds a ``FilterOutput``."""
+    outcomes needed, and no function builds a ``FitReport`` or a ``FilterOutput``, nor imports
+    ``dataclasses.replace``, which copied a report to change a field: the fit's model is its
+    ``models.csv`` row, and a result's report is built by ``hmm`` when it is read."""
     tree = ast.parse(Path(pipeline.__file__).read_text(encoding="utf-8"))
     writers, builders, imported = set(), set(), set()
     for function in ast.walk(tree):
@@ -198,16 +200,19 @@ def test_pipeline_decides_each_firm_once():
                         and isinstance(sub.slice, ast.Tuple)
                         and ast.unparse(sub.slice.elts[0]) == "1:3"):
                     writers.add(function.name)
-            if isinstance(node, ast.Call) and dotted(node.func).endswith("FilterOutput"):
+            if isinstance(node, ast.Call) and dotted(node.func).endswith(("FilterOutput",
+                                                                           "FitReport")):
                 builders.add(function.name)
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(alias.name.partition(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add((node.module or "").partition(".")[0])
+            if node.module == "dataclasses":
+                imported.update(f"dataclasses.{alias.name}" for alias in node.names)
     assert len(writers) == 1, writers
-    assert builders == {"fit_panel"}
-    assert "collections" not in imported
+    assert builders == set()
+    assert "collections" not in imported and "dataclasses.replace" not in imported
 
 
 def test_em_fit_keeps_its_model_as_numbers():

@@ -14,7 +14,6 @@ from ecuindex.hmm import (
     RECESSIONARY,
     FilterDegeneracyError,
     FilterOutput,
-    FitReport,
     RegimeModel,
     RegimeParams,
     _label,
@@ -27,6 +26,7 @@ from ecuindex.hmm import (
 )
 from ecuindex.preprocess import DeviationSeries
 from hmm_helpers import forward_filter, sample_path
+from hmm_oracle import _label as oracle_label
 from test_hmm_oracle import absorbing, series_and_model
 
 # ---------------------------------------------------------------------------
@@ -483,12 +483,25 @@ def assert_stream_is_em_fit(cases, offsets, scalar_rows, width):
         assert_is_em_fit(out, y, model, offsets)
 
 
+def handed_back(out) -> bool:
+    """Whether an ``em_rows`` outcome is a handed-back state, (numbers, trace, None)."""
+    return isinstance(out, tuple) and out[2] is None
+
+
 def assert_is_em_fit(out, y, model, offsets, max_iter=50):
     """``out`` is ``em_fit``'s outcome on ``y`` alone from ``model``, as a ``DeviationSeries``
-    when there are offsets."""
-    assert isinstance(out, (FitReport, ValueError, RuntimeError))
-    assert isinstance(out, Exception) or out.iterations == len(out.loglik_trace) - 1
-    got = (type(out), str(out)) if isinstance(out, Exception) else fit_bits(out)
+    when there are offsets: its failure, or the (row, trace, filter) of Python floats whose
+    ``hmm._fit_report`` is its report."""
+    assert isinstance(out, (tuple, ValueError, RuntimeError)) and not handed_back(out)
+    if isinstance(out, Exception):
+        got = type(out), str(out)
+    else:
+        row, trace, _ = out
+        assert len(row) == 15 and row[12] == trace[-1]
+        assert {type(x) for x in row + trace} == {float}
+        report = hmm._fit_report(*out)
+        assert report.iterations == len(report.loglik_trace) - 1
+        got = fit_bits(report)
     series = y if offsets is None else DeviationSeries(offsets, y)
     assert got == outcome_bits(em_fit, series, model, max_iter=max_iter)
 
@@ -538,13 +551,13 @@ def test_a_stream_handed_back_and_resumed_is_em_fit_bit_for_bit(stacked, hand_ba
     with mock.patch.object(hmmbatch, "SCALAR_ROWS", 0):
         first = list(hmmbatch.em_rows(ys, [(k, k, m) for k, (_, m) in enumerate(cases)], width,
                                       max_iter=50, offsets=offsets, hand_back=hand_back))
-    states = [(key, key, state) for key, state in first if isinstance(state, tuple)]
+    states = [(key, key, state) for key, state in first if handed_back(state)]
     assert len(states) <= hand_back
     fresh = [(("fresh", k), k, m) for k, (_, m) in enumerate(cases)]
     mixed = [start for pair in itertools.zip_longest(states, fresh) for start in pair if start]
     with mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows):
         second = list(hmmbatch.em_rows(ys, mixed, width, max_iter=50, offsets=offsets))
-    outcomes = dict([(key, out) for key, out in first if not isinstance(out, tuple)] + second)
+    outcomes = dict([(key, out) for key, out in first if not handed_back(out)] + second)
     assert len(outcomes) == 2 * len(cases)
     for k, (y, model) in enumerate(cases):
         assert_is_em_fit(outcomes[k], y, model, offsets)
@@ -584,7 +597,8 @@ def test_rows_handed_back_end_as_em_fit_ends_them():
     first = dict(hmmbatch.em_rows(ys, [(0, 0, late), (1, 1, early), (2, 2, walk_init)], 3,
                                   max_iter=4, hand_back=3))
     assert isinstance(first[1], FilterDegeneracyError)
-    assert [(type(first[j]), len(first[j][1])) for j in (0, 2)] == [(tuple, 1)] * 2  # one update
+    # each handed back after one update
+    assert [(handed_back(first[j]), len(first[j][1])) for j in (0, 2)] == [(True, 1)] * 2
     em_fit_of = {0: (y, late), 2: (walk, walk_init), "fresh": (walk, walk_init)}
     for scalar_rows, tails in ((0, 0), (16, 2)):
         calls = []
@@ -594,7 +608,8 @@ def test_rows_handed_back_end_as_em_fit_ends_them():
                 ys, [(0, 0, first[0]), ("fresh", 2, walk_init), (2, 2, first[2])], 3, max_iter=4))
         assert len(calls) == tails
         assert isinstance(outs[0], FilterDegeneracyError)
-        assert (outs[2].iterations, outs[2].converged) == (4, False)
+        report = hmm._fit_report(*outs[2])
+        assert (report.iterations, report.converged) == (4, False)
         for key, (series, model) in em_fit_of.items():
             assert_is_em_fit(outs[key], series, model, None, max_iter=4)
 
@@ -610,7 +625,8 @@ def test_a_stream_that_hands_back_never_calls_em_fit():
                                     hand_back=2))
     assert calls == []
     assert sorted(out) == [0, 1, 2, 3]
-    assert [(len(numbers), len(trace)) for numbers, trace in out.values()] == [(12, 1)] * 4
+    assert [(len(numbers), len(trace), filtered) for numbers, trace, filtered in out.values()] == [
+        (12, 1, None)] * 4
 
 
 def test_a_tail_row_whose_model_is_refused_stays_in_the_batch():
@@ -628,10 +644,10 @@ def test_a_tail_row_whose_model_is_refused_stays_in_the_batch():
         with (mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows),
               mock.patch.object(hmm, "em_fit", counting(calls))):
             [(key, outs[scalar_rows])] = hmmbatch.em_rows(
-                walk[None], [("off", 0, (numbers, []))], 1, max_iter=50)
+                walk[None], [("off", 0, (numbers, [], None))], 1, max_iter=50)
         assert (key, [kwargs["max_iter"] for _, kwargs in calls]) == ("off", tails)
-    assert isinstance(outs[0], FitReport) and outs[0].iterations > 1
-    assert fit_bits(outs[16]) == fit_bits(outs[0])
+    assert isinstance(outs[0], tuple) and hmm._fit_report(*outs[0]).iterations > 1
+    assert fit_bits(hmm._fit_report(*outs[16])) == fit_bits(hmm._fit_report(*outs[0]))
 
 
 def test_batch_and_tail_failures_name_the_series_offset():
@@ -784,39 +800,55 @@ def test_em_constant_series_flagged_degenerate():
 # ---------------------------------------------------------------------------
 
 
+def label_numbers(betas, sigmas, q=(0.9, 0.1, 0.3, 0.7), pi0=(0.2, 0.8)) -> list:
+    """A model's 12 numbers: slopes 0, the regimes' ``betas`` and ``sigmas``, ``q``, ``pi0``."""
+    return [0.0, betas[0], sigmas[0], 0.0, betas[1], sigmas[1], *q, *pi0]
+
+
 def test_label_swaps_rows_and_columns():
-    q = np.array([[0.9, 0.1], [0.3, 0.7]])
     # index 0 holds the smaller intercept, so labeling must swap
-    m = RegimeModel(q, (RegimeParams(0.0, -5.0, 1.0), RegimeParams(0.0, 5.0, 1.0)), np.array([0.2, 0.8]))
-    labeled, _, degenerate = _label(m)
-    assert not degenerate
-    assert labeled.prosperous.beta == 5.0
-    assert labeled.recessionary.beta == -5.0
-    np.testing.assert_array_equal(labeled.q, np.array([[0.7, 0.3], [0.1, 0.9]]))
-    np.testing.assert_array_equal(labeled.pi0, [0.8, 0.2])
+    labeled, swapped, degenerate = _label(label_numbers((-5.0, 5.0), (1.0, 1.0)))
+    assert swapped and not degenerate
+    model = RegimeModel.from_numbers(labeled)
+    assert model.prosperous.beta == 5.0
+    assert model.recessionary.beta == -5.0
+    np.testing.assert_array_equal(model.q, np.array([[0.7, 0.3], [0.1, 0.9]]))
+    np.testing.assert_array_equal(model.pi0, [0.8, 0.2])
 
 
 def test_label_noop_when_already_ordered():
-    q = np.array([[0.9, 0.1], [0.3, 0.7]])
-    m = RegimeModel(q, (RegimeParams(0.0, 5.0, 1.0), RegimeParams(0.0, -5.0, 1.0)), np.array([0.2, 0.8]))
-    labeled, _, degenerate = _label(m)
-    assert not degenerate
-    np.testing.assert_array_equal(labeled.q, q)
+    numbers = label_numbers((5.0, -5.0), (1.0, 1.0))
+    labeled, swapped, degenerate = _label(numbers)
+    assert not swapped and not degenerate
+    assert labeled == numbers
+    np.testing.assert_array_equal(RegimeModel.from_numbers(labeled).q, [[0.9, 0.1], [0.3, 0.7]])
 
 
 def test_label_intercept_tie_breaks_on_sigma():
-    q = np.array([[0.9, 0.1], [0.3, 0.7]])
-    m = RegimeModel(q, (RegimeParams(0.0, 1.0, 3.0), RegimeParams(0.0, 1.0, 1.0)), np.array([0.5, 0.5]))
-    labeled, _, degenerate = _label(m)
+    labeled, _, degenerate = _label(label_numbers((1.0, 1.0), (3.0, 1.0), pi0=(0.5, 0.5)))
     assert not degenerate
-    assert labeled.recessionary.sigma == 3.0
+    assert RegimeModel.from_numbers(labeled).recessionary.sigma == 3.0
 
 
 def test_label_full_tie_is_degenerate():
-    q = np.array([[0.9, 0.1], [0.3, 0.7]])
-    m = RegimeModel(q, (RegimeParams(0.0, 1.0, 1.0), RegimeParams(0.0, 1.0, 1.0)), np.array([0.5, 0.5]))
-    *_, degenerate = _label(m)
+    *_, degenerate = _label(label_numbers((1.0, 1.0), (1.0, 1.0), pi0=(0.5, 0.5)))
     assert degenerate
+
+
+@pytest.mark.parametrize("betas", [(np.nan, 5.0), (5.0, np.nan), (np.nan, np.nan),
+                                   (-np.inf, np.inf), (np.inf, -np.inf), (1.0, 1.0)])
+@pytest.mark.parametrize("sigmas", [(1.0, 2.0), (2.0, 1.0)])
+def test_label_orders_as_np_argmin_and_argmax(betas, sigmas):
+    """A NaN intercept, in either position or both, is the smaller one, as ``np.argmin`` finds
+    it, so ``[nan, x]`` makes state 0 recessionary: the labeling is the oracle's, which orders
+    the states by ``np.argmin`` of the intercepts and ``np.argmax`` of the sigmas."""
+    numbers = label_numbers(betas, sigmas)
+    labeled, swapped, degenerate = _label(numbers)
+    relabeled, order, indistinct = oracle_label(RegimeModel.from_numbers(numbers))
+    assert (swapped, degenerate) == (order.tolist() == [1, 0], indistinct)
+    np.testing.assert_array_equal(labeled, relabeled.numbers())
+    if betas[0] != betas[0]:
+        assert swapped and labeled[4] != labeled[4]
 
 
 # ---------------------------------------------------------------------------

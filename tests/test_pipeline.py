@@ -3,10 +3,11 @@
 import concurrent.futures
 import itertools
 import math
+import mmap
 import os
 import pickle
 import tracemalloc
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from ecuindex import hmm, hmmbatch, panelio, pipeline
 from ecuindex.cli import main
 from ecuindex.config import DEFAULT_SECTOR_MIX, RunConfig, build_run_config
-from ecuindex.hmm import FilterDegeneracyError, FilterOutput, FitReport, RegimeModel
+from ecuindex.hmm import FilterDegeneracyError, FitReport, RegimeModel
 from ecuindex.panelio import read_fit_outputs, write_fit_outputs, write_panel
 from ecuindex.pipeline import build_firmday_panel, fit_outputs, fit_panel, reference_totals
 from ecuindex.preprocess import DeviationSeries, KwhPanel, preprocess_grid
@@ -22,6 +23,7 @@ from ecuindex.simgen import PanelConfig, generate
 from firm_records import FirmRecord, panel_of, records_of
 from hmm_helpers import forward_filter
 from preprocess_oracle import RawSeries
+from test_hmm import handed_back
 
 
 def panel_records(n_firms=6, seed=11, **overrides):
@@ -164,42 +166,43 @@ def test_fit_panel_pool_is_capped_by_firms_and_cpus(run_cfg, monkeypatch, cpus, 
     assert fits(results) == fits(serial)
 
 
-def arrays_in(x):
-    """The arrays in ``x``, through its containers and the fields of its dataclasses."""
-    if isinstance(x, np.ndarray):
-        yield x
-    elif isinstance(x, (dict, list, tuple)):
+def kinds_in(x):
+    """The types of the values in ``x``, through its dicts, lists and tuples."""
+    if isinstance(x, (dict, list, tuple)):
         for item in (x.items() if isinstance(x, dict) else x):
-            yield from arrays_in(item)
-    elif is_dataclass(x):
-        for field in fields(x):
-            yield from arrays_in(getattr(x, field.name))
+            yield from kinds_in(item)
+    else:
+        yield type(x)
 
 
 def test_a_pool_job_writes_its_layers_and_sends_back_no_length_t_array(run_cfg, monkeypatch):
     """A pool job, run here on rows 2..5 of six, hands back its last two rows (no ``em_fit``
-    tail comes first), which the parent's drain finishes: the layers in the shared array are
-    those a serial fit computes, and the job's reply pickles to under half of T float64s per
-    firm, so no firm-day array travels back."""
+    tail comes first), which the parent's drain finishes: the layers and ``models.csv`` rows in
+    the shared arrays are those a serial fit computes, and the job's reply holds only numbers,
+    strings and None in dicts, lists and tuples (no array, ``FitReport``, ``RegimeModel`` or
+    ``FilterOutput``), and pickles to under half of T float64s per firm."""
     panel = panel_of(panel_records(n_firms=6))
     days = 2 * run_cfg.span + 1
     out = np.zeros((len(panelio.FIRMDAY_LAYERS), len(panel), days))
-    monkeypatch.setattr(pipeline, "_SHARED", [panel, run_cfg, out])
+    models = np.zeros((len(panel), len(panelio.MODELS_HEADER) - 3))
+    monkeypatch.setattr(pipeline, "_SHARED", [panel, run_cfg, out, models])
     monkeypatch.setattr(hmmbatch, "SCALAR_ROWS", 0)
     reply = pipeline._fit_share(slice(2, 6), 2)
     records, states = reply
     ks = [*records, *(k for (k, _), _ in states)]
     assert sorted(ks) == [2, 3, 4, 5] and len(states) == 2
     assert [failed for _, failed in records.values()] == [None] * len(records)
-    shapes = [array.shape for array in arrays_in(reply)]
-    assert shapes and all(days not in shape for shape in shapes)
+    assert set(kinds_in(reply)) <= {int, float, str, type(None)}
     size = len(pickle.dumps(reply))
-    records = pipeline._drain([reply], run_cfg, out)
-    assert sorted(k for k, (best, _) in records.items() if isinstance(best[1], FitReport)) == [
+    records = pipeline._drain([reply], run_cfg, out, models)
+    assert sorted(k for k, (best, _) in records.items() if isinstance(best[1], list)) == [
         2, 3, 4, 5]
-    serial = fit_outputs(fit_panel(panel, run_cfg, workers=1)[0]).firmdays
-    np.testing.assert_array_equal(out[:, 2:], serial[:, 2:])
+    serial = fit_outputs(fit_panel(panel, run_cfg, workers=1)[0])
+    np.testing.assert_array_equal(out[:, 2:], serial.firmdays[:, 2:])
     np.testing.assert_array_equal(out[:, :2], 0.0)
+    np.testing.assert_array_equal(models[2:6], np.column_stack(
+        (serial.models, serial.converged, serial.degenerate))[2:6])
+    np.testing.assert_array_equal(models[:2], 0.0)
     assert size / 4 < days * 8 / 2
 
 
@@ -229,10 +232,10 @@ def test_a_pooled_fit_that_drains_handed_back_starts_is_the_serial_fit(run_cfg, 
     assert pools == [workers] and len(streams) == workers + 1  # the jobs, then one drain
     mixed = 0
     for stream in streams[:-1]:
-        handed = {k for (k, _), out in stream if isinstance(out, tuple)}
-        mixed += len(handed & {k for (k, _), out in stream if not isinstance(out, tuple)})
+        handed = {k for (k, _), out in stream if handed_back(out)}
+        mixed += len(handed & {k for (k, _), out in stream if not handed_back(out)})
     assert mixed and len(streams[-1]) == sum(
-        isinstance(out, tuple) for stream in streams[:-1] for _, out in stream)
+        handed_back(out) for stream in streams[:-1] for _, out in stream)
 
     def bits(rs):
         return [(r.firm_id, r.report.iterations, r.report.converged, r.report.degenerate,
@@ -242,6 +245,30 @@ def test_a_pooled_fit_that_drains_handed_back_starts_is_the_serial_fit(run_cfg, 
     assert bits(results) == bits(serial) and len(serial) == 24
     assert skipped == serial_skipped and [s[0] for s in skipped] == ["F00005-short"]
     np.testing.assert_array_equal(fit_outputs(results).firmdays, fit_outputs(serial).firmdays)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_fit_builds_no_report_until_one_is_read(records, run_cfg, monkeypatch, workers):
+    """Without an ``em_fit`` tail, a serial fit and a pool's jobs and drain build no
+    ``FitReport``, counted in a shared mapping that forked workers write too; reading a result's
+    ``report`` builds one, and reading it or its filter again builds no other."""
+    built = np.ndarray(1, dtype=np.int64, buffer=mmap.mmap(-1, 8))
+    built[0] = 0
+
+    def counting_fit_report(*args, **kwargs):
+        built[0] += 1
+        return FitReport(*args, **kwargs)
+
+    monkeypatch.setattr(hmm, "FitReport", counting_fit_report)
+    monkeypatch.setattr(hmmbatch, "SCALAR_ROWS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    results, skipped = fit_panel(panel_of(records), run_cfg, workers=workers)
+    assert len(results) == len(records) and skipped == []
+    assert built[0] == 0
+    report = results[0].report
+    assert built[0] == 1 and report.iterations == len(results[0].trace) - 1
+    assert results[0].report is report and results[0].filtered is report.filter
+    assert built[0] == 1
 
 
 def test_a_pool_pickles_no_panel_and_leaves_no_process(records, run_cfg, monkeypatch):
@@ -268,9 +295,9 @@ def record_serial_fit(monkeypatch, run_cfg, n_firms, em_block, em_batch):
     fit_block, grid, e_step_rows = pipeline._fit_block, pipeline.preprocess_grid, \
         hmmbatch._e_step_rows
 
-    def recording_fit_block(block, cfg, out):
+    def recording_fit_block(block, cfg, out, models):
         blocks.append(len(block))
-        return fit_block(block, cfg, out)
+        return fit_block(block, cfg, out, models)
 
     def recording_grid(block, cfg):
         grids.append(len(block))
@@ -427,32 +454,42 @@ def test_a_wrapper_on_hmm_em_fit_sees_the_tail_and_changes_no_fit(run_cfg, monke
 
 
 def test_a_model_holds_python_floats_whichever_em_finished_it(run_cfg, monkeypatch):
-    """A firm that ``em_fit`` finishes and one the batch finishes hold Python float params, so
-    ``_fit_block``'s records pickle to the same bytes at any ``EM_BATCH``: with 80 firms and
-    three EM updates each, a batch of 64 hands its last 16 rows to ``em_fit``, one of 128
-    none."""
+    """A firm that ``em_fit`` finishes and one the batch finishes end as a ``models.csv`` row and
+    a trace of Python floats, so ``_fit_block``'s records pickle to the same bytes, and its rows
+    are the same, at any ``EM_BATCH``: with 80 firms and three EM updates each, a batch of 64
+    hands its last 16 rows to ``em_fit``, one of 128 none."""
     panel = panel_of(panel_records(n_firms=80))
     cfg = replace(run_cfg, em_max_iter=3)
-    tails, em_fit = [], hmm.em_fit
+    tails, outcomes, em_fit, em_rows = [], [], hmm.em_fit, hmmbatch.em_rows
 
     def counting_em_fit(*args, **kwargs):
         tails.append(args)
         return em_fit(*args, **kwargs)
 
+    def recording_em_rows(*args, **kwargs):
+        for key, outcome in em_rows(*args, **kwargs):
+            outcomes.append(outcome)
+            yield key, outcome
+
     monkeypatch.setattr(hmm, "em_fit", counting_em_fit)
-    replies, tail_rows = [], []
+    monkeypatch.setattr(hmmbatch, "em_rows", recording_em_rows)
+    replies, tables, tail_rows = [], [], []
     for width in (64, 128):
         monkeypatch.setattr(pipeline, "EM_BATCH", width)
         tails.clear()
-        records, _ = pipeline._fit_block(panel, cfg, np.empty((5, len(panel), 191)))
+        outcomes.clear()
+        models = np.empty((len(panel), 15))
+        records, _ = pipeline._fit_block(panel, cfg, np.empty((5, len(panel), 191)), models)
         assert sorted(k for k, (best, _) in records.items()
-                      if isinstance(best[1], FitReport)) == [*range(80)]
-        assert {type(x) for (_, fit), _ in records.values() for p in fit.model.params
-                for x in (p.alpha, p.beta, p.sigma)} == {float}
+                      if isinstance(best[1], list)) == [*range(80)]
+        assert len(outcomes) == 80
+        assert {type(x) for row, trace, _ in outcomes for x in row + trace} == {float}
         replies.append(pickle.dumps(sorted(records.items())))
+        tables.append(models)
         tail_rows.append(len(tails))
     assert tail_rows == [16, 0]
     assert replies[0] == replies[1]
+    np.testing.assert_array_equal(tables[0], tables[1])
 
 
 def test_a_row_is_decided_in_init_order_whatever_order_its_outcomes_arrive_in():
@@ -460,30 +497,31 @@ def test_a_row_is_decided_in_init_order_whatever_order_its_outcomes_arrive_in():
     log-likelihoods, with that fit's filter in ``out``, and its first failure in init order, on
     which ``fit_panel`` skips the row, whichever outcome arrives first; a handed-back state
     passes back unfolded."""
-    model, T = hmm.init_params(np.arange(5.0)), 5
+    numbers, T = hmm.init_params(np.arange(5.0)).numbers(), 5
 
-    def fit(loglik, p):  # a fit whose filter is (p, 1 - p) at every step
-        return FitReport(model, FilterOutput(np.full((T, 2), [p, 1.0 - p]), loglik), 1,
-                         np.array([loglik - 1.0, loglik]), True, False)
+    def fit(loglik, p):  # a fit whose row starts with p and whose filter is (p, 1 - p)
+        return ([p, *numbers[1:], loglik, 1.0, 0.0], [loglik - 1.0, loglik],
+                np.full((T, 2), [p, 1.0 - p]))
 
     tied = [((0, 2), fit(-5.0, 0.3)), ((0, 0), fit(-6.0, 0.1)), ((0, 1), fit(-5.0, 0.2))]
     higher = [*tied, ((0, 3), fit(-4.0, 0.4))]
     failing = [((0, 3), ValueError("fourth fails")), ((0, 0), fit(-5.0, 0.1)),
                ((0, 1), RuntimeError("second fails")), ((0, 2), fit(-4.0, 0.3))]
-    state = (np.arange(12.0), [-7.0])
+    state = (np.arange(12.0).tolist(), [-7.0], None)
     for outcomes, start, p, failed in [(tied, 1, 0.2, None), (higher, 3, 0.4, None),
                                        (failing, 2, 0.3, (1, "second fails"))]:
         for arrival in itertools.permutations(outcomes):
-            records, out = {}, np.zeros((5, 1, T))
+            records, out, models = {}, np.zeros((5, 1, T)), np.zeros((1, 15))
             [(key, passed)] = pipeline._fold(records, [*arrival[:2], ((0, 9), state),
-                                                       *arrival[2:]], out)
+                                                       *arrival[2:]], out, models)
             assert key == (0, 9) and passed is state
-            (kept, best), failure = records.pop(0)
-            assert (kept, best.filter, best.loglik_trace[-1], failure) == (
-                start, None, dict(outcomes)[0, start].loglik_trace[-1], failed)
+            (kept, trace), failure = records.pop(0)
+            assert (kept, trace, trace[-1], failure) == (
+                start, dict(outcomes)[0, start][1], dict(outcomes)[0, start][0][12], failed)
             assert records == {}
             np.testing.assert_array_equal(out[1:3, 0].T, np.full((T, 2), [p, 1.0 - p]))
             np.testing.assert_array_equal(out[[0, 3, 4]], 0.0)
+            np.testing.assert_array_equal(models[0], dict(outcomes)[0, start][0])
 
 
 def test_a_firms_starts_are_gathered_by_key_not_by_arrival(records, monkeypatch):
