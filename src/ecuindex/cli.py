@@ -55,7 +55,7 @@ def cmd_simulate(cfg: PanelConfig, out: Path, comments: list[str], raw: dict[str
 
 def cmd_fit(cfg: RunConfig, out: Path, comments: list[str], raw: dict[str, str]) -> None:
     from .pipeline import fit_outputs, fit_panel  # only fit loads the fit's code
-    # the panel's readings are dropped once fitted; the results are rows of the fit's one table
+    # the panel's readings are dropped once preprocessed; the results are rows of the fit's table
     results, skipped = fit_panel(read_panel(_panel_path(raw)), cfg)
     for firm_id, reason in skipped:
         print(f"skipped {firm_id}: {reason}")

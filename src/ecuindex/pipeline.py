@@ -1,17 +1,17 @@
 """Panel orchestration: a kWh panel in, fitted models and index inputs out.
 
-``fit_panel`` runs one job, ``_fit_block``, on a ``KwhPanel``'s whole firm x day grid or, in a
-process pool, one per worker on a contiguous share of its rows.  A job preprocesses its rows,
-fits them by EM in a batch that refills as rows converge (``hmmbatch.em_rows``), and writes each
-row's deviations, causal filter (EM's last forward pass) and the cleaned consumption that weights
-the index into one firm-day array, the ``firmdays`` of the fit's ``panelio.FitOutputs``, whose
-rows the results are.  EM's outcomes are rows of ``models.csv``, not ``FitReport``s, and a job
-folds them into one record per row as they arrive (``_fold``): its best fit, whose row and filter
-go straight into the arrays, and its first failure.  A pool job returns what a serial one does,
-its records and the EM states of the rows it hands back, which the parent finishes for every job
-in one stream and folds in (``_drain``), so a fit pays one drain of small batch steps at any
-worker count.  A firm's results depend only on its
-own row and the run settings, not on the other firms in its job nor the worker count.
+``fit_panel`` preprocesses a ``KwhPanel``'s firm x day grid into the deviations and the
+cleaned consumption that weights the index, layers of one firm-day array, the ``firmdays`` of
+the fit's ``panelio.FitOutputs``, whose rows the results are, and drops the grid.  One job,
+``_fit_block``, or in a process pool one per worker on a contiguous share of the rows, fits them
+by EM in a batch that refills as rows converge (``hmmbatch.em_rows``) and writes each row's
+causal filter (EM's last forward pass) into the array.  EM's outcomes are rows of
+``models.csv``, not ``FitReport``s, and a job folds them into one record per row as they arrive
+(``_fold``): its best fit, whose row and filter go straight into the arrays, and its first
+failure.  A pool job returns what a serial one does, its records and the EM states of the rows
+it hands back, which the parent finishes for every job in one stream and folds in (``_drain``),
+so a fit pays one drain of small batch steps at any worker count.  A firm's results depend
+only on its own row and the run settings, not on the other firms in its job nor the worker count.
 """
 
 from __future__ import annotations
@@ -57,32 +57,27 @@ EM_BLOCK = 64  # most rows in a preprocessing grid, about 15 arrays of 545 days 
 # is fixed (3.7 ms at 64 rows and 4.4 ms at 128 on a 2-vCPU VM), and 200 rows raised a 200-firm
 # fit's peak RSS by 1.5%, 128 rows not at all
 EM_BATCH = 128
-_SHARED = []  # in a pool worker, the (panel, cfg, out, models) it inherited by fork
+_SHARED = []  # in a pool worker, the (firm_ids, cfg, errors, out, models) it inherited by fork
 
 
-def _fit_block(block: KwhPanel, cfg: RunConfig, out: np.ndarray, models: np.ndarray,
-               hand_back=-1) -> tuple:
-    """Preprocess a block of the panel's rows on grids of at most ``EM_BLOCK`` rows and fit each
-    row it keeps by EM in a batch of at most ``EM_BATCH`` rows, writing row k's ``FIRMDAY_LAYERS``
-    into ``out[:, k]`` and its ``models.csv`` row into ``models[k]``; returns ``_fold``'s records,
-    (None, (0, message)) for a row refused or whose init fails, and the states that the EM stream
-    hands back, given a ``hand_back`` of 0 or more, as ``hmmbatch.em_rows`` says.
+def _fit_block(rows: range, firm_ids: list, cfg: RunConfig, errors: list, out: np.ndarray,
+               models: np.ndarray, hand_back=-1) -> tuple:
+    """Fit by EM each of the ``rows`` of ``out[0]`` that preprocessing kept (``errors[k]`` None)
+    in a batch of at most ``EM_BATCH`` rows, writing row k's filter into ``out[1:3, k]`` and its
+    ``models.csv`` row into ``models[k]``; returns ``_fold``'s records, (None, (0, message)) for
+    a row refused or whose init fails (the message put in ``errors[k]``), and the states that
+    the EM stream hands back, given a ``hand_back`` of 0 or more, as ``hmmbatch.em_rows`` says.
 
     EM starts from the deterministic init and from ``multi_start`` random inits drawn from the
     firm's stream 3, each made as its row joins the EM batch and keyed (row, start index).
     """
-    n, offsets = len(block), np.arange(-cfg.span, cfg.span + 1)
-    y, errors = out[0], []
-    for at in range(0, n, EM_BLOCK):
-        part = slice(at, at + EM_BLOCK)
-        y[part], out[3, part], out[4, part], part_errors = preprocess_grid(block[part], cfg)
-        errors += part_errors
+    offsets, y = np.arange(-cfg.span, cfg.span + 1), out[0]
 
     def starts():  # (key (row, start), row, init) per EM start; a failed init goes to errors
-        for k, error in enumerate(errors):
-            if error is not None:
+        for k in rows:
+            if errors[k] is not None:
                 continue
-            rng = firm_rng(cfg.seed, block.firm_ids[k], 3) if cfg.multi_start > 0 else None
+            rng = firm_rng(cfg.seed, firm_ids[k], 3) if cfg.multi_start > 0 else None
             try:
                 dev = DeviationSeries(offsets, y[k])
                 inits = [init_params(dev)] + [random_init(dev, rng)
@@ -95,7 +90,7 @@ def _fit_block(block: KwhPanel, cfg: RunConfig, out: np.ndarray, models: np.ndar
     records = {}
     states = _fold(records, hmmbatch.em_rows(y, starts(), EM_BATCH, cfg.em_tol, cfg.em_max_iter,
                                              offsets, hand_back), out, models)
-    records.update((k, (None, (0, e))) for k, e in enumerate(errors) if e is not None)
+    records.update((k, (None, (0, errors[k]))) for k in rows if errors[k] is not None)
     return records, states
 
 
@@ -120,13 +115,10 @@ def _fold(records: dict, outcomes, out: np.ndarray, models: np.ndarray) -> list:
     return states
 
 
-def _fit_share(rows: slice, hand_back: int) -> tuple:
-    """A pool job: ``_fit_block`` on a share of the panel's rows, numbered as the panel's; each
+def _fit_share(rows: range, hand_back: int) -> tuple:
+    """A pool job: ``_fit_block`` on a share of the rows, in the arrays the worker inherited; each
     fit's filter and row are in the shared arrays, so only numbers and messages are sent back."""
-    panel, cfg, out, models = _SHARED
-    records, states = _fit_block(panel[rows], cfg, out[:, rows], models[rows], hand_back)
-    return ({rows.start + k: record for k, record in records.items()},
-            [((rows.start + k, i), state) for (k, i), state in states])
+    return _fit_block(rows, *_SHARED, hand_back)
 
 
 def _drain(replies: list[tuple], cfg: RunConfig, out: np.ndarray, models: np.ndarray) -> dict:
@@ -146,60 +138,68 @@ def fit_panel(panel: KwhPanel, cfg: RunConfig,
               workers: int | None = None) -> tuple[list[FirmFitResult], list[tuple[str, str]]]:
     """Fit every firm; returns (results, rows of one ``FitOutputs``; skipped (id, reason)) by id.
 
-    One job, ``_fit_block``, preprocesses and fits rows of the panel's grid: all of them in a
-    serial run, and in a pool one share per worker, the shares differing by at most one row.
-    They write into one (5, firms, T) array, the table's ``firmdays`` once skipped rows are
-    squeezed out in place, and one (firms, 15) array of ``models.csv`` rows, the table's models
-    and flags; a pool's are anonymous shared mappings that the forked workers inherit with the
-    panel, so none is pickled, and a dead worker (``ChildProcessError``) leaves nothing to clean
-    up.  The parent finishes the last ``min(EM_BATCH // workers, share // 2)`` rows of each job,
-    or the last ``hmmbatch.SCALAR_ROWS`` if that is more, in one ``_drain``.  A firm whose
-    series cannot cover the windows or whose fit fails numerically is skipped with a diagnostic,
-    and a flat one's fit is degenerate: its deviations lie within 1e-8 of (1 plus) its mean
-    test-window kWh, far above the 1e-13 residual the rolling sums leave where both years match,
-    and below any real change.
+    Phase one preprocesses the panel's grid, ``EM_BLOCK`` rows at a time, into the ``y``,
+    ``ele_test`` and ``ele_ref`` layers of one (5, firms, T) array and one refusal per row, then
+    drops the call's reference to the panel, so that a grid only it holds is freed before EM.
+    Phase two is one job, ``_fit_block``, on all the rows in a serial run, and in a pool on one
+    share per worker, the shares differing by at most one row.  The jobs write the filter layers
+    of the array, the table's ``firmdays`` once skipped rows are squeezed out in place, and one
+    (firms, 15) array of ``models.csv`` rows, the table's models and flags; a pool's are
+    anonymous shared mappings that the forked workers inherit with the ids and refusals, so
+    none is pickled, and a dead worker (``ChildProcessError``) leaves nothing to clean up.  The
+    parent finishes the last ``min(EM_BATCH // workers, share // 2)`` rows of each job, or the
+    last ``hmmbatch.SCALAR_ROWS`` if that is more, in one ``_drain``.  A firm whose series
+    cannot cover the windows or whose fit fails numerically is skipped with a diagnostic, and a
+    flat one's fit is degenerate: its deviations lie within 1e-8 of (1 plus) its mean
+    test-window kWh, far above the 1e-13 residual the rolling sums leave where both years
+    match, and below any real change.
     ``workers`` defaults to ``cfg.workers``; a pool has at most one process per firm and CPU.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = max(1, min(cfg.workers if workers is None else workers, len(panel), cpus or 1))
-    shape = (len(FIRMDAY_LAYERS), len(panel), 2 * cfg.span + 1)
-    table = (len(panel), len(MODELS_HEADER) - 3)  # a models.csv row's numbers and flags
+    workers = max(1, min(cfg.workers if workers is None else workers, n := len(panel), cpus or 1))
+    shape = (len(FIRMDAY_LAYERS), n, 2 * cfg.span + 1)
+    table = (n, len(MODELS_HEADER) - 3)  # a models.csv row's numbers and flags
+    if workers > 1:
+        import mmap  # only a pool run pays for this import
+    out, models = (np.ndarray(dims, buffer=mmap.mmap(-1, 8 * int(np.prod(dims)))) if workers > 1
+                   else np.empty(dims) for dims in (shape, table))
+    errors = [None] * n  # phase one: the y, ele_test and ele_ref layers, and each row's refusal
+    for part in (slice(at, at + EM_BLOCK) for at in range(0, n, EM_BLOCK)):
+        out[0, part], out[3, part], out[4, part], errors[part] = preprocess_grid(panel[part], cfg)
+    ids, codes = panel.firm_ids, (panel.sector_codes, panel.district_codes)
+    del panel  # phase two, EM, needs none of the grid
     if workers <= 1:
-        records, _ = _fit_block(panel, cfg, out := np.empty(shape), models := np.empty(table))
+        records, _ = _fit_block(range(n), ids, cfg, errors, out, models)
     else:
-        import mmap  # only a pool run pays for these imports
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         from multiprocessing import get_context
-        out, models = (np.ndarray(dims, buffer=mmap.mmap(-1, 8 * int(np.prod(dims))))
-                       for dims in (shape, table))
-        shares = [slice(len(panel) * k // workers, len(panel) * (k + 1) // workers)
-                  for k in range(workers)]
+        shares = [range(n * k // workers, n * (k + 1) // workers) for k in range(workers)]
         try:
             with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
                                      initializer=_SHARED.extend,
-                                     initargs=((panel, cfg, out, models),)) as pool:
+                                     initargs=((ids, cfg, errors, out, models),)) as pool:
                 replies = list(pool.map(_fit_share, shares, [
-                    min(EM_BATCH // workers, (s.stop - s.start) // 2) for s in shares]))
+                    min(EM_BATCH // workers, len(s) // 2) for s in shares]))
         except BrokenExecutor as exc:
             raise ChildProcessError(f"the fit's process pool broke: {exc}") from None
         records = _drain(replies, cfg, out, models)
     rows, skipped = [], []
     for k, (best, failed) in sorted(records.items()):
         if failed:
-            skipped.append((panel.firm_ids[k], failed[1]))
+            skipped.append((ids[k], failed[1]))
             continue
         if np.abs(out[0, k]).max() <= 1e-8 * (1.0 + np.abs(out[3, k]).mean()):
             models[k, 14] = 1.0  # a flat firm's fit is degenerate
         rows.append(k)
-    # row i of the (5, fitted, T) prefix of out is row k of layer i // n, at or after it
-    rowwise, n = out.reshape(-1, shape[2]), len(rows)
-    for i, k in enumerate(rows * shape[0] if n < len(panel) else ()):
-        rowwise[i] = rowwise[i // n * len(panel) + k]
+    # row i of the (5, fitted, T) prefix of out is row k of layer i // m, at or after it
+    rowwise, m = out.reshape(-1, shape[2]), len(rows)
+    for i, k in enumerate(rows * shape[0] if m < n else ()):
+        rowwise[i] = rowwise[i // m * n + k]
     fitted = models[rows]
-    fit = FitOutputs(*([codes[k] for k in rows]  # reached only through a result: n > 0
-                       for codes in (panel.firm_ids, panel.sector_codes, panel.district_codes)),
+    fit = FitOutputs(*([column[k] for k in rows]  # reached only through a result: m > 0
+                       for column in (ids, *codes)),
                      fitted[:, :13].copy(), fitted[:, 13] == 1.0, fitted[:, 14] == 1.0,
-                     rowwise[:shape[0] * n].reshape(shape[0], n, shape[2]))
+                     rowwise[:shape[0] * m].reshape(shape[0], m, shape[2]))
     return [FirmFitResult(fit, j, records[k][0][1]) for j, k in enumerate(rows)], skipped
 
 

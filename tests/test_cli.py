@@ -830,7 +830,8 @@ def test_index_peak_memory_is_a_small_multiple_of_the_array(tmp_path, capsys):
 
 
 def test_fit_peak_memory_is_a_small_multiple_of_the_array(tmp_path, capsys):
-    """``fit`` holds the panel's raw kWh grid but preprocesses a few of its rows at a time.
+    """``fit`` preprocesses the panel's kWh grid a few rows at a time and frees it before EM;
+    at 300 firms the peak is set while the panel is read.
 
     One EM update per firm keeps the traced run short; more updates allocate nothing that
     outlives them.

@@ -7,6 +7,7 @@ import mmap
 import os
 import pickle
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from ecuindex import hmm, hmmbatch, panelio, pipeline
 from ecuindex.cli import main
 from ecuindex.config import DEFAULT_SECTOR_MIX, RunConfig, build_run_config
 from ecuindex.hmm import FilterDegeneracyError, FitReport, RegimeModel
-from ecuindex.panelio import read_fit_outputs, write_fit_outputs, write_panel
+from ecuindex.panelio import read_fit_outputs, read_panel, write_fit_outputs, write_panel
 from ecuindex.pipeline import build_firmday_panel, fit_outputs, fit_panel, reference_totals
 from ecuindex.preprocess import DeviationSeries, KwhPanel, preprocess_grid
 from ecuindex.simgen import PanelConfig, generate
@@ -175,19 +176,30 @@ def kinds_in(x):
         yield type(x)
 
 
+def preprocessed(panel, cfg, rows=slice(None)):
+    """``fit_panel``'s first phase on ``rows`` of ``panel``: a zeroed (5, firms, T) firm-day
+    array whose ``y``, ``ele_test`` and ``ele_ref`` layers hold those rows preprocessed, and one
+    refusal per firm, None outside ``rows``."""
+    out = np.zeros((len(panelio.FIRMDAY_LAYERS), len(panel), 2 * cfg.span + 1))
+    errors = [None] * len(panel)
+    out[0, rows], out[3, rows], out[4, rows], errors[rows] = preprocess_grid(panel[rows], cfg)
+    return out, errors
+
+
 def test_a_pool_job_writes_its_layers_and_sends_back_no_length_t_array(run_cfg, monkeypatch):
-    """A pool job, run here on rows 2..5 of six, hands back its last two rows (no ``em_fit``
-    tail comes first), which the parent's drain finishes: the layers and ``models.csv`` rows in
-    the shared arrays are those a serial fit computes, and the job's reply holds only numbers,
-    strings and None in dicts, lists and tuples (no array, ``FitReport``, ``RegimeModel`` or
-    ``FilterOutput``), and pickles to under half of T float64s per firm."""
+    """A pool job, run here on rows 2..5 of six that the first phase preprocessed, hands back
+    its last two rows (no ``em_fit`` tail comes first), which the parent's drain finishes: the
+    layers and ``models.csv`` rows in the shared arrays are those a serial fit computes, no
+    other row is written, and the job's reply holds only numbers, strings and None in dicts,
+    lists and tuples (no array, ``FitReport``, ``RegimeModel`` or ``FilterOutput``), and
+    pickles to under half of T float64s per firm."""
     panel = panel_of(panel_records(n_firms=6))
     days = 2 * run_cfg.span + 1
-    out = np.zeros((len(panelio.FIRMDAY_LAYERS), len(panel), days))
+    out, errors = preprocessed(panel, run_cfg, slice(2, 6))
     models = np.zeros((len(panel), len(panelio.MODELS_HEADER) - 3))
-    monkeypatch.setattr(pipeline, "_SHARED", [panel, run_cfg, out, models])
+    monkeypatch.setattr(pipeline, "_SHARED", [panel.firm_ids, run_cfg, errors, out, models])
     monkeypatch.setattr(hmmbatch, "SCALAR_ROWS", 0)
-    reply = pipeline._fit_share(slice(2, 6), 2)
+    reply = pipeline._fit_share(range(2, 6), 2)
     records, states = reply
     ks = [*records, *(k for (k, _), _ in states)]
     assert sorted(ks) == [2, 3, 4, 5] and len(states) == 2
@@ -272,8 +284,9 @@ def test_a_fit_builds_no_report_until_one_is_read(records, run_cfg, monkeypatch,
 
 
 def test_a_pool_pickles_no_panel_and_leaves_no_process(records, run_cfg, monkeypatch):
-    """The pool's workers inherit the panel by fork, so pickling one fails here; once
-    ``fit_panel`` returns, no worker and no resource tracker is left."""
+    """The pool's workers inherit the preprocessed firm-day array by fork and need no panel, so
+    pickling one fails here; once ``fit_panel`` returns, no worker and no resource tracker is
+    left."""
     def refuse(panel, protocol):
         raise AssertionError("a KwhPanel was pickled")
 
@@ -287,17 +300,44 @@ def test_a_pool_pickles_no_panel_and_leaves_no_process(records, run_cfg, monkeyp
             assert fh.read().split() == []
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_kwh_grid_is_freed_before_em_starts(tmp_path, run_cfg, monkeypatch, workers):
+    """``fit_panel`` preprocesses the panel, then drops its reference to it: a panel that only
+    the call holds, as ``cmd_fit`` passes it, has its kWh grid freed before the first EM stream
+    starts, in a serial fit and in a pool's jobs and drain, and a pool keeps no ``KwhPanel``
+    for its workers."""
+    write_panel(tmp_path / "panel.csv", panel_of(panel_records(n_firms=6)))
+    grids, alive, grid, em_rows = [], [], pipeline.preprocess_grid, hmmbatch.em_rows
+
+    def recording_grid(block, cfg):
+        grids.append(weakref.ref(block.kwh.base))
+        return grid(block, cfg)
+
+    def recording_em_rows(*args, **kwargs):
+        alive.append([ref() is not None for ref in grids])
+        yield from em_rows(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "preprocess_grid", recording_grid)
+    monkeypatch.setattr(hmmbatch, "em_rows", recording_em_rows)
+    pools, _ = record_pools(monkeypatch, cpus=2)
+    results, skipped = fit_panel(read_panel(tmp_path / "panel.csv"), run_cfg, workers=workers)
+    assert len(results) == 6 and skipped == []
+    assert pools == ([] if workers == 1 else [2])
+    assert alive == [[False]] * (1 if workers == 1 else 3)  # one stream, or two jobs and a drain
+    assert not any(isinstance(x, KwhPanel) for x in pipeline._SHARED)
+
+
 def record_serial_fit(monkeypatch, run_cfg, n_firms, em_block, em_batch):
     """A workers=1 fit of ``n_firms`` firms at the given grid size and batch width, handing no
-    row to ``em_fit``; returns the rows of each ``_fit_block`` job, of each preprocessing grid
-    and of each batch E-step."""
+    row to ``em_fit``; returns the row count of each ``_fit_block`` job, of each preprocessing
+    grid and of each batch E-step."""
     blocks, grids, widths = [], [], []
     fit_block, grid, e_step_rows = pipeline._fit_block, pipeline.preprocess_grid, \
         hmmbatch._e_step_rows
 
-    def recording_fit_block(block, cfg, out, models):
-        blocks.append(len(block))
-        return fit_block(block, cfg, out, models)
+    def recording_fit_block(rows, *args):
+        blocks.append(len(rows))
+        return fit_block(rows, *args)
 
     def recording_grid(block, cfg):
         grids.append(len(block))
@@ -479,7 +519,9 @@ def test_a_model_holds_python_floats_whichever_em_finished_it(run_cfg, monkeypat
         tails.clear()
         outcomes.clear()
         models = np.empty((len(panel), 15))
-        records, _ = pipeline._fit_block(panel, cfg, np.empty((5, len(panel), 191)), models)
+        out, errors = preprocessed(panel, cfg)
+        records, _ = pipeline._fit_block(range(len(panel)), panel.firm_ids, cfg, errors, out,
+                                         models)
         assert sorted(k for k, (best, _) in records.items()
                       if isinstance(best[1], list)) == [*range(80)]
         assert len(outcomes) == 80
