@@ -8,6 +8,12 @@ transition matrix, and parameters are estimated per firm by EM.
 The filtered regime probabilities come from the causal forward recursion:
 the recessionary probability only builds up as deviations accumulate,
 which is what the uncertainty index aggregates.
+
+EM has one E-step, ``_e_step_rows``, and one M-step, ``_m_step_rows``, each on a batch of
+rows whose models are the columns of a (12, m) array, their numbers in ``MODEL_COLUMNS``
+order.  ``em_fit`` runs them on one row, whose recursions run on Python floats, and
+``hmmbatch.em_rows`` on many, whose recursions run on (m,) vectors: the same operations in
+the same order, so every row rounds as it would alone.
 """
 
 from __future__ import annotations
@@ -153,75 +159,136 @@ def _degeneracy(offsets, step: int) -> FilterDegeneracyError:
                                  f"{offsets[step] if offsets is not None else step + 1}")
 
 
-def emission_logdensity(y_t, t, params: RegimeParams):
-    """Log Gaussian density of ``y_t`` around the regime trend at position ``t`` (1-based)."""
-    resid = (np.asarray(y_t, dtype=float) - params.mean(t)) / params.sigma
-    return -np.log(params.sigma) - _HALF_LOG_2PI - 0.5 * resid * resid
+def _views(model: np.ndarray):
+    """The (2, 2, m) q, the (3, 2, m) alpha/beta/sigma and the (2, m) pi0 of the C-ordered
+    (12, m) ``model``, as views."""
+    m = model.shape[1]
+    return model[6:10].reshape(2, 2, m), model[:6].reshape(2, 3, m).transpose(1, 0, 2), model[10:]
 
 
-def _e_step(yv: np.ndarray, t: np.ndarray, numbers, offsets=None):
-    """Scaled forward-backward pass (Rabiner 1989, §V.A) under the model of ``numbers``, its
-    12 numbers in ``MODEL_COLUMNS`` order: both recursions run on Python floats, their 2x2
-    products written out.
+def _logdensities(y: np.ndarray, t: np.ndarray, model: np.ndarray, out: np.ndarray,
+                  z: np.ndarray) -> np.ndarray:
+    """Into ``out[i]`` of the (2, m, T) ``out``, the log Gaussian density of each of the (m, T)
+    rows ``y`` around regime i's trend ``alpha * t + beta`` of its column of the (12, m)
+    ``model``, ``t`` the 1-based positions; ``z`` is (2, m, T) scratch.  Returns ``out``."""
+    _, (alpha, beta, sigma), _ = _views(model)  # each (2, m)
+    np.multiply(alpha[..., None], t, out=out)
+    out += beta[..., None]
+    np.subtract(y, out, out=out)
+    out /= sigma[..., None]
+    np.multiply(0.5, out, out=z)
+    z *= out
+    return np.subtract((-np.log(sigma) - _HALF_LOG_2PI)[..., None], z, out=out)
 
-    Returns (loglik, filtered, gamma, xi_sum): the log-likelihood, the (T, 2) filtered pairs,
-    the smoothed posteriors and the summed pairwise transition posteriors.  A forward
-    normalizer that is not positive and finite, or a posterior row that cannot be normalized,
-    raises FilterDegeneracyError naming ``offsets[t]`` (else the 1-based step).
+
+@np.errstate(all="ignore")  # a row that fails is told by its error, not by a warning
+def _e_step_rows(y: np.ndarray, t: np.ndarray, model: np.ndarray, pool: np.ndarray, offsets):
+    """Scaled forward-backward pass (Rabiner 1989, §V.A) on the (m, T) rows ``y`` under their
+    (12, m) ``model``: on one row the recursions run on Python floats, their 2x2 products
+    written out, and on more over (m,) vectors, the same operations in the same order.
+
+    Returns the log-likelihoods (a list), the filtered pairs (T, 2, m), the smoothed
+    posteriors (m, 2, T), whose ``[j].T`` is row j's F-ordered (T, 2) array, the summed
+    transition posteriors (2, 2, m; None if a lone row's forward pass fails) and per row None
+    or its ``FilterDegeneracyError``: a forward normalizer that is not positive and finite, or
+    a posterior row that cannot be normalized, names ``offsets[t]`` (else the 1-based step).
+    The arrays are views of ``pool`` (at least 7 * m * T floats), overwritten by the next call;
+    its first 2 * m * T floats hold the scaled densities, of no use once it returns.
     """
-    logb0, logb1 = (emission_logdensity(yv, t, RegimeParams(*numbers[i:i + 3])) for i in (0, 3))
-    q00, q01, q10, q11, p0, p1 = numbers[6:12]
-    shift = np.maximum(logb0, logb1)
-    b = np.empty((len(yv), 2))  # emission densities scaled per step so that the larger is 1
-    np.exp(logb0 - shift, out=b[:, 0])
-    np.exp(logb1 - shift, out=b[:, 1])
-    e0s, e1s = b.T.tolist()
+    m, T = y.shape
+    u = m * T
+    q, _, pi0 = _views(model)  # q[i, j] is (m,)
+    e = pool[:2 * u].reshape(T, 2, m)  # scaled emission densities, then ``inner``
+    f = pool[2 * u:4 * u].reshape(T, 2, m)  # filtered pairs
+    r = pool[4 * u:6 * u].reshape(m, 2, T)  # log-densities, backward variables, posteriors
+    c = pool[6 * u:7 * u].reshape(T, m)  # normalizers
+    z = c.reshape(m, T)  # scratch where c is not in use
 
-    f0s, f1s, norms = [], [], []  # forward: filtered pairs and normalizers
-    for e0, e1 in zip(e0s, e1s):
-        a0 = p0 * e0
-        a1 = p1 * e1
-        c = a0 + a1
-        if not (c > 0.0 and c < math.inf):
-            raise _degeneracy(offsets, len(norms))
-        f0 = a0 / c
-        f1 = a1 / c
-        f0s.append(f0)
-        f1s.append(f1)
-        norms.append(c)
-        p0 = f0 * q00 + f1 * q10
-        p1 = f0 * q01 + f1 * q11
-    c = np.fromiter(norms, float, len(norms))
-    filtered = np.fromiter(f0s + f1s, float, 2 * len(norms)).reshape(2, -1).T  # F order, as gamma's
+    # the log-densities, shifted so that the larger of each pair is 0
+    logb = _logdensities(y, t, model, r.reshape(2, m, T), e.reshape(2, m, T))
+    shift = np.maximum(logb[0], logb[1], out=z)
+    shift_sums = shift.sum(axis=1)
+    for i in range(2):
+        logb[i] -= shift
+        np.exp(logb[i], out=e[:, i].T)
 
-    r0 = r1 = 1.0
-    r0s, r1s = [r0], [r1]  # backward variables, last step first
-    for e0, e1, ct in zip(e0s[:0:-1], e1s[:0:-1], norms[:0:-1]):
-        u0 = e0 * r0
-        u1 = e1 * r1
-        r0 = (q00 * u0 + q01 * u1) / ct
-        r1 = (q10 * u0 + q11 * u1) / ct
-        r0s.append(r0)
-        r1s.append(r1)
-    beta_hat = np.fromiter(r0s + r1s, float, 2 * len(r0s)).reshape(2, -1).T[::-1]
+    beta_hat = r.transpose(2, 1, 0)
+    if m == 1:  # a (1,) vector's numpy call costs more than its Python float arithmetic
+        (q00, q01), (q10, q11) = q[:, :, 0].tolist()
+        p0, p1 = pi0[:, 0].tolist()
+        e0s, e1s = e[:, :, 0].T.tolist()
+        f0s, f1s, norms = [], [], []  # forward: filtered pairs and normalizers
+        for e0, e1 in zip(e0s, e1s):
+            a0 = p0 * e0
+            a1 = p1 * e1
+            ck = a0 + a1
+            if not (ck > 0.0 and ck < math.inf):
+                return [math.nan], f, r, None, [_degeneracy(offsets, len(norms))]
+            f0 = a0 / ck
+            f1 = a1 / ck
+            f0s.append(f0)
+            f1s.append(f1)
+            norms.append(ck)
+            p0 = f0 * q00 + f1 * q10
+            p1 = f0 * q01 + f1 * q11
+        r0 = r1 = 1.0
+        r0s, r1s = [r0], [r1]  # backward variables, last step first
+        for e0, e1, ck in zip(e0s[:0:-1], e1s[:0:-1], norms[:0:-1]):
+            u0 = e0 * r0
+            u1 = e1 * r1
+            r0 = (q00 * u0 + q01 * u1) / ck
+            r1 = (q10 * u0 + q11 * u1) / ck
+            r0s.append(r0)
+            r1s.append(r1)
+        f[:, 0, 0], f[:, 1, 0], c[:, 0], r[0, 0, ::-1], r[0, 1, ::-1] = f0s, f1s, norms, r0s, r1s
+        errors = [None]
+    else:  # the 2x2 products of each step in one call, summed over the state left
+        mul, add, div = np.multiply, np.add, np.divide
+        p, v, prod = pi0.copy(), np.empty((2, m)), np.empty((2, 2, m))  # p is written in place
+        prod0, prod1 = prod
+        for ek, fk, f0, f1, fk4, ck in zip(e, f, f[:, 0], f[:, 1], f[:, :, None], c):
+            mul(p, ek, fk)
+            add(f0, f1, ck)
+            div(fk, ck, fk)
+            mul(fk4, q, prod)  # f_i * q[i, j]
+            add(prod0, prod1, p)
+        errors = _degeneracies(~((c > 0.0) & (c < np.inf)), offsets)
+        beta_hat[T - 1] = 1.0
+        q_t, v4 = q.transpose(1, 0, 2), v[:, None]
+        for ek, ck, bk, b_prev in zip(e[:0:-1], c[:0:-1], beta_hat[:0:-1], beta_hat[-2::-1]):
+            mul(ek, bk, v)
+            mul(q_t, v4, prod)  # q[i, j] * u_j
+            add(prod0, prod1, p)
+            div(p, ck, b_prev)
+    logc = c.T.copy()  # each row's normalizers contiguous, as a lone row sums them
+    logliks = (np.log(logc, out=logc).sum(axis=1) + shift_sums).tolist()
 
-    with np.errstate(invalid="ignore"):  # 0 * inf, an overflowed unreachable state, is refused
-        gamma = filtered * beta_hat
-    total = gamma[:, 0] + gamma[:, 1]
-    bad = np.flatnonzero(~((total > 0.0) & (total < np.inf)))
-    if len(bad):
-        raise _degeneracy(offsets, bad[0])
+    # inner = e[1:] * beta[1:] / c[1:] in place of e, then gamma in place of beta
+    inner = e[1:]
+    inner *= beta_hat[1:]
+    inner /= c[1:, None]
+    gamma = np.multiply(r, f.transpose(2, 1, 0), out=r)
+    total = np.add(gamma[:, 0], gamma[:, 1], out=z)
+    bad = ~((total > 0.0) & (total < np.inf))  # 0 * inf, an overflowed unreachable state
     gamma /= total[:, None]
+    if bad.any():
+        errors = [a or b for a, b in zip(errors, _degeneracies(bad.T, offsets))]
 
-    inner = (b[1:] * beta_hat[1:]) / c[1:, None]
-    q = np.array([[q00, q01], [q10, q11]])
-    return (float(np.log(c).sum() + shift.sum()), filtered, gamma,
-            np.einsum("ti,ij,tj->ij", filtered[:-1], q, inner))
+    # each (i, j, row) sums its products over t in order, ((alpha * q) * inner) at a time
+    xi = np.einsum("tim,ijm,tjm->ijm", f[:-1], q, inner)
+    return logliks, f, gamma, xi, errors
 
 
-def _weighted_line(t: np.ndarray, y: np.ndarray, w: np.ndarray, sw=None) -> tuple[float, float]:
-    """Weighted least-squares line y ~ alpha*t + beta (centered); ``sw`` is ``w.sum()`` if given."""
-    sw = float(w.sum() if sw is None else sw)
+def _degeneracies(bad: np.ndarray, offsets) -> list:
+    """Per column of the (T, m) ``bad``, None or the degeneracy error at its first bad step."""
+    first = bad.argmax(axis=0)
+    return [_degeneracy(offsets, k) if any_bad else None
+            for k, any_bad in zip(first.tolist(), bad.any(axis=0).tolist())]
+
+
+def _weighted_line(t: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """Weighted least-squares line y ~ alpha*t + beta (centered)."""
+    sw = float(w.sum())
     if sw <= 0.0:
         return 0.0, 0.0
     t_bar = float(w @ t) / sw
@@ -240,37 +307,57 @@ def sigma_floor(y) -> float:
     return 1e-4 * (sd if sd > 0.0 else 1.0)
 
 
-def _m_step(yv, t, gamma, xi_sum, numbers, floor: float) -> list[float]:
-    """Closed-form M-step: the next 12 numbers of the model of ``numbers``; a state without
-    weight keeps its values.
+def _dots(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w[..., k, :] @ x[..., k, :]`` for each vector of ``w``, ``x`` broadcast to it (``w[...,
+    k, :] @ x`` if ``x`` is 1-d): a stacked matmul of vectors calls BLAS's dot on each pair, as
+    ``@`` does on one."""
+    return np.matmul(w[..., None, :], x[..., None])[..., 0, 0]
 
-    Each regime's weight sum is taken once; the q rows and pi0 are normalized on the Python
-    floats of ``xi_sum`` and ``gamma[0]``.  A sigma that ``RegimeParams`` refuses raises its
-    error, regime 0 first.
+
+@np.errstate(all="ignore")  # a weightless state's or a flat line's discarded division
+def _m_step_rows(y: np.ndarray, t: np.ndarray, gamma: np.ndarray, xi: np.ndarray,
+                 model: np.ndarray, floors: np.ndarray, scratch: np.ndarray):
+    """Closed-form M-step on a batch: the rows ``y`` (m, T), their posteriors ``gamma``
+    (m, 2, T) and ``xi`` (2, 2, m), their (12, m) ``model`` and (m,) sigma ``floors``; its
+    (m, 2, T) temporaries go in the two halves of the (2, m, 2, T) ``scratch``.
+
+    Returns the next (12, m) model, in which a state without weight keeps its values, and per
+    row None or the ``ValueError`` of a sigma ``RegimeParams`` refuses, regime 0's first.  Each
+    regime's line is ``_weighted_line``'s, both regimes' at once, every weighted sum a BLAS dot
+    per row and regime, so that each row rounds as it would alone.
     """
-    new = list(numbers)
-    for i in range(2):
-        w = gamma[:, i]
-        sw = w.sum()
-        if sw <= 0.0:
-            continue
-        alpha, beta = _weighted_line(t, yv, w, sw)
-        resid = yv - (alpha * t + beta)
-        var = float(w @ (resid * resid)) / float(sw)
-        sigma = max(math.sqrt(max(var, 0.0)), floor)
-        if not (math.isfinite(sigma) and sigma > 0.0):
-            RegimeParams(alpha, beta, sigma)  # raises the error of the sigma it refuses
-        new[3 * i:3 * i + 3] = alpha, beta, sigma
-
-    for i, (x0, x1) in enumerate(xi_sum.tolist()):
-        den = x0 + x1
-        if den > 0.0:
-            r0, r1 = x0 / den, x1 / den
-            new[6 + 2 * i:8 + 2 * i] = r0 / (r0 + r1), r1 / (r0 + r1)
-
-    g0, g1 = gamma[0].tolist()
-    new[10:] = g0 / (g0 + g1), g1 / (g0 + g1)
-    return new
+    q, params, _ = _views(model)
+    new = np.empty_like(model)
+    new_q, new_params, new_pi0 = _views(new)
+    y2 = y[:, None]  # each row beside both its regimes' weights
+    dt, work = scratch
+    sw = gamma.sum(axis=2)  # (m, 2), as t_bar and the other per-regime numbers
+    t_bar = _dots(gamma, t) / sw
+    y_bar = _dots(gamma, y2) / sw
+    np.subtract(t, t_bar[..., None], out=dt)
+    denom = _dots(gamma, np.multiply(dt, dt, out=work))
+    flat = denom <= 0.0  # _weighted_line's flat line: slope 0 through the mean
+    np.subtract(y2, y_bar[..., None], out=work)
+    alpha = np.where(flat, 0.0, _dots(gamma, np.multiply(dt, work, out=work)) / denom)
+    beta = np.where(flat, y_bar, y_bar - alpha * t_bar)
+    resid = np.multiply(alpha[..., None], t, out=dt)  # y - (alpha * t + beta), in place
+    resid += beta[..., None]
+    var = _dots(gamma, np.square(np.subtract(y2, resid, out=resid), out=work)) / sw
+    sigma = np.maximum(np.sqrt(np.maximum(var, 0.0)), floors[:, None])
+    moved = ~(sw <= 0.0)  # a state without weight keeps its values
+    new_params[...] = np.where(moved.T, (alpha.T, beta.T, sigma.T), params)
+    errors: list = [None] * len(floors)
+    for j, i in zip(*(moved & ~(np.isfinite(sigma) & (sigma > 0.0))).nonzero()):
+        try:
+            RegimeParams(alpha[j, i], beta[j, i], float(sigma[j, i]))
+        except ValueError as exc:
+            errors[j] = errors[j] or exc
+    den = xi[:, 0] + xi[:, 1]
+    r = xi / den[:, None]
+    new_q[...] = np.where((den > 0.0)[:, None], r / (r[:, 0] + r[:, 1])[:, None], q)
+    g = gamma[:, :, 0].T
+    np.divide(g, g[0] + g[1], out=new_pi0)
+    return new, errors
 
 
 def _label(numbers: list) -> tuple[list, bool, bool]:
@@ -289,7 +376,8 @@ def _label(numbers: list) -> tuple[list, bool, bool]:
 
 
 def em_fit(y, init: RegimeModel, tol=RunConfig.em_tol, max_iter=RunConfig.em_max_iter) -> FitReport:
-    """Maximum-likelihood fit by EM (forward-backward E-step, closed-form M-step).
+    """Maximum-likelihood fit by EM (forward-backward E-step, closed-form M-step), the
+    steps of a batch (``_e_step_rows``, ``_m_step_rows``) on ``y`` as a batch of one row.
 
     Stops when the absolute log-likelihood change drops below ``tol``.
     The returned model is labeled; the trace ends with the log-likelihood
@@ -302,24 +390,33 @@ def em_fit(y, init: RegimeModel, tol=RunConfig.em_tol, max_iter=RunConfig.em_max
     """
     offsets = getattr(y, "offsets", None)
     yv = _as_observations(y)
-    t = np.arange(1, len(yv) + 1, dtype=float)
+    T = len(yv)
+    t = np.arange(1, T + 1, dtype=float)
     floor = sigma_floor(yv)
 
-    numbers = init.numbers()
+    rows, floors = yv[None], np.array([floor])  # a batch of one row
+    model = np.array(init.numbers())[:, None]
+    pool = np.empty(7 * T)
     trace: list[float] = []
     updates = 0
     while True:
-        loglik, filtered, gamma, xi_sum = _e_step(yv, t, numbers, offsets)
-        if not math.isfinite(loglik):
+        logliks, filtered, gamma, xi, errors = _e_step_rows(rows, t, model, pool, offsets)
+        if errors[0] is not None:
+            raise errors[0]
+        if not math.isfinite(logliks[0]):
             raise RuntimeError("non-finite log-likelihood during EM")
-        trace.append(loglik)
+        trace.append(logliks[0])
         converged = _converged(trace, updates, tol, max_iter)
         if converged or updates >= max_iter:
             break
-        numbers = _m_step(yv, t, gamma, xi_sum, numbers, floor)
+        # the E-step's densities and filter, of no further use, hold the M-step's temporaries
+        model, errors = _m_step_rows(rows, t, gamma, xi, model, floors,
+                                     pool[:4 * T].reshape(2, 1, 2, T))
+        if errors[0] is not None:
+            raise errors[0]
         updates += 1
 
-    return _fit_report(*_finish(numbers, floor, filtered, trace, converged))
+    return _fit_report(*_finish(model[:, 0], floor, filtered[:, :, 0], trace, converged))
 
 
 def _converged(trace: list, updates: int, tol, max_iter) -> bool:

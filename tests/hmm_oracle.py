@@ -7,8 +7,10 @@ builds a validated ``RegimeModel``.  Two changes follow the package's
 API: ``forward_filter`` no longer keeps the predicted pairs, and
 ``em_fit`` fills ``FitReport.filter`` with a second pass, ``forward_filter``
 on the labeled model, as the pipeline once did for every firm.  ``_label``
-is the package's labeling from when it worked on a ``RegimeModel``, kept
-here so that the oracle imports none of the code it checks.  Tests
+is the package's labeling from when it worked on a ``RegimeModel``, and
+``emission_logdensity`` and ``_weighted_line`` are the package's scalar
+density and weighted line, kept here so that the oracle imports none of the
+code it checks.  Tests
 compare the package against them within stated tolerances.
 """
 
@@ -22,10 +24,31 @@ from ecuindex.hmm import (
     RegimeModel,
     RegimeParams,
     _as_observations,
-    _weighted_line,
-    emission_logdensity,
     sigma_floor,
 )
+
+_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+
+
+def emission_logdensity(y_t, t, params: RegimeParams):
+    """Log Gaussian density of ``y_t`` around the regime trend at position ``t`` (1-based)."""
+    resid = (np.asarray(y_t, dtype=float) - params.mean(t)) / params.sigma
+    return -np.log(params.sigma) - _HALF_LOG_2PI - 0.5 * resid * resid
+
+
+def _weighted_line(t: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """Weighted least-squares line y ~ alpha*t + beta (centered)."""
+    sw = float(w.sum())
+    if sw <= 0.0:
+        return 0.0, 0.0
+    t_bar = float(w @ t) / sw
+    y_bar = float(w @ y) / sw
+    dt = t - t_bar
+    denom = float(w @ (dt * dt))
+    if denom <= 0.0:
+        return 0.0, y_bar
+    alpha = float(w @ (dt * (y - y_bar))) / denom
+    return alpha, y_bar - alpha * t_bar
 
 
 def _emission_logmatrix(y: np.ndarray, model: RegimeModel) -> np.ndarray:

@@ -117,8 +117,8 @@ def test_pipeline_alone_imports_hmmbatch_and_takes_only_em_rows():
 
 def test_only_hmm_and_hmmbatch_construct_models():
     """A model's numbers have one layout, ``RegimeModel.numbers``'s: outside ``hmm``, whose EM
-    builds models, and ``hmmbatch``, whose M-step checks each new sigma, no module calls the
-    ``RegimeModel`` or ``RegimeParams`` constructor; they read a model with
+    builds models and whose M-step checks each new sigma, no module calls the ``RegimeModel``
+    or ``RegimeParams`` constructor, ``hmmbatch`` included; they read a model with
     ``RegimeModel.from_numbers``."""
     callers = set()
     for path in Path(ecuindex.__file__).parent.glob("*.py"):
@@ -126,7 +126,7 @@ def test_only_hmm_and_hmmbatch_construct_models():
             if isinstance(node, ast.Call) and dotted(node.func).rpartition(".")[2] in (
                     "RegimeModel", "RegimeParams"):
                 callers.add(path.stem)
-    assert callers == {"hmm", "hmmbatch"}
+    assert callers == {"hmm"}
 
 
 def package_imports(path) -> set[str]:
@@ -216,15 +216,23 @@ def test_pipeline_decides_each_firm_once():
 
 
 def test_em_fit_keeps_its_model_as_numbers():
-    """``hmm`` has one scalar E-step, ``_e_step``, and ``em_fit`` keeps its model as the 12
-    numbers the batch and ``models.csv`` use: ``hmm`` defines no ``_forward``, ``_backward``
-    or ``_forward_backward``, and ``em_fit``, ``_e_step`` and ``_m_step`` build no
-    ``RegimeModel``, by its constructor or by ``from_numbers``."""
+    """The package has one E-step, ``hmm._e_step_rows``, and one M-step, ``hmm._m_step_rows``,
+    which ``em_fit`` runs on a batch of one row, keeping its model as the 12 numbers the batch
+    and ``models.csv`` use: ``hmm`` defines no ``_forward``, ``_backward``,
+    ``_forward_backward``, nor the scalar ``_e_step``, ``_m_step`` or ``emission_logdensity``,
+    no other module defines an E-step or an M-step, and ``em_fit``, ``_e_step_rows`` and
+    ``_m_step_rows`` build no ``RegimeModel``, by its constructor or by ``from_numbers``."""
     tree = ast.parse(Path(hmm.__file__).read_text(encoding="utf-8"))
     functions = {node.name: node for node in ast.walk(tree)
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     assert {"_forward", "_backward", "_forward_backward"}.isdisjoint(functions)
-    for name in ("em_fit", "_e_step", "_m_step"):
+    assert {"_e_step", "_m_step", "emission_logdensity"}.isdisjoint(functions)
+    elsewhere = {node.name for path in Path(ecuindex.__file__).parent.glob("*.py")
+                 if path.stem != "hmm"
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert not any(name.startswith(("_e_step", "_m_step")) for name in elsewhere), elsewhere
+    for name in ("em_fit", "_e_step_rows", "_m_step_rows"):
         builders = [dotted(node.func) for node in ast.walk(functions[name])
                     if isinstance(node, ast.Call)
                     and dotted(node.func).rpartition(".")[2] in ("RegimeModel", "from_numbers")]

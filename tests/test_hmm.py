@@ -17,14 +17,13 @@ from ecuindex.hmm import (
     RegimeModel,
     RegimeParams,
     _label,
-    _m_step,
     em_fit,
-    emission_logdensity,
     init_params,
     random_init,
     sigma_floor,
 )
 from ecuindex.preprocess import DeviationSeries
+import hmm_scalar_oracle as scalar_oracle
 from hmm_helpers import forward_filter, sample_path
 from hmm_oracle import _label as oracle_label
 from test_hmm_oracle import absorbing, series_and_model
@@ -80,28 +79,38 @@ def random_model(rng):
 # ---------------------------------------------------------------------------
 
 
+def logdensity(y, t, params: RegimeParams) -> np.ndarray:
+    """The E-step's log density (``hmm._logdensities``) of each value of ``y``, a row, at the
+    positions ``t`` under ``params``, as regime 0 of a model whose regime 1 is the same."""
+    y, t = np.atleast_1d(np.asarray(y, dtype=float)), np.atleast_1d(np.asarray(t, dtype=float))
+    model = np.array(RegimeModel(np.eye(2), (params, params), np.array([0.5, 0.5])).numbers())
+    out = hmm._logdensities(y[None], t, model[:, None], np.empty((2, 1, len(y))),
+                            np.empty((2, 1, len(y))))
+    return out[0, 0]
+
+
 def test_standard_normal_peak_logdensity():
     params = RegimeParams(0.0, 0.0, 1.0)
-    assert emission_logdensity(0.0, 1, params) == -0.9189385332046727
+    assert logdensity(0.0, 1, params)[0] == -0.9189385332046727
 
 
 def test_one_sigma_residual_costs_half():
     params = RegimeParams(0.0, 0.0, 1.0)
-    assert emission_logdensity(1.0, 5, params) - emission_logdensity(0.0, 5, params) == -0.5
+    assert logdensity(1.0, 5, params)[0] - logdensity(0.0, 5, params)[0] == -0.5
 
 
 def test_logdensity_tracks_trend():
     params = RegimeParams(2.0, -3.0, 1.5)
     peak = -np.log(1.5) - 0.5 * np.log(2.0 * np.pi)
-    assert emission_logdensity(2.0 * 7 - 3.0, 7, params) == pytest.approx(peak, abs=1e-15)
+    assert logdensity(2.0 * 7 - 3.0, 7, params)[0] == pytest.approx(peak, abs=1e-15)
 
 
 def test_logdensity_vectorizes():
     params = RegimeParams(0.5, 1.0, 2.0)
     t = np.arange(1, 6, dtype=float)
     y = np.array([1.0, 2.0, 2.5, 3.0, 3.5])
-    got = emission_logdensity(y, t, params)
-    want = [emission_logdensity(float(yi), float(ti), params) for yi, ti in zip(y, t)]
+    got = logdensity(y, t, params)
+    want = [logdensity(float(yi), float(ti), params)[0] for yi, ti in zip(y, t)]
     np.testing.assert_allclose(got, want, rtol=0, atol=0)
 
 
@@ -709,8 +718,8 @@ def m_step_bits(numbers) -> bytes:
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(m_step_rows())
 def test_batched_m_step_is_m_step_on_each_row_bit_for_bit(rows):
-    """``_m_step_rows`` gives each row ``_m_step``'s model, or its error, bit for bit, whatever
-    its scratch planes held before."""
+    """``_m_step_rows`` gives each row the scalar oracle's ``_m_step`` model, or its error, bit
+    for bit, whatever its scratch planes held before."""
     T = len(rows[0][0])
     t = np.arange(1, T + 1, dtype=float)
     y = np.array([y for y, *_ in rows])
@@ -718,13 +727,16 @@ def test_batched_m_step_is_m_step_on_each_row_bit_for_bit(rows):
     xi = np.stack([xi for _, _, xi, *_ in rows], axis=-1)
     model = np.array([model.numbers() for *_, model, _ in rows]).T
     with np.errstate(all="ignore"):
-        new, errors = hmmbatch._m_step_rows(y, t, gamma, xi, model,
-                                            np.array([floor for *_, floor in rows]),
-                                            np.full((2, *y.shape), np.nan))
+        new, errors = hmm._m_step_rows(y, t, gamma, xi, model,
+                                       np.array([floor for *_, floor in rows]),
+                                       np.full((2, len(y), 2, T), np.nan))
     for j, (yj, _, xj, mj, floor) in enumerate(rows):
         try:
             with np.errstate(all="ignore"):
-                want = m_step_bits(_m_step(yj, t, gamma[j].T, xj, mj.numbers(), floor))
+                q, params, pi0 = scalar_oracle._m_step(yj, t, gamma[j].T, xj, mj.q, mj.params,
+                                                       floor)
+                want = m_step_bits([*(x for p in params for x in (p.alpha, p.beta, p.sigma)),
+                                    *q.ravel(), *pi0])
         except ValueError as exc:
             want = type(exc), str(exc)
         back = None if errors[j] is not None else RegimeModel.from_numbers(new[:, j])
@@ -760,26 +772,33 @@ SPIKE = np.array([0.0, 0.0, 100.0, 0.0])
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(e_step_rows())
 def test_batched_e_step_is_e_step_on_each_row_bit_for_bit(case):
-    """``_e_step_rows`` gives each row ``_e_step``'s log-likelihood, filtered pairs, posteriors
-    and summed transition posteriors, or its error, bit for bit, whatever its pool held
-    before."""
+    """``_e_step_rows`` gives each row the scalar oracle's log-likelihood, filtered pairs,
+    posteriors and summed transition posteriors (its ``_forward_backward``), or its error, bit
+    for bit, whatever its pool held before; and each row alone, whose recursions run on
+    Python floats, the outcome it has in the batch, whose recursions run on row vectors."""
     cases, offsets = case
     y = np.array([y for y, _ in cases])
     m, T = y.shape
     t = np.arange(1, T + 1, dtype=float)
     model = np.array([model.numbers() for _, model in cases]).T
     with np.errstate(all="ignore"):
-        logliks, filtered, gamma, xi, errors = hmmbatch._e_step_rows(
+        logliks, filtered, gamma, xi, errors = hmm._e_step_rows(
             y, t, model, np.full(7 * m * T, np.nan), offsets)
     for j, (yj, mj) in enumerate(cases):
         try:
             with np.errstate(all="ignore"):
-                want = e_step_bits(*hmm._e_step(yj, t, mj.numbers(), offsets))
+                want = e_step_bits(*scalar_oracle._forward_backward(yj, t, mj.q, mj.params,
+                                                                    mj.pi0, offsets))
         except FilterDegeneracyError as exc:
             want = type(exc), str(exc)
         got = ((type(errors[j]), str(errors[j])) if errors[j] is not None
                else e_step_bits(logliks[j], filtered[:, :, j], gamma[j].T, xi[:, :, j]))
         assert got == want
+        alone = hmm._e_step_rows(yj[None], t, model[:, j:j + 1].copy(),
+                                 np.full(7 * T, np.nan), offsets)
+        assert ((type(alone[4][0]), str(alone[4][0])) if alone[4][0] is not None
+                else e_step_bits(alone[0][0], alone[1][:, :, 0], alone[2][0].T,
+                                 alone[3][:, :, 0])) == got
 
 
 def test_em_zero_series_flagged_degenerate():

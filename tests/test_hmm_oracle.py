@@ -23,7 +23,7 @@ from ecuindex.hmm import (
     FilterDegeneracyError,
     RegimeModel,
     RegimeParams,
-    _e_step,
+    _e_step_rows,
     em_fit,
     init_params,
     random_init,
@@ -82,6 +82,19 @@ def series_and_model(draw, T=None):
     return y, model
 
 
+def e_step(y: np.ndarray, model: RegimeModel):
+    """The package's E-step on ``y`` as a batch of one row: (loglik, filtered, gamma, xi_sum),
+    the last three (T, 2), (T, 2) and (2, 2) arrays; a failure raises its
+    ``FilterDegeneracyError``."""
+    T = len(y)
+    logliks, filtered, gamma, xi, errors = _e_step_rows(
+        y[None], np.arange(1, T + 1, dtype=float), np.array(model.numbers())[:, None],
+        np.empty(7 * T), None)
+    if errors[0] is not None:
+        raise errors[0]
+    return logliks[0], filtered[:, :, 0], gamma[0].T, xi[:, :, 0]
+
+
 def outcome(fn, *args):
     try:
         return fn(*args), None
@@ -121,8 +134,7 @@ def test_recursions_match_numpy_oracle(case):
         want_filt, want_filt_err = outcome(oracle.forward_filter, dev, model)
         want_em, want_em_err = outcome(oracle._forward_backward, y, model)
     assert filt_err == want_filt_err
-    t = np.arange(1, T + 1, dtype=float)
-    em, em_err = outcome(_e_step, y, t, model.numbers())
+    em, em_err = outcome(e_step, y, model)
     if want_em_err is None:
         # a 0/0 posterior in the oracle is a degeneracy at its 1-based step
         nan_rows = np.flatnonzero(np.isnan(want_em[1]).any(axis=1))
@@ -172,9 +184,8 @@ def test_degeneracy_offset_matches_oracle():
     with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 1$"):
         em_fit(dev, model)
     # plain arrays carry no offsets: errors name the 1-based step
-    t = np.arange(1.0, 5.0)
     with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 3$"):
-        _e_step(dev.y, t, model.numbers())
+        e_step(dev.y, model)
     with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 3$"):
         em_fit(dev.y, model)
     with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 3$"):
@@ -191,14 +202,13 @@ def test_posterior_degeneracy_is_raised_where_oracle_has_nan():
     model = RegimeModel(np.eye(2), (RegimeParams(0.0, 0.0, 1.0), RegimeParams(0.0, 0.0, 1e3)),
                         np.array([0.0, 1.0]))
     y = np.zeros(191)
-    t = np.arange(1.0, 192.0)
     forward_filter(y, model)
     with np.errstate(all="ignore"):
         _, want_gamma, _ = oracle._forward_backward(y, model)
     assert np.isnan(want_gamma[0]).any()
     # raised as the degeneracy it is even where a RuntimeWarning is an error, as under pytest
     with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 1$"):
-        _e_step(y, t, model.numbers())
+        e_step(y, model)
     with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset 1$"):
         em_fit(y, model)
     with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset -95$"):

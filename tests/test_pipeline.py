@@ -85,15 +85,17 @@ def test_fit_firm_outputs(records, run_cfg):
 
 
 def test_fit_panel_runs_one_forward_pass_per_e_step(records, run_cfg, monkeypatch):
-    """The filtered pairs come from EM's last E-step: no extra forward pass per firm."""
+    """The filtered pairs come from EM's last E-step: no extra forward pass per firm.  Each
+    row E-step that ``em_fit`` runs, through ``hmm._e_step_rows`` on a batch of one row, is
+    one entry of a fitted firm's trace."""
     calls = []
-    e_step = hmm._e_step
+    e_step = hmm._e_step_rows
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return e_step(*args, **kwargs)
+    def counted(y, *args, **kwargs):
+        calls.extend([None] * len(y))
+        return e_step(y, *args, **kwargs)
 
-    monkeypatch.setattr(hmm, "_e_step", counted)
+    monkeypatch.setattr(hmm, "_e_step_rows", counted)
     results, skipped = fit_panel(panel_of(records), run_cfg)
     assert skipped == []
     assert len(calls) == sum(len(r.report.loglik_trace) for r in results)
