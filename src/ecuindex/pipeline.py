@@ -4,8 +4,9 @@
 cleaned consumption that weights the index, layers of one firm-day array, the ``firmdays`` of
 the fit's ``panelio.FitOutputs``, whose rows the results are, and drops the grid.  One job,
 ``_fit_block``, or in a process pool one per worker on a contiguous share of the rows, fits them
-by EM in a batch that refills as rows converge (``hmmbatch.em_rows``) and writes each row's
-causal filter (EM's last forward pass) into the array.  EM's outcomes are rows of
+by EM in a batch of ``EM_BATCH`` rows that refills as rows converge (``hmm.em_rows``, the stream
+that ``hmm.em_fit`` runs one row wide, and which hands its last rows to ``em_fit``) and writes
+each row's causal filter (EM's last forward pass) into the array.  EM's outcomes are rows of
 ``models.csv``, not ``FitReport``s, and a job folds them into one record per row as they arrive
 (``_fold``): its best fit, whose row and filter go straight into the arrays, and its first
 failure.  A pool job returns what a serial one does, its records and the EM states of the rows
@@ -23,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import hmmbatch
+from . import hmm
 from .config import RunConfig
 from .ecu import FirmDayPanel
 from .hmm import _fit_report, init_params, random_init
@@ -66,7 +67,7 @@ def _fit_block(rows: range, firm_ids: list, cfg: RunConfig, errors: list, out: n
     in a batch of at most ``EM_BATCH`` rows, writing row k's filter into ``out[1:3, k]`` and its
     ``models.csv`` row into ``models[k]``; returns ``_fold``'s records, (None, (0, message)) for
     a row refused or whose init fails (the message put in ``errors[k]``), and the states that
-    the EM stream hands back, given a ``hand_back`` of 0 or more, as ``hmmbatch.em_rows`` says.
+    the EM stream hands back, given a ``hand_back`` of 0 or more, as ``hmm.em_rows`` says.
 
     EM starts from the deterministic init and from ``multi_start`` random inits drawn from the
     firm's stream 3, each made as its row joins the EM batch and keyed (row, start index).
@@ -88,8 +89,8 @@ def _fit_block(rows: range, firm_ids: list, cfg: RunConfig, errors: list, out: n
             yield from (((k, i), k, init) for i, init in enumerate(inits))
 
     records = {}
-    states = _fold(records, hmmbatch.em_rows(y, starts(), EM_BATCH, cfg.em_tol, cfg.em_max_iter,
-                                             offsets, hand_back), out, models)
+    states = _fold(records, hmm.em_rows(y, starts(), EM_BATCH, cfg.em_tol, cfg.em_max_iter,
+                                        offsets, hand_back), out, models)
     records.update((k, (None, (0, errors[k]))) for k in rows if errors[k] is not None)
     return records, states
 
@@ -129,8 +130,8 @@ def _drain(replies: list[tuple], cfg: RunConfig, out: np.ndarray, models: np.nda
     for job_records, job_states in replies:
         records.update(job_records)
         states += [(key, key[0], state) for key, state in job_states]
-    _fold(records, hmmbatch.em_rows(out[0], states, EM_BATCH, cfg.em_tol, cfg.em_max_iter,
-                                    np.arange(-cfg.span, cfg.span + 1)), out, models)
+    _fold(records, hmm.em_rows(out[0], states, EM_BATCH, cfg.em_tol, cfg.em_max_iter,
+                               np.arange(-cfg.span, cfg.span + 1)), out, models)
     return records
 
 
@@ -148,7 +149,7 @@ def fit_panel(panel: KwhPanel, cfg: RunConfig,
     anonymous shared mappings that the forked workers inherit with the ids and refusals, so
     none is pickled, and a dead worker (``ChildProcessError``) leaves nothing to clean up.  The
     parent finishes the last ``min(EM_BATCH // workers, share // 2)`` rows of each job, or the
-    last ``hmmbatch.SCALAR_ROWS`` if that is more, in one ``_drain``.  A firm whose series
+    last ``hmm.SCALAR_ROWS`` if that is more, in one ``_drain``.  A firm whose series
     cannot cover the windows or whose fit fails numerically is skipped with a diagnostic, and a
     flat one's fit is degenerate: its deviations lie within 1e-8 of (1 plus) its mean
     test-window kWh, far above the 1e-13 residual the rolling sums leave where both years

@@ -80,21 +80,21 @@ def test_fit_and_index_leave_numpy_ma_out(fitted_dir, tmp_path, run_child):
 
 
 def test_index_leaves_the_batched_em_out(fitted_dir, tmp_path, run_child):
-    """Only ``fit`` imports ``hmmbatch``: compiling it in ``index`` raised that stage's peak
-    RSS."""
+    """Only ``fit`` imports ``hmm``, the EM stream's module: compiling the stream in ``index``
+    raised that stage's peak RSS."""
     out, cfg = fitted_dir
     for name in ("models.csv", "firmdays.npy"):
         shutil.copy(out / name, tmp_path)
     code = ("import sys\n"
             "from ecuindex.cli import main\n"
             "assert main(['index', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-            "print('ecuindex.hmmbatch' in sys.modules)")
+            "print('ecuindex.hmm' in sys.modules)")
     assert run_child(code, cfg, tmp_path) == "False"
 
 
 def test_only_fit_loads_the_fit_code(fitted_dir, tmp_path, run_child):
     """``simulate``, ``index`` and ``report`` read and write their files through ``panelio``:
-    none of them imports ``pipeline`` or, through it, ``hmmbatch``."""
+    none of them imports ``pipeline`` or, through it, ``hmm``."""
     out, cfg = fitted_dir
     for name in ("models.csv", "firmdays.npy"):
         shutil.copy(out / name, tmp_path)
@@ -103,7 +103,7 @@ def test_only_fit_loads_the_fit_code(fitted_dir, tmp_path, run_child):
             "common = ['--config', sys.argv[1], '--out', sys.argv[2]]\n"
             "for stage in (['simulate'], ['index'], ['report', '--firm', 'F00003']):\n"
             "    assert main([*stage, *common]) == 0\n"
-            "print(*(f'ecuindex.{name}' in sys.modules for name in ('pipeline', 'hmmbatch')))")
+            "print(*(f'ecuindex.{name}' in sys.modules for name in ('pipeline', 'hmm')))")
     assert run_child(code, cfg, tmp_path) == "False False"
 
 
@@ -804,7 +804,7 @@ def test_each_stage_loads_only_the_modules_it_runs(three_firms, run_child):
     assert loaded["index"] == loaded["report"] == {"ecuindex.cli", "ecuindex.config",
                                                    "ecuindex.ecu", "ecuindex.panelio"}
     assert "ecuindex.hmm" not in loaded["simulate"] and "ecuindex.simgen" in loaded["simulate"]
-    assert "ecuindex.simgen" not in loaded["fit"] and "ecuindex.hmmbatch" in loaded["fit"]
+    assert "ecuindex.simgen" not in loaded["fit"] and "ecuindex.hmm" in loaded["fit"]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")

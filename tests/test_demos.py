@@ -1,5 +1,6 @@
 """Each demo script and the README's library example run to completion, so an
-API change that breaks one fails here, and the README quotes the fit's block sizes.
+API change that breaks one fails here, and the README quotes the fit's block sizes and
+names each module.
 
 The demos write their plots (when matplotlib is importable) into the
 working directory, which is a temporary one.
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ecuindex import hmmbatch, pipeline
+from ecuindex import hmm, pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("demo_*.py"))
@@ -61,13 +62,24 @@ def readme_sizes(start, end):
 
 def test_readme_quotes_the_fit_block_sizes_the_code_defines():
     """The Preprocess paragraph gives the grid and batch sizes, ``pipeline.EM_BLOCK`` and
-    ``pipeline.EM_BATCH``, and the recursions paragraph those and ``hmmbatch.SCALAR_ROWS``, by
+    ``pipeline.EM_BATCH``, and the recursions paragraph those and ``hmm.SCALAR_ROWS``, by
     name and value, and no other."""
     grid_and_batch = {pipeline.EM_BLOCK, pipeline.EM_BATCH}
     text, sizes = readme_sizes("1. **Preprocess**", "2. **Fit**")
     assert "`pipeline.EM_BLOCK`" in text and "`pipeline.EM_BATCH`" in text
     assert sizes == grid_and_batch
     text, sizes = readme_sizes("One root seed drives", "## Install")
-    for name in ("pipeline.EM_BLOCK", "pipeline.EM_BATCH", "hmmbatch.SCALAR_ROWS"):
+    for name in ("pipeline.EM_BLOCK", "pipeline.EM_BATCH", "hmm.SCALAR_ROWS"):
         assert f"`{name}`" in text
-    assert sizes == grid_and_batch | {hmmbatch.SCALAR_ROWS}
+    assert sizes == grid_and_batch | {hmm.SCALAR_ROWS}
+
+
+def test_readme_module_split_names_each_module_of_the_package():
+    """The module split's list has one entry per module of ``src/ecuindex``, and no other: a
+    module added, folded into another or renamed changes the list."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    intro = "The module split mirrors the pipeline:\n\n"
+    text = readme[readme.index(intro) + len(intro):].split("\n\n", 1)[0]  # the list
+    named = re.findall(r"^- `(\w+)`:", text, flags=re.M)
+    modules = [path.stem for path in (ROOT / "src" / "ecuindex").glob("*.py")]
+    assert len(named) == len(set(named)) and sorted(named) == sorted(modules)

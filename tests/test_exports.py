@@ -1,6 +1,6 @@
 """The package's public names are its four stages, and nothing else; one module owns the file
-formats, one hands EM rows to `em_fit`, one, importing no other, declares the settings, and one
-owns a model's numbers and builds models from them."""
+formats, one runs EM in one loop, one, importing no other, declares the settings, and one owns
+a model's numbers and builds models from them."""
 
 import ast
 import os
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ecuindex
-from ecuindex import config, hmm, hmmbatch, panelio, pipeline, preprocess
+from ecuindex import config, hmm, panelio, pipeline, preprocess
 
 # bench/spans.py times the functions in ecuindex.__all__ (without em_fit spans its --trace 1
 # divides by zero) and bench/run.py imports generate and truth_labels from ecuindex, so em_fit,
@@ -26,7 +26,7 @@ REMOVED = ("AlignedPair CleanSeries RawSeries align detect_outliers deviation in
 # rows, now RegimeModel.from_numbers
 REMOVED_FROM_PANELIO = ["ModelRow", "_model_numbers", "regime_model"]
 # the converters between two layouts of a model's 12 numbers, now one, RegimeModel.numbers's
-REMOVED_CONVERTERS = {hmmbatch: ["_column", "_row_model"], pipeline: ["_numbers"]}
+REMOVED_CONVERTERS = {hmm: ["_column", "_row_model"], pipeline: ["_numbers"]}
 # the fit's files, whose format panelio alone decides; pipeline may only use its FitOutputs
 MOVED_TO_PANELIO = ["FitOutputs", "read_fit_outputs", "write_fit_outputs"]
 
@@ -76,9 +76,10 @@ def test_only_panelio_imports_csv():
     assert users == {"panelio"}
 
 
-def test_hmm_alone_defines_em_fit_and_hmmbatch_alone_calls_it():
-    """The batch hands its last rows to ``em_fit`` in one place, and the package re-exports it:
-    no other module defines, imports or names it (docstrings and comments are not code)."""
+def test_hmm_alone_defines_and_names_em_fit():
+    """A wider EM stream hands its last rows to ``em_fit`` in ``hmm``, and the package
+    re-exports it: no other module defines, imports or names it (docstrings and comments are
+    not code)."""
     defines, imports, names = set(), set(), set()
     for path in Path(ecuindex.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -90,36 +91,57 @@ def test_hmm_alone_defines_em_fit_and_hmmbatch_alone_calls_it():
             if (isinstance(node, ast.Name) and node.id == "em_fit"
                     or isinstance(node, ast.Attribute) and node.attr == "em_fit"):
                 names.add(path.stem)
-    assert (defines, imports, names) == ({"hmm"}, {"__init__"}, {"hmmbatch"})
+    assert (defines, imports, names) == ({"hmm"}, {"__init__"}, {"hmm"})
 
 
-def test_pipeline_alone_imports_hmmbatch_and_takes_only_em_rows():
-    """The fit reaches batched EM through one function: no module but ``pipeline`` imports
-    ``hmmbatch``, and ``pipeline`` imports the module itself, at its top so that a pool's
-    workers inherit it, and names nothing of it but ``em_rows``, looked up at each call so
-    that a wrapper set on the module is the one called."""
-    taken, used = {}, set()
+def test_pipeline_takes_the_em_stream_only_as_hmm_em_rows():
+    """The fit reaches the EM stream through one function: no module imports ``em_rows`` or its
+    tail's ``SCALAR_ROWS`` and ``_em_tail`` by name, no module but ``pipeline`` imports ``hmm``
+    itself, and ``pipeline`` does so at its top, so that a pool's workers inherit it, and names
+    nothing of the module but ``em_rows``, looked up at each call so that a wrapper set on the
+    module is the one called."""
+    stream = {"em_rows", "SCALAR_ROWS", "_em_tail"}
+    taken, whole, used = set(), set(), set()
     for path in Path(ecuindex.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("hmmbatch"):
-                taken.setdefault(path.stem, set()).update(alias.name for alias in node.names)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("hmm"):
+                taken.update((path.stem, alias.name) for alias in node.names
+                             if alias.name in stream)
             elif (isinstance(node, (ast.Import, ast.ImportFrom))
-                  and any("hmmbatch" in alias.name for alias in node.names)):
-                taken.setdefault(path.stem, set()).add("the module itself")
-                assert node in tree.body, f"{path.stem} imports hmmbatch inside a function"
+                  and any(alias.name.rpartition(".")[2] == "hmm" for alias in node.names)):
+                whole.add(path.stem)
+                assert node in tree.body, f"{path.stem} imports hmm inside a function"
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id == "hmmbatch"):
+                  and node.value.id == "hmm"):
                 used.add((path.stem, node.attr))
-    assert taken == {"pipeline": {"the module itself"}}
+    assert taken == set()
+    assert whole == {"pipeline"}
     assert used == {("pipeline", "em_rows")}
 
 
-def test_only_hmm_and_hmmbatch_construct_models():
+def test_hmm_runs_em_in_one_loop():
+    """EM has one loop, ``hmm.em_rows``: no other function of the package calls the E-step or
+    the M-step, ``em_fit`` runs the stream on its one row, and ``hmmbatch``, the module the
+    stream had to itself, is gone."""
+    src = Path(ecuindex.__file__).parent
+    callers = {}
+    for path in src.glob("*.py"):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Call):
+                        callers.setdefault(dotted(node.func).rpartition(".")[2], set()).add(
+                            f"{path.stem}.{function.name}")
+    assert callers["_e_step_rows"] == callers["_m_step_rows"] == {"hmm.em_rows"}
+    assert "hmm.em_fit" in callers["em_rows"]
+    assert not (src / "hmmbatch.py").exists()
+
+
+def test_only_hmm_constructs_models():
     """A model's numbers have one layout, ``RegimeModel.numbers``'s: outside ``hmm``, whose EM
     builds models and whose M-step checks each new sigma, no module calls the ``RegimeModel``
-    or ``RegimeParams`` constructor, ``hmmbatch`` included; they read a model with
-    ``RegimeModel.from_numbers``."""
+    or ``RegimeParams`` constructor; they read a model with ``RegimeModel.from_numbers``."""
     callers = set()
     for path in Path(ecuindex.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -217,8 +239,8 @@ def test_pipeline_decides_each_firm_once():
 
 def test_em_fit_keeps_its_model_as_numbers():
     """The package has one E-step, ``hmm._e_step_rows``, and one M-step, ``hmm._m_step_rows``,
-    which ``em_fit`` runs on a batch of one row, keeping its model as the 12 numbers the batch
-    and ``models.csv`` use: ``hmm`` defines no ``_forward``, ``_backward``,
+    which ``em_fit`` runs through ``em_rows`` on a batch of one row, keeping its model as the
+    12 numbers the batch and ``models.csv`` use: ``hmm`` defines no ``_forward``, ``_backward``,
     ``_forward_backward``, nor the scalar ``_e_step``, ``_m_step`` or ``emission_logdensity``,
     no other module defines an E-step or an M-step, and ``em_fit``, ``_e_step_rows`` and
     ``_m_step_rows`` build no ``RegimeModel``, by its constructor or by ``from_numbers``."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecuindex import hmm, hmmbatch
+from ecuindex import hmm
 from ecuindex.hmm import (
     PROSPEROUS,
     RECESSIONARY,
@@ -468,7 +468,7 @@ def stacked_cases(draw):
 def stream(cases, offsets, width):
     """``em_rows`` on the cases, each series a row of one grid and started from its model; the
     outcomes in start order."""
-    return [outcome for _, outcome in sorted(hmmbatch.em_rows(
+    return [outcome for _, outcome in sorted(hmm.em_rows(
         np.array([y for y, _ in cases]), ((k, k, m) for k, (_, m) in enumerate(cases)), width,
         max_iter=50, offsets=offsets))]
 
@@ -485,7 +485,7 @@ def outcome_bits(fn, *args, **kwargs):
 def assert_stream_is_em_fit(cases, offsets, scalar_rows, width):
     """Each outcome of the stream, with ``scalar_rows`` rows handed off, is ``em_fit``'s on its
     row alone, as a ``DeviationSeries`` when the stream has offsets."""
-    with mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows):
+    with mock.patch.object(hmm, "SCALAR_ROWS", scalar_rows):
         outs = stream(cases, offsets, width)
     assert len(outs) == len(cases)
     for (y, model), out in zip(cases, outs):
@@ -541,8 +541,8 @@ def test_em_rows_yields_each_outcome_under_the_key_it_was_given(stacked):
     starts = []
     for k, (_, model) in enumerate(cases):
         starts += [(f"row {k}", k, model), ((k, 0.5), k, cases[(k + 1) % len(cases)][1])]
-    with mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows):
-        yielded = list(hmmbatch.em_rows(ys, iter(starts), width, max_iter=50, offsets=offsets))
+    with mock.patch.object(hmm, "SCALAR_ROWS", scalar_rows):
+        yielded = list(hmm.em_rows(ys, iter(starts), width, max_iter=50, offsets=offsets))
     assert sorted(map(repr, (key for key, _ in yielded))) == sorted(repr(k) for k, *_ in starts)
     outcomes = dict(yielded)
     for key, k, model in starts:
@@ -557,15 +557,15 @@ def test_a_stream_handed_back_and_resumed_is_em_fit_bit_for_bit(stacked, hand_ba
     ``em_fit``'s outcome for every start."""
     cases, offsets, scalar_rows, width = stacked
     ys = np.array([y for y, _ in cases])
-    with mock.patch.object(hmmbatch, "SCALAR_ROWS", 0):
-        first = list(hmmbatch.em_rows(ys, [(k, k, m) for k, (_, m) in enumerate(cases)], width,
-                                      max_iter=50, offsets=offsets, hand_back=hand_back))
+    with mock.patch.object(hmm, "SCALAR_ROWS", 0):
+        first = list(hmm.em_rows(ys, [(k, k, m) for k, (_, m) in enumerate(cases)], width,
+                                  max_iter=50, offsets=offsets, hand_back=hand_back))
     states = [(key, key, state) for key, state in first if handed_back(state)]
     assert len(states) <= hand_back
     fresh = [(("fresh", k), k, m) for k, (_, m) in enumerate(cases)]
     mixed = [start for pair in itertools.zip_longest(states, fresh) for start in pair if start]
-    with mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows):
-        second = list(hmmbatch.em_rows(ys, mixed, width, max_iter=50, offsets=offsets))
+    with mock.patch.object(hmm, "SCALAR_ROWS", scalar_rows):
+        second = list(hmm.em_rows(ys, mixed, width, max_iter=50, offsets=offsets))
     outcomes = dict([(key, out) for key, out in first if not handed_back(out)] + second)
     assert len(outcomes) == 2 * len(cases)
     for k, (y, model) in enumerate(cases):
@@ -603,17 +603,17 @@ def test_rows_handed_back_end_as_em_fit_ends_them():
     y, late, early = spike_models()
     walk = np.cumsum(np.random.default_rng(5).standard_normal(191))
     ys, walk_init = np.array([y, y, walk]), init_params(walk)
-    first = dict(hmmbatch.em_rows(ys, [(0, 0, late), (1, 1, early), (2, 2, walk_init)], 3,
-                                  max_iter=4, hand_back=3))
+    first = dict(hmm.em_rows(ys, [(0, 0, late), (1, 1, early), (2, 2, walk_init)], 3,
+                             max_iter=4, hand_back=3))
     assert isinstance(first[1], FilterDegeneracyError)
     # each handed back after one update
     assert [(handed_back(first[j]), len(first[j][1])) for j in (0, 2)] == [(True, 1)] * 2
     em_fit_of = {0: (y, late), 2: (walk, walk_init), "fresh": (walk, walk_init)}
     for scalar_rows, tails in ((0, 0), (16, 2)):
         calls = []
-        with (mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows),
+        with (mock.patch.object(hmm, "SCALAR_ROWS", scalar_rows),
               mock.patch.object(hmm, "em_fit", counting(calls))):
-            outs = dict(hmmbatch.em_rows(
+            outs = dict(hmm.em_rows(
                 ys, [(0, 0, first[0]), ("fresh", 2, walk_init), (2, 2, first[2])], 3, max_iter=4))
         assert len(calls) == tails
         assert isinstance(outs[0], FilterDegeneracyError)
@@ -630,8 +630,8 @@ def test_a_stream_that_hands_back_never_calls_em_fit():
     ys = np.cumsum(np.random.default_rng(5).standard_normal((4, 191)), axis=1)
     calls = []
     with mock.patch.object(hmm, "em_fit", counting(calls)):
-        out = dict(hmmbatch.em_rows(ys, [(k, k, init_params(y)) for k, y in enumerate(ys)], 4,
-                                    hand_back=2))
+        out = dict(hmm.em_rows(ys, [(k, k, init_params(y)) for k, y in enumerate(ys)], 4,
+                               hand_back=2))
     assert calls == []
     assert sorted(out) == [0, 1, 2, 3]
     assert [(len(numbers), len(trace), filtered) for numbers, trace, filtered in out.values()] == [
@@ -641,22 +641,40 @@ def test_a_stream_that_hands_back_never_calls_em_fit():
 def test_a_tail_row_whose_model_is_refused_stays_in_the_batch():
     """A state whose q rows are off the simplex by 1e-9, which ``RegimeModel`` refuses and so
     ``em_fit`` cannot start from, takes its first update in the batch although the tail
-    begins, and then goes to ``em_fit``; it ends bit for bit as in a stream without a tail."""
+    begins, and then goes to ``em_fit``; it ends bit for bit as in a stream without a tail.
+    The stream is two rows wide, as a one-row stream has no tail; its other row degenerates at
+    its first E-step, so only the refused row reaches the tail."""
     walk = np.cumsum(np.random.default_rng(5).standard_normal(191))
     numbers = init_params(walk).numbers()
     numbers[6:10] = [0.95 + 1e-9, 0.05, 0.05, 0.95 + 1e-9]
     with pytest.raises(ValueError, match="transition matrix row must sum to 1"):
         RegimeModel.from_numbers(numbers)
+    spike, _, early = spike_models()
     outs = {}
     for scalar_rows, tails in ((16, [49]), (0, [])):  # each tail's max_iter
         calls = []
-        with (mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows),
+        with (mock.patch.object(hmm, "SCALAR_ROWS", scalar_rows),
               mock.patch.object(hmm, "em_fit", counting(calls))):
-            [(key, outs[scalar_rows])] = hmmbatch.em_rows(
-                walk[None], [("off", 0, (numbers, [], None))], 1, max_iter=50)
+            [(early_key, failed), (key, outs[scalar_rows])] = hmm.em_rows(
+                np.array([walk, spike]), [("off", 0, (numbers, [], None)), ("early", 1, early)],
+                2, max_iter=50)
+        assert early_key == "early" and isinstance(failed, FilterDegeneracyError)
         assert (key, [kwargs["max_iter"] for _, kwargs in calls]) == ("off", tails)
     assert isinstance(outs[0], tuple) and hmm._fit_report(*outs[0]).iterations > 1
     assert fit_bits(hmm._fit_report(*outs[16])) == fit_bits(hmm._fit_report(*outs[0]))
+
+
+def test_a_stream_one_row_wide_never_calls_em_fit():
+    """A stream one row wide, as ``em_fit`` runs, takes each row to the end itself, none handed
+    to ``em_fit``, and ends each as ``em_fit`` does."""
+    ys = np.cumsum(np.random.default_rng(5).standard_normal((3, 191)), axis=1)
+    calls = []
+    with mock.patch.object(hmm, "em_fit", counting(calls)):
+        outs = dict(hmm.em_rows(ys, [(k, k, init_params(y)) for k, y in enumerate(ys)], 1,
+                                max_iter=50))
+    assert calls == []
+    for k, y in enumerate(ys):
+        assert_is_em_fit(outs[k], y, init_params(y), None)
 
 
 def test_batch_and_tail_failures_name_the_series_offset():
@@ -676,9 +694,9 @@ def test_batch_and_tail_failures_name_the_series_offset():
                 failures.append(exc)
                 raise
 
-        with (mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows),
+        with (mock.patch.object(hmm, "SCALAR_ROWS", scalar_rows),
               mock.patch.object(hmm, "em_fit", recording_em_fit)):
-            outs = [outcome for _, outcome in sorted(hmmbatch.em_rows(
+            outs = [outcome for _, outcome in sorted(hmm.em_rows(
                 np.array([y, y]), [(0, 0, late), (1, 1, early)], 2, offsets=offsets))]
         assert [(type(out), str(out)) for out in outs] == [
             (FilterDegeneracyError, f"filter degeneracy at offset {offsets[k]}")] * 2

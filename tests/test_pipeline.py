@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ecuindex import hmm, hmmbatch, panelio, pipeline
+from ecuindex import hmm, panelio, pipeline
 from ecuindex.cli import main
 from ecuindex.config import DEFAULT_SECTOR_MIX, RunConfig, build_run_config
 from ecuindex.hmm import FilterDegeneracyError, FitReport, RegimeModel
@@ -86,8 +86,9 @@ def test_fit_firm_outputs(records, run_cfg):
 
 def test_fit_panel_runs_one_forward_pass_per_e_step(records, run_cfg, monkeypatch):
     """The filtered pairs come from EM's last E-step: no extra forward pass per firm.  Each
-    row E-step that ``em_fit`` runs, through ``hmm._e_step_rows`` on a batch of one row, is
-    one entry of a fitted firm's trace."""
+    row of an E-step of the fit's ``EM_BATCH``-wide stream, which here runs every row to the
+    end (``SCALAR_ROWS`` 0, so no ``em_fit`` stream starts), is one entry of a fitted firm's
+    trace."""
     calls = []
     e_step = hmm._e_step_rows
 
@@ -96,6 +97,7 @@ def test_fit_panel_runs_one_forward_pass_per_e_step(records, run_cfg, monkeypatc
         return e_step(y, *args, **kwargs)
 
     monkeypatch.setattr(hmm, "_e_step_rows", counted)
+    monkeypatch.setattr(hmm, "SCALAR_ROWS", 0)
     results, skipped = fit_panel(panel_of(records), run_cfg)
     assert skipped == []
     assert len(calls) == sum(len(r.report.loglik_trace) for r in results)
@@ -188,6 +190,19 @@ def preprocessed(panel, cfg, rows=slice(None)):
     return out, errors
 
 
+def on_fit_streams(monkeypatch, wrapper):
+    """Set ``hmm.em_rows`` to pass the fit's ``EM_BATCH``-wide streams through ``wrapper``, a
+    generator of a stream's outcomes given the stream; ``em_fit``'s streams, one row wide,
+    pass as they are."""
+    em_rows = hmm.em_rows
+
+    def routed(ys, starts, width, *args, **kwargs):
+        stream = em_rows(ys, starts, width, *args, **kwargs)
+        return wrapper(stream) if width == pipeline.EM_BATCH else stream
+
+    monkeypatch.setattr(hmm, "em_rows", routed)
+
+
 def test_a_pool_job_writes_its_layers_and_sends_back_no_length_t_array(run_cfg, monkeypatch):
     """A pool job, run here on rows 2..5 of six that the first phase preprocessed, hands back
     its last two rows (no ``em_fit`` tail comes first), which the parent's drain finishes: the
@@ -200,7 +215,7 @@ def test_a_pool_job_writes_its_layers_and_sends_back_no_length_t_array(run_cfg, 
     out, errors = preprocessed(panel, run_cfg, slice(2, 6))
     models = np.zeros((len(panel), len(panelio.MODELS_HEADER) - 3))
     monkeypatch.setattr(pipeline, "_SHARED", [panel.firm_ids, run_cfg, errors, out, models])
-    monkeypatch.setattr(hmmbatch, "SCALAR_ROWS", 0)
+    monkeypatch.setattr(hmm, "SCALAR_ROWS", 0)
     reply = pipeline._fit_share(range(2, 6), 2)
     records, states = reply
     ks = [*records, *(k for (k, _), _ in states)]
@@ -229,18 +244,18 @@ def test_a_pooled_fit_that_drains_handed_back_starts_is_the_serial_fit(run_cfg, 
     is cut to 4, at most the hand-back counts of these small shares (6 and 4), so that no job
     hands its last starts to ``em_fit`` before its count is reached."""
     cfg = replace(run_cfg, multi_start=2)
-    monkeypatch.setattr(hmmbatch, "SCALAR_ROWS", 4)
+    monkeypatch.setattr(hmm, "SCALAR_ROWS", 4)
     dates = np.arange("2019-12-01", "2020-02-01", dtype="datetime64[D]")
     short = FirmRecord("F00005-short", "301", "D01", RawSeries(dates, np.full(len(dates), 5.0)))
     panel = panel_of(sorted(panel_records(n_firms=24) + [short], key=lambda r: r.firm_id))
     serial, serial_skipped = fit_panel(panel, cfg, workers=1)
-    streams, em_rows = [], hmmbatch.em_rows
+    streams = []
 
-    def recording_em_rows(*args, **kwargs):
-        streams.append(list(em_rows(*args, **kwargs)))
+    def recording(stream):
+        streams.append(list(stream))
         yield from streams[-1]
 
-    monkeypatch.setattr(hmmbatch, "em_rows", recording_em_rows)
+    on_fit_streams(monkeypatch, recording)
     pools, _ = record_pools(monkeypatch, cpus=workers)
     results, skipped = fit_panel(panel, cfg, workers=workers)
     assert pools == [workers] and len(streams) == workers + 1  # the jobs, then one drain
@@ -274,7 +289,7 @@ def test_a_fit_builds_no_report_until_one_is_read(records, run_cfg, monkeypatch,
         return FitReport(*args, **kwargs)
 
     monkeypatch.setattr(hmm, "FitReport", counting_fit_report)
-    monkeypatch.setattr(hmmbatch, "SCALAR_ROWS", 0)
+    monkeypatch.setattr(hmm, "SCALAR_ROWS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     results, skipped = fit_panel(panel_of(records), run_cfg, workers=workers)
     assert len(results) == len(records) and skipped == []
@@ -309,18 +324,18 @@ def test_the_kwh_grid_is_freed_before_em_starts(tmp_path, run_cfg, monkeypatch, 
     starts, in a serial fit and in a pool's jobs and drain, and a pool keeps no ``KwhPanel``
     for its workers."""
     write_panel(tmp_path / "panel.csv", panel_of(panel_records(n_firms=6)))
-    grids, alive, grid, em_rows = [], [], pipeline.preprocess_grid, hmmbatch.em_rows
+    grids, alive, grid = [], [], pipeline.preprocess_grid
 
     def recording_grid(block, cfg):
         grids.append(weakref.ref(block.kwh.base))
         return grid(block, cfg)
 
-    def recording_em_rows(*args, **kwargs):
+    def recording(stream):
         alive.append([ref() is not None for ref in grids])
-        yield from em_rows(*args, **kwargs)
+        yield from stream
 
     monkeypatch.setattr(pipeline, "preprocess_grid", recording_grid)
-    monkeypatch.setattr(hmmbatch, "em_rows", recording_em_rows)
+    on_fit_streams(monkeypatch, recording)
     pools, _ = record_pools(monkeypatch, cpus=2)
     results, skipped = fit_panel(read_panel(tmp_path / "panel.csv"), run_cfg, workers=workers)
     assert len(results) == 6 and skipped == []
@@ -335,7 +350,7 @@ def record_serial_fit(monkeypatch, run_cfg, n_firms, em_block, em_batch):
     grid and of each batch E-step."""
     blocks, grids, widths = [], [], []
     fit_block, grid, e_step_rows = pipeline._fit_block, pipeline.preprocess_grid, \
-        hmmbatch._e_step_rows
+        hmm._e_step_rows
 
     def recording_fit_block(rows, *args):
         blocks.append(len(rows))
@@ -351,10 +366,10 @@ def record_serial_fit(monkeypatch, run_cfg, n_firms, em_block, em_batch):
 
     monkeypatch.setattr(pipeline, "_fit_block", recording_fit_block)
     monkeypatch.setattr(pipeline, "preprocess_grid", recording_grid)
-    monkeypatch.setattr(hmmbatch, "_e_step_rows", recording_e_step_rows)
+    monkeypatch.setattr(hmm, "_e_step_rows", recording_e_step_rows)
     monkeypatch.setattr(pipeline, "EM_BLOCK", em_block)
     monkeypatch.setattr(pipeline, "EM_BATCH", em_batch)
-    monkeypatch.setattr(hmmbatch, "SCALAR_ROWS", 0)
+    monkeypatch.setattr(hmm, "SCALAR_ROWS", 0)
     results, skipped = fit_panel(panel_of(panel_records(n_firms=n_firms)), run_cfg, workers=1)
     assert len(results) + len(skipped) == n_firms
     return blocks, grids, widths
@@ -483,7 +498,7 @@ def test_a_wrapper_on_hmm_em_fit_sees_the_tail_and_changes_no_fit(run_cfg, monke
     """A serial fit calls ``em_fit`` through the ``hmm`` module for the last rows of its EM
     stream only, so a wrapper set there, as the benchmark's tracer sets one, times each of
     them and changes nothing."""
-    panel = panel_of(panel_records(n_firms=hmmbatch.SCALAR_ROWS + 4))
+    panel = panel_of(panel_records(n_firms=hmm.SCALAR_ROWS + 4))
     plain, calls, em_fit = fit_bits(panel, run_cfg), [], hmm.em_fit
 
     def counting_em_fit(*args, **kwargs):
@@ -492,7 +507,7 @@ def test_a_wrapper_on_hmm_em_fit_sees_the_tail_and_changes_no_fit(run_cfg, monke
 
     monkeypatch.setattr(hmm, "em_fit", counting_em_fit)
     assert fit_bits(panel, run_cfg) == plain
-    assert 1 <= len(calls) <= hmmbatch.SCALAR_ROWS
+    assert 1 <= len(calls) <= hmm.SCALAR_ROWS
 
 
 def test_a_model_holds_python_floats_whichever_em_finished_it(run_cfg, monkeypatch):
@@ -502,19 +517,19 @@ def test_a_model_holds_python_floats_whichever_em_finished_it(run_cfg, monkeypat
     hands its last 16 rows to ``em_fit``, one of 128 none."""
     panel = panel_of(panel_records(n_firms=80))
     cfg = replace(run_cfg, em_max_iter=3)
-    tails, outcomes, em_fit, em_rows = [], [], hmm.em_fit, hmmbatch.em_rows
+    tails, outcomes, em_fit = [], [], hmm.em_fit
 
     def counting_em_fit(*args, **kwargs):
         tails.append(args)
         return em_fit(*args, **kwargs)
 
-    def recording_em_rows(*args, **kwargs):
-        for key, outcome in em_rows(*args, **kwargs):
+    def recording(stream):
+        for key, outcome in stream:
             outcomes.append(outcome)
             yield key, outcome
 
     monkeypatch.setattr(hmm, "em_fit", counting_em_fit)
-    monkeypatch.setattr(hmmbatch, "em_rows", recording_em_rows)
+    on_fit_streams(monkeypatch, recording)
     replies, tables, tail_rows = [], [], []
     for width in (64, 128):
         monkeypatch.setattr(pipeline, "EM_BATCH", width)
@@ -573,14 +588,14 @@ def test_a_firms_starts_are_gathered_by_key_not_by_arrival(records, monkeypatch)
     outcomes that arrive in reverse give the same fits, bit for bit."""
     cfg = build_run_config({"multi_start": "2"})
     panel = panel_of(records)
-    plain, em_rows, keys = fit_bits(panel, cfg), hmmbatch.em_rows, []
+    plain, keys = fit_bits(panel, cfg), []
 
-    def reversed_em_rows(*args, **kwargs):
-        outcomes = list(em_rows(*args, **kwargs))
+    def reversed_stream(stream):
+        outcomes = list(stream)
         keys.extend(key for key, _ in reversed(outcomes))
         yield from reversed(outcomes)
 
-    monkeypatch.setattr(hmmbatch, "em_rows", reversed_em_rows)
+    on_fit_streams(monkeypatch, reversed_stream)
     assert fit_bits(panel, cfg) == plain
     assert len(keys) == 3 * len(records) and keys != sorted(keys)
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import preprocess_oracle as oracle
-from ecuindex import hmmbatch, pipeline
+from ecuindex import hmm, pipeline
 from ecuindex.config import RunConfig
 from ecuindex.preprocess import KwhPanel, preprocess_grid
 from ecuindex.simgen import PanelConfig, generate
@@ -239,8 +239,8 @@ def mixed_fits(mixed):
 
 
 # (EM_BLOCK, EM_BATCH, SCALAR_ROWS, multi_start): one firm's rows alone, a few firms', or all
-# of them in one preprocessing grid and one batch, handed to em_fit at once (16) or never (0),
-# and a grid smaller and larger than the batch
+# of them in one preprocessing grid and one batch, handed to em_fit at once (16; never in a
+# batch one row wide) or never (0), and a grid smaller and larger than the batch
 EM_CASES = [(size, size, scalar_rows, 0) for size in (1, 3, 16, 128) for scalar_rows in (0, 16)]
 EM_CASES += [(3, 3, 0, 2), (128, 128, 16, 2), (3, 128, 16, 0), (128, 3, 0, 0)]
 
@@ -257,7 +257,7 @@ def test_fit_panel_blocks_and_workers_agree_on_a_mixed_panel(mixed, mixed_fits, 
         for workers in (1, 2):
             with mock.patch.object(pipeline, "EM_BLOCK", em_block), \
                     mock.patch.object(pipeline, "EM_BATCH", em_batch), \
-                    mock.patch.object(hmmbatch, "SCALAR_ROWS", scalar_rows):
+                    mock.patch.object(hmm, "SCALAR_ROWS", scalar_rows):
                 results, skipped = pipeline.fit_panel(
                     panel_of(records), replace(cfg, multi_start=multi_start), workers=workers)
             assert skipped == serial_skipped
