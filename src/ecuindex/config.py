@@ -274,7 +274,10 @@ def parse_kv(text: str) -> dict[str, str]:
 
 @_config_errors
 def load_config(path) -> dict[str, str]:
-    return parse_kv(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_kv(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None  # its position is the file's
 
 
 def _convert(key: str, text: str, default):

@@ -94,8 +94,8 @@ class RegimeModel:
 
     @classmethod
     def from_numbers(cls, row) -> RegimeModel:
-        """The model of the first 12 numbers of ``row`` (a row of ``models.csv``'s numbers
-        ends with the log-likelihood) in ``MODEL_COLUMNS`` order, built on Python floats, so
+        """The model of the first 12 numbers of ``row`` (a ``models.csv`` row goes on with the
+        log-likelihood and flags) in ``MODEL_COLUMNS`` order, built on Python floats, so
         that no view of ``row`` is kept, and checked in order: each regime's sigma, then the
         rows of q, then pi0."""
         a0, b0, s0, a1, b1, s1, *rest = np.asarray(row[:12], dtype=float).tolist()

@@ -1,6 +1,7 @@
 """File interchange: the one module that reads and writes the package's files.
 
-All files are UTF-8 with a header row and ISO-8601 dates.  Lines starting
+All files are UTF-8 with a header row and ISO-8601 dates; a reader names a
+file that is not.  Lines starting
 with ``#`` before the header carry run metadata (the root seed) and are
 skipped on read.  Floats are written with ``repr`` so values round-trip
 exactly and reruns are byte-identical; empty fields mean missing (a NaN
@@ -14,7 +15,7 @@ quotes, its quotes doubled.  Rows end with CRLF.
 
 The files are ``panel.csv`` (one row per firm-day reading, read into and
 written from a ``KwhPanel``'s firm x day grid), ``models.csv`` (one row
-per fitted firm: its model, flags and group codes), ``ecu.csv``, ``srpi.csv``,
+per fitted firm: its group codes, then its row of ``FitOutputs.models``), ``ecu.csv``, ``srpi.csv``,
 ``report_<firm>.csv`` and the ``code,name`` code map of the sectors ``index``
 accepts.  The fit's firm-day values go to ``index`` as a binary array instead,
 ``firmdays.npy``; it and ``models.csv`` are one ``FitOutputs`` on disk.  The array is
@@ -64,12 +65,6 @@ def _quoted(fields) -> list[str]:
     return list(map(forms.__getitem__, fields))
 
 
-def _parse_bool(field: str) -> bool:
-    if field not in ("true", "false"):
-        raise ValueError(f"expected 'true' or 'false', got {field!r}")
-    return field == "true"
-
-
 def _parse_finite(field: str) -> float:
     value = float(field)
     if not math.isfinite(value):
@@ -77,9 +72,10 @@ def _parse_finite(field: str) -> float:
     return value
 
 
+_FLAGS = {"true": 1.0, "false": 0.0}  # a flag of models.csv as text and in a row
 # the typed columns of models.csv and their converters
 _MODEL_FIELDS = {**dict.fromkeys(MODELS_HEADER[3:-2], _parse_finite),
-                 **dict.fromkeys(MODELS_HEADER[-2:], _parse_bool)}
+                 **dict.fromkeys(MODELS_HEADER[-2:], _FLAGS.__getitem__)}
 
 
 def _typed(path, n, converters, fields) -> list:
@@ -88,7 +84,7 @@ def _typed(path, n, converters, fields) -> list:
     for (name, convert), text in zip(converters.items(), fields):
         try:
             out.append(convert(text))
-        except ValueError:
+        except (KeyError, ValueError):  # KeyError: a flag neither true nor false
             raise ValueError(f"{path} data row {n}, column {name}: cannot read {text!r}") from None
     return out
 
@@ -135,39 +131,42 @@ def _blocks(path, header):
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"missing file {path}")
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = itertools.dropwhile(lambda line: line.startswith("#"), fh)
-        found = next(_csv_rows(path, lines), None)
-        if found is None:
-            raise ValueError(f"{path} is empty")
-        if found != header:
-            raise ValueError(f"{path} header {found} does not match {header}")
-        width, first = len(header), 1
-        while block := list(itertools.islice(lines, BLOCK_ROWS)):
-            text = ",".join(map(str.rstrip, block, itertools.repeat("\r\n")))
-            if '"' in text or set(map(str.count, block, itertools.repeat(","))) != {width - 1}:
-                break
-            fields = text.split(",")
-            columns = {name: fields[j::width] for j, name in enumerate(header)}
-            del block, text, fields  # a block's text is held once, as columns
-            yield first, columns
-            first += len(columns[header[0]])
-            del columns  # and not while the next block is read
-        # a quoted field may hold commas and line breaks, and span blocks
-        rows = _csv_rows(path, itertools.chain(block, lines))
-        while block := list(itertools.islice(rows, BLOCK_ROWS)):
-            if set(map(len, block)) - {width}:
-                k = next(k for k, row in enumerate(block) if len(row) != width)
-                fault = ValueError(
-                    f"{path} data row {first + k} has {len(block[k])} fields, expected {width}")
-                if k:
-                    yield first, dict(zip(header, zip(*block[:k])))
-                raise fault
-            columns = dict(zip(header, zip(*block)))
-            del block
-            yield first, columns
-            first += len(columns[header[0]])
-            del columns
+    try:  # a byte that is not UTF-8 may come after blocks were yielded
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = itertools.dropwhile(lambda line: line.startswith("#"), fh)
+            found = next(_csv_rows(path, lines), None)
+            if found is None:
+                raise ValueError(f"{path} is empty")
+            if found != header:
+                raise ValueError(f"{path} header {found} does not match {header}")
+            width, first = len(header), 1
+            while block := list(itertools.islice(lines, BLOCK_ROWS)):
+                text = ",".join(map(str.rstrip, block, itertools.repeat("\r\n")))
+                if '"' in text or set(map(str.count, block, itertools.repeat(","))) != {width - 1}:
+                    break
+                fields = text.split(",")
+                columns = {name: fields[j::width] for j, name in enumerate(header)}
+                del block, text, fields  # a block's text is held once, as columns
+                yield first, columns
+                first += len(columns[header[0]])
+                del columns  # and not while the next block is read
+            # a quoted field may hold commas and line breaks, and span blocks
+            rows = _csv_rows(path, itertools.chain(block, lines))
+            while block := list(itertools.islice(rows, BLOCK_ROWS)):
+                if set(map(len, block)) - {width}:
+                    k = next(k for k, row in enumerate(block) if len(row) != width)
+                    fault = ValueError(
+                        f"{path} data row {first + k} has {len(block[k])} fields, expected {width}")
+                    if k:
+                        yield first, dict(zip(header, zip(*block[:k])))
+                    raise fault
+                columns = dict(zip(header, zip(*block)))
+                del block
+                yield first, columns
+                first += len(columns[header[0]])
+                del columns
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def seed_comment(seed) -> str:
@@ -285,9 +284,9 @@ class FitOutputs:
     """The fit's product as one table, built by ``pipeline.fit_panel`` or read from its files.
 
     Row k of each field is the k-th firm in id order: ``firm_ids``, ``sector_codes`` and
-    ``district_codes`` are lists, ``models`` is the (firms, 13) float64 array of the numbers
-    of ``models.csv`` in ``MODELS_HEADER[3:-2]`` order, ``converged`` and ``degenerate`` are
-    bool arrays, and ``firmdays`` is the (5, firms, T) float64 array of the firms'
+    ``district_codes`` are lists, ``models`` is the (firms, 15) float64 array of the firms'
+    ``models.csv`` rows in ``MODELS_HEADER[3:]`` order, the ``converged`` and ``degenerate``
+    flags as 1.0 or 0.0, and ``firmdays`` is the (5, firms, T) float64 array of the firms'
     ``FIRMDAY_LAYERS``, column j for ``offsets[j]``; read back with fewer layers, it is a tuple
     of the five (firms, T) layers, None for each layer not read.
     """
@@ -296,9 +295,10 @@ class FitOutputs:
     sector_codes: list[str]
     district_codes: list[str]
     models: np.ndarray
-    converged: np.ndarray
-    degenerate: np.ndarray
     firmdays: np.ndarray | tuple
+
+    converged = property(lambda fit: fit.models[:, 13] == 1.0)  # bool arrays, by firm
+    degenerate = property(lambda fit: fit.models[:, 14] == 1.0)
 
     @functools.cached_property
     def offsets(self) -> np.ndarray:
@@ -326,14 +326,14 @@ class FitOutputs:
         return column_fsums(ele_ref)
 
 
-def write_models(path, firm_ids, sector_codes, district_codes, models, converged, degenerate,
-                 comments=()) -> None:
-    """A ``FitOutputs`` table's columns as ``models.csv`` rows in their order, ``BLOCK_ROWS``
-    rows at a time.  Columns of unequal length, a text field longer than the CSV reader's
-    limit and a non-finite number, which ``read_models`` would refuse, are refused first."""
+def write_models(path, firm_ids, sector_codes, district_codes, rows, comments=()) -> None:
+    """A ``FitOutputs`` table's columns and (firms, 15) ``rows`` as ``models.csv`` rows,
+    ``BLOCK_ROWS`` at a time.  Columns of unequal length, a text field longer than the CSV
+    reader's limit, a non-finite number and a flag other than 1.0 or 0.0, which would not read
+    back as written, are refused first; a model ``RegimeModel`` refuses is left to
+    ``write_fit_outputs``."""
     texts = firm_ids, sector_codes, district_codes
-    if (len({*map(len, (*texts, converged, degenerate))}) > 1
-            or np.shape(models) != (len(firm_ids), len(MODELS_HEADER[3:-2]))):
+    if len({*map(len, texts)}) > 1 or np.shape(rows) != (len(firm_ids), len(_MODEL_FIELDS)):
         raise ValueError(f"{path}: the columns of the models table differ in length")
     limit = csv.field_size_limit()
     for k, fields in enumerate(zip(*texts)):
@@ -342,27 +342,28 @@ def write_models(path, firm_ids, sector_codes, district_codes, models, converged
                 raise ValueError(f"{path} data row {k + 1}, column {name}: a field of "
                                  f"{len(field)} characters is longer than the CSV reader's "
                                  f"limit of {limit}")
-    bad = ~np.isfinite(models)
-    if bad.any():  # read_models would refuse it
+    bad = np.hstack([~np.isfinite(rows[:, :13]), (rows[:, 13:] != 1.0) & (rows[:, 13:] != 0.0)])
+    if bad.any():  # read_models would refuse it, or read a flag back as another number
         k, j = np.unravel_index(np.argmax(bad), bad.shape)
-        raise ValueError(f"{path} data row {k + 1}, column {MODELS_HEADER[3 + j]}: "
-                         f"{models[k, j]} is not finite")
+        raise ValueError(f"{path} data row {k + 1}, column {MODELS_HEADER[3 + j]}: {rows[k, j]} "
+                         f"is not {'finite' if j < 13 else 'a flag, 1.0 or 0.0'}")
     _write_csv(path, MODELS_HEADER, ([
         *(_quoted(column[at:at + BLOCK_ROWS]) for column in texts),
-        *map(_fmt_column, models[at:at + BLOCK_ROWS].T),
-        *(["true" if x else "false" for x in flags[at:at + BLOCK_ROWS].tolist()]
-          for flags in (converged, degenerate))]
-        for at in range(0, len(models), BLOCK_ROWS)), comments)
+        *map(_fmt_column, rows[at:at + BLOCK_ROWS, :13].T),
+        *(["true" if x else "false" for x in column.tolist()]
+          for column in rows[at:at + BLOCK_ROWS, 13:].T)]
+        for at in range(0, len(rows), BLOCK_ROWS)), comments)
 
 
 def _models_ok(numbers: np.ndarray) -> np.ndarray:
-    """Per column of ``numbers``, (13, n) in ``MODELS_HEADER[3:-2]`` order, whether its numbers
-    are finite and a model ``RegimeModel`` accepts, decided by its IEEE operations: sigmas above
-    0, q's rows and pi0 in [0, 1] summing to 1 within ``_SIMPLEX_TOL``."""
-    probs = numbers[6:12]
+    """Per column of ``numbers``, (13, n) in ``MODELS_HEADER[3:-2]`` order or (15, n) with the
+    flags, whether it is finite, flags 1.0 or 0.0, and a model ``RegimeModel`` accepts by IEEE
+    operations: sigmas above 0, q's rows and pi0 in [0, 1] summing to 1 within ``_SIMPLEX_TOL``."""
+    probs, flags = numbers[6:12], numbers[13:]
     probs = np.where((probs >= 0.0) & (probs <= 1.0), probs, np.nan)  # no sum can overflow
     return (np.isfinite(numbers).all(axis=0) & (numbers[[2, 5]] > 0.0).all(axis=0)
-            & (abs(probs[::2] + probs[1::2] - 1.0) <= _SIMPLEX_TOL).all(axis=0))
+            & (abs(probs[::2] + probs[1::2] - 1.0) <= _SIMPLEX_TOL).all(axis=0)
+            & ((flags == 1.0) | (flags == 0.0)).all(axis=0))
 
 
 def _check_model(path, n, firm_id, numbers) -> None:
@@ -375,24 +376,23 @@ def _check_model(path, n, firm_id, numbers) -> None:
 
 
 def _models_block(columns) -> np.ndarray | None:
-    """A block's numbers and flags (n, 15) parsed a column at a time, or None if a field is
-    unreadable or a model ``_models_ok`` refuses."""
-    flags = [columns[name] for name in MODELS_HEADER[-2:]]
+    """A block's (n, 15) rows parsed a column at a time, a flag that is neither ``true`` nor
+    ``false`` as NaN, or None if a field is unreadable or a row ``_models_ok`` refuses."""
     try:
-        numbers = np.array([columns[name] for name in MODELS_HEADER[3:-2]], dtype=float)
+        rows = np.array([*(columns[name] for name in MODELS_HEADER[3:-2]),
+                         *([_FLAGS.get(x, math.nan) for x in columns[name]]
+                           for name in MODELS_HEADER[-2:])], dtype=float)
     except ValueError:
         return None
-    if (_models_ok(numbers).all()
-            and all(f.count("true") + f.count("false") == len(f) for f in flags)):
-        return np.vstack([numbers, *(np.array(f) == "true" for f in flags)]).T
-    return None
+    return rows.T if _models_ok(rows).all() else None
 
 
 def read_models(path) -> tuple:
-    """The columns of a ``FitOutputs`` table, ``firmdays`` aside, in file order.  A block is
-    parsed and checked a column at a time.  A block with a fault is read again a row at a time:
-    a row's fields in header order (numbers must be finite), then its firm must be new and its
-    model one ``RegimeModel`` accepts; the first faulty data row is named."""
+    """The firm ids, sector and district codes and (firms, 15) ``models`` rows of a ``FitOutputs``
+    table, in file order.  A block is parsed and checked a column at a time.  A block with a
+    fault is read again a row at a time: a row's fields in header order (numbers must be finite,
+    flags ``true`` or ``false``), then its firm must be new and its model one ``RegimeModel``
+    accepts; the first faulty data row is named."""
     texts, seen = ([], [], []), set()  # firm ids, sector and district codes
     shared: dict[str, str] = {}  # a code's text -> its first string, which every firm shares
     blocks = [np.empty((0, len(_MODEL_FIELDS)))]  # per block its rows' numbers and flags
@@ -413,8 +413,7 @@ def read_models(path) -> tuple:
             column = columns[name]
             text += column if name == "firm_id" else map(shared.setdefault, column, column)
         blocks.append(block)
-    table = np.concatenate(blocks)
-    return *texts, table[:, :-2].copy(), table[:, -2] == 1.0, table[:, -1] == 1.0
+    return *texts, np.concatenate(blocks)
 
 
 def _check_ids(path, firm_ids: list[str]) -> None:
@@ -475,12 +474,11 @@ def write_fit_outputs(directory, fit: FitOutputs, comments=()) -> None:
     _check_ids(directory / "models.csv", fit.firm_ids)
     layers = fit.firmdays
     _check_layers(directory / "firmdays.npy", fit.firm_ids, layers.dtype, layers.shape, layers)
-    for k in np.flatnonzero(~_models_ok(fit.models[:len(fit.firm_ids)].T)):
-        if not np.isfinite(fit.models[k]).all():
-            break  # write_models names the first non-finite number
-        _check_model(directory / "models.csv", k + 1, fit.firm_ids[k], fit.models[k])
+    for k in np.flatnonzero(~_models_ok(fit.models[:len(fit.firm_ids)].T))[:1]:  # the first fault
+        if np.isfinite(fit.models[k]).all():  # a bad model, or else a flag write_models names
+            _check_model(directory / "models.csv", k + 1, fit.firm_ids[k], fit.models[k])
     write_models(directory / "models.csv", fit.firm_ids, fit.sector_codes, fit.district_codes,
-                 fit.models, fit.converged, fit.degenerate, comments)
+                 fit.models, comments)
     np.save(directory / "firmdays.npy", fit.firmdays)
 
 
@@ -497,9 +495,12 @@ def read_fit_outputs(directory, layers=FIRMDAY_LAYERS) -> FitOutputs:
     ``models.csv``, an even T, a non-finite value, a ``mu_p`` or ``mu_r`` outside [0, 1] and a
     negative ``ele_test`` or ``ele_ref`` are refused.  The shape leaves no room for a repeated
     or missing firm-day.  Every field equals bit for bit that of the ``FitOutputs`` the files
-    were written from, and so do the panel and reference totals.
+    were written from, and so do the panel and reference totals.  An empty ``layers``, or one
+    naming another layer, is refused before either file is read.
     """
     directory = Path(directory)
+    if not layers or set(layers) - set(FIRMDAY_LAYERS):
+        raise ValueError(f"layers {tuple(layers)}: name one or more of {FIRMDAY_LAYERS} only")
     for name in ("models.csv", "firmdays.npy"):
         if not (directory / name).exists():
             raise FileNotFoundError(f"missing fit output {directory / name}; "

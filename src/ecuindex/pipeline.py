@@ -41,8 +41,7 @@ class FirmFitResult:
     trace: list
 
     report = cached_property(lambda r: _fit_report(  # built once read, its filter a view too
-        [*r.fit.models[r.k], r.fit.converged[r.k], r.fit.degenerate[r.k]], r.trace,
-        r.fit.firmdays[1:3, r.k].T))
+        r.fit.models[r.k], r.trace, r.fit.firmdays[1:3, r.k].T))
 
     firm_id = property(lambda r: r.fit.firm_ids[r.k])
     sector_code = property(lambda r: r.fit.sector_codes[r.k])
@@ -145,25 +144,24 @@ def fit_panel(panel: KwhPanel, cfg: RunConfig,
     Phase two is one job, ``_fit_block``, on all the rows in a serial run, and in a pool on one
     share per worker, the shares differing by at most one row.  The jobs write the filter layers
     of the array, the table's ``firmdays`` once skipped rows are squeezed out in place, and one
-    (firms, 15) array of ``models.csv`` rows, the table's models and flags; a pool's are
-    anonymous shared mappings that the forked workers inherit with the ids and refusals, so
-    none is pickled, and a dead worker (``ChildProcessError``) leaves nothing to clean up.  The
-    parent finishes the last ``min(EM_BATCH // workers, share // 2)`` rows of each job, or the
-    last ``hmm.SCALAR_ROWS`` if that is more, in one ``_drain``.  A firm whose series
-    cannot cover the windows or whose fit fails numerically is skipped with a diagnostic, and a
-    flat one's fit is degenerate: its deviations lie within 1e-8 of (1 plus) its mean
-    test-window kWh, far above the 1e-13 residual the rolling sums leave where both years
-    match, and below any real change.
+    (firms, 15) array of ``models.csv`` rows, the table's ``models`` once its fitted rows are
+    taken; a pool's are anonymous shared mappings that the forked workers inherit with the ids
+    and refusals, so none is pickled, and a dead worker (``ChildProcessError``) leaves nothing to
+    clean up.  The parent finishes the last ``min(EM_BATCH // workers, share // 2)`` rows of
+    each job, or the last ``hmm.SCALAR_ROWS`` if that is more, in one ``_drain``.  A firm whose
+    series cannot cover the windows or whose fit fails numerically is skipped with a diagnostic,
+    and a flat one's fit is degenerate: its deviations lie within 1e-8 of (1 plus) its mean
+    test-window kWh, far above the 1e-13 residual the rolling sums leave where both years match,
+    and below any real change.
     ``workers`` defaults to ``cfg.workers``; a pool has at most one process per firm and CPU.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(cfg.workers if workers is None else workers, n := len(panel), cpus or 1))
     shape = (len(FIRMDAY_LAYERS), n, 2 * cfg.span + 1)
-    table = (n, len(MODELS_HEADER) - 3)  # a models.csv row's numbers and flags
     if workers > 1:
         import mmap  # only a pool run pays for this import
     out, models = (np.ndarray(dims, buffer=mmap.mmap(-1, 8 * int(np.prod(dims)))) if workers > 1
-                   else np.empty(dims) for dims in (shape, table))
+                   else np.empty(dims) for dims in (shape, (n, len(MODELS_HEADER) - 3)))
     errors = [None] * n  # phase one: the y, ele_test and ele_ref layers, and each row's refusal
     for part in (slice(at, at + EM_BLOCK) for at in range(0, n, EM_BLOCK)):
         out[0, part], out[3, part], out[4, part], errors[part] = preprocess_grid(panel[part], cfg)
@@ -196,10 +194,8 @@ def fit_panel(panel: KwhPanel, cfg: RunConfig,
     rowwise, m = out.reshape(-1, shape[2]), len(rows)
     for i, k in enumerate(rows * shape[0] if m < n else ()):
         rowwise[i] = rowwise[i // m * n + k]
-    fitted = models[rows]
     fit = FitOutputs(*([column[k] for k in rows]  # reached only through a result: m > 0
-                       for column in (ids, *codes)),
-                     fitted[:, :13].copy(), fitted[:, 13] == 1.0, fitted[:, 14] == 1.0,
+                       for column in (ids, *codes)), models[rows],
                      rowwise[:shape[0] * m].reshape(shape[0], m, shape[2]))
     return [FirmFitResult(fit, j, records[k][0][1]) for j, k in enumerate(rows)], skipped
 
@@ -210,15 +206,14 @@ def fit_outputs(results: Iterable[FirmFitResult]) -> FitOutputs:
     if any(r.fit is not results[0].fit for r in results):
         raise ValueError("the results are rows of more than one fit")
     if not results:
-        return FitOutputs([], [], [], np.empty((0, len(MODELS_HEADER[3:-2]))),
-                          *np.zeros((2, 0), dtype=bool), np.empty((len(FIRMDAY_LAYERS), 0, 1)))
+        return FitOutputs([], [], [], np.empty((0, len(MODELS_HEADER) - 3)),
+                          np.empty((len(FIRMDAY_LAYERS), 0, 1)))
     fit, rows = results[0].fit, [r.k for r in results]
     if rows == list(range(len(fit.firm_ids))):
         return fit
     return FitOutputs(*([c[k] for k in rows] for c in (fit.firm_ids, fit.sector_codes,
                                                         fit.district_codes)),
-                      *(a[rows] for a in (fit.models, fit.converged, fit.degenerate)),
-                      fit.firmdays[:, rows])
+                      fit.models[rows], fit.firmdays[:, rows])
 
 
 # bench/run.py calls these two; they go once fit_panel returns a FitOutputs

@@ -757,6 +757,30 @@ def test_oversized_quoted_field_is_a_data_error(fitted_dir, tmp_path, capsys):
                    commands=[["index"]])
 
 
+@pytest.mark.parametrize("name,command,code", [
+    ("panel.csv", "fit", 1), ("models.csv", "index", 1), ("codes.csv", "index", 1),
+    ("run.cfg", "index", 2)])
+def test_a_text_input_that_is_not_utf8_names_its_file(fitted_dir, tmp_path, capsys, monkeypatch,
+                                                       name, command, code):
+    """A 0xff byte in a late line, after blocks of 2 rows were read, is one error line naming
+    the file: a data error in a CSV, a configuration error in the config file, which is decoded
+    whole, so that the error's byte position is the file's."""
+    monkeypatch.setattr(panelio, "BLOCK_ROWS", 2)
+    broken, _ = broken_copy(fitted_dir, tmp_path)
+    codes = tmp_path / "codes.csv"
+    codes.write_text("code,name\n" + "".join(f"{c},sector\n" for c in sorted(DEFAULT_SECTORS)))
+    cfg = write_config(tmp_path / "run.cfg", BASE_CONFIG + f"code_map = {codes}\n")
+    path = {"codes.csv": codes, "run.cfg": Path(cfg)}.get(name, broken / name)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[-2] = lines[-2][:3] + b"\xff" + lines[-2][3:]
+    path.write_bytes(b"".join(lines))
+    assert main([command, "--config", cfg, "--out", str(broken)]) == code
+    err = capsys.readouterr().err.splitlines()
+    at = len(b"".join(lines[:-2])) + 3
+    where = f"'utf-8' codec can't decode byte 0xff in position {at}: " if code == 2 else ""
+    assert err == [f"error: {path} is not UTF-8 text: {where}invalid start byte"], err
+
+
 def test_index_outputs(fitted_dir, capsys):
     out, cfg = fitted_dir
     assert main(["index", "--config", cfg, "--out", str(out)]) == 0
@@ -775,12 +799,13 @@ def write_fit_dir(directory, n_firms, days=191, seed=0):
     """``models.csv`` and ``firmdays.npy`` of random valid values, written without fitting."""
     rng = np.random.default_rng(seed)
     sectors, firms = sorted(DEFAULT_SECTORS), range(n_firms)
-    model = [0.0, 1.0, 1.0, 0.0, -1.0, 1.0, 0.9, 0.1, 0.2, 0.8, 0.5, 0.5, -1.0]  # and loglik
+    # the model, loglik and the converged and degenerate flags
+    rows = np.tile([0.0, 1.0, 1.0, 0.0, -1.0, 1.0, 0.9, 0.1, 0.2, 0.8, 0.5, 0.5, -1.0, 1.0, 0.0],
+                   (n_firms, 1))
+    rows[:, 14] = np.arange(n_firms) % 7 == 0
     write_models(directory / "models.csv", [f"F{k:05d}" for k in firms],
                  [sectors[k % len(sectors)] for k in firms],
-                 [DEFAULT_DISTRICTS[k % len(DEFAULT_DISTRICTS)] for k in firms],
-                 np.tile(model, (n_firms, 1)), np.ones(n_firms, dtype=bool),
-                 np.arange(n_firms) % 7 == 0)
+                 [DEFAULT_DISTRICTS[k % len(DEFAULT_DISTRICTS)] for k in firms], rows)
     mu_r = rng.random((n_firms, days))
     np.save(directory / "firmdays.npy", np.stack([
         rng.normal(size=mu_r.shape), 1.0 - mu_r, mu_r,

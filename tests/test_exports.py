@@ -3,6 +3,7 @@ formats, one runs EM in one loop, one, importing no other, declares the settings
 a model's numbers and builds models from them."""
 
 import ast
+import dataclasses
 import os
 from pathlib import Path
 
@@ -41,6 +42,20 @@ def test_public_names_are_the_four_stages():
         assert [name for name in names if hasattr(module, name)] == [], module.__name__
     assert [name for name in MOVED_TO_PANELIO if hasattr(pipeline, name)] == ["FitOutputs"]
     assert pipeline.FitOutputs is panelio.FitOutputs
+
+
+def test_a_fitted_model_is_one_models_csv_row(tmp_path):
+    """The fit's table holds a firm's model as its ``models.csv`` row, flags included, and
+    derives ``converged`` and ``degenerate`` from it; ``read_models`` returns the rows beside
+    the ids and codes, not the numbers and two bool arrays apart."""
+    assert [field.name for field in dataclasses.fields(panelio.FitOutputs)] == [
+        "firm_ids", "sector_codes", "district_codes", "models", "firmdays"]
+    path = tmp_path / "models.csv"
+    path.write_text(",".join(panelio.MODELS_HEADER) + "\nA,101,D01,0.0,1.0,1.0,0.0,-1.0,1.0,"
+                    "1.0,0.0,0.0,1.0,0.5,0.5,-2.0,true,false\n")
+    firm_ids, sectors, districts, rows = panelio.read_models(path)
+    assert (firm_ids, sectors, districts) == (["A"], ["101"], ["D01"])
+    assert rows.shape == (1, 15) and rows[0, 12:].tolist() == [-2.0, 1.0, 0.0]
 
 
 def dotted(node) -> str:

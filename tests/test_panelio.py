@@ -140,22 +140,21 @@ EYE_MODEL = [0.0, 1.0, 1.0, 0.0, -1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.5, 0.5, 0.0]
 
 
 def models_table(firm_ids, model=EYE_MODEL, sector="101", district="D01"):
-    """The models columns of ``firm_ids``, each with ``model``, converged and not
+    """The models columns of ``firm_ids``, each row ``model``, converged and not
     degenerate."""
     n = len(firm_ids)
-    return (list(firm_ids), [sector] * n, [district] * n, np.tile(model, (n, 1)),
-            np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
+    return list(firm_ids), [sector] * n, [district] * n, np.tile([*model, 1.0, 0.0], (n, 1))
 
 
 def test_models_roundtrip(tmp_path):
     model = [0.012, 3.7, 1.25, -0.3, -41.0, 8.5, 0.97, 0.03, 0.05, 0.95, 0.6, 0.4, -123.456789]
     path = tmp_path / "models.csv"
     write_models(path, *models_table("A", model, "306", "D02"))
-    firm_ids, sectors, districts, models, converged, degenerate = read_models(path)
+    firm_ids, sectors, districts, rows = read_models(path)
     assert (firm_ids, sectors, districts) == (["A"], ["306"], ["D02"])
-    assert models.dtype == np.float64 and models.tolist() == [model]
-    assert converged.tolist() == [True] and degenerate.tolist() == [False]
-    back = RegimeModel.from_numbers(models[0])
+    assert rows.dtype == np.float64 and rows[:, :13].tolist() == [model]
+    assert rows[:, 13].tolist() == [1.0] and rows[:, 14].tolist() == [0.0]
+    back = RegimeModel.from_numbers(rows[0])
     assert back.prosperous == RegimeParams(0.012, 3.7, 1.25)
     assert back.recessionary == RegimeParams(-0.3, -41.0, 8.5)
     assert back.q.tolist() == [[0.97, 0.03], [0.05, 0.95]] and back.pi0.tolist() == [0.6, 0.4]
@@ -199,9 +198,9 @@ def test_probs_roundtrip(tmp_path, fitted):
 def test_weights_roundtrip_sorted(tmp_path, fitted):
     firmdays_roundtrip(tmp_path, fitted, ["ele_test", "ele_ref"])
     assert fit_outputs(fitted).firm_ids == sorted(r.firm_id for r in fitted)  # sorted once
-    firm_ids, _, _, *numbers = models_table("BA")
+    firm_ids, _, _, rows = models_table("BA")
     path = tmp_path / "models.csv"
-    write_models(path, firm_ids, ["301", "101"], ["D01", "D02"], *numbers)
+    write_models(path, firm_ids, ["301", "101"], ["D01", "D02"], rows)
     firm_ids, sectors, districts, *_ = read_models(path)
     assert firm_ids == ["B", "A"]  # in the table's order: write_fit_outputs refuses any other
     assert list(zip(sectors, districts)) == [("301", "D01"), ("101", "D02")]
@@ -210,7 +209,7 @@ def test_weights_roundtrip_sorted(tmp_path, fitted):
 def test_panel_zeroes_degenerate_mu_r_in_place_only_in_a_layer_read_alone(tmp_path, fitted):
     """The fit's whole array stays as fitted; a ``mu_r`` layer read on its own is zeroed where
     it lies, and the two panels are the same bit for bit."""
-    fit = replace(fit_outputs(fitted), degenerate=np.array([True, False, True]))
+    fit = with_flags(fit_outputs(fitted), degenerate=[1.0, 0.0, 1.0])
     fitted_mu_r = fit.firmdays[2].copy()
     write_fit_outputs(tmp_path, fit)
     assert not fit.panel.mu_r[[0, 2]].any() and fit.panel.mu_r[1].any()
@@ -221,6 +220,15 @@ def test_panel_zeroes_degenerate_mu_r_in_place_only_in_a_layer_read_alone(tmp_pa
     for name in ("ele", "mu_r"):
         assert getattr(read.panel, name).tobytes() == getattr(fit.panel, name).tobytes()
     assert read.reference_totals.tobytes() == fit.reference_totals.tobytes()
+
+
+@pytest.mark.parametrize("layers", [("mu_R",), (), ("mu_r", "ele")])
+def test_fit_reader_refuses_layers_it_cannot_read(tmp_path, layers):
+    """A layer name outside ``FIRMDAY_LAYERS``, or none, is refused before either file is
+    read, naming the layers there are; it once gave a table of None layers."""
+    with pytest.raises(ValueError, match=re.escape(f"layers {layers}: name one or more of "
+                                                   f"{FIRMDAY_LAYERS} only")):
+        read_fit_outputs(tmp_path / "no_fit_here", layers)
 
 
 def test_firmdays_writer_refuses_nan(tmp_path, fitted):
@@ -237,11 +245,18 @@ def test_firmdays_writer_refuses_nan(tmp_path, fitted):
     assert not (tmp_path / "firmdays.npy").exists()
 
 
+def with_flags(fit, **flags):
+    """``fit`` with the named flag columns of ``models`` set to the given 1.0s and 0.0s."""
+    models = fit.models.copy()
+    for name, values in flags.items():
+        models[:, panelio.MODELS_HEADER.index(name) - 3] = values
+    return replace(fit, models=models)
+
+
 def swap_order(fit):
     """The same firms and firm-days, both in reverse id order: a consistent pair."""
     return FitOutputs(fit.firm_ids[::-1], fit.sector_codes[::-1], fit.district_codes[::-1],
-                      fit.models[::-1], fit.converged[::-1], fit.degenerate[::-1],
-                      fit.firmdays[:, ::-1].copy())
+                      fit.models[::-1], fit.firmdays[:, ::-1].copy())
 
 
 def with_number(fit, k, column, value):
@@ -273,12 +288,15 @@ def with_number(fit, k, column, value):
      "the CSV reader's limit of 131072"),
     (lambda fit: replace(fit, models=fit.models[:2]),
      "models.csv: the columns of the models table differ in length"),
+    (lambda fit: with_flags(with_number(fit, 2, "sigma_p", 0.0), degenerate=[0.0, 0.5, 0.0]),
+     "models.csv data row 2, column degenerate: 0.5 is not a flag, 1.0 or 0.0"),
     (lambda fit: replace(fit, firmdays=tuple(
         layer if name in ("mu_r", "ele_test", "ele_ref") else None
         for name, layer in zip(FIRMDAY_LAYERS, fit.firmdays))),  # as index reads it back
      "firmdays.npy: layers y, mu_p were not read back"),
 ], ids=["reverse_order", "firm_rows", "even_days", "float32", "four_layers", "nan_loglik",
-        "invalid_q", "zero_sigma", "long_sector_code", "short_models", "unread_layers"])
+        "invalid_q", "zero_sigma", "long_sector_code", "short_models", "flag_before_model",
+        "unread_layers"])
 def test_fit_writer_refuses_a_pair_the_reader_refuses(tmp_path, fitted, damage, message):
     """The rows of both files are matched by position, so a pair whose firms are out of id
     order would come back mispaired; neither file is written."""
@@ -625,11 +643,12 @@ def test_readers_peak_memory_is_bounded_by_a_block(tmp_path, monkeypatch):
 def model_rows(n_firms):
     """The models columns of ``n_firms`` firms of one model, each with its own
     log-likelihood, every third degenerate."""
-    firm_ids, sectors, districts, models, converged, _ = models_table(
+    firm_ids, sectors, districts, rows = models_table(
         [f"F{k:06d}" for k in range(n_firms)],
         [0.1, 1.0, 1.0, -0.2, -1.0, 2.0, 0.9, 0.1, 0.2, 0.8, 0.3, 0.7, 0.0])
-    models[:, -1] = -1.0 - np.arange(n_firms) / 7
-    return firm_ids, sectors, districts, models, converged, np.arange(n_firms) % 3 == 0
+    rows[:, 12] = -1.0 - np.arange(n_firms) / 7
+    rows[:, 14] = np.arange(n_firms) % 3 == 0
+    return firm_ids, sectors, districts, rows
 
 
 def test_models_writer_peak_memory_does_not_grow_with_the_firms(tmp_path, monkeypatch):
@@ -656,10 +675,36 @@ def test_models_writer_names_a_non_finite_number_in_a_later_block(tmp_path, monk
     """The refused row is counted over the blocks, and no file is written."""
     monkeypatch.setattr(panelio, "BLOCK_ROWS", 2)
     rows = model_rows(5)
-    rows[3][3, -1] = np.inf
+    rows[3][3, 12] = np.inf
     with pytest.raises(ValueError, match=re.escape("data row 4, column loglik: inf is not finite")):
         write_models(tmp_path / "models.csv", *rows)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("column", ["converged", "degenerate"])
+def test_models_writer_names_a_flag_neither_1_nor_0_in_a_later_block(tmp_path, monkeypatch,
+                                                                    column):
+    """A flag of 0.5 would be written as ``false`` and read back as 0.0: it is refused by its
+    row, counted over the blocks, and its column, and no file is written."""
+    monkeypatch.setattr(panelio, "BLOCK_ROWS", 2)
+    rows = model_rows(5)
+    rows[3][3, panelio.MODELS_HEADER.index(column) - 3] = 0.5
+    with pytest.raises(ValueError, match=re.escape(
+            f"data row 4, column {column}: 0.5 is not a flag, 1.0 or 0.0")):
+        write_models(tmp_path / "models.csv", *rows)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fit_outputs_give_back_the_models_rows_bit_for_bit(tmp_path, fitted):
+    """``write_fit_outputs`` then ``read_fit_outputs`` gives back ``models``, the (firms, 15)
+    rows of ``models.csv``, flags included, bit for bit."""
+    fit = with_flags(fit_outputs(fitted), converged=[1.0, 0.0, 1.0], degenerate=[0.0, 1.0, 1.0])
+    write_fit_outputs(tmp_path, fit)
+    back = read_fit_outputs(tmp_path)
+    assert back.models.shape == (3, 15) and back.models.dtype == np.float64
+    assert back.models.tobytes() == fit.models.tobytes()
+    assert back.converged.tolist() == [True, False, True]
+    assert back.degenerate.tolist() == [False, True, True]
 
 
 READ_PEAK = """

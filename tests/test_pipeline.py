@@ -229,8 +229,7 @@ def test_a_pool_job_writes_its_layers_and_sends_back_no_length_t_array(run_cfg, 
     serial = fit_outputs(fit_panel(panel, run_cfg, workers=1)[0])
     np.testing.assert_array_equal(out[:, 2:], serial.firmdays[:, 2:])
     np.testing.assert_array_equal(out[:, :2], 0.0)
-    np.testing.assert_array_equal(models[2:6], np.column_stack(
-        (serial.models, serial.converged, serial.degenerate))[2:6])
+    np.testing.assert_array_equal(models[2:6], serial.models[2:6])
     np.testing.assert_array_equal(models[:2], 0.0)
     assert size / 4 < days * 8 / 2
 
