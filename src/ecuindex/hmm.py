@@ -16,9 +16,11 @@ row in ``MODEL_COLUMNS`` order.  The recursions run on (m,) vectors, or on Pytho
 one row runs, and each weighted sum is a per-row BLAS dot: the same operations in the same
 order, so every row rounds as it would alone.  A finished start's outcome is numbers, its
 ``models.csv`` row, trace and filter; ``em_fit`` is the stream on one row and builds the
-``FitReport`` of its outcome.  A wider stream hands its last rows to ``em_fit`` (``_em_tail``)
-or back, each with its EM state, for a later stream to finish.  Only the fit stage imports
-this module, so the other stages do not compile it.
+``FitReport`` of its outcome.  EM starts from a median split: the rows that join a batch at once
+get their deterministic inits from one M-step on 0/1 weights (``_init_rows``), and
+``init_params`` is that step on one row.  A wider stream hands its last rows to ``em_fit``
+(``_em_tail``) or back, each with its EM state, for a later stream to finish.  Only the fit
+stage imports this module, so the other stages do not compile it.
 """
 
 from __future__ import annotations
@@ -292,25 +294,11 @@ def _degeneracies(bad: np.ndarray, offsets) -> list:
             for k, any_bad in zip(first.tolist(), bad.any(axis=0).tolist())]
 
 
-def _weighted_line(t: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """Weighted least-squares line y ~ alpha*t + beta (centered)."""
-    sw = float(w.sum())
-    if sw <= 0.0:
-        return 0.0, 0.0
-    t_bar = float(w @ t) / sw
-    y_bar = float(w @ y) / sw
-    dt = t - t_bar
-    denom = float(w @ (dt * dt))
-    if denom <= 0.0:
-        return 0.0, y_bar
-    alpha = float(w @ (dt * (y - y_bar))) / denom
-    return alpha, y_bar - alpha * t_bar
-
-
-def sigma_floor(y) -> float:
-    """Lower bound for regime stds: 1e-4 of the data spread (1e-4 flat if constant)."""
-    sd = float(np.std(_as_observations(y)))
-    return 1e-4 * (sd if sd > 0.0 else 1.0)
+def _floors(ys: np.ndarray) -> np.ndarray:
+    """Lower bounds for the regime stds of the (m, T) rows ``ys``: 1e-4 of a row's spread (1e-4
+    flat if constant)."""
+    sd = np.std(ys, axis=1)
+    return 1e-4 * np.where(sd > 0.0, sd, 1.0)
 
 
 def _dots(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -329,8 +317,9 @@ def _m_step_rows(y: np.ndarray, t: np.ndarray, gamma: np.ndarray, xi: np.ndarray
 
     Returns the next (12, m) model, in which a state without weight keeps its values, and per
     row None or the ``ValueError`` of a sigma ``RegimeParams`` refuses, regime 0's first.  Each
-    regime's line is ``_weighted_line``'s, both regimes' at once, every weighted sum a BLAS dot
-    per row and regime, so that each row rounds as it would alone.
+    regime's weighted least-squares line, the package's only one, is fitted on centered t, both
+    regimes' at once, every weighted sum a BLAS dot per row and regime, so that each row rounds
+    as it would alone.
     """
     q, params, _ = _views(model)
     new = np.empty_like(model)
@@ -342,7 +331,7 @@ def _m_step_rows(y: np.ndarray, t: np.ndarray, gamma: np.ndarray, xi: np.ndarray
     y_bar = _dots(gamma, y2) / sw
     np.subtract(t, t_bar[..., None], out=dt)
     denom = _dots(gamma, np.multiply(dt, dt, out=work))
-    flat = denom <= 0.0  # _weighted_line's flat line: slope 0 through the mean
+    flat = denom <= 0.0  # a flat line: slope 0 through the mean
     np.subtract(y2, y_bar[..., None], out=work)
     alpha = np.where(flat, 0.0, _dots(gamma, np.multiply(dt, work, out=work)) / denom)
     beta = np.where(flat, y_bar, y_bar - alpha * t_bar)
@@ -390,7 +379,7 @@ def em_fit(y, init: RegimeModel, tol=RunConfig.em_tol, max_iter=RunConfig.em_max
     of the returned model, and ``iterations`` counts M-step updates.
     ``filter`` is the last E-step's forward pass in label order, the causal filter of ``y``
     under the returned model (``forward_filter`` in ``tests/hmm_helpers.py`` reruns it).
-    Sigma collapse is floored (see ``sigma_floor``) and, like regime
+    Sigma collapse is floored (see ``_floors``) and, like regime
     indistinguishability, reported through the degenerate flag.  M-steps
     validate each new sigma; q and pi0 are validated once, at the end.
     """
@@ -408,12 +397,13 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
             max_iter=RunConfig.em_max_iter, offsets=None, hand_back=-1):
     """``em_fit`` on rows of the (n, T) grid ``ys``: ``starts`` yields (key, row of ``ys``,
     init), each key hashable and distinct, and each start's row is fitted from its init, a
-    model or the state (its 12 numbers, trace, None) in which a stream handed it back, in a
-    batch of at most ``width`` rows whose recursions run side by side as row vectors (on
-    Python floats while one row runs).
+    model, the state (its 12 numbers, trace, None) in which a stream handed it back, or None for
+    ``init_params``' init, in a batch of at most ``width`` rows whose recursions run side by
+    side as row vectors (on Python floats while one row runs).
 
     ``starts`` is read as the batch has room, so a start's init is only made when its row
-    joins.  Each row takes ``em_fit``'s operations in ``em_fit``'s order, so each start's
+    joins; the rows that join at once get their sigma floors, and their inits if None, from one
+    call each.  Each row takes ``em_fit``'s operations in ``em_fit``'s order, so each start's
     outcome, yielded as (key, outcome) after the batch step that ends it, is ``em_fit``'s on
     ``DeviationSeries(offsets, row)`` (row if no offsets) alone, bit for bit: its exception, or
     ``_finish``'s (row, trace, filter), whose ``_fit_report`` is ``em_fit``'s report.  Given a
@@ -429,7 +419,7 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
     waiting = next(starts, None)
     T = ys.shape[1]
     t = np.arange(1, T + 1, dtype=float)
-    last = max(hand_back, SCALAR_ROWS) if hand_back >= 0 else -1  # most running rows handed back
+    last = max(hand_back, SCALAR_ROWS) if hand_back >= 0 else 0  # most running rows handed back
     out: dict = {}  # per key of a start that the last batch step finished, its outcome
     keys, rows, floors, traces = [], [], [], []  # per batch row
     model = np.empty((12, 0))  # per batch row its 12 numbers (``_views``)
@@ -440,20 +430,34 @@ def em_rows(ys: np.ndarray, starts, width: int, tol=RunConfig.em_tol,
         if waiting is None and len(rows) <= last:
             yield from zip(keys, zip(model.T.tolist(), traces, [None] * len(keys)))
             return
-        joining = []
-        while waiting is not None and len(rows) < width:
-            key, row, init = waiting
-            numbers, trace = (init.numbers(), []) if isinstance(init, RegimeModel) else init[:2]
-            joining.append(numbers)
-            keys.append(key)
-            rows.append(row)
-            floors.append(sigma_floor(ys[row]))
-            traces.append(list(trace))
+        joining, columns = [], []
+        while waiting is not None and len(rows) + len(joining) < width:
+            joining.append(waiting)
             waiting = next(starts, None)
         if joining:
-            model = np.concatenate((model, np.array(joining).T), axis=1)
-        if not rows:
-            return
+            y = pool[:len(joining) * T].reshape(-1, T)
+            np.take(ys, [row for _, row, _ in joining], axis=0, out=y, mode="clip")
+            new_floors, made = _floors(y), iter(())
+            fresh = [j for j, (*_, init) in enumerate(joining) if init is None]
+            if fresh:  # each a state without updates, or the error refusing it
+                inits, failures = _init_rows(y[fresh], t, new_floors[fresh], pool[y.size:])
+                made = ((numbers, []) if failure is None else failure
+                        for numbers, failure in zip(inits.T.tolist(), failures))
+            for (key, row, init), floor in zip(joining, new_floors.tolist()):
+                init = next(made) if init is None else init
+                if isinstance(init, Exception):
+                    out[key] = init
+                    continue
+                numbers, trace = (init.numbers(), []) if isinstance(init, RegimeModel) \
+                    else init[:2]
+                columns.append(numbers)
+                keys.append(key)
+                rows.append(row)
+                floors.append(floor)
+                traces.append(list(trace))
+            model = np.concatenate((model, np.array(columns).reshape(-1, 12).T), axis=1)
+        if not rows:  # every init that joined was refused
+            continue
         m = len(rows)
         y = pool[:m * T].reshape(m, T)
         np.take(ys, rows, axis=0, out=y, mode="clip")  # clip: unbuffered
@@ -535,53 +539,49 @@ def _fit_report(row, trace, filtered) -> FitReport:
 
 
 def init_params(y) -> RegimeModel:
-    """Deterministic EM starting point from a median split of the deviations.
-
-    Values strictly below the median seed the recessionary regime's line,
-    the rest seed the prosperous one (a constant series seeds both
-    identically).  Transitions start sticky, initial state probabilities
-    uniform.
-    """
-    yv = _as_observations(y)
-    t = np.arange(1, len(yv) + 1, dtype=float)
-    floor = sigma_floor(yv)
-    med = _median(yv)
-    below = yv < med
-    if not below.any():
-        below = np.ones(len(yv), dtype=bool)
-    above = yv >= med
-    if not above.any():
-        above = np.ones(len(yv), dtype=bool)
-
-    def seed(mask: np.ndarray) -> RegimeParams:
-        tm, ym = t[mask], yv[mask]
-        alpha, beta = _weighted_line(tm, ym, np.ones(mask.sum()))
-        resid = ym - (alpha * tm + beta)
-        sd = float(np.sqrt(np.mean(resid * resid))) if len(ym) else 0.0
-        return RegimeParams(alpha, beta, max(sd, floor))
-
-    return RegimeModel(
-        q=np.array([[0.95, 0.05], [0.05, 0.95]]),
-        params=(seed(above), seed(below)),
-        pi0=np.array([0.5, 0.5]),
-    )
+    """Deterministic EM starting point from a median split of the deviations ``y``: the init
+    ``em_rows`` makes for a start without one (``_init_rows``), or its ``ValueError``."""
+    yv = _as_observations(y)[None]
+    t = np.arange(1.0, yv.size + 1)
+    return RegimeModel.from_numbers(_init_rows(yv, t, _floors(yv), np.empty(6 * yv.size))[0][:, 0])
 
 
-def _median(v: np.ndarray) -> float:
-    """``np.median`` of the nonempty 1-d ``v``, bit for bit: the same partition, the mean of its
-    middle one or two values, or its last value if that is NaN.  ``np.median``'s own NaN check
-    imports ``numpy.ma``, which the fit has no other use for."""
-    n = len(v)
-    part = np.partition(v, [*range((n - 1) // 2, n // 2 + 1), -1])
-    return float(part[-1] if np.isnan(part[-1]) else part[(n - 1) // 2:n // 2 + 1].mean())
+def _init_rows(y: np.ndarray, t: np.ndarray, floors: np.ndarray, pool: np.ndarray):
+    """The deterministic EM inits of the (m, T) rows ``y`` with (m,) sigma ``floors``, as
+    ``_m_step_rows`` returns them: its model after weights of 1 on a row's values at or above
+    its median for the prosperous regime and below it for the recessionary one (on all values
+    for a side with none, so a constant row seeds both alike), with sticky transitions (0.95
+    to stay) and uniform initial probabilities.  The weights and the M-step's temporaries go
+    in ``pool``, 6 * m * T floats or more."""
+    m, T = y.shape
+    median = _medians(y)[:, None]
+    gamma = pool[:2 * m * T].reshape(m, 2, T)
+    np.greater_equal(y, median, out=gamma[:, PROSPEROUS])
+    np.less(y, median, out=gamma[:, RECESSIONARY])
+    gamma[~gamma.any(axis=2)] = 1.0  # a side with no value
+    init = np.zeros((12, m))
+    init[6:] = np.array([0.95, 0.05, 0.05, 0.95, 0.5, 0.5])[:, None]  # q, then pi0
+    new, errors = _m_step_rows(y, t, gamma, np.zeros((2, 2, m)), init, floors,
+                               pool[2 * m * T:6 * m * T].reshape(2, m, 2, T))
+    new[6:] = init[6:]
+    return new, errors
+
+
+def _medians(y: np.ndarray) -> np.ndarray:
+    """``np.median`` of each of the (m, T) rows ``y``, bit for bit, without its NaN check, which
+    imports ``numpy.ma``: the mean of a row's middle one or two values, or a NaN it holds."""
+    T = y.shape[1]
+    part = np.partition(y, [*range((T - 1) // 2, T // 2 + 1), -1], axis=1)
+    return np.where(np.isnan(part[:, -1]), part[:, -1],
+                    part[:, (T - 1) // 2:T // 2 + 1].mean(axis=1))
 
 
 def random_init(y, rng: np.random.Generator) -> RegimeModel:
     """Randomized EM starting point for optional multi-start fitting."""
     yv = _as_observations(y)
-    floor = sigma_floor(yv)
     lo, hi = np.quantile(yv, [0.1, 0.9])
     spread = float(np.std(yv)) or 1.0
+    floor = 1e-4 * spread  # as ``_floors`` gives it for a finite spread
 
     def seed() -> RegimeParams:
         beta = float(rng.uniform(lo, hi)) if hi > lo else float(lo)

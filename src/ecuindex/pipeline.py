@@ -27,7 +27,7 @@ import numpy as np
 from . import hmm
 from .config import RunConfig
 from .ecu import FirmDayPanel
-from .hmm import _fit_report, init_params, random_init
+from .hmm import _fit_report, random_init
 from .panelio import FIRMDAY_LAYERS, MODELS_HEADER, FitOutputs
 from .preprocess import DeviationSeries, KwhPanel, firm_rng, preprocess_grid
 
@@ -55,7 +55,7 @@ class FirmFitResult:
 EM_BLOCK = 64  # most rows in a preprocessing grid, about 15 arrays of 545 days a row
 # most rows in an EM batch, 8 planes of 191 days (12 KB) a row: most of a batch E-step's cost
 # is fixed (3.7 ms at 64 rows and 4.4 ms at 128 on a 2-vCPU VM), and 200 rows raised a 200-firm
-# fit's peak RSS by 1.5%, 128 rows not at all
+# fit's peak RSS by 1.5% and 256 rows by 3.5%, 128 rows not at all
 EM_BATCH = 128
 _SHARED = []  # in a pool worker, the (firm_ids, cfg, errors, out, models) it inherited by fork
 
@@ -65,23 +65,22 @@ def _fit_block(rows: range, firm_ids: list, cfg: RunConfig, errors: list, out: n
     """Fit by EM each of the ``rows`` of ``out[0]`` that preprocessing kept (``errors[k]`` None)
     in a batch of at most ``EM_BATCH`` rows, writing row k's filter into ``out[1:3, k]`` and its
     ``models.csv`` row into ``models[k]``; returns ``_fold``'s records, (None, (0, message)) for
-    a row refused or whose init fails (the message put in ``errors[k]``), and the states that
-    the EM stream hands back, given a ``hand_back`` of 0 or more, as ``hmm.em_rows`` says.
+    a row refused or whose random init fails (the message put in ``errors[k]``), and the states
+    that the EM stream hands back, given a ``hand_back`` of 0 or more, as ``hmm.em_rows`` says.
 
-    EM starts from the deterministic init and from ``multi_start`` random inits drawn from the
-    firm's stream 3, each made as its row joins the EM batch and keyed (row, start index).
+    EM starts from the deterministic init, which the EM stream makes for the rows that join its
+    batch at once, and from ``multi_start`` random inits drawn from the firm's stream 3, each
+    made as its row joins the batch; a start is keyed (row, start index).
     """
     offsets, y = np.arange(-cfg.span, cfg.span + 1), out[0]
 
-    def starts():  # (key (row, start), row, init) per EM start; a failed init goes to errors
+    def starts():  # (key (row, start), row, init) per EM start; a failed random init: errors
         for k in rows:
             if errors[k] is not None:
                 continue
             rng = firm_rng(cfg.seed, firm_ids[k], 3) if cfg.multi_start > 0 else None
             try:
-                dev = DeviationSeries(offsets, y[k])
-                inits = [init_params(dev)] + [random_init(dev, rng)
-                                              for _ in range(cfg.multi_start)]
+                inits = [None] + [random_init(y[k], rng) for _ in range(cfg.multi_start)]
             except (ValueError, RuntimeError) as exc:
                 errors[k] = str(exc)
                 continue

@@ -1,4 +1,4 @@
-"""The numpy-per-step HMM recursions and EM loop, kept as the test oracle.
+"""The numpy-per-step HMM recursions, EM loop and init, kept as the test oracle.
 
 ``forward_filter``, ``_forward_backward``, ``_m_step`` and ``em_fit`` are
 the package's implementation from before the recursions moved to Python
@@ -7,11 +7,14 @@ builds a validated ``RegimeModel``.  Two changes follow the package's
 API: ``forward_filter`` no longer keeps the predicted pairs, and
 ``em_fit`` fills ``FitReport.filter`` with a second pass, ``forward_filter``
 on the labeled model, as the pipeline once did for every firm.  ``_label``
-is the package's labeling from when it worked on a ``RegimeModel``, and
-``emission_logdensity`` and ``_weighted_line`` are the package's scalar
-density and weighted line, kept here so that the oracle imports none of the
-code it checks.  Tests
-compare the package against them within stated tolerances.
+is the package's labeling from when it worked on a ``RegimeModel``.
+``init_params``, with its ``seed`` and ``_median``, is the package's
+deterministic init from before it became one M-step on the EM batch: a
+median split whose two sides are fitted by ``_weighted_line`` on
+compacted arrays.  ``emission_logdensity``, ``_weighted_line`` and
+``sigma_floor`` are the package's earlier scalar density, weighted line
+and sigma floor, kept here so that the oracle imports none of the code it
+checks.  Tests compare the package against them within stated tolerances.
 """
 
 import numpy as np
@@ -24,7 +27,6 @@ from ecuindex.hmm import (
     RegimeModel,
     RegimeParams,
     _as_observations,
-    sigma_floor,
 )
 
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -49,6 +51,53 @@ def _weighted_line(t: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, 
         return 0.0, y_bar
     alpha = float(w @ (dt * (y - y_bar))) / denom
     return alpha, y_bar - alpha * t_bar
+
+
+def sigma_floor(y) -> float:
+    """Lower bound for regime stds: 1e-4 of the data spread (1e-4 flat if constant)."""
+    sd = float(np.std(_as_observations(y)))
+    return 1e-4 * (sd if sd > 0.0 else 1.0)
+
+
+def init_params(y) -> RegimeModel:
+    """Deterministic EM starting point from a median split of the deviations.
+
+    Values strictly below the median seed the recessionary regime's line,
+    the rest seed the prosperous one (a constant series seeds both
+    identically).  Transitions start sticky, initial state probabilities
+    uniform.
+    """
+    yv = _as_observations(y)
+    t = np.arange(1, len(yv) + 1, dtype=float)
+    floor = sigma_floor(yv)
+    med = _median(yv)
+    below = yv < med
+    if not below.any():
+        below = np.ones(len(yv), dtype=bool)
+    above = yv >= med
+    if not above.any():
+        above = np.ones(len(yv), dtype=bool)
+
+    def seed(mask: np.ndarray) -> RegimeParams:
+        tm, ym = t[mask], yv[mask]
+        alpha, beta = _weighted_line(tm, ym, np.ones(mask.sum()))
+        resid = ym - (alpha * tm + beta)
+        sd = float(np.sqrt(np.mean(resid * resid))) if len(ym) else 0.0
+        return RegimeParams(alpha, beta, max(sd, floor))
+
+    return RegimeModel(
+        q=np.array([[0.95, 0.05], [0.05, 0.95]]),
+        params=(seed(above), seed(below)),
+        pi0=np.array([0.5, 0.5]),
+    )
+
+
+def _median(v: np.ndarray) -> float:
+    """``np.median`` of the nonempty 1-d ``v``, bit for bit: the same partition, the mean of its
+    middle one or two values, or its last value if that is NaN."""
+    n = len(v)
+    part = np.partition(v, [*range((n - 1) // 2, n // 2 + 1), -1])
+    return float(part[-1] if np.isnan(part[-1]) else part[(n - 1) // 2:n // 2 + 1].mean())
 
 
 def _emission_logmatrix(y: np.ndarray, model: RegimeModel) -> np.ndarray:

@@ -9,9 +9,10 @@ on numpy rows and sums each regime's weights three times.  The package's
 leaner kernel does the same arithmetic in the same order, so tests require
 bit-identical fits, or the same error type and message.  ``_label`` is the
 package's labeling from when it worked on a ``RegimeModel``, and
-``emission_logdensity`` and ``_weighted_line`` are the package's scalar
-density and weighted line, kept here so that the oracle imports none of the
-code it checks.
+``emission_logdensity`` and ``_weighted_line`` are the package's earlier
+scalar density and weighted line (the package's one weighted line is now
+``_m_step_rows``'), kept here, and ``sigma_floor`` taken from
+``hmm_oracle``, so that the oracle imports none of the code it checks.
 """
 
 import math
@@ -26,8 +27,8 @@ from ecuindex.hmm import (
     RegimeModel,
     RegimeParams,
     _as_observations,
-    sigma_floor,
 )
+from hmm_oracle import sigma_floor
 
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 

@@ -136,9 +136,10 @@ def test_pipeline_takes_the_em_stream_only_as_hmm_em_rows():
 
 
 def test_hmm_runs_em_in_one_loop():
-    """EM has one loop, ``hmm.em_rows``: no other function of the package calls the E-step or
-    the M-step, ``em_fit`` runs the stream on its one row, and ``hmmbatch``, the module the
-    stream had to itself, is gone."""
+    """EM has one loop, ``hmm.em_rows``: no other function of the package calls the E-step, the
+    M-step's one other caller is the deterministic init, ``_init_rows``, which only the loop and
+    ``init_params`` call, ``em_fit`` runs the stream on its one row, and ``hmmbatch``, the module
+    the stream had to itself, is gone."""
     src = Path(ecuindex.__file__).parent
     callers = {}
     for path in src.glob("*.py"):
@@ -148,7 +149,9 @@ def test_hmm_runs_em_in_one_loop():
                     if isinstance(node, ast.Call):
                         callers.setdefault(dotted(node.func).rpartition(".")[2], set()).add(
                             f"{path.stem}.{function.name}")
-    assert callers["_e_step_rows"] == callers["_m_step_rows"] == {"hmm.em_rows"}
+    assert callers["_e_step_rows"] == {"hmm.em_rows"}
+    assert callers["_m_step_rows"] == {"hmm.em_rows", "hmm._init_rows"}
+    assert callers["_init_rows"] == {"hmm.em_rows", "hmm.init_params"}
     assert "hmm.em_fit" in callers["em_rows"]
     assert not (src / "hmmbatch.py").exists()
 

@@ -20,12 +20,11 @@ from ecuindex.hmm import (
     em_fit,
     init_params,
     random_init,
-    sigma_floor,
 )
 from ecuindex.preprocess import DeviationSeries
 import hmm_scalar_oracle as scalar_oracle
 from hmm_helpers import forward_filter, sample_path
-from hmm_oracle import _label as oracle_label
+from hmm_oracle import _label as oracle_label, sigma_floor as oracle_sigma_floor
 from test_hmm_oracle import absorbing, series_and_model
 
 # ---------------------------------------------------------------------------
@@ -458,9 +457,12 @@ def test_swapped_init_gives_the_same_fit_bit_for_bit(case):
 def stacked_cases(draw):
     """Two to six ``series_and_model`` cases of one length, their offsets (None in a drawn
     share), a hand-off size and a batch width for their stream; a width below their count makes
-    rows join mid-stream, and offsets that are not the 1-based steps show which a failure names."""
+    rows join mid-stream, and offsets that are not the 1-based steps show which a failure names.
+    A case's model is None in a drawn share: its start takes the deterministic init of its row,
+    made in the stream with the other rows that join the batch at once."""
     T = draw(st.one_of(st.just(191), st.integers(1, 191)))
-    cases = [draw(series_and_model(T)) for _ in range(draw(st.integers(2, 6)))]
+    cases = [(y, None if draw(st.booleans()) else model)
+             for y, model in (draw(series_and_model(T)) for _ in range(draw(st.integers(2, 6))))]
     offsets = draw(st.sampled_from([None, np.arange(T) * 3 - T]))
     return cases, offsets, draw(st.integers(0, len(cases))), draw(st.integers(1, len(cases)))
 
@@ -497,10 +499,15 @@ def handed_back(out) -> bool:
     return isinstance(out, tuple) and out[2] is None
 
 
+def em_fit_from(y, model, **kwargs):
+    """``em_fit`` on ``y`` from ``model``, or from ``init_params(y)`` if it is None."""
+    return em_fit(y, init_params(y) if model is None else model, **kwargs)
+
+
 def assert_is_em_fit(out, y, model, offsets, max_iter=50):
-    """``out`` is ``em_fit``'s outcome on ``y`` alone from ``model``, as a ``DeviationSeries``
-    when there are offsets: its failure, or the (row, trace, filter) of Python floats whose
-    ``hmm._fit_report`` is its report."""
+    """``out`` is ``em_fit``'s outcome on ``y`` alone from ``model`` (``init_params(y)`` if None),
+    as a ``DeviationSeries`` when there are offsets: its failure, or the (row, trace, filter) of
+    Python floats whose ``hmm._fit_report`` is its report."""
     assert isinstance(out, (tuple, ValueError, RuntimeError)) and not handed_back(out)
     if isinstance(out, Exception):
         got = type(out), str(out)
@@ -512,7 +519,7 @@ def assert_is_em_fit(out, y, model, offsets, max_iter=50):
         assert report.iterations == len(report.loglik_trace) - 1
         got = fit_bits(report)
     series = y if offsets is None else DeviationSeries(offsets, y)
-    assert got == outcome_bits(em_fit, series, model, max_iter=max_iter)
+    assert got == outcome_bits(em_fit_from, series, model, max_iter=max_iter)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -677,6 +684,28 @@ def test_a_stream_one_row_wide_never_calls_em_fit():
         assert_is_em_fit(outs[k], y, init_params(y), None)
 
 
+def test_a_start_whose_init_is_refused_ends_with_its_error_and_leaves_room():
+    """Rows whose squares overflow get a sigma that is not finite from the deterministic init,
+    which the stream makes as they join: each such start ends with ``init_params``'
+    ``ValueError``, and the rows behind them join in their place, each fitted as ``em_fit``
+    fits it alone; a stream whose every init is refused yields each error and ends."""
+    rng = np.random.default_rng(5)
+    huge = rng.standard_normal((2, 191)) * 1e160
+    walks = np.cumsum(rng.standard_normal((2, 191)), axis=1)
+    ys = np.concatenate((huge, walks))
+    with np.errstate(over="ignore", invalid="ignore"):  # the huge rows' spread overflows
+        outs = dict(hmm.em_rows(ys, [(k, k, None) for k in range(4)], 2, max_iter=50))
+        refused = list(hmm.em_rows(huge, [(k, k, None) for k in range(2)], 2))
+        assert [(key, type(out), str(out)) for key, out in refused] == [
+            (k, ValueError, str(outs[k])) for k in (0, 1)]
+        for k in (0, 1):
+            with pytest.raises(ValueError, match="^sigma must be positive and finite") as exc:
+                init_params(ys[k])
+            assert (type(outs[k]), str(outs[k])) == (ValueError, str(exc.value))
+    for k in (2, 3):
+        assert_is_em_fit(outs[k], ys[k], None, None)
+
+
 def test_batch_and_tail_failures_name_the_series_offset():
     """A row that degenerates at its first E-step fails in the batch, and one that degenerates
     only after an update fails in ``em_fit``'s tail; both name ``offsets[step]``."""
@@ -725,7 +754,7 @@ def m_step_rows(draw):
         xi = rng.uniform(0.0, 5.0, (2, 2)) * draw(st.sampled_from([[[1.0], [1.0]], [[0.0], [1.0]]]))
         model = random_init(y if np.ptp(y) < 1e100 else y * 1e-150, rng)
         with np.errstate(over="ignore"):  # the floor of an overflowing spread is 1e-4
-            rows.append((y, gamma, xi, model, sigma_floor(y)))
+            rows.append((y, gamma, xi, model, oracle_sigma_floor(y)))
     return rows
 
 
@@ -915,17 +944,47 @@ def test_init_is_deterministic():
     np.testing.assert_array_equal(a.q, b.q)
 
 
+ODD_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]),
+                       st.floats(width=64))
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]),
-                          st.floats(width=64)), min_size=1, max_size=12))
-def test_median_is_np_median_bit_for_bit(values):
-    """``hmm._median``, which ``init_params`` splits at, is ``np.median`` bit for bit at odd and
-    even lengths, on ties, signed zeros, infinities and NaN, and leaves its input as it was."""
-    v = np.array(values)
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(st.lists(ODD_VALUES, min_size=n, max_size=n),
+                                                     min_size=1, max_size=4)))
+def test_median_is_np_median_bit_for_bit(rows):
+    """``hmm._medians``, the point at which ``_init_rows`` splits each row, is ``np.median`` of
+    each row bit for bit at odd and even lengths, on ties, signed zeros, infinities and NaN,
+    and leaves its input as it was."""
+    y = np.array(rows)
     with np.errstate(invalid="ignore"):
-        want = np.float64(np.median(v)).tobytes()
-        assert np.float64(hmm._median(v)).tobytes() == want
-    assert v.tobytes() == np.array(values).tobytes()
+        want = [np.float64(np.median(row)).tobytes() for row in y]
+        assert [x.tobytes() for x in hmm._medians(y)] == want
+    assert y.tobytes() == np.array(rows).tobytes()
+
+
+@st.composite
+def floor_rows(draw):
+    """One to five rows of one length, each free floats whose squares reach 1e300, or a level
+    up to 1e6 plus a random walk whose scale may be 0 (a constant row)."""
+    T = draw(st.integers(1, 191))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            rows.append(draw(st.lists(st.floats(-1e150, 1e150), min_size=T, max_size=T)))
+        else:
+            walk = np.cumsum(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=T))
+            rows.append(draw(st.floats(-1e6, 1e6))
+                        + draw(st.sampled_from([0.0, 1e-9, 1.0, 1e3])) * walk)
+    return np.array(rows, dtype=float)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(floor_rows())
+def test_floors_are_the_oracles_sigma_floor_of_each_row_bit_for_bit(y):
+    """``hmm._floors``, one ``np.std`` along the rows that join an EM batch, gives each row the
+    oracle's ``sigma_floor`` of it alone, bit for bit."""
+    want = [np.float64(oracle_sigma_floor(row)).tobytes() for row in y]
+    assert [x.tobytes() for x in hmm._floors(y)] == want
 
 
 def test_random_init_valid_and_seeded():

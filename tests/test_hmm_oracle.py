@@ -9,7 +9,9 @@ Tolerances, fixed before comparing: log-likelihood and
 posteriors within 1e-12 relative, summed transition posteriors within
 1e-12 absolute, and after a full EM fit, parameters, filtered pairs and
 the final log-likelihood within 1e-9 relative with identical iteration
-counts and flags.  EM's filter, taken from its last E-step, must be
+counts and flags.  The deterministic init, one M-step on the batch, is
+the oracle's ``init_params`` within 1e-12 of the larger of a number and
+the series' std, plus 8 ulps of the series' largest magnitude.  EM's filter, taken from its last E-step, must be
 bit-identical to ``forward_filter`` run again on the returned model.
 """
 
@@ -213,6 +215,39 @@ def test_posterior_degeneracy_is_raised_where_oracle_has_nan():
         em_fit(y, model)
     with pytest.raises(FilterDegeneracyError, match="^filter degeneracy at offset -95$"):
         em_fit(DeviationSeries(np.arange(-95, 96), y), model)
+
+
+def assert_init_near_oracle(y):
+    """The package's deterministic init of ``y`` is the oracle's, or fails with its error: each
+    number within 1e-12 of max(|oracle value|, the row's std), plus 8 ulps of the row's
+    largest magnitude, at which both round every residual ``y - (alpha * t + beta)``: under a
+    level of 1e6 a noise of 1e-9 is a few ulps, and so are its sigma and its slope."""
+    try:
+        want = np.array(oracle.init_params(y).numbers())
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            init_params(y)
+        assert str(got.value) == str(exc)
+        return
+    got = np.array(init_params(y).numbers())
+    bound = 1e-12 * np.maximum(np.abs(want), np.std(y)) + 8 * np.spacing(np.abs(y).max())
+    assert (np.abs(got - want) <= bound).all(), (got, want)
+
+
+def test_init_matches_oracle_on_recovery_fixtures():
+    """The 200 firms of acceptance criterion 3: the init of each is the oracle's."""
+    for k in range(200):
+        _, y = sample_path(TRUE_MODEL, 191, seed=3000 + k)
+        assert_init_near_oracle(y)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.one_of(st.just(191), st.integers(1, 191)),
+       st.sampled_from(SHAPES), st.sampled_from([0.0, 1e6, -1e6]),
+       st.sampled_from([1e-9, 1.0, 1e3]))
+def test_init_matches_oracle(seed, T, shape, level, noise):
+    """Spikes, steps, flat series, ties and noise, at level offsets of 0 and 1e6."""
+    assert_init_near_oracle(make_series(shape, T, level, noise, np.random.default_rng(seed)))
 
 
 def test_em_matches_oracle_on_recovery_fixtures():
